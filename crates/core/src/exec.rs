@@ -12,6 +12,7 @@ use crate::ops;
 use crate::plan::{LogicalPlan, PlanOp};
 use nggc_engine::ExecContext;
 use nggc_gdm::Dataset;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -301,12 +302,29 @@ pub fn execute_governed(
                 None => provider.load_shared(name)?,
             },
             PlanOp::Apply(op) => {
-                let inputs: Vec<&Dataset> = node
-                    .inputs
+                let first = node.inputs[0];
+                // An operator that rewrites its input region by region gets
+                // the dataset itself when nobody else will read it again:
+                // this node is the slot's last consumer and no other holder
+                // (the repository cache, a result cache) shares the
+                // allocation. Its bytes stay charged until the release
+                // below, as for a borrowed input.
+                let mut owned = None;
+                if consumes_input(op) && refcount[first] == 1 {
+                    match Arc::try_unwrap(slots[first].take().expect("topological order")) {
+                        Ok(dataset) => owned = Some(dataset),
+                        Err(shared) => slots[first] = Some(shared),
+                    }
+                }
+                let input = match owned {
+                    Some(dataset) => Cow::Owned(dataset),
+                    None => Cow::Borrowed(slots[first].as_deref().expect("topological order")),
+                };
+                let rest: Vec<&Dataset> = node.inputs[1..]
                     .iter()
                     .map(|&i| slots[i].as_deref().expect("topological order"))
                     .collect();
-                let mut d = apply(op, &inputs, ctx, opts, &node.schema)?;
+                let mut d = apply(op, input, &rest, ctx, opts, &node.schema)?;
                 d.name = node.label.clone();
                 Arc::new(d)
             }
@@ -414,48 +432,55 @@ pub fn execute_governed(
     Ok((out, metrics))
 }
 
-/// Dispatch one operator application.
+/// True for the operators that can rewrite an owned input in place
+/// instead of copying what they keep of it.
+fn consumes_input(op: &Operator) -> bool {
+    matches!(op, Operator::Select { .. } | Operator::Project { .. })
+}
+
+/// Dispatch one operator application: `input` is the operator's first
+/// (for unary operators, only) input, `rest` the others.
 fn apply(
     op: &Operator,
-    inputs: &[&Dataset],
+    input: Cow<'_, Dataset>,
+    rest: &[&Dataset],
     ctx: &ExecContext,
     opts: &ExecOptions,
     out_schema: &nggc_gdm::Schema,
 ) -> Result<Dataset, GmqlError> {
-    let unary = || inputs[0];
     match op {
         Operator::Select { meta, region, semijoin } => {
-            let ext = inputs.get(1).copied();
-            ops::select::select(ctx, opts, meta, region.as_ref(), semijoin.as_ref(), unary(), ext)
+            let ext = rest.first().copied();
+            ops::select::select(ctx, opts, meta, region.as_ref(), semijoin.as_ref(), input, ext)
         }
         Operator::Project { attrs, new_attrs, meta_attrs } => ops::project::project(
             ctx,
             attrs.as_deref(),
             new_attrs,
             meta_attrs.as_deref(),
-            unary(),
+            input,
             out_schema,
         ),
-        Operator::Extend { assignments } => ops::extend::extend(ctx, assignments, unary()),
-        Operator::Merge { groupby } => ops::merge::merge(ctx, groupby, unary()),
+        Operator::Extend { assignments } => ops::extend::extend(ctx, assignments, &input),
+        Operator::Merge { groupby } => ops::merge::merge(ctx, groupby, &input),
         Operator::Group { by, region_aggs } => {
-            ops::group::group(ctx, by, region_aggs, unary(), out_schema)
+            ops::group::group(ctx, by, region_aggs, &input, out_schema)
         }
         Operator::Order { meta_keys, top, region_keys, region_top } => {
-            ops::order::order(ctx, meta_keys, *top, region_keys, *region_top, unary())
+            ops::order::order(ctx, meta_keys, *top, region_keys, *region_top, &input)
         }
-        Operator::Union => ops::union::union(ctx, inputs[0], inputs[1], out_schema),
+        Operator::Union => ops::union::union(ctx, &input, rest[0], out_schema),
         Operator::Difference { exact, joinby } => {
-            ops::difference::difference(ctx, *exact, joinby, inputs[0], inputs[1])
+            ops::difference::difference(ctx, *exact, joinby, &input, rest[0])
         }
         Operator::Join { clauses, output, joinby } => {
-            ops::join::join(ctx, clauses, *output, joinby, inputs[0], inputs[1], out_schema)
+            ops::join::join(ctx, clauses, *output, joinby, &input, rest[0], out_schema)
         }
         Operator::Map { aggs, joinby } => {
-            ops::map::map(ctx, aggs, joinby, inputs[0], inputs[1], out_schema)
+            ops::map::map(ctx, aggs, joinby, &input, rest[0], out_schema)
         }
         Operator::Cover { variant, min_acc, max_acc, groupby, aggs } => {
-            ops::cover::cover(ctx, *variant, *min_acc, *max_acc, groupby, aggs, unary(), out_schema)
+            ops::cover::cover(ctx, *variant, *min_acc, *max_acc, groupby, aggs, &input, out_schema)
         }
     }
 }

@@ -55,7 +55,7 @@ pub use governor::{
 pub use optimizer::{optimize, OptimizerReport};
 pub use parser::parse;
 pub use plan::{infer_schema, LogicalNode, LogicalPlan, NodeId, PlanOp};
-pub use predicates::{BinOp, CmpOp, MetaPredicate, RegionExpr};
+pub use predicates::{BinOp, BoundExpr, CmpOp, MetaPredicate, RegionExpr};
 pub use query::{
     run_with_provider, run_with_provider_governed, EstimatedOutput, GmqlEngine, QueryEstimate,
 };

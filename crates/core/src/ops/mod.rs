@@ -24,7 +24,21 @@ pub mod project;
 pub mod select;
 pub mod union;
 
-use nggc_gdm::Metadata;
+use nggc_gdm::{Dataset, Metadata, Sample, Schema};
+use std::borrow::Cow;
+
+/// Split a unary operator's input into name, schema and samples — each
+/// sample owned when the dataset is, borrowed when it is shared — so that
+/// one per-sample closure serves both: it moves what it may and clones
+/// what it must.
+pub(crate) fn unpack(input: Cow<'_, Dataset>) -> (String, Schema, Vec<Cow<'_, Sample>>) {
+    match input {
+        Cow::Owned(d) => (d.name, d.schema, d.samples.into_iter().map(Cow::Owned).collect()),
+        Cow::Borrowed(d) => {
+            (d.name.clone(), d.schema.clone(), d.samples.iter().map(Cow::Borrowed).collect())
+        }
+    }
+}
 
 /// The grouping key of a sample under `groupby` metadata attributes: the
 /// sorted distinct values of each attribute, joined. Samples missing an

@@ -5,18 +5,26 @@
 //! normalised score while dropping the raw one).
 
 use crate::error::GmqlError;
-use crate::predicates::RegionExpr;
+use crate::ops::unpack;
+use crate::predicates::{BoundExpr, RegionExpr};
 use nggc_engine::ExecContext;
-use nggc_gdm::{Dataset, Provenance, Sample, Schema};
+use nggc_gdm::{Dataset, GRegion, Provenance, Sample, Schema};
+use std::borrow::Cow;
 
 /// Execute PROJECT. `out_schema` is the inferred output schema;
 /// `meta_attrs`, when given, lists the metadata attributes to keep.
+///
+/// An owned `input` (the executor hands one over when this operator is
+/// the dataset's last user) is reshaped in place: every region keeps its
+/// chromosome handle and its value vector, whose kept cells are moved
+/// into position. A borrowed input is left untouched and the kept cells
+/// are cloned out of it.
 pub fn project(
     ctx: &ExecContext,
     attrs: Option<&[String]>,
     new_attrs: &[(String, RegionExpr)],
     meta_attrs: Option<&[String]>,
-    input: &Dataset,
+    input: Cow<'_, Dataset>,
     out_schema: &Schema,
 ) -> Result<Dataset, GmqlError> {
     // Positions of kept attributes in the input schema.
@@ -27,7 +35,9 @@ pub fn project(
         }
         None => (0..input.schema.len()).collect(),
     };
-    let in_schema = &input.schema;
+    let computed: Vec<BoundExpr<'_>> =
+        new_attrs.iter().map(|(_, expr)| expr.bind(&input.schema)).collect();
+    let moves = move_program(&keep, input.schema.len(), computed.len());
     let detail = format!(
         "{}{}",
         attrs.map(|a| a.join(",")).unwrap_or_else(|| "*".to_owned()),
@@ -41,47 +51,81 @@ pub fn project(
         }
     );
 
-    let samples = ctx.map_samples(&input.samples, |s| {
-        let mut out = Sample::derived(
-            s.name.clone(),
-            Provenance::derived("PROJECT", detail.clone(), vec![s.provenance.clone()]),
-        );
-        out.metadata = match meta_attrs {
-            Some(keep) => {
-                let mut m = nggc_gdm::Metadata::new();
-                for (k, v) in s.metadata.iter() {
-                    if keep.iter().any(|a| a.eq_ignore_ascii_case(k)) {
-                        m.insert(k, v);
-                    }
+    let (name, _, samples) = unpack(input);
+    let samples = ctx.pool().parallel_map(samples, |s| {
+        let provenance = Provenance::derived("PROJECT", detail.clone(), vec![s.provenance.clone()]);
+        // `None`: every metadata attribute is kept, as it is.
+        let kept_metadata = meta_attrs.map(|keep| {
+            let mut m = nggc_gdm::Metadata::new();
+            for (k, v) in s.metadata.iter() {
+                if keep.iter().any(|a| a.eq_ignore_ascii_case(k)) {
+                    m.insert(k, v);
                 }
-                m
             }
-            None => s.metadata.clone(),
+            m
+        });
+        let (name, metadata, regions) = match s {
+            Cow::Owned(mut s) => {
+                for r in &mut s.regions {
+                    // Computed attributes read the input row, so they are
+                    // appended before any cell moves.
+                    for expr in &computed {
+                        let v = expr.eval(r);
+                        r.values.push(v);
+                    }
+                    for &(to, from) in &moves {
+                        r.values.swap(to, from);
+                    }
+                    r.values.truncate(keep.len() + computed.len());
+                }
+                (s.name, kept_metadata.unwrap_or(s.metadata), s.regions)
+            }
+            Cow::Borrowed(s) => {
+                let regions = s
+                    .regions
+                    .iter()
+                    .map(|r| {
+                        let mut values = Vec::with_capacity(keep.len() + computed.len());
+                        values.extend(keep.iter().map(|&i| r.values[i].clone()));
+                        values.extend(computed.iter().map(|expr| expr.eval(r)));
+                        GRegion { values, chrom: r.chrom.clone(), ..*r }
+                    })
+                    .collect();
+                (s.name.clone(), kept_metadata.unwrap_or_else(|| s.metadata.clone()), regions)
+            }
         };
-        out.regions = s
-            .regions
-            .iter()
-            .map(|r| {
-                let mut values = Vec::with_capacity(keep.len() + new_attrs.len());
-                for &i in &keep {
-                    values.push(r.values[i].clone());
-                }
-                for (_, expr) in new_attrs {
-                    values.push(expr.eval(r, in_schema));
-                }
-                let mut nr = r.clone();
-                nr.values = values;
-                nr
-            })
-            .collect();
+        let mut out = Sample::derived(name, provenance);
+        out.metadata = metadata;
+        out.regions = regions;
         out
     });
 
-    let mut out = Dataset::new(input.name.clone(), out_schema.clone());
+    let mut out = Dataset::new(name, out_schema.clone());
     for s in samples {
         out.add_sample_unchecked(s);
     }
     Ok(out)
+}
+
+/// The swaps that turn a row of `width` input cells followed by `extra`
+/// computed cells into `[row[keep[0]], row[keep[1]], …, computed…]` at
+/// its front, in place. It depends only on the projection, so it is
+/// worked out once and replayed on every row; the caller truncates the
+/// row to `keep.len() + extra` afterwards.
+fn move_program(keep: &[usize], width: usize, extra: usize) -> Vec<(usize, usize)> {
+    // `at[i]`: which original cell sits at position `i` right now.
+    let mut at: Vec<usize> = (0..width + extra).collect();
+    let wanted = keep.iter().copied().chain(width..width + extra);
+    let mut swaps = Vec::new();
+    for (to, cell) in wanted.enumerate() {
+        // Positions before `to` are final, so the cell is at or after it.
+        let from = to + at[to..].iter().position(|&c| c == cell).expect("kept cells are distinct");
+        if from != to {
+            at.swap(to, from);
+            swaps.push((to, from));
+        }
+    }
+    swaps
 }
 
 #[cfg(test)]
@@ -108,15 +152,65 @@ mod tests {
     }
 
     fn run(attrs: Option<Vec<String>>, new_attrs: Vec<(String, RegionExpr)>) -> Dataset {
-        let ds = dataset();
+        let shared = dataset();
+        let a = run_on(&attrs, &new_attrs, Cow::Borrowed(&shared));
+        let b = run_on(&attrs, &new_attrs, Cow::Owned(dataset()));
+        // An owned input is reshaped in place, a shared one copied from:
+        // same output, and the shared input is what it was.
+        assert_eq!((&a.name, &a.schema), (&b.name, &b.schema));
+        for (sa, sb) in a.samples.iter().zip(&b.samples) {
+            assert_eq!(sa.name, sb.name);
+            assert_eq!(sa.regions, sb.regions);
+            assert_eq!(sa.metadata, sb.metadata);
+            assert_eq!(sa.provenance.to_string(), sb.provenance.to_string());
+        }
+        assert_eq!(shared.samples[0].regions, dataset().samples[0].regions);
+        a
+    }
+
+    fn run_on(
+        attrs: &Option<Vec<String>>,
+        new_attrs: &[(String, RegionExpr)],
+        input: Cow<'_, Dataset>,
+    ) -> Dataset {
         let op = Operator::Project {
             attrs: attrs.clone(),
-            new_attrs: new_attrs.clone(),
+            new_attrs: new_attrs.to_vec(),
             meta_attrs: None,
         };
-        let out_schema = infer_schema(&op, &[&ds.schema]).unwrap();
+        let out_schema = infer_schema(&op, &[&input.schema]).unwrap();
         let ctx = ExecContext::with_workers(2);
-        project(&ctx, attrs.as_deref(), &new_attrs, None, &ds, &out_schema).unwrap()
+        project(&ctx, attrs.as_deref(), new_attrs, None, input, &out_schema).unwrap()
+    }
+
+    #[test]
+    fn reorders_in_place() {
+        let out = run(Some(vec!["name".into(), "score".into()]), vec![]);
+        assert_eq!(
+            out.samples[0].regions[0].values,
+            vec![Value::Str("a".into()), Value::Float(2.0)]
+        );
+    }
+
+    #[test]
+    fn move_program_handles_any_projection() {
+        for (keep, width, extra) in [
+            (vec![], 3, 0),
+            (vec![0, 1, 2], 3, 0),
+            (vec![2], 3, 0),
+            (vec![2, 0], 3, 1),
+            (vec![1, 2, 0], 3, 2),
+            (vec![3, 1], 4, 1),
+            (vec![], 2, 2),
+        ] {
+            let mut row: Vec<usize> = (0..width + extra).collect();
+            for (to, from) in move_program(&keep, width, extra) {
+                row.swap(to, from);
+            }
+            row.truncate(keep.len() + extra);
+            let want: Vec<usize> = keep.iter().copied().chain(width..width + extra).collect();
+            assert_eq!(row, want, "keep {keep:?} of {width} + {extra}");
+        }
     }
 
     #[test]
@@ -153,7 +247,8 @@ mod tests {
     fn unknown_attribute_rejected() {
         let ds = dataset();
         let ctx = ExecContext::with_workers(1);
-        let err = project(&ctx, Some(&["zzz".to_string()]), &[], None, &ds, &ds.schema);
+        let err =
+            project(&ctx, Some(&["zzz".to_string()]), &[], None, Cow::Borrowed(&ds), &ds.schema);
         assert!(err.is_err());
     }
 }

@@ -9,20 +9,26 @@
 use crate::ast::SemiJoin;
 use crate::error::GmqlError;
 use crate::exec::ExecOptions;
-use crate::ops::joinby_matches;
+use crate::ops::{joinby_matches, unpack};
 use crate::predicates::{MetaPredicate, RegionExpr};
 use nggc_engine::ExecContext;
-use nggc_gdm::{Dataset, Provenance, Sample};
+use nggc_gdm::{Dataset, GRegion, Provenance, Sample};
+use std::borrow::Cow;
 
 /// Execute SELECT. `ext` is the external dataset of the metadata
 /// semijoin, when one is declared.
+///
+/// An owned `input` (the executor hands one over when this operator is
+/// the dataset's last user) is filtered in place: surviving regions are
+/// never copied, only the rejected ones are dropped. A borrowed input is
+/// left untouched and the survivors are cloned out of it.
 pub fn select(
     ctx: &ExecContext,
     opts: &ExecOptions,
     meta: &MetaPredicate,
     region: Option<&RegionExpr>,
     semijoin: Option<&SemiJoin>,
-    input: &Dataset,
+    input: Cow<'_, Dataset>,
     ext: Option<&Dataset>,
 ) -> Result<Dataset, GmqlError> {
     let mut detail = match region {
@@ -37,7 +43,8 @@ pub fn select(
             sj.external
         ));
     }
-    let schema = input.schema.clone();
+    let predicate = region.map(|r| r.bind(&input.schema));
+    let keep = |r: &GRegion| predicate.as_ref().is_none_or(|p| p.eval_bool(r));
 
     // Combined sample-level admission: metadata predicate AND semijoin.
     let admit = |s: &Sample| -> bool {
@@ -60,36 +67,41 @@ pub fn select(
         }
     };
 
-    let filter_regions = |s: &Sample| -> Sample {
-        let mut out = Sample::derived(
-            s.name.clone(),
-            Provenance::derived("SELECT", detail.clone(), vec![s.provenance.clone()]),
-        );
-        out.metadata = s.metadata.clone();
-        out.regions = match region {
-            Some(expr) => {
-                s.regions.iter().filter(|r| expr.eval_bool(r, &schema)).cloned().collect()
+    let filter_regions = |s: Cow<'_, Sample>| -> Sample {
+        let provenance = Provenance::derived("SELECT", detail.clone(), vec![s.provenance.clone()]);
+        let (name, metadata, regions) = match s {
+            Cow::Owned(mut s) => {
+                s.regions.retain(keep);
+                (s.name, s.metadata, s.regions)
             }
-            None => s.regions.clone(),
+            Cow::Borrowed(s) => (
+                s.name.clone(),
+                s.metadata.clone(),
+                s.regions.iter().filter(|r| keep(r)).cloned().collect(),
+            ),
         };
+        let mut out = Sample::derived(name, provenance);
+        out.metadata = metadata;
+        out.regions = regions;
         out
     };
 
+    let (name, schema, mut samples) = unpack(input);
     let samples: Vec<Sample> = if opts.meta_first {
         // Evaluate the cheap metadata predicate (and semijoin) first and
         // only scan the regions of surviving samples.
-        let survivors: Vec<&Sample> = input.samples.iter().filter(|s| admit(s)).collect();
-        ctx.pool().parallel_map(survivors, filter_regions)
+        samples.retain(|s| admit(s));
+        ctx.pool().parallel_map(samples, filter_regions)
     } else {
         // Ablation baseline: scan every sample's regions, then filter.
-        let all = ctx.map_samples(&input.samples, |s| {
-            let keep = admit(s);
+        let all = ctx.pool().parallel_map(samples, |s| {
+            let keep = admit(&s);
             (keep, filter_regions(s))
         });
         all.into_iter().filter_map(|(keep, s)| keep.then_some(s)).collect()
     };
 
-    let mut out = Dataset::new(input.name.clone(), input.schema.clone());
+    let mut out = Dataset::new(name, schema);
     for s in samples {
         out.add_sample_unchecked(s);
     }
@@ -134,7 +146,7 @@ mod tests {
             &MetaPredicate::eq("karyotype", "cancer"),
             None,
             None,
-            &dataset(),
+            Cow::Borrowed(&dataset()),
             None,
         )
         .unwrap();
@@ -153,7 +165,7 @@ mod tests {
             &MetaPredicate::True,
             Some(&pred),
             None,
-            &dataset(),
+            Cow::Borrowed(&dataset()),
             None,
         )
         .unwrap();
@@ -173,7 +185,7 @@ mod tests {
             &meta,
             Some(&pred),
             None,
-            &dataset(),
+            Cow::Borrowed(&dataset()),
             None,
         )
         .unwrap();
@@ -183,12 +195,45 @@ mod tests {
             &meta,
             Some(&pred),
             None,
-            &dataset(),
+            Cow::Borrowed(&dataset()),
             None,
         )
         .unwrap();
         assert_eq!(a.sample_count(), b.sample_count());
         assert_eq!(a.samples[0].regions, b.samples[0].regions);
+    }
+
+    #[test]
+    fn owned_input_gives_what_a_shared_input_gives() {
+        let ctx = ExecContext::with_workers(2);
+        let pred = RegionExpr::attr("p_value").cmp(CmpOp::Lt, RegionExpr::num(0.01));
+        for meta_first in [true, false] {
+            for (meta, region) in [
+                (MetaPredicate::True, Some(&pred)),
+                (MetaPredicate::eq("karyotype", "cancer"), Some(&pred)),
+                (MetaPredicate::eq("karyotype", "normal"), None),
+            ] {
+                let opts = ExecOptions { meta_first, ..Default::default() };
+                let shared = dataset();
+                let a =
+                    select(&ctx, &opts, &meta, region, None, Cow::Borrowed(&shared), None).unwrap();
+                let b =
+                    select(&ctx, &opts, &meta, region, None, Cow::Owned(dataset()), None).unwrap();
+                assert_eq!((&a.name, &a.schema), (&b.name, &b.schema));
+                assert_eq!(a.sample_count(), b.sample_count());
+                for (sa, sb) in a.samples.iter().zip(&b.samples) {
+                    assert_eq!(sa.name, sb.name);
+                    assert_eq!(sa.regions, sb.regions);
+                    assert_eq!(sa.metadata, sb.metadata);
+                    assert_eq!(sa.provenance.to_string(), sb.provenance.to_string());
+                }
+                // The shared input is exactly what it was.
+                let fresh = dataset();
+                for (s, f) in shared.samples.iter().zip(&fresh.samples) {
+                    assert_eq!(s.regions, f.regions);
+                }
+            }
+        }
     }
 
     #[test]
@@ -200,7 +245,7 @@ mod tests {
             &MetaPredicate::eq("karyotype", "cancer"),
             None,
             None,
-            &dataset(),
+            Cow::Borrowed(&dataset()),
             None,
         )
         .unwrap();

@@ -232,8 +232,36 @@ impl RegionExpr {
         }
     }
 
-    /// Evaluate over a region.
-    pub fn eval(&self, region: &GRegion, schema: &Schema) -> Value {
+    /// Resolve every attribute reference against `schema`, once, so that
+    /// evaluation per region neither looks names up nor allocates. An
+    /// operator binds its expressions once per call.
+    pub fn bind(&self, schema: &Schema) -> BoundExpr<'_> {
+        BoundExpr(self.bind_node(schema))
+    }
+
+    fn bind_node(&self, schema: &Schema) -> Node<'_> {
+        match self {
+            RegionExpr::Attr(name) => Node::Slot(match name.to_ascii_lowercase().as_str() {
+                "chr" => Slot::Chr,
+                "left" => Slot::Left,
+                "right" => Slot::Right,
+                "len" => Slot::Len,
+                "strand" => Slot::Strand,
+                _ => schema.position(name).map_or(Slot::Missing, Slot::Col),
+            }),
+            RegionExpr::Lit(v) => Node::Lit(Scalar::of(v)),
+            RegionExpr::Not(e) => Node::Not(Box::new(e.bind_node(schema))),
+            RegionExpr::Binary(a, op, b) => {
+                Node::Binary(Box::new(a.bind_node(schema)), *op, Box::new(b.bind_node(schema)))
+            }
+        }
+    }
+
+    /// The unbound evaluator the bound one replaced, kept as the oracle
+    /// [`BoundExpr`] is tested against: it resolves names and clones
+    /// values per region.
+    #[cfg(test)]
+    fn eval(&self, region: &GRegion, schema: &Schema) -> Value {
         match self {
             RegionExpr::Attr(name) => match name.to_ascii_lowercase().as_str() {
                 "chr" => Value::Str(region.chrom.as_str().to_owned()),
@@ -260,13 +288,9 @@ impl RegionExpr {
             }
         }
     }
-
-    /// Evaluate as a boolean predicate (null ⇒ false).
-    pub fn eval_bool(&self, region: &GRegion, schema: &Schema) -> bool {
-        matches!(self.eval(region, schema), Value::Bool(true))
-    }
 }
 
+#[cfg(test)]
 fn eval_binary(a: &Value, op: BinOp, b: &Value) -> Value {
     match op {
         BinOp::And => match (a, b) {
@@ -311,6 +335,177 @@ fn eval_binary(a: &Value, op: BinOp, b: &Value) -> Value {
     }
 }
 
+/// Where a bound attribute reference reads from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    Chr,
+    Left,
+    Right,
+    Len,
+    Strand,
+    /// Position in the region's value vector.
+    Col(usize),
+    /// Not in the schema: evaluates to null.
+    Missing,
+}
+
+/// One value during evaluation: a [`Value`] whose string is borrowed from
+/// the region, the expression or a constant, so that producing it costs
+/// nothing.
+#[derive(Debug, Clone, Copy)]
+enum Scalar<'a> {
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+    Bool(bool),
+    Null,
+}
+
+impl<'a> Scalar<'a> {
+    fn of(v: &'a Value) -> Scalar<'a> {
+        match v {
+            Value::Int(i) => Scalar::Int(*i),
+            Value::Float(f) => Scalar::Float(*f),
+            Value::Str(s) => Scalar::Str(s),
+            Value::Bool(b) => Scalar::Bool(*b),
+            Value::Null => Scalar::Null,
+        }
+    }
+
+    fn into_value(self) -> Value {
+        match self {
+            Scalar::Int(i) => Value::Int(i),
+            Scalar::Float(f) => Value::Float(f),
+            Scalar::Str(s) => Value::Str(s.to_owned()),
+            Scalar::Bool(b) => Value::Bool(b),
+            Scalar::Null => Value::Null,
+        }
+    }
+
+    /// As [`Value::as_f64`].
+    fn as_f64(self) -> Option<f64> {
+        match self {
+            Scalar::Int(i) => Some(i as f64),
+            Scalar::Float(f) => Some(f),
+            Scalar::Bool(b) => Some(if b { 1.0 } else { 0.0 }),
+            Scalar::Str(_) | Scalar::Null => None,
+        }
+    }
+
+    /// As [`Value::total_cmp`], for the non-null pairs a comparison sees.
+    fn total_cmp(self, other: Scalar<'_>) -> std::cmp::Ordering {
+        fn rank(v: Scalar<'_>) -> u8 {
+            match v {
+                Scalar::Null => 0,
+                Scalar::Bool(_) => 1,
+                Scalar::Int(_) | Scalar::Float(_) => 2,
+                Scalar::Str(_) => 3,
+            }
+        }
+        match (self, other) {
+            (Scalar::Bool(a), Scalar::Bool(b)) => a.cmp(&b),
+            (Scalar::Int(a), Scalar::Int(b)) => a.cmp(&b),
+            (Scalar::Str(a), Scalar::Str(b)) => a.cmp(b),
+            (Scalar::Int(_) | Scalar::Float(_), Scalar::Int(_) | Scalar::Float(_)) => {
+                let a = self.as_f64().unwrap_or(f64::NAN);
+                let b = other.as_f64().unwrap_or(f64::NAN);
+                a.total_cmp(&b)
+            }
+            _ => rank(self).cmp(&rank(other)),
+        }
+    }
+}
+
+/// A [`RegionExpr`] bound to a schema by [`RegionExpr::bind`]: attribute
+/// names are resolved, literals are borrowed, and evaluation allocates
+/// only for a string *result*.
+#[derive(Debug, Clone)]
+pub struct BoundExpr<'e>(Node<'e>);
+
+#[derive(Debug, Clone)]
+enum Node<'e> {
+    Slot(Slot),
+    Lit(Scalar<'e>),
+    Not(Box<Node<'e>>),
+    Binary(Box<Node<'e>>, BinOp, Box<Node<'e>>),
+}
+
+impl BoundExpr<'_> {
+    /// Evaluate over a region of the schema the expression was bound to.
+    pub fn eval(&self, region: &GRegion) -> Value {
+        self.0.eval(region).into_value()
+    }
+
+    /// Evaluate as a boolean predicate (null ⇒ false).
+    pub fn eval_bool(&self, region: &GRegion) -> bool {
+        matches!(self.0.eval(region), Scalar::Bool(true))
+    }
+}
+
+impl<'e> Node<'e> {
+    fn eval<'a>(&'a self, region: &'a GRegion) -> Scalar<'a>
+    where
+        'e: 'a,
+    {
+        match self {
+            Node::Slot(slot) => match *slot {
+                Slot::Chr => Scalar::Str(region.chrom.as_str()),
+                Slot::Left => Scalar::Int(region.left as i64),
+                Slot::Right => Scalar::Int(region.right as i64),
+                Slot::Len => Scalar::Int(region.len() as i64),
+                Slot::Strand => Scalar::Str(region.strand.as_str()),
+                Slot::Col(i) => region.values.get(i).map_or(Scalar::Null, Scalar::of),
+                Slot::Missing => Scalar::Null,
+            },
+            Node::Lit(v) => *v,
+            Node::Not(e) => match e.eval(region) {
+                Scalar::Bool(b) => Scalar::Bool(!b),
+                _ => Scalar::Null,
+            },
+            Node::Binary(a, op, b) => binary(a.eval(region), *op, b.eval(region)),
+        }
+    }
+}
+
+fn binary<'a>(a: Scalar<'a>, op: BinOp, b: Scalar<'a>) -> Scalar<'a> {
+    match op {
+        BinOp::And => match (a, b) {
+            (Scalar::Bool(x), Scalar::Bool(y)) => Scalar::Bool(x && y),
+            _ => Scalar::Null,
+        },
+        BinOp::Or => match (a, b) {
+            (Scalar::Bool(x), Scalar::Bool(y)) => Scalar::Bool(x || y),
+            _ => Scalar::Null,
+        },
+        BinOp::Cmp(c) => match (a, b) {
+            (Scalar::Null, _) | (_, Scalar::Null) => Scalar::Null,
+            // Strings compare as strings; anything numeric compares
+            // numerically via the total order.
+            (Scalar::Str(x), Scalar::Str(y)) => Scalar::Bool(match c {
+                CmpOp::Eq => x == y,
+                CmpOp::Ne => x != y,
+                _ => c.apply_ord(x.cmp(y)),
+            }),
+            _ => Scalar::Bool(c.apply_ord(a.total_cmp(b))),
+        },
+        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
+            let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) else { return Scalar::Null };
+            let result = match op {
+                BinOp::Add => x + y,
+                BinOp::Sub => x - y,
+                BinOp::Mul => x * y,
+                _ => x / y,
+            };
+            let ints = matches!((a, b), (Scalar::Int(_), Scalar::Int(_)));
+            if ints && op != BinOp::Div {
+                Scalar::Int(result as i64)
+            } else {
+                Scalar::Float(result)
+            }
+        }
+    }
+}
+
 impl fmt::Display for RegionExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -340,6 +535,7 @@ impl fmt::Display for RegionExpr {
 mod tests {
     use super::*;
     use nggc_gdm::{Attribute, Strand};
+    use proptest::prelude::*;
 
     fn meta() -> Metadata {
         Metadata::from_pairs([
@@ -394,10 +590,10 @@ mod tests {
     fn region_fixed_attributes() {
         let s = schema();
         let r = region();
-        assert_eq!(RegionExpr::attr("chr").eval(&r, &s), Value::Str("chr2".into()));
-        assert_eq!(RegionExpr::attr("LEFT").eval(&r, &s), Value::Int(100));
-        assert_eq!(RegionExpr::attr("len").eval(&r, &s), Value::Int(150));
-        assert_eq!(RegionExpr::attr("strand").eval(&r, &s), Value::Str("+".into()));
+        assert_eq!(RegionExpr::attr("chr").bind(&s).eval(&r), Value::Str("chr2".into()));
+        assert_eq!(RegionExpr::attr("LEFT").bind(&s).eval(&r), Value::Int(100));
+        assert_eq!(RegionExpr::attr("len").bind(&s).eval(&r), Value::Int(150));
+        assert_eq!(RegionExpr::attr("strand").bind(&s).eval(&r), Value::Str("+".into()));
     }
 
     #[test]
@@ -405,9 +601,9 @@ mod tests {
         let s = schema();
         let r = region();
         let p = RegionExpr::attr("p_value").cmp(CmpOp::Lt, RegionExpr::num(0.01));
-        assert!(p.eval_bool(&r, &s));
+        assert!(p.bind(&s).eval_bool(&r));
         let q = RegionExpr::attr("name").cmp(CmpOp::Eq, RegionExpr::Lit("peak7".into()));
-        assert!(q.eval_bool(&r, &s));
+        assert!(q.bind(&s).eval_bool(&r));
     }
 
     #[test]
@@ -419,11 +615,11 @@ mod tests {
             BinOp::Sub,
             Box::new(RegionExpr::attr("left")),
         );
-        assert_eq!(e.eval(&r, &s), Value::Int(150));
+        assert_eq!(e.bind(&s).eval(&r), Value::Int(150));
         assert_eq!(e.check(&s).unwrap(), Some(ValueType::Int));
         let d =
             RegionExpr::Binary(Box::new(e), BinOp::Div, Box::new(RegionExpr::Lit(Value::Int(2))));
-        assert_eq!(d.eval(&r, &s), Value::Float(75.0));
+        assert_eq!(d.bind(&s).eval(&r), Value::Float(75.0));
         assert_eq!(d.check(&s).unwrap(), Some(ValueType::Float));
     }
 
@@ -433,13 +629,13 @@ mod tests {
         let mut r = region();
         r.values[0] = Value::Null;
         let p = RegionExpr::attr("p_value").cmp(CmpOp::Lt, RegionExpr::num(0.01));
-        assert!(!p.eval_bool(&r, &s), "null comparison is not true");
+        assert!(!p.bind(&s).eval_bool(&r), "null comparison is not true");
         let e = RegionExpr::Binary(
             Box::new(RegionExpr::attr("p_value")),
             BinOp::Add,
             Box::new(RegionExpr::num(1.0)),
         );
-        assert_eq!(e.eval(&r, &s), Value::Null);
+        assert_eq!(e.bind(&s).eval(&r), Value::Null);
     }
 
     #[test]
@@ -463,9 +659,126 @@ mod tests {
             BinOp::And,
             Box::new(RegionExpr::attr("chr").cmp(CmpOp::Eq, RegionExpr::Lit("chr2".into()))),
         );
-        assert!(p.eval_bool(&r, &s));
+        assert!(p.bind(&s).eval_bool(&r));
         let n = RegionExpr::Not(Box::new(p));
-        assert!(!n.eval_bool(&r, &s));
+        assert!(!n.bind(&s).eval_bool(&r));
+    }
+
+    /// Expressions over every attribute kind (fixed, schema, missing; any
+    /// case), every literal kind and every operator — most of them
+    /// ill-typed, which evaluation has to survive as null.
+    fn any_expr() -> impl Strategy<Value = RegionExpr> {
+        let attr = prop_oneof![
+            Just("chr"),
+            Just("LEFT"),
+            Just("right"),
+            Just("Len"),
+            Just("strand"),
+            Just("count"),
+            Just("P_Value"),
+            Just("name"),
+            Just("flag"),
+            Just("nowhere"),
+        ]
+        .prop_map(RegionExpr::attr);
+        let lit = prop_oneof![
+            (-3i64..4).prop_map(Value::Int),
+            (-3i64..4).prop_map(|n| Value::Float(n as f64 / 2.0)),
+            Just(Value::Float(f64::NAN)),
+            Just(Value::Float(f64::INFINITY)),
+            Just(Value::Int(i64::MAX)),
+            prop_oneof![Just("chr1"), Just("+"), Just("peak"), Just("")].prop_map(Value::from),
+            any::<bool>().prop_map(Value::Bool),
+            Just(Value::Null),
+        ]
+        .prop_map(RegionExpr::Lit);
+        prop_oneof![attr, lit].prop_recursive(4, 32, 2, |inner| {
+            let cmp = prop_oneof![
+                Just(CmpOp::Eq),
+                Just(CmpOp::Ne),
+                Just(CmpOp::Lt),
+                Just(CmpOp::Le),
+                Just(CmpOp::Gt),
+                Just(CmpOp::Ge),
+            ];
+            let op = prop_oneof![
+                Just(BinOp::Add),
+                Just(BinOp::Sub),
+                Just(BinOp::Mul),
+                Just(BinOp::Div),
+                Just(BinOp::And),
+                Just(BinOp::Or),
+                cmp.prop_map(BinOp::Cmp),
+            ];
+            prop_oneof![
+                (inner.clone(), op, inner.clone()).prop_map(|(a, o, b)| RegionExpr::Binary(
+                    Box::new(a),
+                    o,
+                    Box::new(b)
+                )),
+                inner.prop_map(|e| RegionExpr::Not(Box::new(e))),
+            ]
+        })
+    }
+
+    /// A cell of column `ty`: null, or a small value of that type (floats
+    /// include NaN).
+    fn any_cell(ty: ValueType) -> BoxedStrategy<Value> {
+        let typed = match ty {
+            ValueType::Int => (-3i64..4).prop_map(Value::Int).boxed(),
+            ValueType::Float => prop_oneof![
+                (-3i64..4).prop_map(|n| Value::Float(n as f64 / 2.0)),
+                Just(Value::Float(f64::NAN)),
+            ]
+            .boxed(),
+            ValueType::Str => {
+                prop_oneof![Just("peak"), Just("chr1"), Just("")].prop_map(Value::from).boxed()
+            }
+            ValueType::Bool => any::<bool>().prop_map(Value::Bool).boxed(),
+        };
+        prop_oneof![typed, Just(Value::Null)].boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The bound evaluator gives what the reference evaluator gives,
+        /// variant for variant and bit for bit.
+        #[test]
+        fn bound_evaluation_equals_reference(
+            expr in any_expr(),
+            chrom in prop_oneof![Just("chr1"), Just("chr2")],
+            left in 0u64..5,
+            width in 0u64..5,
+            strand in prop_oneof![Just(Strand::Pos), Just(Strand::Neg), Just(Strand::Unstranded)],
+            cells in (
+                any_cell(ValueType::Int),
+                any_cell(ValueType::Float),
+                any_cell(ValueType::Str),
+                any_cell(ValueType::Bool),
+            ),
+            arity in 0usize..5,
+        ) {
+            let schema = Schema::new(vec![
+                Attribute::new("count", ValueType::Int),
+                Attribute::new("p_value", ValueType::Float),
+                Attribute::new("name", ValueType::Str),
+                Attribute::new("flag", ValueType::Bool),
+            ])
+            .unwrap();
+            // A row shorter than the schema reads its missing cells as null.
+            let mut values = vec![cells.0, cells.1, cells.2, cells.3];
+            values.truncate(arity);
+            let region = GRegion::new(chrom, left, left + width, strand).with_values(values);
+            let bound = expr.bind(&schema);
+            let (got, want) = (bound.eval(&region), expr.eval(&region, &schema));
+            let same = match (&got, &want) {
+                (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+                _ => got == want,
+            };
+            prop_assert!(same, "{} over {}: bound {:?}, reference {:?}", expr, region, got, want);
+            prop_assert_eq!(bound.eval_bool(&region), want == Value::Bool(true));
+        }
     }
 
     #[test]

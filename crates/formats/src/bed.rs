@@ -8,7 +8,7 @@
 //! and any extra columns according to a caller-provided schema.
 
 use crate::error::FormatError;
-use nggc_gdm::{Attribute, GRegion, Schema, Strand, Value, ValueType};
+use nggc_gdm::{Attribute, ChromInterner, GRegion, Schema, Strand, Value, ValueType};
 
 /// Parsing configuration for BED-family files.
 #[derive(Debug, Clone)]
@@ -60,6 +60,7 @@ pub fn parse_bed(text: &str, opts: &BedOptions) -> Result<Vec<GRegion>, FormatEr
         )));
     }
     let mut out = Vec::new();
+    let mut chroms = ChromInterner::new();
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.trim_end();
@@ -120,7 +121,7 @@ pub fn parse_bed(text: &str, opts: &BedOptions) -> Result<Vec<GRegion>, FormatEr
                 None => Value::Null,
             });
         }
-        out.push(GRegion::new(chrom, start, end, strand).with_values(values));
+        out.push(GRegion::new(chroms.intern(chrom), start, end, strand).with_values(values));
     }
     Ok(out)
 }

@@ -5,7 +5,7 @@
 //! `chrom start end value` with 0-based half-open coordinates.
 
 use crate::error::FormatError;
-use nggc_gdm::{Attribute, GRegion, Schema, Strand, Value, ValueType};
+use nggc_gdm::{Attribute, ChromInterner, GRegion, Schema, Strand, Value, ValueType};
 
 /// The GDM schema for bedGraph: a single float `signal` attribute.
 pub fn bedgraph_schema() -> Schema {
@@ -16,6 +16,7 @@ pub fn bedgraph_schema() -> Schema {
 /// Parse bedGraph text into regions under [`bedgraph_schema`].
 pub fn parse_bedgraph(text: &str) -> Result<Vec<GRegion>, FormatError> {
     let mut out = Vec::new();
+    let mut chroms = ChromInterner::new();
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.trim_end();
@@ -40,7 +41,10 @@ pub fn parse_bedgraph(text: &str) -> Result<Vec<GRegion>, FormatError> {
         }
         let signal = Value::parse_as(fields[3], ValueType::Float)
             .map_err(|e| FormatError::malformed(lineno, e.to_string()))?;
-        out.push(GRegion::new(fields[0], start, end, Strand::Unstranded).with_values(vec![signal]));
+        out.push(
+            GRegion::new(chroms.intern(fields[0]), start, end, Strand::Unstranded)
+                .with_values(vec![signal]),
+        );
     }
     Ok(out)
 }

@@ -5,7 +5,7 @@
 //! inclusive and convert to 0-based half-open.
 
 use crate::error::FormatError;
-use nggc_gdm::{Attribute, GRegion, Schema, Strand, Value, ValueType};
+use nggc_gdm::{Attribute, ChromInterner, GRegion, Schema, Strand, Value, ValueType};
 
 /// The GDM schema for GFF3 rows.
 pub fn gff3_schema() -> Schema {
@@ -26,6 +26,7 @@ pub fn gff3_schema() -> Schema {
 /// section terminate region parsing per the spec.
 pub fn parse_gff3(text: &str) -> Result<Vec<GRegion>, FormatError> {
     let mut out = Vec::new();
+    let mut chroms = ChromInterner::new();
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.trim_end();
@@ -73,7 +74,9 @@ pub fn parse_gff3(text: &str) -> Result<Vec<GRegion>, FormatError> {
             get("Name"),
             get("Parent"),
         ];
-        out.push(GRegion::new(fields[0], start - 1, end, strand).with_values(values));
+        out.push(
+            GRegion::new(chroms.intern(fields[0]), start - 1, end, strand).with_values(values),
+        );
     }
     Ok(out)
 }

@@ -9,7 +9,7 @@
 //! 0-based half-open (`left = start-1`, `right = end`).
 
 use crate::error::FormatError;
-use nggc_gdm::{Attribute, GRegion, Schema, Strand, Value, ValueType};
+use nggc_gdm::{Attribute, ChromInterner, GRegion, Schema, Strand, Value, ValueType};
 
 /// The GDM schema for GTF rows: `source`, `feature`, `score`, `frame`,
 /// plus the two near-universal attributes `gene_id` and `transcript_id`.
@@ -28,6 +28,7 @@ pub fn gtf_schema() -> Schema {
 /// Parse GTF text into regions under [`gtf_schema`].
 pub fn parse_gtf(text: &str) -> Result<Vec<GRegion>, FormatError> {
     let mut out = Vec::new();
+    let mut chroms = ChromInterner::new();
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.trim_end();
@@ -69,7 +70,9 @@ pub fn parse_gtf(text: &str) -> Result<Vec<GRegion>, FormatError> {
             gene_id.map(Value::Str).unwrap_or(Value::Null),
             transcript_id.map(Value::Str).unwrap_or(Value::Null),
         ];
-        out.push(GRegion::new(fields[0], start - 1, end, strand).with_values(values));
+        out.push(
+            GRegion::new(chroms.intern(fields[0]), start - 1, end, strand).with_values(values),
+        );
     }
     Ok(out)
 }

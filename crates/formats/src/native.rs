@@ -14,7 +14,9 @@
 //! ```
 
 use crate::error::FormatError;
-use nggc_gdm::{Attribute, Dataset, GRegion, Metadata, Sample, Schema, Strand, Value, ValueType};
+use nggc_gdm::{
+    Attribute, ChromInterner, Dataset, GRegion, Metadata, Sample, Schema, Strand, Value, ValueType,
+};
 use std::fs;
 use std::path::Path;
 
@@ -62,6 +64,7 @@ pub fn render_regions(regions: &[GRegion]) -> String {
 /// Parse a native region file body against a schema.
 pub fn parse_regions(text: &str, schema: &Schema) -> Result<Vec<GRegion>, FormatError> {
     let mut out = Vec::new();
+    let mut chroms = ChromInterner::new();
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.trim_end();
@@ -90,7 +93,7 @@ pub fn parse_regions(text: &str, schema: &Schema) -> Result<Vec<GRegion>, Format
                     .map_err(|e| FormatError::malformed(lineno, e.to_string()))?,
             );
         }
-        out.push(GRegion::new(fields[0], left, right, strand).with_values(values));
+        out.push(GRegion::new(chroms.intern(fields[0]), left, right, strand).with_values(values));
     }
     Ok(out)
 }

@@ -72,9 +72,13 @@
 use crate::error::FormatError;
 use crate::native;
 use nggc_engine::WorkerPool;
-use nggc_gdm::{Attribute, Dataset, GRegion, Metadata, Sample, Schema, Strand, Value, ValueType};
+use nggc_gdm::{
+    Attribute, Chrom, ChromInterner, Dataset, GRegion, Metadata, Sample, Schema, Strand, Value,
+    ValueType,
+};
 use std::collections::BTreeSet;
 use std::fs;
+use std::io::{self, BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::OnceLock;
 
@@ -171,7 +175,6 @@ impl StorageVersion {
 pub fn detect_version(dir: &Path) -> Option<StorageVersion> {
     let container = dir.join(CONTAINER_FILE);
     if let Ok(mut f) = fs::File::open(&container) {
-        use std::io::Read;
         let mut head = [0u8; 8];
         if f.read_exact(&mut head).is_ok() && &head == MAGIC {
             return Some(StorageVersion::V2);
@@ -220,14 +223,55 @@ const fn crc32c_table() -> [u32; 256] {
 
 static CRC32C_TABLE: [u32; 256] = crc32c_table();
 
-/// CRC32C (Castagnoli) of `bytes` — the checksum revision-3 containers
-/// store per chromosome block and as the whole-file trailer.
-pub fn crc32c(bytes: &[u8]) -> u32 {
+/// CRC32C one byte at a time through the lookup table: what runs where
+/// the CPU has no CRC32C instruction, and the reference the hardware
+/// path is tested against.
+fn crc32c_table_loop(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
         crc = (crc >> 8) ^ CRC32C_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
     }
     !crc
+}
+
+/// CRC32C through the CPU's own CRC32C instruction (SSE4.2 on x86_64,
+/// detected at run time), eight bytes a step; `None` where there is no
+/// such instruction. The instruction implements the same reflected
+/// Castagnoli polynomial as the table, so both give the same value.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn crc32c_hardware(bytes: &[u8]) -> Option<u32> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+
+        #[target_feature(enable = "sse4.2")]
+        fn sse42(bytes: &[u8]) -> u32 {
+            let mut words = bytes.chunks_exact(8);
+            let mut crc = u64::from(!0u32);
+            for word in &mut words {
+                crc = _mm_crc32_u64(crc, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+            }
+            let mut crc = crc as u32;
+            for &b in words.remainder() {
+                crc = _mm_crc32_u8(crc, b);
+            }
+            !crc
+        }
+
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            // SAFETY: `sse42` is safe code whose only requirement is that
+            // the CPU executes SSE4.2 instructions, which the run-time
+            // detection on the line above has just established.
+            return Some(unsafe { sse42(bytes) });
+        }
+    }
+    None
+}
+
+/// CRC32C (Castagnoli) of `bytes` — the checksum revision-3 containers
+/// store per chromosome block and as the whole-file trailer.
+pub fn crc32c(bytes: &[u8]) -> u32 {
+    crc32c_hardware(bytes).unwrap_or_else(|| crc32c_table_loop(bytes))
 }
 
 // ---------------------------------------------------------------------------
@@ -259,19 +303,30 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Byte cursor with offset-carrying decode errors.
+/// A LEB128 varint holds at most ten bytes of a `u64`.
+const VARINT_MAX_BYTES: usize = 10;
+
+/// Byte cursor over one chromosome block, with offset-carrying decode
+/// errors. `base` is where the block starts in its container, so errors
+/// report container offsets whether the block is a slice of an in-memory
+/// container or an extent read from a file.
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
+    base: u64,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
+    fn new(buf: &'a [u8], base: u64) -> Cursor<'a> {
+        Cursor { buf, pos: 0, base }
     }
 
     fn corrupt(&self, reason: impl Into<String>) -> FormatError {
-        FormatError::Corrupt { offset: self.pos, reason: reason.into() }
+        corrupt_at(self.base + self.pos as u64, reason)
+    }
+
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], FormatError> {
@@ -279,38 +334,38 @@ impl<'a> Cursor<'a> {
             .pos
             .checked_add(n)
             .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| self.corrupt(format!("need {n} bytes past end of container")))?;
+            .ok_or_else(|| self.corrupt(format!("need {n} bytes past end of block")))?;
         let slice = &self.buf[self.pos..end];
         self.pos = end;
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, FormatError> {
-        Ok(self.bytes(1)?[0])
-    }
-
+    /// One varint, read off the slice: a single bounds check up front
+    /// instead of one per byte.
     fn varint(&mut self) -> Result<u64, FormatError> {
+        let rest = &self.buf[self.pos..];
         let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 64 {
-                return Err(self.corrupt("varint longer than 64 bits"));
-            }
-            v |= u64::from(byte & 0x7f) << shift;
+        for (i, &byte) in rest.iter().take(VARINT_MAX_BYTES).enumerate() {
+            v |= u64::from(byte & 0x7f) << (7 * i);
             if byte & 0x80 == 0 {
+                self.pos += i + 1;
                 return Ok(v);
             }
-            shift += 7;
         }
+        self.pos += rest.len().min(VARINT_MAX_BYTES);
+        Err(self.corrupt(if rest.len() < VARINT_MAX_BYTES {
+            "need 1 bytes past end of block"
+        } else {
+            "varint longer than 64 bits"
+        }))
     }
 
     fn len_prefixed(&mut self, what: &str) -> Result<usize, FormatError> {
         let n = self.varint()?;
         usize::try_from(n)
             .ok()
-            .filter(|&n| n <= self.buf.len())
-            .ok_or_else(|| self.corrupt(format!("{what} length {n} exceeds container size")))
+            .filter(|&n| n <= self.remaining())
+            .ok_or_else(|| self.corrupt(format!("{what} length {n} exceeds block size")))
     }
 
     fn string(&mut self) -> Result<String, FormatError> {
@@ -321,6 +376,125 @@ impl<'a> Cursor<'a> {
 
     fn skip(&mut self, n: usize) -> Result<(), FormatError> {
         self.bytes(n).map(|_| ())
+    }
+}
+
+fn corrupt_at(offset: u64, reason: impl Into<String>) -> FormatError {
+    FormatError::Corrupt {
+        offset: usize::try_from(offset).unwrap_or(usize::MAX),
+        reason: reason.into(),
+    }
+}
+
+/// Read the next `len` bytes of `src` — an extent the container length has
+/// already vouched for.
+fn read_extent<R: Read>(src: &mut R, len: usize) -> Result<Vec<u8>, FormatError> {
+    let mut bytes = vec![0u8; len];
+    src.read_exact(&mut bytes)?;
+    Ok(bytes)
+}
+
+/// Sequential reader over a whole container — a file or an in-memory
+/// slice behind [`std::io::Cursor`]. The header and the per-sample
+/// indexes are parsed through it; chromosome blocks are handed to the
+/// caller as extents to fetch or skipped with a seek, so a reader that
+/// wants one chromosome never pulls the others off the disk.
+///
+/// Every read and skip is first checked against the container length:
+/// truncation and extents that point past the end fail as
+/// [`FormatError::Corrupt`] before any I/O, and no allocation is sized
+/// from a length the container cannot hold.
+struct Walker<R> {
+    src: R,
+    /// Offset of the next unread byte.
+    pos: u64,
+    len: u64,
+    /// Bytes skipped but not yet seeked over: runs of unwanted blocks
+    /// cost one seek, and a trailing run none at all.
+    pending_skip: u64,
+}
+
+impl<R: Read + Seek> Walker<R> {
+    fn new(mut src: R) -> Result<Walker<R>, FormatError> {
+        let len = src.seek(SeekFrom::End(0))?;
+        src.rewind()?;
+        Ok(Walker { src, pos: 0, len, pending_skip: 0 })
+    }
+
+    fn corrupt(&self, reason: impl Into<String>) -> FormatError {
+        corrupt_at(self.pos, reason)
+    }
+
+    /// Check that `n` more bytes exist and step over them in `pos`.
+    fn claim(&mut self, n: u64) -> Result<(), FormatError> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&e| e <= self.len)
+            .ok_or_else(|| self.corrupt(format!("need {n} bytes past end of container")))?;
+        self.pos = end;
+        Ok(())
+    }
+
+    fn skip(&mut self, n: u64) -> Result<(), FormatError> {
+        self.claim(n)?;
+        self.pending_skip += n;
+        Ok(())
+    }
+
+    /// Claim the next `n` bytes and hand out the source positioned at the
+    /// first of them, for the caller to consume exactly those.
+    fn source_for(&mut self, n: u64) -> Result<&mut R, FormatError> {
+        self.claim(n)?;
+        if self.pending_skip > 0 {
+            let offset = i64::try_from(self.pending_skip)
+                .map_err(|_| self.corrupt("block extents exceed i64"))?;
+            self.src.seek_relative(offset)?;
+            self.pending_skip = 0;
+        }
+        Ok(&mut self.src)
+    }
+
+    fn fill(&mut self, out: &mut [u8]) -> Result<(), FormatError> {
+        self.source_for(out.len() as u64)?.read_exact(out)?;
+        Ok(())
+    }
+
+    /// The next `n` bytes, allocated only once the container is known to
+    /// hold them.
+    fn take(&mut self, n: usize) -> Result<Vec<u8>, FormatError> {
+        read_extent(self.source_for(n as u64)?, n)
+    }
+
+    fn u8(&mut self) -> Result<u8, FormatError> {
+        let mut byte = [0u8];
+        self.fill(&mut byte)?;
+        Ok(byte[0])
+    }
+
+    fn varint(&mut self) -> Result<u64, FormatError> {
+        let mut v: u64 = 0;
+        for i in 0..VARINT_MAX_BYTES {
+            let byte = self.u8()?;
+            v |= u64::from(byte & 0x7f) << (7 * i);
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(self.corrupt("varint longer than 64 bits"))
+    }
+
+    fn len_prefixed(&mut self, what: &str) -> Result<usize, FormatError> {
+        let n = self.varint()?;
+        usize::try_from(n)
+            .ok()
+            .filter(|&n| n as u64 <= self.len)
+            .ok_or_else(|| self.corrupt(format!("{what} length {n} exceeds container size")))
+    }
+
+    fn string(&mut self) -> Result<String, FormatError> {
+        let n = self.len_prefixed("string")?;
+        String::from_utf8(self.take(n)?).map_err(|_| self.corrupt("invalid UTF-8 string"))
     }
 }
 
@@ -337,13 +511,13 @@ fn type_tag(ty: ValueType) -> u8 {
     }
 }
 
-fn type_from_tag(tag: u8, cur: &Cursor<'_>) -> Result<ValueType, FormatError> {
+fn type_from_tag(tag: u8) -> Option<ValueType> {
     match tag {
-        0 => Ok(ValueType::Int),
-        1 => Ok(ValueType::Float),
-        2 => Ok(ValueType::Str),
-        3 => Ok(ValueType::Bool),
-        other => Err(cur.corrupt(format!("unknown value type tag {other}"))),
+        0 => Some(ValueType::Int),
+        1 => Some(ValueType::Float),
+        2 => Some(ValueType::Str),
+        3 => Some(ValueType::Bool),
+        _ => None,
     }
 }
 
@@ -355,12 +529,12 @@ fn strand_bits(s: Strand) -> u8 {
     }
 }
 
-fn strand_from_bits(bits: u8, cur: &Cursor<'_>) -> Result<Strand, FormatError> {
+fn strand_from_bits(bits: u8) -> Option<Strand> {
     match bits {
-        0 => Ok(Strand::Pos),
-        1 => Ok(Strand::Neg),
-        2 => Ok(Strand::Unstranded),
-        other => Err(cur.corrupt(format!("invalid strand bits {other}"))),
+        0 => Some(Strand::Pos),
+        1 => Some(Strand::Neg),
+        2 => Some(Strand::Unstranded),
+        _ => None,
     }
 }
 
@@ -508,16 +682,20 @@ fn encode_dataset_with_version(dataset: &Dataset, version: u8) -> Result<Vec<u8>
         }
         // Group regions per chromosome, preserving first-appearance order
         // (identical to region order for sorted samples).
-        let mut chrom_order: Vec<&str> = Vec::new();
+        let mut chrom_order: Vec<&Chrom> = Vec::new();
         let mut groups: Vec<Vec<&GRegion>> = Vec::new();
+        // Group of the previous region: a sorted sample changes group
+        // only at a chromosome boundary.
+        let mut current = 0;
         for r in &sample.regions {
-            match chrom_order.iter().position(|c| *c == r.chrom.as_str()) {
-                Some(i) => groups[i].push(r),
-                None => {
-                    chrom_order.push(r.chrom.as_str());
-                    groups.push(vec![r]);
-                }
+            if chrom_order.get(current) != Some(&&r.chrom) {
+                current = chrom_order.iter().position(|c| **c == r.chrom).unwrap_or_else(|| {
+                    chrom_order.push(&r.chrom);
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                });
             }
+            groups[current].push(r);
         }
         // Encode blocks first so the index can carry byte lengths.
         let mut blocks: Vec<Vec<u8>> = Vec::with_capacity(groups.len());
@@ -528,7 +706,7 @@ fn encode_dataset_with_version(dataset: &Dataset, version: u8) -> Result<Vec<u8>
         }
         put_varint(&mut out, chrom_order.len() as u64);
         for ((chrom, group), block) in chrom_order.iter().zip(&groups).zip(&blocks) {
-            put_str(&mut out, chrom);
+            put_str(&mut out, chrom.as_str());
             put_varint(&mut out, group.len() as u64);
             put_varint(&mut out, block.len() as u64);
             if checksums {
@@ -559,39 +737,33 @@ pub fn write_dataset_v2(dataset: &Dataset, dir: &Path) -> Result<u64, FormatErro
 // Decoding
 // ---------------------------------------------------------------------------
 
+/// Decode one chromosome block and append its regions to `out`,
+/// optionally materialising only the schema columns whose `keep` entry
+/// is true. Masked-out columns are still *consumed* (the cursor must
+/// land exactly at the block's end) but their payloads are skipped and
+/// their cells filled with [`Value::Null`], so region value arity
+/// matches the schema either way.
+///
+/// Every region of the block shares the one `chrom` handle, and is built
+/// once with its value vector already at schema width.
 fn decode_chrom_block(
     cur: &mut Cursor<'_>,
-    chrom: &str,
-    n: usize,
-    schema: &Schema,
-    out: &mut Vec<GRegion>,
-) -> Result<(), FormatError> {
-    decode_chrom_block_cols(cur, chrom, n, schema, None, out)
-}
-
-/// Decode one chromosome block, optionally materialising only the
-/// schema columns whose `keep` entry is true. Masked-out columns are
-/// still *consumed* (the cursor must land exactly at the block's end)
-/// but their payloads are skipped and their cells filled with
-/// [`Value::Null`], so region value arity matches the schema either way.
-fn decode_chrom_block_cols(
-    cur: &mut Cursor<'_>,
-    chrom: &str,
+    chrom: &Chrom,
     n: usize,
     schema: &Schema,
     keep: Option<&[bool]>,
     out: &mut Vec<GRegion>,
 ) -> Result<(), FormatError> {
-    let base = out.len();
     // Each region contributes at least one byte (its left-delta varint),
     // so a count beyond the remaining bytes is corrupt — reject it before
     // sizing any allocation from it.
-    if n > cur.buf.len().saturating_sub(cur.pos) {
-        return Err(cur.corrupt(format!("region count {n} exceeds remaining container bytes")));
+    if n > cur.remaining() {
+        return Err(cur.corrupt(format!("region count {n} exceeds remaining block bytes")));
     }
-    // Coordinates.
+    // Coordinates. The strands sit behind both coordinate columns, so a
+    // region can be built only once all three have been located.
+    let mut coords: Vec<(u64, u64)> = Vec::with_capacity(n);
     let mut prev: i64 = 0;
-    let mut lefts = Vec::with_capacity(n);
     for _ in 0..n {
         let delta = unzigzag(cur.varint()?);
         prev =
@@ -599,61 +771,65 @@ fn decode_chrom_block_cols(
         if prev < 0 {
             return Err(cur.corrupt("negative left coordinate"));
         }
-        lefts.push(prev as u64);
+        coords.push((prev as u64, 0));
     }
-    for &left in &lefts {
+    for (left, right) in &mut coords {
         let len = cur.varint()?;
-        let right =
+        *right =
             left.checked_add(len).ok_or_else(|| cur.corrupt("right coordinate overflows u64"))?;
-        out.push(GRegion::new(chrom, left, right, Strand::Unstranded));
     }
-    // Strands.
-    let strand_bytes = cur.bytes(n.div_ceil(4))?.to_vec();
-    for i in 0..n {
-        let bits = (strand_bytes[i / 4] >> ((i % 4) * 2)) & 0b11;
-        out[base + i].strand = strand_from_bits(bits, cur)?;
-    }
-    if !schema.is_empty() {
-        for r in &mut out[base..] {
-            r.values = Vec::with_capacity(schema.len());
-        }
+    let strands = cur.bytes(n.div_ceil(4))?;
+    let base = out.len();
+    out.reserve(n);
+    for (i, &(left, right)) in coords.iter().enumerate() {
+        let bits = (strands[i / 4] >> ((i % 4) * 2)) & 0b11;
+        let strand = strand_from_bits(bits)
+            .ok_or_else(|| cur.corrupt(format!("invalid strand bits {bits}")))?;
+        out.push(GRegion {
+            chrom: chrom.clone(),
+            left,
+            right,
+            strand,
+            values: Vec::with_capacity(schema.len()),
+        });
     }
     // Value columns.
     for (ci, attr) in schema.attributes().iter().enumerate() {
-        let bitmap = cur.bytes(n.div_ceil(8))?.to_vec();
+        let bitmap = cur.bytes(n.div_ceil(8))?;
         let is_null = |i: usize| bitmap[i / 8] & (1 << (i % 8)) != 0;
+        let rows = &mut out[base..];
         if !keep.is_none_or(|k| k[ci]) {
             skip_column_payload(cur, attr.ty, n, &is_null)?;
-            for r in &mut out[base..] {
+            for r in rows {
                 r.values.push(Value::Null);
             }
             continue;
         }
+        let rows = rows.iter_mut().enumerate();
         match attr.ty {
             ValueType::Int => {
-                for i in 0..n {
+                for (i, r) in rows {
                     let v =
                         if is_null(i) { Value::Null } else { Value::Int(unzigzag(cur.varint()?)) };
-                    out[base + i].values.push(v);
+                    r.values.push(v);
                 }
             }
             ValueType::Float => {
-                for i in 0..n {
+                let mut floats = packed_payload(cur, attr.ty, n, &is_null)?.chunks_exact(8);
+                for (i, r) in rows {
                     let v = if is_null(i) {
                         Value::Null
                     } else {
-                        let raw = cur.bytes(8)?;
-                        let bits = u64::from_le_bytes(raw.try_into().expect("8 bytes"));
-                        Value::Float(f64::from_bits(bits))
+                        let raw = floats.next().expect("one payload per non-null row");
+                        Value::Float(f64::from_le_bytes(raw.try_into().expect("8 bytes")))
                     };
-                    out[base + i].values.push(v);
+                    r.values.push(v);
                 }
             }
             ValueType::Bool => {
-                let non_null = (0..n).filter(|&i| !is_null(i)).count();
-                let packed = cur.bytes(non_null.div_ceil(8))?.to_vec();
+                let packed = packed_payload(cur, attr.ty, n, &is_null)?;
                 let mut k = 0usize;
-                for i in 0..n {
+                for (i, r) in rows {
                     let v = if is_null(i) {
                         Value::Null
                     } else {
@@ -661,18 +837,36 @@ fn decode_chrom_block_cols(
                         k += 1;
                         Value::Bool(b)
                     };
-                    out[base + i].values.push(v);
+                    r.values.push(v);
                 }
             }
             ValueType::Str => {
-                for i in 0..n {
+                for (i, r) in rows {
                     let v = if is_null(i) { Value::Null } else { Value::Str(cur.string()?) };
-                    out[base + i].values.push(v);
+                    r.values.push(v);
                 }
             }
         }
     }
     Ok(())
+}
+
+/// The payload of a fixed-width column, whose size follows from the null
+/// bitmap alone: 8 bytes per non-null `float`, 1 bit per non-null `bool`.
+fn packed_payload<'a>(
+    cur: &mut Cursor<'a>,
+    ty: ValueType,
+    n: usize,
+    is_null: &impl Fn(usize) -> bool,
+) -> Result<&'a [u8], FormatError> {
+    let non_null = (0..n).filter(|&i| !is_null(i)).count();
+    let len = match ty {
+        ValueType::Float => non_null
+            .checked_mul(8)
+            .ok_or_else(|| cur.corrupt("float column payload overflows usize"))?,
+        _ => non_null.div_ceil(8),
+    };
+    cur.bytes(len)
 }
 
 /// Advance the cursor past one column's payload without materialising
@@ -692,16 +886,8 @@ fn skip_column_payload(
                 }
             }
         }
-        ValueType::Float => {
-            let non_null = (0..n).filter(|&i| !is_null(i)).count();
-            let payload = non_null
-                .checked_mul(8)
-                .ok_or_else(|| cur.corrupt("float column payload overflows usize"))?;
-            cur.skip(payload)?;
-        }
-        ValueType::Bool => {
-            let non_null = (0..n).filter(|&i| !is_null(i)).count();
-            cur.skip(non_null.div_ceil(8))?;
+        ValueType::Float | ValueType::Bool => {
+            packed_payload(cur, ty, n, is_null)?;
         }
         ValueType::Str => {
             for i in 0..n {
@@ -715,39 +901,78 @@ fn skip_column_payload(
     Ok(())
 }
 
-/// Magic and version byte; errors on unknown header revisions.
-fn decode_version(cur: &mut Cursor<'_>) -> Result<u8, FormatError> {
-    let magic = cur.bytes(8)?;
-    if magic != MAGIC {
-        return Err(cur.corrupt("bad magic: not a v2 container"));
-    }
-    let version = cur.u8()?;
-    if version != VERSION_LEGACY && version != VERSION {
-        return Err(cur.corrupt(format!("unsupported container version {version}")));
-    }
-    Ok(version)
+/// What every reader learns from a container's first bytes.
+struct Header {
+    name: String,
+    schema: Schema,
+    version: u8,
 }
 
-/// Dataset name and schema, leaving the cursor at the sample count.
-fn decode_schema_block(cur: &mut Cursor<'_>) -> Result<(String, Schema), FormatError> {
-    let name = cur.string()?;
-    let n_attrs = cur.len_prefixed("schema")?;
-    let mut attrs = Vec::with_capacity(n_attrs);
-    for _ in 0..n_attrs {
-        let attr_name = cur.string()?;
-        let tag = cur.u8()?;
-        attrs.push(Attribute::new(attr_name, type_from_tag(tag, cur)?));
+impl<R: Read + Seek> Walker<R> {
+    /// Magic and version byte; errors on unknown header revisions.
+    fn version(&mut self) -> Result<u8, FormatError> {
+        let mut magic = [0u8; 8];
+        self.fill(&mut magic)?;
+        if &magic != MAGIC {
+            return Err(self.corrupt("bad magic: not a v2 container"));
+        }
+        let version = self.u8()?;
+        if version != VERSION_LEGACY && version != VERSION {
+            return Err(self.corrupt(format!("unsupported container version {version}")));
+        }
+        Ok(version)
     }
-    let schema = Schema::new(attrs).map_err(|e| cur.corrupt(format!("invalid schema: {e}")))?;
-    Ok((name, schema))
-}
 
-/// Container header: version, dataset name and schema, leaving the
-/// cursor at the sample count.
-fn decode_header(cur: &mut Cursor<'_>) -> Result<(String, Schema, u8), FormatError> {
-    let version = decode_version(cur)?;
-    let (name, schema) = decode_schema_block(cur)?;
-    Ok((name, schema, version))
+    /// Version, dataset name and schema, leaving the walker at the
+    /// sample count.
+    fn header(&mut self) -> Result<Header, FormatError> {
+        let version = self.version()?;
+        let name = self.string()?;
+        let n_attrs = self.len_prefixed("schema")?;
+        let mut attrs = Vec::with_capacity(n_attrs);
+        for _ in 0..n_attrs {
+            let attr_name = self.string()?;
+            let tag = self.u8()?;
+            let ty = type_from_tag(tag)
+                .ok_or_else(|| self.corrupt(format!("unknown value type tag {tag}")))?;
+            attrs.push(Attribute::new(attr_name, ty));
+        }
+        let schema =
+            Schema::new(attrs).map_err(|e| self.corrupt(format!("invalid schema: {e}")))?;
+        Ok(Header { name, schema, version })
+    }
+
+    /// One sample's name, metadata and chromosome index, leaving the
+    /// walker at the sample's first block.
+    fn sample_index(
+        &mut self,
+        version: u8,
+    ) -> Result<(String, Metadata, Vec<ChromIndexEntry>), FormatError> {
+        let sample_name = self.string()?;
+        let n_pairs = self.len_prefixed("metadata")?;
+        let mut metadata = Metadata::new();
+        for _ in 0..n_pairs {
+            let k = self.string()?;
+            let v = self.string()?;
+            metadata.insert(&k, v);
+        }
+        let n_chroms = self.len_prefixed("chrom index")?;
+        let mut chroms = Vec::with_capacity(n_chroms);
+        for _ in 0..n_chroms {
+            let chrom = self.string()?;
+            let regions = self.varint()?;
+            let bytes = self.varint()?;
+            let crc = if version >= VERSION {
+                let mut raw = [0u8; 4];
+                self.fill(&mut raw)?;
+                Some(u32::from_le_bytes(raw))
+            } else {
+                None
+            };
+            chroms.push(ChromIndexEntry { chrom, regions, bytes, crc });
+        }
+        Ok((sample_name, metadata, chroms))
+    }
 }
 
 /// Verify the whole-file CRC32C trailer of a revision-3 container.
@@ -764,32 +989,6 @@ fn verify_trailer(buf: &[u8]) -> Result<(), FormatError> {
     let got = crc32c(body);
     if got != expected {
         return Err(FormatError::ChecksumMismatch { section: "file".into(), expected, got });
-    }
-    Ok(())
-}
-
-/// Verify the CRC32C a revision-3 index entry stores for the block that
-/// starts at the cursor, without consuming it. Revision-2 entries carry
-/// no checksum and pass trivially.
-fn verify_block(
-    cur: &Cursor<'_>,
-    sample: &str,
-    entry: &ChromIndexEntry,
-) -> Result<(), FormatError> {
-    let Some(expected) = entry.crc else { return Ok(()) };
-    let n = usize::try_from(entry.bytes).map_err(|_| cur.corrupt("block extent exceeds usize"))?;
-    let end = cur
-        .pos
-        .checked_add(n)
-        .filter(|&e| e <= cur.buf.len())
-        .ok_or_else(|| cur.corrupt(format!("block extent {n} exceeds remaining bytes")))?;
-    let got = crc32c(&cur.buf[cur.pos..end]);
-    if got != expected {
-        return Err(FormatError::ChecksumMismatch {
-            section: format!("{sample}/{}", entry.chrom),
-            expected,
-            got,
-        });
     }
     Ok(())
 }
@@ -832,60 +1031,20 @@ pub struct V2Index {
 impl V2Index {
     /// Total regions across all samples and chromosomes.
     pub fn region_count(&self) -> u64 {
-        self.samples.iter().flat_map(|s| s.chroms.iter()).map(|c| c.regions).sum()
+        self.blocks().map(|c| c.regions).sum()
     }
-}
 
-fn decode_sample_index(
-    cur: &mut Cursor<'_>,
-    version: u8,
-) -> Result<(String, Metadata, Vec<ChromIndexEntry>), FormatError> {
-    let sample_name = cur.string()?;
-    let n_pairs = cur.len_prefixed("metadata")?;
-    let mut metadata = Metadata::new();
-    for _ in 0..n_pairs {
-        let k = cur.string()?;
-        let v = cur.string()?;
-        metadata.insert(&k, v);
+    /// Bytes of the chromosome blocks a read under `opts` decodes, and of
+    /// all blocks: the share of the dataset such a read materialises,
+    /// known before any block is touched.
+    pub fn block_bytes(&self, opts: &ScanOptions) -> (u64, u64) {
+        let wanted = self.blocks().filter(|c| opts.wants_chrom(&c.chrom)).map(|c| c.bytes).sum();
+        (wanted, self.blocks().map(|c| c.bytes).sum())
     }
-    let n_chroms = cur.len_prefixed("chrom index")?;
-    let mut chroms = Vec::with_capacity(n_chroms);
-    for _ in 0..n_chroms {
-        let chrom = cur.string()?;
-        let regions = cur.varint()?;
-        let bytes = cur.varint()?;
-        let crc = if version >= VERSION {
-            let raw = cur.bytes(4)?;
-            Some(u32::from_le_bytes(raw.try_into().expect("4 bytes")))
-        } else {
-            None
-        };
-        chroms.push(ChromIndexEntry { chrom, regions, bytes, crc });
-    }
-    Ok((sample_name, metadata, chroms))
-}
 
-/// Read only the index of a v2 container (schema, sample names,
-/// metadata sizes, per-chromosome region counts and byte extents) —
-/// no region block is decoded.
-pub fn read_index(dir: &Path) -> Result<V2Index, FormatError> {
-    let buf = fs::read(dir.join(CONTAINER_FILE))?;
-    let mut cur = Cursor::new(&buf);
-    let (name, schema, version) = decode_header(&mut cur)?;
-    let n_samples = cur.len_prefixed("sample count")?;
-    let mut samples = Vec::with_capacity(n_samples);
-    for _ in 0..n_samples {
-        let (sample_name, _meta, chroms) = decode_sample_index(&mut cur, version)?;
-        let block_bytes = chroms
-            .iter()
-            .try_fold(0u64, |acc, c| acc.checked_add(c.bytes))
-            .ok_or_else(|| cur.corrupt("block extents overflow u64"))?;
-        let skip =
-            usize::try_from(block_bytes).map_err(|_| cur.corrupt("block extent exceeds usize"))?;
-        cur.skip(skip)?;
-        samples.push(SampleIndexEntry { name: sample_name, chroms });
+    fn blocks(&self) -> impl Iterator<Item = &ChromIndexEntry> {
+        self.samples.iter().flat_map(|s| s.chroms.iter())
     }
-    Ok(V2Index { name, schema, samples })
 }
 
 /// Map `opts.columns` onto schema positions (case-insensitive). Returns
@@ -905,99 +1064,190 @@ fn column_mask(schema: &Schema, opts: &ScanOptions) -> Option<Vec<bool>> {
     }
 }
 
-/// One chromosome block scheduled for decoding: which sample it belongs
-/// to and where it starts in the container buffer.
-struct BlockJob {
-    sample: usize,
-    offset: usize,
-    entry: ChromIndexEntry,
+/// One chromosome block a walk fetched for decoding. `B` is how its
+/// bytes are held: a slice of an in-memory container, or the extent read
+/// from a file.
+struct WantedBlock<B> {
+    /// Interned per walk: equal names share one handle across samples.
+    chrom: Chrom,
+    regions: u64,
+    crc: Option<u32>,
+    /// Where the block starts in the container, for error offsets.
+    offset: u64,
+    bytes: B,
 }
 
-/// Shared decode core: walk the per-sample chromosome indexes once to
-/// plan which blocks to decode, then decode them **in parallel** on the
-/// shared [`WorkerPool`] — each block is independent (own offset, own
-/// region count), so a fresh cursor per job needs no coordination.
-/// Blocks excluded by `opts` are skipped via the offset index without
-/// touching their bytes.
+/// What a walk hands over per sample: its index entry in full, and the
+/// blocks the caller asked for.
+struct SampleScan<B> {
+    name: String,
+    metadata: Metadata,
+    chroms: Vec<ChromIndexEntry>,
+    wanted: Vec<WantedBlock<B>>,
+}
+
+/// The one walk over a container that every reader shares: parse the
+/// header, then per sample its index, `fetch` the extents of the blocks
+/// `wants` names and seek over the others, and hand the sample to
+/// `on_sample` — which returns `false` to stop the walk early.
+///
+/// `fetch` receives the source positioned at a block and its length
+/// (already checked against the container length) and must consume
+/// exactly that extent.
+fn walk_container<R: Read + Seek, B>(
+    src: R,
+    wants: impl Fn(&str) -> bool,
+    mut fetch: impl FnMut(&mut R, usize) -> Result<B, FormatError>,
+    mut on_sample: impl FnMut(&Header, SampleScan<B>) -> Result<bool, FormatError>,
+) -> Result<(Header, ScanStats), FormatError> {
+    let mut w = Walker::new(src)?;
+    let header = w.header()?;
+    let mut stats = ScanStats { container_bytes: w.len, ..ScanStats::default() };
+    let mut interner = ChromInterner::new();
+    let n_samples = w.len_prefixed("sample count")?;
+    for _ in 0..n_samples {
+        let (name, metadata, chroms) = w.sample_index(header.version)?;
+        let mut wanted = Vec::new();
+        for entry in &chroms {
+            if wants(&entry.chrom) {
+                let len = usize::try_from(entry.bytes)
+                    .map_err(|_| w.corrupt("block extent exceeds usize"))?;
+                let offset = w.pos;
+                let bytes = fetch(w.source_for(entry.bytes)?, len)?;
+                stats.blocks_read += 1;
+                stats.bytes_read += entry.bytes;
+                wanted.push(WantedBlock {
+                    chrom: interner.intern(&entry.chrom),
+                    regions: entry.regions,
+                    crc: entry.crc,
+                    offset,
+                    bytes,
+                });
+            } else {
+                w.skip(entry.bytes)?;
+                stats.blocks_skipped += 1;
+                stats.bytes_skipped += entry.bytes;
+            }
+        }
+        if !on_sample(&header, SampleScan { name, metadata, chroms, wanted })? {
+            break;
+        }
+    }
+    Ok((header, stats))
+}
+
+/// Decode a sample's fetched blocks, in stored order, straight into one
+/// region vector sized for all of them. With `verify` each block's
+/// CRC32C is checked first (revision-2 blocks carry none and pass).
+fn decode_blocks<B: AsRef<[u8]>>(
+    sample: &str,
+    wanted: &[WantedBlock<B>],
+    schema: &Schema,
+    keep: Option<&[bool]>,
+    verify: bool,
+) -> Result<Vec<GRegion>, FormatError> {
+    // A block holds at most one region per byte (`decode_chrom_block`
+    // rejects more), which bounds the reservation by the bytes fetched.
+    let total: u64 = wanted.iter().map(|b| b.regions.min(b.bytes.as_ref().len() as u64)).sum();
+    let mut regions = Vec::with_capacity(total as usize);
+    for block in wanted {
+        let bytes = block.bytes.as_ref();
+        let mut cur = Cursor::new(bytes, block.offset);
+        if let Some(expected) = block.crc.filter(|_| verify) {
+            let got = crc32c(bytes);
+            if got != expected {
+                return Err(FormatError::ChecksumMismatch {
+                    section: format!("{sample}/{}", block.chrom),
+                    expected,
+                    got,
+                });
+            }
+        }
+        let n = usize::try_from(block.regions)
+            .map_err(|_| cur.corrupt("region count exceeds usize"))?;
+        decode_chrom_block(&mut cur, &block.chrom, n, schema, keep, &mut regions)?;
+        if cur.remaining() != 0 {
+            return Err(cur.corrupt(format!(
+                "chrom block for {:?} decoded {} bytes, index says {}",
+                block.chrom.as_str(),
+                cur.pos,
+                bytes.len()
+            )));
+        }
+    }
+    Ok(regions)
+}
+
+/// Shared read core: one [`walk_container`] fetches the blocks `opts`
+/// wants, then the samples decode **in parallel** on the shared
+/// [`WorkerPool`] — each into its own region vector, so nothing is
+/// copied together afterwards.
 ///
 /// `verify_blocks` selects the integrity regime: pruned reads verify
 /// each decoded block's CRC32C lazily (skipped blocks stay unchecked),
 /// while full reads rely on the caller having verified the whole-file
 /// trailer up front.
-fn decode_dataset_v2_with(
-    buf: &[u8],
+fn read_with<R: Read + Seek, B: AsRef<[u8]> + Send>(
+    src: R,
     opts: &ScanOptions,
     verify_blocks: bool,
+    fetch: impl FnMut(&mut R, usize) -> Result<B, FormatError>,
 ) -> Result<(Dataset, ScanStats), FormatError> {
-    let mut cur = Cursor::new(buf);
-    let (name, schema, version) = decode_header(&mut cur)?;
-    let mask = column_mask(&schema, opts);
-    let mut stats = ScanStats { container_bytes: buf.len() as u64, ..ScanStats::default() };
-    let n_samples = cur.len_prefixed("sample count")?;
-    let mut metas: Vec<(String, Metadata)> = Vec::with_capacity(n_samples);
-    let mut jobs: Vec<BlockJob> = Vec::new();
-    for si in 0..n_samples {
-        let (sample_name, metadata, chroms) = decode_sample_index(&mut cur, version)?;
-        for entry in chroms {
-            let skip = usize::try_from(entry.bytes)
-                .map_err(|_| cur.corrupt("block extent exceeds usize"))?;
-            if opts.wants_chrom(&entry.chrom) {
-                stats.blocks_read += 1;
-                stats.bytes_read += entry.bytes;
-                jobs.push(BlockJob { sample: si, offset: cur.pos, entry });
-            } else {
-                stats.blocks_skipped += 1;
-                stats.bytes_skipped += entry.bytes;
-            }
-            cur.skip(skip)?;
-        }
-        metas.push((sample_name, metadata));
-    }
-    let keep = mask.as_deref();
-    let decoded: Vec<(usize, Vec<GRegion>)> = decode_pool().try_parallel_map(jobs, |job| {
-        let mut cur = Cursor { buf, pos: job.offset };
-        if verify_blocks {
-            verify_block(&cur, &metas[job.sample].0, &job.entry)?;
-        }
-        let n = usize::try_from(job.entry.regions)
-            .map_err(|_| cur.corrupt("region count exceeds usize"))?;
-        let mut regions = Vec::new();
-        decode_chrom_block_cols(&mut cur, &job.entry.chrom, n, &schema, keep, &mut regions)?;
-        let consumed = (cur.pos - job.offset) as u64;
-        if consumed != job.entry.bytes {
-            return Err(cur.corrupt(format!(
-                "chrom block for {:?} decoded {consumed} bytes, index says {}",
-                job.entry.chrom, job.entry.bytes
-            )));
-        }
-        Ok((job.sample, regions))
+    let mut scans = Vec::new();
+    let (header, stats) = walk_container(
+        src,
+        |chrom| opts.wants_chrom(chrom),
+        fetch,
+        |_, scan| {
+            scans.push(scan);
+            Ok(true)
+        },
+    )?;
+    let mask = column_mask(&header.schema, opts);
+    // Samples are created here, in stored order, so their ids ascend in
+    // that order whichever worker decodes which.
+    let jobs: Vec<(Sample, Vec<WantedBlock<B>>)> = scans
+        .into_iter()
+        .map(|s| (Sample::new(s.name, &header.name).with_metadata(s.metadata), s.wanted))
+        .collect();
+    let samples = decode_pool().try_parallel_map(jobs, |(mut sample, wanted)| {
+        sample.regions =
+            decode_blocks(&sample.name, &wanted, &header.schema, mask.as_deref(), verify_blocks)?;
+        sample.sort_regions();
+        Ok::<Sample, FormatError>(sample)
     })?;
-    // try_parallel_map preserves input order, which is index order, so
-    // extending per sample reproduces the serial decode's region order.
-    let mut per_sample: Vec<Vec<GRegion>> = (0..n_samples).map(|_| Vec::new()).collect();
-    for (si, regions) in decoded {
-        per_sample[si].extend(regions);
-    }
-    let mut dataset = Dataset::new(name.clone(), schema);
-    for ((sample_name, metadata), regions) in metas.into_iter().zip(per_sample) {
-        let sample = Sample::new(sample_name, &name).with_regions(regions).with_metadata(metadata);
+    let mut dataset = Dataset::new(header.name, header.schema);
+    for sample in samples {
         dataset.add_sample(sample)?;
     }
     Ok((dataset, stats))
+}
+
+/// [`read_with`] over an in-memory container: blocks are borrowed from
+/// `buf`, not copied.
+fn decode_slice<'a>(
+    buf: &'a [u8],
+    opts: &ScanOptions,
+    verify_blocks: bool,
+) -> Result<(Dataset, ScanStats), FormatError> {
+    read_with(io::Cursor::new(buf), opts, verify_blocks, |src, len| {
+        let start = src.position() as usize;
+        src.set_position((start + len) as u64);
+        let whole: &'a [u8] = src.get_ref();
+        Ok(&whole[start..start + len])
+    })
 }
 
 /// Decode a full v2 container from bytes. For revision-3 containers
 /// the whole-file trailer is verified up front: any flipped bit in the
 /// buffer — header, index or block — surfaces as
 /// [`FormatError::ChecksumMismatch`] before a single region decodes.
-/// Chromosome blocks then decode in parallel on the shared worker pool.
+/// Samples then decode in parallel on the shared worker pool.
 pub fn decode_dataset_v2(buf: &[u8]) -> Result<Dataset, FormatError> {
-    let mut cur = Cursor::new(buf);
-    let version = decode_version(&mut cur)?;
-    if version >= VERSION {
+    if Walker::new(io::Cursor::new(buf))?.version()? >= VERSION {
         verify_trailer(buf)?;
     }
-    decode_dataset_v2_with(buf, &ScanOptions::default(), false).map(|(ds, _)| ds)
+    decode_slice(buf, &ScanOptions::default(), false).map(|(ds, _)| ds)
 }
 
 /// Read a whole dataset from a v2 container directory.
@@ -1007,63 +1257,91 @@ pub fn read_dataset_v2(dir: &Path) -> Result<Dataset, FormatError> {
 }
 
 /// Decode a v2 container restricted by [`ScanOptions`]: only wanted
-/// chromosome blocks are decoded (in parallel), unwanted value columns
-/// are skipped and null-filled, and every sample is kept — possibly
-/// with empty regions — so metadata stays addressable. Verification is
-/// lazy per decoded block; skipped blocks are never checksummed.
+/// chromosome blocks are decoded (samples in parallel), unwanted value
+/// columns are skipped and null-filled, and every sample is kept —
+/// possibly with empty regions — so metadata stays addressable.
+/// Verification is lazy per decoded block; skipped blocks are never
+/// checksummed.
 pub fn decode_dataset_v2_pruned(
     buf: &[u8],
     opts: &ScanOptions,
 ) -> Result<(Dataset, ScanStats), FormatError> {
-    decode_dataset_v2_with(buf, opts, true)
+    decode_slice(buf, opts, true)
+}
+
+/// [`decode_dataset_v2_pruned`] over a container that is not in memory:
+/// the header and each sample's index are read, wanted block extents are
+/// read whole, and everything else is seeked over — the bytes of a
+/// skipped block never leave the source.
+pub fn read_dataset_v2_pruned_from<R: Read + Seek>(
+    src: R,
+    opts: &ScanOptions,
+) -> Result<(Dataset, ScanStats), FormatError> {
+    read_with(BufReader::new(src), opts, true, read_extent)
 }
 
 /// Read a dataset from a v2 container directory, pruned by
-/// [`ScanOptions`]. See [`decode_dataset_v2_pruned`].
+/// [`ScanOptions`]. See [`read_dataset_v2_pruned_from`].
 pub fn read_dataset_v2_pruned(
     dir: &Path,
     opts: &ScanOptions,
 ) -> Result<(Dataset, ScanStats), FormatError> {
-    let buf = fs::read(dir.join(CONTAINER_FILE))?;
-    decode_dataset_v2_pruned(&buf, opts)
+    read_dataset_v2_pruned_from(fs::File::open(dir.join(CONTAINER_FILE))?, opts)
 }
 
 /// Read a dataset restricted to one chromosome: only that chromosome's
-/// blocks are decoded, every other block is skipped via the offset
-/// index. Samples without the chromosome are kept with empty regions so
-/// metadata stays addressable.
+/// blocks are read and decoded, every other block is seeked over via the
+/// offset index. Samples without the chromosome are kept with empty
+/// regions so metadata stays addressable.
 pub fn read_dataset_v2_chrom(dir: &Path, chrom: &str) -> Result<Dataset, FormatError> {
     let opts =
         ScanOptions { chroms: Some(std::iter::once(chrom.to_owned()).collect()), columns: None };
     read_dataset_v2_pruned(dir, &opts).map(|(ds, _)| ds)
 }
 
+/// Read only the index of a v2 container (schema, sample names,
+/// per-chromosome region counts, byte extents and checksums): every
+/// block is seeked over, none is read or decoded.
+pub fn read_index_from<R: Read + Seek>(src: R) -> Result<V2Index, FormatError> {
+    let mut samples = Vec::new();
+    let (header, _) = walk_container(
+        BufReader::new(src),
+        |_| false,
+        |_, _| Ok(()),
+        |_, scan| {
+            samples.push(SampleIndexEntry { name: scan.name, chroms: scan.chroms });
+            Ok(true)
+        },
+    )?;
+    Ok(V2Index { name: header.name, schema: header.schema, samples })
+}
+
+/// [`read_index_from`] the container of a dataset directory.
+pub fn read_index(dir: &Path) -> Result<V2Index, FormatError> {
+    read_index_from(fs::File::open(dir.join(CONTAINER_FILE))?)
+}
+
 /// Stream a v2 dataset sample by sample, mirroring
-/// [`crate::native::read_dataset_streaming`]. The callback may return
-/// `false` to stop early; remaining samples are not decoded.
+/// [`crate::native::read_dataset_streaming`]: one sample's blocks are in
+/// memory at a time. The callback may return `false` to stop early;
+/// remaining samples are neither read nor decoded.
 pub fn read_dataset_v2_streaming(
     dir: &Path,
     mut visit: impl FnMut(Sample) -> bool,
 ) -> Result<Schema, FormatError> {
-    let buf = fs::read(dir.join(CONTAINER_FILE))?;
-    let mut cur = Cursor::new(&buf);
-    let (name, schema, version) = decode_header(&mut cur)?;
-    let n_samples = cur.len_prefixed("sample count")?;
-    for _ in 0..n_samples {
-        let (sample_name, metadata, chroms) = decode_sample_index(&mut cur, version)?;
-        let mut regions = Vec::new();
-        for entry in &chroms {
-            let n = usize::try_from(entry.regions)
-                .map_err(|_| cur.corrupt("region count exceeds usize"))?;
-            verify_block(&cur, &sample_name, entry)?;
-            decode_chrom_block(&mut cur, &entry.chrom, n, &schema, &mut regions)?;
-        }
-        let sample = Sample::new(sample_name, &name).with_regions(regions).with_metadata(metadata);
-        if !visit(sample) {
-            break;
-        }
-    }
-    Ok(schema)
+    let (header, _) = walk_container(
+        BufReader::new(fs::File::open(dir.join(CONTAINER_FILE))?),
+        |_| true,
+        read_extent,
+        |header, scan| {
+            let regions = decode_blocks(&scan.name, &scan.wanted, &header.schema, None, true)?;
+            let sample = Sample::new(scan.name, &header.name)
+                .with_regions(regions)
+                .with_metadata(scan.metadata);
+            Ok(visit(sample))
+        },
+    )?;
+    Ok(header.schema)
 }
 
 #[cfg(test)]
@@ -1270,18 +1548,253 @@ mod tests {
         for v in [0i64, 1, -1, 63, -64, 300, -300, i64::MAX, i64::MIN] {
             let mut buf = Vec::new();
             put_varint(&mut buf, zigzag(v));
-            let mut cur = Cursor::new(&buf);
+            let mut cur = Cursor::new(&buf, 0);
             assert_eq!(unzigzag(cur.varint().unwrap()), v);
         }
+    }
+
+    type Crc = fn(&[u8]) -> u32;
+
+    /// Every implementation this machine can run: the table loop always,
+    /// the CPU instruction where there is one.
+    fn crc32c_implementations() -> Vec<(&'static str, Crc)> {
+        let mut all: Vec<(&'static str, Crc)> =
+            vec![("dispatch", crc32c), ("table", crc32c_table_loop)];
+        if crc32c_hardware(b"").is_some() {
+            all.push(("hardware", |bytes| crc32c_hardware(bytes).expect("detected above")));
+        }
+        all
     }
 
     #[test]
     fn crc32c_known_vectors() {
         // RFC 3720 appendix B.4 test vectors.
-        assert_eq!(crc32c(b""), 0);
-        assert_eq!(crc32c(&[0u8; 32]), 0x8a91_36aa);
-        assert_eq!(crc32c(&[0xffu8; 32]), 0x62a8_ab43);
-        assert_eq!(crc32c(b"123456789"), 0xe306_9283);
+        let ascending: Vec<u8> = (0..32).collect();
+        let descending: Vec<u8> = (0..32).rev().collect();
+        for (name, crc) in crc32c_implementations() {
+            assert_eq!(crc(b""), 0, "{name}");
+            assert_eq!(crc(&[0u8; 32]), 0x8a91_36aa, "{name}");
+            assert_eq!(crc(&[0xffu8; 32]), 0x62a8_ab43, "{name}");
+            assert_eq!(crc(&ascending), 0x46dd_794e, "{name}");
+            assert_eq!(crc(&descending), 0x113f_db5c, "{name}");
+            assert_eq!(crc(b"123456789"), 0xe306_9283, "{name}");
+        }
+    }
+
+    #[test]
+    fn crc32c_hardware_equals_table() {
+        // xorshift64*: fixed seed, no dependency.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut noise = |len: usize| -> Vec<u8> {
+            (0..len)
+                .map(|_| {
+                    state ^= state >> 12;
+                    state ^= state << 25;
+                    state ^= state >> 27;
+                    (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 56) as u8
+                })
+                .collect()
+        };
+        // Every length around the eight-byte step, at every alignment the
+        // slice start can have, then buffers of container size.
+        let mut cases: Vec<Vec<u8>> = (0..=64).map(&mut noise).collect();
+        cases.extend([1 << 12, (1 << 16) + 3, 3_000_001].map(&mut noise));
+        for bytes in &cases {
+            for skip in 0..bytes.len().min(8) {
+                let want = crc32c_table_loop(&bytes[skip..]);
+                assert_eq!(crc32c(&bytes[skip..]), want, "len {} skip {skip}", bytes.len());
+                if let Some(got) = crc32c_hardware(&bytes[skip..]) {
+                    assert_eq!(got, want, "len {} skip {skip}", bytes.len());
+                }
+            }
+        }
+    }
+
+    /// `encode_dataset_v2(&wide_dataset())` as the parent of the commit
+    /// that introduced the hardware CRC wrote it (table CRC, per-region
+    /// chromosome lookup): 160 bytes, FNV-1a 0x0d870cc7071ac068.
+    const WIDE_CONTAINER_BEFORE: &str = "4e47474347444d32030457494445040573636f726501046e616d\
+        650205636f756e740007666c616767656403020273310205617373617908436849502d7365710463656c\
+        6c044b353632020463687231021cc01987570463687232011024921990c8016464000402000000000000\
+        e03f02067065616b5f6100050e000100320200000000000000f87f00000101027332010463656c6c0448\
+        654c61009c883acf";
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(u8::is_ascii_hexdigit).collect();
+        digits
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn container_bytes_are_what_they_were() {
+        let before = unhex(WIDE_CONTAINER_BEFORE);
+        let now = encode_dataset_v2(&wide_dataset()).unwrap();
+        let fnv = now.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((now.len(), fnv), (160, 0x0d87_0cc7_071a_c068));
+        assert_eq!(now, before, "the encoder writes the bytes it wrote before");
+        // And what the old encoder wrote still reads back in full.
+        assert_datasets_equal(&wide_dataset(), &decode_dataset_v2(&before).unwrap());
+    }
+
+    /// Regions of one sample and chromosome, by decoded dataset.
+    fn assert_blocks_share_chrom_handles(ds: &Dataset) {
+        for sample in &ds.samples {
+            for pair in sample.regions.windows(2) {
+                if pair[0].chrom == pair[1].chrom {
+                    assert!(
+                        pair[0].chrom.ptr_eq(&pair[1].chrom),
+                        "{}: regions of one block hold one chromosome allocation",
+                        sample.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_chrom_allocation_per_block_in_every_reader() {
+        let ds = wide_dataset();
+        let dir = tmp("handles");
+        write_dataset_v2(&ds, &dir).unwrap();
+        let full = read_dataset_v2(&dir).unwrap();
+        assert_eq!(full.samples[0].regions.len(), 3);
+        assert_blocks_share_chrom_handles(&full);
+        assert!(full.samples[0].regions[0].chrom.ptr_eq(&full.samples[0].regions[1].chrom));
+        let chr1 = read_dataset_v2_chrom(&dir, "chr1").unwrap();
+        assert_eq!(chr1.samples[0].regions.len(), 2);
+        assert_blocks_share_chrom_handles(&chr1);
+        let columns = ScanOptions {
+            chroms: None,
+            columns: Some(std::iter::once("count".to_string()).collect()),
+        };
+        assert_blocks_share_chrom_handles(&read_dataset_v2_pruned(&dir, &columns).unwrap().0);
+        let bytes = fs::read(dir.join(CONTAINER_FILE)).unwrap();
+        assert_blocks_share_chrom_handles(&decode_dataset_v2_pruned(&bytes, &columns).unwrap().0);
+        let mut streamed = 0;
+        read_dataset_v2_streaming(&dir, |sample| {
+            streamed += sample.regions.len();
+            let mut one = Dataset::new("WIDE", wide_schema());
+            one.add_sample(sample).unwrap();
+            assert_blocks_share_chrom_handles(&one);
+            true
+        })
+        .unwrap();
+        assert_eq!(streamed, 3);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Counts the bytes a reader pulls out of its source.
+    struct Counting<R> {
+        inner: R,
+        read: u64,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.read += n as u64;
+            Ok(n)
+        }
+    }
+
+    impl<R: Seek> Seek for Counting<R> {
+        fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+            self.inner.seek(pos)
+        }
+    }
+
+    /// Four samples of three chromosomes, big enough that the blocks dwarf
+    /// both the indexes and a reader's buffer.
+    fn tall_dataset() -> Dataset {
+        let schema = Schema::new(vec![Attribute::new("score", ValueType::Float)]).unwrap();
+        let mut ds = Dataset::new("TALL", schema);
+        for s in 0..4u64 {
+            let regions = ["chr1", "chr2", "chr3"]
+                .iter()
+                .flat_map(|chrom| {
+                    (0..4000u64).map(move |i| {
+                        GRegion::new(*chrom, i * 100 + s, i * 100 + 60, Strand::Pos)
+                            .with_values(vec![Value::Float(i as f64)])
+                    })
+                })
+                .collect();
+            ds.add_sample(Sample::new(format!("s{s}"), "TALL").with_regions(regions)).unwrap();
+        }
+        ds
+    }
+
+    #[test]
+    fn skipped_blocks_are_never_read() {
+        let ds = tall_dataset();
+        let bytes = encode_dataset_v2(&ds).unwrap();
+        let total = bytes.len() as u64;
+
+        let mut src = Counting { inner: io::Cursor::new(&bytes), read: 0 };
+        let index = read_index_from(&mut src).unwrap();
+        assert_eq!(index.region_count(), 48_000);
+        assert!(src.read * 4 < total, "read_index pulled {} of {total} bytes", src.read);
+
+        let opts = ScanOptions {
+            chroms: Some(std::iter::once("chr2".to_string()).collect()),
+            columns: None,
+        };
+        let mut src = Counting { inner: io::Cursor::new(&bytes), read: 0 };
+        let (chr2, stats) = read_dataset_v2_pruned_from(&mut src, &opts).unwrap();
+        assert_eq!(chr2.region_count(), 16_000);
+        assert_eq!(stats.bytes_read + stats.bytes_skipped, index.block_bytes(&opts).1);
+        assert_eq!(stats.bytes_read, index.block_bytes(&opts).0);
+        assert!(
+            src.read < stats.bytes_read + total / 4,
+            "a one-chromosome read pulled {} of {total} bytes for {} wanted",
+            src.read,
+            stats.bytes_read
+        );
+        assert!(src.read * 2 < total);
+        // The bytes it did not read make no difference to what it returns.
+        let (same, same_stats) = decode_dataset_v2_pruned(&bytes, &opts).unwrap();
+        assert_datasets_equal(&chr2, &same);
+        assert_eq!(stats, same_stats);
+    }
+
+    #[test]
+    fn file_readers_fail_typed_on_truncation_and_bad_extents() {
+        let bytes = encode_dataset_v2(&wide_dataset()).unwrap();
+        let all = ScanOptions {
+            chroms: None,
+            columns: Some(std::iter::once("count".to_string()).collect()),
+        };
+        for cut in 0..bytes.len() {
+            let short = &bytes[..cut];
+            // The trailer alone may be missing; anything shorter cuts into
+            // an index or a block.
+            let structural = cut < bytes.len() - 4;
+            let index = read_index_from(io::Cursor::new(short));
+            let pruned = read_dataset_v2_pruned_from(io::Cursor::new(short), &all);
+            for (what, failed) in [("index", index.is_err()), ("pruned", pruned.is_err())] {
+                assert_eq!(failed, structural, "{what} read of the first {cut} bytes");
+            }
+            if let Err(e) = index {
+                assert!(matches!(e, FormatError::Corrupt { .. }), "cut {cut}: {e}");
+            }
+        }
+        // An extent that points past the end is caught before it is
+        // seeked over or allocated: grow the last block's length varint.
+        let index = read_index_from(io::Cursor::new(&bytes)).unwrap();
+        let chr2 = &index.samples[0].chroms[1];
+        // Index entry: str name, varint regions, varint bytes, u32 crc.
+        let entry = bytes.windows(5).position(|w| w == b"\x04chr2").unwrap();
+        let at = entry + 5 + 1;
+        assert_eq!(u64::from(bytes[at]), chr2.bytes, "the block-length byte of s1/chr2");
+        let mut long = bytes.clone();
+        long[at] = 0x7f;
+        assert!(matches!(
+            read_index_from(io::Cursor::new(&long)),
+            Err(FormatError::Corrupt { .. })
+        ));
     }
 
     #[test]

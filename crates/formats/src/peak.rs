@@ -8,7 +8,7 @@
 //! broadPeak  = BED6 + `signalValue pValue qValue`       (9 columns).
 
 use crate::error::FormatError;
-use nggc_gdm::{Attribute, GRegion, Schema, Strand, Value, ValueType};
+use nggc_gdm::{Attribute, ChromInterner, GRegion, Schema, Strand, Value, ValueType};
 
 /// Which peak flavour to parse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,6 +47,7 @@ impl PeakKind {
 /// Parse narrowPeak/broadPeak text into regions.
 pub fn parse_peaks(text: &str, kind: PeakKind) -> Result<Vec<GRegion>, FormatError> {
     let mut out = Vec::new();
+    let mut chroms = ChromInterner::new();
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.trim_end();
@@ -79,17 +80,15 @@ pub fn parse_peaks(text: &str, kind: PeakKind) -> Result<Vec<GRegion>, FormatErr
                 .map_err(|e| FormatError::malformed(lineno, e.to_string()))
         };
 
-        let mut values = vec![
-            parse(3, ValueType::Str)?,
-            parse(4, ValueType::Float)?,
-            parse(6, ValueType::Float)?,
-            parse(7, ValueType::Float)?,
-            parse(8, ValueType::Float)?,
-        ];
+        let mut values = Vec::with_capacity(kind.columns() - 4);
+        values.push(parse(3, ValueType::Str)?);
+        for col in [4, 6, 7, 8] {
+            values.push(parse(col, ValueType::Float)?);
+        }
         if kind == PeakKind::Narrow {
             values.push(parse(9, ValueType::Int)?);
         }
-        out.push(GRegion::new(fields[0], start, end, strand).with_values(values));
+        out.push(GRegion::new(chroms.intern(fields[0]), start, end, strand).with_values(values));
     }
     Ok(out)
 }

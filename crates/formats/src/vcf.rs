@@ -10,7 +10,7 @@
 //! `END=` key (1-based inclusive), which maps to `[POS-1, END)`.
 
 use crate::error::FormatError;
-use nggc_gdm::{Attribute, GRegion, Schema, Strand, Value, ValueType};
+use nggc_gdm::{Attribute, ChromInterner, GRegion, Schema, Strand, Value, ValueType};
 
 /// The GDM schema for VCF sites.
 pub fn vcf_schema() -> Schema {
@@ -28,6 +28,7 @@ pub fn vcf_schema() -> Schema {
 /// Parse VCF text (header lines `#...` skipped) into GDM regions.
 pub fn parse_vcf(text: &str) -> Result<Vec<GRegion>, FormatError> {
     let mut out = Vec::new();
+    let mut chroms = ChromInterner::new();
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.trim_end();
@@ -81,7 +82,10 @@ pub fn parse_vcf(text: &str) -> Result<Vec<GRegion>, FormatError> {
             Value::Str(fields[6].to_owned()),
             Value::Str(fields[7].to_owned()),
         ];
-        out.push(GRegion::new(fields[0], left, right, Strand::Unstranded).with_values(values));
+        out.push(
+            GRegion::new(chroms.intern(fields[0]), left, right, Strand::Unstranded)
+                .with_values(values),
+        );
     }
     Ok(out)
 }

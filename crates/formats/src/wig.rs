@@ -13,7 +13,7 @@
 
 use crate::bedgraph::bedgraph_schema;
 use crate::error::FormatError;
-use nggc_gdm::{GRegion, Schema, Strand, Value, ValueType};
+use nggc_gdm::{Chrom, ChromInterner, GRegion, Schema, Strand, Value, ValueType};
 
 /// The GDM schema for WIG: identical to bedGraph (`signal: float`).
 pub fn wig_schema() -> Schema {
@@ -22,13 +22,14 @@ pub fn wig_schema() -> Schema {
 
 #[derive(Debug, Clone)]
 enum Mode {
-    Fixed { chrom: String, next_start: u64, step: u64, span: u64 },
-    Variable { chrom: String, span: u64 },
+    Fixed { chrom: Chrom, next_start: u64, step: u64, span: u64 },
+    Variable { chrom: Chrom, span: u64 },
 }
 
 /// Parse WIG text into regions under [`wig_schema`].
 pub fn parse_wig(text: &str) -> Result<Vec<GRegion>, FormatError> {
     let mut out = Vec::new();
+    let mut chroms = ChromInterner::new();
     let mut mode: Option<Mode> = None;
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -41,12 +42,13 @@ pub fn parse_wig(text: &str) -> Result<Vec<GRegion>, FormatError> {
             if start == 0 {
                 return Err(FormatError::malformed(lineno, "WIG start is 1-based"));
             }
+            let chrom = chroms.intern(&chrom);
             mode = Some(Mode::Fixed { chrom, next_start: start - 1, step, span });
             continue;
         }
         if let Some(rest) = line.strip_prefix("variableStep") {
             let (chrom, _, _, span) = parse_decl(rest, lineno, false)?;
-            mode = Some(Mode::Variable { chrom, span });
+            mode = Some(Mode::Variable { chrom: chroms.intern(&chrom), span });
             continue;
         }
         match &mut mode {
@@ -66,7 +68,7 @@ pub fn parse_wig(text: &str) -> Result<Vec<GRegion>, FormatError> {
                     FormatError::malformed(lineno, "coordinate overflow (start + span)")
                 })?;
                 out.push(
-                    GRegion::new(chrom.as_str(), *next_start, right, Strand::Unstranded)
+                    GRegion::new(chrom.clone(), *next_start, right, Strand::Unstranded)
                         .with_values(vec![signal]),
                 );
                 *next_start = next_start.checked_add(*step).ok_or_else(|| {
@@ -90,7 +92,7 @@ pub fn parse_wig(text: &str) -> Result<Vec<GRegion>, FormatError> {
                     FormatError::malformed(lineno, "coordinate overflow (position + span)")
                 })?;
                 out.push(
-                    GRegion::new(chrom.as_str(), pos - 1, right, Strand::Unstranded)
+                    GRegion::new(chrom.clone(), pos - 1, right, Strand::Unstranded)
                         .with_values(vec![signal]),
                 );
             }

@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -29,6 +30,12 @@ impl Chrom {
     /// The chromosome name as a string slice.
     pub fn as_str(&self) -> &str {
         &self.0
+    }
+
+    /// True when both handles point at the same allocation — the case
+    /// equality and ordering decide without looking at the name.
+    pub fn ptr_eq(&self, other: &Chrom) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 
     /// Numeric-aware comparison: digit runs compare as integers, other
@@ -119,6 +126,49 @@ impl From<&str> for Chrom {
     }
 }
 
+impl std::borrow::Borrow<str> for Chrom {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+/// Hands out one shared [`Chrom`] per distinct name, so that the regions
+/// of one parse or decode call compare chromosomes by pointer
+/// ([`Chrom::ptr_eq`]) instead of by name, and a region costs a
+/// reference-count bump instead of a string allocation.
+#[derive(Debug, Default)]
+pub struct ChromInterner {
+    /// The handle returned last: region files list one chromosome's rows
+    /// together, so this answers nearly every call without hashing.
+    last: Option<Chrom>,
+    seen: HashSet<Chrom>,
+}
+
+impl ChromInterner {
+    /// An interner that has seen no name yet.
+    pub fn new() -> ChromInterner {
+        ChromInterner::default()
+    }
+
+    /// The shared handle for `name` (trimmed, as [`Chrom::new`] does).
+    pub fn intern(&mut self, name: &str) -> Chrom {
+        let name = name.trim();
+        if let Some(last) = self.last.as_ref().filter(|c| c.as_str() == name) {
+            return last.clone();
+        }
+        let chrom = match self.seen.get(name) {
+            Some(known) => known.clone(),
+            None => {
+                let fresh = Chrom::new(name);
+                self.seen.insert(fresh.clone());
+                fresh
+            }
+        };
+        self.last = Some(chrom.clone());
+        chrom
+    }
+}
+
 /// DNA strand of a region: `+`, `-`, or `*` when the region is unstranded
 /// (paper §2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -145,10 +195,15 @@ impl Strand {
 
     /// Canonical single-character rendering.
     pub fn symbol(self) -> char {
+        char::from(self.as_str().as_bytes()[0])
+    }
+
+    /// [`Strand::symbol`] as a string that needs no allocation.
+    pub fn as_str(self) -> &'static str {
         match self {
-            Strand::Pos => '+',
-            Strand::Neg => '-',
-            Strand::Unstranded => '*',
+            Strand::Pos => "+",
+            Strand::Neg => "-",
+            Strand::Unstranded => "*",
         }
     }
 
@@ -203,6 +258,19 @@ mod tests {
     }
 
     #[test]
+    fn interner_shares_one_handle_per_name() {
+        let mut chroms = ChromInterner::new();
+        let a = chroms.intern("chr1");
+        let b = chroms.intern("chr2");
+        let c = chroms.intern(" chr1 ");
+        assert!(a.ptr_eq(&c), "equal names share one allocation");
+        assert!(!a.ptr_eq(&b));
+        assert!(chroms.intern("chr2").ptr_eq(&b));
+        assert_eq!(a, Chrom::new("chr1"));
+        assert!(!a.ptr_eq(&Chrom::new("chr1")), "a fresh handle is its own allocation");
+    }
+
+    #[test]
     fn strand_parse_and_symbol() {
         assert_eq!(Strand::parse("+"), Some(Strand::Pos));
         assert_eq!(Strand::parse("-"), Some(Strand::Neg));
@@ -210,6 +278,9 @@ mod tests {
         assert_eq!(Strand::parse("."), Some(Strand::Unstranded));
         assert_eq!(Strand::parse("x"), None);
         assert_eq!(Strand::Pos.symbol(), '+');
+        for s in [Strand::Pos, Strand::Neg, Strand::Unstranded] {
+            assert_eq!(s.as_str(), s.symbol().to_string());
+        }
     }
 
     #[test]

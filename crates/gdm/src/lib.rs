@@ -53,7 +53,7 @@ pub mod sample;
 pub mod schema;
 pub mod value;
 
-pub use coords::{genome_order, Chrom, Strand};
+pub use coords::{genome_order, Chrom, ChromInterner, Strand};
 pub use dataset::{Dataset, DatasetStats};
 pub use error::GdmError;
 pub use metadata::Metadata;

@@ -745,6 +745,47 @@ impl Repository {
         self.load(name)
     }
 
+    /// [`Repository::load_pruned`] with a memory budget, the pruned twin
+    /// of [`Repository::load_bounded`]. The catalog estimate describes the
+    /// *whole* dataset; when that does not fit, the container's index is
+    /// walked (no block is read) and the estimate is scaled by the share
+    /// of block bytes `opts` selects — what the read would materialise —
+    /// before anything is decoded. So a one-chromosome query is not
+    /// refused for chromosomes it would never load, and an oversized one
+    /// is still refused without allocating.
+    pub fn load_pruned_bounded(
+        &self,
+        name: &str,
+        opts: &ScanOptions,
+        budget: u64,
+    ) -> Result<Arc<Dataset>, RepoError> {
+        let entry = self.catalog.get(name).ok_or_else(|| RepoError::NotFound(name.to_owned()))?;
+        let mut estimated = entry.stats.bytes as u64;
+        // A resident full copy is handed out as it is, at its full size.
+        let resident =
+            || self.cache.lock().unwrap_or_else(|p| p.into_inner()).entries.contains_key(name);
+        if estimated > budget && self.prunable(name, opts) && !resident() {
+            let index = native_v2::read_index(&self.dataset_dir(name))?;
+            let (wanted, total) = index.block_bytes(opts);
+            if total > 0 {
+                estimated =
+                    (u128::from(estimated) * u128::from(wanted)).div_ceil(total.into()) as u64;
+            }
+        }
+        if estimated > budget {
+            nggc_obs::global().counter("nggc_repo_load_rejections_total").inc();
+            return Err(RepoError::Budget { name: name.to_owned(), estimated, budget });
+        }
+        self.load_pruned(name, opts)
+    }
+
+    /// True when a read of `name` under `opts` can skip anything: the
+    /// options restrict something and the dataset is stored as a v2
+    /// container (v1 text has no block index to prune against).
+    fn prunable(&self, name: &str, opts: &ScanOptions) -> bool {
+        !opts.is_full() && self.storage_version(name) == Some(StorageVersion::V2)
+    }
+
     /// Load a dataset with scan pruning: only the chromosome blocks and
     /// value columns named in `opts` are decoded from the v2 container
     /// (skipped columns come back as typed nulls so the schema stays
@@ -764,7 +805,7 @@ impl Repository {
         if !self.catalog.contains_key(name) {
             return Err(RepoError::NotFound(name.to_owned()));
         }
-        if opts.is_full() || self.storage_version(name) != Some(StorageVersion::V2) {
+        if !self.prunable(name, opts) {
             return self.load(name);
         }
         let reg = nggc_obs::global();

@@ -1034,7 +1034,18 @@ fn cmd_query(repo_path: &Path, args: &[String]) -> Result<(), CliError> {
             }
         }
     }
+    leave_to_the_os((outputs, repo));
     Ok(())
+}
+
+/// End of a one-shot command: everything is written, and the process is
+/// about to exit. Freeing the materialised datasets region by region —
+/// a chromosome handle and a value vector each — only to hand the pages
+/// back a moment later is work the exit does for nothing, so the values
+/// are forgotten instead of dropped. Nothing passed here may own
+/// anything but memory.
+fn leave_to_the_os<T>(done: T) {
+    std::mem::forget(done);
 }
 
 /// `nggc stats [--json] [-e QUERY] [--fed-selftest]` — dump the global
@@ -1097,8 +1108,14 @@ fn cmd_stats(repo_path: &Path, args: &[String]) -> Result<(), String> {
         let statements = nggc::gmql::parse(&query).map_err(|e| e.to_string())?;
         let plan = LogicalPlan::compile(&statements, &|name| repo.schema_of(name))
             .map_err(|e| e.to_string())?;
-        nggc::gmql::execute(&plan, &nggc::RepoProvider::new(&repo), &ctx, &ExecOptions::default())
-            .map_err(|e| e.to_string())?;
+        let outputs = nggc::gmql::execute(
+            &plan,
+            &nggc::RepoProvider::new(&repo),
+            &ctx,
+            &ExecOptions::default(),
+        )
+        .map_err(|e| e.to_string())?;
+        leave_to_the_os((outputs, repo));
     }
     if let Some(collector) = &collector {
         nggc::obs::clear_subscribers();

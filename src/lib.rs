@@ -75,7 +75,9 @@ pub use nggc_synth as synth;
 /// checkpoint, and when the governor carries a memory budget the
 /// repository's catalog estimate is checked **before** any region data
 /// is read ([`repository::Repository::load_bounded`]), so an oversized
-/// source dataset is refused without allocating.
+/// source dataset is refused without allocating. A pruned load is checked
+/// at the share of the dataset it would materialise
+/// ([`repository::Repository::load_pruned_bounded`]).
 pub struct RepoProvider<'a> {
     repo: &'a repository::Repository,
     governor: Option<gmql::QueryGovernor>,
@@ -94,26 +96,41 @@ impl<'a> RepoProvider<'a> {
     }
 }
 
+impl RepoProvider<'_> {
+    /// One load under the governor, if there is one: a cancel/deadline
+    /// checkpoint first, then `load` with the memory the query can still
+    /// afford (`None`: unlimited); the repository's refusal of an
+    /// oversized dataset becomes the governor's typed error.
+    fn load_with(
+        &self,
+        name: &str,
+        load: impl FnOnce(Option<u64>) -> Result<Arc<gdm::Dataset>, repository::RepoError>,
+    ) -> Result<Arc<gdm::Dataset>, gmql::GmqlError> {
+        let node = || format!("LOAD {name}");
+        let mut budget = None;
+        if let Some(g) = &self.governor {
+            g.check(&node())?;
+            budget = g.remaining_memory();
+        }
+        load(budget).map_err(|e| match (e, &self.governor) {
+            (repository::RepoError::Budget { estimated, .. }, Some(g)) => {
+                g.refuse_allocation(&node(), estimated)
+            }
+            (e, _) => gmql::GmqlError::runtime(e.to_string()),
+        })
+    }
+}
+
 impl gmql::DatasetProvider for RepoProvider<'_> {
     fn load(&self, name: &str) -> Result<gdm::Dataset, gmql::GmqlError> {
         self.load_shared(name).map(|d| (*d).clone())
     }
 
     fn load_shared(&self, name: &str) -> Result<Arc<gdm::Dataset>, gmql::GmqlError> {
-        let node = || format!("LOAD {name}");
-        if let Some(g) = &self.governor {
-            g.check(&node())?;
-            if let Some(budget) = g.remaining_memory() {
-                return match self.repo.load_bounded(name, budget) {
-                    Ok(d) => Ok(d),
-                    Err(repository::RepoError::Budget { estimated, .. }) => {
-                        Err(g.refuse_allocation(&node(), estimated))
-                    }
-                    Err(e) => Err(gmql::GmqlError::runtime(e.to_string())),
-                };
-            }
-        }
-        self.repo.load(name).map_err(|e| gmql::GmqlError::runtime(e.to_string()))
+        self.load_with(name, |budget| match budget {
+            Some(budget) => self.repo.load_bounded(name, budget),
+            None => self.repo.load(name),
+        })
     }
 
     fn load_pruned(
@@ -121,25 +138,13 @@ impl gmql::DatasetProvider for RepoProvider<'_> {
         name: &str,
         spec: &gmql::ScanSpec,
     ) -> Result<Arc<gdm::Dataset>, gmql::GmqlError> {
-        let node = || format!("LOAD {name}");
         let opts = formats::native_v2::ScanOptions {
             chroms: spec.chroms.clone(),
             columns: spec.columns.clone(),
         };
-        if let Some(g) = &self.governor {
-            g.check(&node())?;
-            if let Some(budget) = g.remaining_memory() {
-                // The catalog estimate covers the full dataset; a pruned
-                // load reads at most that, so the full-size check keeps
-                // the same conservative budget discipline as `load`.
-                if let Some(entry) = self.repo.entry(name) {
-                    let estimated = entry.stats.bytes as u64;
-                    if estimated > budget {
-                        return Err(g.refuse_allocation(&node(), estimated));
-                    }
-                }
-            }
-        }
-        self.repo.load_pruned(name, &opts).map_err(|e| gmql::GmqlError::runtime(e.to_string()))
+        self.load_with(name, |budget| match budget {
+            Some(budget) => self.repo.load_pruned_bounded(name, &opts, budget),
+            None => self.repo.load_pruned(name, &opts),
+        })
     }
 }

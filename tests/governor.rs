@@ -161,3 +161,119 @@ fn cancelled_query_reports_partial_progress_and_engine_survives() {
         assert!(outputs["X"].region_count() > 0);
     });
 }
+
+/// Eight equally sized chromosomes, so a one-chromosome read
+/// materialises an eighth of the dataset.
+fn eight_chrom_dataset() -> Dataset {
+    let mut ds = Dataset::new("WIDE8", Schema::empty());
+    let regions = (1..=8u64)
+        .flat_map(|c| {
+            (0..2000u64).map(move |i| {
+                GRegion::new(format!("chr{c}").as_str(), i * 50, i * 50 + 40, Strand::Unstranded)
+            })
+        })
+        .collect();
+    ds.add_sample(Sample::new("s", "WIDE8").with_regions(regions)).unwrap();
+    ds
+}
+
+/// ROADMAP item 4a: the pre-check of a pruned load uses the share of the
+/// dataset the scan spec selects, not the whole catalog estimate. Under
+/// a budget between the two, the one-chromosome query runs and the
+/// unfiltered one is still refused before anything is decoded.
+#[test]
+fn memory_budget_admits_a_pruned_load_it_would_refuse_in_full() {
+    let dir = std::env::temp_dir().join(format!("nggc_gov_pruned_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    Repository::open(&dir).unwrap().save(&eight_chrom_dataset()).unwrap();
+    // Reopened: `save` leaves its dataset resident, and a resident full
+    // copy is served (and accounted) as the full dataset.
+    let repo = Repository::open(&dir).unwrap();
+    let full = repo.entry("WIDE8").unwrap().stats.bytes as u64;
+    // Room for the pruned source and SELECT's output (an eighth each),
+    // not for the dataset.
+    let limits = GovernorLimits { timeout: None, max_memory: Some(full / 2) };
+    let schema_of = |name: &str| repo.schema_of(name);
+    let ctx = nggc::engine::ExecContext::with_workers(2);
+    let run = |query: &str| {
+        let governor = QueryGovernor::new(limits);
+        run_with_provider_governed(
+            query,
+            &schema_of,
+            &RepoProvider::governed(&repo, &governor),
+            &ctx,
+            &ExecOptions::default(),
+            &governor,
+        )
+        .map(|(outputs, _)| (outputs, governor.mem_peak()))
+    };
+
+    let (outputs, peak) = run("X = SELECT(region: chr == 'chr3') WIDE8; MATERIALIZE X;").unwrap();
+    assert_eq!(outputs["X"].region_count(), 2000);
+    assert!(peak > 0 && peak <= full / 2, "peak {peak} of a {full}-byte dataset");
+
+    match run("X = SELECT(region: left >= 0) WIDE8; MATERIALIZE X;").unwrap_err() {
+        GmqlError::MemoryExhausted { node, requested, budget, .. } => {
+            assert_eq!(node, "LOAD WIDE8");
+            assert_eq!((requested, budget), (full, full / 2));
+        }
+        other => panic!("expected MemoryExhausted, got {other:?}"),
+    }
+    // The pruned load never became resident: a budget the dataset fits
+    // in reads all of it.
+    assert_eq!(repo.load_bounded("WIDE8", full).unwrap().region_count(), 16_000);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// SELECT and PROJECT rewrite a source in place when they are its last
+/// user — but only a source nobody else holds. A dataset resident in the
+/// repository cache is shared with every later query and must come out
+/// of any number of queries exactly as it went in.
+#[test]
+fn queries_never_mutate_a_dataset_the_repository_cache_holds() {
+    let dir = std::env::temp_dir().join(format!("nggc_gov_shared_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut repo = Repository::open(&dir).unwrap();
+    let schema = Schema::new(vec![
+        nggc::gdm::Attribute::new("score", nggc::gdm::ValueType::Float),
+        nggc::gdm::Attribute::new("name", nggc::gdm::ValueType::Str),
+    ])
+    .unwrap();
+    let mut ds = Dataset::new("SHARED", schema);
+    let regions = (0..500u64)
+        .map(|i| {
+            GRegion::new(if i % 2 == 0 { "chr1" } else { "chr2" }, i * 10, i * 10 + 5, Strand::Pos)
+                .with_values(vec![(i as f64).into(), format!("r{i}").as_str().into()])
+        })
+        .collect();
+    ds.add_sample(Sample::new("s", "SHARED").with_regions(regions)).unwrap();
+    repo.save(&ds).unwrap();
+    let resident = repo.load("SHARED").unwrap();
+    let before = (*resident).clone();
+
+    let schema_of = |name: &str| repo.schema_of(name);
+    let ctx = nggc::engine::ExecContext::with_workers(2);
+    for query in [
+        "X = SELECT(region: chr == 'chr1' AND score > 100) SHARED; MATERIALIZE X;",
+        "X = PROJECT(name; half AS score / 2) SHARED; MATERIALIZE X;",
+        "A = SELECT(region: left >= 0) SHARED; X = PROJECT(score) A; MATERIALIZE X;",
+    ] {
+        let governor = QueryGovernor::unbounded();
+        let (outputs, metrics) = run_with_provider_governed(
+            query,
+            &schema_of,
+            &RepoProvider::governed(&repo, &governor),
+            &ctx,
+            &ExecOptions::default(),
+            &governor,
+        )
+        .unwrap();
+        assert!(outputs["X"].region_count() > 0, "{query}");
+        assert!(metrics.iter().any(|m| m.operator == "SOURCE"), "{query}");
+        let after = repo.load("SHARED").unwrap();
+        assert!(std::sync::Arc::ptr_eq(&resident, &after), "{query}: still the resident copy");
+        assert_eq!(after.samples[0].regions, before.samples[0].regions, "{query}");
+        assert_eq!(after.samples[0].metadata, before.samples[0].metadata, "{query}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -256,8 +256,8 @@ proptest! {
             Schema::new(vec![Attribute::new("score", ValueType::Int)]).unwrap();
         let region = GRegion::new("chr1", left, left + width, Strand::Pos)
             .with_values(vec![Value::Int(score)]);
-        let a = expr.eval(&region, &schema);
-        let b = reparsed.eval(&region, &schema);
+        let a = expr.bind(&schema).eval(&region);
+        let b = reparsed.bind(&schema).eval(&region);
         // NaN-safe comparison through total order.
         prop_assert_eq!(a.total_cmp(&b), std::cmp::Ordering::Equal, "{} vs {}", a, b);
     }
@@ -445,8 +445,8 @@ proptest! {
 // never panic, whatever the bytes (robustness satellite, ISSUE 4).
 // ---------------------------------------------------------------------------
 
-use nggc::formats::native_v2::{decode_dataset_v2, encode_dataset_v2};
-use nggc::formats::FileFormat;
+use nggc::formats::native_v2::{self, decode_dataset_v2, encode_dataset_v2};
+use nggc::formats::{FileFormat, FormatError};
 
 const ALL_FORMATS: [FileFormat; 8] = [
     FileFormat::Bed,
@@ -481,6 +481,22 @@ fn valid_doc(format: FileFormat) -> String {
         FileFormat::BedGraph => "chr1 0 100 0.5\nchr1 100 200 1.5\n".into(),
         FileFormat::Wig => {
             "fixedStep chrom=chr1 start=1 step=10 span=5\n0.5\n1.5\nvariableStep chrom=chr2 span=3\n7 2.5\n".into()
+        }
+    }
+}
+
+/// Every text parser hands equal chromosome names one shared handle, so
+/// that the import-time sort and every later comparison decide by pointer.
+#[test]
+fn text_parsers_share_one_chrom_handle_per_name() {
+    for format in ALL_FORMATS {
+        let doc = valid_doc(format).repeat(2);
+        let regions = format.parse(&doc).unwrap();
+        assert!(regions.len() >= 2, "{format:?}");
+        for a in &regions {
+            for b in &regions {
+                assert_eq!(a.chrom == b.chrom, a.chrom.ptr_eq(&b.chrom), "{format:?}: {a} / {b}");
+            }
         }
     }
 }
@@ -586,6 +602,35 @@ proptest! {
         let bytes = v2_container_bytes();
         let cut = ((bytes.len() as f64) * frac) as usize;
         prop_assert!(decode_dataset_v2(&bytes[..cut]).is_err(), "truncated container decoded");
+        // The readers that walk the file instead of loading it: the same
+        // prefix on disk fails as typed corruption wherever the cut falls
+        // inside an index or a block (only the four trailer bytes can go
+        // missing unnoticed: these readers do not check the trailer).
+        let dir = std::env::temp_dir().join(format!(
+            "nggc_prop_trunc_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(native_v2::CONTAINER_FILE), &bytes[..cut]).unwrap();
+        let chr1 = native_v2::ScanOptions {
+            chroms: Some(std::iter::once("chr1".to_owned()).collect()),
+            columns: None,
+        };
+        let outcomes = [
+            native_v2::read_index(&dir).map(|_| ()),
+            native_v2::read_dataset_v2_pruned(&dir, &chr1).map(|_| ()),
+            native_v2::read_dataset_v2_chrom(&dir, "chrX").map(|_| ()),
+            native_v2::read_dataset_v2_streaming(&dir, |_| true).map(|_| ()),
+        ];
+        std::fs::remove_dir_all(&dir).ok();
+        for outcome in outcomes {
+            match outcome {
+                Ok(()) => prop_assert!(cut + 4 >= bytes.len(), "prefix of {} bytes read clean", cut),
+                Err(FormatError::Corrupt { .. }) => {}
+                Err(other) => prop_assert!(false, "untyped failure at {}: {}", cut, other),
+            }
+        }
     }
 
     /// Flipping bytes anywhere in a valid container never panics.
@@ -645,6 +690,35 @@ proptest! {
         let bytes = v2_container_bytes();
         let cut = ((bytes.len() as f64) * frac) as usize;
         prop_assert!(decode_dataset_v2(&bytes[..cut]).is_err(), "truncated container decoded");
+        // The readers that walk the file instead of loading it: the same
+        // prefix on disk fails as typed corruption wherever the cut falls
+        // inside an index or a block (only the four trailer bytes can go
+        // missing unnoticed: these readers do not check the trailer).
+        let dir = std::env::temp_dir().join(format!(
+            "nggc_prop_trunc_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(native_v2::CONTAINER_FILE), &bytes[..cut]).unwrap();
+        let chr1 = native_v2::ScanOptions {
+            chroms: Some(std::iter::once("chr1".to_owned()).collect()),
+            columns: None,
+        };
+        let outcomes = [
+            native_v2::read_index(&dir).map(|_| ()),
+            native_v2::read_dataset_v2_pruned(&dir, &chr1).map(|_| ()),
+            native_v2::read_dataset_v2_chrom(&dir, "chrX").map(|_| ()),
+            native_v2::read_dataset_v2_streaming(&dir, |_| true).map(|_| ()),
+        ];
+        std::fs::remove_dir_all(&dir).ok();
+        for outcome in outcomes {
+            match outcome {
+                Ok(()) => prop_assert!(cut + 4 >= bytes.len(), "prefix of {} bytes read clean", cut),
+                Err(FormatError::Corrupt { .. }) => {}
+                Err(other) => prop_assert!(false, "untyped failure at {}: {}", cut, other),
+            }
+        }
     }
 
     /// Scan-pruning oracle: for randomized datasets and plans, a query
