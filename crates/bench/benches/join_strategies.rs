@@ -5,23 +5,35 @@
 //! and the exhaustive baseline. The ablation measures all three on the
 //! same workloads, plus the binned kernel across bin widths (DESIGN.md
 //! §5 items 1–2).
+//!
+//! `cover_sweep` computes COVER's accumulation index over several samples
+//! three ways: as the operators did before (clone every region into one
+//! pool, stable-sort it, copy out the intervals, sort and sweep the
+//! events), with only the intervals pooled (`coverage_segments`, the
+//! reference), and as the operators do now — the sorted per-sample runs
+//! merged as borrows and swept in that order (`merge_runs` +
+//! `coverage_sweep`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nggc_engine::{
-    overlap_pairs_binned, overlap_pairs_naive, overlap_pairs_sort_merge, Binner, NcList,
+    coverage_segments, coverage_sweep, merge_runs, overlap_pairs_binned, overlap_pairs_naive,
+    overlap_pairs_sort_merge, Binner, NcList,
 };
-use nggc_gdm::{GRegion, Strand};
+use nggc_gdm::{Chrom, GRegion, Strand};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 fn regions(n: usize, span: u64, width: u64, seed: u64) -> Vec<GRegion> {
     let mut rng = StdRng::seed_from_u64(seed);
+    // One chromosome handle for all regions, as a decoded or parsed
+    // dataset has: comparisons then decide the chromosome by pointer.
+    let chrom = Chrom::new("chr1");
     let mut out: Vec<GRegion> = (0..n)
         .map(|_| {
             let l = rng.gen_range(0..span);
             let w = rng.gen_range(50..width);
-            GRegion::new("chr1", l, l + w, Strand::Unstranded)
+            GRegion::new(chrom.clone(), l, l + w, Strand::Unstranded)
         })
         .collect();
     out.sort_by(|a, b| a.cmp_coords(b));
@@ -100,5 +112,37 @@ fn bench_bin_width(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_strategies, bench_bin_width);
+fn bench_cover_sweep(c: &mut Criterion) {
+    let mut group = c.benchmark_group("cover_sweep");
+    group.sample_size(10);
+    for &samples in &[2usize, 8, 32] {
+        let runs: Vec<Vec<GRegion>> =
+            (0..samples).map(|s| regions(4_000, 2_000_000, 400, 10 + s as u64)).collect();
+        let slices: Vec<&[GRegion]> = runs.iter().map(Vec::as_slice).collect();
+        group.bench_with_input(BenchmarkId::new("pool_clone_sort", samples), &samples, |b, _| {
+            b.iter(|| {
+                let mut pooled: Vec<GRegion> = runs.iter().flatten().cloned().collect();
+                pooled.sort_by(|a, b| a.cmp_coords(b));
+                let intervals: Vec<(u64, u64)> = pooled.iter().map(|r| (r.left, r.right)).collect();
+                black_box(coverage_segments(&intervals).len())
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("pool_sort_sweep", samples), &samples, |b, _| {
+            b.iter(|| {
+                let pooled: Vec<(u64, u64)> =
+                    runs.iter().flatten().map(|r| (r.left, r.right)).collect();
+                black_box(coverage_segments(&pooled).len())
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("run_merge_sweep", samples), &samples, |b, _| {
+            b.iter(|| {
+                let merged = merge_runs(&slices, GRegion::cmp_coords);
+                black_box(coverage_sweep(merged).len())
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_strategies, bench_bin_width, bench_cover_sweep);
 criterion_main!(benches);

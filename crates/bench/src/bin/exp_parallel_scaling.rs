@@ -7,9 +7,9 @@
 //! JOIN (distance ≤ d), and a COVER/HISTOGRAM (accumulation) — executed
 //! serially and with increasing worker counts.
 //!
-//! Note: on a single-hardware-thread machine the speedups degenerate to
-//! ≈1 and mostly measure scheduling overhead; on a multi-core machine
-//! the sample-parallel decomposition scales with min(workers, samples).
+//! The sweep stops paying at the number of hardware threads, which the
+//! run prints: with one, speed-ups degenerate to ≈1 and mostly measure
+//! scheduling overhead (EXPERIMENTS.md records a two-thread host).
 //!
 //! Usage: `exp_parallel_scaling [scale]` (default 0.005).
 

@@ -9,9 +9,12 @@
 use crate::aggregates::Aggregate;
 use crate::ast::{AccBound, CoverVariant};
 use crate::error::GmqlError;
-use crate::ops::merge::partition_by_meta;
-use nggc_engine::{coverage_segments, merge_cover, CovSeg, ExecContext, CHECKPOINT_STRIDE};
-use nggc_gdm::{Chrom, Dataset, GRegion, Metadata, Provenance, Sample, Schema, Strand, Value};
+use crate::ops::merge::fold_groups;
+use crate::ops::{push_aggregates, resolve_aggs};
+use nggc_engine::{
+    coverage_sweep, merge_cover, merge_runs, CovSeg, ExecContext, CHECKPOINT_STRIDE,
+};
+use nggc_gdm::{interval_overlap, Dataset, GRegion, Schema, Strand, Value};
 
 /// Execute COVER/FLAT/SUMMIT/HISTOGRAM.
 #[allow(clippy::too_many_arguments)]
@@ -25,120 +28,93 @@ pub fn cover(
     input: &Dataset,
     out_schema: &Schema,
 ) -> Result<Dataset, GmqlError> {
-    let resolved: Vec<(Aggregate, Option<usize>)> = aggs
-        .iter()
-        .map(|(_, agg)| agg.resolve(&input.schema).map(|(pos, _)| (agg.clone(), pos)))
-        .collect::<Result<_, _>>()?;
-    let groups = partition_by_meta(input, groupby);
-    let detail = format!("{variant:?}({min_acc:?}, {max_acc:?})");
-
-    let samples = ctx.pool().parallel_map(groups, |(key, members)| {
-        let n = members.len();
-        let min = min_acc.resolve(n, true).max(1);
-        let max = max_acc.resolve(n, false);
-
-        // Pool all regions of the group, sorted, then process per chrom.
-        let mut pooled: Vec<GRegion> =
-            members.iter().flat_map(|s| s.regions.iter().cloned()).collect();
-        nggc_engine::parallel_sort_by(ctx.pool(), &mut pooled, |a, b| a.cmp_coords(b));
-        let pool_sample =
-            Sample::derived("pool", Provenance::source("tmp", "pool")).with_regions(pooled);
-
-        let chroms: Vec<Chrom> = pool_sample.chromosomes();
-        let per_chrom: Vec<Vec<GRegion>> = ctx.pool().parallel_map(chroms, |c| {
-            // Job-boundary checkpoint: skip queued chromosome kernels
-            // once the governor has tripped.
-            if ctx.interrupted() {
-                return Vec::new();
-            }
-            let slice = pool_sample.chrom_slice(&c);
-            let intervals: Vec<(u64, u64)> = slice.iter().map(|r| (r.left, r.right)).collect();
-            let segs = coverage_segments(&intervals);
-            let shapes: Vec<(u64, u64, usize)> = match variant {
-                CoverVariant::Cover => merge_cover(&segs, min, max),
-                CoverVariant::Histogram => segs
-                    .iter()
-                    .filter(|s| s.acc >= min && s.acc <= max)
-                    .map(|s| (s.left, s.right, s.acc))
-                    .collect(),
-                CoverVariant::Summit => summits(&segs, min, max),
-                CoverVariant::Flat => merge_cover(&segs, min, max)
-                    .into_iter()
-                    .map(|(l, r, acc)| {
-                        let (fl, fr) = flat_extent(slice, l, r);
-                        (fl, fr, acc)
-                    })
-                    .collect(),
-            };
-            let mut regions = Vec::with_capacity(shapes.len());
-            for (idx, (l, r, acc)) in shapes.into_iter().enumerate() {
-                // The aggregate pass scans contributing regions per
-                // shape; poll on a stride so wide covers abort mid-loop.
-                if idx & (CHECKPOINT_STRIDE - 1) == 0 && ctx.interrupted() {
-                    break;
-                }
-                let mut values = vec![Value::Int(acc as i64)];
-                if !resolved.is_empty() {
-                    // Contributing regions: those overlapping the output.
-                    let contributing: Vec<&GRegion> = slice
-                        .iter()
-                        .filter(|x| nggc_gdm::interval_overlap(x.left, x.right, l, r))
-                        .collect();
-                    for (agg, pos) in &resolved {
-                        let value = match pos {
-                            Some(p) => {
-                                let vals: Vec<&Value> =
-                                    contributing.iter().map(|x| &x.values[*p]).collect();
-                                agg.compute(&vals, contributing.len())
-                            }
-                            None => agg.compute(&[], contributing.len()),
-                        };
-                        values.push(value);
-                    }
-                }
-                regions
-                    .push(GRegion::new(c.as_str(), l, r, Strand::Unstranded).with_values(values));
-            }
-            regions
-        });
-
-        let provenance = Provenance::derived(
-            variant.name(),
-            detail.clone(),
-            members.iter().map(|s| s.provenance.clone()).collect(),
-        );
-        let name = if key.is_empty() {
-            variant.name().to_ascii_lowercase()
-        } else {
-            format!("{}_{}", variant.name().to_ascii_lowercase(), key.join("_"))
+    let resolved = resolve_aggs(aggs, &input.schema)?;
+    let frame = (
+        variant.name(),
+        &*variant.name().to_ascii_lowercase(),
+        format!("{variant:?}({min_acc:?}, {max_acc:?})"),
+    );
+    Ok(fold_groups(ctx, input, out_schema, groupby, frame, |chrom, runs, n| {
+        let (min, max) = (min_acc.resolve(n, true).max(1), max_acc.resolve(n, false));
+        // The chromosome's regions in genome order, as borrows: the sweep
+        // reads them once; FLAT and the aggregates look them up per shape.
+        let order = merge_runs(runs, GRegion::cmp_coords);
+        let segs = coverage_sweep(order.iter().copied());
+        let mut shapes: Vec<(u64, u64, usize)> = match variant {
+            CoverVariant::Cover | CoverVariant::Flat => merge_cover(&segs, min, max),
+            CoverVariant::Histogram => segs
+                .iter()
+                .filter(|s| s.acc >= min && s.acc <= max)
+                .map(|s| (s.left, s.right, s.acc))
+                .collect(),
+            CoverVariant::Summit => summits(&segs, min, max),
         };
-        let mut metadata = Metadata::new();
-        for s in &members {
-            metadata.merge_from(&s.metadata, "");
-        }
-        for (attr, val) in groupby.iter().zip(&key) {
-            if !val.is_empty() {
-                metadata.insert(attr, val.clone());
+        if variant == CoverVariant::Flat {
+            // FLAT extent: the hull of the regions intersecting the shape.
+            let mut window = Window::over(&order);
+            for shape in &mut shapes {
+                for x in window.intersecting(shape.0, shape.1) {
+                    *shape = (shape.0.min(x.left), shape.1.max(x.right), shape.2);
+                }
             }
         }
-        let mut out = Sample::derived(name, provenance);
-        out.metadata = metadata;
-        out.regions = per_chrom.into_iter().flatten().collect();
-        out
-    });
+        let mut window = Window::over(&order);
+        let mut contributing: Vec<&GRegion> = Vec::new();
+        let mut regions = Vec::with_capacity(shapes.len());
+        for (idx, (l, r, acc)) in shapes.into_iter().enumerate() {
+            // Poll on a stride so wide covers abort mid-loop.
+            if idx & (CHECKPOINT_STRIDE - 1) == 0 && ctx.interrupted() {
+                break;
+            }
+            let mut values = Vec::with_capacity(1 + resolved.len());
+            values.push(Value::Int(acc as i64));
+            if !resolved.is_empty() {
+                // Contributing regions: those overlapping the output.
+                contributing.clear();
+                contributing.extend(window.intersecting(l, r));
+                push_aggregates(&resolved, &contributing, &mut values);
+            }
+            // One chromosome handle per output sample, not one per region.
+            regions.push(GRegion::new(chrom.clone(), l, r, Strand::Unstranded).with_values(values));
+        }
+        regions
+    }))
+}
 
-    let mut out = Dataset::new(input.name.clone(), out_schema.clone());
-    for s in samples {
-        out.add_sample_unchecked(s);
+/// The regions of one chromosome that intersect a query interval
+/// ([`interval_overlap`], so point regions inside it count), for queries
+/// asked in non-decreasing order of their left end — the order COVER's
+/// shapes come out in. Regions enter the window once, when a query first
+/// reaches their start, and leave it for good when a query starts past
+/// their end, so a region is looked at O(1 + shapes it could touch) times
+/// instead of once per shape of the chromosome.
+struct Window<'a> {
+    /// The chromosome's regions in genome order, not yet entered.
+    ahead: &'a [&'a GRegion],
+    /// Entered and not yet left, in genome order.
+    active: Vec<&'a GRegion>,
+}
+
+impl<'a> Window<'a> {
+    fn over(order: &'a [&'a GRegion]) -> Self {
+        Window { ahead: order, active: Vec::new() }
     }
-    Ok(out)
+
+    /// The regions intersecting `[l, r)`, in genome order.
+    fn intersecting(&mut self, l: u64, r: u64) -> impl Iterator<Item = &'a GRegion> + '_ {
+        self.active.retain(|x| x.right >= l);
+        let entering = self.ahead.partition_point(|x| x.left < r);
+        self.active.extend(self.ahead[..entering].iter().copied().filter(|x| x.right >= l));
+        self.ahead = &self.ahead[entering..];
+        self.active.iter().copied().filter(move |x| interval_overlap(x.left, x.right, l, r))
+    }
 }
 
 /// Local-maximum segments within maximal runs of qualifying coverage.
 /// A segment is a summit when its accumulation is strictly greater than
 /// the previous qualifying-run segment's and at least the next one's
 /// (plateaus emit once, at their first segment).
-fn summits(segs: &[CovSeg], min: usize, max: usize) -> Vec<(u64, u64, usize)> {
+pub(crate) fn summits(segs: &[CovSeg], min: usize, max: usize) -> Vec<(u64, u64, usize)> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < segs.len() {
@@ -168,29 +144,13 @@ fn summits(segs: &[CovSeg], min: usize, max: usize) -> Vec<(u64, u64, usize)> {
     out
 }
 
-/// FLAT extent: the hull of the original regions intersecting `[l, r)`.
-fn flat_extent(slice: &[GRegion], l: u64, r: u64) -> (u64, u64) {
-    let mut fl = l;
-    let mut fr = r;
-    for x in slice {
-        if x.left >= r {
-            break;
-        }
-        if nggc_gdm::interval_overlap(x.left, x.right, l, r) {
-            fl = fl.min(x.left);
-            fr = fr.max(x.right);
-        }
-    }
-    (fl, fr)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregates::AggFunc;
     use crate::ast::Operator;
     use crate::plan::infer_schema;
-    use nggc_gdm::{Attribute, ValueType};
+    use nggc_gdm::{Attribute, Sample, ValueType};
 
     fn replicas() -> Dataset {
         let schema = Schema::new(vec![Attribute::new("signal", ValueType::Float)]).unwrap();

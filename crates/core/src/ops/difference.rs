@@ -8,9 +8,12 @@
 
 use crate::error::GmqlError;
 use crate::ops::joinby_matches;
-use nggc_engine::{overlap_pairs_sort_merge_interruptible, ExecContext, CHECKPOINT_STRIDE};
+use nggc_engine::{
+    merge_runs, overlap_pairs_sort_merge_interruptible, ExecContext, CHECKPOINT_STRIDE,
+};
 use nggc_gdm::{Dataset, GRegion, Provenance, Sample};
 use std::cell::Cell;
+use std::cmp::Ordering;
 
 /// Execute DIFFERENCE.
 pub fn difference(
@@ -23,17 +26,11 @@ pub fn difference(
     let detail = format!("exact: {exact}; joinby: {}", joinby.join(","));
 
     let samples = ctx.map_samples(&left.samples, |ls| {
-        // Build the negative set for this left sample.
         let negatives: Vec<&Sample> = right
             .samples
             .iter()
             .filter(|rs| joinby_matches(&ls.metadata, &rs.metadata, joinby))
             .collect();
-        let mut neg_regions: Vec<GRegion> =
-            negatives.iter().flat_map(|s| s.regions.iter().cloned()).collect();
-        neg_regions.sort_by(|a, b| a.cmp_coords(b));
-        let neg_sample =
-            Sample::derived("neg", Provenance::source("tmp", "neg")).with_regions(neg_regions);
 
         // Per-chromosome removal using the sort-merge kernel.
         let kept: Vec<GRegion> = ls
@@ -47,23 +44,28 @@ pub fn difference(
                     return Vec::new();
                 }
                 let mine = ls.chrom_slice(&c);
-                let theirs = neg_sample.chrom_slice(&c);
+                // The negative set of this chromosome: the matching
+                // samples' slices merged into one genome order of borrows.
+                let runs: Vec<&[GRegion]> = negatives.iter().map(|s| s.chrom_slice(&c)).collect();
+                let theirs = merge_runs(&runs, GRegion::cmp_coords);
                 let mut removed = vec![false; mine.len()];
                 if exact {
+                    // Both sides are in genome order, so one forward walk
+                    // meets every region's coordinate twin, if it has one.
+                    let mut twins = theirs.iter().peekable();
                     for (i, r) in mine.iter().enumerate() {
-                        // The exact path scans the whole negative set per
-                        // region (O(n·m)); poll on a stride.
                         if i & (CHECKPOINT_STRIDE - 1) == 0 && ctx.interrupted() {
                             break;
                         }
+                        while twins.next_if(|n| n.cmp_coords(r) == Ordering::Less).is_some() {}
                         removed[i] =
-                            theirs.iter().any(|n| n.cmp_coords(r) == std::cmp::Ordering::Equal);
+                            twins.peek().is_some_and(|n| n.cmp_coords(r) == Ordering::Equal);
                     }
                 } else {
                     let tripped = Cell::new(false);
                     let tick = Cell::new(0usize);
                     let stop = || tripped.get() || ctx.interrupted();
-                    overlap_pairs_sort_merge_interruptible(mine, theirs, stop, |i, j| {
+                    overlap_pairs_sort_merge_interruptible(mine, &theirs, stop, |i, j| {
                         if tripped.get() {
                             return;
                         }

@@ -7,9 +7,11 @@
 
 use crate::aggregates::Aggregate;
 use crate::error::GmqlError;
-use crate::ops::merge::partition_by_meta;
-use nggc_engine::{ExecContext, CHECKPOINT_STRIDE};
-use nggc_gdm::{Dataset, GRegion, Metadata, Provenance, Sample, Schema, Value};
+use crate::ops::merge::fold_groups;
+use crate::ops::{push_aggregates, resolve_aggs};
+use nggc_engine::{merge_runs, ExecContext, CHECKPOINT_STRIDE};
+use nggc_gdm::{Dataset, GRegion, Schema};
+use std::cmp::Ordering;
 
 /// Execute GROUP. `out_schema` = input schema + aggregate attributes.
 pub fn group(
@@ -19,83 +21,41 @@ pub fn group(
     input: &Dataset,
     out_schema: &Schema,
 ) -> Result<Dataset, GmqlError> {
-    let resolved: Vec<(Aggregate, Option<usize>)> = region_aggs
-        .iter()
-        .map(|(_, agg)| agg.resolve(&input.schema).map(|(pos, _)| (agg.clone(), pos)))
-        .collect::<Result<_, _>>()?;
-    let groups = partition_by_meta(input, by);
-    let detail = format!("by: {}", by.join(","));
-
-    let samples = ctx.pool().parallel_map(groups, |(key, members)| {
-        let provenance = Provenance::derived(
-            "GROUP",
-            detail.clone(),
-            members.iter().map(|s| s.provenance.clone()).collect(),
-        );
-        let name =
-            if key.is_empty() { "group".to_owned() } else { format!("group_{}", key.join("_")) };
-        let mut metadata = Metadata::new();
-        for s in &members {
-            metadata.merge_from(&s.metadata, "");
-        }
-        for (attr, val) in by.iter().zip(&key) {
-            if !val.is_empty() {
-                metadata.insert(attr, val.clone());
-            }
-        }
-        // Pool all regions, sort, then fold runs of identical coordinates.
-        let mut pooled: Vec<GRegion> =
-            members.iter().flat_map(|s| s.regions.iter().cloned()).collect();
-        nggc_engine::parallel_sort_by(ctx.pool(), &mut pooled, |a, b| a.cmp_coords(b));
-        let mut regions: Vec<GRegion> = Vec::with_capacity(pooled.len());
-        let mut i = 0;
-        let mut tick = 0usize;
-        while i < pooled.len() {
+    let resolved = resolve_aggs(region_aggs, &input.schema)?;
+    let frame = ("GROUP", "group", format!("by: {}", by.join(",")));
+    Ok(fold_groups(ctx, input, out_schema, by, frame, |_, runs, _| {
+        // Fold runs of identical coordinates while merging; only the
+        // representative of each run is cloned.
+        let mut merged = merge_runs(runs, GRegion::cmp_coords).into_iter().peekable();
+        let mut regions: Vec<GRegion> = Vec::with_capacity(merged.len());
+        let mut dup: Vec<&GRegion> = Vec::new();
+        while let Some(rep) = merged.next() {
             // Stride checkpoint over the duplicate-fold loop: stop
             // folding once the governor trips (the executor raises the
             // typed error at the node boundary).
-            if tick & (CHECKPOINT_STRIDE - 1) == 0 && ctx.interrupted() {
+            if regions.len() & (CHECKPOINT_STRIDE - 1) == 0 && ctx.interrupted() {
                 break;
             }
-            tick = tick.wrapping_add(1);
-            let mut j = i + 1;
-            while j < pooled.len() && pooled[j].cmp_coords(&pooled[i]) == std::cmp::Ordering::Equal
-            {
-                j += 1;
+            dup.clear();
+            dup.push(rep);
+            while let Some(x) = merged.next_if(|x| x.cmp_coords(rep) == Ordering::Equal) {
+                dup.push(x);
             }
-            let dup = &pooled[i..j];
-            let mut rep = dup[0].clone();
-            for (agg, pos) in &resolved {
-                let value = match pos {
-                    Some(p) => {
-                        let vals: Vec<&Value> = dup.iter().map(|r| &r.values[*p]).collect();
-                        agg.compute(&vals, dup.len())
-                    }
-                    None => agg.compute(&[], dup.len()),
-                };
-                rep.values.push(value);
-            }
-            regions.push(rep);
-            i = j;
+            let mut values = Vec::with_capacity(rep.values.len() + resolved.len());
+            values.extend_from_slice(&rep.values);
+            push_aggregates(&resolved, &dup, &mut values);
+            let chrom = rep.chrom.clone();
+            regions.push(GRegion::new(chrom, rep.left, rep.right, rep.strand).with_values(values));
         }
-        let mut out = Sample::derived(name, provenance);
-        out.metadata = metadata;
-        out.regions = regions;
-        out
-    });
-
-    let mut out = Dataset::new(input.name.clone(), out_schema.clone());
-    for s in samples {
-        out.add_sample_unchecked(s);
-    }
-    Ok(out)
+        regions
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregates::AggFunc;
-    use nggc_gdm::{Attribute, Strand, ValueType};
+    use nggc_gdm::{Attribute, Metadata, Sample, Strand, Value, ValueType};
 
     fn dataset() -> Dataset {
         let schema = Schema::new(vec![Attribute::new("signal", ValueType::Float)]).unwrap();

@@ -10,9 +10,9 @@
 
 use crate::aggregates::Aggregate;
 use crate::error::GmqlError;
-use crate::ops::joinby_matches;
+use crate::ops::{joinby_matches, push_aggregates, resolve_aggs};
 use nggc_engine::{overlap_pairs_sort_merge_interruptible, ExecContext, CHECKPOINT_STRIDE};
-use nggc_gdm::{Dataset, GRegion, Provenance, Sample, Schema, Value};
+use nggc_gdm::{Dataset, GRegion, Provenance, Sample, Schema};
 use std::cell::Cell;
 
 /// Execute MAP. `out_schema` = reference schema + aggregate attributes.
@@ -24,10 +24,7 @@ pub fn map(
     exps: &Dataset,
     out_schema: &Schema,
 ) -> Result<Dataset, GmqlError> {
-    let resolved: Vec<(Aggregate, Option<usize>)> = aggs
-        .iter()
-        .map(|(_, agg)| agg.resolve(&exps.schema).map(|(pos, _)| (agg.clone(), pos)))
-        .collect::<Result<_, _>>()?;
+    let resolved = resolve_aggs(aggs, &exps.schema)?;
     let detail = aggs.iter().map(|(n, a)| format!("{n} AS {a}")).collect::<Vec<_>>().join(", ");
 
     let results = ctx.map_sample_pairs(&refs.samples, &exps.samples, |r, e| {
@@ -37,7 +34,7 @@ pub fn map(
         // Per-chromosome: collect, for each reference region, the values
         // of intersecting experiment regions.
         let regions: Vec<GRegion> = ctx.map_common_chroms(r, e, |_c, ref_slice, exp_slice| {
-            let mut hits: Vec<Vec<usize>> = vec![Vec::new(); ref_slice.len()];
+            let mut hits: Vec<Vec<&GRegion>> = vec![Vec::new(); ref_slice.len()];
             // Cooperative checkpoint: dense overlaps make the pair
             // enumeration quadratic, so poll on a stride and stop
             // collecting once the governor trips; the executor raises
@@ -56,7 +53,7 @@ pub fn map(
                     return;
                 }
                 if ref_slice[i].strand.compatible(exp_slice[j].strand) {
-                    hits[i].push(j);
+                    hits[i].push(&exp_slice[j]);
                 }
             });
             let mut out_regions = Vec::with_capacity(ref_slice.len());
@@ -65,17 +62,7 @@ pub fn map(
                     break;
                 }
                 let mut out = rr.clone();
-                for (agg, pos) in &resolved {
-                    let value = match pos {
-                        Some(p) => {
-                            let vals: Vec<&Value> =
-                                matched.iter().map(|&j| &exp_slice[j].values[*p]).collect();
-                            agg.compute(&vals, matched.len())
-                        }
-                        None => agg.compute(&[], matched.len()),
-                    };
-                    out.values.push(value);
-                }
+                push_aggregates(&resolved, &matched, &mut out.values);
                 out_regions.push(out);
             }
             out_regions
@@ -108,7 +95,7 @@ mod tests {
     use crate::aggregates::AggFunc;
     use crate::ast::Operator;
     use crate::plan::infer_schema;
-    use nggc_gdm::{Attribute, Metadata, Strand, ValueType};
+    use nggc_gdm::{Attribute, Metadata, Strand, Value, ValueType};
 
     fn proms() -> Dataset {
         let mut ds = Dataset::new("PROMS", Schema::empty());

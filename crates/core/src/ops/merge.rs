@@ -7,46 +7,75 @@
 
 use crate::error::GmqlError;
 use crate::ops::group_key;
-use nggc_engine::ExecContext;
-use nggc_gdm::{Dataset, Metadata, Provenance, Sample};
+use nggc_engine::{merge_runs, union_chroms, ExecContext};
+use nggc_gdm::{Chrom, Dataset, GRegion, Provenance, Sample, Schema};
 
 /// Execute MERGE.
 pub fn merge(ctx: &ExecContext, groupby: &[String], input: &Dataset) -> Result<Dataset, GmqlError> {
-    let groups = partition_by_meta(input, groupby);
     let detail =
         if groupby.is_empty() { String::new() } else { format!("groupby: {}", groupby.join(",")) };
+    // Each region is cloned once, already in its final position.
+    let frame = ("MERGE", "merged", detail);
+    Ok(fold_groups(ctx, input, &input.schema, groupby, frame, |_, runs, _| {
+        merge_runs(runs, GRegion::cmp_coords).into_iter().cloned().collect()
+    }))
+}
 
-    let samples = ctx.pool().parallel_map(groups, |(key, members)| {
+/// The frame MERGE, GROUP and COVER share: one output sample per metadata
+/// group of `input`, named `name` (plus the group key), carrying the union
+/// of its members' metadata and a provenance node `op(detail)` over all of
+/// them. Its regions come from `kernel`, which runs as one pool job per
+/// (group × chromosome) over the members' slices of that chromosome —
+/// sorted runs, in member order, for [`merge_runs`] to merge as borrows — and
+/// gets the group size as its last argument; the per-chromosome outputs
+/// are concatenated in genome order.
+pub(crate) fn fold_groups<K>(
+    ctx: &ExecContext,
+    input: &Dataset,
+    out_schema: &Schema,
+    groupby: &[String],
+    (op, name, detail): (&str, &str, String),
+    kernel: K,
+) -> Dataset
+where
+    K: Fn(&Chrom, &[&[GRegion]], usize) -> Vec<GRegion> + Sync,
+{
+    let samples = ctx.pool().parallel_map(partition_by_meta(input, groupby), |(key, members)| {
+        let per_chrom = ctx.pool().parallel_map(union_chroms(members.iter().copied()), |c| {
+            // Job-boundary checkpoint: skip queued chromosome kernels
+            // once the governor has tripped.
+            if ctx.interrupted() {
+                return Vec::new();
+            }
+            let runs: Vec<&[GRegion]> =
+                members.iter().map(|s| s.chrom_slice(&c)).filter(|run| !run.is_empty()).collect();
+            kernel(&c, &runs, members.len())
+        });
         let provenance = Provenance::derived(
-            "MERGE",
+            op,
             detail.clone(),
             members.iter().map(|s| s.provenance.clone()).collect(),
         );
         let name =
-            if key.is_empty() { "merged".to_owned() } else { format!("merged_{}", key.join("_")) };
+            if key.is_empty() { name.to_owned() } else { format!("{name}_{}", key.join("_")) };
         let mut out = Sample::derived(name, provenance);
-        let mut metadata = Metadata::new();
-        let mut regions: Vec<nggc_gdm::GRegion> = Vec::new();
         for s in &members {
-            metadata.merge_from(&s.metadata, "");
-            regions.extend(s.regions.iter().cloned());
+            out.metadata.merge_from(&s.metadata, "");
         }
         for (attr, val) in groupby.iter().zip(&key) {
             if !val.is_empty() {
-                metadata.insert(attr, val.clone());
+                out.metadata.insert(attr, val.clone());
             }
         }
-        out.metadata = metadata;
-        nggc_engine::parallel_sort_by(ctx.pool(), &mut regions, |a, b| a.cmp_coords(b));
-        out.regions = regions;
+        out.regions.reserve_exact(per_chrom.iter().map(Vec::len).sum());
+        per_chrom.into_iter().for_each(|part| out.regions.extend(part));
         out
     });
-
-    let mut out = Dataset::new(input.name.clone(), input.schema.clone());
+    let mut out = Dataset::new(input.name.clone(), out_schema.clone());
     for s in samples {
         out.add_sample_unchecked(s);
     }
-    Ok(out)
+    out
 }
 
 /// Partition samples into `(group key, members)` lists, deterministic in
@@ -70,7 +99,7 @@ pub(crate) fn partition_by_meta<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nggc_gdm::{GRegion, Schema, Strand};
+    use nggc_gdm::{Metadata, Strand};
 
     fn dataset() -> Dataset {
         let mut ds = Dataset::new("D", Schema::empty());

@@ -21,11 +21,38 @@ pub mod map;
 pub mod merge;
 pub mod order;
 pub mod project;
+#[cfg(test)]
+mod reference;
 pub mod select;
 pub mod union;
 
-use nggc_gdm::{Dataset, Metadata, Sample, Schema};
+use crate::aggregates::Aggregate;
+use crate::error::GmqlError;
+use nggc_gdm::{Dataset, GRegion, Metadata, Sample, Schema, Value};
 use std::borrow::Cow;
+
+/// An operator's aggregates resolved against its input schema: each
+/// function with the position of its argument (`None` for COUNT).
+pub(crate) fn resolve_aggs(
+    aggs: &[(String, Aggregate)],
+    schema: &Schema,
+) -> Result<Vec<(Aggregate, Option<usize>)>, GmqlError> {
+    aggs.iter().map(|(_, agg)| agg.resolve(schema).map(|(pos, _)| (agg.clone(), pos))).collect()
+}
+
+/// Append one value per aggregate, computed over `regions` in the order
+/// given (BAG and float SUM depend on it).
+pub(crate) fn push_aggregates(
+    resolved: &[(Aggregate, Option<usize>)],
+    regions: &[&GRegion],
+    values: &mut Vec<Value>,
+) {
+    for (agg, pos) in resolved {
+        let vals: Vec<&Value> =
+            pos.map_or_else(Vec::new, |p| regions.iter().map(|r| &r.values[p]).collect());
+        values.push(agg.compute(&vals, regions.len()));
+    }
+}
 
 /// Split a unary operator's input into name, schema and samples — each
 /// sample owned when the dataset is, borrowed when it is shared — so that

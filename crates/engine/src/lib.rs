@@ -25,16 +25,15 @@ pub mod interval;
 pub mod nclist;
 pub mod par;
 pub mod pool;
-pub mod sort;
 
 pub use binning::Binner;
 pub use interrupt::{CancelToken, Interrupt, InterruptState};
 pub use interval::{
-    coverage_segments, gap_pairs_naive, gap_pairs_sort_merge, gap_pairs_sort_merge_interruptible,
-    k_nearest, k_nearest_interruptible, merge_cover, overlap_pairs_binned, overlap_pairs_naive,
-    overlap_pairs_sort_merge, overlap_pairs_sort_merge_interruptible, CovSeg,
+    coverage_segments, coverage_sweep, gap_pairs_naive, gap_pairs_sort_merge,
+    gap_pairs_sort_merge_interruptible, k_nearest, k_nearest_interruptible, merge_cover,
+    merge_runs, overlap_pairs_binned, overlap_pairs_naive, overlap_pairs_sort_merge,
+    overlap_pairs_sort_merge_interruptible, CovSeg, Interval,
 };
 pub use nclist::NcList;
 pub use par::{union_chroms, ExecContext, CHECKPOINT_STRIDE};
 pub use pool::WorkerPool;
-pub use sort::parallel_sort_by;

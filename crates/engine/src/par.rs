@@ -136,7 +136,7 @@ impl ExecContext {
         R: Send,
         F: Fn(&Chrom, &[GRegion], &[GRegion]) -> Vec<R> + Sync,
     {
-        let chroms = union_chroms(a, b);
+        let chroms = union_chroms([a, b]);
         let per_chrom = self.pool.parallel_map(chroms, |c| {
             // Checkpoint at the job boundary: once the interrupt trips,
             // queued chromosome kernels become no-ops instead of running
@@ -152,10 +152,9 @@ impl ExecContext {
     }
 }
 
-/// Union of the chromosomes of two samples, in genome order.
-pub fn union_chroms(a: &Sample, b: &Sample) -> Vec<Chrom> {
-    let mut out = a.chromosomes();
-    out.extend(b.chromosomes());
+/// Union of the chromosomes of `samples`, in genome order.
+pub fn union_chroms<'a>(samples: impl IntoIterator<Item = &'a Sample>) -> Vec<Chrom> {
+    let mut out: Vec<Chrom> = samples.into_iter().flat_map(Sample::chromosomes).collect();
     out.sort();
     out.dedup();
     out

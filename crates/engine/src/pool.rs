@@ -813,12 +813,20 @@ mod tests {
     #[test]
     fn try_map_panic_takes_precedence() {
         let pool = WorkerPool::new(4);
+        // The erroring job waits until the panicking one has started:
+        // otherwise its `Err` can short-circuit the map before job 3 ever
+        // runs, and there is no panic to take precedence.
+        let panicking = std::sync::atomic::AtomicBool::new(false);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             pool.try_parallel_map((0..32).collect(), |i: usize| {
                 if i == 3 {
+                    panicking.store(true, Ordering::SeqCst);
                     panic!("boom");
                 }
                 if i == 5 {
+                    while !panicking.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
                     return Err("err");
                 }
                 Ok(i)

@@ -100,6 +100,7 @@ impl PartialOrd for Chrom {
     }
 }
 impl Ord for Chrom {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         if Arc::ptr_eq(&self.0, &other.0) {
             return Ordering::Equal;
@@ -223,6 +224,7 @@ impl fmt::Display for Strand {
 
 /// An order key placing regions in genome order: by chromosome, then left
 /// end, then right end, then strand (`+` < `-` < `*`).
+#[inline]
 pub fn genome_order(a: (&Chrom, u64, u64, Strand), b: (&Chrom, u64, u64, Strand)) -> Ordering {
     fn strand_rank(s: Strand) -> u8 {
         match s {

@@ -145,6 +145,7 @@ impl GRegion {
     }
 
     /// Genome-order comparison on coordinates only (ignores values).
+    #[inline]
     pub fn cmp_coords(&self, other: &GRegion) -> Ordering {
         genome_order(
             (&self.chrom, self.left, self.right, self.strand),

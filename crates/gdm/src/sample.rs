@@ -114,14 +114,16 @@ impl Sample {
     }
 
     /// Distinct chromosomes present, in genome order (requires sortedness).
+    /// Gallops: from each chromosome's first region a binary search finds
+    /// the next chromosome's, so the cost is `O(chromosomes · log n)`.
     pub fn chromosomes(&self) -> Vec<crate::coords::Chrom> {
+        debug_assert!(self.is_sorted(), "chromosomes requires genome order");
         let mut out: Vec<crate::coords::Chrom> = Vec::new();
-        for r in &self.regions {
-            if out.last() != Some(&r.chrom) {
-                out.push(r.chrom.clone());
-            }
+        let mut rest = &self.regions[..];
+        while let Some(first) = rest.first() {
+            out.push(first.chrom.clone());
+            rest = &rest[rest.partition_point(|r| r.chrom == first.chrom)..];
         }
-        out.dedup();
         out
     }
 
@@ -182,6 +184,32 @@ mod tests {
         ]);
         let chroms: Vec<String> = s.chromosomes().iter().map(|c| c.as_str().into()).collect();
         assert_eq!(chroms, vec!["chr2", "chr10"]);
+    }
+
+    #[test]
+    fn chromosomes_gallop_over_runs_of_any_length() {
+        let names = |s: &Sample| -> Vec<String> {
+            s.chromosomes().iter().map(|c| c.as_str().to_owned()).collect()
+        };
+        let one_each = Sample::new("s", "D").with_regions(vec![
+            r("chr3", 0, 5),
+            r("chr1", 0, 5),
+            r("chrX", 0, 5),
+            r("chr2", 0, 5),
+        ]);
+        assert_eq!(names(&one_each), vec!["chr1", "chr2", "chr3", "chrX"]);
+        let single =
+            Sample::new("s", "D").with_regions((0..100).map(|i| r("chr7", i, i + 3)).collect());
+        assert_eq!(names(&single), vec!["chr7"]);
+        assert!(Sample::new("s", "D").chromosomes().is_empty());
+        // Long and short runs mixed: every run boundary is found.
+        let mut regions: Vec<GRegion> = (0..50).map(|i| r("chr1", i, i + 1)).collect();
+        regions.push(r("chr2", 4, 9));
+        regions.extend((0..33).map(|i| r("chr10", i * 2, i * 2 + 1)));
+        assert_eq!(
+            names(&Sample::new("s", "D").with_regions(regions)),
+            vec!["chr1", "chr2", "chr10"]
+        );
     }
 
     #[test]

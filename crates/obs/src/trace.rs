@@ -448,11 +448,17 @@ impl Subscriber for StderrSubscriber {
 mod tests {
     use super::*;
 
-    // Subscribers are process-global, so every test in this module runs
-    // under one lock to avoid cross-talk.
+    // Subscribers are process-global, so every test that installs or
+    // clears them holds this one lock. A test that failed while holding it
+    // must not fail the others too, hence the poison recovery.
+    static SUBSCRIBERS: Mutex<()> = Mutex::new(());
+
+    fn lock_subscribers() -> std::sync::MutexGuard<'static, ()> {
+        SUBSCRIBERS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     fn with_collector(f: impl FnOnce(&Arc<MemorySubscriber>)) {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _guard = LOCK.lock().unwrap();
+        let _guard = lock_subscribers();
         clear_subscribers();
         let collector = Arc::new(MemorySubscriber::new());
         add_subscriber(collector.clone() as Arc<dyn Subscriber>);
@@ -509,8 +515,7 @@ mod tests {
 
     #[test]
     fn no_subscriber_means_inert_guards() {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _guard = LOCK.lock();
+        let _guard = lock_subscribers();
         clear_subscribers();
         let s = span("ignored");
         assert!(!s.is_active());
@@ -587,8 +592,7 @@ mod tests {
 
     #[test]
     fn collect_local_is_active_without_subscribers() {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _guard = LOCK.lock();
+        let _guard = lock_subscribers();
         clear_subscribers();
         let ((), captured) = collect_local(TraceContext::with_id(3), || {
             let s = span("still_recorded");

@@ -277,3 +277,88 @@ fn queries_never_mutate_a_dataset_the_repository_cache_holds() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Replicas of one wide experiment on a single chromosome: one pool job
+/// holds all the work, and the accumulation depth (about 30) makes
+/// HISTOGRAM with order statistics the slowest shape COVER has.
+fn wide_replicas() -> Dataset {
+    let schema =
+        Schema::new(vec![nggc::gdm::Attribute::new("score", nggc::gdm::ValueType::Float)]).unwrap();
+    let mut ds = Dataset::new("WIDE", schema);
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    for s in 0..8 {
+        let regions = (0..15_000)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let left = (state >> 33) % 1_200_000;
+                GRegion::new("chr1", left, left + 300, Strand::Unstranded)
+                    .with_values(vec![(((state >> 20) % 1000) as f64 / 10.0).into()])
+            })
+            .collect();
+        ds.add_sample(Sample::new(format!("rep{s}"), "WIDE").with_regions(regions)).unwrap();
+    }
+    ds
+}
+
+/// Hands out one resident dataset, as a warm repository does: the source
+/// node copies nothing, so nearly all of the clock runs in COVER.
+struct Resident(std::sync::Arc<Dataset>);
+
+impl nggc::gmql::DatasetProvider for Resident {
+    fn load(&self, _: &str) -> Result<Dataset, GmqlError> {
+        Ok((*self.0).clone())
+    }
+    fn load_shared(&self, _: &str) -> Result<std::sync::Arc<Dataset>, GmqlError> {
+        Ok(self.0.clone())
+    }
+}
+
+/// A deadline that falls inside COVER's kernel makes the kernel stop
+/// early with part of its output; the query must end as the typed
+/// deadline error naming the node — never as that truncated result — and
+/// well before the kernel would have finished.
+#[test]
+fn deadline_inside_a_wide_cover_is_a_typed_error_not_a_truncated_result() {
+    with_watchdog("governor_cover_deadline", 300, || {
+        let ds = wide_replicas();
+        let provider = Resident(std::sync::Arc::new(ds.clone()));
+        let schema_of = |name: &str| (name == "WIDE").then(|| ds.schema.clone());
+        let ctx = nggc::engine::ExecContext::with_workers(2);
+        let query = "C = HISTOGRAM(1, ANY; aggregate: m AS MEDIAN(score), b AS BAG(score)) WIDE; \
+                     MATERIALIZE C;";
+        let run = |governor: &QueryGovernor| {
+            let t0 = Instant::now();
+            let result = run_with_provider_governed(
+                query,
+                &schema_of,
+                &provider,
+                &ctx,
+                &ExecOptions::default(),
+                governor,
+            );
+            (result, t0.elapsed())
+        };
+
+        let (full, full_wall) = run(&QueryGovernor::unbounded());
+        let (outputs, _) = full.unwrap();
+        assert!(outputs["C"].region_count() > 100_000, "a wide cover");
+
+        let limits = GovernorLimits { timeout: Some(full_wall / 4), max_memory: None };
+        let (cut, cut_wall) = run(&QueryGovernor::new(limits));
+        match cut {
+            Err(GmqlError::DeadlineExceeded { ref node, elapsed_ms, limit_ms, .. }) => {
+                assert_eq!(node, "C", "the deadline fell in COVER, not before it");
+                assert!(elapsed_ms >= limit_ms);
+            }
+            Ok((outputs, _)) => panic!(
+                "a truncated result got out: {} regions after {cut_wall:?} of a {full_wall:?} run",
+                outputs["C"].region_count()
+            ),
+            Err(other) => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+        assert!(
+            cut_wall < full_wall * 3 / 4,
+            "the kernel stopped early ({cut_wall:?}), it did not run out its {full_wall:?}"
+        );
+    });
+}

@@ -1,8 +1,9 @@
 //! Property-based tests over the core invariants (DESIGN.md §7).
 
 use nggc::engine::{
-    coverage_segments, gap_pairs_naive, gap_pairs_sort_merge, k_nearest, overlap_pairs_binned,
-    overlap_pairs_naive, overlap_pairs_sort_merge, Binner, NcList, WorkerPool,
+    coverage_segments, coverage_sweep, gap_pairs_naive, gap_pairs_sort_merge, k_nearest,
+    merge_runs, overlap_pairs_binned, overlap_pairs_naive, overlap_pairs_sort_merge, Binner,
+    NcList, WorkerPool,
 };
 use nggc::gdm::*;
 use nggc::gmql::{parse, GmqlEngine, MetaPredicate, Statement};
@@ -437,6 +438,125 @@ proptest! {
         prop_assert_eq!(out["X"].sample_count(), sa + sb);
         prop_assert_eq!(out["X"].region_count(), ra + rb);
         out["X"].validate().unwrap();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Multi-sample operators: the run merge and the coverage sweep.
+// ---------------------------------------------------------------------------
+
+/// Samples over three chromosomes from `(left, width, chromosome and
+/// strand, score)` rows; a narrow coordinate range makes duplicates,
+/// touching, nested and zero-length regions common.
+fn replicas_from(name: &str, samples: &[Vec<(u64, u64, u8, i64)>]) -> Dataset {
+    let schema = Schema::new(vec![Attribute::new("score", ValueType::Int)]).unwrap();
+    let mut ds = Dataset::new(name, schema);
+    for (i, rows) in samples.iter().enumerate() {
+        let regions = rows
+            .iter()
+            .map(|&(l, w, cs, score)| {
+                let chrom = ["chr1", "chr2", "chr10"][usize::from(cs % 3)];
+                let strand =
+                    [Strand::Pos, Strand::Neg, Strand::Unstranded][usize::from(cs / 3 % 3)];
+                let score = if score < 0 { Value::Null } else { Value::Int(score) };
+                GRegion::new(chrom, l, l + w, strand).with_values(vec![score])
+            })
+            .collect();
+        let cell = ["A", "B"][i % 2];
+        ds.add_sample(
+            Sample::new(format!("{name}{i}"), name)
+                .with_regions(regions)
+                .with_metadata(Metadata::from_pairs([("cell", cell)])),
+        )
+        .unwrap();
+    }
+    ds
+}
+
+fn replicas_strategy() -> impl Strategy<Value = Vec<Vec<(u64, u64, u8, i64)>>> {
+    prop::collection::vec(
+        prop::collection::vec((0u64..60, 0u64..14, 0u8..9, -1i64..6), 0..14),
+        1..7,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Merging sorted runs in place yields what a stable sort of their
+    /// concatenation yields (ties: lower run first, then position), and the
+    /// coverage sweep over that order finds the segments the reference
+    /// finds on the pooled intervals — zero-length regions adding none.
+    #[test]
+    fn merge_runs_and_sweep_equal_sort_and_reference(
+        runs in prop::collection::vec(
+            prop::collection::vec((0u64..60, 0u64..14, 0u8..3), 0..20),
+            0..7,
+        )
+    ) {
+        let runs: Vec<Vec<GRegion>> = runs
+            .iter()
+            .enumerate()
+            .map(|(i, rows)| {
+                let mut run: Vec<GRegion> = rows
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &(l, w, s))| {
+                        let strand = [Strand::Pos, Strand::Neg, Strand::Unstranded][usize::from(s)];
+                        // The tag tells equal-coordinate regions apart.
+                        GRegion::new("chr1", l, l + w, strand)
+                            .with_values(vec![Value::Int((i * 100 + j) as i64)])
+                    })
+                    .collect();
+                run.sort_by(|a, b| a.cmp_coords(b));
+                run
+            })
+            .collect();
+        let slices: Vec<&[GRegion]> = runs.iter().map(Vec::as_slice).collect();
+        let merged: Vec<GRegion> = merge_runs(&slices, GRegion::cmp_coords).into_iter().cloned().collect();
+        let mut pooled: Vec<GRegion> = runs.concat();
+        pooled.sort_by(|a, b| a.cmp_coords(b));
+        prop_assert_eq!(&merged, &pooled);
+
+        let intervals: Vec<(u64, u64)> = pooled.iter().map(|r| (r.left, r.right)).collect();
+        let swept = coverage_sweep(merge_runs(&slices, GRegion::cmp_coords));
+        prop_assert_eq!(swept, coverage_segments(&intervals));
+    }
+
+    /// COVER and its variants (with `groupby` and order-sensitive
+    /// aggregates), MERGE, GROUP and DIFFERENCE give the same result —
+    /// region order and aggregate values included — on one worker and on
+    /// two.
+    #[test]
+    fn multi_sample_operators_serial_equals_parallel(
+        pos in replicas_strategy(),
+        neg in replicas_strategy(),
+    ) {
+        let queries = [
+            "X = COVER(2, ANY; groupby: cell; aggregate: n AS COUNT, b AS BAG(score), t AS SUM(score)) P;",
+            "X = FLAT(1, ALL; aggregate: m AS MEDIAN(score)) P;",
+            "X = SUMMIT(1, ANY; groupby: cell) P;",
+            "X = HISTOGRAM(ANY, 2) P;",
+            "X = MERGE(groupby: cell) P;",
+            "X = GROUP(cell; aggregate: n AS COUNT, b AS BAG(score)) P;",
+            "X = DIFFERENCE(joinby: cell) P N;",
+            "X = DIFFERENCE(exact: true) P N;",
+        ];
+        let results = [1, 2].map(|workers| {
+            let mut engine = GmqlEngine::with_workers(workers);
+            engine.register(replicas_from("P", &pos));
+            engine.register(replicas_from("N", &neg));
+            queries.map(|q| {
+                let out = engine.run(&format!("{q} MATERIALIZE X;")).unwrap().remove("X").unwrap();
+                out.samples
+                    .iter()
+                    .map(|s| format!("{} {:?} {:?}", s.name, s.metadata, s.regions))
+                    .collect::<Vec<_>>()
+            })
+        });
+        for (q, (serial, parallel)) in queries.iter().zip(results[0].iter().zip(&results[1])) {
+            prop_assert_eq!(serial, parallel, "{}", q);
+        }
     }
 }
 
