@@ -13,15 +13,25 @@
 //! reference), and as the operators do now — the sorted per-sample runs
 //! merged as borrows and swept in that order (`merge_runs` +
 //! `coverage_sweep`).
+//!
+//! `select_window` filters a resident-dataset-shaped input (16 samples,
+//! 144 000 regions, 23 chromosomes) by a chromosome (1/23 of the regions)
+//! and by a chromosome and a quarter of its coordinates (1/92) two ways:
+//! as SELECT did before — the bound predicate put to every region — and
+//! as it does now, inside the windows binary search finds; each on a
+//! borrowed input (survivors cloned out) and on an owned one (filtered in
+//! place; both arms pay the same clone of the input first).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use nggc_core::{ops, parse, ExecOptions, MetaPredicate, OpCall, Operator, RegionExpr, Statement};
 use nggc_engine::{
     coverage_segments, coverage_sweep, merge_runs, overlap_pairs_binned, overlap_pairs_naive,
-    overlap_pairs_sort_merge, Binner, NcList,
+    overlap_pairs_sort_merge, Binner, ExecContext, NcList,
 };
-use nggc_gdm::{Chrom, GRegion, Strand};
+use nggc_gdm::{Attribute, Chrom, Dataset, GRegion, Sample, Schema, Strand, ValueType};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::hint::black_box;
 
 fn regions(n: usize, span: u64, width: u64, seed: u64) -> Vec<GRegion> {
@@ -144,5 +154,109 @@ fn bench_cover_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_strategies, bench_bin_width, bench_cover_sweep);
+/// The region predicate of `SELECT(region: <text>)`.
+fn region_predicate(text: &str) -> RegionExpr {
+    let script = parse(&format!("X = SELECT(region: {text}) D;")).expect("parses");
+    match &script[0] {
+        Statement::Assign {
+            call: OpCall { op: Operator::Select { region: Some(r), .. }, .. },
+            ..
+        } => r.clone(),
+        other => panic!("not a region SELECT: {other:?}"),
+    }
+}
+
+/// SELECT's region filter before it used the sort order: every region is
+/// put to the bound predicate.
+fn select_by_scan(region: &RegionExpr, input: Cow<'_, Dataset>) -> usize {
+    let schema = input.schema.clone();
+    let predicate = region.bind(&schema);
+    match input {
+        Cow::Borrowed(d) => d
+            .samples
+            .iter()
+            .map(|s| {
+                let kept: Vec<GRegion> =
+                    s.regions.iter().filter(|r| predicate.eval_bool(r)).cloned().collect();
+                black_box(kept).len()
+            })
+            .sum(),
+        Cow::Owned(mut d) => {
+            for s in &mut d.samples {
+                s.regions.retain(|r| predicate.eval_bool(r));
+            }
+            black_box(d).region_count()
+        }
+    }
+}
+
+fn bench_select_window(c: &mut Criterion) {
+    const SPAN: u64 = 1_000_000;
+    let chroms: Vec<Chrom> = (1..=22)
+        .map(|i| format!("chr{i}"))
+        .chain(["chrX".into()])
+        .map(|n| Chrom::new(&n))
+        .collect();
+    let schema = Schema::new(vec![Attribute::new("signal", ValueType::Float)]).expect("schema");
+    let mut dataset = Dataset::new("D", schema);
+    let mut rng = StdRng::seed_from_u64(7);
+    for s in 0..16 {
+        let regions = (0..9_000)
+            .map(|i| {
+                let left = rng.gen_range(0..SPAN);
+                GRegion::new(chroms[i % chroms.len()].clone(), left, left + 400, Strand::Pos)
+                    .with_values(vec![rng.gen_range(0.0..100.0f64).into()])
+            })
+            .collect();
+        dataset.add_sample(Sample::new(format!("s{s}"), "D").with_regions(regions)).expect("rows");
+    }
+    let ctx = ExecContext::serial();
+    let select_by_window = |region: &RegionExpr, input: Cow<'_, Dataset>| {
+        ops::select::select(
+            &ctx,
+            &ExecOptions::default(),
+            &MetaPredicate::True,
+            Some(region),
+            None,
+            input,
+            None,
+        )
+        .expect("selects")
+        .region_count()
+    };
+
+    let mut group = c.benchmark_group("select_window");
+    group.sample_size(10);
+    for (selectivity, text) in [
+        ("1/23", "chr == 'chr7'".to_owned()),
+        ("1/92", format!("chr == 'chr7' AND left >= {} AND right <= {}", SPAN / 4, SPAN / 2 + 400)),
+    ] {
+        let region = region_predicate(&text);
+        assert_eq!(
+            select_by_scan(&region, Cow::Borrowed(&dataset)),
+            select_by_window(&region, Cow::Borrowed(&dataset)),
+        );
+        group.bench_function(BenchmarkId::new("scan_borrowed", selectivity), |b| {
+            b.iter(|| select_by_scan(&region, Cow::Borrowed(&dataset)))
+        });
+        group.bench_function(BenchmarkId::new("window_borrowed", selectivity), |b| {
+            b.iter(|| select_by_window(&region, Cow::Borrowed(&dataset)))
+        });
+        group.bench_function(BenchmarkId::new("scan_owned", selectivity), |b| {
+            b.iter(|| select_by_scan(&region, Cow::Owned(dataset.clone())))
+        });
+        group.bench_function(BenchmarkId::new("window_owned", selectivity), |b| {
+            b.iter(|| select_by_window(&region, Cow::Owned(dataset.clone())))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_strategies,
+    bench_bin_width,
+    bench_cover_sweep,
+    bench_select_window
+);
 criterion_main!(benches);

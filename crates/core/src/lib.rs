@@ -60,4 +60,4 @@ pub use query::{
     run_with_provider, run_with_provider_governed, EstimatedOutput, GmqlEngine, QueryEstimate,
 };
 pub use result_cache::{CacheBudget, CacheOutcome, ResultCache, ResultCacheStats};
-pub use scan::{derive_scan_specs, ScanSpec, SCAN_SPEC_VERSION};
+pub use scan::{derive_scan_specs, RegionWindow, ScanSpec, SCAN_SPEC_VERSION};

@@ -3,14 +3,18 @@
 //! replaced, compiled for tests only: they are the reference the property
 //! test below holds the live operators to — same regions in the same
 //! order, same values, metadata and provenance, serial and on two workers.
+//! With them, the SELECT that looks at every region, the reference of the
+//! one that binary-searches its predicate's windows.
 
 use crate::aggregates::{AggFunc, Aggregate};
-use crate::ast::{AccBound, CoverVariant, Operator};
+use crate::ast::{AccBound, CoverVariant, GenometricClause, JoinOutput, Operator, SortDir};
 use crate::error::GmqlError;
+use crate::exec::ExecOptions;
 use crate::ops::cover::summits;
 use crate::ops::merge::partition_by_meta;
 use crate::ops::{self, joinby_matches};
 use crate::plan::infer_schema;
+use crate::predicates::{BinOp, CmpOp, MetaPredicate, RegionExpr};
 use nggc_engine::{
     coverage_segments, merge_cover, overlap_pairs_sort_merge_interruptible, ExecContext,
     CHECKPOINT_STRIDE,
@@ -20,6 +24,7 @@ use nggc_gdm::{
     ValueType,
 };
 use proptest::prelude::*;
+use std::borrow::Cow;
 use std::cell::Cell;
 
 /// Execute COVER/FLAT/SUMMIT/HISTOGRAM.
@@ -370,6 +375,114 @@ fn difference(
     Ok(out)
 }
 
+/// Execute SELECT with a region predicate only: every region of every
+/// sample is put to the unbound evaluator.
+fn select(region: &RegionExpr, input: &Dataset) -> Dataset {
+    let mut out = Dataset::new(input.name.clone(), input.schema.clone());
+    for s in &input.samples {
+        let mut kept = Sample::derived(
+            s.name.clone(),
+            Provenance::derived(
+                "SELECT",
+                format!("TRUE; region: {region}"),
+                vec![s.provenance.clone()],
+            ),
+        );
+        kept.metadata = s.metadata.clone();
+        kept.regions = s
+            .regions
+            .iter()
+            .filter(|r| region.eval(r, &input.schema) == Value::Bool(true))
+            .cloned()
+            .collect();
+        out.add_sample_unchecked(kept);
+    }
+    out
+}
+
+/// A random region predicate, most of them bounding chromosomes or
+/// coordinates somewhere: `chr` against the chromosomes of
+/// [`random_dataset`], one no sample has and one genome order cannot tell
+/// from `chr1`; `left`/`right` under every comparison against literals
+/// inside and outside what a coordinate can be; the value columns
+/// `float_attr` and `int_attr`; attributes compared with each other; all
+/// of it under AND, OR and NOT.
+fn random_predicate(rng: &mut TestRng, float_attr: &str, int_attr: &str, depth: u32) -> RegionExpr {
+    fn pick<T: Clone>(rng: &mut TestRng, of: &[T]) -> T {
+        of[rng.below(of.len() as u64) as usize].clone()
+    }
+    let cmp = |a: RegionExpr, op: CmpOp, b: RegionExpr| a.cmp(op, b);
+    let any_op = [CmpOp::Gt, CmpOp::Ge, CmpOp::Lt, CmpOp::Le, CmpOp::Eq, CmpOp::Ne];
+    let bound = [
+        Value::Int(-3),
+        Value::Int(0),
+        Value::Int(5),
+        Value::Int(10),
+        Value::Int(20),
+        Value::Int(39),
+        Value::Int(60),
+        Value::Int(i64::MAX),
+        Value::Float(-1.5),
+        Value::Float(-0.0),
+        Value::Float(4.5),
+        Value::Float(10.0),
+        Value::Float(20.5),
+        Value::Float(f64::NAN),
+        Value::Float(1e30),
+        Value::Float(9_007_199_254_740_992.0),
+        Value::Float(f64::INFINITY),
+        Value::Float(f64::NEG_INFINITY),
+        Value::Str("10".into()),
+        Value::Bool(true),
+        Value::Null,
+    ];
+    let chrom = ["chr1", "chr2", "chr10", "chrX", "chrUn", "chr7", "chr01", " chr2"];
+    let coord = ["left", "right", "LEFT", "Right"];
+    match rng.below(if depth == 0 { 7 } else { 12 }) {
+        0 | 1 => {
+            let (a, b) = (RegionExpr::attr("chr"), RegionExpr::Lit(pick(rng, &chrom).into()));
+            let op = if rng.below(8) == 0 { CmpOp::Ne } else { CmpOp::Eq };
+            if rng.below(4) == 0 {
+                cmp(b, op, a)
+            } else {
+                cmp(a, op, b)
+            }
+        }
+        2 | 3 => {
+            let (a, b) = (RegionExpr::attr(pick(rng, &coord)), RegionExpr::Lit(pick(rng, &bound)));
+            // Mostly the four that can bound a window.
+            let ops = if rng.below(6) == 0 { &any_op[..] } else { &any_op[..4] };
+            let op = pick(rng, ops);
+            if rng.below(6) == 0 {
+                cmp(b, op, a)
+            } else {
+                cmp(a, op, b)
+            }
+        }
+        4 => cmp(
+            RegionExpr::attr(float_attr),
+            pick(rng, &any_op),
+            RegionExpr::num(rng.below(7) as f64 * 0.1 + 0.25),
+        ),
+        5 => cmp(
+            RegionExpr::attr(pick(rng, &["chr", "left", "right", "len", "strand"])),
+            pick(rng, &any_op),
+            RegionExpr::attr(pick(rng, &[float_attr, int_attr, "left", "strand"])),
+        ),
+        6 => cmp(
+            RegionExpr::attr(pick(rng, &["len", "strand", int_attr])),
+            pick(rng, &any_op),
+            RegionExpr::Lit(pick(rng, &[Value::Int(1), Value::Int(10), Value::Str("+".into())])),
+        ),
+        7 => RegionExpr::Not(Box::new(random_predicate(rng, float_attr, int_attr, depth - 1))),
+        n => RegionExpr::Binary(
+            Box::new(random_predicate(rng, float_attr, int_attr, depth - 1)),
+            if n == 8 { BinOp::Or } else { BinOp::And },
+            Box::new(random_predicate(rng, float_attr, int_attr, depth - 1)),
+        ),
+    }
+}
+
 /// A small random dataset: 1–6 samples over up to four chromosomes plus
 /// one chromosome only the first sample has; coordinates from a narrow
 /// range so duplicates, touching, nested and zero-length regions are
@@ -426,53 +539,107 @@ fn digest(ds: &Dataset) -> Vec<String> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(384))]
+#![proptest_config(ProptestConfig::with_cases(384))]
 
+#[test]
+fn run_merge_operators_equal_the_pooled_reference(seed in any::<u64>()) {
+    let rng = &mut TestRng::deterministic(seed);
+    let (ds, other) = (random_dataset("D", rng), random_dataset("N", rng));
+    let bound = |rng: &mut TestRng| {
+        [AccBound::Value(1), AccBound::Value(2), AccBound::All, AccBound::Any][rng.below(4) as usize]
+    };
+    let (min_acc, max_acc) = (bound(rng), bound(rng));
+    let groupby = if rng.below(2) == 0 { vec![] } else { vec!["cell".to_owned()] };
+    let aggs: Vec<(String, Aggregate)> = if rng.below(2) == 0 {
+        vec![]
+    } else {
+        vec![
+            ("n".into(), Aggregate::count()),
+            ("avg".into(), Aggregate::over(AggFunc::Avg, "signal")),
+            ("med".into(), Aggregate::over(AggFunc::Median, "signal")),
+            ("bag".into(), Aggregate::over(AggFunc::Bag, "signal")),
+            ("sum".into(), Aggregate::over(AggFunc::Sum, "signal")),
+            ("total".into(), Aggregate::over(AggFunc::Sum, "hits")),
+        ]
+    };
+    let exact = rng.below(2) == 0;
+    let contexts = [ExecContext::serial(), ExecContext::with_workers(2)];
+
+    for variant in [CoverVariant::Cover, CoverVariant::Flat, CoverVariant::Summit, CoverVariant::Histogram] {
+        let op = Operator::Cover { variant, min_acc, max_acc, groupby: groupby.clone(), aggs: aggs.clone() };
+        let schema = infer_schema(&op, &[&ds.schema]).unwrap();
+        let want = cover(&contexts[0], variant, min_acc, max_acc, &groupby, &aggs, &ds, &schema).unwrap();
+        for ctx in &contexts {
+            let got = ops::cover::cover(ctx, variant, min_acc, max_acc, &groupby, &aggs, &ds, &schema).unwrap();
+            prop_assert_eq!(digest(&got), digest(&want), "{:?} on {} workers", op, ctx.workers());
+        }
+    }
+    let op = Operator::Group { by: groupby.clone(), region_aggs: aggs.clone() };
+    let schema = infer_schema(&op, &[&ds.schema]).unwrap();
+    let want_group = group(&contexts[0], &groupby, &aggs, &ds, &schema).unwrap();
+    let want_merge = merge(&contexts[0], &groupby, &ds).unwrap();
+    let want_diff = difference(&contexts[0], exact, &groupby, &ds, &other).unwrap();
+    for ctx in &contexts {
+        let got = ops::group::group(ctx, &groupby, &aggs, &ds, &schema).unwrap();
+        prop_assert_eq!(digest(&got), digest(&want_group), "{:?} on {} workers", op, ctx.workers());
+        let got = ops::merge::merge(ctx, &groupby, &ds).unwrap();
+        prop_assert_eq!(digest(&got), digest(&want_merge), "MERGE on {} workers", ctx.workers());
+        let got = ops::difference::difference(ctx, exact, &groupby, &ds, &other).unwrap();
+        prop_assert_eq!(digest(&got), digest(&want_diff), "DIFFERENCE exact={} on {} workers", exact, ctx.workers());
+    }
+}}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// SELECT evaluating its predicate only inside the windows the
+    /// predicate implies gives what a scan of every region gives — on a
+    /// shared input and on one it owns, serial and on two workers, on a
+    /// source, after ORDER with a region top-k and after JOIN.
     #[test]
-    fn run_merge_operators_equal_the_pooled_reference(seed in any::<u64>()) {
+    fn windowed_select_equals_the_scan(seed in any::<u64>()) {
         let rng = &mut TestRng::deterministic(seed);
         let (ds, other) = (random_dataset("D", rng), random_dataset("N", rng));
-        let bound = |rng: &mut TestRng| {
-            [AccBound::Value(1), AccBound::Value(2), AccBound::All, AccBound::Any][rng.below(4) as usize]
-        };
-        let (min_acc, max_acc) = (bound(rng), bound(rng));
-        let groupby = if rng.below(2) == 0 { vec![] } else { vec!["cell".to_owned()] };
-        let aggs: Vec<(String, Aggregate)> = if rng.below(2) == 0 {
-            vec![]
-        } else {
-            vec![
-                ("n".into(), Aggregate::count()),
-                ("avg".into(), Aggregate::over(AggFunc::Avg, "signal")),
-                ("med".into(), Aggregate::over(AggFunc::Median, "signal")),
-                ("bag".into(), Aggregate::over(AggFunc::Bag, "signal")),
-                ("sum".into(), Aggregate::over(AggFunc::Sum, "signal")),
-                ("total".into(), Aggregate::over(AggFunc::Sum, "hits")),
-            ]
-        };
-        let exact = rng.below(2) == 0;
         let contexts = [ExecContext::serial(), ExecContext::with_workers(2)];
+        let serial = &contexts[0];
 
-        for variant in [CoverVariant::Cover, CoverVariant::Flat, CoverVariant::Summit, CoverVariant::Histogram] {
-            let op = Operator::Cover { variant, min_acc, max_acc, groupby: groupby.clone(), aggs: aggs.clone() };
-            let schema = infer_schema(&op, &[&ds.schema]).unwrap();
-            let want = cover(&contexts[0], variant, min_acc, max_acc, &groupby, &aggs, &ds, &schema).unwrap();
+        let top = Some(rng.below(12) as usize);
+        let ordered =
+            ops::order::order(serial, &[], None, &[("signal".into(), SortDir::Desc)], top, &ds)
+                .unwrap();
+        let output = [JoinOutput::Left, JoinOutput::Right, JoinOutput::Intersection, JoinOutput::Contig]
+            [rng.below(4) as usize];
+        let clauses = vec![GenometricClause::DistLessEq(5)];
+        let op = Operator::Join { clauses: clauses.clone(), output, joinby: vec![] };
+        let schema = infer_schema(&op, &[&ds.schema, &other.schema]).unwrap();
+        let joined = ops::join::join(serial, &clauses, output, &[], &ds, &other, &schema).unwrap();
+
+        let on_source = random_predicate(rng, "signal", "hits", 3);
+        let on_join = random_predicate(rng, "left.signal", "right.hits", 3);
+        for (input, region) in [(&ds, &on_source), (&ordered, &on_source), (&joined, &on_join)] {
+            let want = select(region, input);
             for ctx in &contexts {
-                let got = ops::cover::cover(ctx, variant, min_acc, max_acc, &groupby, &aggs, &ds, &schema).unwrap();
-                prop_assert_eq!(digest(&got), digest(&want), "{:?} on {} workers", op, ctx.workers());
+                for owned in [false, true] {
+                    let given =
+                        if owned { Cow::Owned(input.clone()) } else { Cow::Borrowed(input) };
+                    let got = ops::select::select(
+                        ctx,
+                        &ExecOptions::default(),
+                        &MetaPredicate::True,
+                        Some(region),
+                        None,
+                        given,
+                        None,
+                    )
+                    .unwrap();
+                    prop_assert_eq!(
+                        digest(&got),
+                        digest(&want),
+                        "{} on {} (owned: {}, {} workers)",
+                        region, input.name, owned, ctx.workers()
+                    );
+                }
             }
-        }
-        let op = Operator::Group { by: groupby.clone(), region_aggs: aggs.clone() };
-        let schema = infer_schema(&op, &[&ds.schema]).unwrap();
-        let want_group = group(&contexts[0], &groupby, &aggs, &ds, &schema).unwrap();
-        let want_merge = merge(&contexts[0], &groupby, &ds).unwrap();
-        let want_diff = difference(&contexts[0], exact, &groupby, &ds, &other).unwrap();
-        for ctx in &contexts {
-            let got = ops::group::group(ctx, &groupby, &aggs, &ds, &schema).unwrap();
-            prop_assert_eq!(digest(&got), digest(&want_group), "{:?} on {} workers", op, ctx.workers());
-            let got = ops::merge::merge(ctx, &groupby, &ds).unwrap();
-            prop_assert_eq!(digest(&got), digest(&want_merge), "MERGE on {} workers", ctx.workers());
-            let got = ops::difference::difference(ctx, exact, &groupby, &ds, &other).unwrap();
-            prop_assert_eq!(digest(&got), digest(&want_diff), "DIFFERENCE exact={} on {} workers", exact, ctx.workers());
         }
     }
 }

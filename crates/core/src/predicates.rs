@@ -258,10 +258,10 @@ impl RegionExpr {
     }
 
     /// The unbound evaluator the bound one replaced, kept as the oracle
-    /// [`BoundExpr`] is tested against: it resolves names and clones
-    /// values per region.
+    /// [`BoundExpr`] and SELECT's windows are tested against: it resolves
+    /// names and clones values per region.
     #[cfg(test)]
-    fn eval(&self, region: &GRegion, schema: &Schema) -> Value {
+    pub(crate) fn eval(&self, region: &GRegion, schema: &Schema) -> Value {
         match self {
             RegionExpr::Attr(name) => match name.to_ascii_lowercase().as_str() {
                 "chr" => Value::Str(region.chrom.as_str().to_owned()),

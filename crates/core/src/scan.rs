@@ -12,7 +12,14 @@
 //! - the set of chromosomes the rest of the plan can observe
 //!   (from `SELECT` region predicates and JOIN/MAP partner extents),
 //! - the set of value columns any operator reads, and
-//! - an optional coordinate range (render-only, for EXPLAIN).
+//! - an optional coordinate range (EXPLAIN renders it; no block is
+//!   dropped by it).
+//!
+//! The first and the last come from [`RegionWindow`], the part of genome
+//! order a region predicate can match. `SELECT` reads the same window of
+//! its own predicate to find, by binary search, the regions it has to
+//! look at (`ops::select`): what prunes the container on disk and what
+//! slices a resident sample in memory is one analysis.
 //!
 //! ## Soundness
 //!
@@ -50,8 +57,8 @@ use std::collections::{BTreeSet, HashMap};
 pub const SCAN_SPEC_VERSION: u32 = 1;
 
 /// What a source scan provably needs. `None` means "everything" on
-/// either axis; the coordinate range is advisory (EXPLAIN rendering),
-/// never used to drop blocks.
+/// either axis; the coordinate range is sound (see [`RegionWindow`]) but
+/// only rendered by EXPLAIN: blocks hold whole chromosomes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScanSpec {
     /// Chromosomes downstream can observe; `None` = all.
@@ -123,86 +130,94 @@ fn expr_value_attrs(expr: &RegionExpr, out: &mut BTreeSet<String>) {
     }
 }
 
-fn chrom_eq(attr: &RegionExpr, lit: &RegionExpr) -> Option<String> {
-    match (attr, lit) {
-        (RegionExpr::Attr(name), RegionExpr::Lit(Value::Str(s)))
-            if name.eq_ignore_ascii_case("chr") =>
-        {
-            Some(s.clone())
-        }
-        _ => None,
-    }
+/// The part of genome order a region predicate can match: a **sound
+/// superset**, so that whoever evaluates the predicate only on regions
+/// inside the window loses none that satisfy it.
+///
+/// A region passes a predicate only if the predicate evaluates to
+/// `true` — null is not true — so each side of an `AND` is a necessary
+/// condition (bounds intersect) and one side of an `OR` is (bounds
+/// unite; a side that bounds nothing leaves the axis unbounded). The
+/// comparisons recognised are `chr == 'name'` (either order) and
+/// `left`/`right` against a literal; `NOT`, arithmetic, comparisons
+/// between attributes and everything else bound nothing.
+///
+/// Coordinate bounds are inclusive. A strict comparison gives the bound
+/// of its non-strict twin (`left > 5` ⇒ `lo = 5`), a float literal is
+/// rounded inward (`left >= 5.5` ⇒ `lo = 6`, `right <= 5.5` ⇒ `hi = 5`),
+/// and a literal that is negative, NaN, not a number or a float of 2⁵³
+/// or more — where the evaluator's `u64 → f64` conversion stops being
+/// exact — bounds nothing. The evaluator compares coordinates as `i64`,
+/// so the claim holds for coordinates below 2⁶³, the ones it orders
+/// correctly itself.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RegionWindow {
+    /// Chromosomes a matching region can lie on; `None` = any.
+    pub chroms: Option<BTreeSet<String>>,
+    /// Every matching region has `left >= lo`.
+    pub lo: Option<u64>,
+    /// Every matching region has `right <= hi`, hence `left <= hi`.
+    pub hi: Option<u64>,
 }
 
-/// The chromosomes a region predicate can match, or `None` when it
-/// cannot be bounded. `AND` intersects bounds (an unbounded conjunct
-/// imposes none), `OR` unions them (either side unbounded → unbounded),
-/// `NOT` and every other shape are unbounded.
-fn chrom_literals(expr: &RegionExpr) -> Option<BTreeSet<String>> {
-    match expr {
-        RegionExpr::Binary(a, BinOp::And, b) => match (chrom_literals(a), chrom_literals(b)) {
-            (Some(x), Some(y)) => Some(x.intersection(&y).cloned().collect()),
-            (Some(x), None) | (None, Some(x)) => Some(x),
-            (None, None) => None,
-        },
-        RegionExpr::Binary(a, BinOp::Or, b) => match (chrom_literals(a), chrom_literals(b)) {
-            (Some(mut x), Some(y)) => {
-                x.extend(y);
-                Some(x)
+impl RegionWindow {
+    /// The window of `expr`.
+    pub fn of(expr: &RegionExpr) -> RegionWindow {
+        let RegionExpr::Binary(a, op, b) = expr else { return RegionWindow::default() };
+        let is = |attr: &str, name: &str| attr.eq_ignore_ascii_case(name);
+        match (&**a, op, &**b) {
+            (_, BinOp::And, _) => RegionWindow::of(a).and(RegionWindow::of(b)),
+            (_, BinOp::Or, _) => RegionWindow::of(a).or(RegionWindow::of(b)),
+            (RegionExpr::Attr(n), BinOp::Cmp(CmpOp::Eq), RegionExpr::Lit(Value::Str(s)))
+            | (RegionExpr::Lit(Value::Str(s)), BinOp::Cmp(CmpOp::Eq), RegionExpr::Attr(n))
+                if is(n, "chr") =>
+            {
+                RegionWindow { chroms: Some(BTreeSet::from([s.clone()])), ..Default::default() }
             }
-            _ => None,
-        },
-        RegionExpr::Binary(a, BinOp::Cmp(CmpOp::Eq), b) => {
-            chrom_eq(a, b).or_else(|| chrom_eq(b, a)).map(|s| std::iter::once(s).collect())
+            (RegionExpr::Attr(n), BinOp::Cmp(CmpOp::Gt | CmpOp::Ge), RegionExpr::Lit(v))
+                if is(n, "left") =>
+            {
+                RegionWindow { lo: coord_bound(v, f64::ceil), ..Default::default() }
+            }
+            (RegionExpr::Attr(n), BinOp::Cmp(CmpOp::Lt | CmpOp::Le), RegionExpr::Lit(v))
+                if is(n, "right") =>
+            {
+                RegionWindow { hi: coord_bound(v, f64::floor), ..Default::default() }
+            }
+            _ => RegionWindow::default(),
         }
-        _ => None,
+    }
+
+    /// What both `self` and `other` admit.
+    fn and(self, other: RegionWindow) -> RegionWindow {
+        RegionWindow {
+            chroms: intersect_opt(self.chroms, other.chroms),
+            // The tighter of the bounds there are.
+            lo: self.lo.into_iter().chain(other.lo).max(),
+            hi: self.hi.into_iter().chain(other.hi).min(),
+        }
+    }
+
+    /// What `self` or `other` admits.
+    fn or(self, other: RegionWindow) -> RegionWindow {
+        RegionWindow {
+            chroms: union_opt(self.chroms, other.chroms),
+            lo: self.lo.zip(other.lo).map(|(x, y)| x.min(y)),
+            hi: self.hi.zip(other.hi).map(|(x, y)| x.max(y)),
+        }
     }
 }
 
-fn lit_u64(v: &Value) -> Option<u64> {
+/// The coordinate a `left`/`right` comparison against `v` bounds, `round`
+/// taking a float inward; `None` when `v` bounds nothing.
+fn coord_bound(v: &Value, round: fn(f64) -> f64) -> Option<u64> {
+    /// Below 2⁵³ every integer is an `f64`, so comparing a coordinate to a
+    /// float as floats orders them as the numbers they are.
+    const EXACT: std::ops::Range<f64> = 0.0..9_007_199_254_740_992.0;
     match v {
         Value::Int(i) => u64::try_from(*i).ok(),
-        Value::Float(f) if *f >= 0.0 && f.is_finite() => Some(*f as u64),
+        Value::Float(f) if EXACT.contains(f) => Some(round(*f) as u64),
         _ => None,
-    }
-}
-
-/// Advisory coordinate bounds from `left >/>=` and `right </<=`
-/// comparisons in top-level conjunctions (render-only).
-fn coord_range(expr: &RegionExpr) -> (Option<u64>, Option<u64>) {
-    match expr {
-        RegionExpr::Binary(a, BinOp::And, b) => {
-            let (lo1, hi1) = coord_range(a);
-            let (lo2, hi2) = coord_range(b);
-            (max_opt(lo1, lo2), min_opt(hi1, hi2))
-        }
-        RegionExpr::Binary(a, BinOp::Cmp(op), b) => {
-            if let (RegionExpr::Attr(name), RegionExpr::Lit(v)) = (&**a, &**b) {
-                if let Some(x) = lit_u64(v) {
-                    return match (name.to_ascii_lowercase().as_str(), op) {
-                        ("left", CmpOp::Gt | CmpOp::Ge) => (Some(x), None),
-                        ("right", CmpOp::Lt | CmpOp::Le) => (None, Some(x)),
-                        _ => (None, None),
-                    };
-                }
-            }
-            (None, None)
-        }
-        _ => (None, None),
-    }
-}
-
-fn max_opt(a: Option<u64>, b: Option<u64>) -> Option<u64> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.max(y)),
-        (x, None) | (None, x) => x,
-    }
-}
-
-fn min_opt(a: Option<u64>, b: Option<u64>) -> Option<u64> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) | (None, x) => x,
     }
 }
 
@@ -242,16 +257,28 @@ fn agg_attrs(aggs: &[(String, crate::aggregates::Aggregate)]) -> BTreeSet<String
 /// What one consumer demands of one of its inputs.
 #[derive(Clone, Default)]
 struct Demand {
-    chroms: Option<BTreeSet<String>>,
+    /// Where the regions it can observe lie.
+    window: RegionWindow,
     cols: Option<BTreeSet<String>>,
-    lo: Option<u64>,
-    hi: Option<u64>,
 }
 
 impl Demand {
     /// Demand everything (the safe top of the lattice).
     fn all() -> Demand {
         Demand::default()
+    }
+
+    /// Every coordinate on `chroms`, and the values of `cols` only.
+    fn coords_on(chroms: Option<BTreeSet<String>>, cols: BTreeSet<String>) -> Demand {
+        Demand { window: RegionWindow { chroms, ..Default::default() }, cols: Some(cols) }
+    }
+
+    /// `self`, reading `more` columns besides.
+    fn reading(mut self, more: impl IntoIterator<Item = String>) -> Demand {
+        if let Some(cols) = &mut self.cols {
+            cols.extend(more);
+        }
+        self
     }
 }
 
@@ -272,17 +299,9 @@ impl NeedAcc {
             return;
         }
         let n = &mut self.need;
-        n.chroms = union_opt(std::mem::take(&mut n.chroms), d.chroms);
+        // A bound survives only when every consumer has one.
+        n.window = std::mem::take(&mut n.window).or(d.window);
         n.cols = union_opt(std::mem::take(&mut n.cols), d.cols);
-        // Range union: keep a bound only when every consumer has one.
-        n.lo = match (n.lo, d.lo) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            _ => None,
-        };
-        n.hi = match (n.hi, d.hi) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            _ => None,
-        };
     }
 }
 
@@ -301,9 +320,10 @@ pub fn derive_scan_specs(plan: &LogicalPlan) -> HashMap<NodeId, ScanSpec> {
             PlanOp::Apply(op) => {
                 let gin = |k: usize| guarantee[node.inputs[k]].clone();
                 match op {
-                    Operator::Select { region, .. } => {
-                        intersect_opt(gin(0), region.as_ref().and_then(chrom_literals))
-                    }
+                    Operator::Select { region, .. } => intersect_opt(
+                        gin(0),
+                        region.as_ref().and_then(|r| RegionWindow::of(r).chroms),
+                    ),
                     // Region-preserving unary operators: output regions
                     // lie on input chromosomes.
                     Operator::Project { .. }
@@ -339,21 +359,12 @@ pub fn derive_scan_specs(plan: &LogicalPlan) -> HashMap<NodeId, ScanSpec> {
             PlanOp::Apply(op) => match op {
                 Operator::Select { region, .. } => {
                     let mut pred_cols = BTreeSet::new();
-                    let (mut chroms, mut lo, mut hi) = (None, None, None);
+                    let mut window = need.window;
                     if let Some(expr) = region {
                         expr_value_attrs(expr, &mut pred_cols);
-                        chroms = chrom_literals(expr);
-                        (lo, hi) = coord_range(expr);
+                        window = window.and(RegionWindow::of(expr));
                     }
-                    let d0 = Demand {
-                        chroms: intersect_opt(need.chroms.clone(), chroms),
-                        cols: need.cols.clone().map(|mut c| {
-                            c.extend(pred_cols.clone());
-                            c
-                        }),
-                        lo: max_opt(need.lo, lo),
-                        hi: min_opt(need.hi, hi),
-                    };
+                    let d0 = Demand { window, cols: need.cols }.reading(pred_cols);
                     // A semijoin partner (second input) only has its
                     // metadata inspected, but stay conservative.
                     let mut v = vec![d0];
@@ -365,83 +376,39 @@ pub fn derive_scan_specs(plan: &LogicalPlan) -> HashMap<NodeId, ScanSpec> {
                     for (_, e) in new_attrs {
                         expr_value_attrs(e, &mut expr_cols);
                     }
-                    let cols = match (need.cols.clone(), attrs) {
-                        (None, None) => None,
-                        (None, Some(kept)) => {
-                            let mut c: BTreeSet<String> =
-                                kept.iter().map(|s| s.to_ascii_lowercase()).collect();
-                            c.extend(expr_cols);
-                            Some(c)
-                        }
-                        (Some(nc), None) => {
-                            let mut c = nc;
-                            c.extend(expr_cols);
-                            Some(c)
-                        }
-                        (Some(nc), Some(kept)) => {
-                            let keptl: BTreeSet<String> =
-                                kept.iter().map(|s| s.to_ascii_lowercase()).collect();
-                            let mut c: BTreeSet<String> =
-                                nc.intersection(&keptl).cloned().collect();
-                            c.extend(expr_cols);
-                            Some(c)
-                        }
-                    };
-                    vec![Demand { chroms: need.chroms.clone(), cols, lo: need.lo, hi: need.hi }]
+                    // Of the columns downstream reads, the kept ones.
+                    let kept = attrs.as_ref().map(|kept| {
+                        kept.iter().map(|s| s.to_ascii_lowercase()).collect::<BTreeSet<String>>()
+                    });
+                    let cols = intersect_opt(need.cols, kept);
+                    vec![Demand { window: need.window, cols }.reading(expr_cols)]
                 }
                 Operator::Extend { assignments } => {
                     // Metadata aggregates run over *every* region of the
                     // sample: pruning any chromosome would change them.
-                    vec![Demand {
-                        chroms: None,
-                        cols: need.cols.clone().map(|mut c| {
-                            c.extend(agg_attrs(assignments));
-                            c
-                        }),
-                        lo: None,
-                        hi: None,
-                    }]
+                    vec![Demand { window: RegionWindow::default(), cols: need.cols }
+                        .reading(agg_attrs(assignments))]
                 }
-                Operator::Merge { .. } => vec![need.clone()],
-                Operator::Group { region_aggs, .. } => vec![Demand {
-                    chroms: need.chroms.clone(),
-                    cols: need.cols.clone().map(|mut c| {
-                        c.extend(agg_attrs(region_aggs));
-                        c
-                    }),
-                    lo: need.lo,
-                    hi: need.hi,
-                }],
+                Operator::Merge { .. } => vec![need],
+                Operator::Group { region_aggs, .. } => vec![need.reading(agg_attrs(region_aggs))],
                 Operator::Order { region_keys, region_top, .. } => {
                     // A region top-k ranks regions across the whole
                     // sample, so every chromosome participates.
-                    let bounded = region_top.is_none();
-                    vec![Demand {
-                        chroms: if bounded { need.chroms.clone() } else { None },
-                        cols: need.cols.clone().map(|mut c| {
-                            c.extend(region_keys.iter().map(|(name, _)| name.to_ascii_lowercase()));
-                            c
-                        }),
-                        lo: if bounded { need.lo } else { None },
-                        hi: if bounded { need.hi } else { None },
-                    }]
+                    let window =
+                        if region_top.is_none() { need.window } else { RegionWindow::default() };
+                    vec![Demand { window, cols: need.cols }
+                        .reading(region_keys.iter().map(|(name, _)| name.to_ascii_lowercase()))]
                 }
-                Operator::Union => vec![need.clone(), need.clone()],
+                Operator::Union => vec![need.clone(), need],
                 Operator::Difference { .. } => {
                     // The right side contributes coordinates only, and
                     // only on chromosomes the (needed part of the) left
                     // side can populate.
-                    let right_chroms =
-                        intersect_opt(need.chroms.clone(), guarantee[node.inputs[0]].clone());
-                    vec![
-                        need.clone(),
-                        Demand {
-                            chroms: right_chroms,
-                            cols: Some(BTreeSet::new()),
-                            lo: None,
-                            hi: None,
-                        },
-                    ]
+                    let right_chroms = intersect_opt(
+                        need.window.chroms.clone(),
+                        guarantee[node.inputs[0]].clone(),
+                    );
+                    vec![need, Demand::coords_on(right_chroms, BTreeSet::new())]
                 }
                 Operator::Join { .. } => {
                     // Backward need is unsound through JOIN (a pair with
@@ -449,49 +416,34 @@ pub fn derive_scan_specs(plan: &LogicalPlan) -> HashMap<NodeId, ScanSpec> {
                     // side is bounded by its *partner's guarantee*
                     // instead: matches require both sides on the same
                     // chromosome.
-                    let strip = |prefix: &str| -> Option<BTreeSet<String>> {
-                        need.cols.as_ref().map(|cols| {
+                    let side = |partner: usize, prefix: &str| Demand {
+                        window: RegionWindow {
+                            chroms: guarantee[node.inputs[partner]].clone(),
+                            ..Default::default()
+                        },
+                        cols: need.cols.as_ref().map(|cols| {
                             cols.iter()
                                 .filter_map(|c| c.strip_prefix(prefix))
                                 .map(str::to_string)
                                 .collect()
-                        })
+                        }),
                     };
-                    vec![
-                        Demand {
-                            chroms: guarantee[node.inputs[1]].clone(),
-                            cols: strip("left."),
-                            lo: None,
-                            hi: None,
-                        },
-                        Demand {
-                            chroms: guarantee[node.inputs[0]].clone(),
-                            cols: strip("right."),
-                            lo: None,
-                            hi: None,
-                        },
-                    ]
+                    vec![side(1, "left."), side(0, "right.")]
                 }
                 Operator::Map { aggs, .. } => {
                     // Experiment regions only matter where they can
                     // intersect needed reference regions; aggregates
                     // resolve against the experiment schema.
-                    let exp_chroms =
-                        intersect_opt(need.chroms.clone(), guarantee[node.inputs[0]].clone());
-                    vec![
-                        need.clone(),
-                        Demand {
-                            chroms: exp_chroms,
-                            cols: Some(agg_attrs(aggs)),
-                            lo: None,
-                            hi: None,
-                        },
-                    ]
+                    let exp_chroms = intersect_opt(
+                        need.window.chroms.clone(),
+                        guarantee[node.inputs[0]].clone(),
+                    );
+                    vec![need, Demand::coords_on(exp_chroms, agg_attrs(aggs))]
                 }
                 Operator::Cover { aggs, .. } => {
                     // COVER's sample emission depends on accumulation
                     // across all regions — no chromosome pruning.
-                    vec![Demand { chroms: None, cols: Some(agg_attrs(aggs)), lo: None, hi: None }]
+                    vec![Demand::coords_on(None, agg_attrs(aggs))]
                 }
             },
         };
@@ -503,13 +455,12 @@ pub fn derive_scan_specs(plan: &LogicalPlan) -> HashMap<NodeId, ScanSpec> {
     let mut specs = HashMap::new();
     for (i, node) in plan.nodes.iter().enumerate() {
         if let PlanOp::Source(_) = node.op {
-            let spec = if acc[i].seen {
-                let d = &acc[i].need;
-                ScanSpec { chroms: d.chroms.clone(), columns: d.cols.clone(), lo: d.lo, hi: d.hi }
-            } else {
-                ScanSpec::default()
-            };
-            specs.insert(i, spec);
+            let Demand { window, cols } =
+                if acc[i].seen { acc[i].need.clone() } else { Demand::all() };
+            specs.insert(
+                i,
+                ScanSpec { chroms: window.chroms, columns: cols, lo: window.lo, hi: window.hi },
+            );
         }
     }
     specs
@@ -567,6 +518,129 @@ mod tests {
         let chroms = only_spec(&specs).chroms.clone().unwrap();
         assert_eq!(chroms.len(), 2);
         assert!(chroms.contains("chr1") && chroms.contains("chr2"));
+    }
+
+    fn cmp(attr: &str, op: CmpOp, v: impl Into<Value>) -> RegionExpr {
+        RegionExpr::attr(attr).cmp(op, RegionExpr::Lit(v.into()))
+    }
+
+    fn both(a: RegionExpr, op: BinOp, b: RegionExpr) -> RegionExpr {
+        RegionExpr::Binary(Box::new(a), op, Box::new(b))
+    }
+
+    /// True when `w` admits every region.
+    fn unbounded(w: RegionWindow) -> bool {
+        w == RegionWindow::default()
+    }
+
+    fn chroms(names: &[&str]) -> Option<BTreeSet<String>> {
+        Some(names.iter().map(|n| n.to_string()).collect())
+    }
+
+    #[test]
+    fn window_bounds_are_inclusive_and_rounded_inward() {
+        let lo = |op, v: Value| RegionWindow::of(&cmp("left", op, v)).lo;
+        let hi = |op, v: Value| RegionWindow::of(&cmp("Right", op, v)).hi;
+        // A strict comparison bounds what its non-strict twin bounds.
+        assert_eq!(lo(CmpOp::Ge, Value::Int(5)), Some(5));
+        assert_eq!(lo(CmpOp::Gt, Value::Int(5)), Some(5));
+        assert_eq!(hi(CmpOp::Le, Value::Int(9)), Some(9));
+        assert_eq!(hi(CmpOp::Lt, Value::Int(9)), Some(9));
+        // No coordinate lies strictly between a float and its rounding.
+        assert_eq!(lo(CmpOp::Ge, Value::Float(5.5)), Some(6));
+        assert_eq!(lo(CmpOp::Gt, Value::Float(5.5)), Some(6));
+        assert_eq!(lo(CmpOp::Ge, Value::Float(5.0)), Some(5));
+        assert_eq!(hi(CmpOp::Le, Value::Float(9.5)), Some(9));
+        assert_eq!(hi(CmpOp::Lt, Value::Float(9.5)), Some(9));
+        assert_eq!(hi(CmpOp::Lt, Value::Float(-0.0)), Some(0));
+        assert_eq!(lo(CmpOp::Ge, Value::Int(i64::MAX)), Some(i64::MAX as u64));
+        // The other direction of a comparison bounds the other end, which
+        // the window does not use.
+        assert_eq!(lo(CmpOp::Le, Value::Int(5)), None);
+        assert_eq!(hi(CmpOp::Ge, Value::Int(5)), None);
+        assert_eq!(lo(CmpOp::Eq, Value::Int(5)), None);
+    }
+
+    #[test]
+    fn literals_no_coordinate_compares_to_exactly_bound_nothing() {
+        for v in [
+            Value::Int(-1),
+            Value::Float(-0.5),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            // 2^53 and above: `left as f64` is no longer exact there.
+            Value::Float(9_007_199_254_740_992.0),
+            Value::Float(1e30),
+            Value::Str("5".into()),
+            Value::Bool(true),
+            Value::Null,
+        ] {
+            for op in [CmpOp::Gt, CmpOp::Ge, CmpOp::Lt, CmpOp::Le] {
+                for attr in ["left", "right"] {
+                    let w = RegionWindow::of(&cmp(attr, op, v.clone()));
+                    assert!(unbounded(w.clone()), "{attr} {} {v:?} gave {w:?}", op.symbol());
+                }
+            }
+        }
+        assert_eq!(
+            RegionWindow::of(&cmp("left", CmpOp::Ge, Value::Float(9_007_199_254_740_991.0))).lo,
+            Some(9_007_199_254_740_991)
+        );
+    }
+
+    #[test]
+    fn window_intersects_under_and_and_unites_under_or() {
+        let chr = |name: &str| cmp("chr", CmpOp::Eq, name);
+        let w = RegionWindow::of(&both(
+            both(chr("chr2"), BinOp::And, cmp("left", CmpOp::Ge, Value::Int(10))),
+            BinOp::And,
+            both(cmp("score", CmpOp::Gt, 0.5), BinOp::And, cmp("right", CmpOp::Le, Value::Int(90))),
+        ));
+        assert_eq!(w, RegionWindow { chroms: chroms(&["chr2"]), lo: Some(10), hi: Some(90) });
+        // The tighter bound of two wins.
+        let w = RegionWindow::of(&both(
+            cmp("left", CmpOp::Ge, Value::Int(10)),
+            BinOp::And,
+            both(cmp("left", CmpOp::Gt, Value::Int(30)), BinOp::And, cmp("left", CmpOp::Lt, 7.0)),
+        ));
+        assert_eq!((w.lo, w.hi), (Some(30), None));
+        // Contradictory chromosomes: nothing can match.
+        let w = RegionWindow::of(&both(chr("chr1"), BinOp::And, chr("chr2")));
+        assert_eq!(w.chroms, chroms(&[]));
+        // OR keeps a bound only when both sides have one, the looser.
+        let side = |name: &str, lo: i64| {
+            both(chr(name), BinOp::And, cmp("left", CmpOp::Ge, Value::Int(lo)))
+        };
+        let w = RegionWindow::of(&both(side("chr1", 10), BinOp::Or, side("chrX", 4)));
+        assert_eq!(w, RegionWindow { chroms: chroms(&["chr1", "chrX"]), lo: Some(4), hi: None });
+        let w = RegionWindow::of(&both(side("chr1", 10), BinOp::Or, cmp("score", CmpOp::Gt, 0.5)));
+        assert!(unbounded(w));
+        // An unbounded conjunct leaves the others' bounds standing.
+        let w = RegionWindow::of(&both(side("chr1", 10), BinOp::And, cmp("score", CmpOp::Gt, 0.5)));
+        assert_eq!(w, RegionWindow { chroms: chroms(&["chr1"]), lo: Some(10), hi: None });
+    }
+
+    #[test]
+    fn shapes_that_are_not_a_bound_are_unbounded() {
+        let chr1 = cmp("chr", CmpOp::Eq, "chr1");
+        assert!(unbounded(RegionWindow::of(&RegionExpr::Not(Box::new(chr1.clone())))));
+        assert!(unbounded(RegionWindow::of(&cmp("chr", CmpOp::Ne, "chr1"))));
+        assert!(unbounded(RegionWindow::of(&cmp("chr", CmpOp::Eq, Value::Int(1)))));
+        // `chr` against an attribute, a coordinate against one, arithmetic.
+        let attrs = |a: &str, op, b: &str| RegionExpr::attr(a).cmp(op, RegionExpr::attr(b));
+        assert!(unbounded(RegionWindow::of(&attrs("chr", CmpOp::Eq, "name"))));
+        assert!(unbounded(RegionWindow::of(&attrs("left", CmpOp::Ge, "peak"))));
+        let shifted = both(RegionExpr::attr("left"), BinOp::Add, RegionExpr::Lit(Value::Int(5)));
+        let shifted = shifted.cmp(CmpOp::Ge, RegionExpr::Lit(Value::Int(9)));
+        assert!(unbounded(RegionWindow::of(&shifted)));
+        // A literal on the left is recognised for `chr` only.
+        let flipped = RegionExpr::Lit("chr1".into()).cmp(CmpOp::Eq, RegionExpr::attr("CHR"));
+        assert_eq!(RegionWindow::of(&flipped).chroms, chroms(&["chr1"]));
+        let flipped = RegionExpr::Lit(Value::Int(5)).cmp(CmpOp::Le, RegionExpr::attr("left"));
+        assert!(unbounded(RegionWindow::of(&flipped)));
+        // JOIN's prefixed attributes are value columns, not coordinates.
+        assert!(unbounded(RegionWindow::of(&cmp("left.start", CmpOp::Ge, Value::Int(5)))));
     }
 
     #[test]

@@ -8,6 +8,7 @@ use crate::metadata::Metadata;
 use crate::provenance::Provenance;
 use crate::region::GRegion;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -113,6 +114,27 @@ impl Sample {
         &self.regions[start..end]
     }
 
+    /// Where the regions of `chrom` with `lo <= left <= hi` lie in
+    /// [`Sample::regions`] (requires the sample to be sorted): genome
+    /// order sorts a chromosome's run by `left`, so three binary searches
+    /// find them. Empty — at the position the regions would take — when
+    /// there are none, `lo > hi` included. Since `left <= right`, the
+    /// range holds every region with `left >= lo` and `right <= hi`.
+    ///
+    /// The run is the one [`Chrom`](crate::coords::Chrom)'s *ordering*
+    /// puts `chrom` in, which compares digit runs as numbers: a name
+    /// that differs only there (`chr01`) shares the run of `chr1`, so
+    /// what is returned is a superset of the regions named `chrom`.
+    pub fn window(&self, chrom: &crate::coords::Chrom, lo: u64, hi: u64) -> Range<usize> {
+        debug_assert!(self.is_sorted(), "window requires genome order");
+        let run_start = self.regions.partition_point(|r| r.chrom < *chrom);
+        let run = &self.regions[run_start..];
+        let run = &run[..run.partition_point(|r| r.chrom <= *chrom)];
+        let start = run.partition_point(|r| r.left < lo);
+        let end = start + run[start..].partition_point(|r| r.left <= hi);
+        run_start + start..run_start + end
+    }
+
     /// Distinct chromosomes present, in genome order (requires sortedness).
     /// Gallops: from each chromosome's first region a binary search finds
     /// the next chromosome's, so the cost is `O(chromosomes · log n)`.
@@ -173,6 +195,50 @@ mod tests {
         assert_eq!(s.chrom_slice(&"chr2".into()).len(), 1);
         assert_eq!(s.chrom_slice(&"chr10".into()).len(), 1);
         assert_eq!(s.chrom_slice(&"chr3".into()).len(), 0);
+    }
+
+    #[test]
+    fn window_is_the_left_range_inside_the_chromosome_run() {
+        let s = Sample::new("s", "D").with_regions(vec![
+            r("chr1", 0, 10),
+            r("chr2", 5, 6),
+            r("chr2", 10, 40),
+            r("chr2", 10, 12),
+            r("chr2", 20, 20),
+            r("chr2", 30, 35),
+            r("chr10", 0, 5),
+        ]);
+        let chr2 = "chr2".into();
+        let lefts =
+            |range: Range<usize>| -> Vec<u64> { s.regions[range].iter().map(|r| r.left).collect() };
+        assert_eq!(s.window(&chr2, 0, u64::MAX), 1..6, "unbounded: the whole run");
+        assert_eq!(lefts(s.window(&chr2, 10, 20)), vec![10, 10, 20], "both ends inclusive");
+        assert_eq!(lefts(s.window(&chr2, 6, 9)), Vec::<u64>::new());
+        // Empty windows sit where their regions would.
+        assert_eq!(s.window(&chr2, 31, u64::MAX), 6..6, "lo > every left");
+        assert_eq!(s.window(&chr2, 0, 4), 1..1, "hi < every left");
+        assert_eq!(s.window(&chr2, 20, 10), 4..4, "lo > hi");
+        assert_eq!(s.window(&"chr3".into(), 0, u64::MAX), 6..6, "absent chromosome");
+        assert_eq!(s.window(&"chrX".into(), 0, u64::MAX), 7..7);
+        assert_eq!(Sample::new("e", "D").window(&chr2, 0, u64::MAX), 0..0, "empty sample");
+        // It agrees with `chrom_slice` on every chromosome present.
+        for chrom in s.chromosomes() {
+            assert_eq!(&s.regions[s.window(&chrom, 0, u64::MAX)], s.chrom_slice(&chrom));
+        }
+    }
+
+    #[test]
+    fn window_takes_the_run_the_ordering_gives() {
+        // `chr01` and `chr1` compare equal in genome order (and so
+        // interleave by `left`) though their names differ.
+        let s = Sample::new("s", "D").with_regions(vec![
+            r("chr1", 0, 5),
+            r("chr01", 3, 5),
+            r("chr1", 7, 9),
+            r("chr2", 0, 5),
+        ]);
+        assert_eq!(s.window(&"chr1".into(), 0, u64::MAX), 0..3);
+        assert_eq!(s.window(&"chr01".into(), 1, 7), 1..3);
     }
 
     #[test]

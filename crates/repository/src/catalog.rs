@@ -764,7 +764,7 @@ impl Repository {
         // A resident full copy is handed out as it is, at its full size.
         let resident =
             || self.cache.lock().unwrap_or_else(|p| p.into_inner()).entries.contains_key(name);
-        if estimated > budget && self.prunable(name, opts) && !resident() {
+        if estimated > budget && !resident() && self.prunable(name, opts) {
             let index = native_v2::read_index(&self.dataset_dir(name))?;
             let (wanted, total) = index.block_bytes(opts);
             if total > 0 {
@@ -797,7 +797,9 @@ impl Repository {
     /// hit, so this path is deliberately asymmetric with `load`:
     ///
     /// * a cached **full** dataset is served as a superset (the caller's
-    ///   operators re-apply their own predicates), but
+    ///   operators re-apply their own predicates, and SELECT slices it by
+    ///   sort order) — and it is looked for first, so that a resident
+    ///   dataset is answered without touching its files — but
     /// * a cold pruned read is **never inserted** into the cache and
     ///   does not join the single-flight map — partial data under the
     ///   plain dataset name would be served to later full loads.
@@ -805,7 +807,7 @@ impl Repository {
         if !self.catalog.contains_key(name) {
             return Err(RepoError::NotFound(name.to_owned()));
         }
-        if !self.prunable(name, opts) {
+        if opts.is_full() {
             return self.load(name);
         }
         let reg = nggc_obs::global();
@@ -815,6 +817,9 @@ impl Repository {
             let mut span = nggc_obs::span("repo.cache");
             span.field("dataset", name).field("outcome", "hit_superset");
             return Ok(cached);
+        }
+        if !self.prunable(name, opts) {
+            return self.load(name);
         }
         reg.counter("nggc_repo_cache_misses_total").inc();
         let mut span = nggc_obs::span("repo.load_pruned");
@@ -1135,6 +1140,14 @@ mod tests {
         let full = repo.load("DS").unwrap();
         let served = repo.load_pruned("DS", &chr2_only()).unwrap();
         assert!(Arc::ptr_eq(&full, &served), "warm pruned load shares the cached full Arc");
+        // No file is touched on the way: with the dataset's directory
+        // gone (so that the storage version cannot even be detected) the
+        // resident copy still answers, bounded or not.
+        fs::remove_dir_all(repo.dataset_dir("DS")).unwrap();
+        let served = repo.load_pruned("DS", &chr2_only()).unwrap();
+        assert!(Arc::ptr_eq(&full, &served));
+        let served = repo.load_pruned_bounded("DS", &chr2_only(), u64::MAX).unwrap();
+        assert!(Arc::ptr_eq(&full, &served));
         fs::remove_dir_all(&root).ok();
     }
 

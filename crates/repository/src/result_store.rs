@@ -9,7 +9,8 @@
 //! served only when every recorded source generation still matches the
 //! repository catalog ([`crate::Repository::generation`]); otherwise it
 //! is deleted on sight. Eviction is mtime-LRU under a byte budget — a
-//! served hit refreshes the entry's mtime.
+//! served hit sets the mtime of the entry's `meta.json` and writes
+//! nothing else.
 //!
 //! All writes are best-effort and crash-safe: entries are staged in a
 //! temp directory, fsynced, and renamed into place (the
@@ -112,10 +113,13 @@ impl ResultStore {
                 }
             }
         }
-        // Rewriting meta.json refreshes the entry's mtime, which is the
-        // LRU recency signal eviction sorts on. Atomic so a crash
-        // mid-refresh cannot tear a live entry's metadata.
-        durable::atomic_write(&meta_path, text.as_bytes()).ok();
+        // meta.json's mtime is the LRU recency signal eviction sorts on.
+        // Only the timestamp moves: no byte of a live entry is rewritten,
+        // so there is nothing to tear and nothing to fsync — recency lost
+        // in a crash costs at worst one early eviction.
+        if let Ok(file) = fs::File::options().write(true).open(&meta_path) {
+            file.set_modified(SystemTime::now()).ok();
+        }
         reg.counter("nggc_result_cache_hits_total").inc();
         Some(outputs)
     }
@@ -371,6 +375,15 @@ mod tests {
         assert!(bytes <= store.capacity_bytes);
         assert!(store.lookup(0, &|_| Some(1)).is_none());
         assert!(store.lookup(2, &|_| Some(1)).is_some());
+        // A hit is a use: entry 1, older than entry 2 but served since,
+        // outlives it.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(store.lookup(1, &|_| Some(1)).is_some());
+        let meta_before = fs::read(store.entry_dir(1).join("meta.json")).unwrap();
+        store.store(3, &[("S".into(), 1)], &outputs("R", 5)).unwrap();
+        assert!(store.lookup(1, &|_| Some(1)).is_some(), "the entry hit last survives");
+        assert!(store.lookup(2, &|_| Some(1)).is_none(), "the untouched older entry goes");
+        assert_eq!(fs::read(store.entry_dir(1).join("meta.json")).unwrap(), meta_before);
         // An oversized result is simply not stored.
         let big = ResultStore::open(tmp("evict_big"), 4);
         big.store(5, &[("S".into(), 1)], &outputs("R", 50)).unwrap();

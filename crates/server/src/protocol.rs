@@ -164,6 +164,11 @@ pub struct ServeStats {
     /// Configured result-cache capacity, bytes (0 = disabled).
     #[serde(default)]
     pub result_cache_capacity: u64,
+    /// Regions SELECT evaluated a region predicate on since the server
+    /// started (`nggc_select_regions_scanned_total`): on a resident
+    /// dataset, what the predicate's windows hold, not the dataset.
+    #[serde(default)]
+    pub select_regions_scanned: u64,
 }
 
 /// Outcome of one timed read attempt (see [`read_frame_timed`]).

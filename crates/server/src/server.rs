@@ -346,6 +346,9 @@ fn handle_connection(stream: TcpStream, shared: Arc<ServerShared>) {
                     result_cache_entries: cs.entries,
                     result_cache_bytes: cs.bytes,
                     result_cache_capacity: cache.map(|c| c.capacity_bytes()).unwrap_or(0),
+                    select_regions_scanned: nggc_obs::global()
+                        .counter("nggc_select_regions_scanned_total")
+                        .get(),
                 })
             }
             Err(e) => ServerReply::Error {

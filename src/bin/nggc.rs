@@ -1457,6 +1457,7 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
                 "result_cache_bytes         {} / {} B",
                 s.result_cache_bytes, s.result_cache_capacity
             );
+            println!("select_regions_scanned     {}", s.select_regions_scanned);
             Ok(())
         }
     }

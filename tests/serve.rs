@@ -119,6 +119,92 @@ fn eight_concurrent_clients_share_one_cold_load() {
     });
 }
 
+/// Three chromosomes, two samples, `per_chrom` regions per chromosome
+/// and sample at `left = 0, 100, 200, …`.
+fn three_chrom_dataset(name: &str, per_chrom: usize) -> Dataset {
+    let schema = Schema::new(vec![Attribute::new("score", ValueType::Float)]).unwrap();
+    let mut ds = Dataset::new(name, schema);
+    for sample in ["s1", "s2"] {
+        let regions: Vec<GRegion> = ["chr1", "chr2", "chr3"]
+            .iter()
+            .flat_map(|chrom| {
+                (0..per_chrom).map(move |i| {
+                    GRegion::new(*chrom, (i * 100) as u64, (i * 100 + 50) as u64, Strand::Pos)
+                        .with_values(vec![(i as f64).into()])
+                })
+            })
+            .collect();
+        ds.add_sample(Sample::new(sample, name).with_regions(regions)).unwrap();
+    }
+    ds
+}
+
+#[test]
+fn window_query_is_the_same_cold_and_resident_and_scans_only_its_window() {
+    let _guard = test_lock();
+    with_watchdog("window_query_cold_and_resident", 60, || {
+        const PER_CHROM: usize = 400;
+        let root = tmp("window");
+        {
+            let mut repo = Repository::open(&root).unwrap();
+            repo.save(&three_chrom_dataset("PEAKS", PER_CHROM)).unwrap();
+        }
+        let dataset_regions = (2 * 3 * PER_CHROM) as u64;
+        let (addr, handle, runner) =
+            start(Repository::open(&root).unwrap(), ServeConfig::default());
+        let mut client = Client::connect(&addr).unwrap();
+        let scanned = |client: &mut Client| match client.stats().unwrap() {
+            ServerReply::Stats(s) => s.select_regions_scanned,
+            other => panic!("expected Stats, got {other:?}"),
+        };
+        let ask = |client: &mut Client, text: &str| {
+            let before = scanned(client);
+            // `no_cache`: every query below is executed, never replayed.
+            match client.query_full(text, None, None, 10_000, true).unwrap() {
+                ServerReply::Result { outputs, .. } => (outputs, scanned(client) - before),
+                other => panic!("expected Result, got {other:?}"),
+            }
+        };
+        // left 10 000 … 19 900 is 100 regions per sample; `right <= 19 950`
+        // keeps them all, `score` drops the first.
+        let window = "R = SELECT(region: chr == 'chr2' AND left >= 10000 AND right <= 19950 \
+                      AND score > 100) PEAKS; MATERIALIZE R;";
+        let loads0 = nggc::obs::global().counter("nggc_scan_pruned_total").get();
+
+        // Cold: the container's chromosome index delivers chr2 only.
+        let (cold, cold_scanned) = ask(&mut client, window);
+        assert_eq!(nggc::obs::global().counter("nggc_scan_pruned_total").get() - loads0, 1);
+        assert_eq!((cold[0].samples, cold[0].regions), (2, 2 * 99));
+        assert_eq!(cold_scanned, 2 * 100, "the predicate saw the window, not the chromosome");
+
+        // A full read makes the dataset resident …
+        let (full, full_scanned) = ask(&mut client, "R = SELECT() PEAKS; MATERIALIZE R;");
+        assert_eq!(full[0].regions as u64, dataset_regions);
+        assert_eq!(full_scanned, dataset_regions, "no predicate: the window is everything");
+
+        // … and the same query is now answered from the full copy, sliced
+        // by sort order: same reply, same 200 regions looked at.
+        let (resident, resident_scanned) = ask(&mut client, window);
+        assert_eq!(nggc::obs::global().counter("nggc_scan_pruned_total").get() - loads0, 1);
+        assert_eq!(resident, cold);
+        assert_eq!(resident_scanned, 2 * 100);
+        assert!(resident_scanned < dataset_regions);
+
+        // A chromosome alone: its run; a bound alone: one window per
+        // chromosome present.
+        let (chr3, chr3_scanned) =
+            ask(&mut client, "R = SELECT(region: chr == 'chr3') PEAKS; MATERIALIZE R;");
+        assert_eq!((chr3[0].regions, chr3_scanned), (2 * PER_CHROM, 2 * PER_CHROM as u64));
+        let (tail, tail_scanned) =
+            ask(&mut client, "R = SELECT(region: left >= 39000) PEAKS; MATERIALIZE R;");
+        assert_eq!((tail[0].regions, tail_scanned), (2 * 3 * 10, 2 * 3 * 10));
+
+        handle.shutdown();
+        runner.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&root).ok();
+    });
+}
+
 #[test]
 fn admission_rejects_above_cap_with_retry_after() {
     let _guard = test_lock();
