@@ -21,6 +21,11 @@
 //! as it does now, inside the windows binary search finds; each on a
 //! borrowed input (survivors cloned out) and on an owned one (filtered in
 //! place; both arms pay the same clone of the input first).
+//!
+//! `scan_meta_first` reads the same shape cold out of an in-memory v2
+//! container, admitting every sample and admitting the 2 of 16 a
+//! `cell == 'K562'` SELECT keeps: what a refused sample costs is its
+//! index entry, not its blocks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nggc_core::{ops, parse, ExecOptions, MetaPredicate, OpCall, Operator, RegionExpr, Statement};
@@ -28,7 +33,8 @@ use nggc_engine::{
     coverage_segments, coverage_sweep, merge_runs, overlap_pairs_binned, overlap_pairs_naive,
     overlap_pairs_sort_merge, Binner, ExecContext, NcList,
 };
-use nggc_gdm::{Attribute, Chrom, Dataset, GRegion, Sample, Schema, Strand, ValueType};
+use nggc_formats::native_v2::{encode_dataset_v2, scan_dataset_v2_from, ScanOptions};
+use nggc_gdm::{Attribute, Chrom, Dataset, GRegion, Metadata, Sample, Schema, Strand, ValueType};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
@@ -190,8 +196,12 @@ fn select_by_scan(region: &RegionExpr, input: Cow<'_, Dataset>) -> usize {
     }
 }
 
-fn bench_select_window(c: &mut Criterion) {
-    const SPAN: u64 = 1_000_000;
+/// Coordinates of [`encode_shaped`] lie below this.
+const SPAN: u64 = 1_000_000;
+
+/// The resident-ENCODE shape: 16 samples of 9 000 regions over 23
+/// chromosomes, two of the samples `cell == 'K562'`.
+fn encode_shaped() -> Dataset {
     let chroms: Vec<Chrom> = (1..=22)
         .map(|i| format!("chr{i}"))
         .chain(["chrX".into()])
@@ -208,8 +218,17 @@ fn bench_select_window(c: &mut Criterion) {
                     .with_values(vec![rng.gen_range(0.0..100.0f64).into()])
             })
             .collect();
-        dataset.add_sample(Sample::new(format!("s{s}"), "D").with_regions(regions)).expect("rows");
+        let cell = if s % 8 == 3 { "K562" } else { "HeLa" };
+        let sample = Sample::new(format!("s{s}"), "D")
+            .with_regions(regions)
+            .with_metadata(Metadata::from_pairs([("cell", cell)]));
+        dataset.add_sample(sample).expect("rows");
     }
+    dataset
+}
+
+fn bench_select_window(c: &mut Criterion) {
+    let dataset = encode_shaped();
     let ctx = ExecContext::serial();
     let select_by_window = |region: &RegionExpr, input: Cow<'_, Dataset>| {
         ops::select::select(
@@ -252,11 +271,31 @@ fn bench_select_window(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_scan_meta_first(c: &mut Criterion) {
+    let bytes = encode_dataset_v2(&encode_shaped()).expect("encodes");
+    let k562 = MetaPredicate::eq("cell", "K562");
+    let opts = ScanOptions::default();
+    let scan = |admit: &dyn Fn(&Metadata) -> bool| {
+        let src = std::io::Cursor::new(bytes.as_slice());
+        let (dataset, _) = scan_dataset_v2_from(src, &opts, |_: &str, m: &Metadata| admit(m))
+            .expect("container reads");
+        black_box(dataset).sample_count()
+    };
+    assert_eq!((scan(&|_| true), scan(&|m| k562.eval(m))), (16, 2));
+
+    let mut group = c.benchmark_group("scan_meta_first");
+    group.sample_size(10);
+    group.bench_function("admit_all", |b| b.iter(|| scan(&|_| true)));
+    group.bench_function("admit_2_of_16", |b| b.iter(|| scan(&|m| k562.eval(m))));
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_strategies,
     bench_bin_width,
     bench_cover_sweep,
-    bench_select_window
+    bench_select_window,
+    bench_scan_meta_first
 );
 criterion_main!(benches);

@@ -1,21 +1,23 @@
 //! **E12** — scan pruning: predicate/projection pushdown vs full scan.
 //!
-//! The v2 container's chrom index is an offset table (docs/storage.md);
-//! the ScanSpec derivation pass (`nggc_core::derive_scan_specs`) pushes
-//! SELECT region predicates and projections down into it, so a
-//! chromosome-selective query decodes only the blocks it can touch.
-//! This experiment measures, on the E-series ENCODE-shaped synthetic
-//! dataset, a chr-filtered query executed cold two ways:
+//! The v2 container's chrom index is an offset table and each sample's
+//! metadata sit in front of its blocks (docs/storage.md); the ScanSpec
+//! derivation pass (`nggc_core::derive_scan_specs`) pushes SELECT region
+//! and metadata predicates and projections down into it, so a selective
+//! query decodes only the blocks it can touch. This experiment measures,
+//! on the E-series ENCODE-shaped synthetic dataset, a chromosome-filtered
+//! and a metadata-filtered query, each executed cold two ways:
 //!
 //! * **full** — every source load decodes the whole container
 //!   (pre-pushdown behaviour, still parallel per block);
-//! * **pruned** — `Repository::load_pruned` serves the derived spec
-//!   from the chrom index.
+//! * **pruned** — `Repository::scan` serves the derived spec from the
+//!   container index, through the `RepoProvider` the CLI and server use.
 //!
-//! Asserted acceptance bars: the pruned run must read strictly fewer
-//! container bytes than the dataset holds, and the cold query must run
-//! at least 2× faster. Results are written as a JSON artifact
-//! (`BENCH_scan_pruning.json` by default, committed at the repo root).
+//! Asserted acceptance bars, per query: the pruned run must return the
+//! identical result, read strictly fewer container bytes than the dataset
+//! holds, and run at least 2× faster cold. Results are written as a JSON
+//! artifact (`BENCH_scan_pruning.json` by default, committed at the repo
+//! root).
 //!
 //! Usage: `exp_scan_pruning [scale] [--iters N] [--json PATH]`
 //! (default scale 0.005, 5 iterations; best-of-N timings).
@@ -23,9 +25,12 @@
 use nggc_bench::{human_bytes, map_workload, Table};
 use nggc_core::{self as gmql, DatasetProvider};
 use nggc_engine::ExecContext;
-use nggc_formats::native_v2::{self, ScanOptions};
-use nggc_gdm::Dataset;
+use nggc_formats::native_v2::{self, ScanOptions, ScanStats};
+use nggc_gdm::{Dataset, Metadata};
 use nggc_repository::Repository;
+use nggc_server::RepoProvider;
+use std::collections::HashMap;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -47,27 +52,117 @@ impl DatasetProvider for FullProvider<'_> {
     }
 }
 
-/// Pushdown path: non-trivial ScanSpecs go through the repository's
-/// pruned container read (same wiring as the CLI's `RepoProvider`).
-struct PrunedProvider<'a>(&'a Repository);
+/// One query measured both ways.
+struct Row {
+    /// What the query selects on: `chr4`, `cell == 'K562'`.
+    what: String,
+    scan_spec: String,
+    stats: ScanStats,
+    full_cold: Duration,
+    pruned_cold: Duration,
+}
 
-impl DatasetProvider for PrunedProvider<'_> {
-    fn load(&self, name: &str) -> Result<Dataset, gmql::GmqlError> {
-        self.load_shared(name).map(|d| (*d).clone())
+impl Row {
+    fn speedup(&self) -> f64 {
+        self.full_cold.as_secs_f64() / self.pruned_cold.as_secs_f64()
     }
 
-    fn load_shared(&self, name: &str) -> Result<Arc<Dataset>, gmql::GmqlError> {
-        self.0.load(name).map_err(|e| gmql::GmqlError::runtime(e.to_string()))
+    fn json(&self) -> String {
+        format!(
+            "{{\"query\": \"{}\", \"scan_spec\": \"{}\", \"bytes_read\": {}, \
+             \"bytes_skipped\": {}, \"blocks_read\": {}, \"blocks_skipped\": {}, \
+             \"samples_read\": {}, \"samples_skipped\": {}, \"full_cold_us\": {}, \
+             \"pruned_cold_us\": {}, \"speedup\": {:.2}}}",
+            self.what,
+            self.scan_spec,
+            self.stats.bytes_read,
+            self.stats.bytes_skipped,
+            self.stats.blocks_read,
+            self.stats.blocks_skipped,
+            self.stats.samples_read,
+            self.stats.samples_skipped,
+            self.full_cold.as_micros(),
+            self.pruned_cold.as_micros(),
+            self.speedup(),
+        )
     }
+}
 
-    fn load_pruned(
-        &self,
-        name: &str,
-        spec: &gmql::ScanSpec,
-    ) -> Result<Arc<Dataset>, gmql::GmqlError> {
-        let opts = ScanOptions { chroms: spec.chroms.clone(), columns: spec.columns.clone() };
-        self.0.load_pruned(name, &opts).map_err(|e| gmql::GmqlError::runtime(e.to_string()))
-    }
+/// Run `query` (one source, output `X`) cold, full and pruned, and check
+/// the acceptance bars.
+fn measure(root: &Path, dataset: &Dataset, what: &str, query: &str, iters: usize) -> Row {
+    println!("query: {query}");
+    let ctx = ExecContext::with_workers(
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2),
+    );
+    let opts = gmql::ExecOptions::default();
+
+    // Byte accounting from the derived spec itself, via a direct pruned
+    // container read (exactly what the repository issues).
+    let statements = gmql::parse(query).expect("parse");
+    let catalog = Repository::open(root).expect("open repo");
+    let plan =
+        gmql::LogicalPlan::compile(&statements, &|name| catalog.schema_of(name)).expect("compile");
+    let (optimized, _) = gmql::optimize(&plan);
+    let specs = gmql::derive_scan_specs(&optimized);
+    let spec = specs.values().next().expect("one source");
+    let scan_opts = ScanOptions { chroms: spec.chroms.clone(), columns: spec.columns.clone() };
+    let container = root.join("datasets").join(&dataset.name).join(native_v2::CONTAINER_FILE);
+    let (_, stats) = native_v2::scan_dataset_v2_from(
+        std::fs::File::open(container).expect("open container"),
+        &scan_opts,
+        |_: &str, metadata: &Metadata| spec.samples.as_ref().is_none_or(|p| p.eval(metadata)),
+    )
+    .expect("pruned read");
+
+    // Cold runs: reopen the repository each iteration so the LRU never
+    // serves a warm Arc; both sides pay the same open cost outside the
+    // timed region.
+    let cold = |pruned: bool| {
+        let mut summary = (0, 0);
+        let best = best_of(iters, || {
+            let repo = Repository::open(root).expect("open repo");
+            let (full, scan) = (FullProvider(&repo), RepoProvider::new(&repo));
+            let provider: &dyn DatasetProvider = if pruned { &scan } else { &full };
+            let t0 = Instant::now();
+            let out =
+                gmql::run_with_provider(query, &|name| repo.schema_of(name), provider, &ctx, &opts)
+                    .expect("query");
+            let elapsed = t0.elapsed();
+            summary = (out["X"].sample_count(), out["X"].region_count());
+            elapsed
+        });
+        (best, summary)
+    };
+    let (full_cold, full_result) = cold(false);
+    let (pruned_cold, pruned_result) = cold(true);
+    assert_eq!(full_result, pruned_result, "pruned query must return identical results");
+
+    let row = Row {
+        what: what.to_owned(),
+        scan_spec: spec.render(Some(dataset.schema.len())),
+        stats,
+        full_cold,
+        pruned_cold,
+    };
+    println!("scan spec: {}", row.scan_spec);
+    println!(
+        "bytes: {} read vs {} total ({:.1}% skipped)",
+        human_bytes(stats.bytes_read as usize),
+        human_bytes(stats.container_bytes as usize),
+        100.0 * stats.bytes_skipped as f64 / (stats.bytes_read + stats.bytes_skipped) as f64,
+    );
+    println!("cold-query speedup pruned over full: {:.2}× (acceptance bar: ≥ 2×)\n", row.speedup());
+    assert!(
+        stats.bytes_read < stats.container_bytes,
+        "pruned read must touch fewer bytes than the container holds"
+    );
+    assert!(
+        row.speedup() >= 2.0,
+        "{what}-filtered query must run at least 2× faster pruned (got {:.2}×)",
+        row.speedup()
+    );
+    row
 }
 
 fn main() {
@@ -87,12 +182,12 @@ fn main() {
         }
     }
 
-    println!("== E12: scan pruning — chr-filtered query, pruned vs full cold scan ==\n");
+    println!("== E12: scan pruning — selective queries, pruned vs full cold scan ==\n");
     let w = map_workload(scale, 42);
     let dataset = w.encode;
     let n_chroms = w.genome.chromosomes().len();
     println!(
-        "workload: scale {scale} — {} samples, {} regions, {} chromosomes",
+        "workload: scale {scale} — {} samples, {} regions, {} chromosomes\n",
         dataset.sample_count(),
         dataset.region_count(),
         n_chroms,
@@ -106,10 +201,9 @@ fn main() {
     }
 
     // Target the chromosome with the most regions — the worst case for
-    // pruning (the biggest surviving block), so the bars below are
-    // conservative.
+    // pruning (the biggest surviving block), so that bar is conservative.
     let chrom = {
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = HashMap::new();
         for s in &dataset.samples {
             for r in &s.regions {
                 *counts.entry(r.chrom.to_string()).or_insert(0usize) += 1;
@@ -117,109 +211,63 @@ fn main() {
         }
         counts.into_iter().max_by_key(|&(_, n)| n).expect("non-empty dataset").0
     };
-    let query = format!("X = SELECT(region: chr == '{chrom}') {}; MATERIALIZE X;", dataset.name);
-    println!("query: {query}\n");
+    // And the cell line with the fewest samples (first by name among
+    // equals): the selective repository lookup of the paper's §4.3.
+    let cell = {
+        let mut counts = HashMap::new();
+        for s in &dataset.samples {
+            *counts
+                .entry(s.metadata.first("cell").expect("every sample has a cell"))
+                .or_insert(0) += 1usize;
+        }
+        counts.into_iter().min_by_key(|&(cell, n)| (n, cell)).expect("non-empty dataset").0
+    };
+    let name = &dataset.name;
+    let rows = [
+        measure(
+            &root,
+            &dataset,
+            &chrom,
+            &format!("X = SELECT(region: chr == '{chrom}') {name}; MATERIALIZE X;"),
+            iters,
+        ),
+        measure(
+            &root,
+            &dataset,
+            &format!("cell == '{cell}'"),
+            &format!("X = SELECT(cell == '{cell}') {name}; MATERIALIZE X;"),
+            iters,
+        ),
+    ];
 
-    let ctx = ExecContext::with_workers(
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2),
-    );
-    let opts = gmql::ExecOptions::default();
-
-    // Byte accounting from the derived spec itself, via a direct pruned
-    // container read (exactly what the repository issues).
-    let statements = gmql::parse(&query).expect("parse");
-    let catalog = Repository::open(&root).expect("open repo");
-    let plan =
-        gmql::LogicalPlan::compile(&statements, &|name| catalog.schema_of(name)).expect("compile");
-    let (optimized, _) = gmql::optimize(&plan);
-    let specs = gmql::derive_scan_specs(&optimized);
-    let spec = specs.values().next().expect("one source");
-    let scan_opts = ScanOptions { chroms: spec.chroms.clone(), columns: spec.columns.clone() };
-    let container_dir = root.join("datasets").join(&dataset.name);
-    let (_, stats) =
-        native_v2::read_dataset_v2_pruned(&container_dir, &scan_opts).expect("pruned read");
-
-    // Cold runs: reopen the repository each iteration so the LRU never
-    // serves a warm Arc; both sides pay the same open cost outside the
-    // timed region.
-    let mut full_regions = 0;
-    let full_cold = best_of(iters, || {
-        let repo = Repository::open(&root).expect("open repo");
-        let provider = FullProvider(&repo);
-        let t0 = Instant::now();
-        let out =
-            gmql::run_with_provider(&query, &|name| repo.schema_of(name), &provider, &ctx, &opts)
-                .expect("full query");
-        let elapsed = t0.elapsed();
-        full_regions = out["X"].region_count();
-        elapsed
-    });
-    let mut pruned_regions = 0;
-    let pruned_cold = best_of(iters, || {
-        let repo = Repository::open(&root).expect("open repo");
-        let provider = PrunedProvider(&repo);
-        let t0 = Instant::now();
-        let out =
-            gmql::run_with_provider(&query, &|name| repo.schema_of(name), &provider, &ctx, &opts)
-                .expect("pruned query");
-        let elapsed = t0.elapsed();
-        pruned_regions = out["X"].region_count();
-        elapsed
-    });
-    assert_eq!(full_regions, pruned_regions, "pruned query must return identical results");
-
+    let container_bytes = rows[0].stats.container_bytes;
     let mut table = Table::new(&["path", "cold query", "container bytes read"]);
     table.row(&[
         "full scan".into(),
-        format!("{full_cold:.2?}"),
-        human_bytes(stats.container_bytes as usize),
+        format!("{:.2?}", rows[0].full_cold),
+        human_bytes(container_bytes as usize),
     ]);
-    table.row(&[
-        format!("pruned [{chrom}]"),
-        format!("{pruned_cold:.2?}"),
-        format!(
-            "{} ({}/{} blocks)",
-            human_bytes(stats.bytes_read as usize),
-            stats.blocks_read,
-            stats.blocks_read + stats.blocks_skipped,
-        ),
-    ]);
+    for row in &rows {
+        table.row(&[
+            format!("pruned [{}]", row.what),
+            format!("{:.2?}", row.pruned_cold),
+            format!(
+                "{} ({}/{} blocks)",
+                human_bytes(row.stats.bytes_read as usize),
+                row.stats.blocks_read,
+                row.stats.blocks_read + row.stats.blocks_skipped,
+            ),
+        ]);
+    }
     println!("{}", table.render());
-
-    let speedup = full_cold.as_secs_f64() / pruned_cold.as_secs_f64();
-    println!("scan spec: {}", spec.render(Some(dataset.schema.len())));
-    println!(
-        "bytes: {} read vs {} total ({:.1}% skipped)",
-        human_bytes(stats.bytes_read as usize),
-        human_bytes(stats.container_bytes as usize),
-        100.0 * stats.bytes_skipped as f64 / (stats.bytes_read + stats.bytes_skipped) as f64,
-    );
-    println!("cold-query speedup pruned over full: {speedup:.2}× (acceptance bar: ≥ 2×)");
-    assert!(
-        stats.bytes_read < stats.container_bytes,
-        "pruned read must touch fewer bytes than the container holds"
-    );
-    assert!(
-        speedup >= 2.0,
-        "chr-filtered query must run at least 2× faster pruned (got {speedup:.2}×)"
-    );
 
     let json = format!(
         "{{\n  \"experiment\": \"scan_pruning\",\n  \"scale\": {scale},\n  \"samples\": {},\n  \
-         \"regions\": {},\n  \"chromosomes\": {n_chroms},\n  \"query_chrom\": \"{chrom}\",\n  \
-         \"scan_spec\": \"{}\",\n  \"container_bytes\": {},\n  \"bytes_read\": {},\n  \
-         \"bytes_skipped\": {},\n  \"blocks_read\": {},\n  \"blocks_skipped\": {},\n  \
-         \"full_cold_us\": {},\n  \"pruned_cold_us\": {},\n  \"speedup\": {speedup:.2}\n}}\n",
+         \"regions\": {},\n  \"chromosomes\": {n_chroms},\n  \"container_bytes\": \
+         {container_bytes},\n  \"rows\": [\n    {}\n  ]\n}}\n",
         dataset.sample_count(),
         dataset.region_count(),
-        spec.render(Some(dataset.schema.len())),
-        stats.container_bytes,
-        stats.bytes_read,
-        stats.bytes_skipped,
-        stats.blocks_read,
-        stats.blocks_skipped,
-        full_cold.as_micros(),
-        pruned_cold.as_micros(),
+        rows.iter().map(Row::json).collect::<Vec<_>>().join(",\n    "),
     );
     std::fs::write(&json_path, json).expect("write bench json");
     println!("results written to {json_path}");

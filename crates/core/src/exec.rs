@@ -46,13 +46,14 @@ pub trait DatasetProvider {
     }
 
     /// Load a dataset pruned to a [`ScanSpec`](crate::scan::ScanSpec):
-    /// only the chromosomes and value columns the plan provably needs.
-    /// Returning a **superset** of the spec is always sound (operators
-    /// re-apply their predicates), and the default does exactly that by
+    /// only the chromosomes, value columns and samples the plan provably
+    /// needs. Returning a **superset** of the spec is always sound
+    /// (operators re-apply their predicates, SELECT its metadata
+    /// predicate included), and the default does exactly that by
     /// delegating to [`DatasetProvider::load_shared`] — so closure
     /// providers and providers without pruned storage keep today's
-    /// behaviour. Storage-backed providers (`nggc-repository`) override
-    /// this to serve the spec from the v2 chromosome index.
+    /// behaviour. The repository-backed provider overrides this to serve
+    /// the spec from the v2 container's sample and chromosome index.
     fn load_pruned(
         &self,
         name: &str,

@@ -243,6 +243,33 @@ mod tests {
         assert_eq!(out.samples[0].regions[0].values[2], Value::Int(10));
     }
 
+    /// What lets `scan::derive_scan_specs` hand a sample demand through a
+    /// PROJECT without a `meta:` clause: every input sample comes out
+    /// once, in order, under its name and with its metadata as they
+    /// were — whichever other samples are there.
+    #[test]
+    fn region_only_project_leaves_samples_and_metadata_untouched() {
+        use nggc_gdm::Metadata;
+        let mut ds = dataset();
+        ds.samples[0].metadata = Metadata::from_pairs([("cell", "HeLa"), ("cell", "K562")]);
+        ds.add_sample(Sample::new("t", "D").with_metadata(Metadata::from_pairs([("age", "30")])))
+            .unwrap();
+        let attrs = Some(vec!["score".to_string()]);
+        for input in [Cow::Borrowed(&ds), Cow::Owned(ds.clone())] {
+            let out = run_on(&attrs, &[], input);
+            assert_eq!(out.sample_count(), 2);
+            for (before, after) in ds.samples.iter().zip(&out.samples) {
+                assert_eq!(before.name, after.name);
+                assert_eq!(before.metadata, after.metadata);
+            }
+        }
+        // Alone, a sample comes out as it does among others.
+        let mut alone = ds.clone();
+        alone.samples.remove(0);
+        let out = run_on(&attrs, &[], Cow::Owned(alone));
+        assert_eq!((out.sample_count(), &out.samples[0].metadata), (1, &ds.samples[1].metadata));
+    }
+
     #[test]
     fn unknown_attribute_rejected() {
         let ds = dataset();

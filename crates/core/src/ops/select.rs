@@ -4,7 +4,10 @@
 //! (`SELECT(annType == 'promoter') ANNOTATIONS`). The **metadata-first**
 //! strategy — decide sample membership from metadata before touching any
 //! region — is the optimization GMQL's logical optimizer relies on; it is
-//! toggleable here for the E10 ablation.
+//! toggleable here for the E10 ablation. Over a repository it starts one
+//! layer down: `scan::derive_scan_specs` hands the same predicate to the
+//! source's container read, which passes over the samples that fail it,
+//! and the operator then decides again on whatever it is given.
 //!
 //! Regions are filtered **by sort order first**: every sample is in
 //! genome order (`Dataset::validate`), so the chromosome and coordinate

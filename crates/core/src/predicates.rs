@@ -59,7 +59,7 @@ impl CmpOp {
 /// satisfies them (metadata are multimaps). String comparisons are
 /// case-insensitive for `==`/`!=` (repositories are liberal with case);
 /// when both sides parse as numbers the comparison is numeric.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MetaPredicate {
     /// Compare an attribute against a literal.
     Cmp {

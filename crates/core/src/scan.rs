@@ -11,7 +11,9 @@
 //!
 //! - the set of chromosomes the rest of the plan can observe
 //!   (from `SELECT` region predicates and JOIN/MAP partner extents),
-//! - the set of value columns any operator reads, and
+//! - the set of value columns any operator reads,
+//! - the samples the rest of the plan can observe (from `SELECT`
+//!   metadata predicates: metadata-first, starting at the container), and
 //! - an optional coordinate range (EXPLAIN renders it; no block is
 //!   dropped by it).
 //!
@@ -41,6 +43,19 @@
 //!   position (typed nulls), so column pruning never changes region
 //!   existence or coordinates, only the values of columns nothing
 //!   reads.
+//! - **Samples.** A sample may be left out of a source iff every path
+//!   from the source to an output passes, before anything else looks at
+//!   samples, through `SELECT`s whose metadata predicates it fails. The
+//!   demand is narrowed **only** at `SELECT` (its predicate AND the
+//!   demand on its output — `SELECT` hands an admitted sample's metadata
+//!   on untouched, so both are read off the stored metadata; the
+//!   semijoin is ignored, a superset), passes through a region-only
+//!   `PROJECT` (one output sample per input sample, metadata untouched:
+//!   `ops::project` pins it), and is dropped by every other operator:
+//!   they rewrite, merge or group metadata, or what they emit for one
+//!   sample depends on the others. Consumers of one node unite with OR.
+//!   The predicate that prunes is the `MetaPredicate` the operator then
+//!   evaluates again, on the same stored metadata.
 //!
 //! Anything the analysis cannot bound stays `None` ("load
 //! everything"), so an unknown operator shape degrades to today's full
@@ -48,7 +63,7 @@
 
 use crate::ast::Operator;
 use crate::plan::{LogicalPlan, NodeId, PlanOp};
-use crate::predicates::{BinOp, CmpOp, RegionExpr};
+use crate::predicates::{BinOp, CmpOp, MetaPredicate, RegionExpr};
 use nggc_gdm::Value;
 use std::collections::{BTreeSet, HashMap};
 
@@ -57,7 +72,7 @@ use std::collections::{BTreeSet, HashMap};
 pub const SCAN_SPEC_VERSION: u32 = 1;
 
 /// What a source scan provably needs. `None` means "everything" on
-/// either axis; the coordinate range is sound (see [`RegionWindow`]) but
+/// every axis; the coordinate range is sound (see [`RegionWindow`]) but
 /// only rendered by EXPLAIN: blocks hold whole chromosomes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScanSpec {
@@ -69,16 +84,20 @@ pub struct ScanSpec {
     pub lo: Option<u64>,
     /// Upper coordinate bound from `right <=`-style predicates.
     pub hi: Option<u64>,
+    /// Samples downstream can observe, by their stored metadata: one
+    /// that fails the predicate may be left out; `None` = all.
+    pub samples: Option<MetaPredicate>,
 }
 
 impl ScanSpec {
     /// True when the spec restricts nothing — a pruned load with a
     /// trivial spec is exactly a full load.
     pub fn is_trivial(&self) -> bool {
-        self.chroms.is_none() && self.columns.is_none()
+        self.chroms.is_none() && self.columns.is_none() && self.samples.is_none()
     }
 
-    /// Human-readable form for EXPLAIN: `chr21 [5000000..] cols 2/7`.
+    /// Human-readable form for EXPLAIN:
+    /// `chr21 [5000000..] cols 2/7 samples[cell == 'K562']`.
     /// `total_cols` is the source schema width when known.
     pub fn render(&self, total_cols: Option<usize>) -> String {
         let mut parts = Vec::new();
@@ -97,6 +116,9 @@ impl ScanSpec {
                 Some(t) => parts.push(format!("cols {}/{t}", cols.len().min(t))),
                 None => parts.push(format!("cols {}", cols.len())),
             }
+        }
+        if let Some(samples) = &self.samples {
+            parts.push(format!("samples[{samples}]"));
         }
         parts.join(" ")
     }
@@ -260,6 +282,8 @@ struct Demand {
     /// Where the regions it can observe lie.
     window: RegionWindow,
     cols: Option<BTreeSet<String>>,
+    /// The samples it can observe; `None` = all.
+    samples: Option<MetaPredicate>,
 }
 
 impl Demand {
@@ -270,7 +294,11 @@ impl Demand {
 
     /// Every coordinate on `chroms`, and the values of `cols` only.
     fn coords_on(chroms: Option<BTreeSet<String>>, cols: BTreeSet<String>) -> Demand {
-        Demand { window: RegionWindow { chroms, ..Default::default() }, cols: Some(cols) }
+        Demand {
+            window: RegionWindow { chroms, ..Default::default() },
+            cols: Some(cols),
+            samples: None,
+        }
     }
 
     /// `self`, reading `more` columns besides.
@@ -302,6 +330,11 @@ impl NeedAcc {
         // A bound survives only when every consumer has one.
         n.window = std::mem::take(&mut n.window).or(d.window);
         n.cols = union_opt(std::mem::take(&mut n.cols), d.cols);
+        n.samples = match (n.samples.take(), d.samples) {
+            (Some(a), Some(b)) if a == b => Some(a),
+            (Some(a), Some(b)) => Some(a.or(b)),
+            _ => None,
+        };
     }
 }
 
@@ -352,26 +385,34 @@ pub fn derive_scan_specs(plan: &LogicalPlan) -> HashMap<NodeId, ScanSpec> {
         if !acc[i].seen {
             continue;
         }
-        let need = acc[i].need.clone();
+        let mut need = acc[i].need.clone();
+        // The sample demand stops here unless the operator below is one
+        // of the two that hand it on (module docs, "Samples").
+        let observed = need.samples.take();
         let node = &plan.nodes[i];
         let demands: Vec<Demand> = match &node.op {
             PlanOp::Source(_) => continue,
             PlanOp::Apply(op) => match op {
-                Operator::Select { region, .. } => {
+                Operator::Select { meta, region, .. } => {
                     let mut pred_cols = BTreeSet::new();
                     let mut window = need.window;
                     if let Some(expr) = region {
                         expr_value_attrs(expr, &mut pred_cols);
                         window = window.and(RegionWindow::of(expr));
                     }
-                    let d0 = Demand { window, cols: need.cols }.reading(pred_cols);
+                    let samples = match (meta, observed) {
+                        (MetaPredicate::True, observed) => observed,
+                        (meta, None) => Some(meta.clone()),
+                        (meta, Some(observed)) => Some(meta.clone().and(observed)),
+                    };
+                    let d0 = Demand { window, cols: need.cols, samples }.reading(pred_cols);
                     // A semijoin partner (second input) only has its
                     // metadata inspected, but stay conservative.
                     let mut v = vec![d0];
                     v.extend(node.inputs.iter().skip(1).map(|_| Demand::all()));
                     v
                 }
-                Operator::Project { attrs, new_attrs, .. } => {
+                Operator::Project { attrs, new_attrs, meta_attrs } => {
                     let mut expr_cols = BTreeSet::new();
                     for (_, e) in new_attrs {
                         expr_value_attrs(e, &mut expr_cols);
@@ -381,12 +422,15 @@ pub fn derive_scan_specs(plan: &LogicalPlan) -> HashMap<NodeId, ScanSpec> {
                         kept.iter().map(|s| s.to_ascii_lowercase()).collect::<BTreeSet<String>>()
                     });
                     let cols = intersect_opt(need.cols, kept);
-                    vec![Demand { window: need.window, cols }.reading(expr_cols)]
+                    // A `meta:` clause rewrites the metadata downstream
+                    // predicates were written against.
+                    let samples = if meta_attrs.is_none() { observed } else { None };
+                    vec![Demand { window: need.window, cols, samples }.reading(expr_cols)]
                 }
                 Operator::Extend { assignments } => {
                     // Metadata aggregates run over *every* region of the
                     // sample: pruning any chromosome would change them.
-                    vec![Demand { window: RegionWindow::default(), cols: need.cols }
+                    vec![Demand { window: RegionWindow::default(), ..need }
                         .reading(agg_attrs(assignments))]
                 }
                 Operator::Merge { .. } => vec![need],
@@ -396,7 +440,7 @@ pub fn derive_scan_specs(plan: &LogicalPlan) -> HashMap<NodeId, ScanSpec> {
                     // sample, so every chromosome participates.
                     let window =
                         if region_top.is_none() { need.window } else { RegionWindow::default() };
-                    vec![Demand { window, cols: need.cols }
+                    vec![Demand { window, ..need }
                         .reading(region_keys.iter().map(|(name, _)| name.to_ascii_lowercase()))]
                 }
                 Operator::Union => vec![need.clone(), need],
@@ -427,6 +471,7 @@ pub fn derive_scan_specs(plan: &LogicalPlan) -> HashMap<NodeId, ScanSpec> {
                                 .map(str::to_string)
                                 .collect()
                         }),
+                        samples: None,
                     };
                     vec![side(1, "left."), side(0, "right.")]
                 }
@@ -455,11 +500,17 @@ pub fn derive_scan_specs(plan: &LogicalPlan) -> HashMap<NodeId, ScanSpec> {
     let mut specs = HashMap::new();
     for (i, node) in plan.nodes.iter().enumerate() {
         if let PlanOp::Source(_) = node.op {
-            let Demand { window, cols } =
+            let Demand { window, cols, samples } =
                 if acc[i].seen { acc[i].need.clone() } else { Demand::all() };
             specs.insert(
                 i,
-                ScanSpec { chroms: window.chroms, columns: cols, lo: window.lo, hi: window.hi },
+                ScanSpec {
+                    chroms: window.chroms,
+                    columns: cols,
+                    lo: window.lo,
+                    hi: window.hi,
+                    samples,
+                },
             );
         }
     }
@@ -747,7 +798,7 @@ mod tests {
 
     #[test]
     fn trivial_spec_renders_wildcard() {
-        let specs = specs_for("A = SELECT(x == 1) D; MATERIALIZE A;");
+        let specs = specs_for("A = SELECT(region: score > 1) D; MATERIALIZE A;");
         let spec = only_spec(&specs);
         assert!(spec.is_trivial());
         assert_eq!(spec.render(None), "*");
@@ -763,5 +814,205 @@ mod tests {
              MATERIALIZE U;",
         );
         assert_eq!(only_spec(&specs).chroms, None);
+    }
+
+    // --- the sample axis ---------------------------------------------------
+
+    /// Specs of `q` as written, without the optimizer.
+    fn unoptimized_specs_for(q: &str) -> HashMap<NodeId, ScanSpec> {
+        derive_scan_specs(&LogicalPlan::compile(&parse(q).unwrap(), &catalog).unwrap())
+    }
+
+    /// The spec of source `name`, optimized and not: they must agree on
+    /// the sample axis.
+    fn samples_of(q: &str, name: &str) -> Option<MetaPredicate> {
+        let of = |optimize: bool| {
+            let plan = LogicalPlan::compile(&parse(q).unwrap(), &catalog).unwrap();
+            let plan = if optimize { crate::optimizer::optimize(&plan).0 } else { plan };
+            let id = plan
+                .nodes
+                .iter()
+                .position(|n| matches!(&n.op, PlanOp::Source(s) if s == name))
+                .unwrap_or_else(|| panic!("{q}: no source {name}"));
+            derive_scan_specs(&plan)[&id].samples.clone()
+        };
+        let (plain, optimized) = (of(false), of(true));
+        assert_eq!(plain, optimized, "{q}: optimizer changed the sample axis of {name}");
+        plain
+    }
+
+    fn k562() -> MetaPredicate {
+        MetaPredicate::eq("cell", "K562")
+    }
+
+    #[test]
+    fn select_on_a_source_pushes_its_metadata_predicate() {
+        let specs = specs_for("A = SELECT(cell == 'K562') D; MATERIALIZE A;");
+        let spec = only_spec(&specs);
+        assert_eq!(spec.samples, Some(k562()));
+        assert_eq!((&spec.chroms, &spec.columns), (&None, &None));
+        assert!(!spec.is_trivial(), "a metadata-only SELECT is a pruned load");
+        assert_eq!(spec.render(Some(3)), "* samples[cell == 'K562']");
+        // Without a metadata predicate the axis stays unset and unrendered.
+        let specs = specs_for("A = SELECT(region: chr == 'chr1') D; MATERIALIZE A;");
+        assert_eq!(only_spec(&specs).samples, None);
+        assert_eq!(only_spec(&specs).render(Some(3)), "chr1");
+    }
+
+    #[test]
+    fn cascaded_selects_narrow_with_and() {
+        let q = "A = SELECT(cell == 'K562') D;
+                 B = SELECT(antibody == 'CTCF'; region: chr == 'chr1') A;
+                 MATERIALIZE B;";
+        let both = k562().and(MetaPredicate::eq("antibody", "CTCF"));
+        assert_eq!(samples_of(q, "D"), Some(both));
+        // Fused or not, all three axes arrive together.
+        for specs in [specs_for(q), unoptimized_specs_for(q)] {
+            let spec = only_spec(&specs);
+            assert_eq!(spec.chroms, chroms(&["chr1"]));
+            assert_eq!(
+                spec.render(Some(3)),
+                "chr1 samples[(cell == 'K562' AND antibody == 'CTCF')]"
+            );
+        }
+    }
+
+    #[test]
+    fn consumers_of_one_source_unite_with_or() {
+        let q = "A = SELECT(cell == 'K562') D;
+                 B = SELECT(cell == 'HeLa') D;
+                 MATERIALIZE A; MATERIALIZE B;";
+        let Some(MetaPredicate::Or(x, y)) = samples_of(q, "D") else {
+            panic!("two bounded consumers give a disjunction");
+        };
+        let hela = MetaPredicate::eq("cell", "HeLa");
+        assert!([(&k562(), &hela), (&hela, &k562())].contains(&(&*x, &*y)), "{x} OR {y}");
+        // The same predicate twice stays one predicate.
+        let q = "A = SELECT(cell == 'K562'; region: chr == 'chr1') D;
+                 B = SELECT(cell == 'K562'; region: left > 5) D;
+                 MATERIALIZE A; MATERIALIZE B;";
+        assert_eq!(samples_of(q, "D"), Some(k562()));
+    }
+
+    #[test]
+    fn an_unbounded_consumer_unbounds_the_samples() {
+        // A second consumer without a metadata predicate.
+        let q = "A = SELECT(cell == 'K562') D;
+                 B = SELECT(region: chr == 'chr1') D;
+                 MATERIALIZE A; MATERIALIZE B;";
+        assert_eq!(samples_of(q, "D"), None);
+        // The source itself flows to an output.
+        let q = "A = SELECT(cell == 'K562') D;
+                 U = UNION() A D;
+                 MATERIALIZE U;";
+        assert_eq!(samples_of(q, "D"), None);
+        let q = "A = SELECT(cell == 'K562') D; MATERIALIZE A; MATERIALIZE D;";
+        assert_eq!(samples_of(q, "D"), None);
+    }
+
+    #[test]
+    fn a_select_above_any_other_operator_pushes_nothing_into_its_sources() {
+        // Each rewrites, merges or groups metadata, or emits samples
+        // depending on other samples: what SELECT filters above it says
+        // nothing about which stored samples it needs below.
+        for (below, sources) in [
+            ("B = EXTEND(n AS COUNT) D;", &["D"][..]),
+            ("B = MERGE() D;", &["D"]),
+            ("B = GROUP(cell) D;", &["D"]),
+            ("B = ORDER(age DESC; top: 1) D;", &["D"]),
+            ("B = ORDER(region: score DESC; region_top: 1) D;", &["D"]),
+            ("B = COVER(1, ANY) D;", &["D"]),
+            ("B = PROJECT(score; meta: cell) D;", &["D"]),
+            ("B = UNION() D E;", &["D", "E"]),
+            ("B = DIFFERENCE() D E;", &["D", "E"]),
+            ("B = JOIN(DLE(1000)) D E;", &["D", "E"]),
+            ("B = MAP(n AS COUNT) D E;", &["D", "E"]),
+        ] {
+            let q = format!("{below} C = SELECT(cell == 'K562') B; MATERIALIZE C;");
+            for source in sources {
+                assert_eq!(samples_of(&q, source), None, "{q}");
+            }
+        }
+    }
+
+    #[test]
+    fn operators_below_a_select_see_its_demand() {
+        // The other way round the SELECT decides first, whatever runs on
+        // what it admits.
+        for above in [
+            "B = EXTEND(n AS COUNT) A;",
+            "B = MERGE() A;",
+            "B = COVER(1, ANY) A;",
+            "B = MAP(n AS COUNT) A E;",
+        ] {
+            let q = format!("A = SELECT(cell == 'K562') D; {above} MATERIALIZE B;");
+            assert_eq!(samples_of(&q, "D"), Some(k562()), "{q}");
+        }
+    }
+
+    #[test]
+    fn region_only_project_hands_the_sample_demand_on() {
+        // `ops::project` pins what this relies on: one output sample per
+        // input sample, metadata untouched.
+        let q = "B = PROJECT(score) D; C = SELECT(cell == 'K562') B; MATERIALIZE C;";
+        assert_eq!(samples_of(q, "D"), Some(k562()));
+        let cols = only_spec(&specs_for(q)).columns.clone().unwrap();
+        assert_eq!(cols, std::iter::once("score".to_string()).collect::<BTreeSet<_>>());
+    }
+
+    #[test]
+    fn semijoin_is_ignored_and_its_partner_keeps_its_own_demand() {
+        let q = "EXT = SELECT(cell == 'K562') E;
+                 SJ = SELECT(antibody == 'CTCF'; semijoin: cell IN EXT) D;
+                 MATERIALIZE SJ;";
+        // Only the metadata predicate narrows D — a superset of what the
+        // semijoin admits.
+        assert_eq!(samples_of(q, "D"), Some(MetaPredicate::eq("antibody", "CTCF")));
+        assert_eq!(samples_of(q, "E"), Some(k562()));
+        // A semijoin alone narrows nothing.
+        let q = "EXT = SELECT(cell == 'K562') E;
+                 SJ = SELECT(semijoin: cell IN EXT) D;
+                 MATERIALIZE SJ;";
+        assert_eq!(samples_of(q, "D"), None);
+    }
+
+    #[test]
+    fn the_pushed_predicate_is_the_operators_own() {
+        use nggc_gdm::Metadata;
+        let meta = |pairs: &[(&str, &str)]| Metadata::from_pairs(pairs.iter().copied());
+        // (predicate, metadata, admitted)
+        let cases: [(&str, Metadata, bool); 12] = [
+            // `==` ignores case; any value of a multi-valued attribute.
+            ("cell == 'k562'", meta(&[("cell", "K562")]), true),
+            ("cell == 'K562'", meta(&[("cell", "HeLa"), ("cell", "K562")]), true),
+            ("cell == 'K562'", meta(&[("tissue", "blood")]), false),
+            // NOT of a comparison on a missing attribute holds.
+            ("NOT (cell == 'K562')", meta(&[("tissue", "blood")]), true),
+            ("NOT (cell == 'k562')", meta(&[("cell", "K562")]), false),
+            ("cell != 'K562'", meta(&[("tissue", "blood")]), false),
+            ("EXISTS(age)", meta(&[("age", "30")]), true),
+            ("EXISTS(age)", meta(&[("cell", "K562")]), false),
+            // Numbers compare as numbers when both sides parse, else as
+            // strings.
+            ("age > 5", meta(&[("age", "30")]), true),
+            ("age == 30", meta(&[("age", "030")]), true),
+            ("age > 5", meta(&[("age", "3"), ("age", "40")]), true),
+            ("age > 'b'", meta(&[("age", "30")]), false),
+        ];
+        for (pred, metadata, admitted) in cases {
+            let q = format!("A = SELECT({pred}) D; MATERIALIZE A;");
+            let plan = LogicalPlan::compile(&parse(&q).unwrap(), &catalog).unwrap();
+            let own = plan
+                .nodes
+                .iter()
+                .find_map(|n| match &n.op {
+                    PlanOp::Apply(Operator::Select { meta, .. }) => Some(meta.clone()),
+                    _ => None,
+                })
+                .unwrap();
+            let pushed = only_spec(&derive_scan_specs(&plan)).samples.clone();
+            assert_eq!(pushed.as_ref(), Some(&own), "{pred}");
+            assert_eq!(own.eval(&metadata), admitted, "{pred} on {metadata:?}");
+        }
     }
 }

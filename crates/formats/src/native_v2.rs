@@ -36,7 +36,11 @@
 //!
 //! The chromosome index doubles as an offset table: `block_bytes` lets a
 //! reader *skip* any chromosome without decoding it, which is what
-//! [`read_dataset_v2_chrom`] uses for chromosome-granular reads.
+//! [`read_dataset_v2_chrom`] uses for chromosome-granular reads. A
+//! sample's name and metadata sit in front of its index and blocks, so a
+//! reader can decide on them whether the sample is wanted at all and
+//! pass over every block of one that is not in a single skip
+//! ([`scan_dataset_v2_from`]).
 //!
 //! ## Header revision 3: checksums
 //!
@@ -48,7 +52,8 @@
 //! checks only the blocks it actually decodes — a flipped bit in one
 //! chromosome fails that chromosome's read with
 //! [`FormatError::ChecksumMismatch`] while every other section of the
-//! same container stays readable. Writers emit revision 3; readers
+//! same container stays readable, and a read that refuses a sample
+//! checks none of that sample's blocks. Writers emit revision 3; readers
 //! accept both, so containers from the previous release load unchanged.
 //!
 //! ## Chromosome block encoding
@@ -119,18 +124,24 @@ impl ScanOptions {
 }
 
 /// What a pruned read actually touched, for observability: block and
-/// byte counts of decoded vs skipped chromosome blocks, plus the total
-/// container size.
+/// byte counts of decoded vs skipped chromosome blocks, the samples
+/// admitted and refused, plus the total container size.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Chromosome blocks decoded.
     pub blocks_read: u64,
-    /// Chromosome blocks skipped via the offset index.
+    /// Chromosome blocks skipped via the offset index, those of refused
+    /// samples included.
     pub blocks_skipped: u64,
     /// Bytes of chromosome blocks decoded.
     pub bytes_read: u64,
     /// Bytes of chromosome blocks skipped without decoding.
     pub bytes_skipped: u64,
+    /// Samples admitted: present in the dataset read.
+    pub samples_read: u64,
+    /// Samples refused on their name and metadata: absent from the
+    /// dataset read, none of their blocks fetched.
+    pub samples_skipped: u64,
     /// Total size of the container file in bytes.
     pub container_bytes: u64,
 }
@@ -1012,6 +1023,8 @@ pub struct ChromIndexEntry {
 pub struct SampleIndexEntry {
     /// Sample name.
     pub name: String,
+    /// Sample metadata, stored in front of the blocks.
+    pub metadata: Metadata,
     /// Chromosome blocks, in stored order.
     pub chroms: Vec<ChromIndexEntry>,
 }
@@ -1034,11 +1047,22 @@ impl V2Index {
         self.blocks().map(|c| c.regions).sum()
     }
 
-    /// Bytes of the chromosome blocks a read under `opts` decodes, and of
-    /// all blocks: the share of the dataset such a read materialises,
-    /// known before any block is touched.
-    pub fn block_bytes(&self, opts: &ScanOptions) -> (u64, u64) {
-        let wanted = self.blocks().filter(|c| opts.wants_chrom(&c.chrom)).map(|c| c.bytes).sum();
+    /// Bytes of the chromosome blocks a read under `opts` and `admit`
+    /// decodes, and of all blocks: the share of the dataset such a read
+    /// materialises, known before any block is touched.
+    pub fn block_bytes(
+        &self,
+        opts: &ScanOptions,
+        mut admit: impl FnMut(&str, &Metadata) -> bool,
+    ) -> (u64, u64) {
+        let wanted = self
+            .samples
+            .iter()
+            .filter(|s| admit(&s.name, &s.metadata))
+            .flat_map(|s| &s.chroms)
+            .filter(|c| opts.wants_chrom(&c.chrom))
+            .map(|c| c.bytes)
+            .sum();
         (wanted, self.blocks().map(|c| c.bytes).sum())
     }
 
@@ -1087,15 +1111,19 @@ struct SampleScan<B> {
 }
 
 /// The one walk over a container that every reader shares: parse the
-/// header, then per sample its index, `fetch` the extents of the blocks
-/// `wants` names and seek over the others, and hand the sample to
-/// `on_sample` — which returns `false` to stop the walk early.
+/// header, then per sample its index; a sample `admit` refuses on its
+/// name and metadata is passed over whole — one skip for all its blocks,
+/// nothing fetched, `on_sample` not called. Of an admitted sample,
+/// `fetch` the extents of the blocks `wants` names and seek over the
+/// others, and hand the sample to `on_sample` — which returns `false` to
+/// stop the walk early.
 ///
 /// `fetch` receives the source positioned at a block and its length
 /// (already checked against the container length) and must consume
 /// exactly that extent.
 fn walk_container<R: Read + Seek, B>(
     src: R,
+    mut admit: impl FnMut(&str, &Metadata) -> bool,
     wants: impl Fn(&str) -> bool,
     mut fetch: impl FnMut(&mut R, usize) -> Result<B, FormatError>,
     mut on_sample: impl FnMut(&Header, SampleScan<B>) -> Result<bool, FormatError>,
@@ -1107,6 +1135,18 @@ fn walk_container<R: Read + Seek, B>(
     let n_samples = w.len_prefixed("sample count")?;
     for _ in 0..n_samples {
         let (name, metadata, chroms) = w.sample_index(header.version)?;
+        if !admit(&name, &metadata) {
+            let extent = chroms
+                .iter()
+                .try_fold(0u64, |sum, entry| sum.checked_add(entry.bytes))
+                .ok_or_else(|| w.corrupt("block extents exceed u64"))?;
+            w.skip(extent)?;
+            stats.samples_skipped += 1;
+            stats.blocks_skipped += chroms.len() as u64;
+            stats.bytes_skipped += extent;
+            continue;
+        }
+        stats.samples_read += 1;
         let mut wanted = Vec::new();
         for entry in &chroms {
             if wants(&entry.chrom) {
@@ -1179,9 +1219,9 @@ fn decode_blocks<B: AsRef<[u8]>>(
 }
 
 /// Shared read core: one [`walk_container`] fetches the blocks `opts`
-/// wants, then the samples decode **in parallel** on the shared
-/// [`WorkerPool`] — each into its own region vector, so nothing is
-/// copied together afterwards.
+/// wants of the samples `admit` lets in, then the samples decode **in
+/// parallel** on the shared [`WorkerPool`] — each into its own region
+/// vector, so nothing is copied together afterwards.
 ///
 /// `verify_blocks` selects the integrity regime: pruned reads verify
 /// each decoded block's CRC32C lazily (skipped blocks stay unchecked),
@@ -1190,12 +1230,14 @@ fn decode_blocks<B: AsRef<[u8]>>(
 fn read_with<R: Read + Seek, B: AsRef<[u8]> + Send>(
     src: R,
     opts: &ScanOptions,
+    admit: impl FnMut(&str, &Metadata) -> bool,
     verify_blocks: bool,
     fetch: impl FnMut(&mut R, usize) -> Result<B, FormatError>,
 ) -> Result<(Dataset, ScanStats), FormatError> {
     let mut scans = Vec::new();
     let (header, stats) = walk_container(
         src,
+        admit,
         |chrom| opts.wants_chrom(chrom),
         fetch,
         |_, scan| {
@@ -1223,6 +1265,11 @@ fn read_with<R: Read + Seek, B: AsRef<[u8]> + Send>(
     Ok((dataset, stats))
 }
 
+/// The `admit` of a read that leaves no sample out.
+fn admit_all(_name: &str, _metadata: &Metadata) -> bool {
+    true
+}
+
 /// [`read_with`] over an in-memory container: blocks are borrowed from
 /// `buf`, not copied.
 fn decode_slice<'a>(
@@ -1230,7 +1277,7 @@ fn decode_slice<'a>(
     opts: &ScanOptions,
     verify_blocks: bool,
 ) -> Result<(Dataset, ScanStats), FormatError> {
-    read_with(io::Cursor::new(buf), opts, verify_blocks, |src, len| {
+    read_with(io::Cursor::new(buf), opts, admit_all, verify_blocks, |src, len| {
         let start = src.position() as usize;
         src.set_position((start + len) as u64);
         let whole: &'a [u8] = src.get_ref();
@@ -1269,15 +1316,32 @@ pub fn decode_dataset_v2_pruned(
     decode_slice(buf, opts, true)
 }
 
+/// Read a v2 container restricted on all three axes: `admit` is asked
+/// once per sample, with the name and metadata stored in front of its
+/// blocks, and a sample it refuses is **absent** from the dataset
+/// returned — its blocks are seeked over in one step and never read,
+/// checksummed or decoded. Of the admitted samples, wanted block extents
+/// are read whole and verified lazily, unwanted ones are seeked over,
+/// and unwanted columns are null-filled, as [`ScanOptions`] describes.
+/// Admitted samples keep their stored order.
+///
+/// The bytes of a skipped block never leave the source. The other pruned
+/// readers are this one admitting every sample.
+pub fn scan_dataset_v2_from<R: Read + Seek>(
+    src: R,
+    opts: &ScanOptions,
+    admit: impl FnMut(&str, &Metadata) -> bool,
+) -> Result<(Dataset, ScanStats), FormatError> {
+    read_with(BufReader::new(src), opts, admit, true, read_extent)
+}
+
 /// [`decode_dataset_v2_pruned`] over a container that is not in memory:
-/// the header and each sample's index are read, wanted block extents are
-/// read whole, and everything else is seeked over — the bytes of a
-/// skipped block never leave the source.
+/// [`scan_dataset_v2_from`] keeping every sample.
 pub fn read_dataset_v2_pruned_from<R: Read + Seek>(
     src: R,
     opts: &ScanOptions,
 ) -> Result<(Dataset, ScanStats), FormatError> {
-    read_with(BufReader::new(src), opts, true, read_extent)
+    scan_dataset_v2_from(src, opts, admit_all)
 }
 
 /// Read a dataset from a v2 container directory, pruned by
@@ -1299,17 +1363,22 @@ pub fn read_dataset_v2_chrom(dir: &Path, chrom: &str) -> Result<Dataset, FormatE
     read_dataset_v2_pruned(dir, &opts).map(|(ds, _)| ds)
 }
 
-/// Read only the index of a v2 container (schema, sample names,
-/// per-chromosome region counts, byte extents and checksums): every
-/// block is seeked over, none is read or decoded.
+/// Read only the index of a v2 container (schema, sample names and
+/// metadata, per-chromosome region counts, byte extents and checksums):
+/// every block is seeked over, none is read or decoded.
 pub fn read_index_from<R: Read + Seek>(src: R) -> Result<V2Index, FormatError> {
     let mut samples = Vec::new();
     let (header, _) = walk_container(
         BufReader::new(src),
+        admit_all,
         |_| false,
         |_, _| Ok(()),
         |_, scan| {
-            samples.push(SampleIndexEntry { name: scan.name, chroms: scan.chroms });
+            samples.push(SampleIndexEntry {
+                name: scan.name,
+                metadata: scan.metadata,
+                chroms: scan.chroms,
+            });
             Ok(true)
         },
     )?;
@@ -1331,6 +1400,7 @@ pub fn read_dataset_v2_streaming(
 ) -> Result<Schema, FormatError> {
     let (header, _) = walk_container(
         BufReader::new(fs::File::open(dir.join(CONTAINER_FILE))?),
+        admit_all,
         |_| true,
         read_extent,
         |header, scan| {
@@ -1687,10 +1757,17 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// Counts the bytes a reader pulls out of its source.
+    /// Counts the bytes a reader pulls out of its source, and its seeks.
     struct Counting<R> {
         inner: R,
         read: u64,
+        seeks: u64,
+    }
+
+    impl<R> Counting<R> {
+        fn new(inner: R) -> Counting<R> {
+            Counting { inner, read: 0, seeks: 0 }
+        }
     }
 
     impl<R: Read> Read for Counting<R> {
@@ -1703,6 +1780,7 @@ mod tests {
 
     impl<R: Seek> Seek for Counting<R> {
         fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+            self.seeks += 1;
             self.inner.seek(pos)
         }
     }
@@ -1733,7 +1811,7 @@ mod tests {
         let bytes = encode_dataset_v2(&ds).unwrap();
         let total = bytes.len() as u64;
 
-        let mut src = Counting { inner: io::Cursor::new(&bytes), read: 0 };
+        let mut src = Counting::new(io::Cursor::new(&bytes));
         let index = read_index_from(&mut src).unwrap();
         assert_eq!(index.region_count(), 48_000);
         assert!(src.read * 4 < total, "read_index pulled {} of {total} bytes", src.read);
@@ -1742,11 +1820,11 @@ mod tests {
             chroms: Some(std::iter::once("chr2".to_string()).collect()),
             columns: None,
         };
-        let mut src = Counting { inner: io::Cursor::new(&bytes), read: 0 };
+        let mut src = Counting::new(io::Cursor::new(&bytes));
         let (chr2, stats) = read_dataset_v2_pruned_from(&mut src, &opts).unwrap();
         assert_eq!(chr2.region_count(), 16_000);
-        assert_eq!(stats.bytes_read + stats.bytes_skipped, index.block_bytes(&opts).1);
-        assert_eq!(stats.bytes_read, index.block_bytes(&opts).0);
+        assert_eq!(stats.bytes_read + stats.bytes_skipped, index.block_bytes(&opts, admit_all).1);
+        assert_eq!(stats.bytes_read, index.block_bytes(&opts, admit_all).0);
         assert!(
             src.read < stats.bytes_read + total / 4,
             "a one-chromosome read pulled {} of {total} bytes for {} wanted",
@@ -1758,6 +1836,151 @@ mod tests {
         let (same, same_stats) = decode_dataset_v2_pruned(&bytes, &opts).unwrap();
         assert_datasets_equal(&chr2, &same);
         assert_eq!(stats, same_stats);
+    }
+
+    /// [`tall_dataset`] with a `cell` per sample: s0 and s2 are K562.
+    fn tall_dataset_with_cells() -> Dataset {
+        let mut ds = tall_dataset();
+        for (sample, cell) in ds.samples.iter_mut().zip(["K562", "HeLa", "K562", "GM12878"]) {
+            sample.metadata.insert("cell", cell);
+        }
+        ds
+    }
+
+    fn k562(_name: &str, metadata: &Metadata) -> bool {
+        metadata.has("cell", "K562")
+    }
+
+    /// Every column of the named chromosomes.
+    fn chroms_only(names: &[&str]) -> ScanOptions {
+        ScanOptions { chroms: Some(names.iter().map(|c| c.to_string()).collect()), columns: None }
+    }
+
+    #[test]
+    fn refused_samples_are_absent_and_counted() {
+        let ds = tall_dataset_with_cells();
+        let bytes = encode_dataset_v2(&ds).unwrap();
+        let index = read_index_from(io::Cursor::new(&bytes)).unwrap();
+        let cells: Vec<&str> =
+            index.samples.iter().map(|s| s.metadata.first("cell").unwrap()).collect();
+        assert_eq!(cells, ["K562", "HeLa", "K562", "GM12878"], "the index carries metadata");
+
+        let all = ScanOptions::default();
+        let (got, stats) = scan_dataset_v2_from(io::Cursor::new(&bytes), &all, k562).unwrap();
+        let names: Vec<&str> = got.samples.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["s0", "s2"], "admitted samples, in stored order");
+        assert!(got.samples[0].id < got.samples[1].id, "ids ascend in stored order");
+        assert_eq!(got.region_count(), 24_000);
+        assert_eq!((stats.samples_read, stats.samples_skipped), (2, 2));
+        assert_eq!((stats.blocks_read, stats.blocks_skipped), (6, 6));
+        let (wanted, total) = index.block_bytes(&all, k562);
+        assert_eq!((stats.bytes_read, stats.bytes_read + stats.bytes_skipped), (wanted, total));
+        assert!(wanted * 2 <= total + 8, "half the samples, about half the bytes");
+        // An admitted sample is what a full decode makes of it.
+        let full = decode_dataset_v2(&bytes).unwrap();
+        for (sample, i) in got.samples.iter().zip([0, 2]) {
+            assert_eq!(sample.metadata, full.samples[i].metadata);
+            assert_eq!(sample.regions, full.samples[i].regions);
+        }
+
+        // Both axes at once: chr2 of the K562 samples.
+        let chr2 = chroms_only(&["chr2"]);
+        let (got, stats) = scan_dataset_v2_from(io::Cursor::new(&bytes), &chr2, k562).unwrap();
+        assert_eq!((got.sample_count(), got.region_count()), (2, 8_000));
+        assert_eq!((stats.blocks_read, stats.blocks_skipped), (2, 10));
+        assert_eq!(stats.bytes_read, index.block_bytes(&chr2, k562).0);
+
+        // Refusing everyone leaves the schema and no sample.
+        let (none, stats) =
+            scan_dataset_v2_from(io::Cursor::new(&bytes), &all, |_: &str, _: &Metadata| false)
+                .unwrap();
+        assert_eq!((none.sample_count(), &none.schema), (0, &ds.schema));
+        assert_eq!((stats.samples_read, stats.samples_skipped, stats.bytes_read), (0, 4, 0));
+        // `admit` sees every sample once, by its stored name.
+        let mut asked = Vec::new();
+        scan_dataset_v2_from(io::Cursor::new(&bytes), &all, |name: &str, _: &Metadata| {
+            asked.push(name.to_owned());
+            true
+        })
+        .unwrap();
+        assert_eq!(asked, ["s0", "s1", "s2", "s3"]);
+    }
+
+    #[test]
+    fn a_refused_sample_costs_one_seek_and_no_block_bytes() {
+        let bytes = encode_dataset_v2(&tall_dataset_with_cells()).unwrap();
+        let total = bytes.len() as u64;
+        // Opening a walk seeks twice (to the end for the length, and back).
+        let mut src = Counting::new(io::Cursor::new(&bytes));
+        let opts = ScanOptions::default();
+        let (_, stats) = scan_dataset_v2_from(&mut src, &opts, k562).unwrap();
+        assert_eq!(stats.samples_skipped, 2);
+        assert_eq!(src.seeks, 2 + 1, "one seek over s1, none over the trailing s3");
+        assert!(
+            src.read < stats.bytes_read + total / 8,
+            "pulled {} of {total} bytes for {} admitted",
+            src.read,
+            stats.bytes_read
+        );
+        // Skipping a chromosome of every sample seeks inside each sample;
+        // refusing the sample does not.
+        let chr13 = chroms_only(&["chr1", "chr3"]);
+        let mut src = Counting::new(io::Cursor::new(&bytes));
+        scan_dataset_v2_from(&mut src, &chr13, k562).unwrap();
+        assert_eq!(src.seeks, 2 + 1 + 2, "s1 whole, chr2 of s0 and of s2");
+        // Refused samples in a row still cost one each: the next sample's
+        // index sits behind the blocks and has to be read.
+        let mut src = Counting::new(io::Cursor::new(&bytes));
+        let edges = |name: &str, _: &Metadata| name == "s0" || name == "s3";
+        let (got, _) = scan_dataset_v2_from(&mut src, &opts, edges).unwrap();
+        assert_eq!((got.sample_count(), src.seeks), (2, 2 + 2));
+    }
+
+    #[test]
+    fn a_flipped_bit_in_a_refused_sample_is_not_looked_at() {
+        let bytes = encode_dataset_v2(&tall_dataset_with_cells()).unwrap();
+        // The last block of the container is s3/chr3: GM12878, refused.
+        let mut flipped = bytes.clone();
+        let at = flipped.len() - 4 - 100;
+        flipped[at] ^= 0x04;
+        let opts = ScanOptions::default();
+        let (got, _) = scan_dataset_v2_from(io::Cursor::new(&flipped), &opts, k562).unwrap();
+        let (clean, _) = scan_dataset_v2_from(io::Cursor::new(&bytes), &opts, k562).unwrap();
+        assert_datasets_equal(&got, &clean);
+        // Whoever admits that sample is told, and so is a full decode.
+        let gm = |_: &str, m: &Metadata| m.has("cell", "GM12878");
+        match scan_dataset_v2_from(io::Cursor::new(&flipped), &opts, gm) {
+            Err(FormatError::ChecksumMismatch { section, .. }) => assert_eq!(section, "s3/chr3"),
+            other => panic!("expected ChecksumMismatch, got {other:?}"),
+        }
+        assert!(matches!(decode_dataset_v2(&flipped), Err(FormatError::ChecksumMismatch { .. })));
+    }
+
+    #[test]
+    fn readers_that_admit_everyone_are_what_they_were() {
+        let ds = tall_dataset_with_cells();
+        let bytes = encode_dataset_v2(&ds).unwrap();
+        let opts = chroms_only(&["chr2"]);
+        let (a, a_stats) = decode_dataset_v2_pruned(&bytes, &opts).unwrap();
+        let (b, b_stats) = read_dataset_v2_pruned_from(io::Cursor::new(&bytes), &opts).unwrap();
+        let (c, c_stats) = scan_dataset_v2_from(io::Cursor::new(&bytes), &opts, admit_all).unwrap();
+        assert_datasets_equal(&a, &b);
+        assert_datasets_equal(&a, &c);
+        assert_eq!((a_stats, a_stats), (b_stats, c_stats));
+        assert_eq!((a_stats.samples_read, a_stats.samples_skipped), (4, 0));
+        assert_eq!(a.sample_count(), 4, "every sample is kept, with or without regions");
+        assert_datasets_equal(&decode_dataset_v2(&bytes).unwrap(), &ds);
+        let dir = tmp("admit_all");
+        write_dataset_v2(&ds, &dir).unwrap();
+        let mut streamed = Vec::new();
+        read_dataset_v2_streaming(&dir, |s| {
+            streamed.push((s.name.clone(), s.metadata.first("cell").map(str::to_owned)));
+            true
+        })
+        .unwrap();
+        assert_eq!(streamed.len(), 4);
+        assert_eq!(streamed[3], ("s3".to_owned(), Some("GM12878".to_owned())));
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -12,7 +12,8 @@ use crate::durable;
 use crate::error::RepoError;
 use nggc_formats::native;
 use nggc_formats::native_v2::{self, ScanOptions, StorageVersion};
-use nggc_gdm::{Dataset, DatasetStats, Schema};
+use nggc_formats::FormatError;
+use nggc_gdm::{Dataset, DatasetStats, Metadata, Schema};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -438,6 +439,23 @@ pub(crate) fn rebuild_catalog(
     (catalog, quarantined, next)
 }
 
+/// Asked once per stored sample, with the name and metadata in front of
+/// its blocks: `false` leaves the sample out of a [`Repository::scan`].
+pub type SampleAdmit<'a> = dyn Fn(&str, &Metadata) -> bool + 'a;
+
+/// What a [`Repository::scan`] may leave out, and what it may cost. The
+/// default asks for everything, unbounded.
+#[derive(Default)]
+pub struct ScanRequest<'a> {
+    /// Chromosome blocks and value columns to decode.
+    pub opts: ScanOptions,
+    /// Which samples to read; `None` admits all.
+    pub admit: Option<&'a SampleAdmit<'a>>,
+    /// Bytes the caller can still afford — typically a query governor's
+    /// remaining allowance; `None` = no limit.
+    pub budget: Option<u64>,
+}
+
 /// Outcome of a whole-repository migration sweep
 /// ([`Repository::migrate_all`]): per-dataset results, partitioned the
 /// way `load_directory`'s `LoadReport` partitions imports. One corrupt
@@ -736,109 +754,103 @@ impl Repository {
     /// remaining allowance. The check runs even on cache hits so that a
     /// bounded query behaves the same warm or cold.
     pub fn load_bounded(&self, name: &str, budget: u64) -> Result<Arc<Dataset>, RepoError> {
-        let entry = self.catalog.get(name).ok_or_else(|| RepoError::NotFound(name.to_owned()))?;
-        let estimated = entry.stats.bytes as u64;
-        if estimated > budget {
-            nggc_obs::global().counter("nggc_repo_load_rejections_total").inc();
-            return Err(RepoError::Budget { name: name.to_owned(), estimated, budget });
-        }
-        self.load(name)
+        self.scan(name, &ScanRequest { budget: Some(budget), ..ScanRequest::default() })
     }
 
-    /// [`Repository::load_pruned`] with a memory budget, the pruned twin
-    /// of [`Repository::load_bounded`]. The catalog estimate describes the
-    /// *whole* dataset; when that does not fit, the container's index is
-    /// walked (no block is read) and the estimate is scaled by the share
-    /// of block bytes `opts` selects — what the read would materialise —
-    /// before anything is decoded. So a one-chromosome query is not
-    /// refused for chromosomes it would never load, and an oversized one
-    /// is still refused without allocating.
-    pub fn load_pruned_bounded(
-        &self,
-        name: &str,
-        opts: &ScanOptions,
-        budget: u64,
-    ) -> Result<Arc<Dataset>, RepoError> {
-        let entry = self.catalog.get(name).ok_or_else(|| RepoError::NotFound(name.to_owned()))?;
-        let mut estimated = entry.stats.bytes as u64;
-        // A resident full copy is handed out as it is, at its full size.
-        let resident =
-            || self.cache.lock().unwrap_or_else(|p| p.into_inner()).entries.contains_key(name);
-        if estimated > budget && !resident() && self.prunable(name, opts) {
-            let index = native_v2::read_index(&self.dataset_dir(name))?;
-            let (wanted, total) = index.block_bytes(opts);
-            if total > 0 {
-                estimated =
-                    (u128::from(estimated) * u128::from(wanted)).div_ceil(total.into()) as u64;
-            }
-        }
-        if estimated > budget {
-            nggc_obs::global().counter("nggc_repo_load_rejections_total").inc();
-            return Err(RepoError::Budget { name: name.to_owned(), estimated, budget });
-        }
-        self.load_pruned(name, opts)
-    }
-
-    /// True when a read of `name` under `opts` can skip anything: the
-    /// options restrict something and the dataset is stored as a v2
-    /// container (v1 text has no block index to prune against).
-    fn prunable(&self, name: &str, opts: &ScanOptions) -> bool {
-        !opts.is_full() && self.storage_version(name) == Some(StorageVersion::V2)
-    }
-
-    /// Load a dataset with scan pruning: only the chromosome blocks and
-    /// value columns named in `opts` are decoded from the v2 container
-    /// (skipped columns come back as typed nulls so the schema stays
-    /// stable). Falls back to a full [`Repository::load`] when the
-    /// options don't restrict anything or the dataset is stored in the
-    /// v1 text format (which has no block index to prune against).
+    /// Load what `req` asks for of a dataset: the chromosome blocks and
+    /// value columns of `req.opts` (skipped columns come back as typed
+    /// nulls so the schema stays stable) of the samples `req.admit` lets
+    /// in, from the v2 container; refused samples are absent from what a
+    /// cold read returns. A request that restricts nothing, or a dataset
+    /// stored as v1 text (no block index to prune against), is a
+    /// [`Repository::load`]. What comes back is always a **superset** of
+    /// the request — callers re-apply their own predicates.
     ///
-    /// Cache discipline — a pruned load must never poison a full-load
+    /// With `req.budget`, the size of what the read would materialise is
+    /// checked first, before any block is read, as [`Repository::load_bounded`]
+    /// does for a full load. The catalog estimate describes the *whole*
+    /// dataset; when that does not fit, the container's index is walked
+    /// (no block is read) and the estimate is scaled by the share of block
+    /// bytes the request selects — admitted samples × wanted chromosomes.
+    /// So a query for one chromosome or two samples is not refused for
+    /// data it would never load, and an oversized one is still refused
+    /// without allocating.
+    ///
+    /// Cache discipline — a pruned read must never poison a full-load
     /// hit, so this path is deliberately asymmetric with `load`:
     ///
-    /// * a cached **full** dataset is served as a superset (the caller's
-    ///   operators re-apply their own predicates, and SELECT slices it by
-    ///   sort order) — and it is looked for first, so that a resident
-    ///   dataset is answered without touching its files — but
+    /// * a cached **full** dataset is served as a superset (SELECT slices
+    ///   it by sort order and filters its samples itself) — and it is
+    ///   looked for first, so that a resident dataset is answered without
+    ///   touching its files, and charged at its full size — but
     /// * a cold pruned read is **never inserted** into the cache and
     ///   does not join the single-flight map — partial data under the
     ///   plain dataset name would be served to later full loads.
-    pub fn load_pruned(&self, name: &str, opts: &ScanOptions) -> Result<Arc<Dataset>, RepoError> {
-        if !self.catalog.contains_key(name) {
-            return Err(RepoError::NotFound(name.to_owned()));
-        }
-        if opts.is_full() {
-            return self.load(name);
+    pub fn scan(&self, name: &str, req: &ScanRequest<'_>) -> Result<Arc<Dataset>, RepoError> {
+        let entry = self.catalog.get(name).ok_or_else(|| RepoError::NotFound(name.to_owned()))?;
+        let restricts = !req.opts.is_full() || req.admit.is_some();
+        let resident = if restricts {
+            self.cache.lock().unwrap_or_else(|p| p.into_inner()).get(name)
+        } else {
+            None
+        };
+        let prunable = restricts
+            && resident.is_none()
+            && self.storage_version(name) == Some(StorageVersion::V2);
+        let admit = |sample: &str, metadata: &Metadata| {
+            req.admit.is_none_or(|admit| admit(sample, metadata))
+        };
+        if let Some(budget) = req.budget {
+            let mut estimated = entry.stats.bytes as u64;
+            if estimated > budget && prunable {
+                let index = native_v2::read_index(&self.dataset_dir(name))?;
+                let (wanted, total) = index.block_bytes(&req.opts, admit);
+                if total > 0 {
+                    estimated =
+                        (u128::from(estimated) * u128::from(wanted)).div_ceil(total.into()) as u64;
+                }
+            }
+            if estimated > budget {
+                nggc_obs::global().counter("nggc_repo_load_rejections_total").inc();
+                return Err(RepoError::Budget { name: name.to_owned(), estimated, budget });
+            }
         }
         let reg = nggc_obs::global();
-        if let Some(cached) = self.cache.lock().unwrap_or_else(|p| p.into_inner()).get(name) {
+        if let Some(cached) = resident {
             // A full dataset is a superset of every pruned view of it.
             reg.counter("nggc_repo_cache_hits_total").inc();
             let mut span = nggc_obs::span("repo.cache");
             span.field("dataset", name).field("outcome", "hit_superset");
             return Ok(cached);
         }
-        if !self.prunable(name, opts) {
+        if !prunable {
             return self.load(name);
         }
         reg.counter("nggc_repo_cache_misses_total").inc();
         let mut span = nggc_obs::span("repo.load_pruned");
         span.field("dataset", name);
         let t0 = Instant::now();
-        let (dataset, stats) = native_v2::read_dataset_v2_pruned(&self.dataset_dir(name), opts)?;
+        let container = fs::File::open(self.dataset_dir(name).join(native_v2::CONTAINER_FILE))
+            .map_err(FormatError::from)?;
+        let (dataset, stats) = native_v2::scan_dataset_v2_from(container, &req.opts, admit)?;
         reg.counter("nggc_repo_loads_total").inc();
         reg.counter("nggc_scan_pruned_total").inc();
         reg.counter("nggc_scan_bytes_read_total").add(stats.bytes_read);
         reg.counter("nggc_scan_bytes_skipped_total").add(stats.bytes_skipped);
         reg.counter("nggc_scan_chrom_blocks_read_total").add(stats.blocks_read);
         reg.counter("nggc_scan_chrom_blocks_skipped_total").add(stats.blocks_skipped);
+        if req.admit.is_some() {
+            reg.counter("nggc_scan_samples_skipped_total").add(stats.samples_skipped);
+        }
         reg.histogram("nggc_repo_load_ns").record_duration(t0.elapsed());
         span.field("samples", dataset.sample_count())
             .field("regions", dataset.region_count())
             .field("blocks_read", stats.blocks_read)
             .field("blocks_skipped", stats.blocks_skipped)
             .field("bytes_read", stats.bytes_read)
-            .field("bytes_skipped", stats.bytes_skipped);
+            .field("bytes_skipped", stats.bytes_skipped)
+            .field("samples_read", stats.samples_read)
+            .field("samples_skipped", stats.samples_skipped);
         Ok(Arc::new(dataset))
     }
 
@@ -1095,8 +1107,9 @@ mod tests {
         ds
     }
 
-    fn chr2_only() -> ScanOptions {
-        ScanOptions { chroms: Some(std::iter::once("chr2".to_string()).collect()), columns: None }
+    fn chr2_only() -> ScanRequest<'static> {
+        let chroms = Some(std::iter::once("chr2".to_string()).collect());
+        ScanRequest { opts: ScanOptions { chroms, columns: None }, ..ScanRequest::default() }
     }
 
     #[test]
@@ -1109,7 +1122,7 @@ mod tests {
         // Reopen: `save` seeds the cache, and a warm cache would serve
         // the full dataset as a superset.
         let repo = Repository::open(&root).unwrap();
-        let pruned = repo.load_pruned("DS", &chr2_only()).unwrap();
+        let pruned = repo.scan("DS", &chr2_only()).unwrap();
         assert_eq!(pruned.region_count(), 1);
         assert_eq!(pruned.samples[0].regions[0].chrom.as_str(), "chr2");
         fs::remove_dir_all(&root).ok();
@@ -1125,7 +1138,7 @@ mod tests {
         let repo = Repository::open(&root).unwrap();
         // Cold pruned load first: must not seed the cache with a
         // partial dataset under the plain name.
-        let pruned = repo.load_pruned("DS", &chr2_only()).unwrap();
+        let pruned = repo.scan("DS", &chr2_only()).unwrap();
         assert_eq!(pruned.region_count(), 1);
         let full = repo.load("DS").unwrap();
         assert_eq!(full.region_count(), 2, "full load after pruned load must see every region");
@@ -1138,16 +1151,45 @@ mod tests {
         let mut repo = Repository::open(&root).unwrap();
         repo.save(&two_chrom_dataset("DS")).unwrap();
         let full = repo.load("DS").unwrap();
-        let served = repo.load_pruned("DS", &chr2_only()).unwrap();
+        let served = repo.scan("DS", &chr2_only()).unwrap();
         assert!(Arc::ptr_eq(&full, &served), "warm pruned load shares the cached full Arc");
         // No file is touched on the way: with the dataset's directory
         // gone (so that the storage version cannot even be detected) the
         // resident copy still answers, bounded or not.
         fs::remove_dir_all(repo.dataset_dir("DS")).unwrap();
-        let served = repo.load_pruned("DS", &chr2_only()).unwrap();
+        let served = repo.scan("DS", &chr2_only()).unwrap();
         assert!(Arc::ptr_eq(&full, &served));
-        let served = repo.load_pruned_bounded("DS", &chr2_only(), u64::MAX).unwrap();
+        let served =
+            repo.scan("DS", &ScanRequest { budget: Some(u64::MAX), ..chr2_only() }).unwrap();
         assert!(Arc::ptr_eq(&full, &served));
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn scan_leaves_out_refused_samples_and_never_caches_them() {
+        let root = tmp();
+        let mut ds = two_chrom_dataset("DS");
+        ds.add_sample(
+            Sample::new("s2", "DS")
+                .with_regions(vec![
+                    GRegion::new("chr1", 3, 9, Strand::Pos).with_values(vec![0.1.into()])
+                ])
+                .with_metadata(Metadata::from_pairs([("cell", "K562")])),
+        )
+        .unwrap();
+        Repository::open(&root).unwrap().save(&ds).unwrap();
+        let repo = Repository::open(&root).unwrap();
+        let k562 = |_: &str, m: &Metadata| m.has("cell", "K562");
+        let req = ScanRequest { admit: Some(&k562), ..ScanRequest::default() };
+        let cold = repo.scan("DS", &req).unwrap();
+        assert_eq!(cold.sample_count(), 1);
+        assert_eq!(cold.samples[0].name, "s2");
+        assert_eq!(cold.region_count(), 1);
+        // Not cached: the full load sees both samples, and once it is
+        // resident the same request is served the superset.
+        let full = repo.load("DS").unwrap();
+        assert_eq!(full.sample_count(), 2);
+        assert!(Arc::ptr_eq(&full, &repo.scan("DS", &req).unwrap()));
         fs::remove_dir_all(&root).ok();
     }
 
@@ -1156,7 +1198,7 @@ mod tests {
         let root = tmp();
         let mut repo = Repository::open(&root).unwrap();
         repo.save_with_version(&two_chrom_dataset("OLD"), StorageVersion::V1).unwrap();
-        let ds = repo.load_pruned("OLD", &chr2_only()).unwrap();
+        let ds = repo.scan("OLD", &chr2_only()).unwrap();
         assert_eq!(ds.region_count(), 2, "v1 has no block index; falls back to full load");
         fs::remove_dir_all(&root).ok();
     }

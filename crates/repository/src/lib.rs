@@ -17,7 +17,9 @@ pub mod fsck;
 pub mod meta_index;
 pub mod result_store;
 
-pub use catalog::{CatalogEntry, MigrationReport, MigrationSweep, RepoHealth, Repository};
+pub use catalog::{
+    CatalogEntry, MigrationReport, MigrationSweep, RepoHealth, Repository, SampleAdmit, ScanRequest,
+};
 pub use durable::{CRASHPOINT_ENV, CRASH_SITES};
 pub use error::RepoError;
 pub use fsck::{fsck, FsckIssue, FsckOptions, FsckReport, IssueKind};

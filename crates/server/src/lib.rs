@@ -30,6 +30,7 @@
 pub mod admission;
 pub mod client;
 pub mod protocol;
+pub mod provider;
 pub mod server;
 
 pub use admission::{Admission, AdmissionPermit, AdmitError, MemoryPool, MemoryReservation};
@@ -37,4 +38,5 @@ pub use client::Client;
 pub use protocol::{
     ClientRequest, OutputSummary, ServeErrorKind, ServeStats, ServerReply, MAX_FRAME_BYTES,
 };
+pub use provider::RepoProvider;
 pub use server::{ServeConfig, Server, ServerHandle};

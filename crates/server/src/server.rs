@@ -15,13 +15,14 @@ use crate::protocol::{
     encode_frame, read_frame_timed, write_frame, ClientRequest, FrameRead, OutputSummary,
     ServeErrorKind, ServeStats, ServerReply, MAX_FRAME_BYTES,
 };
+use crate::provider::RepoProvider;
 use nggc_core::{
-    execute_governed, CacheBudget, CacheOutcome, DatasetProvider, ExecOptions, GmqlError,
-    GovernorLimits, LogicalPlan, QueryGovernor, ResultCache,
+    execute_governed, CacheBudget, CacheOutcome, ExecOptions, GmqlError, GovernorLimits,
+    LogicalPlan, QueryGovernor, ResultCache,
 };
 use nggc_engine::{CancelToken, ExecContext};
 use nggc_gdm::Dataset;
-use nggc_repository::{RepoError, Repository};
+use nggc_repository::Repository;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::io::{self, Write as _};
@@ -402,60 +403,6 @@ fn send_reply(writer: &mut (impl io::Write + ?Sized), reply: ServerReply) -> io:
     writer.flush()
 }
 
-/// GMQL source provider for serve requests: shared-`Arc` loads from the
-/// server repository, pre-checked against the request's governor (same
-/// discipline as the CLI's `RepoProvider::governed`).
-struct ServeProvider<'a> {
-    repo: &'a Repository,
-    governor: &'a QueryGovernor,
-}
-
-impl DatasetProvider for ServeProvider<'_> {
-    fn load(&self, name: &str) -> Result<Dataset, GmqlError> {
-        self.load_shared(name).map(|d| (*d).clone())
-    }
-
-    fn load_shared(&self, name: &str) -> Result<Arc<Dataset>, GmqlError> {
-        let node = format!("LOAD {name}");
-        self.governor.check(&node)?;
-        if let Some(budget) = self.governor.remaining_memory() {
-            return match self.repo.load_bounded(name, budget) {
-                Ok(d) => Ok(d),
-                Err(RepoError::Budget { estimated, .. }) => {
-                    Err(self.governor.refuse_allocation(&node, estimated))
-                }
-                Err(e) => Err(GmqlError::runtime(e.to_string())),
-            };
-        }
-        self.repo.load(name).map_err(|e| GmqlError::runtime(e.to_string()))
-    }
-
-    fn load_pruned(
-        &self,
-        name: &str,
-        spec: &nggc_core::ScanSpec,
-    ) -> Result<Arc<Dataset>, GmqlError> {
-        let node = format!("LOAD {name}");
-        self.governor.check(&node)?;
-        if let Some(budget) = self.governor.remaining_memory() {
-            // Same conservative pre-check as `load_bounded`: the catalog
-            // estimate covers the full dataset, a ceiling on what any
-            // pruned read can bring into memory.
-            if let Some(entry) = self.repo.entry(name) {
-                let estimated = entry.stats.bytes as u64;
-                if estimated > budget {
-                    return Err(self.governor.refuse_allocation(&node, estimated));
-                }
-            }
-        }
-        let opts = nggc_repository::ScanOptions {
-            chroms: spec.chroms.clone(),
-            columns: spec.columns.clone(),
-        };
-        self.repo.load_pruned(name, &opts).map_err(|e| GmqlError::runtime(e.to_string()))
-    }
-}
-
 /// Admit, budget, execute (or answer from the result cache), and
 /// summarise one query request.
 ///
@@ -643,7 +590,7 @@ fn execute_admitted(
     let _active_guard = ActiveGuard { shared, request_id };
 
     let t0 = Instant::now();
-    let provider = ServeProvider { repo: &shared.repo, governor: &governor };
+    let provider = RepoProvider::governed(&shared.repo, &governor);
     // The plan was optimized (and its counters mirrored) in run_query.
     let opts = ExecOptions { optimize: false, ..ExecOptions::default() };
     let result = execute_governed(plan, &provider, &shared.ctx, &opts, Some(&governor));

@@ -760,8 +760,8 @@ fn cmd_query(repo_path: &Path, args: &[String]) -> Result<(), CliError> {
         let none = |_| String::new();
         println!("-- logical plan --\n{}", plan.render_tree(&none));
         // Source nodes show what the scan-pruning pass will push down
-        // into the container read: chromosomes, coordinate bound, and
-        // decoded-vs-total column count.
+        // into the container read: chromosomes, coordinate bound,
+        // decoded-vs-total column count, and the sample predicate.
         let specs = nggc::gmql::derive_scan_specs(&optimized);
         let scan_note = |id: usize| {
             let Some(spec) = specs.get(&id) else {

@@ -48,8 +48,6 @@
 //! assert_eq!(out["R"].sample_count(), 1);
 //! ```
 
-use std::sync::Arc;
-
 pub use nggc_analysis as analysis;
 pub use nggc_core as gmql;
 pub use nggc_engine as engine;
@@ -63,88 +61,7 @@ pub use nggc_search as search;
 pub use nggc_server as server;
 pub use nggc_synth as synth;
 
-/// GMQL source provider backed by a [`repository::Repository`].
-///
-/// `Repository::load` hands out `Arc<Dataset>` from its LRU cache;
-/// this adapter forwards that shared pointer through
-/// [`gmql::DatasetProvider::load_shared`], so a query over a warm
-/// repository never deep-copies its source datasets.
-///
-/// With [`RepoProvider::governed`] the adapter also enforces a
-/// [`gmql::QueryGovernor`]: every load first passes a cancel/deadline
-/// checkpoint, and when the governor carries a memory budget the
-/// repository's catalog estimate is checked **before** any region data
-/// is read ([`repository::Repository::load_bounded`]), so an oversized
-/// source dataset is refused without allocating. A pruned load is checked
-/// at the share of the dataset it would materialise
-/// ([`repository::Repository::load_pruned_bounded`]).
-pub struct RepoProvider<'a> {
-    repo: &'a repository::Repository,
-    governor: Option<gmql::QueryGovernor>,
-}
-
-impl<'a> RepoProvider<'a> {
-    /// Wrap a repository for use as a query source provider.
-    pub fn new(repo: &'a repository::Repository) -> Self {
-        RepoProvider { repo, governor: None }
-    }
-
-    /// Wrap a repository so loads honor `governor`'s cancellation,
-    /// deadline, and memory budget.
-    pub fn governed(repo: &'a repository::Repository, governor: &gmql::QueryGovernor) -> Self {
-        RepoProvider { repo, governor: Some(governor.clone()) }
-    }
-}
-
-impl RepoProvider<'_> {
-    /// One load under the governor, if there is one: a cancel/deadline
-    /// checkpoint first, then `load` with the memory the query can still
-    /// afford (`None`: unlimited); the repository's refusal of an
-    /// oversized dataset becomes the governor's typed error.
-    fn load_with(
-        &self,
-        name: &str,
-        load: impl FnOnce(Option<u64>) -> Result<Arc<gdm::Dataset>, repository::RepoError>,
-    ) -> Result<Arc<gdm::Dataset>, gmql::GmqlError> {
-        let node = || format!("LOAD {name}");
-        let mut budget = None;
-        if let Some(g) = &self.governor {
-            g.check(&node())?;
-            budget = g.remaining_memory();
-        }
-        load(budget).map_err(|e| match (e, &self.governor) {
-            (repository::RepoError::Budget { estimated, .. }, Some(g)) => {
-                g.refuse_allocation(&node(), estimated)
-            }
-            (e, _) => gmql::GmqlError::runtime(e.to_string()),
-        })
-    }
-}
-
-impl gmql::DatasetProvider for RepoProvider<'_> {
-    fn load(&self, name: &str) -> Result<gdm::Dataset, gmql::GmqlError> {
-        self.load_shared(name).map(|d| (*d).clone())
-    }
-
-    fn load_shared(&self, name: &str) -> Result<Arc<gdm::Dataset>, gmql::GmqlError> {
-        self.load_with(name, |budget| match budget {
-            Some(budget) => self.repo.load_bounded(name, budget),
-            None => self.repo.load(name),
-        })
-    }
-
-    fn load_pruned(
-        &self,
-        name: &str,
-        spec: &gmql::ScanSpec,
-    ) -> Result<Arc<gdm::Dataset>, gmql::GmqlError> {
-        let opts = formats::native_v2::ScanOptions {
-            chroms: spec.chroms.clone(),
-            columns: spec.columns.clone(),
-        };
-        self.load_with(name, |budget| match budget {
-            Some(budget) => self.repo.load_pruned_bounded(name, &opts, budget),
-            None => self.repo.load_pruned(name, &opts),
-        })
-    }
-}
+/// The repository-backed GMQL source provider `nggc query` and `nggc serve`
+/// share (lives in `nggc-server`, the lowest crate that sees both the
+/// repository and the query engine).
+pub use nggc_server::RepoProvider;

@@ -9,11 +9,11 @@
 #[path = "common/watchdog.rs"]
 mod watchdog;
 
-use nggc::gdm::{Dataset, GRegion, Sample, Schema, Strand};
+use nggc::gdm::{Dataset, GRegion, Metadata, Sample, Schema, Strand};
 use nggc::gmql::{
     run_with_provider_governed, ExecOptions, GmqlError, GovernorLimits, QueryGovernor,
 };
-use nggc::repository::Repository;
+use nggc::repository::{RepoError, Repository, ScanRequest};
 use nggc::RepoProvider;
 use std::time::{Duration, Instant};
 use watchdog::with_watchdog;
@@ -177,6 +177,26 @@ fn eight_chrom_dataset() -> Dataset {
     ds
 }
 
+/// Run `query` on `repo` through the governed [`RepoProvider`] under a
+/// memory budget; the outputs and the governor's peak.
+fn run_under_budget(
+    repo: &Repository,
+    max_memory: u64,
+    query: &str,
+) -> Result<(std::collections::HashMap<String, Dataset>, u64), GmqlError> {
+    let limits = GovernorLimits { timeout: None, max_memory: Some(max_memory) };
+    let governor = QueryGovernor::new(limits);
+    run_with_provider_governed(
+        query,
+        &|name| repo.schema_of(name),
+        &RepoProvider::governed(repo, &governor),
+        &nggc::engine::ExecContext::with_workers(2),
+        &ExecOptions::default(),
+        &governor,
+    )
+    .map(|(outputs, _)| (outputs, governor.mem_peak()))
+}
+
 /// ROADMAP item 4a: the pre-check of a pruned load uses the share of the
 /// dataset the scan spec selects, not the whole catalog estimate. Under
 /// a budget between the two, the one-chromosome query runs and the
@@ -192,21 +212,7 @@ fn memory_budget_admits_a_pruned_load_it_would_refuse_in_full() {
     let full = repo.entry("WIDE8").unwrap().stats.bytes as u64;
     // Room for the pruned source and SELECT's output (an eighth each),
     // not for the dataset.
-    let limits = GovernorLimits { timeout: None, max_memory: Some(full / 2) };
-    let schema_of = |name: &str| repo.schema_of(name);
-    let ctx = nggc::engine::ExecContext::with_workers(2);
-    let run = |query: &str| {
-        let governor = QueryGovernor::new(limits);
-        run_with_provider_governed(
-            query,
-            &schema_of,
-            &RepoProvider::governed(&repo, &governor),
-            &ctx,
-            &ExecOptions::default(),
-            &governor,
-        )
-        .map(|(outputs, _)| (outputs, governor.mem_peak()))
-    };
+    let run = |query: &str| run_under_budget(&repo, full / 2, query);
 
     let (outputs, peak) = run("X = SELECT(region: chr == 'chr3') WIDE8; MATERIALIZE X;").unwrap();
     assert_eq!(outputs["X"].region_count(), 2000);
@@ -222,6 +228,73 @@ fn memory_budget_admits_a_pruned_load_it_would_refuse_in_full() {
     // The pruned load never became resident: a budget the dataset fits
     // in reads all of it.
     assert_eq!(repo.load_bounded("WIDE8", full).unwrap().region_count(), 16_000);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The same for the sample axis: eight equally sized samples, two of them
+/// K562. Under a budget between "the admitted samples" and "the whole
+/// dataset" the metadata-selective query runs, and the unrestricted one
+/// is refused before any block is read — shown by a damaged block, which
+/// a read would have reported instead.
+#[test]
+fn memory_budget_admits_a_sample_pruned_scan_it_would_refuse_in_full() {
+    let dir = std::env::temp_dir().join(format!("nggc_gov_samples_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut ds = Dataset::new("CELLS8", Schema::empty());
+    for s in 0..8u64 {
+        let regions = (0..2000u64)
+            .map(|i| GRegion::new("chr1", i * 50 + s, i * 50 + 40, Strand::Unstranded))
+            .collect();
+        let cell = if s < 2 { "K562" } else { "HeLa" };
+        ds.add_sample(
+            Sample::new(format!("s{s}"), "CELLS8")
+                .with_regions(regions)
+                .with_metadata(Metadata::from_pairs([("cell", cell)])),
+        )
+        .unwrap();
+    }
+    Repository::open(&dir).unwrap().save(&ds).unwrap();
+    let repo = Repository::open(&dir).unwrap();
+    let full = repo.entry("CELLS8").unwrap().stats.bytes as u64;
+    // The last block of the container belongs to s7, a HeLa sample.
+    let container = dir.join("datasets/CELLS8").join(nggc::formats::native_v2::CONTAINER_FILE);
+    let mut bytes = std::fs::read(&container).unwrap();
+    let at = bytes.len() - 4 - 64;
+    bytes[at] ^= 0x20;
+    std::fs::write(&container, &bytes).unwrap();
+
+    // Room for the two admitted samples and SELECT's copy of them (a
+    // quarter each), not for the dataset.
+    let (outputs, peak) =
+        run_under_budget(&repo, full / 2, "X = SELECT(cell == 'K562') CELLS8; MATERIALIZE X;")
+            .unwrap();
+    assert_eq!((outputs["X"].sample_count(), outputs["X"].region_count()), (2, 4000));
+    assert!(peak > 0 && peak <= full / 2, "peak {peak} of a {full}-byte dataset");
+
+    match run_under_budget(&repo, full / 2, "X = SELECT(region: left >= 0) CELLS8; MATERIALIZE X;")
+        .unwrap_err()
+    {
+        GmqlError::MemoryExhausted { node, requested, budget, .. } => {
+            assert_eq!(node, "LOAD CELLS8");
+            assert_eq!((requested, budget), (full, full / 2));
+        }
+        other => panic!("expected MemoryExhausted before any block is read, got {other:?}"),
+    }
+    // `Repository::scan` itself: the share is computed from the index, and
+    // the budget is checked against it.
+    let k562 = |_: &str, m: &Metadata| m.has("cell", "K562");
+    let hela = |_: &str, m: &Metadata| m.has("cell", "HeLa");
+    let req = |admit, budget| ScanRequest { admit: Some(admit), budget, ..ScanRequest::default() };
+    assert_eq!(repo.scan("CELLS8", &req(&k562, Some(full / 4 + 8))).unwrap().sample_count(), 2);
+    match repo.scan("CELLS8", &req(&hela, Some(full / 2))).unwrap_err() {
+        RepoError::Budget { estimated, budget, .. } => {
+            assert!(estimated > budget && estimated < full, "{estimated} of {full}");
+        }
+        other => panic!("expected a budget refusal, got {other}"),
+    }
+    // Unbounded, the HeLa scan reads the damaged block and says so.
+    let damaged = repo.scan("CELLS8", &req(&hela, None)).unwrap_err();
+    assert!(damaged.to_string().contains("s7/chr1"), "{damaged}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

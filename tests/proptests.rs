@@ -841,22 +841,89 @@ proptest! {
         }
     }
 
+    /// Legacy (revision 2, checksum-free) containers written by the
+    /// previous release still decode to identical content.
+    #[test]
+    fn legacy_v2_containers_decode_under_v3_reader(extra_regions in 0usize..16) {
+        let mut ds = Dataset::new(
+            "LEGACY",
+            Schema::new(vec![Attribute::new("score", ValueType::Float)]).unwrap(),
+        );
+        let mut regions = vec![
+            GRegion::new("chr1", 0, 10, Strand::Pos).with_values(vec![Value::Float(0.5)]),
+        ];
+        for i in 0..extra_regions {
+            regions.push(
+                GRegion::new("chr2", (i as u64) * 10, (i as u64) * 10 + 5, Strand::Neg)
+                    .with_values(vec![Value::Null]),
+            );
+        }
+        ds.add_sample(Sample::new("s1", "LEGACY").with_regions(regions)).unwrap();
+        let legacy = nggc::formats::native_v2::encode_dataset_v2_legacy(&ds).unwrap();
+        let decoded = decode_dataset_v2(&legacy).unwrap();
+        prop_assert_eq!(&decoded.name, &ds.name);
+        prop_assert_eq!(&decoded.schema, &ds.schema);
+        prop_assert_eq!(decoded.samples.len(), ds.samples.len());
+        prop_assert_eq!(
+            decoded.samples[0].region_count(),
+            ds.samples[0].region_count()
+        );
+        prop_assert_eq!(decoded.stats(), ds.stats());
+    }
+}
+
+proptest! {
+    // Sixteen plan templates times ten predicates: enough cases to meet
+    // each pair.
+    #![proptest_config(ProptestConfig::with_cases(384))]
+
     /// Scan-pruning oracle: for randomized datasets and plans, a query
-    /// answered through pruned loads (`RepoProvider` → chromosome/column
-    /// selective container reads) must return exactly what the same
-    /// query returns over full in-memory loads — and a full load issued
-    /// *after* the pruned one on the same repository must still see the
-    /// complete dataset (LRU poisoning regression).
+    /// answered through pruned loads (`RepoProvider` → chromosome/column/
+    /// sample selective container reads) must return exactly what the
+    /// same query returns over full in-memory loads — cold, with one
+    /// worker or two, and again once the dataset is resident and served
+    /// as a superset — and a full load issued *after* the pruned one on
+    /// the same repository must still see the complete dataset (LRU
+    /// poisoning regression). Metadata predicates come in every shape
+    /// `core::scan`'s unit tests name, alone and mixed with the other
+    /// two axes, above and below other operators.
     #[test]
     fn pruned_scan_query_equals_full_scan_query(
         samples in prop::collection::vec(
             prop::collection::vec((0usize..3, 0u64..5_000, 1u64..300), 0..25),
-            1..4,
+            1..5,
         ),
-        template in 0usize..5,
+        meta_seed in 0usize..4096,
+        template in 0usize..16,
+        pred_idx in 0usize..10,
         chrom_idx in 0usize..4,
         threshold in 0u64..3_000,
     ) {
+        // Case, multi-valued and missing attributes, numbers and text.
+        let metadata_shapes: [&[(&str, &str)]; 8] = [
+            &[("cell", "HeLa")],
+            &[("cell", "K562")],
+            &[("cell", "k562"), ("age", "30")],
+            &[("cell", "HeLa"), ("cell", "K562"), ("age", "3")],
+            &[("age", "030")],
+            &[("cell", "K562"), ("age", "3"), ("age", "40")],
+            &[],
+            &[("cell", "GM12878"), ("age", "abc")],
+        ];
+        let predicates = [
+            "cell == 'K562'",
+            "cell == 'k562' AND age > 5",
+            "NOT (cell == 'K562')",
+            "EXISTS(age)",
+            "age > 5",
+            "age == 30",
+            "cell != 'HeLa'",
+            "cell == 'HeLa' OR cell == 'K562'",
+            "NOT (EXISTS(cell))",
+            "age > 'b'",
+        ];
+        let pred = predicates[pred_idx];
+        let pred2 = predicates[(pred_idx + 3) % predicates.len()];
         let chroms = ["chr1", "chr2", "chr3"];
         let query_chrom = ["chr1", "chr2", "chr3", "chrX"][chrom_idx];
         let schema = Schema::new(vec![
@@ -880,7 +947,9 @@ proptest! {
             ds.add_sample(
                 Sample::new(format!("s{si}"), "D")
                     .with_regions(regions)
-                    .with_metadata(Metadata::from_pairs([("cell", "HeLa")])),
+                    .with_metadata(Metadata::from_pairs(
+                        metadata_shapes[(meta_seed >> (3 * si)) & 7].iter().copied(),
+                    )),
             )
             .unwrap();
         }
@@ -896,9 +965,39 @@ proptest! {
                 "R = SELECT(region: chr == '{query_chrom}') D; \
                  M = MAP(n AS COUNT, a AS AVG(score)) R D; MATERIALIZE M;"
             ),
-            _ => format!(
+            4 => format!(
                 "X = SELECT(region: chr == '{query_chrom}' OR chr == 'chr1') D; \
                  MATERIALIZE X;"
+            ),
+            // The sample axis alone, then with chromosomes, with columns.
+            5 => format!("X = SELECT({pred}) D; MATERIALIZE X;"),
+            6 => format!(
+                "X = SELECT({pred}; region: chr == '{query_chrom}' AND left > {threshold}) D; \
+                 MATERIALIZE X;"
+            ),
+            7 => format!("A = SELECT({pred}) D; X = PROJECT(score) A; MATERIALIZE X;"),
+            8 => format!("P = PROJECT(score) D; X = SELECT({pred}) P; MATERIALIZE X;"),
+            // Cascaded (AND), two consumers (OR), one of them unbounded.
+            9 => format!(
+                "A = SELECT({pred}) D; \
+                 B = SELECT({pred2}; region: chr == '{query_chrom}') A; MATERIALIZE B;"
+            ),
+            10 => format!(
+                "A = SELECT({pred}) D; B = SELECT({pred2}; region: left > {threshold}) D; \
+                 MATERIALIZE A; MATERIALIZE B;"
+            ),
+            11 => format!("A = SELECT({pred}) D; U = UNION() A D; MATERIALIZE U;"),
+            // A SELECT above operators that stop the demand, and below one.
+            12 => format!("E = EXTEND(n AS COUNT) D; X = SELECT({pred}) E; MATERIALIZE X;"),
+            13 => format!("G = GROUP(cell) D; X = SELECT({pred}) G; MATERIALIZE X;"),
+            14 => format!(
+                "R = SELECT({pred}; region: chr == '{query_chrom}') D; \
+                 M = MAP(n AS COUNT, a AS AVG(score)) R D; MATERIALIZE M;"
+            ),
+            // The semijoin narrows nothing; its partner has its own demand.
+            _ => format!(
+                "EXT = SELECT({pred}) D; \
+                 X = SELECT({pred2}; semijoin: cell IN EXT) D; MATERIALIZE X;"
             ),
         };
 
@@ -958,13 +1057,17 @@ proptest! {
         .unwrap();
 
         // Pruned: the repository provider pushes the derived ScanSpec
-        // into the v2 container read.
+        // into the v2 container read — a pruned read is never cached, so
+        // the serial run reads the container again.
         let pruned_provider = nggc::RepoProvider::new(&repo);
-        let pruned = nggc::gmql::run_with_provider(
-            &query, &schema_of, &pruned_provider, &ctx, &opts,
-        )
-        .unwrap();
-        prop_assert_eq!(canon(&reference), canon(&pruned), "query: {}", query);
+        let serial = nggc::engine::ExecContext::with_workers(1);
+        for (how, ctx) in [("2 workers", &ctx), ("1 worker", &serial)] {
+            let pruned = nggc::gmql::run_with_provider(
+                &query, &schema_of, &pruned_provider, ctx, &opts,
+            )
+            .unwrap();
+            prop_assert_eq!(canon(&reference), canon(&pruned), "{}, query: {}", how, query);
+        }
 
         // Poisoning regression: a full load on the same repository after
         // the pruned run must see the complete dataset.
@@ -974,36 +1077,13 @@ proptest! {
             strip_ids(&full_after),
             "pruned load leaked a partial dataset into the cache"
         );
+        // And now that the dataset is resident, the same requests are
+        // handed the full copy: a superset the operators cut down.
+        let resident = nggc::gmql::run_with_provider(
+            &query, &schema_of, &pruned_provider, &ctx, &opts,
+        )
+        .unwrap();
+        prop_assert_eq!(canon(&reference), canon(&resident), "resident, query: {}", query);
         std::fs::remove_dir_all(&root).ok();
-    }
-
-    /// Legacy (revision 2, checksum-free) containers written by the
-    /// previous release still decode to identical content.
-    #[test]
-    fn legacy_v2_containers_decode_under_v3_reader(extra_regions in 0usize..16) {
-        let mut ds = Dataset::new(
-            "LEGACY",
-            Schema::new(vec![Attribute::new("score", ValueType::Float)]).unwrap(),
-        );
-        let mut regions = vec![
-            GRegion::new("chr1", 0, 10, Strand::Pos).with_values(vec![Value::Float(0.5)]),
-        ];
-        for i in 0..extra_regions {
-            regions.push(
-                GRegion::new("chr2", (i as u64) * 10, (i as u64) * 10 + 5, Strand::Neg)
-                    .with_values(vec![Value::Null]),
-            );
-        }
-        ds.add_sample(Sample::new("s1", "LEGACY").with_regions(regions)).unwrap();
-        let legacy = nggc::formats::native_v2::encode_dataset_v2_legacy(&ds).unwrap();
-        let decoded = decode_dataset_v2(&legacy).unwrap();
-        prop_assert_eq!(&decoded.name, &ds.name);
-        prop_assert_eq!(&decoded.schema, &ds.schema);
-        prop_assert_eq!(decoded.samples.len(), ds.samples.len());
-        prop_assert_eq!(
-            decoded.samples[0].region_count(),
-            ds.samples[0].region_count()
-        );
-        prop_assert_eq!(decoded.stats(), ds.stats());
     }
 }

@@ -6,7 +6,9 @@
 //! Each script also runs twice — optimized and unoptimized, serial and
 //! parallel — and all four configurations must agree, making the corpus
 //! a cheap metamorphic test bed: add a script, record its expectation,
-//! and every engine configuration is covered.
+//! and every engine configuration is covered. A fifth run reads the
+//! fixture world out of a cold repository, so every script's sources go
+//! through the pruned container scan its plan derives.
 
 use nggc::gdm::*;
 use nggc::gmql::{ExecOptions, GmqlEngine};
@@ -15,7 +17,13 @@ use std::path::Path;
 /// The same hand-checked world as `tests/gmql_operators.rs`.
 fn fixture(workers: usize, opts: ExecOptions) -> GmqlEngine {
     let mut engine = GmqlEngine::with_workers(workers).with_options(opts);
+    for dataset in fixture_datasets() {
+        engine.register(dataset);
+    }
+    engine
+}
 
+fn fixture_datasets() -> [Dataset; 2] {
     let genes_schema = Schema::new(vec![
         Attribute::new("annType", ValueType::Str),
         Attribute::new("name", ValueType::Str),
@@ -36,7 +44,6 @@ fn fixture(workers: usize, opts: ExecOptions) -> GmqlEngine {
                 .with_metadata(Metadata::from_pairs([("source", "ucsc")])),
         )
         .unwrap();
-    engine.register(genes);
 
     let peaks_schema = Schema::new(vec![Attribute::new("score", ValueType::Float)]).unwrap();
     let mut peaks = Dataset::new("PEAKS", peaks_schema);
@@ -66,8 +73,7 @@ fn fixture(workers: usize, opts: ExecOptions) -> GmqlEngine {
                 .with_metadata(Metadata::from_pairs([("cell", "K562"), ("age", "20")])),
         )
         .unwrap();
-    engine.register(peaks);
-    engine
+    [genes, peaks]
 }
 
 fn summarize(out: &std::collections::HashMap<String, Dataset>) -> String {
@@ -79,8 +85,8 @@ fn summarize(out: &std::collections::HashMap<String, Dataset>) -> String {
     lines.join("\n")
 }
 
-#[test]
-fn corpus_matches_expectations_in_all_configurations() {
+/// Every script of the corpus with its expectation: `(name, query, expected)`.
+fn corpus() -> Vec<(String, String, String)> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/gmql_scripts");
     let mut scripts: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
         .expect("corpus directory exists")
@@ -90,7 +96,23 @@ fn corpus_matches_expectations_in_all_configurations() {
         .collect();
     scripts.sort();
     assert!(scripts.len() >= 5, "corpus present");
+    scripts
+        .into_iter()
+        .map(|script| {
+            let name = script.file_stem().unwrap().to_string_lossy().into_owned();
+            let query = std::fs::read_to_string(&script).unwrap();
+            let expect_path = script.with_extension("expect");
+            let expected = std::fs::read_to_string(&expect_path)
+                .unwrap_or_else(|_| panic!("missing {}", expect_path.display()))
+                .trim()
+                .to_owned();
+            (name, query, expected)
+        })
+        .collect()
+}
 
+#[test]
+fn corpus_matches_expectations_in_all_configurations() {
     let configurations = [
         (1, ExecOptions { meta_first: true, optimize: true }),
         (4, ExecOptions { meta_first: true, optimize: true }),
@@ -98,15 +120,7 @@ fn corpus_matches_expectations_in_all_configurations() {
         (2, ExecOptions { meta_first: true, optimize: false }),
     ];
 
-    for script in scripts {
-        let name = script.file_stem().unwrap().to_string_lossy().into_owned();
-        let query = std::fs::read_to_string(&script).unwrap();
-        let expect_path = script.with_extension("expect");
-        let expected = std::fs::read_to_string(&expect_path)
-            .unwrap_or_else(|_| panic!("missing {}", expect_path.display()))
-            .trim()
-            .to_owned();
-
+    for (name, query, expected) in corpus() {
         let mut summaries = Vec::new();
         for (workers, opts) in configurations {
             let engine = fixture(workers, opts);
@@ -119,10 +133,39 @@ fn corpus_matches_expectations_in_all_configurations() {
             assert_eq!(s, &summaries[0], "script {name}: all configurations must agree");
         }
         assert_eq!(
-            summaries[0],
-            expected,
-            "script {name}: cardinalities changed (update {} if intentional)",
-            expect_path.display()
+            summaries[0], expected,
+            "script {name}: cardinalities changed (update its .expect if intentional)"
         );
     }
+}
+
+/// The same expectations with the world stored in a repository that is
+/// cold for every script: sources with a non-trivial scan spec are read
+/// through `Repository::scan` (chromosomes, columns and samples pruned at
+/// the container), the others in full.
+#[test]
+fn corpus_matches_expectations_from_a_cold_repository() {
+    let root = std::env::temp_dir().join(format!("nggc_corpus_repo_{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    {
+        let mut repo = nggc::repository::Repository::open(&root).unwrap();
+        for dataset in fixture_datasets() {
+            repo.save(&dataset).unwrap();
+        }
+    }
+    let ctx = nggc::engine::ExecContext::with_workers(2);
+    for (name, query, expected) in corpus() {
+        // `save` and full loads leave datasets resident: reopen.
+        let repo = nggc::repository::Repository::open(&root).unwrap();
+        let out = nggc::gmql::run_with_provider(
+            &query,
+            &|dataset| repo.schema_of(dataset),
+            &nggc::RepoProvider::new(&repo),
+            &ctx,
+            &ExecOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("script {name} failed on a cold repository: {e}"));
+        assert_eq!(summarize(&out), expected, "script {name} from a cold repository");
+    }
+    std::fs::remove_dir_all(&root).ok();
 }

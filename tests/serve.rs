@@ -205,6 +205,76 @@ fn window_query_is_the_same_cold_and_resident_and_scans_only_its_window() {
     });
 }
 
+/// serve and the CLI share one provider, so a pruned load is pre-checked
+/// at the share of the dataset it would materialise — not, as serve used
+/// to, at the catalog estimate of the whole dataset. Under a budget the
+/// dataset does not fit in, a one-chromosome query and a one-cell query
+/// are answered; the unrestricted one is still refused up front.
+#[test]
+fn selective_queries_fit_a_budget_the_whole_dataset_does_not() {
+    let _guard = test_lock();
+    with_watchdog("selective_under_budget", 60, || {
+        const PER_BLOCK: usize = 500;
+        let cells = ["HeLa", "K562", "HeLa", "GM12878"];
+        let mut ds = Dataset::new("WIDE", Schema::empty());
+        for (s, cell) in cells.iter().enumerate() {
+            let regions: Vec<GRegion> = ["chr1", "chr2", "chr3", "chr4"]
+                .iter()
+                .flat_map(|chrom| {
+                    (0..PER_BLOCK).map(move |i| {
+                        GRegion::new(*chrom, (i * 100) as u64, (i * 100 + 50) as u64, Strand::Pos)
+                    })
+                })
+                .collect();
+            ds.add_sample(
+                Sample::new(format!("s{s}"), "WIDE")
+                    .with_regions(regions)
+                    .with_metadata(Metadata::from_pairs([("cell", *cell)])),
+            )
+            .unwrap();
+        }
+        let root = tmp("selective");
+        Repository::open(&root).unwrap().save(&ds).unwrap();
+        let repo = Repository::open(&root).unwrap();
+        let full = repo.entry("WIDE").unwrap().stats.bytes as u64;
+        let (addr, handle, runner) = start(repo, ServeConfig::default());
+        let mut client = Client::connect(&addr).unwrap();
+        // A quarter of the dataset for the source and a quarter for
+        // SELECT's output fit; the dataset does not.
+        let budget = Some(full * 3 / 4);
+        let mut ask = |text: &str| client.query_full(text, None, budget, 0, true).unwrap();
+
+        let samples_skipped =
+            || nggc::obs::global().counter("nggc_scan_samples_skipped_total").get();
+        let skipped0 = samples_skipped();
+        match ask("R = SELECT(region: chr == 'chr3') WIDE; MATERIALIZE R;") {
+            ServerReply::Result { outputs, .. } => {
+                assert_eq!((outputs[0].samples, outputs[0].regions), (4, 4 * PER_BLOCK));
+            }
+            other => panic!("a one-chromosome query must fit, got {other:?}"),
+        }
+        assert_eq!(samples_skipped(), skipped0, "no sample axis, no sample skipped");
+        match ask("R = SELECT(cell == 'K562') WIDE; MATERIALIZE R;") {
+            ServerReply::Result { outputs, .. } => {
+                assert_eq!((outputs[0].samples, outputs[0].regions), (1, 4 * PER_BLOCK));
+            }
+            other => panic!("a one-cell query must fit, got {other:?}"),
+        }
+        assert_eq!(samples_skipped() - skipped0, 3, "three samples never left the disk");
+        match ask("R = SELECT(region: left >= 0) WIDE; MATERIALIZE R;") {
+            ServerReply::Error { kind, message, .. } => {
+                assert_eq!(kind, ServeErrorKind::MemoryExhausted);
+                assert!(message.contains("LOAD WIDE"), "refused at the load: {message}");
+            }
+            other => panic!("the whole dataset must be refused, got {other:?}"),
+        }
+
+        handle.shutdown();
+        runner.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&root).ok();
+    });
+}
+
 #[test]
 fn admission_rejects_above_cap_with_retry_after() {
     let _guard = test_lock();
