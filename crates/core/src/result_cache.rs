@@ -10,9 +10,10 @@
 //! Entries hold `Arc`-shared materialized outputs accounted in *encoded
 //! bytes* ([`nggc_gdm::Dataset::encoded_size`]), the same currency the
 //! governor budgets and the server `MemoryPool` use. Eviction is a
-//! byte-aware LRU. Concurrent identical misses are **single-flighted**
-//! (mirroring the repository's cold-load coalescing): one caller
-//! executes, the rest wait and share its `Arc`.
+//! byte-aware LRU ([`nggc_obs::ByteLru`]). Concurrent identical misses
+//! are **single-flighted** ([`nggc_obs::SingleFlight`], the mechanism
+//! under the repository's cold-load coalescing too): one caller executes,
+//! the rest wait and share its `Arc`.
 //!
 //! Byte accounting is pluggable via [`CacheBudget`] so `nggc serve` can
 //! carve cache bytes lazily out of its server-wide memory pool — cached
@@ -20,8 +21,10 @@
 //! cache yields (evicts) when queries need headroom.
 
 use nggc_gdm::Dataset;
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use nggc_obs::{ByteLru, SingleFlight};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Materialized query outputs: output dataset name → dataset.
 pub type QueryOutputs = HashMap<String, Dataset>;
@@ -47,27 +50,11 @@ impl CacheBudget for Unbounded {
     fn release(&self, _bytes: u64) {}
 }
 
-/// How a [`ResultCache::get_or_compute`] call was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheOutcome {
-    /// Served from cache without executing.
-    Hit,
-    /// Executed (and the result was offered to the cache).
-    Miss,
-    /// Waited for a concurrent identical execution and shared its result.
-    Coalesced,
-}
-
-impl CacheOutcome {
-    /// Stable lowercase name for spans and logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            CacheOutcome::Hit => "hit",
-            CacheOutcome::Miss => "miss",
-            CacheOutcome::Coalesced => "coalesced",
-        }
-    }
-}
+/// How a [`ResultCache::get_or_compute`] call was satisfied: served from
+/// cache without executing (`Hit`), executed and offered to the cache
+/// (`Miss`), or shared with a concurrent identical execution
+/// (`Coalesced`) — the single-flight's own account.
+pub use nggc_obs::FlightOutcome as CacheOutcome;
 
 /// Point-in-time cache statistics (for `ServeStats` and tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -90,87 +77,43 @@ pub struct ResultCacheStats {
 
 struct Entry {
     outputs: Arc<QueryOutputs>,
-    bytes: u64,
     /// `(source dataset, generation at execution time)` — the validity
     /// condition of this entry.
     gens: Vec<(String, u64)>,
 }
 
+impl Entry {
+    fn is_current(&self, gen_of: &dyn Fn(&str) -> Option<u64>) -> bool {
+        self.gens.iter().all(|(name, gen)| gen_of(name) == Some(*gen))
+    }
+}
+
 #[derive(Default)]
 struct Inner {
-    entries: HashMap<u64, Entry>,
-    // LRU order: front = least recently used, back = most recent.
-    order: VecDeque<u64>,
-    bytes: u64,
+    lru: ByteLru<u64, Entry>,
     evictions: u64,
     invalidations: u64,
 }
 
 impl Inner {
-    fn touch(&mut self, key: u64) {
-        if let Some(pos) = self.order.iter().position(|&k| k == key) {
-            self.order.remove(pos);
-        }
-        self.order.push_back(key);
-    }
-
-    /// Remove one entry, returning its byte size.
-    fn remove(&mut self, key: u64) -> u64 {
-        let Some(entry) = self.entries.remove(&key) else {
-            return 0;
-        };
-        self.order.retain(|&k| k != key);
-        self.bytes -= entry.bytes;
-        entry.bytes
-    }
-
     /// Evict the least recently used entry; returns the bytes freed
     /// (0 when the cache is empty).
     fn evict_lru(&mut self) -> u64 {
-        let Some(&oldest) = self.order.front() else {
+        let Some((.., freed)) = self.lru.pop_lru() else {
             return 0;
         };
-        let freed = self.remove(oldest);
         self.evictions += 1;
+        nggc_obs::global().counter("nggc_result_cache_evictions_total").inc();
         freed
     }
-}
 
-/// Rendezvous for one in-progress execution of a fingerprint: the
-/// leader fills `result` and flips `done`; followers wait on the
-/// condvar and share the leader's `Arc` without executing.
-#[derive(Default)]
-struct ExecFlight {
-    slot: Mutex<FlightSlot>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct FlightSlot {
-    done: bool,
-    /// `Ok` carries the shared outputs; `Err(())` tells followers the
-    /// leader failed (they retry and surface their own typed error).
-    result: Option<Result<Arc<QueryOutputs>, ()>>,
-}
-
-/// Completes the flight and wakes followers even if the leader's
-/// execution panics, so no waiter blocks forever.
-struct FlightGuard<'a> {
-    cache: &'a ResultCache,
-    key: u64,
-    flight: &'a Arc<ExecFlight>,
-    outcome: Option<Result<Arc<QueryOutputs>, ()>>,
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        {
-            let mut slot = self.flight.slot.lock().unwrap_or_else(|p| p.into_inner());
-            slot.done = true;
-            slot.result = Some(self.outcome.take().unwrap_or(Err(())));
-        }
-        self.cache.inflight.lock().unwrap_or_else(|p| p.into_inner()).remove(&self.key);
-        self.flight.cv.notify_all();
+    /// Remove every entry `stale` picks, counted as invalidations;
+    /// returns how many went and the bytes they held.
+    fn invalidate(&mut self, stale: impl Fn(&Entry) -> bool) -> (u64, u64) {
+        let keys: Vec<u64> = self.lru.iter().filter(|(_, e)| stale(e)).map(|(&k, _)| k).collect();
+        let freed = keys.iter().filter_map(|key| self.lru.remove(key)).map(|(_, b)| b).sum();
+        self.invalidations += keys.len() as u64;
+        (keys.len() as u64, freed)
     }
 }
 
@@ -181,10 +124,10 @@ pub struct ResultCache {
     capacity_bytes: u64,
     budget: Arc<dyn CacheBudget>,
     inner: Mutex<Inner>,
-    inflight: Mutex<HashMap<u64, Arc<ExecFlight>>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-    coalesced: std::sync::atomic::AtomicU64,
+    inflight: SingleFlight<u64, Arc<QueryOutputs>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    coalesced: AtomicU64,
 }
 
 impl std::fmt::Debug for ResultCache {
@@ -212,11 +155,30 @@ impl ResultCache {
             capacity_bytes,
             budget,
             inner: Mutex::new(Inner::default()),
-            inflight: Mutex::new(HashMap::new()),
+            inflight: SingleFlight::default(),
             hits: 0.into(),
             misses: 0.into(),
             coalesced: 0.into(),
         }
+    }
+
+    fn inner(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// What every mutation ends with, once the cache lock is released:
+    /// `freed` bytes go back to the budget, `invalidated` entries are
+    /// counted, and the gauge shows the `resident` bytes that were read
+    /// under the lock.
+    fn settle(&self, freed: u64, invalidated: u64, resident: u64) {
+        if freed > 0 {
+            self.budget.release(freed);
+        }
+        let reg = nggc_obs::global();
+        if invalidated > 0 {
+            reg.counter("nggc_result_cache_invalidations_total").add(invalidated);
+        }
+        reg.gauge("nggc_result_cache_bytes").set(resident as i64);
     }
 
     /// Look up `key`, revalidating source generations via `gen_of`
@@ -228,22 +190,19 @@ impl ResultCache {
         key: u64,
         gen_of: &dyn Fn(&str) -> Option<u64>,
     ) -> Option<Arc<QueryOutputs>> {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        let entry = inner.entries.get(&key)?;
-        let valid = entry.gens.iter().all(|(name, gen)| gen_of(name) == Some(*gen));
-        if !valid {
-            let freed = inner.remove(key);
+        let mut inner = self.inner();
+        let entry = inner.lru.get(&key)?;
+        if !entry.is_current(gen_of) {
+            let freed = inner.lru.remove(&key).map_or(0, |(_, bytes)| bytes);
             inner.invalidations += 1;
+            let resident = inner.lru.bytes();
             drop(inner);
-            self.budget.release(freed);
-            nggc_obs::global().counter("nggc_result_cache_invalidations_total").inc();
-            self.publish_bytes();
+            self.settle(freed, 1, resident);
             return None;
         }
         let outputs = Arc::clone(&entry.outputs);
-        inner.touch(key);
         drop(inner);
-        self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.hits.fetch_add(1, Relaxed);
         nggc_obs::global().counter("nggc_result_cache_hits_total").inc();
         Some(outputs)
     }
@@ -259,23 +218,20 @@ impl ResultCache {
         if bytes > self.capacity_bytes {
             return;
         }
-        let reg = nggc_obs::global();
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+        let mut inner = self.inner();
         // Replacing an entry (same fingerprint, e.g. recomputed after an
         // invalidation raced past lookup) releases the old bytes first.
-        let replaced = inner.remove(key);
-        if replaced > 0 {
+        if let Some((_, replaced)) = inner.lru.remove(&key) {
             self.budget.release(replaced);
         }
         // Make room in our own capacity (every evicted byte goes back to
         // the budget it was reserved from)…
-        while inner.bytes + bytes > self.capacity_bytes {
+        while inner.lru.bytes() + bytes > self.capacity_bytes {
             let freed = inner.evict_lru();
             if freed == 0 {
                 break;
             }
             self.budget.release(freed);
-            reg.counter("nggc_result_cache_evictions_total").inc();
         }
         // …and in the external budget, evicting our own entries to free
         // budget when the reservation fails.
@@ -286,48 +242,26 @@ impl ResultCache {
                 break;
             }
             self.budget.release(freed);
-            reg.counter("nggc_result_cache_evictions_total").inc();
             reserved = self.budget.reserve(bytes);
         }
-        if !reserved {
-            drop(inner);
-            self.publish_bytes();
-            return;
+        if reserved {
+            inner.lru.insert(key, Entry { outputs, gens }, bytes);
+            nggc_obs::global().counter("nggc_result_cache_insert_bytes_total").add(bytes);
         }
-        inner.entries.insert(key, Entry { outputs, bytes, gens });
-        inner.bytes += bytes;
-        inner.touch(key);
+        let resident = inner.lru.bytes();
         drop(inner);
-        reg.counter("nggc_result_cache_insert_bytes_total").add(bytes);
-        self.publish_bytes();
+        self.settle(0, 0, resident);
     }
 
     /// Drop every entry whose validity depends on dataset `name`.
     /// Lookup-time revalidation already catches stale entries; this is
     /// for callers that want bytes back immediately after a mutation.
     pub fn invalidate_dataset(&self, name: &str) {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        let stale: Vec<u64> = inner
-            .entries
-            .iter()
-            .filter(|(_, e)| e.gens.iter().any(|(n, _)| n == name))
-            .map(|(&k, _)| k)
-            .collect();
-        let mut freed = 0;
-        for key in &stale {
-            freed += inner.remove(*key);
-            inner.invalidations += 1;
-        }
+        let mut inner = self.inner();
+        let (stale, freed) = inner.invalidate(|e| e.gens.iter().any(|(n, _)| n == name));
+        let resident = inner.lru.bytes();
         drop(inner);
-        if freed > 0 {
-            self.budget.release(freed);
-        }
-        if !stale.is_empty() {
-            nggc_obs::global()
-                .counter("nggc_result_cache_invalidations_total")
-                .add(stale.len() as u64);
-        }
-        self.publish_bytes();
+        self.settle(freed, stale, resident);
     }
 
     /// Eagerly drop every entry whose recorded source generations no
@@ -336,29 +270,12 @@ impl ResultCache {
     /// fsck --repair` and maintenance sweeps use this to reclaim bytes
     /// from entries that would never be looked up again.
     pub fn sweep_stale(&self, gen_of: &dyn Fn(&str) -> Option<u64>) -> u64 {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        let stale: Vec<u64> = inner
-            .entries
-            .iter()
-            .filter(|(_, e)| !e.gens.iter().all(|(name, gen)| gen_of(name) == Some(*gen)))
-            .map(|(&k, _)| k)
-            .collect();
-        let mut freed = 0;
-        for key in &stale {
-            freed += inner.remove(*key);
-            inner.invalidations += 1;
-        }
+        let mut inner = self.inner();
+        let (stale, freed) = inner.invalidate(|e| !e.is_current(gen_of));
+        let resident = inner.lru.bytes();
         drop(inner);
-        if freed > 0 {
-            self.budget.release(freed);
-        }
-        if !stale.is_empty() {
-            nggc_obs::global()
-                .counter("nggc_result_cache_invalidations_total")
-                .add(stale.len() as u64);
-        }
-        self.publish_bytes();
-        stale.len() as u64
+        self.settle(freed, stale, resident);
+        stale
     }
 
     /// Evict least-recently-used entries until at least `bytes` of
@@ -366,22 +283,18 @@ impl ResultCache {
     /// calls this when a query's reservation fails: queries outrank
     /// cached results.
     pub fn shrink(&self, bytes: u64) -> u64 {
-        let reg = nggc_obs::global();
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+        let mut inner = self.inner();
         let mut freed = 0;
         while freed < bytes {
             let f = inner.evict_lru();
             if f == 0 {
                 break;
             }
-            reg.counter("nggc_result_cache_evictions_total").inc();
             freed += f;
         }
+        let resident = inner.lru.bytes();
         drop(inner);
-        if freed > 0 {
-            self.budget.release(freed);
-        }
-        self.publish_bytes();
+        self.settle(freed, 0, resident);
         freed
     }
 
@@ -403,86 +316,44 @@ impl ResultCache {
         compute: &mut dyn FnMut() -> Result<QueryOutputs, E>,
     ) -> Result<(Arc<QueryOutputs>, CacheOutcome), E> {
         let reg = nggc_obs::global();
-        loop {
-            if let Some(outputs) = self.lookup(key, gen_of) {
-                return Ok((outputs, CacheOutcome::Hit));
+        let lookup = || self.lookup(key, gen_of);
+        let (outputs, outcome) = self.inflight.run(&key, lookup, || {
+            // Snapshot generations before executing: a save that lands
+            // mid-execution bumps the live generation past the snapshot,
+            // so the entry is stale the moment it's born and the next
+            // lookup re-executes.
+            let gens: Option<Vec<(String, u64)>> =
+                sources.iter().map(|s| gen_of(s).map(|g| (s.clone(), g))).collect();
+            self.misses.fetch_add(1, Relaxed);
+            reg.counter("nggc_result_cache_misses_total").inc();
+            let outputs = Arc::new(compute()?);
+            if let Some(gens) = gens {
+                self.insert(key, gens, Arc::clone(&outputs));
             }
-            let (flight, leader) = {
-                let mut map = self.inflight.lock().unwrap_or_else(|p| p.into_inner());
-                match map.get(&key) {
-                    Some(f) => (Arc::clone(f), false),
-                    None => {
-                        let f = Arc::new(ExecFlight::default());
-                        map.insert(key, Arc::clone(&f));
-                        (f, true)
-                    }
-                }
-            };
-            if leader {
-                let mut guard = FlightGuard { cache: self, key, flight: &flight, outcome: None };
-                // Snapshot generations before executing: a save that
-                // lands mid-execution bumps the live generation past the
-                // snapshot, so the entry is stale the moment it's born
-                // and the next lookup re-executes.
-                let gens: Option<Vec<(String, u64)>> =
-                    sources.iter().map(|s| gen_of(s).map(|g| (s.clone(), g))).collect();
-                self.misses.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                reg.counter("nggc_result_cache_misses_total").inc();
-                let outputs = match compute() {
-                    Ok(o) => Arc::new(o),
-                    Err(e) => {
-                        guard.outcome = Some(Err(()));
-                        return Err(e);
-                    }
-                };
-                if let Some(gens) = gens {
-                    self.insert(key, gens, Arc::clone(&outputs));
-                }
-                guard.outcome = Some(Ok(Arc::clone(&outputs)));
-                return Ok((outputs, CacheOutcome::Miss));
-            }
-            let shared = {
-                let mut slot = flight.slot.lock().unwrap_or_else(|p| p.into_inner());
-                while !slot.done {
-                    slot = flight.cv.wait(slot).unwrap_or_else(|p| p.into_inner());
-                }
-                slot.result.clone().expect("done flights carry a result")
-            };
-            match shared {
-                Ok(outputs) => {
-                    self.coalesced.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    reg.counter("nggc_result_cache_coalesced_total").inc();
-                    return Ok((outputs, CacheOutcome::Coalesced));
-                }
-                // Leader failed; retry so this caller surfaces its own
-                // typed error (or succeeds — the failure may have been
-                // transient or query-specific, e.g. a deadline).
-                Err(()) => continue,
-            }
+            Ok(outputs)
+        })?;
+        if outcome == CacheOutcome::Coalesced {
+            self.coalesced.fetch_add(1, Relaxed);
+            reg.counter("nggc_result_cache_coalesced_total").inc();
         }
+        Ok((outputs, outcome))
     }
 
     /// Drop everything, returning all bytes to the budget.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        let freed = inner.bytes;
-        inner.entries.clear();
-        inner.order.clear();
-        inner.bytes = 0;
+        let mut inner = self.inner();
+        let freed = inner.lru.bytes();
+        inner.lru.clear();
         drop(inner);
-        if freed > 0 {
-            self.budget.release(freed);
-        }
-        self.publish_bytes();
+        self.settle(freed, 0, 0);
     }
 
     /// Point-in-time statistics.
     pub fn stats(&self) -> ResultCacheStats {
-        use std::sync::atomic::Ordering::Relaxed;
-        let inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+        let inner = self.inner();
         ResultCacheStats {
-            entries: inner.entries.len() as u64,
-            bytes: inner.bytes,
+            entries: inner.lru.len() as u64,
+            bytes: inner.lru.bytes(),
             hits: self.hits.load(Relaxed),
             misses: self.misses.load(Relaxed),
             evictions: inner.evictions,
@@ -494,11 +365,6 @@ impl ResultCache {
     /// Configured byte capacity.
     pub fn capacity_bytes(&self) -> u64 {
         self.capacity_bytes
-    }
-
-    fn publish_bytes(&self) {
-        let bytes = self.inner.lock().unwrap_or_else(|p| p.into_inner()).bytes;
-        nggc_obs::global().gauge("nggc_result_cache_bytes").set(bytes as i64);
     }
 }
 
@@ -722,10 +588,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert!(
-            cache.inflight.lock().unwrap().is_empty(),
-            "failed flights must not leak in-flight entries"
-        );
+        assert!(cache.inflight.is_idle(), "failed flights must not leak in-flight entries");
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! operand datasets" (paper §2); sample iteration is therefore the outer
 //! parallel dimension, and per-chromosome sharding the inner one —
 //! exactly the (sample × genome-partition) decomposition the GMQL cloud
-//! implementations use. [`ExecContext`] bundles the pool and binning
-//! configuration every operator receives.
+//! implementations use. [`ExecContext`] bundles the pool and the
+//! interruption state every operator receives.
 
-use crate::binning::Binner;
 use crate::interrupt::{Interrupt, InterruptState};
 use crate::pool::WorkerPool;
 use nggc_gdm::{Chrom, GRegion, Sample};
@@ -21,17 +20,16 @@ pub const CHECKPOINT_STRIDE: usize = 1024;
 #[derive(Debug, Clone)]
 pub struct ExecContext {
     pool: Arc<WorkerPool>,
-    binner: Binner,
     interrupt: Option<Arc<InterruptState>>,
 }
 
 impl ExecContext {
-    /// Context over an existing pool with the default bin width.
+    /// Context over an existing pool.
     pub fn new(pool: Arc<WorkerPool>) -> ExecContext {
-        ExecContext { pool, binner: Binner::default(), interrupt: None }
+        ExecContext { pool, interrupt: None }
     }
 
-    /// Context with `workers` threads and the default bin width.
+    /// Context with `workers` threads.
     pub fn with_workers(workers: usize) -> ExecContext {
         ExecContext::new(Arc::new(WorkerPool::new(workers)))
     }
@@ -39,12 +37,6 @@ impl ExecContext {
     /// Serial context (one worker) — the baseline of experiment E6.
     pub fn serial() -> ExecContext {
         ExecContext::with_workers(1)
-    }
-
-    /// Override the genome bin width (experiment E10 sweeps this).
-    pub fn with_bin_width(mut self, width: u64) -> ExecContext {
-        self.binner = Binner::new(width);
-        self
     }
 
     /// Attach cooperative interruption state. Operator kernels poll it
@@ -86,11 +78,6 @@ impl ExecContext {
     /// The worker pool.
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
-    }
-
-    /// The genome binner.
-    pub fn binner(&self) -> Binner {
-        self.binner
     }
 
     /// Number of workers.

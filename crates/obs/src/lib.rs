@@ -20,13 +20,19 @@
 //!
 //! The metric name catalog and span taxonomy live in
 //! `docs/observability.md`.
+//!
+//! The crate also holds [`shared`] — the one [`SingleFlight`] and the one
+//! [`ByteLru`] under the repository's dataset cache and the query result
+//! cache — because it is the std-only crate both of those already name.
 
 pub mod metrics;
 pub mod profile;
+pub mod shared;
 pub mod trace;
 
 pub use metrics::{global, Counter, Gauge, Histogram, Registry};
 pub use profile::{render_span_tree, render_top_k};
+pub use shared::{ByteLru, FlightOutcome, SingleFlight};
 pub use trace::{
     add_subscriber, clear_subscribers, collect_local, current_trace_id, emit_record, span,
     MemorySubscriber, SpanGuard, SpanRecord, StderrSubscriber, Subscriber, TraceContext,

@@ -399,6 +399,13 @@ impl MemorySubscriber {
         self.records.lock().unwrap().iter().cloned().collect()
     }
 
+    /// The retained spans of one trace, oldest first — what a collector
+    /// shared by concurrent queries holds for one of them.
+    pub fn records_of(&self, trace_id: u64) -> Vec<SpanRecord> {
+        let records = self.records.lock().unwrap();
+        records.iter().filter(|r| r.trace_id == trace_id).cloned().collect()
+    }
+
     /// Number of spans currently retained.
     pub fn len(&self) -> usize {
         self.records.lock().unwrap().len()

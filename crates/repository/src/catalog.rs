@@ -14,14 +14,13 @@ use nggc_formats::native;
 use nggc_formats::native_v2::{self, ScanOptions, StorageVersion};
 use nggc_formats::FormatError;
 use nggc_gdm::{Dataset, DatasetStats, Metadata, Schema};
+use nggc_obs::{ByteLru, FlightOutcome, SingleFlight};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Datasets kept in the in-memory read cache (count backstop for the
@@ -68,10 +67,10 @@ pub struct Repository {
     root: PathBuf,
     catalog: BTreeMap<String, CatalogEntry>,
     cache: Mutex<DatasetCache>,
-    /// Per-name single-flight table for cold loads: concurrent misses
-    /// for the same dataset wait on one leader's disk read instead of
-    /// each reading and decoding the full dataset (cold-load stampede).
-    inflight: Mutex<HashMap<String, Arc<LoadFlight>>>,
+    /// Cold full reads in progress, by name: concurrent misses for the
+    /// same dataset wait on one leader's disk read instead of each
+    /// reading and decoding the full dataset (cold-load stampede).
+    inflight: SingleFlight<String, Arc<Dataset>>,
     /// Next generation to assign on save. Monotonic across the whole
     /// repository *and* across reopen/delete/recreate (persisted in
     /// `generations.json`), so a deleted-then-recreated dataset never
@@ -122,52 +121,11 @@ impl fmt::Display for RepoHealth {
     }
 }
 
-/// Rendezvous for one in-progress cold load. The leader fills
-/// `result` and flips `done`; followers wait on the condvar and share
-/// the leader's `Arc` without touching disk.
-#[derive(Debug, Default)]
-struct LoadFlight {
-    slot: Mutex<FlightSlot>,
-    cv: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct FlightSlot {
-    done: bool,
-    /// `Ok` carries the loaded dataset; `Err(())` tells followers the
-    /// leader failed (they retry and surface their own typed error).
-    result: Option<Result<Arc<Dataset>, ()>>,
-}
-
-/// Removes the in-flight entry and wakes followers even if the
-/// leader's disk read panics, so no waiter blocks forever.
-struct FlightGuard<'a> {
-    repo: &'a Repository,
-    name: &'a str,
-    flight: &'a Arc<LoadFlight>,
-    outcome: Option<Result<Arc<Dataset>, ()>>,
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        {
-            let mut slot = self.flight.slot.lock().unwrap_or_else(|p| p.into_inner());
-            slot.done = true;
-            // A panic before `outcome` was set counts as a failure.
-            slot.result = Some(self.outcome.take().unwrap_or(Err(())));
-        }
-        self.repo.inflight.lock().unwrap_or_else(|p| p.into_inner()).remove(self.name);
-        self.flight.cv.notify_all();
-    }
-}
-
+/// The read cache's policy over the shared [`ByteLru`]: a byte bound
+/// with an entry-count backstop, and the newest entry always stays.
 #[derive(Debug)]
 struct DatasetCache {
-    // Value: dataset plus the byte estimate it was charged at.
-    entries: BTreeMap<String, (Arc<Dataset>, u64)>,
-    // LRU order: front = least recently used, back = most recent.
-    order: VecDeque<String>,
-    bytes: u64,
+    lru: ByteLru<String, Arc<Dataset>>,
     max_entries: usize,
     max_bytes: u64,
 }
@@ -180,28 +138,11 @@ impl Default for DatasetCache {
 
 impl DatasetCache {
     fn bounded(max_entries: usize, max_bytes: u64) -> DatasetCache {
-        DatasetCache {
-            entries: BTreeMap::new(),
-            order: VecDeque::new(),
-            bytes: 0,
-            max_entries,
-            max_bytes,
-        }
+        DatasetCache { lru: ByteLru::default(), max_entries, max_bytes }
     }
 
     fn get(&mut self, name: &str) -> Option<Arc<Dataset>> {
-        let hit = self.entries.get(name).map(|(ds, _)| Arc::clone(ds));
-        if hit.is_some() {
-            self.touch(name);
-        }
-        hit
-    }
-
-    fn touch(&mut self, name: &str) {
-        if let Some(pos) = self.order.iter().position(|n| n == name) {
-            self.order.remove(pos);
-        }
-        self.order.push_back(name.to_owned());
+        self.lru.get(name).cloned()
     }
 
     /// Insert `dataset`, charged at `bytes` (the catalog's encoded-size
@@ -211,28 +152,17 @@ impl DatasetCache {
     /// it is the one the caller is actively using, and evicting it
     /// would only force an immediate reload.
     fn insert(&mut self, name: String, dataset: Arc<Dataset>, bytes: u64) {
-        if let Some((_, old)) = self.entries.insert(name.clone(), (dataset, bytes)) {
-            self.bytes -= old;
-        }
-        self.bytes += bytes;
-        self.touch(&name);
-        while self.entries.len() > 1
-            && (self.bytes > self.max_bytes || self.entries.len() > self.max_entries)
+        self.lru.insert(name, dataset, bytes);
+        while self.lru.len() > 1
+            && (self.lru.bytes() > self.max_bytes || self.lru.len() > self.max_entries)
         {
-            if let Some(evicted) = self.order.pop_front() {
-                if let Some((_, b)) = self.entries.remove(&evicted) {
-                    self.bytes -= b;
-                }
-                nggc_obs::global().counter("nggc_repo_cache_evictions_total").inc();
-            }
+            self.lru.pop_lru();
+            nggc_obs::global().counter("nggc_repo_cache_evictions_total").inc();
         }
     }
 
     fn invalidate(&mut self, name: &str) {
-        if let Some((_, b)) = self.entries.remove(name) {
-            self.bytes -= b;
-            self.order.retain(|n| n != name);
-        }
+        self.lru.remove(name);
     }
 }
 
@@ -456,6 +386,12 @@ pub struct ScanRequest<'a> {
     pub budget: Option<u64>,
 }
 
+impl ScanRequest<'_> {
+    fn admits(&self, sample: &str, metadata: &Metadata) -> bool {
+        self.admit.is_none_or(|admit| admit(sample, metadata))
+    }
+}
+
 /// Outcome of a whole-repository migration sweep
 /// ([`Repository::migrate_all`]): per-dataset results, partitioned the
 /// way `load_directory`'s `LoadReport` partitions imports. One corrupt
@@ -555,7 +491,7 @@ impl Repository {
             root,
             catalog,
             cache: Mutex::new(DatasetCache::default()),
-            inflight: Mutex::new(HashMap::new()),
+            inflight: SingleFlight::default(),
             next_generation: persisted_next.max(catalog_next).max(1),
             health,
         };
@@ -647,164 +583,66 @@ impl Repository {
         Ok(())
     }
 
-    /// Load a dataset by name, from the in-memory cache when possible.
-    /// A cache hit is an `Arc` clone — no region data is copied. Cold
-    /// loads read whichever storage version the dataset directory holds
-    /// (v2 binary container or v1 text, detected by magic bytes).
-    ///
-    /// Concurrent cold loads of the same dataset are **single-flighted**:
-    /// one caller reads disk while the others wait for (and share) its
-    /// `Arc`. Coalesced waits are counted in
-    /// `nggc_repo_load_coalesced_total`; exactly one
-    /// `nggc_repo_loads_total` increment happens per actual disk read.
+    /// Load a dataset by name: [`Repository::scan`] with nothing left out
+    /// and nothing bounded.
     pub fn load(&self, name: &str) -> Result<Arc<Dataset>, RepoError> {
-        if !self.catalog.contains_key(name) {
-            return Err(RepoError::NotFound(name.to_owned()));
-        }
-        let reg = nggc_obs::global();
-        loop {
-            if let Some(cached) = self.cache.lock().unwrap_or_else(|p| p.into_inner()).get(name) {
-                reg.counter("nggc_repo_cache_hits_total").inc();
-                let mut span = nggc_obs::span("repo.cache");
-                span.field("dataset", name).field("outcome", "hit");
-                return Ok(cached);
-            }
-            // Join an in-progress load of the same name, or become the
-            // leader that performs it.
-            let (flight, leader) = {
-                let mut map = self.inflight.lock().unwrap_or_else(|p| p.into_inner());
-                match map.get(name) {
-                    Some(f) => (Arc::clone(f), false),
-                    None => {
-                        let f = Arc::new(LoadFlight::default());
-                        map.insert(name.to_owned(), Arc::clone(&f));
-                        (f, true)
-                    }
-                }
-            };
-            if leader {
-                return self.load_cold(name, &flight);
-            }
-            let shared = {
-                let mut slot = flight.slot.lock().unwrap_or_else(|p| p.into_inner());
-                while !slot.done {
-                    slot = flight.cv.wait(slot).unwrap_or_else(|p| p.into_inner());
-                }
-                slot.result.clone().expect("done flights carry a result")
-            };
-            match shared {
-                Ok(dataset) => {
-                    reg.counter("nggc_repo_load_coalesced_total").inc();
-                    let mut span = nggc_obs::span("repo.cache");
-                    span.field("dataset", name).field("outcome", "coalesced");
-                    return Ok(dataset);
-                }
-                // The leader failed; retry from scratch so this caller
-                // surfaces its own typed error (or succeeds if the
-                // failure was transient).
-                Err(()) => continue,
-            }
-        }
+        self.scan(name, &ScanRequest::default())
     }
 
-    /// The disk half of [`Repository::load`]: one actual read + decode,
-    /// cache insert, metrics, and single-flight completion. Only the
-    /// flight's leader runs this.
-    fn load_cold(&self, name: &str, flight: &Arc<LoadFlight>) -> Result<Arc<Dataset>, RepoError> {
-        let mut guard = FlightGuard { repo: self, name, flight, outcome: None };
-        let reg = nggc_obs::global();
-        reg.counter("nggc_repo_cache_misses_total").inc();
-        let mut span = nggc_obs::span("repo.load");
-        span.field("dataset", name);
-        let t0 = Instant::now();
-        let dir = self.dataset_dir(name);
-        let version = native_v2::detect_version(&dir).unwrap_or(StorageVersion::V1);
-        let dataset = match native_v2::read_dataset_auto(&dir) {
-            Ok(d) => Arc::new(d),
-            Err(e) => {
-                guard.outcome = Some(Err(()));
-                return Err(e.into());
-            }
-        };
-        reg.counter("nggc_repo_loads_total").inc();
-        reg.counter_with("nggc_repo_load_bytes_total", &[("format", version.name())])
-            .add(dir_bytes(&dir));
-        reg.histogram("nggc_repo_load_ns").record_duration(t0.elapsed());
-        span.field("samples", dataset.sample_count())
-            .field("regions", dataset.region_count())
-            .field("format", version.name());
-        // Charge the cache at the catalog's encoded-size estimate
-        // (recorded at save time) so eviction is byte-aware without an
-        // extra full walk of the regions just loaded.
-        let estimate = self.catalog.get(name).map(|e| e.stats.bytes as u64).unwrap_or(0);
-        self.cache.lock().unwrap_or_else(|p| p.into_inner()).insert(
-            name.to_owned(),
-            dataset.clone(),
-            estimate,
-        );
-        guard.outcome = Some(Ok(dataset.clone()));
-        Ok(dataset)
-    }
-
-    /// [`Repository::load`] with a memory budget: the catalog's size
-    /// estimate ([`DatasetStats::bytes`], recorded at save time) is
-    /// checked **before** any region data is read, so an oversized
-    /// dataset is refused without allocating. `budget` is the number of
-    /// bytes the caller can still afford — typically a query governor's
-    /// remaining allowance. The check runs even on cache hits so that a
-    /// bounded query behaves the same warm or cold.
-    pub fn load_bounded(&self, name: &str, budget: u64) -> Result<Arc<Dataset>, RepoError> {
-        self.scan(name, &ScanRequest { budget: Some(budget), ..ScanRequest::default() })
-    }
-
-    /// Load what `req` asks for of a dataset: the chromosome blocks and
-    /// value columns of `req.opts` (skipped columns come back as typed
-    /// nulls so the schema stays stable) of the samples `req.admit` lets
-    /// in, from the v2 container; refused samples are absent from what a
-    /// cold read returns. A request that restricts nothing, or a dataset
-    /// stored as v1 text (no block index to prune against), is a
-    /// [`Repository::load`]. What comes back is always a **superset** of
-    /// the request — callers re-apply their own predicates.
+    /// Load what `req` asks for of a dataset — the one read path. What
+    /// comes back is always a **superset** of the request — callers
+    /// re-apply their own predicates.
+    ///
+    /// A request that restricts nothing, or a dataset stored as v1 text
+    /// (no block index to prune against), is read in full, from the
+    /// in-memory cache when possible. A cache hit is an `Arc` clone — no
+    /// region data is copied. Cold full reads take whichever storage
+    /// version the dataset directory holds (detected by magic bytes) and
+    /// are **single-flighted** per name: one caller reads disk while the
+    /// others wait for (and share) its `Arc`. Coalesced waits are counted
+    /// in `nggc_repo_load_coalesced_total`; exactly one
+    /// `nggc_repo_loads_total` increment happens per actual disk read.
+    ///
+    /// A restricting request reads the chromosome blocks and value
+    /// columns of `req.opts` (skipped columns come back as typed nulls so
+    /// the schema stays stable) of the samples `req.admit` lets in, from
+    /// the v2 container; refused samples are absent from what a cold read
+    /// returns.
     ///
     /// With `req.budget`, the size of what the read would materialise is
-    /// checked first, before any block is read, as [`Repository::load_bounded`]
-    /// does for a full load. The catalog estimate describes the *whole*
-    /// dataset; when that does not fit, the container's index is walked
-    /// (no block is read) and the estimate is scaled by the share of block
-    /// bytes the request selects — admitted samples × wanted chromosomes.
-    /// So a query for one chromosome or two samples is not refused for
-    /// data it would never load, and an oversized one is still refused
-    /// without allocating.
+    /// checked first, before any block is read (and on cache hits too, so
+    /// that a bounded query behaves the same warm or cold): an oversized
+    /// dataset is refused without allocating. The catalog estimate
+    /// ([`DatasetStats::bytes`], recorded at save time) describes the
+    /// *whole* dataset; when that does not fit a pruned read, the
+    /// container's index is walked (no block is read) and the estimate is
+    /// scaled by the share of block bytes the request selects — admitted
+    /// samples × wanted chromosomes. So a query for one chromosome or two
+    /// samples is not refused for data it would never load.
     ///
     /// Cache discipline — a pruned read must never poison a full-load
-    /// hit, so this path is deliberately asymmetric with `load`:
+    /// hit, so the two kinds of read are deliberately asymmetric:
     ///
     /// * a cached **full** dataset is served as a superset (SELECT slices
     ///   it by sort order and filters its samples itself) — and it is
     ///   looked for first, so that a resident dataset is answered without
     ///   touching its files, and charged at its full size — but
     /// * a cold pruned read is **never inserted** into the cache and
-    ///   does not join the single-flight map — partial data under the
-    ///   plain dataset name would be served to later full loads.
+    ///   does not join the single-flight — partial data under the plain
+    ///   dataset name would be served to later full loads.
     pub fn scan(&self, name: &str, req: &ScanRequest<'_>) -> Result<Arc<Dataset>, RepoError> {
         let entry = self.catalog.get(name).ok_or_else(|| RepoError::NotFound(name.to_owned()))?;
+        let cached = || self.cache.lock().unwrap_or_else(|p| p.into_inner()).get(name);
         let restricts = !req.opts.is_full() || req.admit.is_some();
-        let resident = if restricts {
-            self.cache.lock().unwrap_or_else(|p| p.into_inner()).get(name)
-        } else {
-            None
-        };
+        let resident = if restricts { cached() } else { None };
         let prunable = restricts
             && resident.is_none()
             && self.storage_version(name) == Some(StorageVersion::V2);
-        let admit = |sample: &str, metadata: &Metadata| {
-            req.admit.is_none_or(|admit| admit(sample, metadata))
-        };
         if let Some(budget) = req.budget {
             let mut estimated = entry.stats.bytes as u64;
             if estimated > budget && prunable {
                 let index = native_v2::read_index(&self.dataset_dir(name))?;
-                let (wanted, total) = index.block_bytes(&req.opts, admit);
+                let (wanted, total) = index.block_bytes(&req.opts, |s, m| req.admits(s, m));
                 if total > 0 {
                     estimated =
                         (u128::from(estimated) * u128::from(wanted)).div_ceil(total.into()) as u64;
@@ -816,41 +654,93 @@ impl Repository {
             }
         }
         let reg = nggc_obs::global();
+        let answered = |outcome: &str, counter: &str| {
+            reg.counter(counter).inc();
+            let mut span = nggc_obs::span("repo.cache");
+            span.field("dataset", name).field("outcome", outcome);
+        };
         if let Some(cached) = resident {
             // A full dataset is a superset of every pruned view of it.
-            reg.counter("nggc_repo_cache_hits_total").inc();
-            let mut span = nggc_obs::span("repo.cache");
-            span.field("dataset", name).field("outcome", "hit_superset");
+            answered("hit_superset", "nggc_repo_cache_hits_total");
             return Ok(cached);
         }
-        if !prunable {
-            return self.load(name);
+        if prunable {
+            return self.read(name, Some(req));
         }
+        let (dataset, how) = self.inflight.run(name, cached, || {
+            let dataset = self.read(name, None)?;
+            // Charge the cache at the catalog's encoded-size estimate
+            // (recorded at save time) so eviction is byte-aware without
+            // an extra full walk of the regions just loaded.
+            self.cache.lock().unwrap_or_else(|p| p.into_inner()).insert(
+                name.to_owned(),
+                dataset.clone(),
+                entry.stats.bytes as u64,
+            );
+            Ok::<_, RepoError>(dataset)
+        })?;
+        match how {
+            FlightOutcome::Hit => answered(how.name(), "nggc_repo_cache_hits_total"),
+            FlightOutcome::Coalesced => answered(how.name(), "nggc_repo_load_coalesced_total"),
+            FlightOutcome::Miss => {}
+        }
+        Ok(dataset)
+    }
+
+    /// One actual disk read and decode, with its metrics and span: of the
+    /// whole dataset, or of what `pruned` selects from its v2 container.
+    fn read(
+        &self,
+        name: &str,
+        pruned: Option<&ScanRequest<'_>>,
+    ) -> Result<Arc<Dataset>, RepoError> {
+        let reg = nggc_obs::global();
         reg.counter("nggc_repo_cache_misses_total").inc();
-        let mut span = nggc_obs::span("repo.load_pruned");
+        let mut span =
+            nggc_obs::span(if pruned.is_some() { "repo.load_pruned" } else { "repo.load" });
         span.field("dataset", name);
         let t0 = Instant::now();
-        let container = fs::File::open(self.dataset_dir(name).join(native_v2::CONTAINER_FILE))
-            .map_err(FormatError::from)?;
-        let (dataset, stats) = native_v2::scan_dataset_v2_from(container, &req.opts, admit)?;
+        let dir = self.dataset_dir(name);
+        let (dataset, stats) = match pruned {
+            Some(req) => {
+                let container = fs::File::open(dir.join(native_v2::CONTAINER_FILE))
+                    .map_err(FormatError::from)?;
+                let (dataset, stats) = native_v2::scan_dataset_v2_from(
+                    container,
+                    &req.opts,
+                    |s: &str, m: &Metadata| req.admits(s, m),
+                )?;
+                (dataset, Some(stats))
+            }
+            None => (native_v2::read_dataset_auto(&dir)?, None),
+        };
         reg.counter("nggc_repo_loads_total").inc();
-        reg.counter("nggc_scan_pruned_total").inc();
-        reg.counter("nggc_scan_bytes_read_total").add(stats.bytes_read);
-        reg.counter("nggc_scan_bytes_skipped_total").add(stats.bytes_skipped);
-        reg.counter("nggc_scan_chrom_blocks_read_total").add(stats.blocks_read);
-        reg.counter("nggc_scan_chrom_blocks_skipped_total").add(stats.blocks_skipped);
-        if req.admit.is_some() {
-            reg.counter("nggc_scan_samples_skipped_total").add(stats.samples_skipped);
+        span.field("samples", dataset.sample_count()).field("regions", dataset.region_count());
+        match stats.zip(pruned) {
+            Some((stats, req)) => {
+                reg.counter("nggc_scan_pruned_total").inc();
+                reg.counter("nggc_scan_bytes_read_total").add(stats.bytes_read);
+                reg.counter("nggc_scan_bytes_skipped_total").add(stats.bytes_skipped);
+                reg.counter("nggc_scan_chrom_blocks_read_total").add(stats.blocks_read);
+                reg.counter("nggc_scan_chrom_blocks_skipped_total").add(stats.blocks_skipped);
+                if req.admit.is_some() {
+                    reg.counter("nggc_scan_samples_skipped_total").add(stats.samples_skipped);
+                }
+                span.field("blocks_read", stats.blocks_read)
+                    .field("blocks_skipped", stats.blocks_skipped)
+                    .field("bytes_read", stats.bytes_read)
+                    .field("bytes_skipped", stats.bytes_skipped)
+                    .field("samples_read", stats.samples_read)
+                    .field("samples_skipped", stats.samples_skipped);
+            }
+            None => {
+                let version = native_v2::detect_version(&dir).unwrap_or(StorageVersion::V1);
+                reg.counter_with("nggc_repo_load_bytes_total", &[("format", version.name())])
+                    .add(dir_bytes(&dir));
+                span.field("format", version.name());
+            }
         }
         reg.histogram("nggc_repo_load_ns").record_duration(t0.elapsed());
-        span.field("samples", dataset.sample_count())
-            .field("regions", dataset.region_count())
-            .field("blocks_read", stats.blocks_read)
-            .field("blocks_skipped", stats.blocks_skipped)
-            .field("bytes_read", stats.bytes_read)
-            .field("bytes_skipped", stats.bytes_skipped)
-            .field("samples_read", stats.samples_read)
-            .field("samples_skipped", stats.samples_skipped);
         Ok(Arc::new(dataset))
     }
 
@@ -1438,10 +1328,7 @@ mod tests {
         for h in handles {
             assert!(h.join().unwrap(), "every load of the missing dataset errors");
         }
-        assert!(
-            repo.inflight.lock().unwrap().is_empty(),
-            "failed flights must not leak in-flight entries"
-        );
+        assert!(repo.inflight.is_idle(), "failed flights must not leak in-flight entries");
         fs::remove_dir_all(&root).ok();
     }
 
@@ -1489,9 +1376,8 @@ mod tests {
         assert!(cache.get("D0").is_some(), "recently used survives");
         assert!(cache.get("D1").is_none(), "least recently used is evicted");
         assert!(cache.get("EXTRA").is_some());
-        assert_eq!(cache.entries.len(), CACHE_CAPACITY);
-        assert_eq!(cache.order.len(), CACHE_CAPACITY);
-        assert_eq!(cache.bytes, 100 * CACHE_CAPACITY as u64);
+        assert_eq!(cache.lru.len(), CACHE_CAPACITY);
+        assert_eq!(cache.lru.bytes(), 100 * CACHE_CAPACITY as u64);
     }
 
     #[test]
@@ -1506,21 +1392,21 @@ mod tests {
         assert!(cache.get("A").is_none(), "byte pressure evicts the LRU entry");
         assert!(cache.get("B").is_some());
         assert!(cache.get("C").is_some());
-        assert_eq!(cache.bytes, 800);
+        assert_eq!(cache.lru.bytes(), 800);
         // Replacing an entry re-charges it instead of double counting.
         cache.insert("C".into(), mk("C"), 500);
-        assert_eq!(cache.bytes, 900);
+        assert_eq!(cache.lru.bytes(), 900);
         // A single dataset larger than the whole budget stays resident
         // alone (evicting it would just force an immediate reload)…
         cache.insert("HUGE".into(), mk("HUGE"), 5000);
         assert!(cache.get("HUGE").is_some());
-        assert_eq!(cache.entries.len(), 1, "everything else is evicted");
-        assert_eq!(cache.bytes, 5000);
+        assert_eq!(cache.lru.len(), 1, "everything else is evicted");
+        assert_eq!(cache.lru.bytes(), 5000);
         // …and is the first to go once anything newer arrives.
         cache.insert("D".into(), mk("D"), 100);
         assert!(cache.get("HUGE").is_none());
         assert!(cache.get("D").is_some());
-        assert_eq!(cache.bytes, 100);
+        assert_eq!(cache.lru.bytes(), 100);
     }
 
     #[test]
@@ -1570,10 +1456,11 @@ mod tests {
         let root = tmp();
         let mut repo = Repository::open(&root).unwrap();
         repo.save(&dataset("BIG")).unwrap();
+        let bounded = |budget| ScanRequest { budget: Some(budget), ..ScanRequest::default() };
         let estimated = repo.entry("BIG").unwrap().stats.bytes as u64;
         assert!(estimated > 0);
         // A budget below the estimate refuses without touching regions.
-        let err = repo.load_bounded("BIG", estimated - 1).unwrap_err();
+        let err = repo.scan("BIG", &bounded(estimated - 1)).unwrap_err();
         match err {
             RepoError::Budget { name, estimated: e, budget } => {
                 assert_eq!(name, "BIG");
@@ -1583,10 +1470,10 @@ mod tests {
             other => panic!("expected Budget error, got {other:?}"),
         }
         // An adequate budget loads normally.
-        let ds = repo.load_bounded("BIG", estimated).unwrap();
+        let ds = repo.scan("BIG", &bounded(estimated)).unwrap();
         assert_eq!(ds.sample_count(), 1);
         // Unknown datasets still surface NotFound, not Budget.
-        assert!(matches!(repo.load_bounded("NOPE", u64::MAX), Err(RepoError::NotFound(_))));
+        assert!(matches!(repo.scan("NOPE", &bounded(u64::MAX)), Err(RepoError::NotFound(_))));
         fs::remove_dir_all(&root).ok();
     }
 

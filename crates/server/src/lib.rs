@@ -22,19 +22,21 @@
 //!
 //! Every request runs under its own trace id
 //! ([`nggc_obs::TraceContext`]); server activity is visible as
-//! `nggc_serve_*` metrics and, when armed, a per-request slow-query
-//! flight recorder (see `docs/serving.md`).
+//! `nggc_serve_*` metrics and, when armed, the slow-query flight
+//! recorder `nggc query` uses too ([`flight`]).
 
 #![warn(missing_docs)]
 
 pub mod admission;
 pub mod client;
+pub mod flight;
 pub mod protocol;
 pub mod provider;
 pub mod server;
 
 pub use admission::{Admission, AdmissionPermit, AdmitError, MemoryPool, MemoryReservation};
 pub use client::Client;
+pub use flight::FlightRecorder;
 pub use protocol::{
     ClientRequest, OutputSummary, ServeErrorKind, ServeStats, ServerReply, MAX_FRAME_BYTES,
 };

@@ -21,9 +21,9 @@ use std::sync::Arc;
 /// [`QueryGovernor`]: every load first passes a cancel/deadline
 /// checkpoint, and when the governor carries a memory budget the
 /// repository checks its size estimate **before** any region data is
-/// read ([`Repository::load_bounded`]; a scan at the share of the dataset
-/// it would materialise), so an oversized source dataset is refused
-/// without allocating.
+/// read ([`ScanRequest::budget`]; a pruned scan at the share of the
+/// dataset it would materialise), so an oversized source dataset is
+/// refused without allocating.
 pub struct RepoProvider<'a> {
     repo: &'a Repository,
     governor: Option<QueryGovernor>,
@@ -41,14 +41,15 @@ impl<'a> RepoProvider<'a> {
         RepoProvider { repo, governor: Some(governor.clone()) }
     }
 
-    /// One load under the governor, if there is one: a cancel/deadline
-    /// checkpoint first, then `load` with the memory the query can still
-    /// afford (`None`: unlimited); the repository's refusal of an
-    /// oversized dataset becomes the governor's typed error.
-    fn load_with(
+    /// One scan under the governor, if there is one: a cancel/deadline
+    /// checkpoint first, then the read, bounded by the memory the query
+    /// can still afford (`None`: unlimited); the repository's refusal of
+    /// an oversized dataset becomes the governor's typed error.
+    fn scan(
         &self,
         name: &str,
-        load: impl FnOnce(Option<u64>) -> Result<Arc<Dataset>, RepoError>,
+        opts: ScanOptions,
+        admit: Option<&SampleAdmit<'_>>,
     ) -> Result<Arc<Dataset>, GmqlError> {
         let node = || format!("LOAD {name}");
         let mut budget = None;
@@ -56,11 +57,13 @@ impl<'a> RepoProvider<'a> {
             g.check(&node())?;
             budget = g.remaining_memory();
         }
-        load(budget).map_err(|e| match (e, &self.governor) {
-            (RepoError::Budget { estimated, .. }, Some(g)) => {
-                g.refuse_allocation(&node(), estimated)
+        self.repo.scan(name, &ScanRequest { opts, admit, budget }).map_err(|e| {
+            match (e, &self.governor) {
+                (RepoError::Budget { estimated, .. }, Some(g)) => {
+                    g.refuse_allocation(&node(), estimated)
+                }
+                (e, _) => GmqlError::runtime(e.to_string()),
             }
-            (e, _) => GmqlError::runtime(e.to_string()),
         })
     }
 }
@@ -71,10 +74,7 @@ impl DatasetProvider for RepoProvider<'_> {
     }
 
     fn load_shared(&self, name: &str) -> Result<Arc<Dataset>, GmqlError> {
-        self.load_with(name, |budget| match budget {
-            Some(budget) => self.repo.load_bounded(name, budget),
-            None => self.repo.load(name),
-        })
+        self.scan(name, ScanOptions::default(), None)
     }
 
     fn load_pruned(&self, name: &str, spec: &ScanSpec) -> Result<Arc<Dataset>, GmqlError> {
@@ -83,7 +83,6 @@ impl DatasetProvider for RepoProvider<'_> {
             .samples
             .as_ref()
             .map(|observed| move |_: &str, metadata: &Metadata| observed.eval(metadata));
-        let admit = admit.as_ref().map(|f| f as &SampleAdmit<'_>);
-        self.load_with(name, |budget| self.repo.scan(name, &ScanRequest { opts, admit, budget }))
+        self.scan(name, opts, admit.as_ref().map(|f| f as &SampleAdmit<'_>))
     }
 }

@@ -11,6 +11,7 @@
 //! through their `CancelToken`s after a grace period.
 
 use crate::admission::{Admission, AdmitError, MemoryPool};
+use crate::flight::{outcome_name, Flight, FlightRecorder};
 use crate::protocol::{
     encode_frame, read_frame_timed, write_frame, ClientRequest, FrameRead, OutputSummary,
     ServeErrorKind, ServeStats, ServerReply, MAX_FRAME_BYTES,
@@ -23,11 +24,9 @@ use nggc_core::{
 use nggc_engine::{CancelToken, ExecContext};
 use nggc_gdm::Dataset;
 use nggc_repository::Repository;
-use serde::Serialize;
 use std::collections::HashMap;
-use std::io::{self, Write as _};
+use std::io;
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -63,10 +62,9 @@ pub struct ServeConfig {
     /// How long shutdown waits for in-flight queries before cancelling
     /// them.
     pub drain_timeout: Duration,
-    /// Arm the flight recorder for requests slower than this.
-    pub slow_query: Option<Duration>,
-    /// Where flight records are appended (JSON lines).
-    pub flight_path: Option<PathBuf>,
+    /// The slow-query flight recorder, when armed
+    /// ([`FlightRecorder::from_env`] for the CLI's environment variables).
+    pub flight: Option<FlightRecorder>,
     /// Byte budget of the query result cache (0 disables it). Cached
     /// bytes are reserved lazily from the memory pool and yielded back
     /// (by evicting entries) whenever queries need the headroom.
@@ -83,30 +81,13 @@ impl Default for ServeConfig {
             default_timeout: None,
             retry_after: Duration::from_millis(100),
             drain_timeout: Duration::from_secs(10),
-            slow_query: None,
-            flight_path: None,
+            flight: None,
             result_cache_bytes: 128 << 20,
         }
     }
 }
 
 impl ServeConfig {
-    /// Defaults with the flight recorder armed from the same
-    /// environment variables the CLI honours (`NGGC_SLOW_QUERY_MS`,
-    /// `NGGC_FLIGHT_RECORDER`).
-    pub fn from_env() -> Result<ServeConfig, String> {
-        let mut config = ServeConfig::default();
-        if let Ok(v) = std::env::var("NGGC_SLOW_QUERY_MS") {
-            let ms: u64 =
-                v.parse().map_err(|_| format!("NGGC_SLOW_QUERY_MS: not a number: {v:?}"))?;
-            config.slow_query = Some(Duration::from_millis(ms));
-        }
-        if let Ok(v) = std::env::var("NGGC_FLIGHT_RECORDER") {
-            config.flight_path = Some(PathBuf::from(v));
-        }
-        Ok(config)
-    }
-
     /// The governor budget carved for a query that did not request one:
     /// an even share of the pool across the in-flight cap, so a full
     /// server of default queries exactly exhausts the pool.
@@ -134,7 +115,7 @@ pub struct ServerShared {
     requests: AtomicU64,
     rejected: AtomicU64,
     /// Span sink for the flight recorder (None when unarmed). Shared by
-    /// all requests; per-request dumps filter by trace id.
+    /// all requests; a request's record keeps the spans of its trace.
     collector: Option<Arc<nggc_obs::MemorySubscriber>>,
 }
 
@@ -204,13 +185,11 @@ impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:0`) and prepare shared state.
     pub fn bind(addr: &str, repo: Repository, config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        let collector = if config.flight_path.is_some() || config.slow_query.is_some() {
+        let collector = config.flight.as_ref().map(|_| {
             let c = Arc::new(nggc_obs::MemorySubscriber::default());
             nggc_obs::add_subscriber(c.clone());
-            Some(c)
-        } else {
-            None
-        };
+            c
+        });
         let mem_pool = Arc::new(MemoryPool::new(config.mem_pool_bytes));
         let result_cache = (config.result_cache_bytes > 0).then(|| {
             ResultCache::with_budget(
@@ -598,8 +577,24 @@ fn execute_admitted(
     reg.histogram("nggc_serve_request_ns").record_duration(elapsed);
     governor.export_peak();
 
-    let (result, outcome) = match result {
-        Ok((outputs, _metrics)) => (Ok(ExecutedQuery { outputs, trace_id, elapsed }), None),
+    span.field("outcome", result.as_ref().err().map_or("ok", outcome_name));
+    drop(span);
+    if let (Some(recorder), Some(spans)) = (&shared.config.flight, &shared.collector) {
+        let flight = Flight {
+            query: text,
+            elapsed,
+            trace_id,
+            governor: &governor,
+            error: result.as_ref().err(),
+            plan,
+            metrics: result.as_ref().map_or(&[], |(_, metrics)| metrics),
+        };
+        if recorder.record(&flight, spans, &mut io::stderr()) {
+            reg.counter("nggc_serve_flight_records_total").inc();
+        }
+    }
+    match result {
+        Ok((outputs, _)) => Ok(ExecutedQuery { outputs, trace_id, elapsed }),
         Err(e) => {
             let kind = match &e {
                 GmqlError::DeadlineExceeded { .. } => ServeErrorKind::DeadlineExceeded,
@@ -607,23 +602,9 @@ fn execute_admitted(
                 GmqlError::MemoryExhausted { .. } => ServeErrorKind::MemoryExhausted,
                 _ => ServeErrorKind::Runtime,
             };
-            let reply = ServerReply::Error { kind, message: e.to_string(), retry_after_ms: None };
-            (Err(reply), Some(kind))
+            Err(ServerReply::Error { kind, message: e.to_string(), retry_after_ms: None })
         }
-    };
-    span.field(
-        "outcome",
-        match outcome {
-            None => "ok",
-            Some(ServeErrorKind::DeadlineExceeded) => "deadline",
-            Some(ServeErrorKind::Cancelled) => "cancelled",
-            Some(ServeErrorKind::MemoryExhausted) => "memory",
-            Some(_) => "error",
-        },
-    );
-    drop(span);
-    maybe_record_flight(shared, text, trace_id, elapsed, outcome, &governor);
-    result
+    }
 }
 
 /// Build the `Result` reply: outputs sorted by name, head rows bounded
@@ -674,94 +655,6 @@ impl Drop for ActiveGuard<'_> {
     fn drop(&mut self) {
         self.shared.active.lock().unwrap_or_else(|p| p.into_inner()).remove(&self.request_id);
     }
-}
-
-/// One JSON line in the serve flight-recorder dump.
-#[derive(Serialize)]
-struct ServeFlightRecord {
-    kind: String,
-    outcome: String,
-    query: String,
-    elapsed_us: u64,
-    trace_id: u64,
-    governor_charged_bytes: u64,
-    governor_peak_bytes: u64,
-    spans: Vec<FlightSpan>,
-}
-
-#[derive(Serialize)]
-struct FlightSpan {
-    name: String,
-    wall_us: u64,
-    fields: Vec<(String, String)>,
-}
-
-/// Dump this request's trace when the recorder is armed and the request
-/// was slow or tripped its governor.
-fn maybe_record_flight(
-    shared: &ServerShared,
-    query: &str,
-    trace_id: u64,
-    elapsed: Duration,
-    outcome: Option<ServeErrorKind>,
-    governor: &QueryGovernor,
-) {
-    let Some(path) = &shared.config.flight_path else {
-        return;
-    };
-    let tripped = matches!(
-        outcome,
-        Some(
-            ServeErrorKind::DeadlineExceeded
-                | ServeErrorKind::Cancelled
-                | ServeErrorKind::MemoryExhausted
-        )
-    );
-    let slow = shared.config.slow_query.is_some_and(|t| elapsed >= t);
-    if !tripped && !slow {
-        return;
-    }
-    let outcome_name = match outcome {
-        None => "slow",
-        Some(ServeErrorKind::DeadlineExceeded) => "deadline",
-        Some(ServeErrorKind::Cancelled) => "cancelled",
-        Some(ServeErrorKind::MemoryExhausted) => "memory",
-        Some(_) => "error",
-    };
-    // One subscriber serves every request; this request's spans are the
-    // ones stamped with its trace id.
-    let spans = shared
-        .collector
-        .as_ref()
-        .map(|c| {
-            c.records()
-                .into_iter()
-                .filter(|r| r.trace_id == trace_id)
-                .map(|r| FlightSpan {
-                    name: r.name,
-                    wall_us: r.wall.as_micros() as u64,
-                    fields: r.fields,
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    let record = ServeFlightRecord {
-        kind: "nggc_serve_flight_record".to_owned(),
-        outcome: outcome_name.to_owned(),
-        query: query.to_owned(),
-        elapsed_us: elapsed.as_micros() as u64,
-        trace_id,
-        governor_charged_bytes: governor.charged(),
-        governor_peak_bytes: governor.mem_peak(),
-        spans,
-    };
-    let Ok(line) = serde_json::to_string(&record) else {
-        return;
-    };
-    if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(path) {
-        let _ = writeln!(f, "{line}");
-    }
-    nggc_obs::global().counter("nggc_serve_flight_records_total").inc();
 }
 
 #[cfg(test)]

@@ -72,6 +72,7 @@ use nggc::gmql::{ExecOptions, GmqlError, GovernorLimits, LogicalPlan, QueryGover
 use nggc::ontology::mini_umls;
 use nggc::repository::Repository;
 use nggc::search::{MetadataSearch, RankMode};
+use nggc::server::flight::{node_stats, Flight, FlightRecorder, NodeStats};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -462,86 +463,6 @@ fn cmd_info(repo_path: &Path, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// One span of a collected trace, as serialized in `--explain-analyze
-/// --json` documents and flight-recorder lines. Durations are integer
-/// microseconds so the output diffs cleanly.
-#[derive(serde::Serialize)]
-struct SpanJson {
-    id: u64,
-    parent: Option<u64>,
-    trace_id: u64,
-    name: String,
-    start_us: u64,
-    wall_us: u64,
-    fields: Vec<(String, String)>,
-}
-
-impl From<&nggc::obs::SpanRecord> for SpanJson {
-    fn from(r: &nggc::obs::SpanRecord) -> SpanJson {
-        SpanJson {
-            id: r.id,
-            parent: r.parent,
-            trace_id: r.trace_id,
-            name: r.name.clone(),
-            start_us: r.start.as_micros() as u64,
-            wall_us: r.wall.as_micros() as u64,
-            fields: r.fields.clone(),
-        }
-    }
-}
-
-/// Per-plan-node entry of the `--explain-analyze --json` document.
-#[derive(serde::Serialize)]
-struct NodeJson {
-    id: usize,
-    label: String,
-    operator: String,
-    inputs: Vec<usize>,
-    samples_in: usize,
-    regions_in: usize,
-    samples_out: usize,
-    regions_out: usize,
-    bytes_out: usize,
-    wall_us: u64,
-    mem_charged: u64,
-    mem_released: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    fed_retries: u64,
-    fed_timeouts: u64,
-    scan_pruned: u64,
-    scan_bytes_read: u64,
-    scan_bytes_skipped: u64,
-    scan_blocks_read: u64,
-    scan_blocks_skipped: u64,
-}
-
-fn node_json(id: usize, inputs: Vec<usize>, m: &nggc::gmql::NodeMetrics) -> NodeJson {
-    NodeJson {
-        id,
-        label: m.label.clone(),
-        operator: m.operator.clone(),
-        inputs,
-        samples_in: m.samples_in,
-        regions_in: m.regions_in,
-        samples_out: m.samples_out,
-        regions_out: m.regions_out,
-        bytes_out: m.bytes_out,
-        wall_us: m.wall.as_micros() as u64,
-        mem_charged: m.mem_charged,
-        mem_released: m.mem_released,
-        cache_hits: m.cache_hits,
-        cache_misses: m.cache_misses,
-        fed_retries: m.fed_retries,
-        fed_timeouts: m.fed_timeouts,
-        scan_pruned: m.scan_pruned,
-        scan_bytes_read: m.scan_bytes_read,
-        scan_bytes_skipped: m.scan_bytes_skipped,
-        scan_blocks_read: m.scan_blocks_read,
-        scan_blocks_skipped: m.scan_blocks_skipped,
-    }
-}
-
 #[derive(serde::Serialize)]
 struct OutputJson {
     name: String,
@@ -568,23 +489,8 @@ struct AnalyzeJson {
     elapsed_us: u64,
     optimizer: OptimizerJson,
     outputs: Vec<OutputJson>,
-    nodes: Vec<NodeJson>,
+    nodes: Vec<NodeStats>,
     governor: GovernorJson,
-}
-
-/// One flight-recorder line (`docs/observability.md`).
-#[derive(serde::Serialize)]
-struct FlightRecordJson {
-    kind: String,
-    outcome: String,
-    query: String,
-    elapsed_us: u64,
-    trace_id: u64,
-    governor_charged_bytes: u64,
-    governor_peak_bytes: u64,
-    dropped_spans: u64,
-    trace: Vec<SpanJson>,
-    nodes: Vec<NodeJson>,
 }
 
 /// The per-node runtime annotation `--explain-analyze` appends to each
@@ -617,59 +523,6 @@ fn analyze_annotation(m: &nggc::gmql::NodeMetrics) -> String {
     }
     s.push(')');
     s
-}
-
-/// Slow-query flight recorder configuration, from the environment:
-/// `NGGC_SLOW_QUERY_MS` arms the elapsed-time trigger, and
-/// `NGGC_FLIGHT_RECORDER` names the sink file (appended as JSON lines;
-/// stderr when unset). Governor trips always trigger a dump once the
-/// recorder is armed by either variable. Malformed values are errors,
-/// same posture as [`GovernorLimits::from_env`].
-struct FlightRecorder {
-    threshold: Option<std::time::Duration>,
-    sink: Option<PathBuf>,
-}
-
-impl FlightRecorder {
-    fn from_env() -> Result<Option<FlightRecorder>, String> {
-        let threshold = match std::env::var("NGGC_SLOW_QUERY_MS") {
-            Ok(raw) => {
-                let ms: u64 = raw.trim().parse().map_err(|_| {
-                    format!("NGGC_SLOW_QUERY_MS: expected integer milliseconds, got {raw:?}")
-                })?;
-                Some(std::time::Duration::from_millis(ms))
-            }
-            Err(_) => None,
-        };
-        let sink = std::env::var("NGGC_FLIGHT_RECORDER").ok().map(PathBuf::from);
-        if threshold.is_none() && sink.is_none() {
-            return Ok(None);
-        }
-        Ok(Some(FlightRecorder { threshold, sink }))
-    }
-
-    fn should_record(&self, elapsed: std::time::Duration, tripped: bool) -> bool {
-        tripped || self.threshold.is_some_and(|t| elapsed > t)
-    }
-
-    fn record(&self, doc: &FlightRecordJson) {
-        let Ok(line) = serde_json::to_string(doc) else { return };
-        match &self.sink {
-            Some(path) => {
-                use std::io::Write;
-                let open = std::fs::OpenOptions::new().create(true).append(true).open(path);
-                match open.and_then(|mut f| writeln!(f, "{line}")) {
-                    Ok(()) => eprintln!(
-                        "flight recorder: {} query recorded to {}",
-                        doc.outcome,
-                        path.display()
-                    ),
-                    Err(e) => eprintln!("flight recorder: {}: {e}", path.display()),
-                }
-            }
-            None => eprintln!("{line}"),
-        }
-    }
 }
 
 /// Byte budget of the on-disk CLI result cache (`<repo>/result_cache`).
@@ -810,11 +663,11 @@ fn cmd_query(repo_path: &Path, args: &[String]) -> Result<(), CliError> {
     // modes that report per-node execution detail always run for real.
     let use_cache =
         !no_cache && !explain_analyze && !analyze && !profile && result_store_bytes() > 0;
-    // EXPLAIN ANALYZE annotates the *optimized* plan, so optimize here
-    // (instead of inside the executor) — `metrics[i]` then lines up
-    // with `plan.nodes[i]` exactly. The cache needs the same
-    // pre-optimization for its canonical fingerprint.
-    let opt_report = if explain_analyze || use_cache {
+    // EXPLAIN ANALYZE and the flight recorder annotate the *optimized*
+    // plan, so optimize here (instead of inside the executor) —
+    // `metrics[i]` then lines up with `plan.nodes[i]` exactly. The cache
+    // needs the same pre-optimization for its canonical fingerprint.
+    let opt_report = if explain_analyze || use_cache || recorder.is_some() {
         let (optimized, report) = nggc::gmql::optimize(&plan);
         opts.optimize = false;
         plan = optimized;
@@ -850,96 +703,64 @@ fn cmd_query(repo_path: &Path, args: &[String]) -> Result<(), CliError> {
     }
     let from_cache = cached_outputs.is_some();
 
-    let (outputs, metrics) = if let Some(outputs) = cached_outputs {
-        (outputs, Vec::new())
-    } else {
-        match nggc::gmql::execute_governed(
+    let result = match cached_outputs {
+        Some(outputs) => Ok((outputs, Vec::new())),
+        None => nggc::gmql::execute_governed(
             &plan,
             &nggc::RepoProvider::governed(&repo, &governor),
             &ctx,
             &opts,
             Some(&governor),
-        ) {
-            Ok(out) => out,
-            Err(e) if e.is_resource_limit() => {
-                // Graceful trip: report partial progress, then exit with the
-                // error's distinctive code.
-                eprintln!("-- query interrupted: partial progress --");
-                eprintln!("  elapsed              {:.2?}", t0.elapsed());
-                eprintln!("  governed memory      {} B charged", governor.charged());
-                eprintln!("  governed memory peak {} B", governor.mem_peak());
-                let reg = nggc::obs::global();
-                for counter in [
-                    "nggc_query_cancelled_total",
-                    "nggc_query_deadline_exceeded_total",
-                    "nggc_query_mem_rejections_total",
-                ] {
-                    let v = reg.counter(counter).get();
-                    if v > 0 {
-                        eprintln!("  {counter} {v}");
-                    }
-                }
-                // A governor trip always triggers the flight recorder: the
-                // trace of the aborted run is exactly what post-hoc
-                // diagnosis needs.
-                if let Some(c) = &collector {
-                    nggc::obs::clear_subscribers();
-                    if let Some(rec) = &recorder {
-                        let outcome = match &e {
-                            GmqlError::DeadlineExceeded { .. } => "deadline",
-                            GmqlError::Cancelled { .. } => "cancelled",
-                            GmqlError::MemoryExhausted { .. } => "memory",
-                            _ => "tripped",
-                        };
-                        rec.record(&FlightRecordJson {
-                            kind: "nggc_flight_record".to_owned(),
-                            outcome: outcome.to_owned(),
-                            query: query.clone(),
-                            elapsed_us: t0.elapsed().as_micros() as u64,
-                            trace_id,
-                            governor_charged_bytes: governor.charged(),
-                            governor_peak_bytes: governor.mem_peak(),
-                            dropped_spans: c.dropped(),
-                            trace: c.records().iter().map(SpanJson::from).collect(),
-                            nodes: Vec::new(),
-                        });
-                    }
-                }
-                return Err(e.into());
-            }
-            Err(e) => return Err(e.to_string().into()),
-        }
+        ),
     };
     let elapsed = t0.elapsed();
     // Persist the freshly computed result for the next invocation. Skipped
     // when any source generation was unknown (pre-generation catalogs).
-    if let Some((store, key, gens)) = &store_after {
-        store.store(*key, gens, &outputs).map_err(|e| e.to_string())?;
+    if let (Ok((outputs, _)), Some((store, key, gens))) = (&result, &store_after) {
+        store.store(*key, gens, outputs).map_err(|e| e.to_string())?;
     }
     // Stop collecting before rendering; everything below is reporting.
-    if collector.is_some() {
+    if let Some(spans) = &collector {
         nggc::obs::clear_subscribers();
-    }
-    if let (Some(rec), Some(c)) = (&recorder, &collector) {
-        if rec.should_record(elapsed, false) {
-            rec.record(&FlightRecordJson {
-                kind: "nggc_flight_record".to_owned(),
-                outcome: "slow".to_owned(),
-                query: query.clone(),
-                elapsed_us: elapsed.as_micros() as u64,
+        // The recorder sees every run, finished or not: the trace of an
+        // aborted one is exactly what post-hoc diagnosis needs.
+        if let Some(recorder) = &recorder {
+            let flight = Flight {
+                query: &query,
+                elapsed,
                 trace_id,
-                governor_charged_bytes: governor.charged(),
-                governor_peak_bytes: governor.mem_peak(),
-                dropped_spans: c.dropped(),
-                trace: c.records().iter().map(SpanJson::from).collect(),
-                nodes: metrics
-                    .iter()
-                    .enumerate()
-                    .map(|(i, m)| node_json(i, plan.nodes[i].inputs.clone(), m))
-                    .collect(),
-            });
+                governor: &governor,
+                error: result.as_ref().err(),
+                plan: &plan,
+                metrics: result.as_ref().map_or(&[], |(_, metrics)| metrics),
+            };
+            recorder.record(&flight, spans, &mut std::io::stderr());
         }
     }
+    let (outputs, metrics) = match result {
+        Ok(out) => out,
+        Err(e) if e.is_resource_limit() => {
+            // Graceful trip: report partial progress, then exit with the
+            // error's distinctive code.
+            eprintln!("-- query interrupted: partial progress --");
+            eprintln!("  elapsed              {elapsed:.2?}");
+            eprintln!("  governed memory      {} B charged", governor.charged());
+            eprintln!("  governed memory peak {} B", governor.mem_peak());
+            let reg = nggc::obs::global();
+            for counter in [
+                "nggc_query_cancelled_total",
+                "nggc_query_deadline_exceeded_total",
+                "nggc_query_mem_rejections_total",
+            ] {
+                let v = reg.counter(counter).get();
+                if v > 0 {
+                    eprintln!("  {counter} {v}");
+                }
+            }
+            return Err(e.into());
+        }
+        Err(e) => return Err(e.to_string().into()),
+    };
     if explain_analyze {
         let report = opt_report.unwrap_or_default();
         if json {
@@ -960,11 +781,7 @@ fn cmd_query(repo_path: &Path, args: &[String]) -> Result<(), CliError> {
                         regions: outputs[*n].region_count(),
                     })
                     .collect(),
-                nodes: metrics
-                    .iter()
-                    .enumerate()
-                    .map(|(i, m)| node_json(i, plan.nodes[i].inputs.clone(), m))
-                    .collect(),
+                nodes: node_stats(&plan, &metrics),
                 governor: GovernorJson {
                     charged_bytes: governor.charged(),
                     peak_bytes: governor.mem_peak(),
@@ -1091,25 +908,27 @@ fn cmd_stats(repo_path: &Path, args: &[String]) -> Result<(), String> {
     let _trace_scope = collector.as_ref().map(|_| nggc::obs::TraceContext::new().enter());
     // One-line repo health summary (stderr keeps `--json` stdout
     // machine-readable); only for an existing repository — `stats`
-    // must not create one as a side effect.
-    if repo_path.exists() {
-        if let Ok(repo) = Repository::open(repo_path) {
-            eprintln!("repo health: {}", repo.health());
-        }
+    // must not create one as a side effect, unless it is to query it.
+    let repo = if query.is_some() {
+        Some(open(repo_path)?)
+    } else if repo_path.exists() {
+        Repository::open(repo_path).ok()
+    } else {
+        None
+    };
+    if let Some(repo) = &repo {
+        eprintln!("repo health: {}", repo.health());
     }
     if fed_selftest {
         run_fed_selftest()?;
     }
-    if let Some(query) = query {
-        let repo = open(repo_path)?;
+    if let (Some(query), Some(repo)) = (query, repo) {
         let ctx = nggc::engine::ExecContext::with_workers(
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2),
         );
-        let statements = nggc::gmql::parse(&query).map_err(|e| e.to_string())?;
-        let plan = LogicalPlan::compile(&statements, &|name| repo.schema_of(name))
-            .map_err(|e| e.to_string())?;
-        let outputs = nggc::gmql::execute(
-            &plan,
+        let outputs = nggc::gmql::run_with_provider(
+            &query,
+            &|name| repo.schema_of(name),
             &nggc::RepoProvider::new(&repo),
             &ctx,
             &ExecOptions::default(),
@@ -1266,8 +1085,8 @@ fn cmd_serve(repo_path: &Path, args: &[String]) -> Result<(), String> {
     use nggc::server::{ServeConfig, Server};
 
     let mut addr = "127.0.0.1:7781".to_owned();
-    // Environment arms the flight recorder; flags override the rest.
-    let mut config = ServeConfig::from_env()?;
+    // Environment arms the flight recorder; flags set the rest.
+    let mut config = ServeConfig { flight: FlightRecorder::from_env()?, ..ServeConfig::default() };
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {

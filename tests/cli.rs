@@ -1,5 +1,8 @@
 //! End-to-end tests of the `nggc` command-line interface.
 
+#[path = "common/flight.rs"]
+mod flight;
+
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -335,6 +338,83 @@ fn cli_env_defaults_apply_and_flags_override() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("NGGC_QUERY_TIMEOUT"));
+    std::fs::remove_dir_all(&repo).ok();
+}
+
+/// The flight recorder (docs/observability.md): with a zero threshold
+/// every query is slow, and a governor trip is recorded whatever the
+/// threshold — one JSON line each, appended to the sink.
+#[test]
+fn cli_flight_recorder_appends_one_line_per_slow_or_tripped_query() {
+    let repo = tmp_repo("flight");
+    import_big(&repo);
+    let sink = repo.join("flight.jsonl");
+    let recorded = |args: &[&str]| {
+        let out = nggc()
+            .arg("--repo")
+            .arg(&repo)
+            .env("NGGC_SLOW_QUERY_MS", " 0 ")
+            .env("NGGC_FLIGHT_RECORDER", &sink)
+            .args(args)
+            .output()
+            .expect("binary runs");
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+
+    let select = "X = SELECT(region: left >= 100) BIG; MATERIALIZE X;";
+    let (code, stderr) = recorded(&["query", "-e", select, "--no-cache"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.contains("flight recorder: slow query recorded to"), "{stderr}");
+    let records = flight::read_records(&sink);
+    assert_eq!(records.len(), 1);
+    let slow = &records[0];
+    assert_eq!(flight::text_of(flight::get(slow, "outcome")), "slow");
+    assert_eq!(flight::text_of(flight::get(slow, "query")), select);
+    let trace = flight::items(flight::get(slow, "trace"));
+    let trace_id = flight::number(flight::get(slow, "trace_id"));
+    assert!(trace_id != 0 && !trace.is_empty());
+    assert!(trace.iter().all(|span| flight::number(flight::get(span, "trace_id")) == trace_id));
+    let names: Vec<&str> =
+        trace.iter().map(|span| flight::text_of(flight::get(span, "name"))).collect();
+    assert!(names.contains(&"repo.load"), "the cold read is in the trace: {names:?}");
+    let nodes = flight::items(flight::get(slow, "nodes"));
+    let operators: Vec<&str> =
+        nodes.iter().map(|node| flight::text_of(flight::get(node, "operator"))).collect();
+    assert_eq!(operators, ["SOURCE", "SELECT"]);
+    assert_eq!(flight::items(flight::get(&nodes[1], "inputs")).len(), 1);
+
+    // A governor trip: same sink, second line, exit code unchanged.
+    let (code, stderr) = recorded(&["query", "-e", PATHOLOGICAL, "--timeout", "1ms"]);
+    assert_eq!(code, Some(124), "{stderr}");
+    assert!(stderr.contains("partial progress"), "{stderr}");
+    let records = flight::read_records(&sink);
+    assert_eq!(records.len(), 2);
+    assert_eq!(flight::text_of(flight::get(&records[1], "outcome")), "deadline");
+    assert!(flight::items(flight::get(&records[1], "nodes")).is_empty(), "it did not complete");
+
+    // Without a sink the line itself goes to stderr; a threshold the
+    // query stays under records nothing; a malformed one is an error.
+    let out = nggc()
+        .arg("--repo")
+        .arg(&repo)
+        .env("NGGC_SLOW_QUERY_MS", "0")
+        .args(["query", "-e", select])
+        .output()
+        .expect("binary runs");
+    assert!(String::from_utf8_lossy(&out.stderr).contains(r#"{"kind":"nggc_flight_record""#));
+    for (threshold, code) in [("3600000", 0), ("soon", 1)] {
+        let out = nggc()
+            .arg("--repo")
+            .arg(&repo)
+            .env("NGGC_SLOW_QUERY_MS", threshold)
+            .args(["query", "-e", select])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{stderr}");
+        assert!(!stderr.contains("nggc_flight_record"), "{stderr}");
+        assert_eq!(stderr.contains("NGGC_SLOW_QUERY_MS"), code == 1, "{stderr}");
+    }
     std::fs::remove_dir_all(&repo).ok();
 }
 

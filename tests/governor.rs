@@ -227,7 +227,8 @@ fn memory_budget_admits_a_pruned_load_it_would_refuse_in_full() {
     }
     // The pruned load never became resident: a budget the dataset fits
     // in reads all of it.
-    assert_eq!(repo.load_bounded("WIDE8", full).unwrap().region_count(), 16_000);
+    let fits = ScanRequest { budget: Some(full), ..ScanRequest::default() };
+    assert_eq!(repo.scan("WIDE8", &fits).unwrap().region_count(), 16_000);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -8,12 +8,16 @@
 //! cold loads hitting disk exactly once, and SIGTERM draining the real
 //! binary to exit 0.
 
+#[path = "common/flight.rs"]
+mod flight;
 #[path = "common/watchdog.rs"]
 mod watchdog;
 
 use nggc::gdm::{Attribute, Dataset, GRegion, Metadata, Sample, Schema, Strand, ValueType};
 use nggc::repository::Repository;
-use nggc::server::{Client, ServeConfig, ServeErrorKind, Server, ServerHandle, ServerReply};
+use nggc::server::{
+    Client, FlightRecorder, ServeConfig, ServeErrorKind, Server, ServerHandle, ServerReply,
+};
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
@@ -403,6 +407,62 @@ fn zero_deadline_trips_typed_deadline_error() {
         }
         handle.shutdown();
         runner.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&root).ok();
+    });
+}
+
+/// The flight recorder armed in `ServeConfig` (docs/observability.md):
+/// one collector serves every request, and each record must hold its
+/// own request's spans only — in the schema the CLI writes.
+#[test]
+fn flight_records_of_concurrent_requests_keep_to_their_own_trace() {
+    let _guard = test_lock();
+    with_watchdog("flight", 60, || {
+        let (root, repo) = cold_repo("flight", "FL");
+        let sink = root.join("flight.jsonl");
+        let flight = FlightRecorder { threshold: Some(Duration::ZERO), sink: Some(sink.clone()) };
+        let (addr, handle, runner) =
+            start(repo, ServeConfig { flight: Some(flight), ..ServeConfig::default() });
+        let clients: Vec<_> = ["left >= 0", "left >= 100"]
+            .into_iter()
+            .map(|predicate| {
+                let addr = addr.clone();
+                let query = format!("R = SELECT(region: {predicate}) FL; MATERIALIZE R;");
+                std::thread::spawn(move || {
+                    let mut client = Client::connect(&addr).unwrap();
+                    match client.query(&query, None, None, 0).unwrap() {
+                        ServerReply::Result { trace_id, .. } => (query, trace_id),
+                        other => panic!("expected Result, got {other:?}"),
+                    }
+                })
+            })
+            .collect();
+        let replies: Vec<(String, u64)> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+        handle.shutdown();
+        runner.join().unwrap().unwrap();
+        nggc::obs::clear_subscribers();
+
+        let records = flight::read_records(&sink);
+        assert_eq!(records.len(), 2, "a zero threshold records every executed request");
+        for (query, trace_id) in &replies {
+            let record = records
+                .iter()
+                .find(|r| flight::number(flight::get(r, "trace_id")) == *trace_id)
+                .unwrap_or_else(|| panic!("no record for trace {trace_id:x}"));
+            assert_eq!(flight::text_of(flight::get(record, "outcome")), "slow");
+            assert_eq!(flight::text_of(flight::get(record, "query")), query);
+            let trace = flight::items(flight::get(record, "trace"));
+            assert!(
+                trace.iter().all(|s| flight::number(flight::get(s, "trace_id")) == *trace_id),
+                "a record holds only its own request's spans"
+            );
+            let spans: Vec<&str> =
+                trace.iter().map(|s| flight::text_of(flight::get(s, "name"))).collect();
+            assert_eq!(spans.iter().filter(|name| **name == "serve.request").count(), 1);
+            assert!(spans.contains(&"exec.plan"), "{spans:?}");
+            assert_eq!(flight::items(flight::get(record, "nodes")).len(), 2, "SOURCE and SELECT");
+        }
+        assert_ne!(replies[0].1, replies[1].1);
         std::fs::remove_dir_all(&root).ok();
     });
 }
