@@ -1,10 +1,10 @@
-//! **E10a/E10b** — join-strategy ablation and bin-width sweep.
+//! **E10a** — join-strategy ablation.
 //!
-//! The GMQL cloud implementations partition genometric joins by genome
-//! bins; this reproduction also provides a chrom-sweep sort-merge kernel
-//! and the exhaustive baseline. The ablation measures all three on the
-//! same workloads, plus the binned kernel across bin widths (DESIGN.md
-//! §5 items 1–2).
+//! The operators join with a chrom-sweep sort-merge kernel; the ablation
+//! measures it against the exhaustive baseline on the same workloads
+//! (DESIGN.md §5 item 1). The binned kernel and the NCList index it was
+//! once measured against lost at every size and were deleted
+//! (EXPERIMENTS.md E10).
 //!
 //! `cover_sweep` computes COVER's accumulation index over several samples
 //! three ways: as the operators did before (clone every region into one
@@ -30,8 +30,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nggc_core::{ops, parse, ExecOptions, MetaPredicate, OpCall, Operator, RegionExpr, Statement};
 use nggc_engine::{
-    coverage_segments, coverage_sweep, merge_runs, overlap_pairs_binned, overlap_pairs_naive,
-    overlap_pairs_sort_merge, Binner, ExecContext, NcList,
+    coverage_segments, coverage_sweep, merge_runs, overlap_pairs_naive, overlap_pairs_sort_merge,
+    ExecContext,
 };
 use nggc_formats::native_v2::{encode_dataset_v2, scan_dataset_v2_from, ScanOptions};
 use nggc_gdm::{Attribute, Chrom, Dataset, GRegion, Metadata, Sample, Schema, Strand, ValueType};
@@ -69,34 +69,6 @@ fn bench_strategies(c: &mut Criterion) {
                 black_box(count)
             })
         });
-        group.bench_with_input(BenchmarkId::new("binned_100k", n), &n, |b, _| {
-            b.iter(|| {
-                let mut count = 0usize;
-                overlap_pairs_binned(&left, &right, Binner::new(100_000), |_, _| count += 1);
-                black_box(count)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("nclist_probe", n), &n, |b, _| {
-            // Index build amortised across joins: build once, probe per left.
-            let index = NcList::build(&right);
-            b.iter(|| {
-                let mut count = 0usize;
-                for a in &left {
-                    index.overlaps(a.left, a.right, |_| count += 1);
-                }
-                black_box(count)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("nclist_build_probe", n), &n, |b, _| {
-            b.iter(|| {
-                let index = NcList::build(&right);
-                let mut count = 0usize;
-                for a in &left {
-                    index.overlaps(a.left, a.right, |_| count += 1);
-                }
-                black_box(count)
-            })
-        });
         // The exhaustive baseline only at sizes where it finishes quickly.
         if n <= 5_000 {
             group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
@@ -107,23 +79,6 @@ fn bench_strategies(c: &mut Criterion) {
                 })
             });
         }
-    }
-    group.finish();
-}
-
-fn bench_bin_width(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bin_width");
-    group.sample_size(10);
-    let left = regions(2_000, 10_000_000, 2_000, 3);
-    let right = regions(20_000, 10_000_000, 400, 4);
-    for &width in &[10_000u64, 100_000, 1_000_000, 10_000_000] {
-        group.bench_with_input(BenchmarkId::from_parameter(width), &width, |b, &w| {
-            b.iter(|| {
-                let mut count = 0usize;
-                overlap_pairs_binned(&left, &right, Binner::new(w), |_, _| count += 1);
-                black_box(count)
-            })
-        });
     }
     group.finish();
 }
@@ -293,7 +248,6 @@ fn bench_scan_meta_first(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_strategies,
-    bench_bin_width,
     bench_cover_sweep,
     bench_select_window,
     bench_scan_meta_first

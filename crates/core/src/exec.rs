@@ -186,37 +186,19 @@ impl std::fmt::Display for NodeMetrics {
 }
 
 /// Execute a (possibly optimized) plan and return the materialized
-/// outputs keyed by output name. Every output dataset is renamed to its
+/// outputs keyed by output name, with per-node metrics in execution order
+/// — the paper's "estimates of the data sizes of results" (§4.4),
+/// measured instead of estimated. Every output dataset is renamed to its
 /// MATERIALIZE name and validated against the GDM constraints.
-pub fn execute(
-    plan: &LogicalPlan,
-    provider: &dyn DatasetProvider,
-    ctx: &ExecContext,
-    opts: &ExecOptions,
-) -> Result<HashMap<String, Dataset>, GmqlError> {
-    execute_with_metrics(plan, provider, ctx, opts).map(|(out, _)| out)
-}
-
-/// [`execute`], additionally reporting per-node metrics in execution
-/// order — the paper's "estimates of the data sizes of results" (§4.4),
-/// measured instead of estimated.
-pub fn execute_with_metrics(
-    plan: &LogicalPlan,
-    provider: &dyn DatasetProvider,
-    ctx: &ExecContext,
-    opts: &ExecOptions,
-) -> Result<(HashMap<String, Dataset>, Vec<NodeMetrics>), GmqlError> {
-    execute_governed(plan, provider, ctx, opts, None)
-}
-
-/// [`execute_with_metrics`] under a [`QueryGovernor`]: the governor is
-/// checked at **every plan-node boundary** (before a node runs and again
-/// after its operator returns, so a kernel that truncated its output on
-/// a mid-loop trip is reported as the typed error, never as a success),
-/// every materialised intermediate is charged against the memory budget
-/// and released when its last consumer has run, and the governor's
-/// interruption state is threaded into the [`ExecContext`] so operator
-/// hot loops and the per-chromosome fan-out observe it too.
+///
+/// Under a [`QueryGovernor`] the governor is checked at **every plan-node
+/// boundary** (before a node runs and again after its operator returns,
+/// so a kernel that truncated its output on a mid-loop trip is reported
+/// as the typed error, never as a success), every materialised
+/// intermediate is charged against the memory budget and released when
+/// its last consumer has run, and the governor's interruption state is
+/// threaded into the [`ExecContext`] so operator hot loops and the
+/// per-chromosome fan-out observe it too.
 pub fn execute_governed(
     plan: &LogicalPlan,
     provider: &dyn DatasetProvider,

@@ -45,9 +45,7 @@ pub use ast::{
     Statement,
 };
 pub use error::GmqlError;
-pub use exec::{
-    execute, execute_governed, execute_with_metrics, DatasetProvider, ExecOptions, NodeMetrics,
-};
+pub use exec::{execute_governed, DatasetProvider, ExecOptions, NodeMetrics};
 pub use fingerprint::{fingerprint, source_datasets, PlanFingerprint, FINGERPRINT_VERSION};
 pub use governor::{
     parse_bytes, parse_duration, GovernorLimits, QueryGovernor, ENV_MAX_MEMORY, ENV_TIMEOUT,

@@ -21,7 +21,7 @@
 //! ```
 
 use crate::error::GmqlError;
-use crate::exec::{execute, ExecOptions};
+use crate::exec::{execute_governed, ExecOptions};
 use crate::optimizer::{optimize, OptimizerReport};
 use crate::parser::parse;
 use crate::plan::LogicalPlan;
@@ -107,27 +107,7 @@ impl GmqlEngine {
                 .cloned()
                 .ok_or_else(|| GmqlError::semantic(format!("unknown dataset {name:?}")))
         };
-        crate::exec::execute_with_metrics(&plan, &provider, &self.ctx, &self.opts)
-    }
-
-    /// [`run_analyze`](Self::run_analyze) under a resource governor:
-    /// deadline, memory budget, and cancellation are enforced at every
-    /// plan-node boundary and inside operator hot loops. The engine (and
-    /// its registered datasets) survives a tripped query — the next call
-    /// runs normally.
-    pub fn run_governed(
-        &self,
-        query: &str,
-        governor: &crate::governor::QueryGovernor,
-    ) -> Result<(HashMap<String, Dataset>, Vec<crate::exec::NodeMetrics>), GmqlError> {
-        let plan = self.compile(query)?;
-        let provider = |name: &str| -> Result<Dataset, GmqlError> {
-            self.datasets
-                .get(name)
-                .cloned()
-                .ok_or_else(|| GmqlError::semantic(format!("unknown dataset {name:?}")))
-        };
-        crate::exec::execute_governed(&plan, &provider, &self.ctx, &self.opts, Some(governor))
+        execute_governed(&plan, &provider, &self.ctx, &self.opts, None)
     }
 
     /// Estimate the output size of a query without running it, from
@@ -240,7 +220,7 @@ pub fn run_with_provider(
 ) -> Result<HashMap<String, Dataset>, GmqlError> {
     let statements = parse(query)?;
     let plan = LogicalPlan::compile(&statements, schema_of)?;
-    execute(&plan, provider, ctx, opts)
+    execute_governed(&plan, provider, ctx, opts, None).map(|(out, _)| out)
 }
 
 /// [`run_with_provider`] under a [`QueryGovernor`](crate::governor::QueryGovernor),
@@ -256,7 +236,7 @@ pub fn run_with_provider_governed(
 ) -> Result<(HashMap<String, Dataset>, Vec<crate::exec::NodeMetrics>), GmqlError> {
     let statements = parse(query)?;
     let plan = LogicalPlan::compile(&statements, schema_of)?;
-    crate::exec::execute_governed(&plan, provider, ctx, opts, Some(governor))
+    execute_governed(&plan, provider, ctx, opts, Some(governor))
 }
 
 #[cfg(test)]

@@ -10,11 +10,10 @@
 //! negative set) do not pool and re-sort them: each sample's chromosome
 //! slice is a sorted run, and [`merge_runs`] merges the runs as borrows.
 
-use crate::binning::Binner;
 use crate::par::CHECKPOINT_STRIDE;
 use nggc_gdm::{interval_overlap, GRegion};
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// The two coordinates a sweep kernel reads: one kernel serves regions,
 /// borrowed regions (a merged order of `&GRegion`) and coordinate pairs.
@@ -127,36 +126,6 @@ pub fn overlap_pairs_sort_merge_interruptible<A: Interval, B: Interval>(
             }
             if interval_overlap(a.left(), a.right(), right[k].left(), right[k].right()) {
                 emit(i, k);
-            }
-        }
-    }
-}
-
-/// Emit every overlapping pair using genome binning with the anchor-bin
-/// deduplication rule — the partitioning strategy of the GMQL cloud
-/// implementations, which is also how the parallel engine shards joins.
-pub fn overlap_pairs_binned(
-    left: &[GRegion],
-    right: &[GRegion],
-    binner: Binner,
-    mut emit: impl FnMut(usize, usize),
-) {
-    let mut bins: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (j, b) in right.iter().enumerate() {
-        for bin in binner.bin_range(b.left, b.right) {
-            bins.entry(bin).or_default().push(j);
-        }
-    }
-    for (i, a) in left.iter().enumerate() {
-        for bin in binner.bin_range(a.left, a.right) {
-            let Some(candidates) = bins.get(&bin) else { continue };
-            for &j in candidates {
-                let b = &right[j];
-                if interval_overlap(a.left, a.right, b.left, b.right)
-                    && binner.anchor_bin(a.left, b.left) == bin
-                {
-                    emit(i, j);
-                }
             }
         }
     }
@@ -444,18 +413,6 @@ mod tests {
         let merge = collect_pairs(|e| overlap_pairs_sort_merge(&left, &right, e));
         assert_eq!(naive, merge);
         assert!(!naive.is_empty());
-    }
-
-    #[test]
-    fn binned_matches_naive_across_widths() {
-        let left = vec![r(0, 250), r(90, 110), r(100, 100), r(300, 301)];
-        let right = vec![r(50, 150), r(100, 400), r(100, 100), r(299, 302)];
-        let naive = collect_pairs(|e| overlap_pairs_naive(&left, &right, e));
-        for width in [1, 7, 100, 1000, 1_000_000] {
-            let binned =
-                collect_pairs(|e| overlap_pairs_binned(&left, &right, Binner::new(width), e));
-            assert_eq!(naive, binned, "width {width}");
-        }
     }
 
     #[test]

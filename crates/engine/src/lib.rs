@@ -7,9 +7,8 @@
 //!
 //! * **sample parallelism** — GMQL operators implicitly iterate over all
 //!   samples; each sample (or sample pair) is an independent task;
-//! * **genome partitioning** — within a sample pair, per-chromosome and
-//!   per-bin sharding keeps genometric operations local ([`Binner`], with
-//!   the anchor-bin deduplication rule);
+//! * **genome partitioning** — within a sample pair, per-chromosome
+//!   sharding keeps genometric operations local;
 //! * **work stealing** — a fixed pool of workers with per-worker LIFO
 //!   deques and a global injector ([`WorkerPool`]).
 //!
@@ -19,21 +18,17 @@
 
 #![warn(missing_docs)]
 
-pub mod binning;
 pub mod interrupt;
 pub mod interval;
-pub mod nclist;
 pub mod par;
 pub mod pool;
 
-pub use binning::Binner;
 pub use interrupt::{CancelToken, Interrupt, InterruptState};
 pub use interval::{
     coverage_segments, coverage_sweep, gap_pairs_naive, gap_pairs_sort_merge,
     gap_pairs_sort_merge_interruptible, k_nearest, k_nearest_interruptible, merge_cover,
-    merge_runs, overlap_pairs_binned, overlap_pairs_naive, overlap_pairs_sort_merge,
+    merge_runs, overlap_pairs_naive, overlap_pairs_sort_merge,
     overlap_pairs_sort_merge_interruptible, CovSeg, Interval,
 };
-pub use nclist::NcList;
 pub use par::{union_chroms, ExecContext, CHECKPOINT_STRIDE};
 pub use pool::WorkerPool;

@@ -42,11 +42,10 @@ pub use error::FormatError;
 pub use gff3::{gff3_schema, parse_gff3, write_gff3};
 pub use gtf::{gtf_schema, parse_gtf, write_gtf};
 pub use loader::{load_directory, LoadReport};
-pub use native::{read_dataset, read_dataset_streaming, write_dataset};
+pub use native::{read_dataset, write_dataset};
 pub use native_v2::{
     detect_version, read_dataset_auto, read_dataset_v2, read_dataset_v2_chrom,
-    read_dataset_v2_pruned, read_dataset_v2_streaming, write_dataset_v2, ScanOptions, ScanStats,
-    StorageVersion,
+    read_dataset_v2_pruned, write_dataset_v2, ScanOptions, ScanStats, StorageVersion,
 };
 pub use peak::{parse_peaks, write_peaks, PeakKind};
 pub use vcf::{parse_vcf, vcf_schema, write_vcf};

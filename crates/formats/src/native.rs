@@ -168,44 +168,6 @@ pub fn read_dataset(dir: &Path) -> Result<Dataset, FormatError> {
     Ok(dataset)
 }
 
-/// Stream a dataset from `dir`, invoking `visit` once per sample instead
-/// of materialising the whole dataset — the memory-bounded path for
-/// repositories holding samples with millions of regions. The callback
-/// may return `false` to stop early (remaining samples are not read).
-pub fn read_dataset_streaming(
-    dir: &Path,
-    mut visit: impl FnMut(Sample) -> bool,
-) -> Result<Schema, FormatError> {
-    let name = dir
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "dataset".to_owned());
-    let schema = parse_schema(&fs::read_to_string(dir.join("schema.gdm"))?)?;
-    let files = dir.join("files");
-    let mut entries: Vec<_> = fs::read_dir(&files)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().map(|x| x == "gdm").unwrap_or(false))
-        .collect();
-    entries.sort();
-    for region_path in entries {
-        let stem =
-            region_path.file_stem().map(|s| s.to_string_lossy().into_owned()).unwrap_or_default();
-        let regions = parse_regions(&fs::read_to_string(&region_path)?, &schema)?;
-        let meta_path = files.join(format!("{stem}.gdm.meta"));
-        let metadata = if meta_path.exists() {
-            parse_metadata(&fs::read_to_string(&meta_path)?)?
-        } else {
-            Metadata::new()
-        };
-        let sample = Sample::new(stem, &name).with_regions(regions).with_metadata(metadata);
-        if !visit(sample) {
-            break;
-        }
-    }
-    Ok(schema)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,33 +220,6 @@ mod tests {
     fn arity_mismatch_detected() {
         let schema = Schema::new(vec![Attribute::new("x", ValueType::Int)]).unwrap();
         assert!(parse_regions("chr1\t0\t5\t+\n", &schema).is_err());
-    }
-
-    #[test]
-    fn streaming_reader_visits_and_stops() {
-        let ds = sample_dataset();
-        let dir = std::env::temp_dir().join(format!("nggc_stream_{}", std::process::id()));
-        let dsdir = dir.join("PEAKS");
-        write_dataset(&ds, &dsdir).unwrap();
-
-        let mut seen = Vec::new();
-        let schema = read_dataset_streaming(&dsdir, |s| {
-            seen.push((s.name.clone(), s.region_count()));
-            true
-        })
-        .unwrap();
-        assert_eq!(schema, ds.schema);
-        assert_eq!(seen, vec![("s1".to_string(), 2), ("s2".to_string(), 1)]);
-
-        // Early stop after the first sample.
-        let mut count = 0;
-        read_dataset_streaming(&dsdir, |_| {
-            count += 1;
-            false
-        })
-        .unwrap();
-        assert_eq!(count, 1);
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

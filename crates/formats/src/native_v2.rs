@@ -1335,22 +1335,14 @@ pub fn scan_dataset_v2_from<R: Read + Seek>(
     read_with(BufReader::new(src), opts, admit, true, read_extent)
 }
 
-/// [`decode_dataset_v2_pruned`] over a container that is not in memory:
-/// [`scan_dataset_v2_from`] keeping every sample.
-pub fn read_dataset_v2_pruned_from<R: Read + Seek>(
-    src: R,
-    opts: &ScanOptions,
-) -> Result<(Dataset, ScanStats), FormatError> {
-    scan_dataset_v2_from(src, opts, admit_all)
-}
-
 /// Read a dataset from a v2 container directory, pruned by
-/// [`ScanOptions`]. See [`read_dataset_v2_pruned_from`].
+/// [`ScanOptions`]: [`decode_dataset_v2_pruned`] over a container that is
+/// not in memory, [`scan_dataset_v2_from`] keeping every sample.
 pub fn read_dataset_v2_pruned(
     dir: &Path,
     opts: &ScanOptions,
 ) -> Result<(Dataset, ScanStats), FormatError> {
-    read_dataset_v2_pruned_from(fs::File::open(dir.join(CONTAINER_FILE))?, opts)
+    scan_dataset_v2_from(fs::File::open(dir.join(CONTAINER_FILE))?, opts, admit_all)
 }
 
 /// Read a dataset restricted to one chromosome: only that chromosome's
@@ -1363,13 +1355,13 @@ pub fn read_dataset_v2_chrom(dir: &Path, chrom: &str) -> Result<Dataset, FormatE
     read_dataset_v2_pruned(dir, &opts).map(|(ds, _)| ds)
 }
 
-/// Read only the index of a v2 container (schema, sample names and
-/// metadata, per-chromosome region counts, byte extents and checksums):
-/// every block is seeked over, none is read or decoded.
-pub fn read_index_from<R: Read + Seek>(src: R) -> Result<V2Index, FormatError> {
+/// Read only the index of a dataset directory's v2 container (schema,
+/// sample names and metadata, per-chromosome region counts, byte extents
+/// and checksums): every block is seeked over, none is read or decoded.
+pub fn read_index(dir: &Path) -> Result<V2Index, FormatError> {
     let mut samples = Vec::new();
     let (header, _) = walk_container(
-        BufReader::new(src),
+        BufReader::new(fs::File::open(dir.join(CONTAINER_FILE))?),
         admit_all,
         |_| false,
         |_, _| Ok(()),
@@ -1383,35 +1375,6 @@ pub fn read_index_from<R: Read + Seek>(src: R) -> Result<V2Index, FormatError> {
         },
     )?;
     Ok(V2Index { name: header.name, schema: header.schema, samples })
-}
-
-/// [`read_index_from`] the container of a dataset directory.
-pub fn read_index(dir: &Path) -> Result<V2Index, FormatError> {
-    read_index_from(fs::File::open(dir.join(CONTAINER_FILE))?)
-}
-
-/// Stream a v2 dataset sample by sample, mirroring
-/// [`crate::native::read_dataset_streaming`]: one sample's blocks are in
-/// memory at a time. The callback may return `false` to stop early;
-/// remaining samples are neither read nor decoded.
-pub fn read_dataset_v2_streaming(
-    dir: &Path,
-    mut visit: impl FnMut(Sample) -> bool,
-) -> Result<Schema, FormatError> {
-    let (header, _) = walk_container(
-        BufReader::new(fs::File::open(dir.join(CONTAINER_FILE))?),
-        admit_all,
-        |_| true,
-        read_extent,
-        |header, scan| {
-            let regions = decode_blocks(&scan.name, &scan.wanted, &header.schema, None, true)?;
-            let sample = Sample::new(scan.name, &header.name)
-                .with_regions(regions)
-                .with_metadata(scan.metadata);
-            Ok(visit(sample))
-        },
-    )?;
-    Ok(header.schema)
 }
 
 #[cfg(test)]
@@ -1499,6 +1462,18 @@ mod tests {
         dir
     }
 
+    /// [`read_index`] of a container held in memory.
+    fn index_of(bytes: &[u8]) -> Result<V2Index, FormatError> {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = tmp(&format!("index_{n}"));
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(CONTAINER_FILE), bytes).unwrap();
+        let index = read_index(&dir);
+        fs::remove_dir_all(&dir).ok();
+        index
+    }
+
     #[test]
     fn memory_roundtrip_all_types_nulls_nan_zero_length() {
         let ds = wide_dataset();
@@ -1568,30 +1543,6 @@ mod tests {
         assert_eq!(index.samples[0].chroms[0].chrom, "chr1");
         assert_eq!(index.samples[0].chroms[0].regions, 2);
         assert_eq!(index.region_count(), 3);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn streaming_visits_and_stops_early() {
-        let ds = wide_dataset();
-        let dir = tmp("stream");
-        let dsdir = dir.join("WIDE");
-        write_dataset_v2(&ds, &dsdir).unwrap();
-        let mut seen = Vec::new();
-        let schema = read_dataset_v2_streaming(&dsdir, |s| {
-            seen.push((s.name.clone(), s.region_count()));
-            true
-        })
-        .unwrap();
-        assert_eq!(schema, ds.schema);
-        assert_eq!(seen, vec![("s1".into(), 3), ("s2".into(), 0)]);
-        let mut count = 0;
-        read_dataset_v2_streaming(&dsdir, |_| {
-            count += 1;
-            false
-        })
-        .unwrap();
-        assert_eq!(count, 1);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1744,16 +1695,6 @@ mod tests {
         assert_blocks_share_chrom_handles(&read_dataset_v2_pruned(&dir, &columns).unwrap().0);
         let bytes = fs::read(dir.join(CONTAINER_FILE)).unwrap();
         assert_blocks_share_chrom_handles(&decode_dataset_v2_pruned(&bytes, &columns).unwrap().0);
-        let mut streamed = 0;
-        read_dataset_v2_streaming(&dir, |sample| {
-            streamed += sample.regions.len();
-            let mut one = Dataset::new("WIDE", wide_schema());
-            one.add_sample(sample).unwrap();
-            assert_blocks_share_chrom_handles(&one);
-            true
-        })
-        .unwrap();
-        assert_eq!(streamed, 3);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1811,17 +1752,22 @@ mod tests {
         let bytes = encode_dataset_v2(&ds).unwrap();
         let total = bytes.len() as u64;
 
-        let mut src = Counting::new(io::Cursor::new(&bytes));
-        let index = read_index_from(&mut src).unwrap();
+        let index = index_of(&bytes).unwrap();
         assert_eq!(index.region_count(), 48_000);
-        assert!(src.read * 4 < total, "read_index pulled {} of {total} bytes", src.read);
+        // The index read never looks inside a block: one with a flipped
+        // byte (the middle of the file is block data) reads the same
+        // index, while a full decode fails its checksum.
+        let mut flipped = bytes.clone();
+        flipped[bytes.len() / 2] ^= 0x40;
+        assert_eq!(index_of(&flipped).unwrap().region_count(), 48_000);
+        assert!(matches!(decode_dataset_v2(&flipped), Err(FormatError::ChecksumMismatch { .. })));
 
         let opts = ScanOptions {
             chroms: Some(std::iter::once("chr2".to_string()).collect()),
             columns: None,
         };
         let mut src = Counting::new(io::Cursor::new(&bytes));
-        let (chr2, stats) = read_dataset_v2_pruned_from(&mut src, &opts).unwrap();
+        let (chr2, stats) = scan_dataset_v2_from(&mut src, &opts, admit_all).unwrap();
         assert_eq!(chr2.region_count(), 16_000);
         assert_eq!(stats.bytes_read + stats.bytes_skipped, index.block_bytes(&opts, admit_all).1);
         assert_eq!(stats.bytes_read, index.block_bytes(&opts, admit_all).0);
@@ -1860,7 +1806,7 @@ mod tests {
     fn refused_samples_are_absent_and_counted() {
         let ds = tall_dataset_with_cells();
         let bytes = encode_dataset_v2(&ds).unwrap();
-        let index = read_index_from(io::Cursor::new(&bytes)).unwrap();
+        let index = index_of(&bytes).unwrap();
         let cells: Vec<&str> =
             index.samples.iter().map(|s| s.metadata.first("cell").unwrap()).collect();
         assert_eq!(cells, ["K562", "HeLa", "K562", "GM12878"], "the index carries metadata");
@@ -1962,7 +1908,9 @@ mod tests {
         let bytes = encode_dataset_v2(&ds).unwrap();
         let opts = chroms_only(&["chr2"]);
         let (a, a_stats) = decode_dataset_v2_pruned(&bytes, &opts).unwrap();
-        let (b, b_stats) = read_dataset_v2_pruned_from(io::Cursor::new(&bytes), &opts).unwrap();
+        let dir = tmp("admit_all");
+        write_dataset_v2(&ds, &dir).unwrap();
+        let (b, b_stats) = read_dataset_v2_pruned(&dir, &opts).unwrap();
         let (c, c_stats) = scan_dataset_v2_from(io::Cursor::new(&bytes), &opts, admit_all).unwrap();
         assert_datasets_equal(&a, &b);
         assert_datasets_equal(&a, &c);
@@ -1970,16 +1918,6 @@ mod tests {
         assert_eq!((a_stats.samples_read, a_stats.samples_skipped), (4, 0));
         assert_eq!(a.sample_count(), 4, "every sample is kept, with or without regions");
         assert_datasets_equal(&decode_dataset_v2(&bytes).unwrap(), &ds);
-        let dir = tmp("admit_all");
-        write_dataset_v2(&ds, &dir).unwrap();
-        let mut streamed = Vec::new();
-        read_dataset_v2_streaming(&dir, |s| {
-            streamed.push((s.name.clone(), s.metadata.first("cell").map(str::to_owned)));
-            true
-        })
-        .unwrap();
-        assert_eq!(streamed.len(), 4);
-        assert_eq!(streamed[3], ("s3".to_owned(), Some("GM12878".to_owned())));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1995,8 +1933,8 @@ mod tests {
             // The trailer alone may be missing; anything shorter cuts into
             // an index or a block.
             let structural = cut < bytes.len() - 4;
-            let index = read_index_from(io::Cursor::new(short));
-            let pruned = read_dataset_v2_pruned_from(io::Cursor::new(short), &all);
+            let index = index_of(short);
+            let pruned = scan_dataset_v2_from(io::Cursor::new(short), &all, admit_all);
             for (what, failed) in [("index", index.is_err()), ("pruned", pruned.is_err())] {
                 assert_eq!(failed, structural, "{what} read of the first {cut} bytes");
             }
@@ -2006,7 +1944,7 @@ mod tests {
         }
         // An extent that points past the end is caught before it is
         // seeked over or allocated: grow the last block's length varint.
-        let index = read_index_from(io::Cursor::new(&bytes)).unwrap();
+        let index = index_of(&bytes).unwrap();
         let chr2 = &index.samples[0].chroms[1];
         // Index entry: str name, varint regions, varint bytes, u32 crc.
         let entry = bytes.windows(5).position(|w| w == b"\x04chr2").unwrap();
@@ -2014,10 +1952,7 @@ mod tests {
         assert_eq!(u64::from(bytes[at]), chr2.bytes, "the block-length byte of s1/chr2");
         let mut long = bytes.clone();
         long[at] = 0x7f;
-        assert!(matches!(
-            read_index_from(io::Cursor::new(&long)),
-            Err(FormatError::Corrupt { .. })
-        ));
+        assert!(matches!(index_of(&long), Err(FormatError::Corrupt { .. })));
     }
 
     #[test]

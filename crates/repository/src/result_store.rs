@@ -163,33 +163,41 @@ impl ResultStore {
         Ok(())
     }
 
+    /// Every entry directory with its metadata, `None` when that is
+    /// missing or unreadable. Dot-named directories (staging, trash) are
+    /// not entries.
+    fn entries(&self) -> Vec<(PathBuf, Option<EntryMeta>)> {
+        let Ok(read) = fs::read_dir(&self.dir) else {
+            return Vec::new();
+        };
+        read.filter_map(|e| e.ok())
+            .map(|e| e.path())
+            .filter(|path| {
+                path.is_dir()
+                    && !path.file_name().is_some_and(|n| n.to_string_lossy().starts_with('.'))
+            })
+            .map(|path| {
+                let meta = fs::read_to_string(path.join("meta.json"))
+                    .ok()
+                    .and_then(|t| serde_json::from_str::<EntryMeta>(&t).ok());
+                (path, meta)
+            })
+            .collect()
+    }
+
     /// Remove oldest entries (by `meta.json` mtime) until total encoded
     /// bytes fit the budget. `keep` is never evicted — it is the entry
     /// the caller just wrote.
     fn evict_over_budget(&self, keep: Option<u64>) {
         let keep_dir = keep.map(|k| self.entry_dir(k));
         let mut entries: Vec<(PathBuf, SystemTime, u64)> = Vec::new();
-        let Ok(read) = fs::read_dir(&self.dir) else {
-            return;
-        };
-        for entry in read.filter_map(|e| e.ok()) {
-            let path = entry.path();
-            if !path.is_dir()
-                || path.file_name().is_some_and(|n| n.to_string_lossy().starts_with('.'))
-            {
-                continue;
-            }
-            let meta_path = path.join("meta.json");
-            let Ok(text) = fs::read_to_string(&meta_path) else {
+        for (path, meta) in self.entries() {
+            let Some(meta) = meta else {
                 // Half-written or foreign directory: reclaim it.
                 fs::remove_dir_all(&path).ok();
                 continue;
             };
-            let Ok(meta) = serde_json::from_str::<EntryMeta>(&text) else {
-                fs::remove_dir_all(&path).ok();
-                continue;
-            };
-            let mtime = fs::metadata(&meta_path)
+            let mtime = fs::metadata(path.join("meta.json"))
                 .and_then(|m| m.modified())
                 .unwrap_or(SystemTime::UNIX_EPOCH);
             entries.push((path, mtime, meta.bytes));
@@ -214,33 +222,13 @@ impl ResultStore {
     /// `gen_of` (or whose metadata is unreadable): they can only ever
     /// miss. Pure inspection — nothing is removed.
     pub fn stale_entries(&self, gen_of: &dyn Fn(&str) -> Option<u64>) -> Vec<PathBuf> {
-        let Ok(read) = fs::read_dir(&self.dir) else {
-            return Vec::new();
+        let dead = |meta: &EntryMeta| {
+            meta.version != STORE_VERSION
+                || !meta.gens.iter().all(|(name, gen)| gen_of(name) == Some(*gen))
         };
-        let mut stale = Vec::new();
-        for entry in read.filter_map(|e| e.ok()) {
-            let path = entry.path();
-            if !path.is_dir()
-                || path.file_name().is_some_and(|n| n.to_string_lossy().starts_with('.'))
-            {
-                continue;
-            }
-            let dead = match fs::read_to_string(path.join("meta.json"))
-                .ok()
-                .and_then(|t| serde_json::from_str::<EntryMeta>(&t).ok())
-            {
-                Some(meta) => {
-                    meta.version != STORE_VERSION
-                        || !meta.gens.iter().all(|(name, gen)| gen_of(name) == Some(*gen))
-                }
-                // Unreadable metadata is as dead as a stale snapshot.
-                None => true,
-            };
-            if dead {
-                stale.push(path);
-            }
-        }
-        stale
+        // Unreadable metadata is as dead as a stale snapshot.
+        let entries = self.entries().into_iter();
+        entries.filter(|(_, meta)| meta.as_ref().is_none_or(dead)).map(|(path, _)| path).collect()
     }
 
     /// Remove every entry [`ResultStore::stale_entries`] flags — the
@@ -264,27 +252,8 @@ impl ResultStore {
     /// `(entries, encoded bytes)` currently resident — for tests and
     /// `nggc stats`.
     pub fn usage(&self) -> (u64, u64) {
-        let Ok(read) = fs::read_dir(&self.dir) else {
-            return (0, 0);
-        };
-        let mut entries = 0;
-        let mut bytes = 0;
-        for e in read.filter_map(|e| e.ok()) {
-            let path = e.path();
-            if !path.is_dir()
-                || path.file_name().is_some_and(|n| n.to_string_lossy().starts_with('.'))
-            {
-                continue;
-            }
-            if let Ok(meta) = fs::read_to_string(path.join("meta.json"))
-                .map_err(RepoError::from)
-                .and_then(|t| serde_json::from_str::<EntryMeta>(&t).map_err(RepoError::from))
-            {
-                entries += 1;
-                bytes += meta.bytes;
-            }
-        }
-        (entries, bytes)
+        let metas: Vec<EntryMeta> = self.entries().into_iter().filter_map(|(_, m)| m).collect();
+        (metas.len() as u64, metas.iter().map(|m| m.bytes).sum())
     }
 
     /// The store's root directory.

@@ -4,7 +4,6 @@
 use crate::protocol::{read_frame, write_frame, ClientRequest, ServerReply};
 use std::io;
 use std::net::TcpStream;
-use std::time::Duration;
 
 /// One connection to a running `nggc serve`.
 pub struct Client {
@@ -15,16 +14,6 @@ impl Client {
     /// Connect to `addr` (e.g. `127.0.0.1:7781`).
     pub fn connect(addr: &str) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Client { stream })
-    }
-
-    /// [`Client::connect`] with a connect timeout.
-    pub fn connect_timeout(addr: &str, timeout: Duration) -> io::Result<Client> {
-        let sock_addr = addr
-            .parse()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("{addr}: {e}")))?;
-        let stream = TcpStream::connect_timeout(&sock_addr, timeout)?;
         stream.set_nodelay(true)?;
         Ok(Client { stream })
     }

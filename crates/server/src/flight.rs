@@ -7,7 +7,7 @@
 //! `docs/observability.md` — for each one that outran the threshold or
 //! was stopped by its governor.
 
-use nggc_core::{GmqlError, LogicalPlan, NodeMetrics, QueryGovernor};
+use nggc_core::{GmqlError, LogicalPlan, NodeMetrics};
 use nggc_obs::{MemorySubscriber, SpanRecord};
 use serde::Serialize;
 use std::io::Write;
@@ -33,8 +33,10 @@ pub struct Flight<'a> {
     pub elapsed: Duration,
     /// The trace the query ran under; only its spans are recorded.
     pub trace_id: u64,
-    /// The query's governor, for what it charged and its peak.
-    pub governor: &'a QueryGovernor,
+    /// Governed bytes still charged when the query ended.
+    pub charged_bytes: u64,
+    /// The governor's high-water mark.
+    pub peak_bytes: u64,
     /// What stopped the query, if it did not complete.
     pub error: Option<&'a GmqlError>,
     /// The plan that was executed, as executed (optimized).
@@ -96,8 +98,8 @@ impl FlightRecorder {
             query: flight.query.to_owned(),
             elapsed_us: flight.elapsed.as_micros() as u64,
             trace_id: flight.trace_id,
-            governor_charged_bytes: flight.governor.charged(),
-            governor_peak_bytes: flight.governor.mem_peak(),
+            governor_charged_bytes: flight.charged_bytes,
+            governor_peak_bytes: flight.peak_bytes,
             dropped_spans: spans.dropped(),
             // One collector may serve many queries; this one's spans are
             // the ones stamped with its trace id.
@@ -231,7 +233,7 @@ pub fn node_stats(plan: &LogicalPlan, metrics: &[NodeMetrics]) -> Vec<NodeStats>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nggc_core::GovernorLimits;
+    use nggc_core::{GovernorLimits, QueryGovernor};
 
     fn plan() -> LogicalPlan {
         let statements = nggc_core::parse("X = SELECT() D; MATERIALIZE X;").unwrap();
@@ -239,28 +241,36 @@ mod tests {
     }
 
     fn flight<'a>(
-        governor: &'a QueryGovernor,
         plan: &'a LogicalPlan,
         elapsed: Duration,
         error: Option<&'a GmqlError>,
     ) -> Flight<'a> {
-        Flight { query: "Q", elapsed, trace_id: 7, governor, error, plan, metrics: &[] }
+        let metrics = &[];
+        Flight {
+            query: "Q",
+            elapsed,
+            trace_id: 7,
+            charged_bytes: 0,
+            peak_bytes: 0,
+            error,
+            plan,
+            metrics,
+        }
     }
 
     #[test]
     fn threshold_without_sink_writes_the_record_to_the_fallback() {
-        let governor = QueryGovernor::new(GovernorLimits::default());
         let plan = plan();
         let spans = MemorySubscriber::default();
         let recorder = FlightRecorder { threshold: Some(Duration::from_millis(5)), sink: None };
         let mut out = Vec::new();
 
         // At the threshold is not over it; nothing is written.
-        let at = flight(&governor, &plan, Duration::from_millis(5), None);
+        let at = flight(&plan, Duration::from_millis(5), None);
         assert!(!recorder.record(&at, &spans, &mut out));
         assert!(out.is_empty());
 
-        let over = flight(&governor, &plan, Duration::from_millis(6), None);
+        let over = flight(&plan, Duration::from_millis(6), None);
         assert!(recorder.record(&over, &spans, &mut out));
         let line = String::from_utf8(out).unwrap();
         assert_eq!(line.lines().count(), 1, "one JSON line: {line}");
@@ -277,17 +287,13 @@ mod tests {
         let recorder = FlightRecorder { threshold: None, sink: None };
         let mut out = Vec::new();
         let fast = Duration::from_micros(1);
-        assert!(!recorder.record(&flight(&governor, &plan, fast, None), &spans, &mut out));
+        assert!(!recorder.record(&flight(&plan, fast, None), &spans, &mut out));
         let plain = GmqlError::runtime("no such dataset");
-        assert!(!recorder.record(&flight(&governor, &plan, fast, Some(&plain)), &spans, &mut out));
+        assert!(!recorder.record(&flight(&plan, fast, Some(&plain)), &spans, &mut out));
         assert!(out.is_empty(), "neither slow nor tripped");
         governor.cancel_token().cancel();
         let cancelled = governor.check("X").unwrap_err();
-        assert!(recorder.record(
-            &flight(&governor, &plan, fast, Some(&cancelled)),
-            &spans,
-            &mut out
-        ));
+        assert!(recorder.record(&flight(&plan, fast, Some(&cancelled)), &spans, &mut out));
         assert!(String::from_utf8(out).unwrap().contains(r#""outcome":"cancelled""#));
     }
 }

@@ -24,6 +24,9 @@
 //! ([`nggc_obs::TraceContext`]); server activity is visible as
 //! `nggc_serve_*` metrics and, when armed, the slow-query flight
 //! recorder `nggc query` uses too ([`flight`]).
+//!
+//! A request takes the same path from text to outputs as `nggc query`
+//! and `nggc stats -e`: [`Session::run`] ([`session`]).
 
 #![warn(missing_docs)]
 
@@ -33,6 +36,7 @@ pub mod flight;
 pub mod protocol;
 pub mod provider;
 pub mod server;
+pub mod session;
 
 pub use admission::{Admission, AdmissionPermit, AdmitError, MemoryPool, MemoryReservation};
 pub use client::Client;
@@ -42,3 +46,4 @@ pub use protocol::{
 };
 pub use provider::RepoProvider;
 pub use server::{ServeConfig, Server, ServerHandle};
+pub use session::{QueryReport, Request, RunError, Session, Tier};

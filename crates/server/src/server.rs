@@ -1,26 +1,25 @@
 //! The serve loop: accept connections, admit queries, execute them on
 //! one shared engine, reply with typed results.
 //!
-//! One [`Server`] owns a shared [`Repository`] (so concurrent clients
-//! hit the same `Arc<Dataset>` cache and single-flight cold loads) and
-//! one [`ExecContext`] worker pool. Each connection gets a thread;
-//! each `Query` request passes the [`Admission`] gate, carves its
-//! governor budget out of the server [`MemoryPool`], and executes under
-//! its own [`QueryGovernor`] and trace id. Shutdown stops accepting,
+//! One [`Server`] owns one [`Session`] — a shared [`Repository`] (so
+//! concurrent clients hit the same `Arc<Dataset>` cache and single-flight
+//! cold loads) and one [`ExecContext`] worker pool. Each connection gets a
+//! thread; each `Query` request runs through [`Session::run`] under its
+//! own trace id, with serve's three choices: the in-memory
+//! [`ResultCache`] as its tier, the [`Admission`] gate and a governor
+//! budget carved out of the server [`MemoryPool`] as admission on a miss,
+//! and the `active` table for its cancel token. Shutdown stops accepting,
 //! refuses new queries, drains in-flight ones, and cancels stragglers
 //! through their `CancelToken`s after a grace period.
 
-use crate::admission::{Admission, AdmitError, MemoryPool};
-use crate::flight::{outcome_name, Flight, FlightRecorder};
+use crate::admission::{Admission, AdmissionPermit, AdmitError, MemoryPool, MemoryReservation};
+use crate::flight::FlightRecorder;
 use crate::protocol::{
     encode_frame, read_frame_timed, write_frame, ClientRequest, FrameRead, OutputSummary,
     ServeErrorKind, ServeStats, ServerReply, MAX_FRAME_BYTES,
 };
-use crate::provider::RepoProvider;
-use nggc_core::{
-    execute_governed, CacheBudget, CacheOutcome, ExecOptions, GmqlError, GovernorLimits,
-    LogicalPlan, QueryGovernor, ResultCache,
-};
+use crate::session::{QueryReport, Request, RunError, Session, Tier};
+use nggc_core::{CacheBudget, GmqlError, GovernorLimits, ResultCache};
 use nggc_engine::{CancelToken, ExecContext};
 use nggc_gdm::Dataset;
 use nggc_repository::Repository;
@@ -99,8 +98,7 @@ impl ServeConfig {
 /// Shared server state: one per [`Server`], referenced by every
 /// connection thread and by [`ServerHandle`]s.
 pub struct ServerShared {
-    repo: Repository,
-    ctx: ExecContext,
+    session: Session,
     admission: Admission,
     mem_pool: Arc<MemoryPool>,
     /// Plan-keyed result cache shared by every connection; `None` when
@@ -114,9 +112,6 @@ pub struct ServerShared {
     next_request: AtomicU64,
     requests: AtomicU64,
     rejected: AtomicU64,
-    /// Span sink for the flight recorder (None when unarmed). Shared by
-    /// all requests; a request's record keeps the spans of its trace.
-    collector: Option<Arc<nggc_obs::MemorySubscriber>>,
 }
 
 /// Control handle for a running server: trigger shutdown, observe
@@ -133,11 +128,6 @@ impl ServerHandle {
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.admission.begin_shutdown();
-    }
-
-    /// Has shutdown been requested?
-    pub fn is_shutdown(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
     }
 
     /// The admission gate (tests and maintenance tooling can pin
@@ -185,10 +175,12 @@ impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:0`) and prepare shared state.
     pub fn bind(addr: &str, repo: Repository, config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        let collector = config.flight.as_ref().map(|_| {
-            let c = Arc::new(nggc_obs::MemorySubscriber::default());
-            nggc_obs::add_subscriber(c.clone());
-            c
+        // One span sink serves every request; a request's flight record
+        // keeps the spans of its own trace.
+        let flight = config.flight.clone().map(|recorder| {
+            let spans = Arc::new(nggc_obs::MemorySubscriber::default());
+            nggc_obs::add_subscriber(spans.clone());
+            (recorder, spans)
         });
         let mem_pool = Arc::new(MemoryPool::new(config.mem_pool_bytes));
         let result_cache = (config.result_cache_bytes > 0).then(|| {
@@ -198,9 +190,9 @@ impl Server {
                 Arc::new(PoolBudget { pool: Arc::clone(&mem_pool) }),
             )
         });
+        let ctx = ExecContext::with_workers(config.workers);
         let shared = Arc::new(ServerShared {
-            repo,
-            ctx: ExecContext::with_workers(config.workers),
+            session: Session { repo, ctx, span: "serve.request", flight },
             admission: Admission::new(config.max_inflight, config.max_queue, config.retry_after),
             mem_pool,
             result_cache,
@@ -210,7 +202,6 @@ impl Server {
             next_request: AtomicU64::new(1),
             requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            collector,
         });
         Ok(Server { listener, shared })
     }
@@ -294,10 +285,6 @@ fn handle_connection(stream: TcpStream, shared: Arc<ServerShared>) {
         };
         let reply = match serde_json::from_slice::<ClientRequest>(&frame) {
             Ok(ClientRequest::Query { text, timeout_ms, max_memory, head, no_cache }) => {
-                // The admission permit and memory reservation live until
-                // this scope ends — i.e. until after the reply is
-                // written — so drain never completes while a client is
-                // still owed bytes.
                 let reply = run_query(&shared, &text, timeout_ms, max_memory, head, no_cache);
                 if send_reply(&mut writer, reply).is_err() {
                     return;
@@ -382,14 +369,10 @@ fn send_reply(writer: &mut (impl io::Write + ?Sized), reply: ServerReply) -> io:
     writer.flush()
 }
 
-/// Admit, budget, execute (or answer from the result cache), and
-/// summarise one query request.
-///
-/// Parse → compile → optimize happen before the cache is consulted so
-/// the cache key is the canonical fingerprint of the *optimized* plan:
-/// two spellings of the same query collide on purpose. Hits and
-/// coalesced waits skip admission and the memory pool entirely — the
-/// whole point of the cache — but never during drain.
+/// One query request: a draining server refuses it before the cache
+/// gets a say; otherwise it runs through the session and its outcome
+/// becomes the reply. Hits and coalesced waits never reach admission or
+/// the memory pool — the whole point of the cache.
 fn run_query(
     shared: &ServerShared,
     text: &str,
@@ -401,83 +384,43 @@ fn run_query(
     let reg = nggc_obs::global();
     reg.counter("nggc_serve_requests_total").inc();
     shared.requests.fetch_add(1, Ordering::Relaxed);
-
-    // A draining server refuses new work before the cache gets a say.
     if shared.admission.is_shutting_down() {
         return reject(shared, ServeErrorKind::ShuttingDown, "server is draining".into());
     }
 
-    let statements = match nggc_core::parse(text) {
-        Ok(s) => s,
-        Err(e) => {
-            return ServerReply::Error {
-                kind: ServeErrorKind::Parse,
-                message: e.to_string(),
-                retry_after_ms: None,
-            };
-        }
-    };
-    let plan = match LogicalPlan::compile(&statements, &|name| shared.repo.schema_of(name)) {
-        Ok(p) => p,
-        Err(e) => {
-            return ServerReply::Error {
-                kind: ServeErrorKind::Runtime,
-                message: e.to_string(),
-                retry_after_ms: None,
-            };
-        }
-    };
-    // Optimize here (execution below runs with `optimize: false`) and
-    // mirror the counters exec.rs would have bumped, so `stats` output
-    // is identical whichever side ran the optimizer.
-    let (plan, report) = nggc_core::optimize(&plan);
-    reg.counter("nggc_exec_optimizer_selects_fused_total").add(report.selects_fused as u64);
-    reg.counter("nggc_exec_optimizer_nodes_deduplicated_total")
-        .add(report.nodes_deduplicated as u64);
-
-    let cache = if no_cache { None } else { shared.result_cache.as_ref() };
-    let Some(cache) = cache else {
-        return match execute_admitted(shared, text, &plan, timeout_ms, max_memory) {
-            Ok(done) => result_reply(&done.outputs, head, done.trace_id, done.elapsed, false),
-            Err(reply) => reply,
-        };
-    };
-
-    let key = nggc_core::fingerprint(&plan).0;
-    let sources = nggc_core::source_datasets(&plan);
     let t0 = Instant::now();
-    // The leader's identity (trace id, wall time) escapes the closure so
-    // a Miss replies with the execution's own trace, not a synthetic one.
-    let mut leader: Option<(u64, Duration)> = None;
-    let computed =
-        cache.get_or_compute(key, &sources, &|name| shared.repo.generation(name), &mut || {
-            execute_admitted(shared, text, &plan, timeout_ms, max_memory).map(|done| {
-                leader = Some((done.trace_id, done.elapsed));
-                done.outputs
-            })
-        });
-    match computed {
-        Ok((outputs, outcome)) => {
-            let (trace_id, elapsed, cached) = match (outcome, leader) {
-                (CacheOutcome::Miss, Some((trace_id, elapsed))) => (trace_id, elapsed, false),
-                _ => {
-                    // Hit or coalesced: no execution ran on behalf of
-                    // this request. Give the reply its own trace id and
-                    // record the (cheap) lookup as the request time.
-                    let elapsed = t0.elapsed();
-                    let tc = nggc_obs::TraceContext::new();
-                    let trace_id = tc.trace_id;
-                    let _scope = tc.enter();
-                    let mut span = nggc_obs::span("serve.request");
-                    span.field("trace_id", trace_id).field("outcome", outcome.name());
-                    reg.histogram("nggc_serve_request_ns").record_duration(elapsed);
-                    (trace_id, elapsed, true)
-                }
+    let _trace = nggc_obs::TraceContext::new().enter();
+    let tier = match &shared.result_cache {
+        Some(cache) if !no_cache => Tier::Memory(cache),
+        _ => Tier::None,
+    };
+    let request = Request {
+        text,
+        tier,
+        admit: || admit(shared, timeout_ms, max_memory),
+        register: |token| ActiveGuard::register(shared, token),
+    };
+    let reply = match shared.session.run(request) {
+        Ok(report) => result_reply(&report, head),
+        Err(RunError::Parse(e)) => error_reply(ServeErrorKind::Parse, e),
+        Err(RunError::Compile(e)) => error_reply(ServeErrorKind::Runtime, e),
+        Err(RunError::Execute { error, .. }) => {
+            let kind = match &error {
+                GmqlError::DeadlineExceeded { .. } => ServeErrorKind::DeadlineExceeded,
+                GmqlError::Cancelled { .. } => ServeErrorKind::Cancelled,
+                GmqlError::MemoryExhausted { .. } => ServeErrorKind::MemoryExhausted,
+                _ => ServeErrorKind::Runtime,
             };
-            result_reply(&outputs, head, trace_id, elapsed, cached)
+            error_reply(kind, error)
         }
-        Err(reply) => reply,
-    }
+        Err(RunError::Refused(reply)) => reply,
+    };
+    reg.histogram("nggc_serve_request_ns").record_duration(t0.elapsed());
+    reply
+}
+
+fn error_reply(kind: ServeErrorKind, e: GmqlError) -> ServerReply {
+    ServerReply::Error { kind, message: e.to_string(), retry_after_ms: None }
 }
 
 /// Typed reject: counts, stamps a load-scaled back-off hint on the
@@ -490,28 +433,18 @@ fn reject(shared: &ServerShared, kind: ServeErrorKind, message: String) -> Serve
     ServerReply::Error { kind, message, retry_after_ms: retry }
 }
 
-/// A query that actually executed (cache miss or cache bypass).
-struct ExecutedQuery {
-    outputs: HashMap<String, Dataset>,
-    trace_id: u64,
-    elapsed: Duration,
-}
-
-/// The admitted execution path: concurrency gate → memory gate (with
-/// the result cache yielding bytes back to the pool under pressure) →
-/// governed execution of an already-optimized plan. Errors come back as
-/// ready-to-send replies.
-fn execute_admitted(
+/// Serve's admission on a miss: the concurrency gate, then the memory
+/// gate (with the result cache yielding bytes back to the pool under
+/// pressure). The governor limits come back with the permit and the
+/// reservation, held until the execution ends; a refusal is a
+/// ready-to-send reply.
+fn admit(
     shared: &ServerShared,
-    text: &str,
-    plan: &LogicalPlan,
     timeout_ms: Option<u64>,
     max_memory: Option<u64>,
-) -> Result<ExecutedQuery, ServerReply> {
-    let reg = nggc_obs::global();
-
+) -> Result<(Option<GovernorLimits>, (AdmissionPermit<'_>, MemoryReservation<'_>)), ServerReply> {
     // Gate 1: concurrency.
-    let _permit = match shared.admission.admit() {
+    let permit = match shared.admission.admit() {
         Ok(p) => p,
         Err(AdmitError::QueueFull) => {
             return Err(reject(
@@ -534,95 +467,32 @@ fn execute_admitted(
         let cache = shared.result_cache.as_ref()?;
         (cache.shrink(budget) > 0).then(|| shared.mem_pool.reserve(budget)).flatten()
     });
-    let _reservation = match reservation {
-        Some(r) => r,
-        None => {
-            return Err(reject(
-                shared,
-                ServeErrorKind::PoolExhausted,
-                format!(
-                    "memory pool exhausted: {budget} B requested, {} of {} B reserved",
-                    shared.mem_pool.reserved(),
-                    shared.mem_pool.capacity()
-                ),
-            ));
-        }
+    let Some(reservation) = reservation else {
+        return Err(reject(
+            shared,
+            ServeErrorKind::PoolExhausted,
+            format!(
+                "memory pool exhausted: {budget} B requested, {} of {} B reserved",
+                shared.mem_pool.reserved(),
+                shared.mem_pool.capacity()
+            ),
+        ));
     };
-
-    // Every executed request is its own trace; spans below carry its id.
-    let tc = nggc_obs::TraceContext::new();
-    let trace_id = tc.trace_id;
-    let _scope = tc.enter();
-    let mut span = nggc_obs::span("serve.request");
-    span.field("trace_id", trace_id).field("budget_bytes", budget);
-
     let timeout = timeout_ms.map(Duration::from_millis).or(shared.config.default_timeout);
-    let governor = QueryGovernor::new(GovernorLimits { timeout, max_memory: Some(budget) });
-
-    // Register for shutdown cancellation while executing.
-    let request_id = shared.next_request.fetch_add(1, Ordering::Relaxed);
-    shared
-        .active
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .insert(request_id, governor.cancel_token());
-    let _active_guard = ActiveGuard { shared, request_id };
-
-    let t0 = Instant::now();
-    let provider = RepoProvider::governed(&shared.repo, &governor);
-    // The plan was optimized (and its counters mirrored) in run_query.
-    let opts = ExecOptions { optimize: false, ..ExecOptions::default() };
-    let result = execute_governed(plan, &provider, &shared.ctx, &opts, Some(&governor));
-    let elapsed = t0.elapsed();
-    reg.histogram("nggc_serve_request_ns").record_duration(elapsed);
-    governor.export_peak();
-
-    span.field("outcome", result.as_ref().err().map_or("ok", outcome_name));
-    drop(span);
-    if let (Some(recorder), Some(spans)) = (&shared.config.flight, &shared.collector) {
-        let flight = Flight {
-            query: text,
-            elapsed,
-            trace_id,
-            governor: &governor,
-            error: result.as_ref().err(),
-            plan,
-            metrics: result.as_ref().map_or(&[], |(_, metrics)| metrics),
-        };
-        if recorder.record(&flight, spans, &mut io::stderr()) {
-            reg.counter("nggc_serve_flight_records_total").inc();
-        }
-    }
-    match result {
-        Ok((outputs, _)) => Ok(ExecutedQuery { outputs, trace_id, elapsed }),
-        Err(e) => {
-            let kind = match &e {
-                GmqlError::DeadlineExceeded { .. } => ServeErrorKind::DeadlineExceeded,
-                GmqlError::Cancelled { .. } => ServeErrorKind::Cancelled,
-                GmqlError::MemoryExhausted { .. } => ServeErrorKind::MemoryExhausted,
-                _ => ServeErrorKind::Runtime,
-            };
-            Err(ServerReply::Error { kind, message: e.to_string(), retry_after_ms: None })
-        }
-    }
+    Ok((Some(GovernorLimits { timeout, max_memory: Some(budget) }), (permit, reservation)))
 }
 
 /// Build the `Result` reply: outputs sorted by name, head rows bounded
-/// by the request.
-fn result_reply(
-    outputs: &HashMap<String, Dataset>,
-    head: usize,
-    trace_id: u64,
-    elapsed: Duration,
-    cached: bool,
-) -> ServerReply {
+/// by the request; anything not executed for this request is `cached`.
+fn result_reply(report: &QueryReport, head: usize) -> ServerReply {
+    let outputs = &report.outputs;
     let mut names: Vec<&String> = outputs.keys().collect();
     names.sort();
     ServerReply::Result {
-        trace_id,
-        elapsed_us: elapsed.as_micros() as u64,
+        trace_id: report.trace_id,
+        elapsed_us: report.elapsed.as_micros() as u64,
         outputs: names.iter().map(|n| summarize(n, &outputs[*n], head)).collect(),
-        cached,
+        cached: report.outcome != nggc_core::CacheOutcome::Miss,
     }
 }
 
@@ -649,6 +519,16 @@ fn summarize(name: &str, ds: &Dataset, head: usize) -> OutputSummary {
 struct ActiveGuard<'a> {
     shared: &'a ServerShared,
     request_id: u64,
+}
+
+impl<'a> ActiveGuard<'a> {
+    /// Serve's cancel-token registration: in the active table, for
+    /// shutdown-after-drain-timeout cancellation, while executing.
+    fn register(shared: &'a ServerShared, token: CancelToken) -> ActiveGuard<'a> {
+        let request_id = shared.next_request.fetch_add(1, Ordering::Relaxed);
+        shared.active.lock().unwrap_or_else(|p| p.into_inner()).insert(request_id, token);
+        ActiveGuard { shared, request_id }
+    }
 }
 
 impl Drop for ActiveGuard<'_> {

@@ -68,11 +68,13 @@
 
 use nggc::formats::{write_bed, BedOptions, FileFormat};
 use nggc::gdm::{Dataset, Sample};
-use nggc::gmql::{ExecOptions, GmqlError, GovernorLimits, LogicalPlan, QueryGovernor};
+use nggc::gmql::{parse_bytes, parse_duration, CacheOutcome, GmqlError, GovernorLimits};
 use nggc::ontology::mini_umls;
 use nggc::repository::Repository;
+use nggc::repository::ResultStore;
 use nggc::search::{MetadataSearch, RankMode};
-use nggc::server::flight::{node_stats, Flight, FlightRecorder, NodeStats};
+use nggc::server::flight::{node_stats, FlightRecorder, NodeStats};
+use nggc::server::{Request, RunError, Session, Tier};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -146,18 +148,22 @@ mod sigint {
         PENDING.store(true, Ordering::SeqCst);
     }
 
-    /// Install the handler and start a watcher thread that cancels
-    /// `token` once Ctrl-C arrives. The thread is detached; it dies
+    const SIGTERM: i32 = 15;
+
+    /// Install the handler for `signals` and start a watcher thread that
+    /// calls `on_signal` once one arrives. The thread is detached; it dies
     /// with the process.
-    pub fn watch(token: nggc::engine::CancelToken) {
-        unsafe {
-            signal(SIGINT, on_sigint as *const () as usize);
+    fn watch_for(signals: &[i32], name: &str, on_signal: impl FnOnce() + Send + 'static) {
+        for &sig in signals {
+            unsafe {
+                signal(sig, on_sigint as *const () as usize);
+            }
         }
         std::thread::Builder::new()
-            .name("nggc-sigint-watcher".into())
+            .name(name.into())
             .spawn(move || loop {
                 if PENDING.load(Ordering::SeqCst) {
-                    token.cancel();
+                    on_signal();
                     return;
                 }
                 std::thread::sleep(Duration::from_millis(20));
@@ -165,25 +171,15 @@ mod sigint {
             .ok();
     }
 
-    const SIGTERM: i32 = 15;
+    /// Query-mode wiring: Ctrl-C cancels `token`.
+    pub fn watch(token: nggc::engine::CancelToken) {
+        watch_for(&[SIGINT], "nggc-sigint-watcher", move || token.cancel());
+    }
 
     /// Serve-mode wiring: SIGINT **and** SIGTERM both trigger `on_stop`
     /// once (graceful drain); a second signal aborts the process.
     pub fn watch_shutdown(on_stop: impl FnOnce() + Send + 'static) {
-        unsafe {
-            signal(SIGINT, on_sigint as *const () as usize);
-            signal(SIGTERM, on_sigint as *const () as usize);
-        }
-        std::thread::Builder::new()
-            .name("nggc-shutdown-watcher".into())
-            .spawn(move || loop {
-                if PENDING.load(Ordering::SeqCst) {
-                    on_stop();
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            })
-            .ok();
+        watch_for(&[SIGINT, SIGTERM], "nggc-shutdown-watcher", on_stop);
     }
 }
 
@@ -253,6 +249,28 @@ fn usage() -> String {
      delete DATASET                            remove a dataset from the repository\n\
      run `nggc help` for details"
         .to_owned()
+}
+
+/// The value after the flag at `args[*i]`; moves `*i` onto it.
+fn flag_value<'a>(args: &'a [String], i: &mut usize, what: &str) -> Result<&'a str, String> {
+    *i += 1;
+    args.get(*i).map(String::as_str).ok_or_else(|| format!("{} requires {what}", args[*i - 1]))
+}
+
+/// A numeric flag value: an unparsable one is as bad as a missing one.
+fn flag_number<T: std::str::FromStr>(args: &[String], i: &mut usize) -> Result<T, String> {
+    let parsed = flag_value(args, i, "a number")?.parse();
+    parsed.map_err(|_| format!("{} requires a number", args[*i - 1]))
+}
+
+/// A flag value read by `parse`, whose error is prefixed by the flag.
+fn flag_parsed<T>(
+    args: &[String],
+    i: &mut usize,
+    what: &str,
+    parse: fn(&str) -> Result<T, String>,
+) -> Result<T, String> {
+    parse(flag_value(args, i, what)?).map_err(|e| format!("{}: {e}", args[*i - 1]))
 }
 
 fn open(repo_path: &Path) -> Result<Repository, String> {
@@ -530,7 +548,7 @@ fn analyze_annotation(m: &nggc::gmql::NodeMetrics) -> String {
 fn result_store_bytes() -> u64 {
     std::env::var("NGGC_RESULT_CACHE_BYTES")
         .ok()
-        .and_then(|raw| nggc::gmql::parse_bytes(&raw).ok())
+        .and_then(|raw| parse_bytes(&raw).ok())
         .unwrap_or(512 << 20)
 }
 
@@ -550,11 +568,7 @@ fn cmd_query(repo_path: &Path, args: &[String]) -> Result<(), CliError> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "-e" => {
-                i += 1;
-                text =
-                    Some(args.get(i).cloned().ok_or_else(|| "-e requires query text".to_owned())?);
-            }
+            "-e" => text = Some(flag_value(args, &mut i, "query text")?.to_owned()),
             "--save" => save = true,
             "--explain" => explain = true,
             "--explain-analyze" => explain_analyze = true,
@@ -562,31 +576,13 @@ fn cmd_query(repo_path: &Path, args: &[String]) -> Result<(), CliError> {
             "--analyze" => analyze = true,
             "--profile" => profile = true,
             "--no-cache" => no_cache = true,
-            "--workers" => {
-                i += 1;
-                workers = args
-                    .get(i)
-                    .and_then(|w| w.parse().ok())
-                    .ok_or_else(|| "--workers requires a number".to_owned())?;
-            }
-            "--head" => {
-                i += 1;
-                head = args
-                    .get(i)
-                    .and_then(|w| w.parse().ok())
-                    .ok_or_else(|| "--head requires a number".to_owned())?;
-            }
+            "--workers" => workers = flag_number(args, &mut i)?,
+            "--head" => head = flag_number(args, &mut i)?,
             "--timeout" => {
-                i += 1;
-                let raw = args.get(i).ok_or_else(|| "--timeout requires a duration".to_owned())?;
-                limits.timeout =
-                    Some(nggc::gmql::parse_duration(raw).map_err(|e| format!("--timeout: {e}"))?);
+                limits.timeout = Some(flag_parsed(args, &mut i, "a duration", parse_duration)?)
             }
             "--max-memory" => {
-                i += 1;
-                let raw = args.get(i).ok_or_else(|| "--max-memory requires a size".to_owned())?;
-                limits.max_memory =
-                    Some(nggc::gmql::parse_bytes(raw).map_err(|e| format!("--max-memory: {e}"))?);
+                limits.max_memory = Some(flag_parsed(args, &mut i, "a size", parse_bytes)?)
             }
             file => {
                 text = Some(std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?);
@@ -601,151 +597,54 @@ fn cmd_query(repo_path: &Path, args: &[String]) -> Result<(), CliError> {
         return Err("query: --json requires --explain-analyze".into());
     }
 
-    let mut repo = open(repo_path)?;
+    let repo = open(repo_path)?;
     let ctx = nggc::engine::ExecContext::with_workers(workers);
-    let mut opts = ExecOptions::default();
-
+    let mut session = Session { repo, ctx, span: "cli.query", flight: None };
     if explain {
-        let statements = nggc::gmql::parse(&query).map_err(|e| e.to_string())?;
-        let plan = LogicalPlan::compile(&statements, &|name| repo.schema_of(name))
-            .map_err(|e| e.to_string())?;
-        let (optimized, report) = nggc::gmql::optimize(&plan);
-        let none = |_| String::new();
-        println!("-- logical plan --\n{}", plan.render_tree(&none));
-        // Source nodes show what the scan-pruning pass will push down
-        // into the container read: chromosomes, coordinate bound,
-        // decoded-vs-total column count, and the sample predicate.
-        let specs = nggc::gmql::derive_scan_specs(&optimized);
-        let scan_note = |id: usize| {
-            let Some(spec) = specs.get(&id) else {
-                return String::new();
-            };
-            let cols = match &optimized.nodes[id].op {
-                nggc::gmql::PlanOp::Source(name) => repo.schema_of(name).map(|s| s.len()),
-                _ => None,
-            };
-            format!("scan: {}", spec.render(cols))
-        };
-        println!("-- optimized ({report:?}) --\n{}", optimized.render_tree(&scan_note));
+        println!("{}", session.explain(&query).map_err(|e| e.to_string())?);
         return Ok(());
     }
-
-    let recorder = FlightRecorder::from_env()?;
 
     // Collect every span emitted during execution — for `--profile`
     // rendering, and for the flight recorder when it is armed. One
     // bounded ring serves both; the whole run shares one trace id.
-    let collector = if profile || recorder.is_some() {
+    let recorder = FlightRecorder::from_env()?;
+    let collector = (profile || recorder.is_some()).then(|| {
         let c = std::sync::Arc::new(nggc::obs::MemorySubscriber::default());
         nggc::obs::add_subscriber(c.clone());
-        Some(c)
-    } else {
-        None
-    };
-    let (trace_id, _trace_scope) = if collector.is_some() {
-        let tc = nggc::obs::TraceContext::new();
-        (tc.trace_id, Some(tc.enter()))
-    } else {
-        (0, None)
-    };
-
-    // The governor bounds the whole run: wall clock from here (parse
-    // and compile spend the deadline too), memory from the first
-    // materialised intermediate. Ctrl-C cancels through the same token.
-    let governor = QueryGovernor::new(limits);
-    sigint::watch(governor.cancel_token());
-
-    let t0 = std::time::Instant::now();
-    let statements = nggc::gmql::parse(&query).map_err(|e| e.to_string())?;
-    let mut plan = LogicalPlan::compile(&statements, &|name| repo.schema_of(name))
-        .map_err(|e| e.to_string())?;
-    // The result cache keys on the fingerprint of the *optimized* plan;
-    // modes that report per-node execution detail always run for real.
-    let use_cache =
-        !no_cache && !explain_analyze && !analyze && !profile && result_store_bytes() > 0;
-    // EXPLAIN ANALYZE and the flight recorder annotate the *optimized*
-    // plan, so optimize here (instead of inside the executor) —
-    // `metrics[i]` then lines up with `plan.nodes[i]` exactly. The cache
-    // needs the same pre-optimization for its canonical fingerprint.
-    let opt_report = if explain_analyze || use_cache || recorder.is_some() {
-        let (optimized, report) = nggc::gmql::optimize(&plan);
-        opts.optimize = false;
-        plan = optimized;
-        Some(report)
-    } else {
-        None
-    };
+        c
+    });
+    session.flight = recorder.zip(collector.clone());
+    let _trace_scope = collector.as_ref().map(|_| nggc::obs::TraceContext::new().enter());
 
     // One-shot CLI queries share results across processes through an
-    // on-disk store under the repository root, revalidated against the
-    // source datasets' generation counters (docs/caching.md).
-    type StorePlan = (nggc::repository::ResultStore, u64, Vec<(String, u64)>);
-    let mut store_after: Option<StorePlan> = None;
-    let mut cached_outputs = None;
-    if use_cache {
-        let store = nggc::repository::ResultStore::open(
-            repo_path.join("result_cache"),
-            result_store_bytes(),
-        );
-        let key = nggc::gmql::fingerprint(&plan).0;
-        cached_outputs = store.lookup(key, &|name| repo.generation(name));
-        if cached_outputs.is_none() {
-            // Snapshot generations BEFORE executing: a dataset saved
-            // mid-execution must invalidate this entry, not match it.
-            let gens: Option<Vec<(String, u64)>> = nggc::gmql::source_datasets(&plan)
-                .iter()
-                .map(|name| repo.generation(name).map(|g| (name.clone(), g)))
-                .collect();
-            if let Some(gens) = gens {
-                store_after = Some((store, key, gens));
-            }
-        }
-    }
-    let from_cache = cached_outputs.is_some();
-
-    let result = match cached_outputs {
-        Some(outputs) => Ok((outputs, Vec::new())),
-        None => nggc::gmql::execute_governed(
-            &plan,
-            &nggc::RepoProvider::governed(&repo, &governor),
-            &ctx,
-            &opts,
-            Some(&governor),
-        ),
+    // on-disk store under the repository root (docs/caching.md); modes
+    // that report per-node execution detail always run for real.
+    let use_cache =
+        !no_cache && !explain_analyze && !analyze && !profile && result_store_bytes() > 0;
+    let store =
+        use_cache.then(|| ResultStore::open(repo_path.join("result_cache"), result_store_bytes()));
+    let request = Request {
+        text: &query,
+        tier: store.as_ref().map_or(Tier::None, Tier::Disk),
+        // The governor starts at admission; Ctrl-C cancels through its token.
+        admit: || Ok::<_, std::convert::Infallible>((Some(limits), ())),
+        register: sigint::watch,
     };
-    let elapsed = t0.elapsed();
-    // Persist the freshly computed result for the next invocation. Skipped
-    // when any source generation was unknown (pre-generation catalogs).
-    if let (Ok((outputs, _)), Some((store, key, gens))) = (&result, &store_after) {
-        store.store(*key, gens, outputs).map_err(|e| e.to_string())?;
-    }
+    let result = session.run(request);
     // Stop collecting before rendering; everything below is reporting.
-    if let Some(spans) = &collector {
-        nggc::obs::clear_subscribers();
-        // The recorder sees every run, finished or not: the trace of an
-        // aborted one is exactly what post-hoc diagnosis needs.
-        if let Some(recorder) = &recorder {
-            let flight = Flight {
-                query: &query,
-                elapsed,
-                trace_id,
-                governor: &governor,
-                error: result.as_ref().err(),
-                plan: &plan,
-                metrics: result.as_ref().map_or(&[], |(_, metrics)| metrics),
-            };
-            recorder.record(&flight, spans, &mut std::io::stderr());
-        }
-    }
-    let (outputs, metrics) = match result {
-        Ok(out) => out,
-        Err(e) if e.is_resource_limit() => {
+    nggc::obs::clear_subscribers();
+    let report = match result {
+        Ok(report) => report,
+        Err(RunError::Execute { error, elapsed, charged_bytes, peak_bytes })
+            if error.is_resource_limit() =>
+        {
             // Graceful trip: report partial progress, then exit with the
             // error's distinctive code.
             eprintln!("-- query interrupted: partial progress --");
             eprintln!("  elapsed              {elapsed:.2?}");
-            eprintln!("  governed memory      {} B charged", governor.charged());
-            eprintln!("  governed memory peak {} B", governor.mem_peak());
+            eprintln!("  governed memory      {charged_bytes} B charged");
+            eprintln!("  governed memory peak {peak_bytes} B");
             let reg = nggc::obs::global();
             for counter in [
                 "nggc_query_cancelled_total",
@@ -757,21 +656,22 @@ fn cmd_query(repo_path: &Path, args: &[String]) -> Result<(), CliError> {
                     eprintln!("  {counter} {v}");
                 }
             }
-            return Err(e.into());
+            return Err(error.into());
         }
         Err(e) => return Err(e.to_string().into()),
     };
+    let (outputs, elapsed, metrics) = (&report.outputs, report.elapsed, &report.metrics);
+    let mut names: Vec<&String> = outputs.keys().collect();
+    names.sort();
     if explain_analyze {
-        let report = opt_report.unwrap_or_default();
+        let optimizer = report.optimizer;
         if json {
-            let mut names: Vec<&String> = outputs.keys().collect();
-            names.sort();
             let doc = AnalyzeJson {
                 query: query.clone(),
                 elapsed_us: elapsed.as_micros() as u64,
                 optimizer: OptimizerJson {
-                    selects_fused: report.selects_fused,
-                    nodes_deduplicated: report.nodes_deduplicated,
+                    selects_fused: optimizer.selects_fused,
+                    nodes_deduplicated: optimizer.nodes_deduplicated,
                 },
                 outputs: names
                     .iter()
@@ -781,41 +681,37 @@ fn cmd_query(repo_path: &Path, args: &[String]) -> Result<(), CliError> {
                         regions: outputs[*n].region_count(),
                     })
                     .collect(),
-                nodes: node_stats(&plan, &metrics),
+                nodes: node_stats(&report.plan, metrics),
                 governor: GovernorJson {
-                    charged_bytes: governor.charged(),
-                    peak_bytes: governor.mem_peak(),
+                    charged_bytes: report.charged_bytes,
+                    peak_bytes: report.peak_bytes,
                 },
             };
             println!("{}", serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?);
         } else {
-            println!("-- explain analyze ({report:?}) --");
-            print!("{}", plan.render_tree(&|id| analyze_annotation(&metrics[id])));
+            println!("-- explain analyze ({optimizer:?}) --");
+            print!("{}", report.plan.render_tree(&|id| analyze_annotation(&metrics[id])));
             println!("-- total: {elapsed:.2?} --");
         }
     }
     if analyze {
         println!("-- execution metrics --");
-        for m in &metrics {
+        for m in metrics {
             println!("  {m}");
         }
     }
-    if profile {
-        if let Some(collector) = &collector {
-            let records = collector.records();
-            println!("-- profile: span tree --");
-            print!("{}", nggc::obs::render_span_tree(&records));
-            println!("-- profile: top operators by self time --");
-            print!("{}", nggc::obs::render_top_k(&records, Some("op"), 10));
-            if collector.dropped() > 0 {
-                println!("-- profile: {} spans dropped (ring full) --", collector.dropped());
-            }
+    if let Some(collector) = collector.as_ref().filter(|_| profile) {
+        let records = collector.records();
+        println!("-- profile: span tree --");
+        print!("{}", nggc::obs::render_span_tree(&records));
+        println!("-- profile: top operators by self time --");
+        print!("{}", nggc::obs::render_top_k(&records, Some("op"), 10));
+        if collector.dropped() > 0 {
+            println!("-- profile: {} spans dropped (ring full) --", collector.dropped());
         }
     }
 
     if !json {
-        let mut names: Vec<&String> = outputs.keys().collect();
-        names.sort();
         for name in names {
             let ds = &outputs[name];
             println!("== {name} :: {} ==", ds.schema);
@@ -833,7 +729,7 @@ fn cmd_query(repo_path: &Path, args: &[String]) -> Result<(), CliError> {
                 println!("  … {} more samples", ds.sample_count() - head);
             }
         }
-        if from_cache {
+        if report.outcome == CacheOutcome::Hit {
             println!("({elapsed:.2?}, cached)");
         } else {
             println!("({elapsed:.2?})");
@@ -842,7 +738,7 @@ fn cmd_query(repo_path: &Path, args: &[String]) -> Result<(), CliError> {
 
     if save {
         for ds in outputs.values() {
-            repo.save(ds).map_err(|e| e.to_string())?;
+            session.repo.save(ds).map_err(|e| e.to_string())?;
             // Keep stdout machine-readable under --json.
             if json {
                 eprintln!("saved {} to repository", ds.name);
@@ -851,7 +747,7 @@ fn cmd_query(repo_path: &Path, args: &[String]) -> Result<(), CliError> {
             }
         }
     }
-    leave_to_the_os((outputs, repo));
+    leave_to_the_os((report, session.repo));
     Ok(())
 }
 
@@ -886,11 +782,7 @@ fn cmd_stats(repo_path: &Path, args: &[String]) -> Result<(), String> {
             "--json" => json = true,
             "--fed-selftest" => fed_selftest = true,
             "--profile" => profile = true,
-            "-e" => {
-                i += 1;
-                query =
-                    Some(args.get(i).cloned().ok_or_else(|| "-e requires query text".to_owned())?);
-            }
+            "-e" => query = Some(flag_value(args, &mut i, "query text")?.to_owned()),
             other => return Err(format!("stats: unexpected argument {other:?}")),
         }
         i += 1;
@@ -923,18 +815,18 @@ fn cmd_stats(repo_path: &Path, args: &[String]) -> Result<(), String> {
         run_fed_selftest()?;
     }
     if let (Some(query), Some(repo)) = (query, repo) {
-        let ctx = nggc::engine::ExecContext::with_workers(
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2),
-        );
-        let outputs = nggc::gmql::run_with_provider(
-            &query,
-            &|name| repo.schema_of(name),
-            &nggc::RepoProvider::new(&repo),
-            &ctx,
-            &ExecOptions::default(),
-        )
-        .map_err(|e| e.to_string())?;
-        leave_to_the_os((outputs, repo));
+        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
+        let ctx = nggc::engine::ExecContext::with_workers(workers);
+        let session = Session { repo, ctx, span: "cli.query", flight: None };
+        // No result tier, and ungoverned: every query executes, as is.
+        let request = Request {
+            text: &query,
+            tier: Tier::None,
+            admit: || Ok::<_, std::convert::Infallible>((None, ())),
+            register: |_| (),
+        };
+        let report = session.run(request).map_err(|e| e.to_string())?;
+        leave_to_the_os((report, session.repo));
     }
     if let Some(collector) = &collector {
         nggc::obs::clear_subscribers();
@@ -1090,52 +982,23 @@ fn cmd_serve(repo_path: &Path, args: &[String]) -> Result<(), String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                addr = args.get(i).cloned().ok_or("--addr requires HOST:PORT")?;
-            }
-            "--workers" => {
-                i += 1;
-                config.workers = args
-                    .get(i)
-                    .and_then(|w| w.parse().ok())
-                    .ok_or("--workers requires a number")?;
-            }
-            "--max-inflight" => {
-                i += 1;
-                config.max_inflight = args
-                    .get(i)
-                    .and_then(|w| w.parse().ok())
-                    .ok_or("--max-inflight requires a number")?;
-            }
-            "--queue" => {
-                i += 1;
-                config.max_queue =
-                    args.get(i).and_then(|w| w.parse().ok()).ok_or("--queue requires a number")?;
-            }
+            "--addr" => addr = flag_value(args, &mut i, "HOST:PORT")?.to_owned(),
+            "--workers" => config.workers = flag_number(args, &mut i)?,
+            "--max-inflight" => config.max_inflight = flag_number(args, &mut i)?,
+            "--queue" => config.max_queue = flag_number(args, &mut i)?,
             "--mem-pool" => {
-                i += 1;
-                let raw = args.get(i).ok_or("--mem-pool requires a size")?;
-                config.mem_pool_bytes =
-                    nggc::gmql::parse_bytes(raw).map_err(|e| format!("--mem-pool: {e}"))?;
+                config.mem_pool_bytes = flag_parsed(args, &mut i, "a size", parse_bytes)?
             }
             "--timeout" => {
-                i += 1;
-                let raw = args.get(i).ok_or("--timeout requires a duration")?;
                 config.default_timeout =
-                    Some(nggc::gmql::parse_duration(raw).map_err(|e| format!("--timeout: {e}"))?);
+                    Some(flag_parsed(args, &mut i, "a duration", parse_duration)?)
             }
             "--drain-timeout" => {
-                i += 1;
-                let raw = args.get(i).ok_or("--drain-timeout requires a duration")?;
-                config.drain_timeout =
-                    nggc::gmql::parse_duration(raw).map_err(|e| format!("--drain-timeout: {e}"))?;
+                config.drain_timeout = flag_parsed(args, &mut i, "a duration", parse_duration)?
             }
             "--result-cache" => {
-                i += 1;
-                let raw = args.get(i).ok_or("--result-cache requires a size (0 disables)")?;
                 config.result_cache_bytes =
-                    nggc::gmql::parse_bytes(raw).map_err(|e| format!("--result-cache: {e}"))?;
+                    flag_parsed(args, &mut i, "a size (0 disables)", parse_bytes)?
             }
             other => return Err(format!("serve: unknown flag {other:?}")),
         }
@@ -1179,31 +1042,14 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                addr = args.get(i).cloned().ok_or("--addr requires HOST:PORT")?;
-            }
-            "-e" => {
-                i += 1;
-                text = Some(args.get(i).cloned().ok_or("-e requires query text")?);
-            }
+            "--addr" => addr = flag_value(args, &mut i, "HOST:PORT")?.to_owned(),
+            "-e" => text = Some(flag_value(args, &mut i, "query text")?.to_owned()),
             "--timeout" => {
-                i += 1;
-                let raw = args.get(i).ok_or("--timeout requires a duration")?;
-                let d = nggc::gmql::parse_duration(raw).map_err(|e| format!("--timeout: {e}"))?;
-                timeout_ms = Some(d.as_millis() as u64);
+                let timeout = flag_parsed(args, &mut i, "a duration", parse_duration)?;
+                timeout_ms = Some(timeout.as_millis() as u64);
             }
-            "--max-memory" => {
-                i += 1;
-                let raw = args.get(i).ok_or("--max-memory requires a size")?;
-                max_memory =
-                    Some(nggc::gmql::parse_bytes(raw).map_err(|e| format!("--max-memory: {e}"))?);
-            }
-            "--head" => {
-                i += 1;
-                head =
-                    args.get(i).and_then(|w| w.parse().ok()).ok_or("--head requires a number")?;
-            }
+            "--max-memory" => max_memory = Some(flag_parsed(args, &mut i, "a size", parse_bytes)?),
+            "--head" => head = flag_number(args, &mut i)?,
             "--ping" => ping = true,
             "--stats" => stats = true,
             "--no-cache" => no_cache = true,

@@ -2,8 +2,7 @@
 
 use nggc::engine::{
     coverage_segments, coverage_sweep, gap_pairs_naive, gap_pairs_sort_merge, k_nearest,
-    merge_runs, overlap_pairs_binned, overlap_pairs_naive, overlap_pairs_sort_merge, Binner,
-    NcList, WorkerPool,
+    merge_runs, overlap_pairs_naive, overlap_pairs_sort_merge, WorkerPool,
 };
 use nggc::gdm::*;
 use nggc::gmql::{parse, GmqlEngine, MetaPredicate, Statement};
@@ -32,44 +31,15 @@ fn collect(f: impl FnOnce(&mut dyn FnMut(usize, usize))) -> Vec<(usize, usize)> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Binned and sort-merge joins agree with the exhaustive reference,
-    /// for any bin width.
+    /// The sort-merge join agrees with the exhaustive reference.
     #[test]
     fn join_strategies_agree(
         left in regions_strategy(60),
         right in regions_strategy(60),
-        width in 1u64..2_000,
     ) {
         let naive = collect(|e| overlap_pairs_naive(&left, &right, e));
         let merge = collect(|e| overlap_pairs_sort_merge(&left, &right, e));
-        let binned = collect(|e| overlap_pairs_binned(&left, &right, Binner::new(width), e));
         prop_assert_eq!(&naive, &merge);
-        prop_assert_eq!(&naive, &binned);
-        // Fourth strategy: probe an NCList over `right` with every left.
-        let index = NcList::build(&right);
-        let mut via_index = Vec::new();
-        for (i, a) in left.iter().enumerate() {
-            index.overlaps(a.left, a.right, |j| via_index.push((i, j)));
-        }
-        via_index.sort_unstable();
-        via_index.dedup();
-        prop_assert_eq!(&naive, &via_index);
-    }
-
-    /// Binned join emits each pair exactly once (anchor-bin dedup) —
-    /// checked by counting raw emissions.
-    #[test]
-    fn binned_join_no_duplicates(
-        left in regions_strategy(40),
-        right in regions_strategy(40),
-        width in 1u64..500,
-    ) {
-        let mut raw = Vec::new();
-        overlap_pairs_binned(&left, &right, Binner::new(width), |i, j| raw.push((i, j)));
-        let mut dedup = raw.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        prop_assert_eq!(raw.len(), dedup.len(), "anchor rule must deduplicate");
     }
 
     /// Gap join agrees with its exhaustive reference.
@@ -741,7 +711,7 @@ proptest! {
             native_v2::read_index(&dir).map(|_| ()),
             native_v2::read_dataset_v2_pruned(&dir, &chr1).map(|_| ()),
             native_v2::read_dataset_v2_chrom(&dir, "chrX").map(|_| ()),
-            native_v2::read_dataset_v2_streaming(&dir, |_| true).map(|_| ()),
+            native_v2::read_dataset_v2_pruned(&dir, &Default::default()).map(|_| ()),
         ];
         std::fs::remove_dir_all(&dir).ok();
         for outcome in outcomes {
@@ -829,7 +799,7 @@ proptest! {
             native_v2::read_index(&dir).map(|_| ()),
             native_v2::read_dataset_v2_pruned(&dir, &chr1).map(|_| ()),
             native_v2::read_dataset_v2_chrom(&dir, "chrX").map(|_| ()),
-            native_v2::read_dataset_v2_streaming(&dir, |_| true).map(|_| ()),
+            native_v2::read_dataset_v2_pruned(&dir, &Default::default()).map(|_| ()),
         ];
         std::fs::remove_dir_all(&dir).ok();
         for outcome in outcomes {

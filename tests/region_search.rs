@@ -3,7 +3,6 @@
 //! the features of interest, then those features are computed, and
 //! finally regions are ordered based on their computed features".
 
-use nggc::engine::NcList;
 use nggc::search::{compute_features, rank_regions, Feature, FeatureSpec};
 use nggc::synth::{generate_annotations, generate_encode, AnnotationConfig, EncodeConfig, Genome};
 
@@ -60,31 +59,5 @@ fn search_finds_promoter_like_peaks() {
     // Distances are sorted.
     for w in ranked.windows(2) {
         assert!(w[0].distance <= w[1].distance);
-    }
-}
-
-#[test]
-fn nclist_accelerates_repeated_region_probes() {
-    // The index path used when the same reference is probed repeatedly:
-    // verify identical answers against the per-query scan.
-    let genome = Genome::human(0.0005);
-    let encode = generate_encode(
-        &genome,
-        &EncodeConfig { samples: 1, mean_peaks_per_sample: 500.0, seed: 5, ..Default::default() },
-    );
-    let sample = &encode.samples[0];
-    for chrom in sample.chromosomes().into_iter().take(3) {
-        let slice = sample.chrom_slice(&chrom);
-        let index = NcList::build(slice);
-        for probe in slice.iter().step_by(7) {
-            let via_index = index.overlaps_vec(probe.left, probe.right);
-            let via_scan: Vec<usize> = slice
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.overlaps(probe))
-                .map(|(i, _)| i)
-                .collect();
-            assert_eq!(via_index, via_scan);
-        }
     }
 }

@@ -8,7 +8,9 @@ mod watchdog;
 
 use nggc::gdm::{Attribute, Dataset, GRegion, Metadata, Sample, Schema, Strand, ValueType};
 use nggc::repository::Repository;
-use nggc::server::{Client, ServeConfig, ServeStats, Server, ServerHandle, ServerReply};
+use nggc::server::{
+    Client, ServeConfig, ServeErrorKind, ServeStats, Server, ServerHandle, ServerReply,
+};
 use std::path::PathBuf;
 use std::process::Command;
 use watchdog::with_watchdog;
@@ -352,6 +354,84 @@ fn cache_yields_bytes_back_to_the_pool_under_query_pressure() {
         assert_eq!(s.result_cache_bytes, 0, "cache yielded its bytes: {s:?}");
         assert!(s.result_cache_evictions >= 1, "{s:?}");
         assert_eq!(handle.memory_pool().reserved(), 0, "pool drains after the query");
+
+        handle.shutdown();
+        runner.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&root).ok();
+    });
+}
+
+/// The on-disk store is a cache: a write that fails must cost the next
+/// process a miss, not this one its result. A regular file where the
+/// store's directory belongs makes every write fail, also for root (a
+/// read-only directory would not stop root).
+#[test]
+fn cli_query_survives_a_result_cache_it_cannot_write() {
+    with_watchdog("rcache_unwritable", 120, || {
+        let root = tmp("unwritable");
+        {
+            let mut repo = Repository::open(&root).unwrap();
+            repo.save(&dataset("PEAKS", 16)).unwrap();
+        }
+        let store = root.join("result_cache");
+        std::fs::remove_dir_all(&store).ok();
+        std::fs::write(&store, b"not a directory").unwrap();
+
+        let out = Command::new(env!("CARGO_BIN_EXE_nggc"))
+            .arg("--repo")
+            .arg(&root)
+            .args(["query", "-e", "R = SELECT() PEAKS; MATERIALIZE R;"])
+            .output()
+            .unwrap();
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert!(out.status.success(), "a cache write failure failed the query:\n{stderr}");
+        assert!(stdout.contains("== R ::") && stdout.contains("16 regions"), "{stdout}");
+        let warnings: Vec<&str> = stderr.lines().filter(|l| l.starts_with("warning:")).collect();
+        assert_eq!(warnings.len(), 1, "one warning line:\n{stderr}");
+        assert!(warnings[0].contains("result cache"), "{stderr}");
+        assert!(store.is_file(), "the file in the store's place is left alone");
+        std::fs::remove_dir_all(&root).ok();
+    });
+}
+
+/// The one query path's serve-side guarantees: a hit or a coalesced wait
+/// never passes admission or the memory pool — with one in-flight slot
+/// and no queue, ten identical concurrent requests are all answered — and
+/// a draining server refuses a query before its cache is asked.
+#[test]
+fn answers_from_the_cache_never_queue_and_draining_refuses_first() {
+    with_watchdog("rcache_no_admission", 60, || {
+        let (root, repo) = repo_with("no_admission", "ADM");
+        let config = ServeConfig { max_inflight: 1, max_queue: 0, ..ServeConfig::default() };
+        let (addr, handle, runner) = start(repo, config);
+        let q = "R = SELECT() ADM; MATERIALIZE R;";
+
+        const N: usize = 10;
+        let clients: Vec<_> = (0..N)
+            .map(|_| {
+                let addr = addr.clone();
+                std::thread::spawn(move || Client::connect(&addr).unwrap().query(q, None, None, 0))
+            })
+            .collect();
+        for c in clients {
+            match c.join().unwrap().unwrap() {
+                ServerReply::Result { outputs, .. } => assert_eq!(outputs[0].regions, 64),
+                other => panic!("an answer from the cache went through admission: {other:?}"),
+            }
+        }
+        let mut client = Client::connect(&addr).unwrap();
+        let s = stats(&mut client);
+        assert_eq!(s.result_cache_misses, 1, "{s:?}");
+        assert_eq!(s.rejected, 0, "{s:?}");
+
+        // Drain: the cached answer is not given out any more.
+        handle.admission().begin_shutdown();
+        match client.query(q, None, None, 0).unwrap() {
+            ServerReply::Error { kind, .. } => assert_eq!(kind, ServeErrorKind::ShuttingDown),
+            other => panic!("a draining server answered from its cache: {other:?}"),
+        }
+        assert_eq!(stats(&mut client).result_cache_hits, s.result_cache_hits, "cache not asked");
 
         handle.shutdown();
         runner.join().unwrap().unwrap();

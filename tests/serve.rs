@@ -550,3 +550,57 @@ fn sigterm_drains_the_real_binary_to_exit_zero() {
         std::fs::remove_dir_all(&root).ok();
     });
 }
+
+/// Governor parity between the two front ends: one deadline-tripping
+/// JOIN is exit 124 from `nggc query --timeout` and `DeadlineExceeded`
+/// from serve, and both flight records call it a `deadline`.
+#[test]
+fn one_deadline_tripping_join_trips_alike_in_the_cli_and_in_serve() {
+    let _guard = test_lock();
+    with_watchdog("deadline_parity", 120, || {
+        let root = tmp("deadline_parity");
+        let big = (0..3000u64)
+            .map(|i| {
+                GRegion::new("chr1", i * 137 % 1_000_000, i * 137 % 1_000_000 + 400, Strand::Pos)
+            })
+            .collect();
+        let mut ds = Dataset::new("BIG", Schema::empty());
+        ds.add_sample(Sample::new("s", "BIG").with_regions(big)).unwrap();
+        Repository::open(&root).unwrap().save(&ds).unwrap();
+        let query = "J = JOIN(DLE(1000000)) BIG BIG; MATERIALIZE J;";
+        let outcome = |sink: &PathBuf| {
+            let records = flight::read_records(sink);
+            assert_eq!(records.len(), 1, "one record in {}", sink.display());
+            flight::text_of(flight::get(&records[0], "outcome")).to_owned()
+        };
+
+        let cli_sink = root.join("cli.jsonl");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_nggc"))
+            .arg("--repo")
+            .arg(&root)
+            .args(["query", "--no-cache", "-e", query, "--timeout", "50ms"])
+            .env("NGGC_SLOW_QUERY_MS", "600000")
+            .env("NGGC_FLIGHT_RECORDER", &cli_sink)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(124), "{}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(outcome(&cli_sink), "deadline");
+
+        let serve_sink = root.join("serve.jsonl");
+        let flight = FlightRecorder {
+            threshold: Some(Duration::from_secs(600)),
+            sink: Some(serve_sink.clone()),
+        };
+        let repo = Repository::open(&root).unwrap();
+        let (addr, handle, runner) =
+            start(repo, ServeConfig { flight: Some(flight), ..ServeConfig::default() });
+        match Client::connect(&addr).unwrap().query(query, Some(50), None, 0).unwrap() {
+            ServerReply::Error { kind, .. } => assert_eq!(kind, ServeErrorKind::DeadlineExceeded),
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+        handle.shutdown();
+        runner.join().unwrap().unwrap();
+        assert_eq!(outcome(&serve_sink), "deadline");
+        std::fs::remove_dir_all(&root).ok();
+    });
+}
