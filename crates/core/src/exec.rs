@@ -97,62 +97,11 @@ pub struct NodeMetrics {
     /// Bytes given back to the budget when this node's output was freed
     /// after its last consumer ran (0 for retained outputs).
     pub mem_released: u64,
-    /// Repository cache hits observed while this node ran (source
-    /// loads served from the warm cache).
-    pub cache_hits: u64,
-    /// Repository cache misses observed while this node ran (source
-    /// loads that went to disk).
-    pub cache_misses: u64,
-    /// Federation retries observed while this node ran (nonzero only
-    /// for providers that call out to remote nodes).
-    pub fed_retries: u64,
-    /// Federation timeouts observed while this node ran.
-    pub fed_timeouts: u64,
-    /// Pruned (scan-spec-restricted) source loads while this node ran.
-    pub scan_pruned: u64,
-    /// Container bytes decoded by pruned loads while this node ran.
-    pub scan_bytes_read: u64,
-    /// Container bytes skipped by pruned loads while this node ran.
-    pub scan_bytes_skipped: u64,
-    /// Chromosome blocks decoded by pruned loads while this node ran.
-    pub scan_blocks_read: u64,
-    /// Chromosome blocks skipped by pruned loads while this node ran.
-    pub scan_blocks_skipped: u64,
-}
-
-/// Point-in-time sum of the registry counters EXPLAIN ANALYZE
-/// attributes to plan nodes; per-node deltas are sound because the
-/// executor walks nodes sequentially.
-#[derive(Debug, Clone, Copy, Default)]
-struct StatProbe {
-    cache_hits: u64,
-    cache_misses: u64,
-    fed_retries: u64,
-    fed_timeouts: u64,
-    scan_pruned: u64,
-    scan_bytes_read: u64,
-    scan_bytes_skipped: u64,
-    scan_blocks_read: u64,
-    scan_blocks_skipped: u64,
-}
-
-fn stat_probe(reg: &nggc_obs::Registry) -> StatProbe {
-    let mut p = StatProbe::default();
-    for (name, _, v) in reg.snapshot() {
-        match name.as_str() {
-            "nggc_repo_cache_hits_total" => p.cache_hits += v,
-            "nggc_repo_cache_misses_total" => p.cache_misses += v,
-            "nggc_fed_retries_total" => p.fed_retries += v,
-            "nggc_fed_timeouts_total" => p.fed_timeouts += v,
-            "nggc_scan_pruned_total" => p.scan_pruned += v,
-            "nggc_scan_bytes_read_total" => p.scan_bytes_read += v,
-            "nggc_scan_bytes_skipped_total" => p.scan_bytes_skipped += v,
-            "nggc_scan_chrom_blocks_read_total" => p.scan_blocks_read += v,
-            "nggc_scan_chrom_blocks_skipped_total" => p.scan_blocks_skipped += v,
-            _ => {}
-        }
-    }
-    p
+    /// The repository reads this node made: a SOURCE's own load, counted
+    /// on the executing thread, so another query's reads never land here
+    /// and the metrics registry's state does not matter (zero for
+    /// operators).
+    pub reads: nggc_obs::ReadAccount,
 }
 
 /// Display width of the label column; longer labels are truncated.
@@ -261,9 +210,6 @@ pub fn execute_governed(
             // Boundary checkpoint before the node runs.
             g.check(&node.label)?;
         }
-        // Counter snapshot bracketing the node, so cache and federation
-        // activity lands on the plan node that caused it.
-        let probe0 = if reg.is_enabled() { Some(stat_probe(reg)) } else { None };
         let operator = match &node.op {
             PlanOp::Source(_) => "SOURCE".to_owned(),
             PlanOp::Apply(op) => op.name().to_owned(),
@@ -279,11 +225,18 @@ pub fn execute_governed(
             .field("samples_in", samples_in)
             .field("regions_in", regions_in);
         let t0 = std::time::Instant::now();
-        let result = match &node.op {
-            PlanOp::Source(name) => match scan_specs.get(&id).filter(|s| !s.is_trivial()) {
-                Some(spec) => provider.load_pruned(name, spec)?,
-                None => provider.load_shared(name)?,
-            },
+        let (result, reads) = match &node.op {
+            // A SOURCE's load is the only repository read a plan makes,
+            // and it runs on this thread: its account is the node's.
+            PlanOp::Source(name) => {
+                let (loaded, reads) = nggc_obs::account_reads(|| {
+                    match scan_specs.get(&id).filter(|s| !s.is_trivial()) {
+                        Some(spec) => provider.load_pruned(name, spec),
+                        None => provider.load_shared(name),
+                    }
+                });
+                (loaded?, reads)
+            }
             PlanOp::Apply(op) => {
                 let first = node.inputs[0];
                 // An operator that rewrites its input region by region gets
@@ -309,7 +262,7 @@ pub fn execute_governed(
                     .collect();
                 let mut d = apply(op, input, &rest, ctx, opts, &node.schema)?;
                 d.name = node.label.clone();
-                Arc::new(d)
+                (Arc::new(d), nggc_obs::ReadAccount::default())
             }
         };
         let wall = t0.elapsed();
@@ -340,21 +293,6 @@ pub fn execute_governed(
             reg.histogram_with("nggc_exec_node_wall_ns", &[("op", &operator)])
                 .record_duration(wall);
         }
-        let probe1 = probe0.map(|p0| {
-            let p1 = stat_probe(reg);
-            StatProbe {
-                cache_hits: p1.cache_hits - p0.cache_hits,
-                cache_misses: p1.cache_misses - p0.cache_misses,
-                fed_retries: p1.fed_retries - p0.fed_retries,
-                fed_timeouts: p1.fed_timeouts - p0.fed_timeouts,
-                scan_pruned: p1.scan_pruned - p0.scan_pruned,
-                scan_bytes_read: p1.scan_bytes_read - p0.scan_bytes_read,
-                scan_bytes_skipped: p1.scan_bytes_skipped - p0.scan_bytes_skipped,
-                scan_blocks_read: p1.scan_blocks_read - p0.scan_blocks_read,
-                scan_blocks_skipped: p1.scan_blocks_skipped - p0.scan_blocks_skipped,
-            }
-        });
-        let delta = probe1.unwrap_or_default();
         metrics.push(NodeMetrics {
             label: node.label.clone(),
             operator,
@@ -366,15 +304,7 @@ pub fn execute_governed(
             wall,
             mem_charged: slot_bytes[id],
             mem_released: 0,
-            cache_hits: delta.cache_hits,
-            cache_misses: delta.cache_misses,
-            fed_retries: delta.fed_retries,
-            fed_timeouts: delta.fed_timeouts,
-            scan_pruned: delta.scan_pruned,
-            scan_bytes_read: delta.scan_bytes_read,
-            scan_bytes_skipped: delta.scan_bytes_skipped,
-            scan_blocks_read: delta.scan_blocks_read,
-            scan_blocks_skipped: delta.scan_blocks_skipped,
+            reads,
         });
         // Decrement inputs; free exhausted intermediates (and give their
         // bytes back to the budget). The release is attributed to the

@@ -234,20 +234,22 @@ impl Federation {
         request: Request,
         log: &mut TransferLog,
     ) -> Result<Response, FederationError> {
-        self.call_with_policy(node_id, request, log, &self.policy)
+        self.call_with_policy(node_id, request, log, &self.policy, &mut 0)
     }
 
     /// [`Federation::call`] under an explicit policy — the governed
     /// entry points clamp the federation policy to a query's remaining
     /// wall time and route their calls through here. Breaker bookkeeping
     /// (threshold, cooldown) always follows the federation's own policy;
-    /// only the per-call spend (deadline, retries, backoff) varies.
+    /// only the per-call spend (deadline, retries, backoff) varies. The
+    /// call adds the retries it spends to `retries`.
     fn call_with_policy(
         &self,
         node_id: &str,
         request: Request,
         log: &mut TransferLog,
         policy: &CallPolicy,
+        retries: &mut usize,
     ) -> Result<Response, FederationError> {
         let reg = nggc_obs::global();
         let kind = request.kind();
@@ -273,7 +275,6 @@ impl Federation {
             .id()
             .map(|id| TraceHeader { trace_id: nggc_obs::current_trace_id(), parent_span: id });
         let retry_budget = if request.is_idempotent() { policy.max_retries } else { 0 };
-        let mut attempt = 0usize;
         loop {
             reg.counter_with("nggc_fed_requests_total", &[("node", node_id), ("kind", kind)]).inc();
             let t0 = std::time::Instant::now();
@@ -313,7 +314,7 @@ impl Federation {
                             nggc_obs::emit_record(&rec);
                         }
                     }
-                    call_span.field("attempts", attempt + 1);
+                    call_span.field("attempts", *retries + 1);
                     reg.counter_with("nggc_fed_bytes_sent_total", &[("node", node_id)])
                         .add(request.wire_size() as u64);
                     reg.counter_with("nggc_fed_bytes_received_total", &[("node", node_id)])
@@ -342,12 +343,12 @@ impl Federation {
                     log.bytes_sent += request.wire_size();
                     reg.counter_with("nggc_fed_bytes_sent_total", &[("node", node_id)])
                         .add(request.wire_size() as u64);
-                    if attempt >= retry_budget || !self.breaker_admit(node_id) {
+                    if *retries >= retry_budget || !self.breaker_admit(node_id) {
                         return Err(err);
                     }
                     reg.counter_with("nggc_fed_retries_total", &[("node", node_id)]).inc();
-                    std::thread::sleep(policy.backoff(node_id, attempt));
-                    attempt += 1;
+                    std::thread::sleep(policy.backoff(node_id, *retries));
+                    *retries += 1;
                 }
             }
         }
@@ -380,21 +381,19 @@ impl Federation {
         &self,
         log: &mut TransferLog,
     ) -> (Vec<(String, Vec<DatasetSummary>)>, Vec<NodeHealth>) {
-        let reg = nggc_obs::global();
         let mut inventory = Vec::new();
         let mut health = Vec::new();
         for id in self.node_ids().into_iter().map(str::to_owned).collect::<Vec<_>>() {
-            let retries_before = reg.counter_with("nggc_fed_retries_total", &[("node", &id)]).get();
-            let outcome = self.call(&id, Request::ListDatasets, log);
-            let retries = reg
-                .counter_with("nggc_fed_retries_total", &[("node", &id)])
-                .get()
-                .saturating_sub(retries_before);
+            // This call's own retries: not another thread's calls to the
+            // same node, and whether or not the registry is enabled.
+            let mut retries = 0;
+            let outcome =
+                self.call_with_policy(&id, Request::ListDatasets, log, &self.policy, &mut retries);
             let report = |status, error| NodeHealth {
                 node: id.clone(),
                 status,
                 breaker: self.breaker_state(&id),
-                retries,
+                retries: retries as u64,
                 error,
             };
             match outcome {
@@ -447,46 +446,8 @@ impl Federation {
         chunk_bytes: usize,
     ) -> Result<(HashMap<String, Dataset>, TransferLog), FederationError> {
         let mut log = TransferLog::default();
-        let outputs = self.ship_query_into(node_id, query, chunk_bytes, &mut log)?;
+        let outputs = self.ship_query_into(node_id, query, chunk_bytes, None, &mut log)?;
         Ok((outputs, log))
-    }
-
-    /// Ship-query core, accumulating into a caller-owned log so transfer
-    /// accounting survives failures. The staged ticket is **always**
-    /// released, success or not — a failed chunk fetch must not leak
-    /// staging resources on the remote node.
-    fn ship_query_into(
-        &self,
-        node_id: &str,
-        query: &str,
-        chunk_bytes: usize,
-        log: &mut TransferLog,
-    ) -> Result<HashMap<String, Dataset>, FederationError> {
-        let (ticket, chunks) = match self.call(
-            node_id,
-            Request::Execute { query: query.to_owned(), chunk_bytes },
-            log,
-        )? {
-            Response::Accepted { ticket, chunks, .. } => (ticket, chunks),
-            other => return Err(FederationError::Protocol(format!("{other:?}"))),
-        };
-        let fetched: Result<Vec<u8>, FederationError> =
-            (0..chunks).try_fold(Vec::new(), |mut payload, i| {
-                match self.call(node_id, Request::FetchChunk { ticket, chunk: i }, log)? {
-                    Response::Chunk { data, .. } => {
-                        payload.extend(data);
-                        Ok(payload)
-                    }
-                    other => Err(FederationError::Protocol(format!("{other:?}"))),
-                }
-            });
-        // Release before propagating any fetch error; the node-side
-        // ticket TTL remains the backstop if even the release is lost.
-        let released = self.call(node_id, Request::Release { ticket }, log);
-        let payload = fetched?;
-        released?;
-        let decoded = decode_staged(&payload).map_err(FederationError::Protocol)?;
-        Ok(decoded.into_iter().collect())
     }
 
     /// **Ship-query under a query governor**: every exchange's deadline
@@ -495,10 +456,7 @@ impl Federation {
     /// polled before every round trip — so a local `--timeout` or Ctrl-C
     /// bounds the whole federated conversation, not just local
     /// execution. An interrupted conversation still releases its staged
-    /// ticket: the release runs under the federation's *unclamped*
-    /// policy (cleanup is exempt from the query deadline, bounded by the
-    /// base per-call deadline instead), so no staging resources leak on
-    /// the remote node.
+    /// ticket, under the federation's unclamped policy.
     pub fn ship_query_governed(
         &self,
         node_id: &str,
@@ -507,58 +465,64 @@ impl Federation {
         governor: &QueryGovernor,
     ) -> Result<(HashMap<String, Dataset>, TransferLog), FederationError> {
         let mut log = TransferLog::default();
-        let label = format!("SHIP-QUERY {node_id}");
-        let check = |g: &QueryGovernor| -> Result<(), FederationError> {
-            g.check(&label).map_err(|e| FederationError::Interrupted(e.to_string()))
+        let outputs =
+            self.ship_query_into(node_id, query, chunk_bytes, Some(governor), &mut log)?;
+        Ok((outputs, log))
+    }
+
+    /// The one ship-query conversation — Execute, fetch every chunk,
+    /// always release, decode — accumulating into a caller-owned log so
+    /// transfer accounting survives failures. Without a governor nothing
+    /// is checked and the federation's policy applies as is. The staged
+    /// ticket is **always** released, success or not, under the
+    /// *unclamped* policy: cleanup is exempt from the query deadline
+    /// (bounded by the base per-call deadline instead), and the node-side
+    /// ticket TTL remains the backstop if even the release is lost.
+    fn ship_query_into(
+        &self,
+        node_id: &str,
+        query: &str,
+        chunk_bytes: usize,
+        governor: Option<&QueryGovernor>,
+        log: &mut TransferLog,
+    ) -> Result<HashMap<String, Dataset>, FederationError> {
+        let check = || match governor {
+            Some(g) => g
+                .check(&format!("SHIP-QUERY {node_id}"))
+                .map_err(|e| FederationError::Interrupted(e.to_string())),
+            None => Ok(()),
         };
-        let clamped = |g: &QueryGovernor| match g.remaining() {
-            Some(rem) => self.policy.clamped_to(rem),
-            None => self.policy.clone(),
+        let call = |request: Request, log: &mut TransferLog| {
+            check()?;
+            let policy = match governor.and_then(QueryGovernor::remaining) {
+                Some(rem) => self.policy.clamped_to(rem),
+                None => self.policy.clone(),
+            };
+            self.call_with_policy(node_id, request, log, &policy, &mut 0)
         };
-        check(governor)?;
-        let (ticket, chunks) = match self.call_with_policy(
-            node_id,
-            Request::Execute { query: query.to_owned(), chunk_bytes },
-            &mut log,
-            &clamped(governor),
-        )? {
-            Response::Accepted { ticket, chunks, .. } => (ticket, chunks),
-            other => return Err(FederationError::Protocol(format!("{other:?}"))),
-        };
-        let mut payload = Vec::new();
-        let mut failure: Option<FederationError> = None;
-        for i in 0..chunks {
-            if let Err(e) = check(governor) {
-                failure = Some(e);
-                break;
-            }
-            match self.call_with_policy(
-                node_id,
-                Request::FetchChunk { ticket, chunk: i },
-                &mut log,
-                &clamped(governor),
-            ) {
-                Ok(Response::Chunk { data, .. }) => payload.extend(data),
-                Ok(other) => {
-                    failure = Some(FederationError::Protocol(format!("{other:?}")));
-                    break;
+        let (ticket, chunks) =
+            match call(Request::Execute { query: query.to_owned(), chunk_bytes }, log)? {
+                Response::Accepted { ticket, chunks, .. } => (ticket, chunks),
+                other => return Err(FederationError::Protocol(format!("{other:?}"))),
+            };
+        let fetched: Result<Vec<u8>, FederationError> =
+            (0..chunks).try_fold(Vec::new(), |mut payload, i| {
+                match call(Request::FetchChunk { ticket, chunk: i }, log)? {
+                    Response::Chunk { data, .. } => {
+                        payload.extend(data);
+                        Ok(payload)
+                    }
+                    other => Err(FederationError::Protocol(format!("{other:?}"))),
                 }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        let released = self.call(node_id, Request::Release { ticket }, &mut log);
-        if let Some(e) = failure {
-            return Err(e);
-        }
+            });
+        let released = self.call(node_id, Request::Release { ticket }, log);
+        let payload = fetched?;
         released?;
         // A deadline can fire after the last chunk arrived; surface it
         // rather than returning data the caller no longer wants.
-        check(governor)?;
+        check()?;
         let decoded = decode_staged(&payload).map_err(FederationError::Protocol)?;
-        Ok((decoded.into_iter().collect(), log))
+        Ok(decoded.into_iter().collect())
     }
 
     /// **Ship-query with user samples** (§4.3): upload a private local
@@ -579,7 +543,7 @@ impl Federation {
         // Run the query straight into the shared log so the transfer
         // accounting of a *failed* query is still merged; always attempt
         // the drop, even on failure, so the privacy guarantee holds.
-        let result = self.ship_query_into(node_id, query, chunk_bytes, &mut log);
+        let result = self.ship_query_into(node_id, query, chunk_bytes, None, &mut log);
         let dropped =
             self.call(node_id, Request::DropUpload { name: upload.name.clone() }, &mut log);
         let outputs = result?;
@@ -772,8 +736,8 @@ impl Federation {
         });
         // 5. Execute on the host (only if shipping succeeded) and always
         // drop the uploads.
-        let result =
-            ship_result.and_then(|()| self.ship_query_into(&host, query, chunk_bytes, &mut log));
+        let result = ship_result
+            .and_then(|()| self.ship_query_into(&host, query, chunk_bytes, None, &mut log));
         for (name, _) in &shipped {
             let _ = self.call(&host, Request::DropUpload { name: name.clone() }, &mut log);
         }
@@ -1076,8 +1040,36 @@ mod tests {
         }
     }
 
+    /// The metrics registry's enabled flag is process-global: the test
+    /// that switches it holds this lock, as does every other test here
+    /// that checks a degraded discovery's health report.
+    fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    #[test]
+    fn a_retried_node_is_degraded_with_the_registry_off() {
+        let _guard = registry_lock();
+        let mut fed = Federation::with_policy(CallPolicy {
+            deadline: std::time::Duration::from_millis(30),
+            max_retries: 2,
+            ..CallPolicy::default()
+        });
+        let mut node = FederationNode::new("flaky", 1);
+        node.own(peaks(1, 4));
+        fed.add_node(crate::ChaosNode::new(node, crate::ChaosConfig::flaky(1)));
+        nggc_obs::global().set_enabled(false);
+        let (inventory, health) = fed.discover_degraded(&mut TransferLog::default());
+        nggc_obs::global().set_enabled(true);
+        assert_eq!(inventory.len(), 1, "the retry recovered");
+        assert_eq!(health[0].retries, 1, "{health:?}");
+        assert_eq!(health[0].status, NodeStatus::Degraded);
+    }
+
     #[test]
     fn degraded_outcome_reports_full_health_when_all_nodes_up() {
+        let _guard = registry_lock();
         let mut fed = Federation::new();
         let mut n1 = FederationNode::new("polimi", 2);
         n1.own(peaks(4, 20));

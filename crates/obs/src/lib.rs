@@ -23,13 +23,17 @@
 //!
 //! The crate also holds [`shared`] — the one [`SingleFlight`] and the one
 //! [`ByteLru`] under the repository's dataset cache and the query result
-//! cache — because it is the std-only crate both of those already name.
+//! cache — because it is the std-only crate both of those already name;
+//! and [`account`], the per-thread [`ReadAccount`] the repository adds its
+//! reads to, for the same reason.
 
+pub mod account;
 pub mod metrics;
 pub mod profile;
 pub mod shared;
 pub mod trace;
 
+pub use account::{account_reads, record_read, ReadAccount};
 pub use metrics::{global, Counter, Gauge, Histogram, Registry};
 pub use profile::{render_span_tree, render_top_k};
 pub use shared::{ByteLru, FlightOutcome, SingleFlight};

@@ -411,33 +411,6 @@ impl Registry {
         out.push(']');
         out
     }
-
-    /// `(name, rendered labels, value)` snapshot of scalar metrics, for
-    /// text reports (histograms contribute their count and sum).
-    pub fn snapshot(&self) -> Vec<(String, String, u64)> {
-        let map = self.metrics.lock().unwrap();
-        let mut out = Vec::new();
-        for ((name, labels), metric) in map.iter() {
-            let lbl = render_labels(labels);
-            match metric {
-                Metric::Counter(c) => {
-                    out.push((name.clone(), lbl, c.value.load(Ordering::Relaxed)));
-                }
-                Metric::Gauge(g) => {
-                    out.push((name.clone(), lbl, g.value.load(Ordering::Relaxed).max(0) as u64));
-                }
-                Metric::Histogram(h) => {
-                    out.push((
-                        format!("{name}_count"),
-                        lbl.clone(),
-                        h.count.load(Ordering::Relaxed),
-                    ));
-                    out.push((format!("{name}_sum"), lbl, h.sum.load(Ordering::Relaxed)));
-                }
-            }
-        }
-        out
-    }
 }
 
 fn normalize(labels: &[(&str, &str)]) -> Labels {

@@ -654,14 +654,21 @@ impl Repository {
             }
         }
         let reg = nggc_obs::global();
-        let answered = |outcome: &str, counter: &str| {
-            reg.counter(counter).inc();
+        // A coalesced wait shares another caller's read: neither a hit
+        // nor a miss, in the registry and in the caller's read account.
+        let answered = |outcome: &str, hit: bool| {
+            if hit {
+                reg.counter("nggc_repo_cache_hits_total").inc();
+                nggc_obs::record_read(|a| a.cache_hits += 1);
+            } else {
+                reg.counter("nggc_repo_load_coalesced_total").inc();
+            }
             let mut span = nggc_obs::span("repo.cache");
             span.field("dataset", name).field("outcome", outcome);
         };
         if let Some(cached) = resident {
             // A full dataset is a superset of every pruned view of it.
-            answered("hit_superset", "nggc_repo_cache_hits_total");
+            answered("hit_superset", true);
             return Ok(cached);
         }
         if prunable {
@@ -680,15 +687,16 @@ impl Repository {
             Ok::<_, RepoError>(dataset)
         })?;
         match how {
-            FlightOutcome::Hit => answered(how.name(), "nggc_repo_cache_hits_total"),
-            FlightOutcome::Coalesced => answered(how.name(), "nggc_repo_load_coalesced_total"),
+            FlightOutcome::Hit => answered(how.name(), true),
+            FlightOutcome::Coalesced => answered(how.name(), false),
             FlightOutcome::Miss => {}
         }
         Ok(dataset)
     }
 
-    /// One actual disk read and decode, with its metrics and span: of the
-    /// whole dataset, or of what `pruned` selects from its v2 container.
+    /// One actual disk read and decode, with its metrics, span and entry
+    /// in the reading thread's account: of the whole dataset, or of what
+    /// `pruned` selects from its v2 container.
     fn read(
         &self,
         name: &str,
@@ -696,6 +704,7 @@ impl Repository {
     ) -> Result<Arc<Dataset>, RepoError> {
         let reg = nggc_obs::global();
         reg.counter("nggc_repo_cache_misses_total").inc();
+        nggc_obs::record_read(|a| a.cache_misses += 1);
         let mut span =
             nggc_obs::span(if pruned.is_some() { "repo.load_pruned" } else { "repo.load" });
         span.field("dataset", name);
@@ -718,6 +727,13 @@ impl Repository {
         span.field("samples", dataset.sample_count()).field("regions", dataset.region_count());
         match stats.zip(pruned) {
             Some((stats, req)) => {
+                nggc_obs::record_read(|a| {
+                    a.scan_pruned += 1;
+                    a.scan_bytes_read += stats.bytes_read;
+                    a.scan_bytes_skipped += stats.bytes_skipped;
+                    a.scan_blocks_read += stats.blocks_read;
+                    a.scan_blocks_skipped += stats.blocks_skipped;
+                });
                 reg.counter("nggc_scan_pruned_total").inc();
                 reg.counter("nggc_scan_bytes_read_total").add(stats.bytes_read);
                 reg.counter("nggc_scan_bytes_skipped_total").add(stats.bytes_skipped);

@@ -7,6 +7,7 @@
 //! `docs/observability.md` — for each one that outran the threshold or
 //! was stopped by its governor.
 
+use crate::session::QueryReport;
 use nggc_core::{GmqlError, LogicalPlan, NodeMetrics};
 use nggc_obs::{MemorySubscriber, SpanRecord};
 use serde::Serialize;
@@ -23,26 +24,6 @@ pub struct FlightRecorder {
     /// File the records are appended to, one JSON line each; `None`
     /// writes them to the caller's fallback writer (stderr).
     pub sink: Option<PathBuf>,
-}
-
-/// One finished query, as its caller saw it.
-pub struct Flight<'a> {
-    /// The query text.
-    pub query: &'a str,
-    /// Wall time from the start of the query to its result or error.
-    pub elapsed: Duration,
-    /// The trace the query ran under; only its spans are recorded.
-    pub trace_id: u64,
-    /// Governed bytes still charged when the query ended.
-    pub charged_bytes: u64,
-    /// The governor's high-water mark.
-    pub peak_bytes: u64,
-    /// What stopped the query, if it did not complete.
-    pub error: Option<&'a GmqlError>,
-    /// The plan that was executed, as executed (optimized).
-    pub plan: &'a LogicalPlan,
-    /// Its per-node metrics; empty for a query that did not complete.
-    pub metrics: &'a [NodeMetrics],
 }
 
 /// The one spelling of how a failed query ended, for flight records and
@@ -75,36 +56,38 @@ impl FlightRecorder {
         Ok((threshold.is_some() || sink.is_some()).then_some(FlightRecorder { threshold, sink }))
     }
 
-    /// Record `flight` if it was stopped by its governor (always, once
-    /// armed) or ran longer than the threshold, with the spans of its
-    /// trace that `spans` still holds. The line goes to the sink file,
+    /// Record the executed `query` if its governor stopped it (always,
+    /// once armed) or it ran longer than the threshold, with the spans of
+    /// its trace that `spans` still holds. The line goes to the sink file,
     /// and a note that it did (or why it could not) to `fallback`; with
     /// no sink the line itself goes to `fallback`. Returns whether the
-    /// flight was one to record.
+    /// query was one to record.
     pub fn record(
         &self,
-        flight: &Flight<'_>,
+        query: &str,
+        report: &QueryReport,
         spans: &MemorySubscriber,
         fallback: &mut dyn Write,
     ) -> bool {
-        let tripped = flight.error.is_some_and(GmqlError::is_resource_limit);
-        let slow = self.threshold.is_some_and(|t| flight.elapsed > t);
+        let error = report.outputs.as_ref().err();
+        let tripped = error.is_some_and(GmqlError::is_resource_limit);
+        let slow = self.threshold.is_some_and(|t| report.elapsed > t);
         if !tripped && !slow {
             return false;
         }
         let record = FlightRecord {
             kind: "nggc_flight_record".to_owned(),
-            outcome: flight.error.map_or("slow", outcome_name).to_owned(),
-            query: flight.query.to_owned(),
-            elapsed_us: flight.elapsed.as_micros() as u64,
-            trace_id: flight.trace_id,
-            governor_charged_bytes: flight.charged_bytes,
-            governor_peak_bytes: flight.peak_bytes,
+            outcome: error.map_or("slow", outcome_name).to_owned(),
+            query: query.to_owned(),
+            elapsed_us: report.elapsed.as_micros() as u64,
+            trace_id: report.trace_id,
+            governor_charged_bytes: report.charged_bytes,
+            governor_peak_bytes: report.peak_bytes,
             dropped_spans: spans.dropped(),
             // One collector may serve many queries; this one's spans are
             // the ones stamped with its trace id.
-            trace: spans.records_of(flight.trace_id).iter().map(TraceSpan::from).collect(),
-            nodes: node_stats(flight.plan, flight.metrics),
+            trace: spans.records_of(report.trace_id).iter().map(TraceSpan::from).collect(),
+            nodes: node_stats(&report.plan, &report.metrics),
         };
         let Ok(mut line) = serde_json::to_string(&record) else {
             return false;
@@ -192,8 +175,6 @@ pub struct NodeStats {
     mem_released: u64,
     cache_hits: u64,
     cache_misses: u64,
-    fed_retries: u64,
-    fed_timeouts: u64,
     scan_pruned: u64,
     scan_bytes_read: u64,
     scan_bytes_skipped: u64,
@@ -217,15 +198,13 @@ pub fn node_stats(plan: &LogicalPlan, metrics: &[NodeMetrics]) -> Vec<NodeStats>
         wall_us: m.wall.as_micros() as u64,
         mem_charged: m.mem_charged,
         mem_released: m.mem_released,
-        cache_hits: m.cache_hits,
-        cache_misses: m.cache_misses,
-        fed_retries: m.fed_retries,
-        fed_timeouts: m.fed_timeouts,
-        scan_pruned: m.scan_pruned,
-        scan_bytes_read: m.scan_bytes_read,
-        scan_bytes_skipped: m.scan_bytes_skipped,
-        scan_blocks_read: m.scan_blocks_read,
-        scan_blocks_skipped: m.scan_blocks_skipped,
+        cache_hits: m.reads.cache_hits,
+        cache_misses: m.reads.cache_misses,
+        scan_pruned: m.reads.scan_pruned,
+        scan_bytes_read: m.reads.scan_bytes_read,
+        scan_bytes_skipped: m.reads.scan_bytes_skipped,
+        scan_blocks_read: m.reads.scan_blocks_read,
+        scan_blocks_skipped: m.reads.scan_blocks_skipped,
     };
     plan.nodes.iter().zip(metrics).enumerate().map(stats).collect()
 }
@@ -233,45 +212,37 @@ pub fn node_stats(plan: &LogicalPlan, metrics: &[NodeMetrics]) -> Vec<NodeStats>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nggc_core::{GovernorLimits, QueryGovernor};
+    use nggc_core::{CacheOutcome, GovernorLimits, OptimizerReport, QueryGovernor};
 
-    fn plan() -> LogicalPlan {
+    /// An executed query's report: its outputs, or `error`.
+    fn report(elapsed: Duration, error: Option<GmqlError>) -> QueryReport {
         let statements = nggc_core::parse("X = SELECT() D; MATERIALIZE X;").unwrap();
-        LogicalPlan::compile(&statements, &|_| Some(nggc_gdm::Schema::empty())).unwrap()
-    }
-
-    fn flight<'a>(
-        plan: &'a LogicalPlan,
-        elapsed: Duration,
-        error: Option<&'a GmqlError>,
-    ) -> Flight<'a> {
-        let metrics = &[];
-        Flight {
-            query: "Q",
+        QueryReport {
+            outputs: error.map_or_else(|| Ok(Default::default()), Err),
+            plan: LogicalPlan::compile(&statements, &|_| Some(nggc_gdm::Schema::empty())).unwrap(),
+            optimizer: OptimizerReport::default(),
+            metrics: Vec::new(),
             elapsed,
             trace_id: 7,
+            outcome: CacheOutcome::Miss,
             charged_bytes: 0,
             peak_bytes: 0,
-            error,
-            plan,
-            metrics,
         }
     }
 
     #[test]
     fn threshold_without_sink_writes_the_record_to_the_fallback() {
-        let plan = plan();
         let spans = MemorySubscriber::default();
         let recorder = FlightRecorder { threshold: Some(Duration::from_millis(5)), sink: None };
         let mut out = Vec::new();
 
         // At the threshold is not over it; nothing is written.
-        let at = flight(&plan, Duration::from_millis(5), None);
-        assert!(!recorder.record(&at, &spans, &mut out));
+        let at = report(Duration::from_millis(5), None);
+        assert!(!recorder.record("Q", &at, &spans, &mut out));
         assert!(out.is_empty());
 
-        let over = flight(&plan, Duration::from_millis(6), None);
-        assert!(recorder.record(&over, &spans, &mut out));
+        let over = report(Duration::from_millis(6), None);
+        assert!(recorder.record("Q", &over, &spans, &mut out));
         let line = String::from_utf8(out).unwrap();
         assert_eq!(line.lines().count(), 1, "one JSON line: {line}");
         assert!(line.contains(r#""kind":"nggc_flight_record""#), "{line}");
@@ -282,18 +253,17 @@ mod tests {
     #[test]
     fn governor_trips_are_recorded_whatever_the_threshold() {
         let governor = QueryGovernor::new(GovernorLimits::default());
-        let plan = plan();
         let spans = MemorySubscriber::default();
         let recorder = FlightRecorder { threshold: None, sink: None };
         let mut out = Vec::new();
         let fast = Duration::from_micros(1);
-        assert!(!recorder.record(&flight(&plan, fast, None), &spans, &mut out));
+        assert!(!recorder.record("Q", &report(fast, None), &spans, &mut out));
         let plain = GmqlError::runtime("no such dataset");
-        assert!(!recorder.record(&flight(&plan, fast, Some(&plain)), &spans, &mut out));
+        assert!(!recorder.record("Q", &report(fast, Some(plain)), &spans, &mut out));
         assert!(out.is_empty(), "neither slow nor tripped");
         governor.cancel_token().cancel();
         let cancelled = governor.check("X").unwrap_err();
-        assert!(recorder.record(&flight(&plan, fast, Some(&cancelled)), &spans, &mut out));
+        assert!(recorder.record("Q", &report(fast, Some(cancelled)), &spans, &mut out));
         assert!(String::from_utf8(out).unwrap().contains(r#""outcome":"cancelled""#));
     }
 }

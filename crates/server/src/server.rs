@@ -401,25 +401,16 @@ fn run_query(
         register: |token| ActiveGuard::register(shared, token),
     };
     let reply = match shared.session.run(request) {
-        Ok(report) => result_reply(&report, head),
-        Err(RunError::Parse(e)) => error_reply(ServeErrorKind::Parse, e),
-        Err(RunError::Compile(e)) => error_reply(ServeErrorKind::Runtime, e),
-        Err(RunError::Execute { error, .. }) => {
-            let kind = match &error {
-                GmqlError::DeadlineExceeded { .. } => ServeErrorKind::DeadlineExceeded,
-                GmqlError::Cancelled { .. } => ServeErrorKind::Cancelled,
-                GmqlError::MemoryExhausted { .. } => ServeErrorKind::MemoryExhausted,
-                _ => ServeErrorKind::Runtime,
-            };
-            error_reply(kind, error)
-        }
+        Ok(report) => query_reply(&report, head),
+        Err(RunError::Parse(e)) => error_reply(ServeErrorKind::Parse, &e),
+        Err(RunError::Compile(e)) => error_reply(ServeErrorKind::Runtime, &e),
         Err(RunError::Refused(reply)) => reply,
     };
     reg.histogram("nggc_serve_request_ns").record_duration(t0.elapsed());
     reply
 }
 
-fn error_reply(kind: ServeErrorKind, e: GmqlError) -> ServerReply {
+fn error_reply(kind: ServeErrorKind, e: &GmqlError) -> ServerReply {
     ServerReply::Error { kind, message: e.to_string(), retry_after_ms: None }
 }
 
@@ -482,10 +473,22 @@ fn admit(
     Ok((Some(GovernorLimits { timeout, max_memory: Some(budget) }), (permit, reservation)))
 }
 
-/// Build the `Result` reply: outputs sorted by name, head rows bounded
-/// by the request; anything not executed for this request is `cached`.
-fn result_reply(report: &QueryReport, head: usize) -> ServerReply {
-    let outputs = &report.outputs;
+/// The reply to a query that reached the result tier: its typed error,
+/// or a `Result` with outputs sorted by name and head rows bounded by the
+/// request, where anything not executed for this request is `cached`.
+fn query_reply(report: &QueryReport, head: usize) -> ServerReply {
+    let outputs = match &report.outputs {
+        Ok(outputs) => outputs,
+        Err(error) => {
+            let kind = match error {
+                GmqlError::DeadlineExceeded { .. } => ServeErrorKind::DeadlineExceeded,
+                GmqlError::Cancelled { .. } => ServeErrorKind::Cancelled,
+                GmqlError::MemoryExhausted { .. } => ServeErrorKind::MemoryExhausted,
+                _ => ServeErrorKind::Runtime,
+            };
+            return error_reply(kind, error);
+        }
+    };
     let mut names: Vec<&String> = outputs.keys().collect();
     names.sort();
     ServerReply::Result {

@@ -7,7 +7,7 @@
 //! each [`Request`] — the result tier, admission on a miss, and where the
 //! governor's cancel token is registered — and nothing else.
 
-use crate::flight::{outcome_name, Flight, FlightRecorder};
+use crate::flight::{outcome_name, FlightRecorder};
 use crate::provider::RepoProvider;
 use nggc_core::result_cache::QueryOutputs;
 use nggc_core::{
@@ -65,22 +65,27 @@ pub struct Request<'q, A, C> {
     pub register: C,
 }
 
-/// A finished query and its account.
+/// One query's account, whether its execution succeeded or failed: the
+/// flight record, EXPLAIN ANALYZE, the CLI's partial-progress report and
+/// serve's reply all read it.
 pub struct QueryReport {
-    /// Materialized outputs by name (shared with the result tier).
-    pub outputs: Arc<QueryOutputs>,
+    /// Materialized outputs by name (shared with the result tier), or
+    /// what stopped the execution.
+    pub outputs: Result<Arc<QueryOutputs>, GmqlError>,
     /// The plan as optimized and executed; `metrics[i]` is `plan.nodes[i]`.
     pub plan: LogicalPlan,
     /// What the optimizer did.
     pub optimizer: OptimizerReport,
-    /// Per-node metrics; empty unless this request executed the plan.
+    /// Per-node metrics; empty unless this request executed the plan to
+    /// the end.
     pub metrics: Vec<NodeMetrics>,
-    /// Wall time from the text to the result.
+    /// Wall time from the text to the result or the failure.
     pub elapsed: Duration,
     /// The trace the query ran under (0: none).
     pub trace_id: u64,
-    /// Executed (`Miss`), answered by the tier (`Hit`), or shared with a
-    /// concurrent identical execution (`Coalesced`).
+    /// Executed (`Miss`, failed executions included), answered by the
+    /// tier (`Hit`), or shared with a concurrent identical execution
+    /// (`Coalesced`).
     pub outcome: CacheOutcome,
     /// Governed bytes still charged when the execution ended.
     pub charged_bytes: u64,
@@ -88,24 +93,14 @@ pub struct QueryReport {
     pub peak_bytes: u64,
 }
 
-/// Why [`Session::run`] produced no outputs.
+/// Why [`Session::run`] did not reach the result tier, or admission
+/// refused the miss there.
 #[derive(Debug)]
 pub enum RunError<R> {
     /// The text is not GMQL.
     Parse(GmqlError),
     /// The plan does not compile against the repository.
     Compile(GmqlError),
-    /// The execution failed, with what it had spent by then.
-    Execute {
-        /// What stopped it.
-        error: GmqlError,
-        /// Wall time from the text to the failure.
-        elapsed: Duration,
-        /// Governed bytes still charged.
-        charged_bytes: u64,
-        /// The governor's high-water mark.
-        peak_bytes: u64,
-    },
     /// Admission refused the miss.
     Refused(R),
 }
@@ -113,21 +108,17 @@ pub enum RunError<R> {
 impl<R: std::fmt::Display> std::fmt::Display for RunError<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RunError::Parse(e) | RunError::Compile(e) | RunError::Execute { error: e, .. } => {
-                e.fmt(f)
-            }
+            RunError::Parse(e) | RunError::Compile(e) => e.fmt(f),
             RunError::Refused(r) => r.fmt(f),
         }
     }
 }
 
-/// What this request's own execution left behind for its report and its
-/// flight record; only an execution is flight-recorded.
-#[derive(Default)]
-struct Executed {
-    metrics: Vec<NodeMetrics>,
-    charged_bytes: u64,
-    peak_bytes: u64,
+/// Why a miss produced no outputs: admission refused it, or it ran and
+/// failed.
+enum Unanswered<R> {
+    Refused(R),
+    Failed(GmqlError),
 }
 
 impl Session {
@@ -156,9 +147,10 @@ impl Session {
         reg.counter("nggc_exec_optimizer_nodes_deduplicated_total")
             .add(optimizer.nodes_deduplicated as u64);
 
-        let mut executed = None;
+        let mut metrics = Vec::new();
+        let (mut charged_bytes, mut peak_bytes) = (0, 0);
         let mut execute = || {
-            let (limits, _admitted) = (request.admit)().map_err(RunError::Refused)?;
+            let (limits, _admitted) = (request.admit)().map_err(Unanswered::Refused)?;
             let governor = limits.map(QueryGovernor::new);
             let _registered = governor.as_ref().map(|g| (request.register)(g.cancel_token()));
             let provider = match &governor {
@@ -167,19 +159,10 @@ impl Session {
             };
             let opts = ExecOptions { optimize: false, ..ExecOptions::default() };
             let result = execute_governed(&plan, &provider, &self.ctx, &opts, governor.as_ref());
-            let (charged_bytes, peak_bytes) =
-                governor.map_or((0, 0), |g| (g.charged(), g.mem_peak()));
-            match result {
-                Ok((outputs, metrics)) => {
-                    executed = Some(Executed { metrics, charged_bytes, peak_bytes });
-                    Ok(outputs)
-                }
-                Err(error) => {
-                    executed = Some(Executed { metrics: Vec::new(), charged_bytes, peak_bytes });
-                    let elapsed = t0.elapsed();
-                    Err(RunError::Execute { error, elapsed, charged_bytes, peak_bytes })
-                }
-            }
+            (charged_bytes, peak_bytes) = governor.map_or((0, 0), |g| (g.charged(), g.mem_peak()));
+            let (outputs, executed) = result.map_err(Unanswered::Failed)?;
+            metrics = executed;
+            Ok(outputs)
         };
         let gen_of = |name: &str| self.repo.generation(name);
         let result = match request.tier {
@@ -190,47 +173,38 @@ impl Session {
             }
             Tier::Disk(store) => through_store(store, &plan, &gen_of, &mut execute),
         };
-        let elapsed = t0.elapsed();
-        let error = match &result {
-            Err(RunError::Execute { error, .. }) => Some(error),
-            _ => None,
-        };
-        let outcome = match &result {
-            Ok((_, outcome)) => outcome.name(),
-            Err(RunError::Execute { error, .. }) => outcome_name(error),
-            Err(_) => "refused",
-        };
-        span.field("outcome", outcome);
-        // The record holds the whole trace, so the query's span closes first.
-        drop(span);
-        if let (Some(run), Some((recorder, spans))) = (&executed, &self.flight) {
-            let flight = Flight {
-                query: request.text,
-                elapsed,
-                trace_id,
-                charged_bytes: run.charged_bytes,
-                peak_bytes: run.peak_bytes,
-                error,
-                plan: &plan,
-                metrics: &run.metrics,
-            };
-            if recorder.record(&flight, spans, &mut std::io::stderr()) {
-                reg.counter("nggc_serve_flight_records_total").inc();
+        let (outputs, outcome) = match result {
+            Ok((outputs, outcome)) => (Ok(outputs), outcome),
+            // Followers of a failed execution retry on their own, so an
+            // error is always this request's own execution.
+            Err(Unanswered::Failed(error)) => (Err(error), CacheOutcome::Miss),
+            Err(Unanswered::Refused(refusal)) => {
+                span.field("outcome", "refused");
+                return Err(RunError::Refused(refusal));
             }
-        }
-        let executed = executed.unwrap_or_default();
-        let (outputs, outcome) = result?;
-        Ok(QueryReport {
+        };
+        let report = QueryReport {
             outputs,
             plan,
             optimizer,
-            metrics: executed.metrics,
-            elapsed,
+            metrics,
+            elapsed: t0.elapsed(),
             trace_id,
             outcome,
-            charged_bytes: executed.charged_bytes,
-            peak_bytes: executed.peak_bytes,
-        })
+            charged_bytes,
+            peak_bytes,
+        };
+        let ended = report.outputs.as_ref().map_or_else(outcome_name, |_| outcome.name());
+        span.field("outcome", ended);
+        // The record holds the whole trace, so the query's span closes first.
+        drop(span);
+        // Only an execution is flight-recorded.
+        if let (CacheOutcome::Miss, Some((recorder, spans))) = (outcome, &self.flight) {
+            if recorder.record(request.text, &report, spans, &mut std::io::stderr()) {
+                reg.counter("nggc_serve_flight_records_total").inc();
+            }
+        }
+        Ok(report)
     }
 
     /// The logical plan, and the optimized plan with what each source

@@ -47,9 +47,9 @@
 //! in `docs/observability.md`. `--explain` prints the optimized plan
 //! tree without executing; `--explain-analyze` executes and annotates
 //! each plan node with measured rows/bytes/wall time, governor memory
-//! charged/released, repository cache hits/misses, and federation
-//! retries/timeouts — `--json` switches to the machine-readable
-//! document the bench harness diffs across runs.
+//! charged/released, and the node's own repository reads (cache
+//! hits/misses, pruned scan bytes) — `--json` switches to the
+//! machine-readable document the bench harness diffs across runs.
 //!
 //! The slow-query flight recorder (`docs/observability.md`) arms when
 //! `NGGC_SLOW_QUERY_MS` (threshold) or `NGGC_FLIGHT_RECORDER` (sink
@@ -74,7 +74,7 @@ use nggc::repository::Repository;
 use nggc::repository::ResultStore;
 use nggc::search::{MetadataSearch, RankMode};
 use nggc::server::flight::{node_stats, FlightRecorder, NodeStats};
-use nggc::server::{Request, RunError, Session, Tier};
+use nggc::server::{Request, Session, Tier};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -514,6 +514,7 @@ struct AnalyzeJson {
 /// The per-node runtime annotation `--explain-analyze` appends to each
 /// line of the rendered plan tree.
 fn analyze_annotation(m: &nggc::gmql::NodeMetrics) -> String {
+    let reads = &m.reads;
     let mut s = format!(
         "(rows {}→{} samples, {}→{} regions, {} B, {:.3} ms, mem +{}/-{} B, cache {}h/{}m",
         m.samples_in,
@@ -524,19 +525,16 @@ fn analyze_annotation(m: &nggc::gmql::NodeMetrics) -> String {
         m.wall.as_secs_f64() * 1000.0,
         m.mem_charged,
         m.mem_released,
-        m.cache_hits,
-        m.cache_misses,
+        reads.cache_hits,
+        reads.cache_misses,
     );
-    if m.fed_retries > 0 || m.fed_timeouts > 0 {
-        s.push_str(&format!(", fed {}r/{}t", m.fed_retries, m.fed_timeouts));
-    }
-    if m.scan_pruned > 0 {
+    if reads.scan_pruned > 0 {
         s.push_str(&format!(
             ", scan {} B read/{} B skipped ({}/{} blocks)",
-            m.scan_bytes_read,
-            m.scan_bytes_skipped,
-            m.scan_blocks_read,
-            m.scan_blocks_read + m.scan_blocks_skipped,
+            reads.scan_bytes_read,
+            reads.scan_bytes_skipped,
+            reads.scan_blocks_read,
+            reads.scan_blocks_read + reads.scan_blocks_skipped,
         ));
     }
     s.push(')');
@@ -634,33 +632,33 @@ fn cmd_query(repo_path: &Path, args: &[String]) -> Result<(), CliError> {
     let result = session.run(request);
     // Stop collecting before rendering; everything below is reporting.
     nggc::obs::clear_subscribers();
-    let report = match result {
-        Ok(report) => report,
-        Err(RunError::Execute { error, elapsed, charged_bytes, peak_bytes })
-            if error.is_resource_limit() =>
-        {
-            // Graceful trip: report partial progress, then exit with the
-            // error's distinctive code.
-            eprintln!("-- query interrupted: partial progress --");
-            eprintln!("  elapsed              {elapsed:.2?}");
-            eprintln!("  governed memory      {charged_bytes} B charged");
-            eprintln!("  governed memory peak {peak_bytes} B");
-            let reg = nggc::obs::global();
-            for counter in [
-                "nggc_query_cancelled_total",
-                "nggc_query_deadline_exceeded_total",
-                "nggc_query_mem_rejections_total",
-            ] {
-                let v = reg.counter(counter).get();
-                if v > 0 {
-                    eprintln!("  {counter} {v}");
+    let report = result.map_err(|e| e.to_string())?;
+    let (elapsed, metrics) = (report.elapsed, &report.metrics);
+    let outputs = match &report.outputs {
+        Ok(outputs) => outputs,
+        Err(error) => {
+            if error.is_resource_limit() {
+                // Graceful trip: report partial progress, then exit with
+                // the error's distinctive code.
+                eprintln!("-- query interrupted: partial progress --");
+                eprintln!("  elapsed              {elapsed:.2?}");
+                eprintln!("  governed memory      {} B charged", report.charged_bytes);
+                eprintln!("  governed memory peak {} B", report.peak_bytes);
+                let reg = nggc::obs::global();
+                for counter in [
+                    "nggc_query_cancelled_total",
+                    "nggc_query_deadline_exceeded_total",
+                    "nggc_query_mem_rejections_total",
+                ] {
+                    let v = reg.counter(counter).get();
+                    if v > 0 {
+                        eprintln!("  {counter} {v}");
+                    }
                 }
             }
-            return Err(error.into());
+            return Err(error.clone().into());
         }
-        Err(e) => return Err(e.to_string().into()),
     };
-    let (outputs, elapsed, metrics) = (&report.outputs, report.elapsed, &report.metrics);
     let mut names: Vec<&String> = outputs.keys().collect();
     names.sort();
     if explain_analyze {
@@ -826,6 +824,7 @@ fn cmd_stats(repo_path: &Path, args: &[String]) -> Result<(), String> {
             register: |_| (),
         };
         let report = session.run(request).map_err(|e| e.to_string())?;
+        report.outputs.as_ref().map_err(|e| e.to_string())?;
         leave_to_the_os((report, session.repo));
     }
     if let Some(collector) = &collector {

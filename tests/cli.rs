@@ -418,6 +418,45 @@ fn cli_flight_recorder_appends_one_line_per_slow_or_tripped_query() {
     std::fs::remove_dir_all(&repo).ok();
 }
 
+/// EXPLAIN ANALYZE's I/O columns are the query's own reads, not the
+/// metrics registry's: with the registry off, a chr-filtered query's
+/// SOURCE still shows its one cold, pruned read.
+#[test]
+fn explain_analyze_reads_do_not_depend_on_the_registry() {
+    let repo = tmp_repo("analyze_reads");
+    std::fs::create_dir_all(&repo).unwrap();
+    let bed = repo.join("peaks.bed");
+    std::fs::write(
+        &bed,
+        "chr1\t100\t300\t0.0001\nchr1\t500\t800\t0.0002\nchr2\t100\t300\t0.00015\n\
+         chr2\t450\t700\t0.00014\nchr3\t900\t1100\t0.00016\n",
+    )
+    .unwrap();
+    let (ok, _, stderr) = run(&repo, &["import", bed.to_str().unwrap(), "PEAKS"]);
+    assert!(ok, "{stderr}");
+    let query = "X = SELECT(region: chr == 'chr2') PEAKS; MATERIALIZE X;";
+    let out = nggc()
+        .arg("--repo")
+        .arg(&repo)
+        .env("NGGC_METRICS", "off")
+        .args(["query", "-e", query, "--explain-analyze", "--json"])
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let doc: serde::Content = serde_json::from_str(&stdout).expect("a JSON document");
+    let nodes = flight::items(flight::get(&doc, "nodes"));
+    let source = nodes
+        .iter()
+        .find(|node| flight::text_of(flight::get(node, "operator")) == "SOURCE")
+        .expect("a SOURCE node");
+    let column = |key: &str| flight::number(flight::get(source, key));
+    assert_eq!(column("cache_misses"), 1, "{stdout}");
+    assert_eq!(column("scan_pruned"), 1, "{stdout}");
+    assert!(column("scan_bytes_read") > 0, "{stdout}");
+    std::fs::remove_dir_all(&repo).ok();
+}
+
 /// Ctrl-C during `nggc query` exits gracefully: code 130, partial
 /// metrics on stderr, no killed-process signal status.
 #[cfg(unix)]

@@ -1,9 +1,15 @@
 //! Cross-crate observability tests: the metrics registry hammered from
-//! the work-stealing pool, and span parentage through the in-memory
-//! subscriber (see docs/observability.md).
+//! the work-stealing pool, span parentage through the in-memory
+//! subscriber, and per-node read accounts (see docs/observability.md).
 
-use nggc::engine::WorkerPool;
+use nggc::engine::{ExecContext, WorkerPool};
+use nggc::gdm::{Attribute, Dataset, GRegion, Sample, Schema, Strand, ValueType};
+use nggc::gmql::{
+    execute_governed, parse, DatasetProvider, ExecOptions, GmqlError, LogicalPlan, ScanSpec,
+};
 use nggc::obs::{self, MemorySubscriber};
+use nggc::repository::Repository;
+use nggc::RepoProvider;
 use std::sync::{Arc, Mutex};
 
 // Subscribers and the registry's enabled flag are process-global, so
@@ -153,4 +159,72 @@ fn disabled_registry_skips_engine_metrics() {
     // Pool-local stats still work — they are not registry-gated.
     assert_eq!(pool.stats().jobs_executed, 64);
     reg.set_enabled(true);
+}
+
+/// The repository provider, with another thread's cold load of `OTHER`
+/// run to completion in the middle of every source load it serves.
+struct Meddling<'a> {
+    repo: &'a Repository,
+    inner: RepoProvider<'a>,
+}
+
+impl Meddling<'_> {
+    fn meddle(&self) {
+        std::thread::scope(|s| {
+            s.spawn(|| self.repo.load("OTHER").unwrap());
+        });
+    }
+}
+
+impl DatasetProvider for Meddling<'_> {
+    fn load(&self, name: &str) -> Result<Dataset, GmqlError> {
+        self.meddle();
+        self.inner.load(name)
+    }
+
+    fn load_shared(&self, name: &str) -> Result<Arc<Dataset>, GmqlError> {
+        self.meddle();
+        self.inner.load_shared(name)
+    }
+
+    fn load_pruned(&self, name: &str, spec: &ScanSpec) -> Result<Arc<Dataset>, GmqlError> {
+        self.meddle();
+        self.inner.load_pruned(name, spec)
+    }
+}
+
+/// A SOURCE node's I/O columns are the reads it made itself: a cold load
+/// of another dataset, on another thread while the node runs, is not
+/// the node's.
+#[test]
+fn a_source_node_accounts_its_own_reads_only() {
+    let _guard = global_lock();
+    let root = std::env::temp_dir().join(format!("nggc_obs_reads_{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let schema = Schema::new(vec![Attribute::new("score", ValueType::Float)]).unwrap();
+    {
+        let mut repo = Repository::open(&root).unwrap();
+        for name in ["MINE", "OTHER"] {
+            let mut ds = Dataset::new(name, schema.clone());
+            let regions = (0..16u64)
+                .map(|i| {
+                    GRegion::new("chr1", i * 100, i * 100 + 50, Strand::Pos)
+                        .with_values(vec![(i as f64).into()])
+                })
+                .collect();
+            ds.add_sample(Sample::new("s1", name).with_regions(regions)).unwrap();
+            repo.save(&ds).unwrap();
+        }
+    }
+    let repo = Repository::open(&root).unwrap();
+    let statements = parse("R = SELECT() MINE; MATERIALIZE R;").unwrap();
+    let plan = LogicalPlan::compile(&statements, &|name| repo.schema_of(name)).unwrap();
+    let provider = Meddling { repo: &repo, inner: RepoProvider::new(&repo) };
+    let ctx = ExecContext::with_workers(1);
+    let (_, metrics) =
+        execute_governed(&plan, &provider, &ctx, &ExecOptions::default(), None).unwrap();
+    let source = metrics.iter().find(|m| m.operator == "SOURCE").expect("a SOURCE node");
+    assert_eq!(source.reads.cache_misses, 1, "MINE's cold load only: {source:?}");
+    assert_eq!(source.reads.cache_hits, 0, "{source:?}");
+    std::fs::remove_dir_all(&root).ok();
 }

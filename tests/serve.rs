@@ -467,6 +467,83 @@ fn flight_records_of_concurrent_requests_keep_to_their_own_trace() {
     });
 }
 
+/// The read columns of a flight record's SOURCE node, in a fixed order.
+fn source_reads(record: &serde::Content) -> Vec<u64> {
+    let nodes = flight::items(flight::get(record, "nodes"));
+    let source = nodes
+        .iter()
+        .find(|node| flight::text_of(flight::get(node, "operator")) == "SOURCE")
+        .expect("a SOURCE node");
+    ["cache_hits", "cache_misses", "scan_pruned", "scan_bytes_read", "scan_bytes_skipped"]
+        .map(|key| flight::number(flight::get(source, key)))
+        .to_vec()
+}
+
+/// Two clients query disjoint cold datasets at once, with every executed
+/// request flight-recorded (what `NGGC_SLOW_QUERY_MS=0` arms): each
+/// record's SOURCE node carries its own dataset's read, exactly as when
+/// the query runs alone. Pruned reads are never cached, so every run of
+/// these chromosome queries reads its container again.
+#[test]
+fn concurrent_flight_records_carry_their_own_reads() {
+    let _guard = test_lock();
+    with_watchdog("own_reads", 60, || {
+        let root = tmp("own_reads");
+        {
+            let mut repo = Repository::open(&root).unwrap();
+            repo.save(&three_chrom_dataset("SMALL", 20)).unwrap();
+            repo.save(&three_chrom_dataset("LARGE", 400)).unwrap();
+        }
+        let sink = root.join("flight.jsonl");
+        let flight = FlightRecorder { threshold: Some(Duration::ZERO), sink: Some(sink.clone()) };
+        let config = ServeConfig { flight: Some(flight), ..ServeConfig::default() };
+        let (addr, handle, runner) = start(Repository::open(&root).unwrap(), config);
+        let queries = ["SMALL", "LARGE"]
+            .map(|name| format!("R = SELECT(region: chr == 'chr2') {name}; MATERIALIZE R;"));
+        let run = |query: &str| {
+            let mut client = Client::connect(&addr).unwrap();
+            match client.query_full(query, None, None, 0, true).unwrap() {
+                ServerReply::Result { .. } => {}
+                other => panic!("expected Result, got {other:?}"),
+            }
+        };
+        for query in &queries {
+            run(query);
+        }
+        let start_line = std::sync::Barrier::new(queries.len());
+        std::thread::scope(|s| {
+            for query in &queries {
+                let (run, start_line) = (&run, &start_line);
+                s.spawn(move || {
+                    start_line.wait();
+                    run(query);
+                });
+            }
+        });
+        handle.shutdown();
+        runner.join().unwrap().unwrap();
+        nggc::obs::clear_subscribers();
+
+        let records = flight::read_records(&sink);
+        assert_eq!(records.len(), 4, "two runs of each query, all executed");
+        let mut alone = Vec::new();
+        for query in &queries {
+            let reads: Vec<Vec<u64>> = records
+                .iter()
+                .filter(|r| flight::text_of(flight::get(r, "query")) == query)
+                .map(source_reads)
+                .collect();
+            assert_eq!(reads.len(), 2, "{query}");
+            assert_eq!(reads[0], reads[1], "{query}: alone, then alongside the other query");
+            assert_eq!(reads[0][..3], [0, 1, 1], "{query}: one cold pruned read, nothing else");
+            assert!(reads[0][3] > 0, "{query}: {:?}", reads[0]);
+            alone.push(reads[0].clone());
+        }
+        assert_ne!(alone[0], alone[1], "the two datasets read different bytes");
+        std::fs::remove_dir_all(&root).ok();
+    });
+}
+
 #[test]
 fn parse_errors_are_typed_not_fatal() {
     let _guard = test_lock();
