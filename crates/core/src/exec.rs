@@ -61,6 +61,14 @@ pub trait DatasetProvider {
     ) -> Result<Arc<Dataset>, GmqlError> {
         self.load_shared(name)
     }
+
+    /// The size of `dataset`, as loaded for source `name`, when the
+    /// provider already knows it — for a dataset it holds resident, the
+    /// bytes its cache charged. `None` (the default) has the executor
+    /// walk the dataset; an answer must equal that walk.
+    fn resident_bytes(&self, _name: &str, _dataset: &Arc<Dataset>) -> Option<u64> {
+        None
+    }
 }
 
 impl<F> DatasetProvider for F
@@ -166,7 +174,10 @@ pub fn execute_governed(
         None => ctx,
     };
     let mut plan_span = nggc_obs::span("exec.plan");
-    plan_span.field("nodes", plan.nodes.len()).field("outputs", plan.outputs.len());
+    plan_span
+        .field("nodes", plan.nodes.len())
+        .field("outputs", plan.outputs.len())
+        .field("width", ctx.width());
     let plan = if opts.optimize {
         let (optimized, report) = crate::optimizer::optimize(plan);
         // Optimizer decisions travel on the plan span and the registry.
@@ -279,7 +290,21 @@ pub fn execute_governed(
             // never as a result, and without paying to measure it.
             g.check(&node.label)?;
         }
-        let bytes_out = result.encoded_size();
+        // A resident source's size is what its cache entry was charged;
+        // anything else is walked.
+        let resident = match &node.op {
+            PlanOp::Source(name) => provider.resident_bytes(name, &result),
+            PlanOp::Apply(_) => None,
+        };
+        let bytes_out = match resident {
+            Some(bytes) => {
+                let bytes = bytes as usize;
+                debug_assert_eq!(bytes, result.encoded_size(), "cache charge of {}", node.label);
+                reg.counter("nggc_exec_source_sized_from_cache_total").inc();
+                bytes
+            }
+            None => result.encoded_size(),
+        };
         if let Some(g) = governor {
             // Charge the materialised intermediate before it becomes
             // visible to consumers; rejection aborts the query with the
@@ -291,6 +316,9 @@ pub fn execute_governed(
             .field("samples_out", result.sample_count())
             .field("regions_out", result.region_count())
             .field("bytes_est", bytes_out);
+        if let PlanOp::Source(_) = node.op {
+            node_span.field("sized", if resident.is_some() { "cache" } else { "walk" });
+        }
         drop(node_span);
         if reg.is_enabled() {
             reg.counter_with("nggc_exec_nodes_total", &[("op", &operator)]).inc();

@@ -40,8 +40,8 @@ pub(crate) fn fold_groups<K>(
 where
     K: Fn(&Chrom, &[&[GRegion]], usize) -> Vec<GRegion> + Sync,
 {
-    let samples = ctx.pool().parallel_map(partition_by_meta(input, groupby), |(key, members)| {
-        let per_chrom = ctx.pool().parallel_map(union_chroms(members.iter().copied()), |c| {
+    let samples = ctx.map(partition_by_meta(input, groupby), |(key, members)| {
+        let per_chrom = ctx.map(union_chroms(members.iter().copied()), |c| {
             // Job-boundary checkpoint: skip queued chromosome kernels
             // once the governor has tripped.
             if ctx.interrupted() {

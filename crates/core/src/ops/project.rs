@@ -56,7 +56,7 @@ pub fn project(
     );
 
     let (name, _, samples) = unpack(input);
-    let samples = ctx.pool().parallel_map(samples, |s| {
+    let samples = ctx.map(samples, |s| {
         let provenance = Provenance::derived("PROJECT", detail.clone(), vec![s.provenance.clone()]);
         // `None`: every metadata attribute is kept, as it is.
         let kept_metadata = meta_attrs.map(|keep| {

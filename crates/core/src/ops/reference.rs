@@ -46,7 +46,7 @@ fn cover(
     let groups = partition_by_meta(input, groupby);
     let detail = format!("{variant:?}({min_acc:?}, {max_acc:?})");
 
-    let samples = ctx.pool().parallel_map(groups, |(key, members)| {
+    let samples = ctx.map(groups, |(key, members)| {
         let n = members.len();
         let min = min_acc.resolve(n, true).max(1);
         let max = max_acc.resolve(n, false);
@@ -59,7 +59,7 @@ fn cover(
             Sample::derived("pool", Provenance::source("tmp", "pool")).with_regions(pooled);
 
         let chroms: Vec<Chrom> = pool_sample.chromosomes();
-        let per_chrom: Vec<Vec<GRegion>> = ctx.pool().parallel_map(chroms, |c| {
+        let per_chrom: Vec<Vec<GRegion>> = ctx.map(chroms, |c| {
             // Job-boundary checkpoint: skip queued chromosome kernels
             // once the governor has tripped.
             if ctx.interrupted() {
@@ -170,7 +170,7 @@ fn merge(ctx: &ExecContext, groupby: &[String], input: &Dataset) -> Result<Datas
     let detail =
         if groupby.is_empty() { String::new() } else { format!("groupby: {}", groupby.join(",")) };
 
-    let samples = ctx.pool().parallel_map(groups, |(key, members)| {
+    let samples = ctx.map(groups, |(key, members)| {
         let provenance = Provenance::derived(
             "MERGE",
             detail.clone(),
@@ -218,7 +218,7 @@ fn group(
     let groups = partition_by_meta(input, by);
     let detail = format!("by: {}", by.join(","));
 
-    let samples = ctx.pool().parallel_map(groups, |(key, members)| {
+    let samples = ctx.map(groups, |(key, members)| {
         let provenance = Provenance::derived(
             "GROUP",
             detail.clone(),

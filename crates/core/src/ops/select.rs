@@ -156,10 +156,10 @@ pub fn select(
         // Evaluate the cheap metadata predicate (and semijoin) first and
         // only scan the regions of surviving samples.
         samples.retain(|s| admit(s));
-        ctx.pool().parallel_map(samples, filter_regions)
+        ctx.map(samples, filter_regions)
     } else {
         // Ablation baseline: scan every sample's regions, then filter.
-        let all = ctx.pool().parallel_map(samples, |s| {
+        let all = ctx.map(samples, |s| {
             let keep = admit(&s);
             (keep, filter_regions(s))
         });

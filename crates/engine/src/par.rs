@@ -4,29 +4,65 @@
 //! operand datasets" (paper §2); sample iteration is therefore the outer
 //! parallel dimension, and per-chromosome sharding the inner one —
 //! exactly the (sample × genome-partition) decomposition the GMQL cloud
-//! implementations use. [`ExecContext`] bundles the pool and the
-//! interruption state every operator receives.
+//! implementations use. [`ExecContext`] bundles the pool, the
+//! interruption state and the width every operator receives.
+//!
+//! The **width** caps how many of one query's jobs run at once. A query
+//! that has the machine to itself uses every worker; one that shares the
+//! pool with other requests gets a share of it, and at width 1 its maps
+//! run inline on whichever thread executes the query.
 
 use crate::interrupt::{Interrupt, InterruptState};
 use crate::pool::WorkerPool;
 use nggc_gdm::{Chrom, GRegion, Sample};
+use parking_lot::Mutex;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// How many hot-loop iterations an operator kernel may run between
 /// interrupt polls. A power of two so the check compiles to a mask.
 pub const CHECKPOINT_STRIDE: usize = 1024;
 
+thread_local! {
+    /// Set while this thread runs a lane of a width-capped map: a map
+    /// nested inside a lane runs inline, so the lanes stay the only
+    /// threads working on the query.
+    static IN_LANE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks this thread as running a lane until dropped (a panic in the
+/// lane unwinds through the drop too).
+struct LaneGuard {
+    was: bool,
+}
+
+impl LaneGuard {
+    fn enter() -> LaneGuard {
+        LaneGuard { was: IN_LANE.with(|l| l.replace(true)) }
+    }
+}
+
+impl Drop for LaneGuard {
+    fn drop(&mut self) {
+        IN_LANE.with(|l| l.set(self.was));
+    }
+}
+
 /// Execution context shared by all operators of a query.
 #[derive(Debug, Clone)]
 pub struct ExecContext {
     pool: Arc<WorkerPool>,
     interrupt: Option<Arc<InterruptState>>,
+    /// Most jobs of this query's maps that run at once (≥ 1).
+    width: usize,
 }
 
 impl ExecContext {
-    /// Context over an existing pool.
+    /// Context over an existing pool, at the pool's full width.
     pub fn new(pool: Arc<WorkerPool>) -> ExecContext {
-        ExecContext { pool, interrupt: None }
+        let width = pool.workers();
+        ExecContext { pool, interrupt: None, width }
     }
 
     /// Context with `workers` threads.
@@ -75,6 +111,18 @@ impl ExecContext {
         }
     }
 
+    /// The same context with its maps capped at `width` jobs at once
+    /// (at least 1; a width of the pool's size or more is the full pool).
+    pub fn with_width(mut self, width: usize) -> ExecContext {
+        self.width = width.max(1);
+        self
+    }
+
+    /// Most jobs of one map that run at once.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
     /// The worker pool.
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
@@ -85,6 +133,67 @@ impl ExecContext {
         self.pool.workers()
     }
 
+    /// Apply `f` to every item, at most [`width`](Self::width) at a
+    /// time, returning results in input order (see
+    /// [`run_indexed`](Self::run_indexed)).
+    pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(T) -> R + Sync,
+    {
+        let n = items.len();
+        let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        self.run_indexed(n, &|i| {
+            let item = items[i].lock().take().expect("each index runs once");
+            *results[i].lock() = Some(f(item));
+        });
+        results.into_iter().map(|r| r.into_inner().expect("every index ran")).collect()
+    }
+
+    /// [`map`](Self::map) over the indices `0..n`, in contiguous chunks
+    /// of about a quarter of a lane's share each.
+    fn map_range<R, F>(&self, n: usize, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+    {
+        let chunks = chunk_bounds(n, self.width * 4);
+        let per: Vec<Vec<R>> = self.map(chunks, |(a, b)| (a..b).map(&f).collect());
+        per.into_iter().flatten().collect()
+    }
+
+    /// Run `body(i)` for every `i` in `0..n`, at most
+    /// [`width`](Self::width) at a time. At the pool's width each index
+    /// is one [`WorkerPool::parallel_map`] job, the caller helping. Below
+    /// it `width` lanes run through the pool, each taking the next index
+    /// until none is left; at width 1 the one lane is the calling thread,
+    /// and a map nested inside a lane runs inline on it. `body` is a
+    /// trait object so that the pool code is compiled once, not once per
+    /// operator.
+    fn run_indexed(&self, n: usize, body: &(dyn Fn(usize) + Sync)) {
+        if self.width >= self.pool.workers() {
+            self.pool.parallel_map((0..n).collect(), body);
+            return;
+        }
+        // Inside a lane, the lanes already running are the query's width.
+        let lanes = if IN_LANE.with(Cell::get) { 1 } else { self.width.min(n) };
+        // Hands out indices only: items and results have locks of their
+        // own, and `parallel_map` orders the lanes' ends before its return.
+        let next = AtomicUsize::new(0);
+        self.pool.parallel_map((0..lanes).collect(), |_: usize| {
+            let _lane = LaneGuard::enter();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                body(i);
+            }
+        });
+    }
+
     /// Transform every sample in parallel (the implicit iteration of
     /// unary GMQL operators). Order is preserved.
     pub fn map_samples<R, F>(&self, samples: &[Sample], f: F) -> Vec<R>
@@ -92,7 +201,7 @@ impl ExecContext {
         R: Send,
         F: Fn(&Sample) -> R + Sync,
     {
-        self.pool.parallel_map_slice(samples, f)
+        self.map(samples.iter().collect(), f)
     }
 
     /// Transform every (reference sample, experiment sample) pair in
@@ -112,7 +221,7 @@ impl ExecContext {
         // allocation here, not O(n·m) pair references before any work
         // starts.
         let m = exps.len();
-        self.pool.parallel_map_range(refs.len() * m, |i| f(&refs[i / m], &exps[i % m]))
+        self.map_range(refs.len() * m, |i| f(&refs[i / m], &exps[i % m]))
     }
 
     /// Run a per-chromosome kernel over two samples in parallel and
@@ -124,7 +233,7 @@ impl ExecContext {
         F: Fn(&Chrom, &[GRegion], &[GRegion]) -> Vec<R> + Sync,
     {
         let chroms = union_chroms([a, b]);
-        let per_chrom = self.pool.parallel_map(chroms, |c| {
+        let per_chrom = self.map(chroms, |c| {
             // Checkpoint at the job boundary: once the interrupt trips,
             // queued chromosome kernels become no-ops instead of running
             // to completion, so cancellation latency is bounded by one
@@ -137,6 +246,14 @@ impl ExecContext {
         });
         per_chrom.into_iter().flat_map(|(_, v)| v).collect()
     }
+}
+
+/// `0..n` cut into at most `chunks` contiguous, non-empty `(start, end)`
+/// ranges of near-equal length, in order.
+fn chunk_bounds(n: usize, chunks: usize) -> Vec<(usize, usize)> {
+    let chunks = chunks.clamp(1, n.max(1));
+    let chunk = n.div_ceil(chunks);
+    (0..chunks).map(|c| (c * chunk, ((c + 1) * chunk).min(n))).filter(|(a, b)| a < b).collect()
 }
 
 /// Union of the chromosomes of `samples`, in genome order.
@@ -191,6 +308,81 @@ mod tests {
         assert_eq!(out, vec!["chr1:0x1", "chr2:1x1", "chr10:1x0"]);
     }
 
+    /// Runs `f` while keeping `running` / `high` as a concurrency
+    /// gauge and its high-water mark.
+    fn gauged<R>(running: &AtomicUsize, high: &AtomicUsize, f: impl FnOnce() -> R) -> R {
+        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+        high.fetch_max(now, Ordering::SeqCst);
+        std::thread::sleep(std::time::Duration::from_micros(300));
+        let out = f();
+        running.fetch_sub(1, Ordering::SeqCst);
+        out
+    }
+
+    #[test]
+    fn a_width_k_map_never_runs_more_than_k_jobs_at_once() {
+        // Below the pool's size; at full width the caller helps too, as
+        // `parallel_map` always did.
+        let pool = Arc::new(WorkerPool::new(8));
+        for width in [1, 2, 3, 5, 7] {
+            let ctx = ExecContext::new(Arc::clone(&pool)).with_width(width);
+            assert_eq!(ctx.width(), width);
+            let (running, high) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let out = ctx.map((0..64).collect(), |i: usize| gauged(&running, &high, || i * 2));
+            assert_eq!(out, (0..64).map(|i| i * 2).collect::<Vec<_>>(), "width {width}");
+            assert!(high.load(Ordering::SeqCst) <= width, "width {width}: {high:?} at once");
+            // Nested maps stay inside the cap too.
+            let (running, high) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let nested = ctx.map((0..8).collect(), |i: usize| {
+                ctx.map((0..8).collect(), |j: usize| gauged(&running, &high, || i * j))
+                    .iter()
+                    .sum::<usize>()
+            });
+            assert_eq!(nested[3], 3 * 28);
+            assert!(high.load(Ordering::SeqCst) <= width, "width {width}, nested: {high:?}");
+            let range = ctx.map_range(1000, |i| i + 1);
+            assert_eq!(range, (1..=1000).collect::<Vec<_>>(), "width {width}");
+        }
+    }
+
+    #[test]
+    fn map_range_preserves_index_order_at_every_width() {
+        let pool = Arc::new(WorkerPool::new(4));
+        for width in [1, 3, 4] {
+            let ctx = ExecContext::new(Arc::clone(&pool)).with_width(width);
+            let out = ctx.map_range(1000, |i| i * 3);
+            assert_eq!(out, (0..1000).map(|i| i * 3).collect::<Vec<_>>(), "width {width}");
+            // Degenerate domains, and one smaller than the chunk count.
+            assert!(ctx.map_range(0, |i| i).is_empty());
+            assert_eq!(ctx.map_range(1, |i| i + 7), vec![7]);
+            assert_eq!(ctx.map_range(3, |i| i), vec![0, 1, 2]);
+        }
+    }
+
+    #[test]
+    fn width_one_runs_inline_on_the_calling_thread() {
+        let ctx = ExecContext::with_workers(4).with_width(1);
+        let me = std::thread::current().id();
+        let threads = ctx.map((0..32).collect(), |_: usize| std::thread::current().id());
+        assert!(threads.iter().all(|t| *t == me));
+        let a = sample("a", vec![("chr1", 0, 5), ("chr2", 0, 5)]);
+        let pairs = ctx.map_sample_pairs(&[a.clone(), a.clone()], &[a], |r, e| r.name == e.name);
+        assert_eq!(pairs, vec![true, true]);
+        assert_eq!(ExecContext::with_workers(4).with_width(0).width(), 1);
+    }
+
+    #[test]
+    fn a_panic_in_a_lane_reaches_the_caller() {
+        let ctx = ExecContext::with_workers(4).with_width(2);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ctx.map((0..16).collect(), |i: usize| if i == 9 { panic!("lane boom") } else { i })
+        }));
+        assert!(result.is_err());
+        // The lane's thread is no longer marked as inside a lane.
+        assert!(!IN_LANE.with(Cell::get));
+        assert_eq!(ctx.map(vec![1, 2, 3], |i: i32| i), vec![1, 2, 3]);
+    }
+
     #[test]
     fn serial_context_has_one_worker() {
         assert_eq!(ExecContext::serial().workers(), 1);
@@ -206,7 +398,6 @@ mod tests {
 
     #[test]
     fn tripped_interrupt_skips_chrom_kernels() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let st = Arc::new(InterruptState::new());
         st.cancel();
         let ctx = ExecContext::with_workers(2).with_interrupt(Arc::clone(&st));

@@ -405,32 +405,6 @@ impl WorkerPool {
         self.parallel_map(items.iter().collect(), f)
     }
 
-    /// Apply `f` to every index in `0..n` in parallel, returning results
-    /// in index order. Unlike [`WorkerPool::parallel_map`], which queues
-    /// one job (and one boxed closure) per item, the index domain is
-    /// split into O(workers) contiguous chunks — so mapping a huge
-    /// logical domain (e.g. a sample cross-product) costs O(workers)
-    /// setup allocation instead of O(n). The trade-off is chunk-level
-    /// rather than item-level stealing granularity; four chunks per
-    /// worker keeps stragglers bounded.
-    pub fn parallel_map_range<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        if n == 0 {
-            return Vec::new();
-        }
-        let chunks = (self.workers * 4).clamp(1, n);
-        let chunk = n.div_ceil(chunks);
-        let bounds: Vec<(usize, usize)> = (0..chunks)
-            .map(|c| (c * chunk, ((c + 1) * chunk).min(n)))
-            .filter(|(a, b)| a < b)
-            .collect();
-        let per: Vec<Vec<R>> = self.parallel_map(bounds, |(a, b)| (a..b).map(&f).collect());
-        per.into_iter().flatten().collect()
-    }
-
     /// Fallible [`parallel_map`](WorkerPool::parallel_map) with
     /// **fail-fast abort**: the first `Err` sets an abort flag, and
     /// still-queued items are skipped instead of executed. Items already
@@ -740,18 +714,6 @@ mod tests {
             "a saturating burst should dominate its window, got {}",
             busy.utilization()
         );
-    }
-
-    #[test]
-    fn map_range_preserves_index_order() {
-        let pool = WorkerPool::new(4);
-        let out = pool.parallel_map_range(1000, |i| i * 3);
-        assert_eq!(out, (0..1000).map(|i| i * 3).collect::<Vec<_>>());
-        // Degenerate domains.
-        assert!(pool.parallel_map_range(0, |i| i).is_empty());
-        assert_eq!(pool.parallel_map_range(1, |i| i + 7), vec![7]);
-        // Domain smaller than the chunk count.
-        assert_eq!(pool.parallel_map_range(3, |i| i), vec![0, 1, 2]);
     }
 
     #[test]

@@ -204,6 +204,16 @@ impl<K: Hash + Eq + Clone, V> ByteLru<K, V> {
         Some(&slot.value)
     }
 
+    /// Look `key` up without touching recency: its value and the bytes it
+    /// was inserted at.
+    pub fn peek<Q>(&self, key: &Q) -> Option<(&V, u64)>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.entries.get(key).map(|slot| (&slot.value, slot.bytes))
+    }
+
     /// Insert `value` at `bytes` as the most recently used entry. An
     /// entry already under `key` is replaced, its bytes given back first.
     pub fn insert(&mut self, key: K, value: V, bytes: u64) {
@@ -359,6 +369,19 @@ mod tests {
         let popped: Vec<String> = std::iter::from_fn(|| lru.pop_lru()).map(|(k, ..)| k).collect();
         assert_eq!(popped, ["b", "c", "a"], "a was used last");
         assert_eq!((lru.len(), lru.bytes()), (0, 0));
+    }
+
+    #[test]
+    fn lru_peek_leaves_the_order_alone() {
+        let mut lru = ByteLru::<String, u32>::default();
+        for (i, key) in ["a", "b", "c"].into_iter().enumerate() {
+            lru.insert(key.to_owned(), i as u32, 10 + i as u64);
+        }
+        assert_eq!(lru.peek("a"), Some((&0, 10)));
+        assert_eq!(lru.peek("c"), Some((&2, 12)));
+        assert_eq!(lru.peek("missing"), None);
+        let popped: Vec<String> = std::iter::from_fn(|| lru.pop_lru()).map(|(k, ..)| k).collect();
+        assert_eq!(popped, ["a", "b", "c"], "a peek is not a use");
     }
 
     #[test]

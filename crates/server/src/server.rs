@@ -192,7 +192,7 @@ impl Server {
         });
         let ctx = ExecContext::with_workers(config.workers);
         let shared = Arc::new(ServerShared {
-            session: Session { repo, ctx, span: "serve.request", flight },
+            session: Session::new(repo, ctx, "serve.request", flight),
             admission: Admission::new(config.max_inflight, config.max_queue, config.retry_after),
             mem_pool,
             result_cache,

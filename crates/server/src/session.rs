@@ -6,6 +6,13 @@
 //! the flight record. What sets the front ends apart is passed in with
 //! each [`Request`] — the result tier, admission on a miss, and where the
 //! governor's cancel token is registered — and nothing else.
+//!
+//! A miss also gets a width (`fair_width`): the most jobs of its maps
+//! that run at once. A request that is alone in the session gets the
+//! whole pool. One that has company — any other request inside `run`,
+//! hits included — gets a fair share of the workers, so the other
+//! requests keep cores to run on; at width 1 it runs inline on its
+//! caller (docs/serving.md, "How requests share the cores").
 
 use crate::flight::{outcome_name, FlightRecorder};
 use crate::provider::RepoProvider;
@@ -18,8 +25,16 @@ use nggc_core::{
 use nggc_engine::{CancelToken, ExecContext};
 use nggc_obs::MemorySubscriber;
 use nggc_repository::{Repository, ResultStore};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The width a miss executes at when `in_flight` requests (itself
+/// included) are inside [`Session::run`]: every worker when it is alone,
+/// else an even share of them, at least one.
+fn fair_width(workers: usize, in_flight: usize) -> usize {
+    (workers / in_flight.max(1)).max(1)
+}
 
 /// A repository, the pool queries execute on, and the flight recorder
 /// they report to: everything a front end holds for the life of its
@@ -35,6 +50,24 @@ pub struct Session {
     pub span: &'static str,
     /// The armed flight recorder and the span ring its records read.
     pub flight: Option<(FlightRecorder, Arc<MemorySubscriber>)>,
+    /// Requests inside [`Session::run`] right now.
+    in_flight: AtomicUsize,
+}
+
+/// Holds one request in [`Session::in_flight`] until dropped.
+struct InFlight<'s>(&'s AtomicUsize);
+
+impl<'s> InFlight<'s> {
+    fn enter(count: &'s AtomicUsize) -> InFlight<'s> {
+        count.fetch_add(1, Ordering::SeqCst);
+        InFlight(count)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// Where a query's result may already be, and where a computed one is
@@ -122,6 +155,17 @@ enum Unanswered<R> {
 }
 
 impl Session {
+    /// A session over `repo`, executing on `ctx`'s pool, its queries
+    /// running under spans named `span`.
+    pub fn new(
+        repo: Repository,
+        ctx: ExecContext,
+        span: &'static str,
+        flight: Option<(FlightRecorder, Arc<MemorySubscriber>)>,
+    ) -> Session {
+        Session { repo, ctx, span, flight, in_flight: AtomicUsize::new(0) }
+    }
+
     /// Run one query. The caller enters the trace it runs under.
     pub fn run<A, C, G, H, R>(
         &self,
@@ -131,6 +175,7 @@ impl Session {
         A: FnMut() -> Result<(Option<GovernorLimits>, G), R>,
         C: FnMut(CancelToken) -> H,
     {
+        let _in_flight = InFlight::enter(&self.in_flight);
         let t0 = Instant::now();
         let trace_id = nggc_obs::current_trace_id();
         let mut span = nggc_obs::span(self.span);
@@ -158,7 +203,16 @@ impl Session {
                 None => RepoProvider::new(&self.repo),
             };
             let opts = ExecOptions { optimize: false, ..ExecOptions::default() };
-            let result = execute_governed(&plan, &provider, &self.ctx, &opts, governor.as_ref());
+            let capped;
+            let ctx = match self.in_flight.load(Ordering::SeqCst) {
+                0 | 1 => &self.ctx,
+                in_flight => {
+                    reg.counter("nggc_exec_with_company_total").inc();
+                    capped = self.ctx.clone().with_width(fair_width(self.ctx.workers(), in_flight));
+                    &capped
+                }
+            };
+            let result = execute_governed(&plan, &provider, ctx, &opts, governor.as_ref());
             (charged_bytes, peak_bytes) = governor.map_or((0, 0), |g| (g.charged(), g.mem_peak()));
             let (outputs, executed) = result.map_err(Unanswered::Failed)?;
             metrics = executed;
@@ -263,4 +317,28 @@ fn through_store<E>(
         }
     }
     Ok((Arc::new(outputs), CacheOutcome::Miss))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fair_width;
+
+    #[test]
+    fn fair_width_shares_the_workers_among_the_requests_in_flight() {
+        // Alone: every worker.
+        assert_eq!(fair_width(2, 1), 2);
+        assert_eq!(fair_width(8, 1), 8);
+        // In company: an even share, rounded down.
+        assert_eq!(fair_width(2, 2), 1);
+        assert_eq!(fair_width(8, 2), 4);
+        assert_eq!(fair_width(8, 3), 2);
+        // More requests than workers: never below one.
+        assert_eq!(fair_width(2, 3), 1);
+        assert_eq!(fair_width(8, 100), 1);
+        // One worker: one, however many are in flight.
+        assert_eq!(fair_width(1, 1), 1);
+        assert_eq!(fair_width(1, 5), 1);
+        // A count of zero cannot happen inside `run`, and reads as alone.
+        assert_eq!(fair_width(4, 0), 4);
+    }
 }

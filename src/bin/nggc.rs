@@ -608,7 +608,7 @@ fn cmd_query(repo_path: &Path, args: &[String]) -> Result<(), CliError> {
 
     let repo = open_one_shot(repo_path)?;
     let ctx = nggc::engine::ExecContext::with_workers(workers);
-    let mut session = Session { repo, ctx, span: "cli.query", flight: None };
+    let mut session = Session::new(repo, ctx, "cli.query", None);
     if explain {
         println!("{}", session.explain(&query).map_err(|e| e.to_string())?);
         return Ok(());
@@ -826,7 +826,7 @@ fn cmd_stats(repo_path: &Path, args: &[String]) -> Result<(), String> {
     if let (Some(query), Some(repo)) = (query, repo) {
         let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
         let ctx = nggc::engine::ExecContext::with_workers(workers);
-        let session = Session { repo, ctx, span: "cli.query", flight: None };
+        let session = Session::new(repo, ctx, "cli.query", None);
         // No result tier, and ungoverned: every query executes, as is.
         let request = Request {
             text: &query,

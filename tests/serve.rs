@@ -628,6 +628,16 @@ fn sigterm_drains_the_real_binary_to_exit_zero() {
     });
 }
 
+/// `n` regions on one chromosome, all within 1 Mb of each other.
+fn dense_dataset(name: &str, n: u64) -> Dataset {
+    let big = (0..n)
+        .map(|i| GRegion::new("chr1", i * 137 % 1_000_000, i * 137 % 1_000_000 + 400, Strand::Pos))
+        .collect();
+    let mut ds = Dataset::new(name, Schema::empty());
+    ds.add_sample(Sample::new("s", name).with_regions(big)).unwrap();
+    ds
+}
+
 /// Governor parity between the two front ends: one deadline-tripping
 /// JOIN is exit 124 from `nggc query --timeout` and `DeadlineExceeded`
 /// from serve, and both flight records call it a `deadline`.
@@ -636,14 +646,7 @@ fn one_deadline_tripping_join_trips_alike_in_the_cli_and_in_serve() {
     let _guard = test_lock();
     with_watchdog("deadline_parity", 120, || {
         let root = tmp("deadline_parity");
-        let big = (0..3000u64)
-            .map(|i| {
-                GRegion::new("chr1", i * 137 % 1_000_000, i * 137 % 1_000_000 + 400, Strand::Pos)
-            })
-            .collect();
-        let mut ds = Dataset::new("BIG", Schema::empty());
-        ds.add_sample(Sample::new("s", "BIG").with_regions(big)).unwrap();
-        Repository::open(&root).unwrap().save(&ds).unwrap();
+        Repository::open(&root).unwrap().save(&dense_dataset("BIG", 3000)).unwrap();
         let query = "J = JOIN(DLE(1000000)) BIG BIG; MATERIALIZE J;";
         let outcome = |sink: &PathBuf| {
             let records = flight::read_records(sink);
@@ -678,6 +681,89 @@ fn one_deadline_tripping_join_trips_alike_in_the_cli_and_in_serve() {
         handle.shutdown();
         runner.join().unwrap().unwrap();
         assert_eq!(outcome(&serve_sink), "deadline");
+        std::fs::remove_dir_all(&root).ok();
+    });
+}
+
+/// How requests share the cores (docs/serving.md): on a two-worker server
+/// with one long join in flight, a second query has company, so it runs
+/// at width 2 / 2 = 1. It answers exactly as it does alone, and its
+/// flight record holds its own `exec.node` spans.
+#[test]
+fn a_query_with_company_runs_at_width_one_and_answers_as_alone() {
+    let _guard = test_lock();
+    with_watchdog("company", 120, || {
+        let root = tmp("company");
+        {
+            let mut repo = Repository::open(&root).unwrap();
+            repo.save(&dense_dataset("BIG", 20_000)).unwrap();
+            repo.save(&three_chrom_dataset("SMALL", 20)).unwrap();
+        }
+        let sink = root.join("flight.jsonl");
+        let flight = FlightRecorder { threshold: Some(Duration::ZERO), sink: Some(sink.clone()) };
+        let config = ServeConfig { workers: 2, flight: Some(flight), ..ServeConfig::default() };
+        let (addr, handle, runner) = start(Repository::open(&root).unwrap(), config);
+        let query = "R = SELECT(region: chr == 'chr2') SMALL; MATERIALIZE R;";
+        let mut client = Client::connect(&addr).unwrap();
+        let mut run = || match client.query_full(query, None, None, 5, true).unwrap() {
+            ServerReply::Result { outputs, trace_id, .. } => (outputs, trace_id),
+            other => panic!("expected Result, got {other:?}"),
+        };
+        let (alone, alone_trace) = run();
+
+        let with_company = nggc::obs::global().counter("nggc_exec_with_company_total");
+        let before = with_company.get();
+        // 400M candidate pairs, almost none of them kept: seconds of
+        // work in little memory, until the deadline stops it.
+        let join = "J = JOIN(DLE(1000000), DGE(999900)) BIG BIG; MATERIALIZE J;";
+        let blocker = {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                Client::connect(&addr).unwrap().query(join, Some(1000), None, 0).unwrap()
+            })
+        };
+        // The join is admitted, so it is inside `Session::run` until its
+        // deadline.
+        let mut probe = Client::connect(&addr).unwrap();
+        while !matches!(probe.ping().unwrap(), ServerReply::Pong { inflight: 1.., .. }) {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let (company, company_trace) = run();
+        assert_eq!(with_company.get() - before, 1, "the second query, and only it, had company");
+        match blocker.join().unwrap() {
+            ServerReply::Error { kind, .. } => assert_eq!(kind, ServeErrorKind::DeadlineExceeded),
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+        assert_eq!(alone, company, "a width-1 run answers as a lone one");
+        handle.shutdown();
+        runner.join().unwrap().unwrap();
+        nggc::obs::clear_subscribers();
+
+        let records = flight::read_records(&sink);
+        let width_of = |trace_id: u64| {
+            let record = records
+                .iter()
+                .find(|r| flight::number(flight::get(r, "trace_id")) == trace_id)
+                .unwrap_or_else(|| panic!("no record for trace {trace_id:x}"));
+            let trace = flight::items(flight::get(record, "trace"));
+            assert!(trace.iter().all(|s| flight::number(flight::get(s, "trace_id")) == trace_id));
+            let named = |name: &str| {
+                trace.iter().filter(|s| flight::text_of(flight::get(s, "name")) == name).count()
+            };
+            assert_eq!(named("exec.node"), 2, "SOURCE and SELECT, under trace {trace_id:x}");
+            let plan = trace
+                .iter()
+                .find(|s| flight::text_of(flight::get(s, "name")) == "exec.plan")
+                .expect("an exec.plan span");
+            flight::items(flight::get(plan, "fields"))
+                .iter()
+                .map(flight::items)
+                .find(|pair| flight::text_of(&pair[0]) == "width")
+                .map(|pair| flight::text_of(&pair[1]).to_owned())
+                .expect("exec.plan carries its width")
+        };
+        assert_eq!(width_of(alone_trace), "2", "alone: the whole pool");
+        assert_eq!(width_of(company_trace), "1", "in company: one worker");
         std::fs::remove_dir_all(&root).ok();
     });
 }
