@@ -153,19 +153,7 @@ impl Value {
     /// Render the value in the GDM native / BED textual convention
     /// (nulls as `.`).
     pub fn render(&self) -> String {
-        match self {
-            Value::Int(i) => i.to_string(),
-            Value::Float(f) => {
-                if f.is_nan() {
-                    "NaN".to_owned()
-                } else {
-                    format!("{f}")
-                }
-            }
-            Value::Str(s) => s.clone(),
-            Value::Bool(b) => b.to_string(),
-            Value::Null => ".".to_owned(),
-        }
+        self.to_string()
     }
 
     /// Total order used for sorting and MIN/MAX/MEDIAN aggregates.
@@ -209,9 +197,19 @@ impl Value {
     }
 }
 
+/// The GDM native / BED textual convention, written straight into the
+/// formatter (no `String` per cell). Width and fill flags are ignored:
+/// a cell is always its bare text.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
+        match self {
+            Value::Int(i) => write!(f, "{i}"),
+            Value::Float(x) if x.is_nan() => f.write_str("NaN"),
+            Value::Float(x) => write!(f, "{x}"),
+            Value::Str(s) => f.write_str(s),
+            Value::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
+            Value::Null => f.write_str("."),
+        }
     }
 }
 
@@ -317,6 +315,49 @@ mod tests {
             Value::parse_as(&Value::Int(-7).render(), ValueType::Int).unwrap(),
             Value::Int(-7)
         );
+    }
+
+    #[test]
+    fn display_writes_what_the_string_building_render_did() {
+        // The rendering `Display` replaced, kept as the reference.
+        fn built(v: &Value) -> String {
+            match v {
+                Value::Int(i) => i.to_string(),
+                Value::Float(f) if f.is_nan() => "NaN".to_owned(),
+                Value::Float(f) => format!("{f}"),
+                Value::Str(s) => s.clone(),
+                Value::Bool(b) => b.to_string(),
+                Value::Null => ".".to_owned(),
+            }
+        }
+        let values = [
+            Value::Int(0),
+            Value::Int(-7),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(3.25),
+            Value::Float(1e-300),
+            Value::Float(1e300),
+            Value::Float(0.1 + 0.2),
+            Value::Str(String::new()),
+            Value::Str("peak 1\t.".into()),
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Null,
+        ];
+        for v in &values {
+            let want = built(v);
+            assert_eq!(v.render(), want, "{v:?}");
+            assert_eq!(format!("{v}"), want, "{v:?}");
+            // As before, width flags do not pad a cell.
+            assert_eq!(format!("{v:>8}"), want, "{v:?}");
+        }
     }
 
     #[test]

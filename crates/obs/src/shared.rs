@@ -96,7 +96,8 @@ impl<K: Hash + Eq, V: Clone> SingleFlight<K, V> {
     /// The value for `key`: from `cached` if it answers, else from one
     /// execution of `lead` shared by every concurrent caller of the same
     /// key. `cached` runs again after every failed flight this caller
-    /// waited on; `lead` runs at most once per call.
+    /// waited on, and once more when it takes the lead; `lead` runs at
+    /// most once per call.
     pub fn run<Q, E>(
         &self,
         key: &Q,
@@ -126,6 +127,14 @@ impl<K: Hash + Eq, V: Clone> SingleFlight<K, V> {
             };
             if leader {
                 let mut landing = Landing { flights: self, key, flight: &flight, value: None };
+                // A check that missed just before an earlier leader
+                // landed finds no flight, so its caller leads: the value
+                // that leader published answers it, and anyone who has
+                // joined this flight since.
+                if let Some(value) = cached() {
+                    landing.value = Some(value.clone());
+                    return Ok((value, FlightOutcome::Hit));
+                }
                 let lead = lead.take().expect("a caller that led has returned");
                 let value = lead()?;
                 landing.value = Some(value.clone());
@@ -355,6 +364,21 @@ mod tests {
         }
         assert!(attempts.load(Ordering::SeqCst) >= 2);
         assert!(flights.is_idle(), "a panicked flight leaves nothing in flight");
+    }
+
+    #[test]
+    fn a_leader_whose_check_missed_a_landed_value_takes_it_and_runs_nothing() {
+        // The first check misses; by the time this caller leads, an
+        // earlier leader has published, and the second check sees it.
+        let flights = SingleFlight::<u64, Arc<u32>>::default();
+        let checks = AtomicUsize::new(0);
+        let cached = || (checks.fetch_add(1, Ordering::SeqCst) > 0).then(|| Arc::new(4));
+        let (value, outcome) = flights
+            .run::<u64, ()>(&1, cached, || panic!("the landed value answers; lead never runs"))
+            .unwrap();
+        assert_eq!((*value, outcome), (4, FlightOutcome::Hit));
+        assert_eq!(checks.load(Ordering::SeqCst), 2);
+        assert!(flights.is_idle(), "the flight it took the lead of has landed");
     }
 
     #[test]

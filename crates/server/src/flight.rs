@@ -219,8 +219,11 @@ mod tests {
         let statements = nggc_core::parse("X = SELECT() D; MATERIALIZE X;").unwrap();
         QueryReport {
             outputs: error.map_or_else(|| Ok(Default::default()), Err),
-            plan: LogicalPlan::compile(&statements, &|_| Some(nggc_gdm::Schema::empty())).unwrap(),
+            plan: std::sync::Arc::new(
+                LogicalPlan::compile(&statements, &|_| Some(nggc_gdm::Schema::empty())).unwrap(),
+            ),
             optimizer: OptimizerReport::default(),
+            planning: crate::Planning::Prepared,
             metrics: Vec::new(),
             elapsed,
             trace_id: 7,

@@ -46,4 +46,4 @@ pub use protocol::{
 };
 pub use provider::RepoProvider;
 pub use server::{ServeConfig, Server, ServerHandle};
-pub use session::{QueryReport, Request, RunError, Session, Tier};
+pub use session::{Planning, QueryReport, Request, RunError, Session, Tier};

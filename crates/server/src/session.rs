@@ -1,11 +1,18 @@
 //! The one query path: GMQL text in, outputs and their account out.
 //!
 //! `nggc query`, `nggc stats -e` and `nggc serve` all run a query through
-//! [`Session::run`]: parse and compile; optimize once; fingerprint and ask
-//! the result tier; on a miss admit, govern, execute and publish; write
-//! the flight record. What sets the front ends apart is passed in with
-//! each [`Request`] — the result tier, admission on a miss, and where the
-//! governor's cancel token is registered — and nothing else.
+//! [`Session::run`]: prepare the plan (parse, compile, optimize once,
+//! fingerprint); ask the result tier; on a miss admit, govern, execute
+//! and publish; write the flight record. What sets the front ends apart
+//! is passed in with each [`Request`] — the result tier, admission on a
+//! miss, and where the governor's cancel token is registered — and
+//! nothing else.
+//!
+//! A session plans each query text once. The prepared plan is kept by
+//! its exact text, and a later request with that text goes straight to
+//! the result tier while every dataset the plan read from the catalog
+//! is still at the generation it read (docs/serving.md, "What a repeated
+//! query costs").
 //!
 //! A miss also gets a width (`fair_width`): the most jobs of its maps
 //! that run at once. A request that is alone in the session gets the
@@ -23,11 +30,26 @@ use nggc_core::{
     OptimizerReport, PlanOp, QueryGovernor, ResultCache,
 };
 use nggc_engine::{CancelToken, ExecContext};
-use nggc_obs::MemorySubscriber;
+use nggc_gdm::Schema;
+use nggc_obs::{ByteLru, MemorySubscriber};
 use nggc_repository::{Repository, ResultStore};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// The bytes of prepared plans a session keeps. A constant, not a knob:
+/// the benchmark's serve workload (`serve_mixed`) sends 120 distinct
+/// texts on every seed, each about a hundred bytes of text and at most
+/// four plan nodes, so all of them are charged under 200 KiB at
+/// [`PLAN_NODE_BYTES`]. 4 MiB keeps over twenty times that and is small
+/// next to the result cache a serve process also holds.
+const PLAN_CACHE_BYTES: u64 = 4 << 20;
+
+/// What a prepared plan is charged per plan node, on top of its text: a
+/// generous bound on one node's heap (operator and predicates, inferred
+/// schema, label). The text is charged at its length because a request
+/// frame may carry up to 64 MiB of it.
+const PLAN_NODE_BYTES: u64 = 512;
 
 /// The width a miss executes at when `in_flight` requests (itself
 /// included) are inside [`Session::run`]: every worker when it is alone,
@@ -52,6 +74,130 @@ pub struct Session {
     pub flight: Option<(FlightRecorder, Arc<MemorySubscriber>)>,
     /// Requests inside [`Session::run`] right now.
     in_flight: AtomicUsize,
+    /// Prepared plans by query text.
+    plans: PlanCache,
+}
+
+/// How a request got its plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Planning {
+    /// Parsed, compiled, optimized and fingerprinted for this request.
+    Prepared,
+    /// Taken from the session's prepared plans: nothing was planned.
+    Reused,
+}
+
+impl Planning {
+    /// Stable lowercase name for spans.
+    pub fn name(self) -> &'static str {
+        match self {
+            Planning::Prepared => "prepared",
+            Planning::Reused => "reused",
+        }
+    }
+}
+
+/// A query text planned: everything between the text and the result
+/// tier, which a later request with the same text reuses.
+struct Prepared {
+    /// The optimized plan; the executor runs it as is.
+    plan: Arc<LogicalPlan>,
+    /// What the optimizer did.
+    optimizer: OptimizerReport,
+    /// The result tier's key: the optimized plan's fingerprint.
+    fingerprint: u64,
+    /// The optimized plan's source datasets, whose generations the
+    /// result tier snapshots.
+    sources: Vec<String>,
+    /// Every dataset compile read a schema of, and the generation it
+    /// was at: the plan holds while each still is.
+    read: Vec<(String, Option<u64>)>,
+}
+
+impl Prepared {
+    /// Parse `text`, compile it against `schema_of`, optimize and
+    /// fingerprint it, and note the generation (`gen_of`) of every
+    /// dataset compile read.
+    fn new<R>(
+        text: &str,
+        schema_of: &dyn Fn(&str) -> Option<Schema>,
+        gen_of: &dyn Fn(&str) -> Option<u64>,
+    ) -> Result<Prepared, RunError<R>> {
+        let statements = parse(text).map_err(RunError::Parse)?;
+        let compiled = LogicalPlan::compile(&statements, schema_of).map_err(RunError::Compile)?;
+        // Each Source node of the compiled plan is one schema compile
+        // read from the catalog.
+        let read = (source_datasets(&compiled).into_iter())
+            .map(|name| {
+                let generation = gen_of(&name);
+                (name, generation)
+            })
+            .collect();
+        let (plan, optimizer) = optimize(&compiled);
+        Ok(Prepared {
+            fingerprint: fingerprint(&plan).0,
+            sources: source_datasets(&plan),
+            plan: Arc::new(plan),
+            optimizer,
+            read,
+        })
+    }
+
+    /// Is every dataset compile read still at the generation it read?
+    fn is_current(&self, gen_of: &dyn Fn(&str) -> Option<u64>) -> bool {
+        self.read.iter().all(|(name, generation)| gen_of(name) == *generation)
+    }
+
+    /// What the plan is charged in its [`PlanCache`].
+    fn bytes(&self, text: &str) -> u64 {
+        text.len() as u64 + PLAN_NODE_BYTES * self.plan.nodes.len() as u64
+    }
+}
+
+/// A session's prepared plans by exact query text: at most `budget`
+/// bytes of them, the least recently used going first.
+struct PlanCache {
+    budget: u64,
+    lru: Mutex<ByteLru<String, Arc<Prepared>>>,
+}
+
+impl PlanCache {
+    fn new(budget: u64) -> PlanCache {
+        PlanCache { budget, lru: Mutex::new(ByteLru::default()) }
+    }
+
+    fn lru(&self) -> std::sync::MutexGuard<'_, ByteLru<String, Arc<Prepared>>> {
+        self.lru.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// The plan prepared for `text`, if it still holds; one that no
+    /// longer does is dropped.
+    fn get(&self, text: &str, gen_of: &dyn Fn(&str) -> Option<u64>) -> Option<Arc<Prepared>> {
+        let mut lru = self.lru();
+        let prepared = lru.get(text)?;
+        if prepared.is_current(gen_of) {
+            return Some(Arc::clone(prepared));
+        }
+        lru.remove(text);
+        None
+    }
+
+    /// Keep `prepared` for `text`, evicting the least recently used
+    /// plans until the budget holds. A plan charged more than the whole
+    /// budget is not kept.
+    fn insert(&self, text: &str, prepared: Arc<Prepared>) {
+        let bytes = prepared.bytes(text);
+        if bytes > self.budget {
+            return;
+        }
+        let mut lru = self.lru();
+        // The new plan is the most recent and fits, so it is never the
+        // one evicted.
+        lru.insert(text.to_owned(), prepared, bytes);
+        while lru.bytes() > self.budget {
+            lru.pop_lru();
+        }
+    }
 }
 
 /// Holds one request in [`Session::in_flight`] until dropped.
@@ -106,9 +252,11 @@ pub struct QueryReport {
     /// what stopped the execution.
     pub outputs: Result<Arc<QueryOutputs>, GmqlError>,
     /// The plan as optimized and executed; `metrics[i]` is `plan.nodes[i]`.
-    pub plan: LogicalPlan,
-    /// What the optimizer did.
+    pub plan: Arc<LogicalPlan>,
+    /// What the optimizer did when the plan was prepared.
     pub optimizer: OptimizerReport,
+    /// Whether this request prepared its plan or reused one.
+    pub planning: Planning,
     /// Per-node metrics; empty unless this request executed the plan to
     /// the end.
     pub metrics: Vec<NodeMetrics>,
@@ -163,7 +311,14 @@ impl Session {
         span: &'static str,
         flight: Option<(FlightRecorder, Arc<MemorySubscriber>)>,
     ) -> Session {
-        Session { repo, ctx, span, flight, in_flight: AtomicUsize::new(0) }
+        Session {
+            repo,
+            ctx,
+            span,
+            flight,
+            in_flight: AtomicUsize::new(0),
+            plans: PlanCache::new(PLAN_CACHE_BYTES),
+        }
     }
 
     /// Run one query. The caller enters the trace it runs under.
@@ -180,17 +335,12 @@ impl Session {
         let trace_id = nggc_obs::current_trace_id();
         let mut span = nggc_obs::span(self.span);
         span.field("trace_id", trace_id);
-        let statements = parse(request.text).map_err(RunError::Parse)?;
-        let plan = self.compile(&statements).map_err(RunError::Compile)?;
-        // Optimize once, here: the tier's key is the optimized plan's
-        // fingerprint, and the executor runs it as is.
-        let (plan, optimizer) = optimize(&plan);
-        span.field("selects_fused", optimizer.selects_fused)
+        let (prepared, planning) = self.prepare(request.text)?;
+        let optimizer = prepared.optimizer;
+        span.field("plan", planning.name())
+            .field("selects_fused", optimizer.selects_fused)
             .field("nodes_deduplicated", optimizer.nodes_deduplicated);
         let reg = nggc_obs::global();
-        reg.counter("nggc_exec_optimizer_selects_fused_total").add(optimizer.selects_fused as u64);
-        reg.counter("nggc_exec_optimizer_nodes_deduplicated_total")
-            .add(optimizer.nodes_deduplicated as u64);
 
         let mut metrics = Vec::new();
         let (mut charged_bytes, mut peak_bytes) = (0, 0);
@@ -212,7 +362,7 @@ impl Session {
                     &capped
                 }
             };
-            let result = execute_governed(&plan, &provider, ctx, &opts, governor.as_ref());
+            let result = execute_governed(&prepared.plan, &provider, ctx, &opts, governor.as_ref());
             (charged_bytes, peak_bytes) = governor.map_or((0, 0), |g| (g.charged(), g.mem_peak()));
             let (outputs, executed) = result.map_err(Unanswered::Failed)?;
             metrics = executed;
@@ -222,10 +372,9 @@ impl Session {
         let result = match request.tier {
             Tier::None => execute().map(|outputs| (Arc::new(outputs), CacheOutcome::Miss)),
             Tier::Memory(cache) => {
-                let sources = source_datasets(&plan);
-                cache.get_or_compute(fingerprint(&plan).0, &sources, &gen_of, &mut execute)
+                cache.get_or_compute(prepared.fingerprint, &prepared.sources, &gen_of, &mut execute)
             }
-            Tier::Disk(store) => through_store(store, &plan, &gen_of, &mut execute),
+            Tier::Disk(store) => through_store(store, &prepared, &gen_of, &mut execute),
         };
         let (outputs, outcome) = match result {
             Ok((outputs, outcome)) => (Ok(outputs), outcome),
@@ -239,8 +388,9 @@ impl Session {
         };
         let report = QueryReport {
             outputs,
-            plan,
+            plan: Arc::clone(&prepared.plan),
             optimizer,
+            planning,
             metrics,
             elapsed: t0.elapsed(),
             trace_id,
@@ -261,10 +411,31 @@ impl Session {
         Ok(report)
     }
 
+    /// The plan kept for `text`, or one prepared for it now and kept.
+    /// Only a plan that compiled is kept; preparing one is what the
+    /// optimizer counters count.
+    fn prepare<R>(&self, text: &str) -> Result<(Arc<Prepared>, Planning), RunError<R>> {
+        let reg = nggc_obs::global();
+        let gen_of = |name: &str| self.repo.generation(name);
+        if let Some(prepared) = self.plans.get(text, &gen_of) {
+            reg.counter("nggc_session_plans_reused_total").inc();
+            return Ok((prepared, Planning::Reused));
+        }
+        let prepared = Prepared::new(text, &|name| self.repo.schema_of(name), &gen_of)?;
+        let optimizer = prepared.optimizer;
+        reg.counter("nggc_exec_optimizer_selects_fused_total").add(optimizer.selects_fused as u64);
+        reg.counter("nggc_exec_optimizer_nodes_deduplicated_total")
+            .add(optimizer.nodes_deduplicated as u64);
+        reg.counter("nggc_session_plans_prepared_total").inc();
+        let prepared = Arc::new(prepared);
+        self.plans.insert(text, Arc::clone(&prepared));
+        Ok((prepared, Planning::Prepared))
+    }
+
     /// The logical plan, and the optimized plan with what each source
     /// will read (`nggc query --explain`), without executing anything.
     pub fn explain(&self, text: &str) -> Result<String, GmqlError> {
-        let plan = self.compile(&parse(text)?)?;
+        let plan = LogicalPlan::compile(&parse(text)?, &|name| self.repo.schema_of(name))?;
         let (optimized, report) = optimize(&plan);
         // Source nodes show what the scan-pruning pass will push down
         // into the container read: chromosomes, coordinate bound,
@@ -286,10 +457,6 @@ impl Session {
             optimized.render_tree(&scan_note)
         ))
     }
-
-    fn compile(&self, statements: &[nggc_core::Statement]) -> Result<LogicalPlan, GmqlError> {
-        LogicalPlan::compile(statements, &|name| self.repo.schema_of(name))
-    }
 }
 
 /// The on-disk store in [`ResultCache::get_or_compute`]'s shape: lookup;
@@ -299,17 +466,17 @@ impl Session {
 /// process a miss, so it is a warning, never the query's error.
 fn through_store<E>(
     store: &ResultStore,
-    plan: &LogicalPlan,
+    prepared: &Prepared,
     gen_of: &dyn Fn(&str) -> Option<u64>,
     compute: &mut dyn FnMut() -> Result<QueryOutputs, E>,
 ) -> Result<(Arc<QueryOutputs>, CacheOutcome), E> {
-    let key = fingerprint(plan).0;
+    let key = prepared.fingerprint;
     if let Some(outputs) = store.lookup(key, gen_of) {
         return Ok((Arc::new(outputs), CacheOutcome::Hit));
     }
     // Skipped when any source generation is unknown (pre-generation catalogs).
     let gens: Option<Vec<(String, u64)>> =
-        source_datasets(plan).into_iter().map(|name| gen_of(&name).map(|g| (name, g))).collect();
+        prepared.sources.iter().map(|name| gen_of(name).map(|g| (name.clone(), g))).collect();
     let outputs = compute()?;
     if let Some(gens) = gens {
         if let Err(e) = store.store(key, &gens, &outputs) {
@@ -321,7 +488,59 @@ fn through_store<E>(
 
 #[cfg(test)]
 mod tests {
-    use super::fair_width;
+    use super::*;
+
+    /// `text` prepared against a catalog where every name is a dataset
+    /// with no region attributes, at generation 1.
+    fn prepared(text: &str) -> Arc<Prepared> {
+        Arc::new(Prepared::new::<()>(text, &|_| Some(Schema::empty()), &|_| Some(1)).unwrap())
+    }
+
+    #[test]
+    fn plans_over_the_budget_evict_the_least_recently_used() {
+        let texts: Vec<String> =
+            (1..=4).map(|i| format!("X = SELECT() D{i}; MATERIALIZE X;")).collect();
+        let charge = prepared(&texts[0]).bytes(&texts[0]);
+        assert_eq!(charge, texts[0].len() as u64 + 2 * PLAN_NODE_BYTES, "a source and a SELECT");
+        let plans = PlanCache::new(3 * charge);
+        let gen_of = |_: &str| Some(1);
+        for text in &texts[..3] {
+            plans.insert(text, prepared(text));
+            assert!(plans.lru().bytes() <= plans.budget);
+        }
+        // D1 is used, so D2 is the least recent when D4 needs room.
+        assert!(plans.get(&texts[0], &gen_of).is_some());
+        plans.insert(&texts[3], prepared(&texts[3]));
+        assert_eq!(plans.lru().bytes(), 3 * charge);
+        let kept: Vec<bool> = texts.iter().map(|t| plans.get(t, &gen_of).is_some()).collect();
+        assert_eq!(kept, [true, false, true, true]);
+    }
+
+    #[test]
+    fn a_plan_charged_more_than_the_budget_is_not_kept() {
+        let small = "X = SELECT() D; MATERIALIZE X;";
+        let plans = PlanCache::new(prepared(small).bytes(small) + 64);
+        plans.insert(small, prepared(small));
+        // Its text alone is over the budget; nothing already kept goes.
+        let long = format!("X = SELECT() D; MATERIALIZE X; {}", " ".repeat(128));
+        plans.insert(&long, prepared(&long));
+        assert!(plans.get(&long, &|_| Some(1)).is_none());
+        assert!(plans.get(small, &|_| Some(1)).is_some());
+        assert!(plans.lru().bytes() <= plans.budget);
+    }
+
+    #[test]
+    fn a_plan_whose_source_moved_on_is_dropped() {
+        let text = "X = SELECT() D; Y = SELECT() E; MATERIALIZE Y;";
+        let plans = PlanCache::new(PLAN_CACHE_BYTES);
+        plans.insert(text, prepared(text));
+        // Every dataset compile read counts, even one the plan's outputs
+        // do not use.
+        assert!(plans.get(text, &|name| Some(if name == "D" { 2 } else { 1 })).is_none());
+        assert!(plans.lru().is_empty(), "a stale plan is dropped, not kept");
+        plans.insert(text, prepared(text));
+        assert!(plans.get(text, &|name| (name != "E").then_some(1)).is_none(), "E is gone");
+    }
 
     #[test]
     fn fair_width_shares_the_workers_among_the_requests_in_flight() {

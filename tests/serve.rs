@@ -567,6 +567,36 @@ fn parse_errors_are_typed_not_fatal() {
 }
 
 #[test]
+fn repeated_requests_plan_once_and_answer_alike() {
+    let _guard = test_lock();
+    with_watchdog("prepared_plans", 60, || {
+        let (root, repo) = cold_repo("prepared", "PP");
+        let (addr, handle, runner) = start(repo, ServeConfig::default());
+        let reg = nggc::obs::global();
+        let prepared = || reg.counter("nggc_session_plans_prepared_total").get();
+        let reused = || reg.counter("nggc_session_plans_reused_total").get();
+        let (prepared0, reused0) = (prepared(), reused());
+        const N: u64 = 5;
+        let text = "R = SELECT(region: score >= 3) PP; MATERIALIZE R;";
+        let mut client = Client::connect(&addr).unwrap();
+        let heads: Vec<Vec<String>> = (0..N)
+            .map(|i| match client.query_full(text, None, None, 4, i == 2).unwrap() {
+                ServerReply::Result { mut outputs, .. } => outputs.remove(0).head,
+                other => panic!("expected Result, got {other:?}"),
+            })
+            .collect();
+        // One prepare; every later request, the uncached one included,
+        // reuses the plan.
+        assert_eq!((prepared() - prepared0, reused() - reused0), (1, N - 1));
+        assert_eq!(heads[0].len(), 4);
+        assert!(heads.iter().all(|h| h == &heads[0]), "{heads:?}");
+        handle.shutdown();
+        runner.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&root).ok();
+    });
+}
+
+#[test]
 fn shutdown_refuses_new_queries_and_run_returns() {
     let _guard = test_lock();
     with_watchdog("shutdown", 60, || {
