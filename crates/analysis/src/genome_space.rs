@@ -229,7 +229,7 @@ mod tests {
             Err(GenomeSpaceError::Empty)
         ));
         let mut ragged = map_result();
-        ragged.samples[1].regions.pop();
+        ragged.samples[1].regions_mut().pop();
         assert!(matches!(
             GenomeSpace::from_map_result(&ragged, "count", None),
             Err(GenomeSpaceError::RaggedSamples { .. })

@@ -19,8 +19,9 @@
 //! and by a chromosome and a quarter of its coordinates (1/92) two ways:
 //! as SELECT did before — the bound predicate put to every region — and
 //! as it does now, inside the windows binary search finds; each on a
-//! borrowed input (survivors cloned out) and on an owned one (filtered in
-//! place; both arms pay the same clone of the input first).
+//! borrowed input (survivors cloned out) and on an owned one whose
+//! region buffers are its own (filtered in place; both arms pay the same
+//! deep copy of the input first).
 //!
 //! `scan_meta_first` reads the same shape cold out of an in-memory v2
 //! container, admitting every sample and admitting the 2 of 16 a
@@ -144,11 +145,21 @@ fn select_by_scan(region: &RegionExpr, input: Cow<'_, Dataset>) -> usize {
             .sum(),
         Cow::Owned(mut d) => {
             for s in &mut d.samples {
-                s.regions.retain(|r| predicate.eval_bool(r));
+                s.regions_mut().retain(|r| predicate.eval_bool(r));
             }
             black_box(d).region_count()
         }
     }
+}
+
+/// A copy of `d` whose samples hold their region buffers alone, as a
+/// dataset read for one query does (a clone would share them).
+fn unshared(d: &Dataset) -> Dataset {
+    let mut d = d.clone();
+    for s in &mut d.samples {
+        s.regions = std::sync::Arc::new(s.regions.to_vec());
+    }
+    d
 }
 
 /// Coordinates of [`encode_shaped`] lie below this.
@@ -194,6 +205,7 @@ fn bench_select_window(c: &mut Criterion) {
             None,
             input,
             None,
+            &ops::Reuse::default(),
         )
         .expect("selects")
         .region_count()
@@ -217,10 +229,10 @@ fn bench_select_window(c: &mut Criterion) {
             b.iter(|| select_by_window(&region, Cow::Borrowed(&dataset)))
         });
         group.bench_function(BenchmarkId::new("scan_owned", selectivity), |b| {
-            b.iter(|| select_by_scan(&region, Cow::Owned(dataset.clone())))
+            b.iter(|| select_by_scan(&region, Cow::Owned(unshared(&dataset))))
         });
         group.bench_function(BenchmarkId::new("window_owned", selectivity), |b| {
-            b.iter(|| select_by_window(&region, Cow::Owned(dataset.clone())))
+            b.iter(|| select_by_window(&region, Cow::Owned(unshared(&dataset))))
         });
     }
     group.finish();

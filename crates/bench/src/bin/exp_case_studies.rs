@@ -43,7 +43,7 @@ fn e4() {
     let mut bp = 0u64;
     let mut seen: BTreeSet<(String, u64, u64)> = BTreeSet::new();
     for s in &result.samples {
-        for r in &s.regions {
+        for r in s.regions.iter() {
             if let Some(g) = r.values[gene_pos].as_str() {
                 candidates.insert(g.to_owned());
             }
@@ -106,7 +106,7 @@ fn e5() {
     let gene_pos = pairs.schema.position("right.pgene").expect("gene attr");
     let mut candidate_genes: BTreeSet<String> = BTreeSet::new();
     for s in &pairs.samples {
-        for r in &s.regions {
+        for r in s.regions.iter() {
             if let Some(g) = r.values[gene_pos].as_str() {
                 candidate_genes.insert(g.to_owned());
             }

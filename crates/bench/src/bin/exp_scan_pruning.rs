@@ -205,7 +205,7 @@ fn main() {
     let chrom = {
         let mut counts = HashMap::new();
         for s in &dataset.samples {
-            for r in &s.regions {
+            for r in s.regions.iter() {
                 *counts.entry(r.chrom.to_string()).or_insert(0usize) += 1;
             }
         }

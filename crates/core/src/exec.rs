@@ -8,7 +8,7 @@
 use crate::ast::Operator;
 use crate::error::GmqlError;
 use crate::governor::QueryGovernor;
-use crate::ops;
+use crate::ops::{self, Reuse};
 use crate::plan::{LogicalPlan, PlanOp};
 use nggc_engine::ExecContext;
 use nggc_gdm::Dataset;
@@ -178,7 +178,7 @@ pub fn execute_governed(
         .field("nodes", plan.nodes.len())
         .field("outputs", plan.outputs.len())
         .field("width", ctx.width());
-    let plan = if opts.optimize {
+    let plan: Cow<'_, LogicalPlan> = if opts.optimize {
         let (optimized, report) = crate::optimizer::optimize(plan);
         // Optimizer decisions travel on the plan span and the registry.
         plan_span
@@ -188,9 +188,9 @@ pub fn execute_governed(
         reg.counter("nggc_exec_optimizer_selects_fused_total").add(report.selects_fused as u64);
         reg.counter("nggc_exec_optimizer_nodes_deduplicated_total")
             .add(report.nodes_deduplicated as u64);
-        optimized
+        Cow::Owned(optimized)
     } else {
-        plan.clone()
+        Cow::Borrowed(plan)
     };
     // Derive scan pruning on the plan exactly as it executes (whether
     // optimization ran here or upstream): per source, the chromosomes
@@ -209,8 +209,9 @@ pub fn execute_governed(
     }
 
     // Slots hold shared pointers: a source served from a warm repository
-    // cache is never deep-copied unless an output must be renamed while
-    // other references are still alive.
+    // cache is never copied; an output renamed while other references
+    // are still alive copies its samples' names and metadata and shares
+    // their region buffers.
     let mut slots: Vec<Option<Arc<Dataset>>> = (0..plan.nodes.len()).map(|_| None).collect();
     // Bytes charged to the governor per live slot, for release on free.
     let mut slot_bytes = vec![0u64; plan.nodes.len()];
@@ -254,8 +255,11 @@ pub fn execute_governed(
                 // the dataset itself when nobody else will read it again:
                 // this node is the slot's last consumer and no other holder
                 // (the repository cache, a result cache) shares the
-                // allocation. Its bytes stay charged until the release
-                // below, as for a borrowed input.
+                // allocation. Whether it may edit a sample's regions in
+                // place is then the region buffer's own say (`Arc::get_mut`):
+                // a buffer can still be shared with a cached dataset. Its
+                // bytes stay charged until the release below, as for a
+                // borrowed input.
                 let mut owned = None;
                 if consumes_input(op) && refcount[first] == 1 {
                     match Arc::try_unwrap(slots[first].take().expect("topological order")) {
@@ -263,8 +267,6 @@ pub fn execute_governed(
                         Err(shared) => slots[first] = Some(shared),
                     }
                 }
-                // Whether SELECT or PROJECT has to copy what it keeps.
-                let copies = consumes_input(op) && owned.is_none();
                 let input = match owned {
                     Some(dataset) => Cow::Owned(dataset),
                     None => Cow::Borrowed(slots[first].as_deref().expect("topological order")),
@@ -273,11 +275,19 @@ pub fn execute_governed(
                     .iter()
                     .map(|&i| slots[i].as_deref().expect("topological order"))
                     .collect();
-                let mut d = apply(op, input, &rest, ctx, opts, &node.schema)?;
+                let reuse = Reuse::default();
+                let mut d = apply(op, input, &rest, ctx, opts, &node.schema, &reuse)?;
                 d.name = node.label.clone();
-                // Registered by the first copy, like the scan counters.
-                if copies && d.region_count() > 0 {
-                    reg.counter("nggc_exec_regions_cloned_total").add(d.region_count() as u64);
+                if shares_regions(op) {
+                    node_span.field("shared", reuse.shared());
+                }
+                // Registered by the first share or copy, like the scan
+                // counters.
+                if reuse.shared() > 0 {
+                    reg.counter("nggc_exec_samples_shared_total").add(reuse.shared() as u64);
+                }
+                if reuse.copied() > 0 {
+                    reg.counter("nggc_exec_regions_cloned_total").add(reuse.copied());
                 }
                 (Arc::new(d), nggc_obs::ReadAccount::default())
             }
@@ -364,7 +374,7 @@ pub fn execute_governed(
     let mut out = HashMap::new();
     for (name, id) in &plan.outputs {
         // Drop the slot once its last output consumer is served, so the
-        // rename below can reuse the allocation instead of copying.
+        // rename below can reuse the allocation instead of cloning it.
         refcount[*id] -= 1;
         let arc = if refcount[*id] == 0 {
             slots[*id].take().expect("outputs are retained")
@@ -385,6 +395,20 @@ fn consumes_input(op: &Operator) -> bool {
     matches!(op, Operator::Select { .. } | Operator::Project { .. })
 }
 
+/// True for the operators whose output can keep an input sample's regions
+/// exactly, and so share its buffer (their `exec.node` span says how many
+/// samples did).
+fn shares_regions(op: &Operator) -> bool {
+    matches!(
+        op,
+        Operator::Select { .. }
+            | Operator::Project { .. }
+            | Operator::Extend { .. }
+            | Operator::Order { .. }
+            | Operator::Union
+    )
+}
+
 /// Dispatch one operator application: `input` is the operator's first
 /// (for unary operators, only) input, `rest` the others.
 fn apply(
@@ -394,11 +418,13 @@ fn apply(
     ctx: &ExecContext,
     opts: &ExecOptions,
     out_schema: &nggc_gdm::Schema,
+    reuse: &Reuse,
 ) -> Result<Dataset, GmqlError> {
     match op {
         Operator::Select { meta, region, semijoin } => {
             let ext = rest.first().copied();
-            ops::select::select(ctx, opts, meta, region.as_ref(), semijoin.as_ref(), input, ext)
+            let (region, semijoin) = (region.as_ref(), semijoin.as_ref());
+            ops::select::select(ctx, opts, meta, region, semijoin, input, ext, reuse)
         }
         Operator::Project { attrs, new_attrs, meta_attrs } => ops::project::project(
             ctx,
@@ -407,18 +433,19 @@ fn apply(
             meta_attrs.as_deref(),
             input,
             out_schema,
+            reuse,
         ),
-        Operator::Extend { assignments } => ops::extend::extend(ctx, assignments, &input),
-        Operator::Merge { groupby } => ops::merge::merge(ctx, groupby, &input),
+        Operator::Extend { assignments } => ops::extend::extend(ctx, assignments, &input, reuse),
+        Operator::Merge { groupby } => ops::merge::merge(ctx, groupby, &input, reuse),
         Operator::Group { by, region_aggs } => {
             ops::group::group(ctx, by, region_aggs, &input, out_schema)
         }
         Operator::Order { meta_keys, top, region_keys, region_top } => {
-            ops::order::order(ctx, meta_keys, *top, region_keys, *region_top, &input)
+            ops::order::order(ctx, meta_keys, *top, region_keys, *region_top, &input, reuse)
         }
-        Operator::Union => ops::union::union(ctx, &input, rest[0], out_schema),
+        Operator::Union => ops::union::union(ctx, &input, rest[0], out_schema, reuse),
         Operator::Difference { exact, joinby } => {
-            ops::difference::difference(ctx, *exact, joinby, &input, rest[0])
+            ops::difference::difference(ctx, *exact, joinby, &input, rest[0], reuse)
         }
         Operator::Join { clauses, output, joinby } => {
             ops::join::join(ctx, clauses, *output, joinby, &input, rest[0], out_schema)

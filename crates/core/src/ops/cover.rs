@@ -34,7 +34,7 @@ pub fn cover(
         &*variant.name().to_ascii_lowercase(),
         format!("{variant:?}({min_acc:?}, {max_acc:?})"),
     );
-    Ok(fold_groups(ctx, input, out_schema, groupby, frame, |chrom, runs, n| {
+    Ok(fold_groups(ctx, input, out_schema, groupby, frame, None, |chrom, runs, n| {
         let (min, max) = (min_acc.resolve(n, true).max(1), max_acc.resolve(n, false));
         // The chromosome's regions in genome order, as borrows: the sweep
         // reads them once; FLAT and the aggregates look them up per shape.

@@ -7,7 +7,7 @@
 //! negatives remove it.
 
 use crate::error::GmqlError;
-use crate::ops::joinby_matches;
+use crate::ops::{joinby_matches, Reuse};
 use nggc_engine::{
     merge_runs, overlap_pairs_sort_merge_interruptible, ExecContext, CHECKPOINT_STRIDE,
 };
@@ -15,13 +15,15 @@ use nggc_gdm::{Dataset, GRegion, Provenance, Sample};
 use std::cell::Cell;
 use std::cmp::Ordering;
 
-/// Execute DIFFERENCE.
+/// Execute DIFFERENCE. A left sample that loses no region shares its
+/// buffer; otherwise only its survivors are copied.
 pub fn difference(
     ctx: &ExecContext,
     exact: bool,
     joinby: &[String],
     left: &Dataset,
     right: &Dataset,
+    reuse: &Reuse,
 ) -> Result<Dataset, GmqlError> {
     let detail = format!("exact: {exact}; joinby: {}", joinby.join(","));
 
@@ -33,7 +35,7 @@ pub fn difference(
             .collect();
 
         // Per-chromosome removal using the sort-merge kernel.
-        let kept: Vec<GRegion> = ls
+        let kept: Vec<&GRegion> = ls
             .chromosomes()
             .into_iter()
             .flat_map(|c| {
@@ -83,7 +85,7 @@ pub fn difference(
                 mine.iter()
                     .zip(removed)
                     .filter(|&(_r, gone)| !gone)
-                    .map(|(r, _gone)| r.clone())
+                    .map(|(r, _gone)| r)
                     .collect::<Vec<_>>()
             })
             .collect();
@@ -95,7 +97,7 @@ pub fn difference(
             Provenance::derived("DIFFERENCE", detail.clone(), provs),
         );
         out.metadata = ls.metadata.clone();
-        out.regions = kept;
+        out.regions = reuse.keep(&ls.regions, kept);
         out
     });
 
@@ -137,7 +139,7 @@ mod tests {
         let mut b = Dataset::new("B", Schema::empty());
         b.add_sample(mk("n", "B", vec![(5, 8, Strand::Unstranded)], vec![])).unwrap();
         let ctx = ExecContext::with_workers(2);
-        let out = difference(&ctx, false, &[], &a, &b).unwrap();
+        let out = difference(&ctx, false, &[], &a, &b, &Reuse::default()).unwrap();
         assert_eq!(out.samples[0].region_count(), 1);
         assert_eq!(out.samples[0].regions[0].left, 20);
     }
@@ -149,7 +151,7 @@ mod tests {
         let mut b = Dataset::new("B", Schema::empty());
         b.add_sample(mk("n", "B", vec![(0, 10, Strand::Neg)], vec![])).unwrap();
         let ctx = ExecContext::with_workers(1);
-        let out = difference(&ctx, false, &[], &a, &b).unwrap();
+        let out = difference(&ctx, false, &[], &a, &b, &Reuse::default()).unwrap();
         assert_eq!(out.samples[0].region_count(), 1, "opposite strands never intersect");
     }
 
@@ -172,9 +174,28 @@ mod tests {
         ))
         .unwrap();
         let ctx = ExecContext::with_workers(1);
-        let out = difference(&ctx, true, &[], &a, &b).unwrap();
+        let out = difference(&ctx, true, &[], &a, &b, &Reuse::default()).unwrap();
         assert_eq!(out.samples[0].region_count(), 1);
         assert_eq!(out.samples[0].regions[0].left, 0, "overlap-but-not-equal survives");
+    }
+
+    #[test]
+    fn a_sample_that_loses_nothing_shares_its_buffer() {
+        let mut a = Dataset::new("A", Schema::empty());
+        let keep = vec![(0, 10, Strand::Unstranded), (20, 30, Strand::Unstranded)];
+        a.add_sample(mk("s", "A", keep, vec![])).unwrap();
+        let mut b = Dataset::new("B", Schema::empty());
+        b.add_sample(mk("n", "B", vec![(40, 50, Strand::Unstranded)], vec![])).unwrap();
+        let ctx = ExecContext::with_workers(1);
+        let reuse = Reuse::default();
+        let out = difference(&ctx, false, &[], &a, &b, &reuse).unwrap();
+        assert!(std::sync::Arc::ptr_eq(&out.samples[0].regions, &a.samples[0].regions));
+        assert_eq!((reuse.shared(), reuse.copied()), (1, 0));
+        // One removed: the survivor is copied.
+        b.samples[0] = mk("n", "B", vec![(5, 8, Strand::Unstranded)], vec![]);
+        let reuse = Reuse::default();
+        difference(&ctx, false, &[], &a, &b, &reuse).unwrap();
+        assert_eq!((reuse.shared(), reuse.copied()), (0, 1));
     }
 
     #[test]
@@ -186,9 +207,9 @@ mod tests {
         b.add_sample(mk("n", "B", vec![(0, 10, Strand::Unstranded)], vec![("cell", "K562")]))
             .unwrap();
         let ctx = ExecContext::with_workers(1);
-        let out = difference(&ctx, false, &["cell".into()], &a, &b).unwrap();
+        let out = difference(&ctx, false, &["cell".into()], &a, &b, &Reuse::default()).unwrap();
         assert_eq!(out.samples[0].region_count(), 1, "different cell: negative ignored");
-        let out2 = difference(&ctx, false, &[], &a, &b).unwrap();
+        let out2 = difference(&ctx, false, &[], &a, &b, &Reuse::default()).unwrap();
         assert_eq!(out2.samples[0].region_count(), 0, "no joinby: removed");
     }
 }

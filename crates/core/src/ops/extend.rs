@@ -7,14 +7,18 @@
 
 use crate::aggregates::Aggregate;
 use crate::error::GmqlError;
+use crate::ops::Reuse;
 use nggc_engine::ExecContext;
 use nggc_gdm::{Dataset, Provenance, Sample, Value};
+use std::sync::Arc;
 
-/// Execute EXTEND.
+/// Execute EXTEND. It never touches regions: every output sample shares
+/// its input's buffer.
 pub fn extend(
     ctx: &ExecContext,
     assignments: &[(String, Aggregate)],
     input: &Dataset,
+    reuse: &Reuse,
 ) -> Result<Dataset, GmqlError> {
     // Resolve aggregate attribute positions once against the schema.
     let resolved: Vec<(String, Aggregate, Option<usize>)> = assignments
@@ -31,7 +35,7 @@ pub fn extend(
             s.name.clone(),
             Provenance::derived("EXTEND", detail.clone(), vec![s.provenance.clone()]),
         );
-        out.regions = s.regions.clone();
+        out.regions = reuse.hand_on(Arc::clone(&s.regions));
         out.metadata = s.metadata.clone();
         for (name, agg, pos) in &resolved {
             let value = match pos {
@@ -81,6 +85,7 @@ mod tests {
                 ("avg_score".into(), Aggregate::over(AggFunc::Avg, "score")),
             ],
             &dataset(),
+            &Reuse::default(),
         )
         .unwrap();
         assert_eq!(out.samples[0].metadata.first("n"), Some("2"));
@@ -93,15 +98,33 @@ mod tests {
     fn regions_unchanged() {
         let ctx = ExecContext::with_workers(1);
         let ds = dataset();
-        let out = extend(&ctx, &[("n".into(), Aggregate::count())], &ds).unwrap();
+        let out =
+            extend(&ctx, &[("n".into(), Aggregate::count())], &ds, &Reuse::default()).unwrap();
         assert_eq!(out.samples[0].regions, ds.samples[0].regions);
         assert_eq!(out.schema, ds.schema);
     }
 
     #[test]
+    fn every_sample_shares_its_input_buffer() {
+        let ctx = ExecContext::with_workers(2);
+        let ds = dataset();
+        let reuse = Reuse::default();
+        let out = extend(&ctx, &[("n".into(), Aggregate::count())], &ds, &reuse).unwrap();
+        for (s, input) in out.samples.iter().zip(&ds.samples) {
+            assert!(Arc::ptr_eq(&s.regions, &input.regions));
+        }
+        assert_eq!((reuse.shared(), reuse.copied()), (2, 0));
+    }
+
+    #[test]
     fn bad_aggregate_rejected() {
         let ctx = ExecContext::with_workers(1);
-        let err = extend(&ctx, &[("x".into(), Aggregate::over(AggFunc::Sum, "zzz"))], &dataset());
+        let err = extend(
+            &ctx,
+            &[("x".into(), Aggregate::over(AggFunc::Sum, "zzz"))],
+            &dataset(),
+            &Reuse::default(),
+        );
         assert!(err.is_err());
     }
 }

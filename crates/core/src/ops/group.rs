@@ -23,7 +23,7 @@ pub fn group(
 ) -> Result<Dataset, GmqlError> {
     let resolved = resolve_aggs(region_aggs, &input.schema)?;
     let frame = ("GROUP", "group", format!("by: {}", by.join(",")));
-    Ok(fold_groups(ctx, input, out_schema, by, frame, |_, runs, _| {
+    Ok(fold_groups(ctx, input, out_schema, by, frame, None, |_, runs, _| {
         // Fold runs of identical coordinates while merging; only the
         // representative of each run is cloned.
         let mut merged = merge_runs(runs, GRegion::cmp_coords).into_iter().peekable();

@@ -118,7 +118,7 @@ pub fn join(
         );
         sample.metadata.merge_from(&ls.metadata, "left");
         sample.metadata.merge_from(&rs.metadata, "right");
-        sample.regions = regions;
+        sample.regions = regions.into();
         sample.sort_regions();
         Some(sample)
     });

@@ -78,7 +78,7 @@ pub fn map(
         );
         sample.metadata = r.metadata.clone();
         sample.metadata.merge_from(&e.metadata, "exp");
-        sample.regions = regions;
+        sample.regions = regions.into();
         Some(sample)
     });
 

@@ -6,19 +6,27 @@
 //! binary-metadata rule applied n-ways).
 
 use crate::error::GmqlError;
-use crate::ops::group_key;
+use crate::ops::{group_key, Reuse};
 use nggc_engine::{merge_runs, union_chroms, ExecContext};
 use nggc_gdm::{Chrom, Dataset, GRegion, Provenance, Sample, Schema};
+use std::sync::Arc;
 
 /// Execute MERGE.
-pub fn merge(ctx: &ExecContext, groupby: &[String], input: &Dataset) -> Result<Dataset, GmqlError> {
+pub fn merge(
+    ctx: &ExecContext,
+    groupby: &[String],
+    input: &Dataset,
+    reuse: &Reuse,
+) -> Result<Dataset, GmqlError> {
     let detail =
         if groupby.is_empty() { String::new() } else { format!("groupby: {}", groupby.join(",")) };
-    // Each region is cloned once, already in its final position.
+    // Each region is cloned once, already in its final position; a
+    // group of one shares its member's buffer instead.
     let frame = ("MERGE", "merged", detail);
-    Ok(fold_groups(ctx, input, &input.schema, groupby, frame, |_, runs, _| {
+    let kernel = |_: &Chrom, runs: &[&[GRegion]], _| {
         merge_runs(runs, GRegion::cmp_coords).into_iter().cloned().collect()
-    }))
+    };
+    Ok(fold_groups(ctx, input, &input.schema, groupby, frame, Some(reuse), kernel))
 }
 
 /// The frame MERGE, GROUP and COVER share: one output sample per metadata
@@ -29,28 +37,47 @@ pub fn merge(ctx: &ExecContext, groupby: &[String], input: &Dataset) -> Result<D
 /// sorted runs, in member order, for [`merge_runs`] to merge as borrows — and
 /// gets the group size as its last argument; the per-chromosome outputs
 /// are concatenated in genome order.
+///
+/// `copies`, when given, says the kernel copies the members' regions as
+/// they are: a group of one then shares its member's buffer and the kernel
+/// does not run, and what it does copy is counted.
 pub(crate) fn fold_groups<K>(
     ctx: &ExecContext,
     input: &Dataset,
     out_schema: &Schema,
     groupby: &[String],
     (op, name, detail): (&str, &str, String),
+    copies: Option<&Reuse>,
     kernel: K,
 ) -> Dataset
 where
     K: Fn(&Chrom, &[&[GRegion]], usize) -> Vec<GRegion> + Sync,
 {
     let samples = ctx.map(partition_by_meta(input, groupby), |(key, members)| {
-        let per_chrom = ctx.map(union_chroms(members.iter().copied()), |c| {
-            // Job-boundary checkpoint: skip queued chromosome kernels
-            // once the governor has tripped.
-            if ctx.interrupted() {
-                return Vec::new();
+        let regions = match (copies, &members[..]) {
+            (Some(reuse), [only]) => reuse.hand_on(Arc::clone(&only.regions)),
+            _ => {
+                let per_chrom = ctx.map(union_chroms(members.iter().copied()), |c| {
+                    // Job-boundary checkpoint: skip queued chromosome
+                    // kernels once the governor has tripped.
+                    if ctx.interrupted() {
+                        return Vec::new();
+                    }
+                    let runs: Vec<&[GRegion]> = members
+                        .iter()
+                        .map(|s| s.chrom_slice(&c))
+                        .filter(|run| !run.is_empty())
+                        .collect();
+                    kernel(&c, &runs, members.len())
+                });
+                let mut regions = Vec::with_capacity(per_chrom.iter().map(Vec::len).sum());
+                per_chrom.into_iter().for_each(|part| regions.extend(part));
+                match copies {
+                    Some(reuse) => reuse.copy(regions),
+                    None => Arc::new(regions),
+                }
             }
-            let runs: Vec<&[GRegion]> =
-                members.iter().map(|s| s.chrom_slice(&c)).filter(|run| !run.is_empty()).collect();
-            kernel(&c, &runs, members.len())
-        });
+        };
         let provenance = Provenance::derived(
             op,
             detail.clone(),
@@ -67,8 +94,7 @@ where
                 out.metadata.insert(attr, val.clone());
             }
         }
-        out.regions.reserve_exact(per_chrom.iter().map(Vec::len).sum());
-        per_chrom.into_iter().for_each(|part| out.regions.extend(part));
+        out.regions = regions;
         out
     });
     let mut out = Dataset::new(input.name.clone(), out_schema.clone());
@@ -119,7 +145,7 @@ mod tests {
     #[test]
     fn merge_all_into_one() {
         let ctx = ExecContext::with_workers(2);
-        let out = merge(&ctx, &[], &dataset()).unwrap();
+        let out = merge(&ctx, &[], &dataset(), &Reuse::default()).unwrap();
         assert_eq!(out.sample_count(), 1);
         let s = &out.samples[0];
         assert_eq!(s.region_count(), 3);
@@ -132,7 +158,7 @@ mod tests {
     #[test]
     fn merge_groupby_cell() {
         let ctx = ExecContext::with_workers(2);
-        let out = merge(&ctx, &["cell".into()], &dataset()).unwrap();
+        let out = merge(&ctx, &["cell".into()], &dataset(), &Reuse::default()).unwrap();
         assert_eq!(out.sample_count(), 2);
         let hela = out.samples.iter().find(|s| s.metadata.has("cell", "HeLa")).unwrap();
         assert_eq!(hela.region_count(), 2);
@@ -140,9 +166,21 @@ mod tests {
     }
 
     #[test]
+    fn a_group_of_one_shares_its_members_buffer() {
+        let ctx = ExecContext::with_workers(2);
+        let ds = dataset();
+        let reuse = Reuse::default();
+        let out = merge(&ctx, &["cell".into()], &ds, &reuse).unwrap();
+        let k562 = out.samples.iter().find(|s| s.metadata.has("cell", "K562")).unwrap();
+        assert!(Arc::ptr_eq(&k562.regions, &ds.sample_by_name("s2").unwrap().regions));
+        // HeLa merges two members' regions into a new buffer.
+        assert_eq!((reuse.shared(), reuse.copied()), (1, 2));
+    }
+
+    #[test]
     fn provenance_lists_all_members() {
         let ctx = ExecContext::with_workers(1);
-        let out = merge(&ctx, &[], &dataset()).unwrap();
+        let out = merge(&ctx, &[], &dataset(), &Reuse::default()).unwrap();
         let sources = out.samples[0].provenance.sources();
         assert_eq!(sources.len(), 3);
     }

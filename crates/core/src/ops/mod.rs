@@ -10,7 +10,12 @@
 //! * **provenance** — every result sample records the operator and its
 //!   input lineages;
 //! * **parallelism** — sample(-pair) tasks run on the engine pool, and
-//!   genometric work shards per chromosome.
+//!   genometric work shards per chromosome;
+//! * **copy-on-write regions** — an output sample that keeps an input
+//!   sample's regions exactly takes its buffer by reference; an operator
+//!   edits a buffer in place only when `Arc::get_mut` shows it holds it
+//!   alone, and otherwise copies only what it keeps ([`Reuse`] counts
+//!   both).
 
 pub mod cover;
 pub mod difference;
@@ -30,6 +35,59 @@ use crate::aggregates::Aggregate;
 use crate::error::GmqlError;
 use nggc_gdm::{Dataset, GRegion, Metadata, Sample, Schema, Value};
 use std::borrow::Cow;
+use std::ptr;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// How one operator application came by its output's region buffers:
+/// the samples it handed an input buffer that another holder still
+/// shares, and the rows it copied out of input buffers. The executor
+/// reports both (`shared=` on the node's span,
+/// `nggc_exec_samples_shared_total`, `nggc_exec_regions_cloned_total`);
+/// a buffer taken over and rewritten in place counts as neither.
+#[derive(Debug, Default)]
+pub struct Reuse {
+    shared: AtomicUsize,
+    copied: AtomicU64,
+}
+
+impl Reuse {
+    /// Output samples whose buffer is shared with an input's holder.
+    pub fn shared(&self) -> usize {
+        self.shared.load(Ordering::Relaxed)
+    }
+
+    /// Rows copied out of input buffers.
+    pub fn copied(&self) -> u64 {
+        self.copied.load(Ordering::Relaxed)
+    }
+
+    /// Hand `regions` on as they are: counted as shared when another
+    /// holder still has the buffer, taken over when nobody does.
+    pub(crate) fn hand_on(&self, mut regions: Arc<Vec<GRegion>>) -> Arc<Vec<GRegion>> {
+        if Arc::get_mut(&mut regions).is_none() {
+            self.shared.fetch_add(1, Ordering::Relaxed);
+        }
+        regions
+    }
+
+    /// A new buffer of `rows` copied out of an input's.
+    pub(crate) fn copy(&self, rows: Vec<GRegion>) -> Arc<Vec<GRegion>> {
+        self.copied.fetch_add(rows.len() as u64, Ordering::Relaxed);
+        Arc::new(rows)
+    }
+
+    /// The buffer of `whole` when `kept`, borrowed from it, is every one
+    /// of its regions in place — shared, not copied — else a copy of
+    /// `kept`.
+    pub(crate) fn keep(&self, whole: &Arc<Vec<GRegion>>, kept: Vec<&GRegion>) -> Arc<Vec<GRegion>> {
+        if kept.len() == whole.len() && kept.iter().zip(whole.iter()).all(|(k, r)| ptr::eq(*k, r)) {
+            self.hand_on(Arc::clone(whole))
+        } else {
+            self.copy(kept.into_iter().cloned().collect())
+        }
+    }
+}
 
 /// An operator's aggregates resolved against its input schema: each
 /// function with the position of its argument (`None` for COUNT).
@@ -54,16 +112,22 @@ pub(crate) fn push_aggregates(
     }
 }
 
-/// Split a unary operator's input into name, schema and samples — each
-/// sample owned when the dataset is, borrowed when it is shared — so that
-/// one per-sample closure serves both: it moves what it may and clones
-/// what it must.
-pub(crate) fn unpack(input: Cow<'_, Dataset>) -> (String, Schema, Vec<Cow<'_, Sample>>) {
+/// Split a unary operator's input into name, schema and the samples that
+/// pass `admit` — moved out of an owned dataset, cloned out of a borrowed
+/// one, which copies names and metadata but shares region buffers. Either
+/// way the per-sample code decides on each buffer: edit it in place when
+/// `Arc::get_mut` says it may, else share it or copy what it keeps.
+pub(crate) fn unpack(
+    input: Cow<'_, Dataset>,
+    admit: impl Fn(&Sample) -> bool,
+) -> (String, Schema, Vec<Sample>) {
     match input {
-        Cow::Owned(d) => (d.name, d.schema, d.samples.into_iter().map(Cow::Owned).collect()),
-        Cow::Borrowed(d) => {
-            (d.name.clone(), d.schema.clone(), d.samples.iter().map(Cow::Borrowed).collect())
-        }
+        Cow::Owned(d) => (d.name, d.schema, d.samples.into_iter().filter(|s| admit(s)).collect()),
+        Cow::Borrowed(d) => (
+            d.name.clone(),
+            d.schema.clone(),
+            d.samples.iter().filter(|s| admit(s)).cloned().collect(),
+        ),
     }
 }
 

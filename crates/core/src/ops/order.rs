@@ -8,11 +8,15 @@
 
 use crate::ast::SortDir;
 use crate::error::GmqlError;
+use crate::ops::Reuse;
 use nggc_engine::ExecContext;
-use nggc_gdm::{Dataset, Provenance, Sample, Value};
+use nggc_gdm::{Dataset, GRegion, Provenance, Sample, Value};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
-/// Execute ORDER.
+/// Execute ORDER. A sample whose regions all stay, in genome order —
+/// no region keys and no region top-k below its size — shares its input
+/// buffer; otherwise only the kept regions are copied.
 #[allow(clippy::too_many_arguments)]
 pub fn order(
     ctx: &ExecContext,
@@ -21,6 +25,7 @@ pub fn order(
     region_keys: &[(String, SortDir)],
     region_top: Option<usize>,
     input: &Dataset,
+    reuse: &Reuse,
 ) -> Result<Dataset, GmqlError> {
     // Validate region keys up front.
     let resolved_region_keys: Vec<(usize, SortDir)> =
@@ -47,9 +52,14 @@ pub fn order(
             Provenance::derived("ORDER", detail.clone(), vec![s.provenance.clone()]),
         );
         out.metadata = s.metadata.clone();
-        let mut regions = s.regions.clone();
-        if !resolved_region_keys.is_empty() {
-            regions.sort_by(|a, b| {
+        out.regions = if resolved_region_keys.is_empty() {
+            match region_top {
+                Some(k) if k < s.regions.len() => reuse.copy(s.regions[..k].to_vec()),
+                _ => reuse.hand_on(Arc::clone(&s.regions)),
+            }
+        } else {
+            let mut ranked: Vec<&GRegion> = s.regions.iter().collect();
+            ranked.sort_by(|a, b| {
                 for (pos, dir) in &resolved_region_keys {
                     let ord = a.values[*pos].total_cmp(&b.values[*pos]);
                     let ord = if *dir == SortDir::Desc { ord.reverse() } else { ord };
@@ -60,13 +70,13 @@ pub fn order(
                 a.cmp_coords(b)
             });
             if let Some(k) = region_top {
-                regions.truncate(k);
+                ranked.truncate(k);
             }
-            regions.sort_by(|a, b| a.cmp_coords(b));
-        } else if let Some(k) = region_top {
-            regions.truncate(k);
-        }
-        out.regions = regions;
+            // Back in genome order: when that is every region where it
+            // was, the buffer is shared.
+            ranked.sort_by(|a, b| a.cmp_coords(b));
+            reuse.keep(&s.regions, ranked)
+        };
         out
     });
 
@@ -114,7 +124,8 @@ fn meta_sort_value(s: &Sample, attr: &str) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nggc_gdm::{Attribute, GRegion, Metadata, Schema, Strand, ValueType};
+    use nggc_gdm::{Attribute, Metadata, Schema, Strand, ValueType};
+    use std::sync::Arc;
 
     fn dataset() -> Dataset {
         let schema = Schema::new(vec![Attribute::new("score", ValueType::Float)]).unwrap();
@@ -143,8 +154,16 @@ mod tests {
     #[test]
     fn samples_sorted_numerically_with_rank() {
         let ctx = ExecContext::with_workers(2);
-        let out =
-            order(&ctx, &[("age".into(), SortDir::Asc)], None, &[], None, &dataset()).unwrap();
+        let out = order(
+            &ctx,
+            &[("age".into(), SortDir::Asc)],
+            None,
+            &[],
+            None,
+            &dataset(),
+            &Reuse::default(),
+        )
+        .unwrap();
         let names: Vec<&str> = out.samples.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["b", "c", "a"], "20 < 25 < 30 numerically");
         assert_eq!(out.samples[0].metadata.first("order"), Some("1"));
@@ -154,8 +173,16 @@ mod tests {
     #[test]
     fn top_k_truncates_samples() {
         let ctx = ExecContext::with_workers(1);
-        let out =
-            order(&ctx, &[("age".into(), SortDir::Desc)], Some(1), &[], None, &dataset()).unwrap();
+        let out = order(
+            &ctx,
+            &[("age".into(), SortDir::Desc)],
+            Some(1),
+            &[],
+            None,
+            &dataset(),
+            &Reuse::default(),
+        )
+        .unwrap();
         assert_eq!(out.sample_count(), 1);
         assert_eq!(out.samples[0].name, "a");
     }
@@ -163,8 +190,16 @@ mod tests {
     #[test]
     fn region_top_k_by_score_keeps_genome_order() {
         let ctx = ExecContext::with_workers(2);
-        let out = order(&ctx, &[], None, &[("score".into(), SortDir::Desc)], Some(2), &dataset())
-            .unwrap();
+        let out = order(
+            &ctx,
+            &[],
+            None,
+            &[("score".into(), SortDir::Desc)],
+            Some(2),
+            &dataset(),
+            &Reuse::default(),
+        )
+        .unwrap();
         let c = out.sample_by_name("c").unwrap();
         assert_eq!(c.region_count(), 2, "top 2 of 3");
         // Kept the score-7 and score-3 regions, but in genome order.
@@ -174,8 +209,39 @@ mod tests {
     }
 
     #[test]
+    fn regions_kept_whole_share_and_a_top_k_copies_only_its_k() {
+        let ctx = ExecContext::with_workers(2);
+        let ds = dataset();
+        let by_score = [("score".to_string(), SortDir::Desc)];
+        // No region keys; region keys with a top-k no smaller than any
+        // sample: every region stays where it was.
+        for (keys, top) in [(&[][..], None), (&[][..], Some(3)), (&by_score[..], Some(3))] {
+            let reuse = Reuse::default();
+            let out = order(&ctx, &[], None, keys, top, &ds, &reuse).unwrap();
+            for (s, input) in out.samples.iter().zip(&ds.samples) {
+                assert!(Arc::ptr_eq(&s.regions, &input.regions), "{keys:?} {top:?}");
+            }
+            assert_eq!((reuse.shared(), reuse.copied()), (3, 0));
+        }
+        // Top 1 by score: `b` has one region and shares it, `a` and `c`
+        // copy their one.
+        let reuse = Reuse::default();
+        order(&ctx, &[], None, &by_score, Some(1), &ds, &reuse).unwrap();
+        assert_eq!((reuse.shared(), reuse.copied()), (1, 2));
+    }
+
+    #[test]
     fn unknown_region_key_rejected() {
         let ctx = ExecContext::with_workers(1);
-        assert!(order(&ctx, &[], None, &[("zzz".into(), SortDir::Asc)], None, &dataset()).is_err());
+        assert!(order(
+            &ctx,
+            &[],
+            None,
+            &[("zzz".into(), SortDir::Asc)],
+            None,
+            &dataset(),
+            &Reuse::default()
+        )
+        .is_err());
     }
 }

@@ -5,22 +5,24 @@
 //! normalised score while dropping the raw one).
 
 use crate::error::GmqlError;
-use crate::ops::unpack;
+use crate::ops::{unpack, Reuse};
 use crate::predicates::{BoundExpr, RegionExpr};
 use nggc_engine::ExecContext;
 use nggc_gdm::{Dataset, GRegion, Provenance, Sample, Schema};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Execute PROJECT. `out_schema` is the inferred output schema;
 /// `meta_attrs`, when given, lists the metadata attributes to keep.
 ///
-/// An owned `input` (the executor hands one over when this operator is
-/// the dataset's last user) is reshaped in place: every region keeps its
-/// chromosome handle and its value vector, whose kept cells are moved
-/// into position — and when its columns already are the output's, as a
-/// source read narrowed to this PROJECT's list has them, no row is
-/// touched at all. A borrowed input is left untouched and the kept cells
-/// are cloned out of it.
+/// When every row already is what the output holds — the identity
+/// layout, as a source read narrowed to this PROJECT's list has it — each
+/// sample's region buffer is handed on as it is. Otherwise a buffer the
+/// operator holds alone (the executor hands an owned `input` over when
+/// this operator is the dataset's last user) is reshaped in place: every
+/// region keeps its chromosome handle and its value vector, whose kept
+/// cells are moved into position. A buffer shared with another holder is
+/// left untouched and the kept cells are copied out of it.
 pub fn project(
     ctx: &ExecContext,
     attrs: Option<&[String]>,
@@ -28,6 +30,7 @@ pub fn project(
     meta_attrs: Option<&[String]>,
     input: Cow<'_, Dataset>,
     out_schema: &Schema,
+    reuse: &Reuse,
 ) -> Result<Dataset, GmqlError> {
     // Positions of kept attributes in the input schema.
     let keep: Vec<usize> = match attrs {
@@ -55,8 +58,8 @@ pub fn project(
         }
     );
 
-    let (name, _, samples) = unpack(input);
-    let samples = ctx.map(samples, |s| {
+    let (name, _, samples) = unpack(input, |_| true);
+    let samples = ctx.map(samples, |mut s| {
         let provenance = Provenance::derived("PROJECT", detail.clone(), vec![s.provenance.clone()]);
         // `None`: every metadata attribute is kept, as it is.
         let kept_metadata = meta_attrs.map(|keep| {
@@ -68,27 +71,25 @@ pub fn project(
             }
             m
         });
-        let (name, metadata, regions) = match s {
-            Cow::Owned(mut s) => {
-                if !identity {
-                    for r in &mut s.regions {
-                        // Computed attributes read the input row, so they
-                        // are appended before any cell moves.
-                        for expr in &computed {
-                            let v = expr.eval(r);
-                            r.values.push(v);
-                        }
-                        for &(to, from) in &moves {
-                            r.values.swap(to, from);
-                        }
-                        r.values.truncate(keep.len() + computed.len());
-                    }
+        let regions = if identity {
+            reuse.hand_on(s.regions)
+        } else if let Some(regions) = Arc::get_mut(&mut s.regions) {
+            for r in regions.iter_mut() {
+                // Computed attributes read the input row, so they are
+                // appended before any cell moves.
+                for expr in &computed {
+                    let v = expr.eval(r);
+                    r.values.push(v);
                 }
-                (s.name, kept_metadata.unwrap_or(s.metadata), s.regions)
+                for &(to, from) in &moves {
+                    r.values.swap(to, from);
+                }
+                r.values.truncate(keep.len() + computed.len());
             }
-            Cow::Borrowed(s) => {
-                let regions = s
-                    .regions
+            s.regions
+        } else {
+            reuse.copy(
+                s.regions
                     .iter()
                     .map(|r| {
                         let mut values = Vec::with_capacity(keep.len() + computed.len());
@@ -96,12 +97,11 @@ pub fn project(
                         values.extend(computed.iter().map(|expr| expr.eval(r)));
                         GRegion { values, chrom: r.chrom.clone(), ..*r }
                     })
-                    .collect();
-                (s.name.clone(), kept_metadata.unwrap_or_else(|| s.metadata.clone()), regions)
-            }
+                    .collect(),
+            )
         };
-        let mut out = Sample::derived(name, provenance);
-        out.metadata = metadata;
+        let mut out = Sample::derived(s.name, provenance);
+        out.metadata = kept_metadata.unwrap_or(s.metadata);
         out.regions = regions;
         out
     });
@@ -186,7 +186,8 @@ mod tests {
         };
         let out_schema = infer_schema(&op, &[&input.schema]).unwrap();
         let ctx = ExecContext::with_workers(2);
-        project(&ctx, attrs.as_deref(), new_attrs, None, input, &out_schema).unwrap()
+        project(&ctx, attrs.as_deref(), new_attrs, None, input, &out_schema, &Reuse::default())
+            .unwrap()
     }
 
     #[test]
@@ -231,7 +232,7 @@ mod tests {
                 (0..2).filter(|&i| list.contains(&["score", "name"][i])).collect();
             let names: Vec<&str> = stored.iter().map(|&i| ["score", "name"][i]).collect();
             narrowed.schema = narrowed.schema.project(&names).unwrap().0;
-            for r in &mut narrowed.samples[0].regions {
+            for r in narrowed.samples[0].regions_mut() {
                 r.values = stored.iter().map(|&i| r.values[i].clone()).collect();
             }
             let got = run_on(&attrs, &[], Cow::Owned(narrowed));
@@ -298,11 +299,43 @@ mod tests {
     }
 
     #[test]
+    fn the_identity_layout_shares_and_any_other_copies_a_shared_buffer() {
+        let ctx = ExecContext::with_workers(2);
+        let ds = dataset();
+        let project_with = |attrs: &[&str], reuse: &Reuse| {
+            let attrs: Vec<String> = attrs.iter().map(|a| a.to_string()).collect();
+            let op = Operator::Project {
+                attrs: Some(attrs.clone()),
+                new_attrs: vec![],
+                meta_attrs: None,
+            };
+            let schema = infer_schema(&op, &[&ds.schema]).unwrap();
+            project(&ctx, Some(&attrs), &[], None, Cow::Borrowed(&ds), &schema, reuse).unwrap()
+        };
+        let reuse = Reuse::default();
+        let out = project_with(&["score", "name"], &reuse);
+        assert!(Arc::ptr_eq(&out.samples[0].regions, &ds.samples[0].regions));
+        assert_eq!((reuse.shared(), reuse.copied()), (1, 0));
+        let reuse = Reuse::default();
+        let out = project_with(&["name"], &reuse);
+        assert!(!Arc::ptr_eq(&out.samples[0].regions, &ds.samples[0].regions));
+        assert_eq!((reuse.shared(), reuse.copied()), (0, 1));
+        assert_eq!(ds.samples[0].regions[0].values.len(), 2, "the input is as it was");
+    }
+
+    #[test]
     fn unknown_attribute_rejected() {
         let ds = dataset();
         let ctx = ExecContext::with_workers(1);
-        let err =
-            project(&ctx, Some(&["zzz".to_string()]), &[], None, Cow::Borrowed(&ds), &ds.schema);
+        let err = project(
+            &ctx,
+            Some(&["zzz".to_string()]),
+            &[],
+            None,
+            Cow::Borrowed(&ds),
+            &ds.schema,
+            &Reuse::default(),
+        );
         assert!(err.is_err());
     }
 }

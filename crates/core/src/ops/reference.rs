@@ -12,7 +12,7 @@ use crate::error::GmqlError;
 use crate::exec::ExecOptions;
 use crate::ops::cover::summits;
 use crate::ops::merge::partition_by_meta;
-use crate::ops::{self, joinby_matches};
+use crate::ops::{self, joinby_matches, Reuse};
 use crate::plan::infer_schema;
 use crate::predicates::{BinOp, CmpOp, MetaPredicate, RegionExpr};
 use nggc_engine::{
@@ -137,7 +137,7 @@ fn cover(
         }
         let mut out = Sample::derived(name, provenance);
         out.metadata = metadata;
-        out.regions = per_chrom.into_iter().flatten().collect();
+        out.regions = per_chrom.into_iter().flatten().collect::<Vec<_>>().into();
         out
     });
 
@@ -192,7 +192,7 @@ fn merge(ctx: &ExecContext, groupby: &[String], input: &Dataset) -> Result<Datas
         }
         out.metadata = metadata;
         regions.sort_by(|a, b| a.cmp_coords(b));
-        out.regions = regions;
+        out.regions = regions.into();
         out
     });
 
@@ -272,7 +272,7 @@ fn group(
         }
         let mut out = Sample::derived(name, provenance);
         out.metadata = metadata;
-        out.regions = regions;
+        out.regions = regions.into();
         out
     });
 
@@ -364,7 +364,7 @@ fn difference(
             Provenance::derived("DIFFERENCE", detail.clone(), provs),
         );
         out.metadata = ls.metadata.clone();
-        out.regions = kept;
+        out.regions = kept.into();
         out
     });
 
@@ -394,7 +394,8 @@ fn select(region: &RegionExpr, input: &Dataset) -> Dataset {
             .iter()
             .filter(|r| region.eval(r, &input.schema) == Value::Bool(true))
             .cloned()
-            .collect();
+            .collect::<Vec<_>>()
+            .into();
         out.add_sample_unchecked(kept);
     }
     out
@@ -582,19 +583,29 @@ fn run_merge_operators_equal_the_pooled_reference(seed in any::<u64>()) {
     for ctx in &contexts {
         let got = ops::group::group(ctx, &groupby, &aggs, &ds, &schema).unwrap();
         prop_assert_eq!(digest(&got), digest(&want_group), "{:?} on {} workers", op, ctx.workers());
-        let got = ops::merge::merge(ctx, &groupby, &ds).unwrap();
+        let got = ops::merge::merge(ctx, &groupby, &ds, &Reuse::default()).unwrap();
         prop_assert_eq!(digest(&got), digest(&want_merge), "MERGE on {} workers", ctx.workers());
-        let got = ops::difference::difference(ctx, exact, &groupby, &ds, &other).unwrap();
+        let got = ops::difference::difference(ctx, exact, &groupby, &ds, &other, &Reuse::default()).unwrap();
         prop_assert_eq!(digest(&got), digest(&want_diff), "DIFFERENCE exact={} on {} workers", exact, ctx.workers());
     }
 }}
+
+/// `d` with region buffers of its own, shared with nobody.
+fn unshared(d: &Dataset) -> Dataset {
+    let mut d = d.clone();
+    for s in &mut d.samples {
+        s.regions = std::sync::Arc::new(s.regions.to_vec());
+    }
+    d
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// SELECT evaluating its predicate only inside the windows the
     /// predicate implies gives what a scan of every region gives — on a
-    /// shared input and on one it owns, serial and on two workers, on a
+    /// shared input, on one it owns whose buffers are still shared and on
+    /// one that owns its buffers too, serial and on two workers, on a
     /// source, after ORDER with a region top-k and after JOIN.
     #[test]
     fn windowed_select_equals_the_scan(seed in any::<u64>()) {
@@ -605,7 +616,7 @@ proptest! {
 
         let top = Some(rng.below(12) as usize);
         let ordered =
-            ops::order::order(serial, &[], None, &[("signal".into(), SortDir::Desc)], top, &ds)
+            ops::order::order(serial, &[], None, &[("signal".into(), SortDir::Desc)], top, &ds, &Reuse::default())
                 .unwrap();
         let output = [JoinOutput::Left, JoinOutput::Right, JoinOutput::Intersection, JoinOutput::Contig]
             [rng.below(4) as usize];
@@ -619,24 +630,28 @@ proptest! {
         for (input, region) in [(&ds, &on_source), (&ordered, &on_source), (&joined, &on_join)] {
             let want = select(region, input);
             for ctx in &contexts {
-                for owned in [false, true] {
-                    let given =
-                        if owned { Cow::Owned(input.clone()) } else { Cow::Borrowed(input) };
+                for given in ["borrowed", "owned, shared buffers", "owned, own buffers"] {
+                    let input_as = match given {
+                        "borrowed" => Cow::Borrowed(input),
+                        "owned, shared buffers" => Cow::Owned(input.clone()),
+                        _ => Cow::Owned(unshared(input)),
+                    };
                     let got = ops::select::select(
                         ctx,
                         &ExecOptions::default(),
                         &MetaPredicate::True,
                         Some(region),
                         None,
-                        given,
+                        input_as,
                         None,
+                        &Reuse::default(),
                     )
                     .unwrap();
                     prop_assert_eq!(
                         digest(&got),
                         digest(&want),
-                        "{} on {} (owned: {}, {} workers)",
-                        region, input.name, owned, ctx.workers()
+                        "{} on {} ({}, {} workers)",
+                        region, input.name, given, ctx.workers()
                     );
                 }
             }

@@ -21,7 +21,7 @@
 use crate::ast::SemiJoin;
 use crate::error::GmqlError;
 use crate::exec::ExecOptions;
-use crate::ops::{joinby_matches, unpack};
+use crate::ops::{joinby_matches, unpack, Reuse};
 use crate::predicates::{MetaPredicate, RegionExpr};
 use crate::scan::RegionWindow;
 use nggc_engine::ExecContext;
@@ -29,16 +29,22 @@ use nggc_gdm::{Chrom, Dataset, GRegion, Provenance, Sample};
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Execute SELECT. `ext` is the external dataset of the metadata
 /// semijoin, when one is declared.
 ///
-/// An owned `input` (the executor hands one over when this operator is
-/// the dataset's last user) is filtered in place: surviving regions are
-/// never copied, only the rejected ones are dropped. A borrowed input is
-/// left untouched and the survivors are cloned out of it. Either way the
-/// region predicate is evaluated only inside its windows; their total
-/// size goes to `nggc_select_regions_scanned_total`.
+/// A sample's region buffer is filtered in place when the operator holds
+/// it alone — the executor hands an owned `input` over when this
+/// operator is the dataset's last user, and nobody else shares the
+/// buffer: surviving regions are never copied, only the rejected ones
+/// are dropped. A buffer shared with another holder (a borrowed input, a
+/// cache) is left untouched: it is handed on as it is when every region
+/// survives — always, without a region predicate — and otherwise only
+/// the survivors are copied out of it ([`Reuse`] counts both). Either
+/// way the region predicate is evaluated only inside its windows; their
+/// total size goes to `nggc_select_regions_scanned_total`.
+#[allow(clippy::too_many_arguments)]
 pub fn select(
     ctx: &ExecContext,
     opts: &ExecOptions,
@@ -47,6 +53,7 @@ pub fn select(
     semijoin: Option<&SemiJoin>,
     input: Cow<'_, Dataset>,
     ext: Option<&Dataset>,
+    reuse: &Reuse,
 ) -> Result<Dataset, GmqlError> {
     let mut detail = match region {
         Some(r) => format!("{meta}; region: {r}"),
@@ -115,47 +122,42 @@ pub fn select(
 
     // Regions the predicate was evaluated on, over all samples.
     let scanned = AtomicU64::new(0);
-    let filter_regions = |s: Cow<'_, Sample>| -> Sample {
+    let filter_regions = |mut s: Sample| -> Sample {
         let provenance = Provenance::derived("SELECT", detail.clone(), vec![s.provenance.clone()]);
         let ranges = windows(&s);
         scanned.fetch_add(ranges.iter().map(|w| w.len() as u64).sum(), Ordering::Relaxed);
-        let (name, metadata, regions) = match s {
-            Cow::Owned(mut s) => {
-                // Survivors move to the front, in order; what is left
-                // behind — rejected, or outside every window and never
-                // looked at — is dropped.
-                let mut kept = 0;
-                for i in ranges.into_iter().flatten() {
-                    if keep(&s.regions[i]) {
-                        s.regions.swap(kept, i);
-                        kept += 1;
-                    }
+        let regions = if predicate.is_none() {
+            // Every region survives, as it is.
+            reuse.hand_on(s.regions)
+        } else if let Some(regions) = Arc::get_mut(&mut s.regions) {
+            // Held alone: survivors move to the front, in order; what is
+            // left behind — rejected, or outside every window and never
+            // looked at — is dropped.
+            let mut kept = 0;
+            for i in ranges.into_iter().flatten() {
+                if keep(&regions[i]) {
+                    regions.swap(kept, i);
+                    kept += 1;
                 }
-                s.regions.truncate(kept);
-                (s.name, s.metadata, s.regions)
             }
-            Cow::Borrowed(s) => (
-                s.name.clone(),
-                s.metadata.clone(),
-                ranges
-                    .into_iter()
-                    .flat_map(|w| &s.regions[w])
-                    .filter(|r| keep(r))
-                    .cloned()
-                    .collect(),
-            ),
+            regions.truncate(kept);
+            s.regions
+        } else {
+            // Shared: the survivors are copied out — or, when they are
+            // every region, the buffer is shared.
+            let kept = ranges.into_iter().flat_map(|w| &s.regions[w]).filter(|r| keep(r)).collect();
+            reuse.keep(&s.regions, kept)
         };
-        let mut out = Sample::derived(name, provenance);
-        out.metadata = metadata;
+        let mut out = Sample::derived(s.name, provenance);
+        out.metadata = s.metadata;
         out.regions = regions;
         out
     };
 
-    let (name, schema, mut samples) = unpack(input);
+    // Evaluate the cheap metadata predicate (and semijoin) first and only
+    // scan the regions of surviving samples.
+    let (name, schema, samples) = unpack(input, |s| !opts.meta_first || admit(s));
     let samples: Vec<Sample> = if opts.meta_first {
-        // Evaluate the cheap metadata predicate (and semijoin) first and
-        // only scan the regions of surviving samples.
-        samples.retain(|s| admit(s));
         ctx.map(samples, filter_regions)
     } else {
         // Ablation baseline: scan every sample's regions, then filter.
@@ -214,6 +216,7 @@ mod tests {
             None,
             Cow::Borrowed(&dataset()),
             None,
+            &Reuse::default(),
         )
         .unwrap();
         assert_eq!(out.sample_count(), 1);
@@ -233,6 +236,7 @@ mod tests {
             None,
             Cow::Borrowed(&dataset()),
             None,
+            &Reuse::default(),
         )
         .unwrap();
         assert_eq!(out.sample_count(), 2, "both samples kept");
@@ -253,6 +257,7 @@ mod tests {
             None,
             Cow::Borrowed(&dataset()),
             None,
+            &Reuse::default(),
         )
         .unwrap();
         let b = select(
@@ -263,6 +268,7 @@ mod tests {
             None,
             Cow::Borrowed(&dataset()),
             None,
+            &Reuse::default(),
         )
         .unwrap();
         assert_eq!(a.sample_count(), b.sample_count());
@@ -281,10 +287,28 @@ mod tests {
             ] {
                 let opts = ExecOptions { meta_first, ..Default::default() };
                 let shared = dataset();
-                let a =
-                    select(&ctx, &opts, &meta, region, None, Cow::Borrowed(&shared), None).unwrap();
-                let b =
-                    select(&ctx, &opts, &meta, region, None, Cow::Owned(dataset()), None).unwrap();
+                let a = select(
+                    &ctx,
+                    &opts,
+                    &meta,
+                    region,
+                    None,
+                    Cow::Borrowed(&shared),
+                    None,
+                    &Reuse::default(),
+                )
+                .unwrap();
+                let b = select(
+                    &ctx,
+                    &opts,
+                    &meta,
+                    region,
+                    None,
+                    Cow::Owned(dataset()),
+                    None,
+                    &Reuse::default(),
+                )
+                .unwrap();
                 assert_eq!((&a.name, &a.schema), (&b.name, &b.schema));
                 assert_eq!(a.sample_count(), b.sample_count());
                 for (sa, sb) in a.samples.iter().zip(&b.samples) {
@@ -332,6 +356,7 @@ mod tests {
                     None,
                     input,
                     None,
+                    &Reuse::default(),
                 )
                 .unwrap();
                 let got: Vec<(&str, u64)> =
@@ -339,6 +364,82 @@ mod tests {
                 assert_eq!(got, want, "{region}");
             }
         }
+    }
+
+    #[test]
+    fn a_shared_buffer_kept_whole_is_handed_on() {
+        let ctx = ExecContext::with_workers(2);
+        let ds = dataset();
+        let everything = RegionExpr::attr("left").cmp(CmpOp::Ge, RegionExpr::Lit(Value::Int(0)));
+        for (meta, region) in [
+            (MetaPredicate::eq("karyotype", "cancer"), None),
+            (MetaPredicate::True, Some(&everything)),
+        ] {
+            let reuse = Reuse::default();
+            let out = select(
+                &ctx,
+                &ExecOptions::default(),
+                &meta,
+                region,
+                None,
+                Cow::Borrowed(&ds),
+                None,
+                &reuse,
+            )
+            .unwrap();
+            for s in &out.samples {
+                let input = ds.sample_by_name(&s.name).unwrap();
+                assert!(Arc::ptr_eq(&s.regions, &input.regions), "{meta}");
+            }
+            assert_eq!((reuse.shared(), reuse.copied()), (out.sample_count(), 0), "{meta}");
+        }
+    }
+
+    #[test]
+    fn a_buffer_held_alone_is_filtered_in_place() {
+        let ctx = ExecContext::with_workers(2);
+        let ds = dataset();
+        let buffers: Vec<*const Vec<GRegion>> =
+            ds.samples.iter().map(|s| Arc::as_ptr(&s.regions)).collect();
+        let pred = RegionExpr::attr("p_value").cmp(CmpOp::Lt, RegionExpr::num(0.01));
+        let reuse = Reuse::default();
+        let opts = ExecOptions::default();
+        let out = select(
+            &ctx,
+            &opts,
+            &MetaPredicate::True,
+            Some(&pred),
+            None,
+            Cow::Owned(ds),
+            None,
+            &reuse,
+        )
+        .unwrap();
+        assert_eq!(out.samples[0].region_count(), 1, "the high-p region dropped");
+        for (s, buffer) in out.samples.iter().zip(buffers) {
+            assert_eq!(Arc::as_ptr(&s.regions), buffer, "the very buffer");
+        }
+        assert_eq!((reuse.shared(), reuse.copied()), (0, 0));
+    }
+
+    /// An owned dataset whose buffers a resident copy still holds: only
+    /// the survivors are copied, never the whole buffer to filter it.
+    #[test]
+    fn a_shared_buffer_in_an_owned_input_gives_up_only_its_survivors() {
+        let ctx = ExecContext::with_workers(2);
+        let resident = dataset();
+        let pred = RegionExpr::attr("p_value").cmp(CmpOp::Lt, RegionExpr::num(0.01));
+        let reuse = Reuse::default();
+        let opts = ExecOptions::default();
+        let input = Cow::Owned(resident.clone());
+        let out = select(&ctx, &opts, &MetaPredicate::True, Some(&pred), None, input, None, &reuse)
+            .unwrap();
+        // cancer1 keeps one of its two regions (copied); normal1 keeps
+        // its only one (shared).
+        assert_eq!((reuse.shared(), reuse.copied()), (1, 1));
+        assert_eq!(out.region_count(), 2);
+        assert!(Arc::ptr_eq(&out.samples[1].regions, &resident.samples[1].regions));
+        assert_eq!(*resident.samples[0].regions, *dataset().samples[0].regions, "untouched");
     }
 
     #[test]
@@ -352,6 +453,7 @@ mod tests {
             None,
             Cow::Borrowed(&dataset()),
             None,
+            &Reuse::default(),
         )
         .unwrap();
         let p = out.samples[0].provenance.to_string();

@@ -6,15 +6,20 @@
 //! nulls for absent columns.
 
 use crate::error::GmqlError;
+use crate::ops::Reuse;
 use nggc_engine::ExecContext;
-use nggc_gdm::{Dataset, Provenance, Sample, Schema};
+use nggc_gdm::{Dataset, GRegion, Provenance, Sample, Schema};
+use std::sync::Arc;
 
 /// Execute UNION. `out_schema` is the merged schema inferred at plan time.
+/// A side whose rows already have the merged layout shares its samples'
+/// region buffers; the other side's rows are reshaped into copies.
 pub fn union(
     ctx: &ExecContext,
     left: &Dataset,
     right: &Dataset,
     out_schema: &Schema,
+    reuse: &Reuse,
 ) -> Result<Dataset, GmqlError> {
     let merged = left.schema.merge(&right.schema);
     debug_assert_eq!(&merged.schema, out_schema, "plan and execution agree on merge");
@@ -25,15 +30,21 @@ pub fn union(
                 Provenance::derived("UNION", side.to_owned(), vec![s.provenance.clone()]),
             );
             out.metadata = s.metadata.clone();
-            out.regions = s
-                .regions
-                .iter()
-                .map(|r| {
-                    let mut nr = r.clone();
-                    nr.values = Schema::reshape_row(&r.values, map, merged.schema.len());
-                    nr
-                })
-                .collect();
+            out.regions = if map.iter().copied().eq(0..merged.schema.len()) {
+                // The side's rows already have the merged layout.
+                reuse.hand_on(Arc::clone(&s.regions))
+            } else {
+                reuse.copy(
+                    s.regions
+                        .iter()
+                        .map(|r| GRegion {
+                            values: Schema::reshape_row(&r.values, map, merged.schema.len()),
+                            chrom: r.chrom.clone(),
+                            ..*r
+                        })
+                        .collect(),
+                )
+            };
             out
         })
     };
@@ -75,7 +86,7 @@ mod tests {
 
         let ctx = ExecContext::with_workers(2);
         let merged = a.schema.merge(&b.schema).schema;
-        let out = union(&ctx, &a, &b, &merged).unwrap();
+        let out = union(&ctx, &a, &b, &merged, &Reuse::default()).unwrap();
         assert_eq!(out.sample_count(), 2);
         assert_eq!(out.schema.len(), 2);
         // Left sample gains a null `fold` column.
@@ -85,13 +96,41 @@ mod tests {
     }
 
     #[test]
+    fn a_side_already_in_the_merged_layout_shares_its_buffers() {
+        let wide = Schema::new(vec![
+            Attribute::new("p_value", ValueType::Float),
+            Attribute::new("fold", ValueType::Float),
+        ])
+        .unwrap();
+        let narrow = Schema::new(vec![Attribute::new("p_value", ValueType::Float)]).unwrap();
+        let mut a = Dataset::new("A", wide);
+        a.add_sample(
+            Sample::new("x", "A").with_regions(vec![GRegion::new("chr1", 0, 5, Strand::Pos)
+                .with_values(vec![Value::Float(0.1), Value::Float(2.0)])]),
+        )
+        .unwrap();
+        let mut b = Dataset::new("B", narrow);
+        b.add_sample(Sample::new("y", "B").with_regions(vec![
+            GRegion::new("chr1", 9, 12, Strand::Neg).with_values(vec![Value::Float(0.2)]),
+        ]))
+        .unwrap();
+        let ctx = ExecContext::with_workers(2);
+        let merged = a.schema.merge(&b.schema).schema;
+        let reuse = Reuse::default();
+        let out = union(&ctx, &a, &b, &merged, &reuse).unwrap();
+        assert!(Arc::ptr_eq(&out.samples[0].regions, &a.samples[0].regions), "left: identity");
+        assert_eq!(out.samples[1].regions[0].values, vec![Value::Float(0.2), Value::Null]);
+        assert_eq!((reuse.shared(), reuse.copied()), (1, 1));
+    }
+
+    #[test]
     fn sample_names_prefixed_by_side() {
         let mut a = Dataset::new("A", Schema::empty());
         a.add_sample(Sample::new("x", "A")).unwrap();
         let mut b = Dataset::new("B", Schema::empty());
         b.add_sample(Sample::new("x", "B")).unwrap();
         let ctx = ExecContext::with_workers(1);
-        let out = union(&ctx, &a, &b, &Schema::empty()).unwrap();
+        let out = union(&ctx, &a, &b, &Schema::empty(), &Reuse::default()).unwrap();
         assert_eq!(out.samples[0].name, "left_x");
         assert_eq!(out.samples[1].name, "right_x");
     }

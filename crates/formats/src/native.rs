@@ -207,7 +207,7 @@ mod tests {
         let ds = sample_dataset();
         let body = render_regions(&ds.samples[0].regions);
         let parsed = parse_regions(&body, &ds.schema).unwrap();
-        assert_eq!(parsed, ds.samples[0].regions);
+        assert_eq!(parsed, *ds.samples[0].regions);
     }
 
     #[test]

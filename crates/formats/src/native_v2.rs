@@ -726,7 +726,7 @@ fn encode_dataset_with_version(dataset: &Dataset, version: u8) -> Result<Vec<u8>
         // Group of the previous region: a sorted sample changes group
         // only at a chromosome boundary.
         let mut current = 0;
-        for r in &sample.regions {
+        for r in sample.regions.iter() {
             if chrom_order.get(current) != Some(&&r.chrom) {
                 current = chrom_order.iter().position(|c| **c == r.chrom).unwrap_or_else(|| {
                     chrom_order.push(&r.chrom);
@@ -1351,7 +1351,7 @@ fn read_with<R: Read + Seek, B: AsRef<[u8]> + Send>(
         .map(|s| (Sample::new(s.name, &header.name).with_metadata(s.metadata), s.wanted))
         .collect();
     let samples = decode_pool().try_parallel_map(jobs, |(mut sample, wanted)| {
-        sample.regions = decode_blocks(&sample.name, &wanted, &plan, verify_blocks)?;
+        sample.regions = decode_blocks(&sample.name, &wanted, &plan, verify_blocks)?.into();
         sample.sort_regions();
         Ok::<Sample, FormatError>(sample)
     })?;
@@ -1557,7 +1557,7 @@ mod tests {
             assert_eq!(sa.name, sb.name);
             assert_eq!(sa.metadata, sb.metadata);
             assert_eq!(sa.regions.len(), sb.regions.len());
-            for (ra, rb) in sa.regions.iter().zip(&sb.regions) {
+            for (ra, rb) in sa.regions.iter().zip(sb.regions.iter()) {
                 assert_eq!(
                     (ra.chrom.as_str(), ra.left, ra.right, ra.strand),
                     (rb.chrom.as_str(), rb.left, rb.right, rb.strand)
@@ -2246,7 +2246,7 @@ mod tests {
         assert_eq!(stats.blocks_skipped, 0, "column pruning alone skips no blocks");
         let full = read_dataset_v2(&dir).unwrap();
         assert_eq!(ds.samples[0].regions.len(), full.samples[0].regions.len());
-        for (r, rf) in ds.samples[0].regions.iter().zip(&full.samples[0].regions) {
+        for (r, rf) in ds.samples[0].regions.iter().zip(full.samples[0].regions.iter()) {
             assert_eq!((r.left, r.right, r.strand), (rf.left, rf.right, rf.strand));
             assert_eq!(r.values.len(), 4, "value arity must match the schema");
             assert_eq!(r.values[2], rf.values[2], "kept column decodes normally");
@@ -2307,7 +2307,7 @@ mod tests {
         let want: Vec<GRegion> =
             regions.iter().filter(|r| (100..=150).contains(&r.left)).cloned().collect();
         assert_eq!(want.len(), 4);
-        assert_eq!(got.samples[0].regions, want, "the rows a resident window would hold");
+        assert_eq!(*got.samples[0].regions, want, "the rows a resident window would hold");
         assert_eq!(got.schema, ds.schema);
         assert_eq!((stats.rows_skipped, stats.cells), (6, 8));
         assert_eq!(
@@ -2341,7 +2341,7 @@ mod tests {
         let names: Vec<&str> = got.schema.attributes().iter().map(|a| a.name.as_str()).collect();
         assert_eq!(names, ["score", "count"], "stored order, not the width's");
         let full = decode_dataset_v2(&bytes).unwrap();
-        for (r, rf) in got.samples[0].regions.iter().zip(&full.samples[0].regions) {
+        for (r, rf) in got.samples[0].regions.iter().zip(full.samples[0].regions.iter()) {
             assert_eq!((r.left, r.right, r.strand), (rf.left, rf.right, rf.strand));
             assert_eq!(r.values, [Value::Null, rf.values[2].clone()]);
         }
@@ -2356,7 +2356,7 @@ mod tests {
             admit_all,
         )
         .unwrap();
-        for (r, rf) in got.samples[0].regions.iter().zip(&full.samples[0].regions) {
+        for (r, rf) in got.samples[0].regions.iter().zip(full.samples[0].regions.iter()) {
             assert_eq!(r.values.len(), 2);
             assert_eq!(
                 (&r.values[1], r.values[0].is_null()),

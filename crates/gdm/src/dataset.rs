@@ -30,7 +30,7 @@ impl Dataset {
 
     /// Add a sample after validating its rows against the schema.
     pub fn add_sample(&mut self, sample: Sample) -> Result<(), GdmError> {
-        for region in &sample.regions {
+        for region in sample.regions.iter() {
             self.schema.check_row(&region.values)?;
         }
         self.samples.push(sample);
@@ -54,7 +54,7 @@ impl Dataset {
             if !s.is_sorted() {
                 return Err(GdmError::UnsortedSample(s.name.clone()));
             }
-            for region in &s.regions {
+            for region in s.regions.iter() {
                 self.schema.check_row(&region.values).map_err(|e| match e {
                     GdmError::ArityMismatch { expected, got } => GdmError::SampleSchemaMismatch {
                         sample: s.name.clone(),
@@ -169,7 +169,7 @@ mod tests {
     fn validate_detects_unsorted() {
         let mut ds = Dataset::new("D", peaks_schema());
         let mut s = Sample::new("s", "D");
-        s.regions = vec![peak("chr2", 0, 5, 0.1), peak("chr1", 0, 5, 0.1)]; // not sorted
+        s.regions = vec![peak("chr2", 0, 5, 0.1), peak("chr1", 0, 5, 0.1)].into(); // not sorted
         ds.samples.push(s);
         assert!(matches!(ds.validate(), Err(GdmError::UnsortedSample(_))));
     }
@@ -178,7 +178,7 @@ mod tests {
     fn validate_reports_schema_mismatch_with_sample() {
         let mut ds = Dataset::new("D", peaks_schema());
         let mut s = Sample::new("s", "D");
-        s.regions = vec![GRegion::new("chr1", 0, 5, Strand::Pos)]; // arity 0 != 1
+        s.regions = vec![GRegion::new("chr1", 0, 5, Strand::Pos)].into(); // arity 0 != 1
         ds.samples.push(s);
         match ds.validate() {
             Err(GdmError::SampleSchemaMismatch { sample, .. }) => assert_eq!(sample, "s"),

@@ -2,7 +2,11 @@
 //!
 //! The sample ID provides the many-to-many connection between regions and
 //! metadata of one experimental sample (paper §2, Figure 2). A sample owns
-//! its regions (kept in genome order), its metadata, and its provenance.
+//! its metadata and its provenance; its regions (kept in genome order) sit
+//! in a buffer shared copy-on-write, so an operator that keeps a sample's
+//! regions exactly hands the buffer on with a reference-count bump, and
+//! one that changes them edits in place only when it holds the buffer
+//! alone ([`Sample::regions_mut`]).
 
 use crate::metadata::Metadata;
 use crate::provenance::Provenance;
@@ -39,8 +43,10 @@ pub struct Sample {
     /// Human-readable name (file stem for loaded samples).
     pub name: String,
     /// Regions in genome order (enforced by [`Sample::sort_regions`] and
-    /// checked by [`Sample::is_sorted`]).
-    pub regions: Vec<GRegion>,
+    /// checked by [`Sample::is_sorted`]), shared copy-on-write: cloning a
+    /// sample shares the buffer, and every write goes through
+    /// [`Arc::get_mut`] or [`Arc::make_mut`] (see [`Sample::regions_mut`]).
+    pub regions: Arc<Vec<GRegion>>,
     /// Region-invariant metadata of the sample.
     pub metadata: Metadata,
     /// Lineage of the sample.
@@ -55,7 +61,7 @@ impl Sample {
             id: SampleId::fresh(),
             provenance: Provenance::source(dataset, name.clone()),
             name,
-            regions: Vec::new(),
+            regions: Arc::default(),
             metadata: Metadata::new(),
         }
     }
@@ -65,7 +71,7 @@ impl Sample {
         Sample {
             id: SampleId::fresh(),
             name: name.into(),
-            regions: Vec::new(),
+            regions: Arc::default(),
             metadata: Metadata::new(),
             provenance,
         }
@@ -73,9 +79,17 @@ impl Sample {
 
     /// Builder: attach regions (sorted on insertion).
     pub fn with_regions(mut self, regions: Vec<GRegion>) -> Sample {
-        self.regions = regions;
+        self.regions = Arc::new(regions);
         self.sort_regions();
         self
+    }
+
+    /// The regions for writing: in place when this sample holds its
+    /// buffer alone, else on a private copy of it (copy-on-write). An
+    /// operator that keeps only some regions of a shared buffer should
+    /// copy those instead of calling this and filtering the copy.
+    pub fn regions_mut(&mut self) -> &mut Vec<GRegion> {
+        Arc::make_mut(&mut self.regions)
     }
 
     /// Builder: attach metadata.
@@ -86,8 +100,11 @@ impl Sample {
 
     /// Sort regions into genome order (stable, so attribute order among
     /// coordinate ties is preserved).
+    /// A buffer already in order is left as it is, shared or not.
     pub fn sort_regions(&mut self) {
-        self.regions.sort_by(|a, b| a.cmp_coords(b));
+        if !self.is_sorted() {
+            self.regions_mut().sort_by(|a, b| a.cmp_coords(b));
+        }
     }
 
     /// True when regions are in genome order.
@@ -284,6 +301,31 @@ mod tests {
         assert_eq!(s.region_count(), 2);
         assert_eq!(s.total_region_length(), 30);
         assert!(s.encoded_size() > 0);
+    }
+
+    #[test]
+    fn a_clone_shares_its_regions_until_one_side_writes() {
+        let original =
+            Sample::new("s", "D").with_regions(vec![r("chr1", 0, 10), r("chr1", 20, 30)]);
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&original.regions, &copy.regions), "a clone bumps a count");
+        copy.regions_mut().retain(|g| g.left > 0);
+        assert!(!Arc::ptr_eq(&original.regions, &copy.regions), "a write copies first");
+        assert_eq!(copy.region_count(), 1);
+        assert_eq!(original.region_count(), 2, "the original is as it was");
+        assert_eq!((original.regions[0].left, original.regions[1].left), (0, 20));
+        // Held alone, the buffer is written where it is.
+        let at = Arc::as_ptr(&copy.regions);
+        copy.regions_mut().clear();
+        assert_eq!(Arc::as_ptr(&copy.regions), at);
+    }
+
+    #[test]
+    fn sorting_a_sorted_shared_buffer_leaves_it_shared() {
+        let original = Sample::new("s", "D").with_regions(vec![r("chr1", 5, 9), r("chr1", 0, 4)]);
+        let mut copy = original.clone();
+        copy.sort_regions();
+        assert!(Arc::ptr_eq(&original.regions, &copy.regions));
     }
 
     #[test]

@@ -519,9 +519,9 @@ impl Repository {
     /// This repository without its in-memory dataset cache: nothing a
     /// save writes or a full read loads is kept, so a reader owns the only
     /// handle to what it loaded. For a process that reads each dataset
-    /// once and exits, where a cached copy would only be paid for — a
-    /// deep copy on every save, and an operator copying a shared input it
-    /// could otherwise rewrite in place.
+    /// once and exits, where a cached copy would only be paid for: an
+    /// operator would copy survivors out of region buffers it shares with
+    /// the cache instead of rewriting them in place.
     pub fn without_dataset_cache(mut self) -> Repository {
         self.cache = Mutex::new(DatasetCache::none());
         self

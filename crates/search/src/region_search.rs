@@ -62,13 +62,13 @@ pub fn compute_features(
     for feature in &spec.features {
         match feature {
             Feature::Length => {
-                for (row, r) in rows.iter_mut().zip(&candidates.regions) {
+                for (row, r) in rows.iter_mut().zip(candidates.regions.iter()) {
                     row.push(r.len() as f64);
                 }
             }
             Feature::Attribute(name) => {
                 let pos = dataset.schema.position(name);
-                for (row, r) in rows.iter_mut().zip(&candidates.regions) {
+                for (row, r) in rows.iter_mut().zip(candidates.regions.iter()) {
                     let v =
                         pos.and_then(|p| r.values.get(p)).and_then(|v| v.as_f64()).unwrap_or(0.0);
                     row.push(v);
@@ -76,7 +76,7 @@ pub fn compute_features(
             }
             Feature::OverlapCount(ref_name) => {
                 let reference = references.iter().find(|s| &s.name == ref_name);
-                for (row, r) in rows.iter_mut().zip(&candidates.regions) {
+                for (row, r) in rows.iter_mut().zip(candidates.regions.iter()) {
                     let count = reference
                         .map(|s| s.chrom_slice(&r.chrom).iter().filter(|x| x.overlaps(r)).count())
                         .unwrap_or(0);
@@ -84,7 +84,7 @@ pub fn compute_features(
                 }
             }
             Feature::RelativePosition => {
-                for (row, r) in rows.iter_mut().zip(&candidates.regions) {
+                for (row, r) in rows.iter_mut().zip(candidates.regions.iter()) {
                     let rel = chrom_lens(&r.chrom)
                         .filter(|&l| l > 0)
                         .map(|l| r.midpoint() as f64 / l as f64)

@@ -502,7 +502,7 @@ fn query_reply(report: &QueryReport, head: usize) -> ServerReply {
 fn summarize(name: &str, ds: &Dataset, head: usize) -> OutputSummary {
     let mut rows = Vec::new();
     'outer: for s in &ds.samples {
-        for r in &s.regions {
+        for r in s.regions.iter() {
             if rows.len() >= head {
                 break 'outer;
             }

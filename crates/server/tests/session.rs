@@ -8,6 +8,10 @@
 //! one. Only the first of them plans the script; the other eleven
 //! reuse its prepared plan.
 //!
+//! Operators share the region buffers of the resident fixtures
+//! copy-on-write, so after all of it each fixture must still encode to
+//! the bytes it had before the first script ran.
+//!
 //! Then the prepared plans' validity: a repeated text reuses its plan,
 //! a source saved again forces a new one, and a text that did not
 //! compile is not kept.
@@ -17,12 +21,14 @@ mod corpus;
 
 use nggc_core::{fingerprint, CacheOutcome, GovernorLimits, ResultCache};
 use nggc_engine::ExecContext;
+use nggc_formats::native_v2::encode_dataset_v2;
 use nggc_gdm::{Attribute, Dataset, GRegion, Sample, Schema, Strand, Value, ValueType};
 use nggc_repository::{Repository, ResultStore};
 use nggc_server::{Planning, QueryReport, Request, RunError, Session, Tier};
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Everything an output holds that a result tier must give back: names,
 /// schema, sample metadata and every region with its values.
@@ -37,7 +43,7 @@ fn content(outputs: &HashMap<String, Dataset>) -> String {
             let meta: Vec<String> =
                 sample.metadata.iter().map(|(k, v)| format!("{k}={v}")).collect();
             out.push_str(&format!("  {} [{}]\n", sample.name, meta.join(", ")));
-            for region in &sample.regions {
+            for region in sample.regions.iter() {
                 out.push_str(&format!("    {region}\n"));
             }
         }
@@ -103,6 +109,16 @@ fn every_script_is_the_same_through_every_tier_cold_and_warm() {
     let repo = Repository::open(&root).unwrap();
     let session = Session::new(repo, ExecContext::with_workers(2), "test", None);
     let mut reference = HashMap::new();
+    // The fixtures, resident, and their bytes: operators share these
+    // buffers, so the bytes must be the same after every script ran.
+    let resident: Vec<(Arc<Dataset>, Vec<u8>)> = corpus::fixture_datasets()
+        .iter()
+        .map(|d| {
+            let loaded = session.repo.load(&d.name).unwrap();
+            let bytes = encode_dataset_v2(&loaded).unwrap();
+            (loaded, bytes)
+        })
+        .collect();
 
     // Alone: every miss runs with the whole pool.
     let with_company = nggc_obs::global().counter("nggc_exec_with_company_total");
@@ -136,6 +152,11 @@ fn every_script_is_the_same_through_every_tier_cold_and_warm() {
         assert!(companion.join().unwrap());
     });
     assert!(with_company.get() > 0, "a request in company runs at a fair width");
+    // No operator wrote into a buffer it shared with a resident dataset.
+    for (dataset, bytes) in &resident {
+        assert!(session.repo.resident_bytes(&dataset.name, dataset).is_some(), "{}", dataset.name);
+        assert_eq!(&encode_dataset_v2(dataset).unwrap(), bytes, "{} was written", dataset.name);
+    }
     std::fs::remove_dir_all(&root).ok();
 }
 

@@ -468,7 +468,7 @@ mod tests {
         let study = generate_replication_study(&genome, &Default::default());
         let control = &study.expression.samples[0];
         let induced = &study.expression.samples[1];
-        for (c, i) in control.regions.iter().zip(&induced.regions) {
+        for (c, i) in control.regions.iter().zip(induced.regions.iter()) {
             let name = c.values[0].as_str().unwrap();
             let fold = c.values[1].as_f64().unwrap() / i.values[1].as_f64().unwrap();
             if study.disregulated.contains(&name.to_string()) {

@@ -167,7 +167,7 @@ mod tests {
     fn regions_within_chromosomes() {
         let (g, ds) = small();
         for s in &ds.samples {
-            for r in &s.regions {
+            for r in s.regions.iter() {
                 let len = g.len_of(&r.chrom).unwrap();
                 assert!(r.right <= len, "{} exceeds {}", r, len);
                 assert!(r.left < r.right);

@@ -68,7 +68,7 @@ fn main() {
     let count_pos = result.schema.position("mutation_count").unwrap();
     for s in &result.samples {
         let mut seen_coords: BTreeSet<(String, u64, u64)> = BTreeSet::new();
-        for r in &s.regions {
+        for r in s.regions.iter() {
             if let Some(g) = r.values[gene_pos].as_str() {
                 candidates.insert(g.to_owned());
             }

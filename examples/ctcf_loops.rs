@@ -75,7 +75,7 @@ fn main() {
     let loop_pos = pairs.schema.position("left.eloop").expect("loop attribute");
     let mut candidate_pairs: BTreeSet<(String, String)> = BTreeSet::new();
     for s in &pairs.samples {
-        for r in &s.regions {
+        for r in s.regions.iter() {
             if let (Some(lp), Some(g)) = (r.values[loop_pos].as_str(), r.values[gene_pos].as_str())
             {
                 candidate_pairs.insert((lp.to_owned(), g.to_owned()));

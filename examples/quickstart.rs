@@ -63,7 +63,7 @@ fn main() {
     println!("{}", peaks.stats());
     for s in &peaks.samples {
         println!("  {} ({} regions)", s.name, s.region_count());
-        for r in &s.regions {
+        for r in s.regions.iter() {
             println!("    {r}");
         }
     }
@@ -116,7 +116,7 @@ fn main() {
     println!("== RESULT: one sample per (reference, experiment) pair ==");
     for s in &result.samples {
         println!("  {}", s.name);
-        for r in &s.regions {
+        for r in s.regions.iter() {
             println!("    {r}");
         }
         println!("    provenance:\n{}", indent(&s.provenance.to_string(), 6));

@@ -495,10 +495,22 @@ fn one_shot_queries_build_and_copy_only_what_they_keep() {
     assert_eq!(counter(&full, "nggc_repo_loads_total"), 1, "{full}");
     assert_eq!(counter(&full, "nggc_scan_pruned_total"), 0, "a full read: {full}");
     assert_eq!(counter(&full, "nggc_exec_regions_cloned_total"), 0, "{full}");
-    // A second consumer still has to be served: the first SELECT copies.
-    let two = "X = SELECT(region: left >= 0) PEAKS; Y = SELECT(region: right >= 0) PEAKS; \
-               MATERIALIZE X; MATERIALIZE Y;";
-    assert_eq!(counter(&stats(two), "nggc_exec_regions_cloned_total"), 5);
+    // A second consumer still has to be served: the first SELECT shares
+    // the buffer when it keeps every region...
+    let two = stats(
+        "X = SELECT(region: left >= 0) PEAKS; Y = SELECT(region: right >= 0) PEAKS; \
+         MATERIALIZE X; MATERIALIZE Y;",
+    );
+    assert_eq!(counter(&two, "nggc_exec_regions_cloned_total"), 0, "{two}");
+    assert_eq!(counter(&two, "nggc_exec_samples_shared_total"), 2, "{two}");
+    // ...and copies its survivors when it does not; the second, left
+    // alone with the buffer, filters it in place.
+    let two = stats(
+        "X = SELECT(region: left >= 200) PEAKS; Y = SELECT(region: right >= 0) PEAKS; \
+         MATERIALIZE X; MATERIALIZE Y;",
+    );
+    assert_eq!(counter(&two, "nggc_exec_regions_cloned_total"), 3, "{two}");
+    assert_eq!(counter(&two, "nggc_exec_samples_shared_total"), 0, "{two}");
 
     // chr2 has two regions; the window keeps the one starting at 450.
     let chr2 = stats("X = SELECT(region: chr == 'chr2') PEAKS; MATERIALIZE X;");

@@ -77,10 +77,10 @@ fn distal_peaks_excludes_overlaps() {
              MATERIALIZE REFS;",
         )
         .unwrap();
-    let prom_regions: Vec<nggc::gdm::GRegion> = proms["REFS"].samples[0].regions.clone();
+    let prom_regions: Vec<nggc::gdm::GRegion> = proms["REFS"].samples[0].regions.to_vec();
     let mut emitted = 0;
     for s in &near.samples {
-        for r in &s.regions {
+        for r in s.regions.iter() {
             emitted += 1;
             let qualifies = prom_regions
                 .iter()

@@ -272,7 +272,7 @@ proptest! {
         let out = engine.run("M = MAP(n AS COUNT) R E; MATERIALIZE M;").unwrap();
         let m = &out["M"];
         prop_assert_eq!(m.sample_count(), 1);
-        for region in &m.samples[0].regions {
+        for region in m.samples[0].regions.iter() {
             let expected = exps
                 .iter()
                 .filter(|e| {
@@ -327,7 +327,7 @@ proptest! {
         let summit = run("X = SUMMIT(1, ANY) P; MATERIALIZE X;");
 
         let bp = |d: &Dataset| -> u64 {
-            d.samples.iter().flat_map(|s| &s.regions).map(|r| r.len()).sum()
+            d.samples.iter().flat_map(|s| s.regions.iter()).map(|r| r.len()).sum()
         };
         // Coverage ground truth from the kernel.
         let ivals: Vec<(u64, u64)> = samples
@@ -350,7 +350,7 @@ proptest! {
             .iter()
             .map(|r| (r.left, r.right))
             .collect();
-        for r in &summit.samples[0].regions {
+        for r in summit.samples[0].regions.iter() {
             prop_assert!(hist_regions.contains(&(r.left, r.right)), "summit ⊆ histogram");
         }
     }
@@ -1037,7 +1037,7 @@ proptest! {
             let mut s = format!("{}|{}", ds.name, ds.schema);
             for smp in &ds.samples {
                 s.push_str(&format!("\n{}|{:?}", smp.name, smp.metadata));
-                for r in &smp.regions {
+                for r in smp.regions.iter() {
                     s.push_str(&format!(
                         "\n  {} {} {} {:?} {:?}",
                         r.chrom, r.left, r.right, r.strand, r.values
@@ -1236,7 +1236,7 @@ proptest! {
                 s.push_str(&format!("{name}|{}\n", ds.schema));
                 for smp in &ds.samples {
                     s.push_str(&format!("{}|{:?}\n", smp.name, smp.metadata));
-                    for r in &smp.regions {
+                    for r in smp.regions.iter() {
                         s.push_str(&format!(
                             "  {} {} {} {:?} {:?}\n",
                             r.chrom, r.left, r.right, r.strand, r.values
