@@ -5,7 +5,9 @@
 //! full-data-transmission practice. This binary quantifies that on a
 //! three-node federation at growing data sizes: bytes moved and wall
 //! time for both strategies, plus the cost of remote compilation with
-//! size estimates (which moves only protocol-sized messages).
+//! size estimates (which moves only protocol-sized messages). Both
+//! strategies ship datasets as v2 containers, so `data_B/region` is the
+//! container's density: ship-data's bytes over the regions it fetched.
 //!
 //! Usage: `exp_federation [samples_per_node]` (default 8).
 
@@ -28,16 +30,19 @@ fn main() {
     println!("== E7: ship-query vs ship-data over a 3-node federation ==\n");
 
     let mut table = Table::new(&[
-        "peaks/node",
+        "polimi_peaks",
         "query_bytes",
         "data_bytes",
         "byte_ratio",
+        "data_B/region",
         "query_time",
         "data_time",
     ]);
     for mean_peaks in [500.0, 2_000.0, 8_000.0] {
         let mut federation = Federation::new();
-        let mut node_peaks = 0;
+        // polimi is the node both strategies talk to: its peaks, and the
+        // regions ship-data fetches from it (ENCODE and ANNOTATIONS).
+        let (mut polimi_peaks, mut fetched_regions) = (0, 0);
         for (i, id) in ["polimi", "broad", "sanger"].iter().enumerate() {
             let mut node = FederationNode::new(*id, 2);
             let mut encode = generate_encode(
@@ -50,13 +55,16 @@ fn main() {
                 },
             );
             encode.name = "ENCODE".into();
-            node_peaks = encode.region_count();
+            let peaks = encode.region_count();
             node.own(encode);
             let (mut ann, _) = generate_annotations(
                 &genome,
                 &AnnotationConfig { genes: 200, seed: 77, ..Default::default() },
             );
             ann.name = "ANNOTATIONS".into();
+            if i == 0 {
+                (polimi_peaks, fetched_regions) = (peaks, peaks + ann.region_count());
+            }
             node.own(ann);
             federation.add_node(node);
         }
@@ -76,12 +84,18 @@ fn main() {
             .expect("ship-data");
         let d_time = t0.elapsed();
 
-        assert_eq!(q_out["HOT"].region_count(), d_out["HOT"].region_count());
+        let (q_hot, d_hot) = (&q_out["HOT"], &d_out["HOT"]);
+        assert_eq!(q_hot.sample_count(), d_hot.sample_count());
+        for (q, d) in q_hot.samples.iter().zip(&d_hot.samples) {
+            assert_eq!(q.regions, d.regions, "both strategies give the same regions");
+            assert_eq!(q.metadata, d.metadata, "both strategies give the same metadata");
+        }
         table.row(&[
-            node_peaks.to_string(),
+            polimi_peaks.to_string(),
             human_bytes(q_log.total()),
             human_bytes(d_log.total()),
             format!("{:.1}x", d_log.total() as f64 / q_log.total().max(1) as f64),
+            format!("{:.1}", d_log.total() as f64 / fetched_regions as f64),
             format!("{q_time:.2?}"),
             format!("{d_time:.2?}"),
         ]);

@@ -394,17 +394,6 @@ impl WorkerPool {
         out
     }
 
-    /// Parallel map over a borrowed slice (convenience over
-    /// [`WorkerPool::parallel_map`]).
-    pub fn parallel_map_slice<'a, T, R, F>(&self, items: &'a [T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&'a T) -> R + Sync,
-    {
-        self.parallel_map(items.iter().collect(), f)
-    }
-
     /// Fallible [`parallel_map`](WorkerPool::parallel_map) with
     /// **fail-fast abort**: the first `Err` sets an abort flag, and
     /// still-queued items are skipped instead of executed. Items already
@@ -591,7 +580,7 @@ mod tests {
     fn borrows_are_allowed() {
         let pool = WorkerPool::new(4);
         let data: Vec<String> = (0..100).map(|i| format!("item{i}")).collect();
-        let lens = pool.parallel_map_slice(&data, |s| s.len());
+        let lens = pool.parallel_map(data.iter().collect(), |s: &String| s.len());
         assert_eq!(lens[0], 5);
         assert_eq!(lens[99], 6);
     }

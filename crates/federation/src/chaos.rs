@@ -119,8 +119,8 @@ impl ChaosNode {
 
     fn garble(response: Response) -> Response {
         match response {
-            // Flip a byte mid-payload: the framing survives transport but
-            // `decode_staged` rejects the corrupted body.
+            // Flip a byte mid-payload: its container's checksum rejects
+            // it (the frame does, if the byte was a length prefix).
             Response::Chunk { ticket, index, mut data, last } => {
                 if data.is_empty() {
                     data.push(0xFF);

@@ -22,6 +22,7 @@ use crate::protocol::{
 use crossbeam_channel::{unbounded, RecvTimeoutError, Sender};
 use nggc_core::{GmqlEngine, QueryGovernor};
 use nggc_gdm::Dataset;
+use nggc_repository::{decode_dataset_v2, encode_dataset_v2};
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::thread::JoinHandle;
@@ -275,6 +276,7 @@ impl Federation {
             .id()
             .map(|id| TraceHeader { trace_id: nggc_obs::current_trace_id(), parent_span: id });
         let retry_budget = if request.is_idempotent() { policy.max_retries } else { 0 };
+        let sent = request.wire_size();
         loop {
             reg.counter_with("nggc_fed_requests_total", &[("node", node_id), ("kind", kind)]).inc();
             let t0 = std::time::Instant::now();
@@ -294,11 +296,15 @@ impl Federation {
                         }
                     }
                 };
+            // The request crossed the wire whether or not a response came
+            // back; keep the accounting truthful.
+            let received = outcome.as_ref().map_or(0, |(response, _)| response.wire_size());
+            log.record(sent, received);
+            reg.counter_with("nggc_fed_bytes_sent_total", &[("node", node_id)]).add(sent as u64);
             match outcome {
                 Ok((response, spans)) => {
                     reg.histogram_with("nggc_fed_request_ns", &[("node", node_id)])
                         .record_duration(t0.elapsed());
-                    log.record(&request, &response);
                     // Stitch the node's spans into the coordinator's
                     // trace, tagging each with its origin node. A node
                     // that shipped nothing (e.g. one that answered after
@@ -315,10 +321,8 @@ impl Federation {
                         }
                     }
                     call_span.field("attempts", *retries + 1);
-                    reg.counter_with("nggc_fed_bytes_sent_total", &[("node", node_id)])
-                        .add(request.wire_size() as u64);
                     reg.counter_with("nggc_fed_bytes_received_total", &[("node", node_id)])
-                        .add(response.wire_size() as u64);
+                        .add(received as u64);
                     // The transport worked even if the answer is an
                     // application error — the breaker only tracks
                     // transport health.
@@ -337,12 +341,6 @@ impl Federation {
                         "node_down"
                     });
                     self.breaker_failure(node_id);
-                    // The request bytes crossed the wire even though no
-                    // response came back; keep the accounting truthful.
-                    log.requests += 1;
-                    log.bytes_sent += request.wire_size();
-                    reg.counter_with("nggc_fed_bytes_sent_total", &[("node", node_id)])
-                        .add(request.wire_size() as u64);
                     if *retries >= retry_budget || !self.breaker_admit(node_id) {
                         return Err(err);
                     }
@@ -537,8 +535,8 @@ impl Federation {
         chunk_bytes: usize,
     ) -> Result<(HashMap<String, Dataset>, TransferLog), FederationError> {
         let mut log = TransferLog::default();
-        let data = serde_json::to_vec(upload)
-            .map_err(|e| FederationError::Protocol(format!("serialising upload: {e}")))?;
+        let data = encode_dataset_v2(upload)
+            .map_err(|e| FederationError::Protocol(format!("encoding upload: {e}")))?;
         self.call(node_id, Request::Upload { name: upload.name.clone(), data }, &mut log)?;
         // Run the query straight into the shared log so the transfer
         // accounting of a *failed* query is still merged; always attempt
@@ -569,7 +567,7 @@ impl Federation {
                 &mut log,
             )? {
                 Response::WholeDataset { data } => {
-                    let ds: Dataset = serde_json::from_slice(&data).map_err(|e| {
+                    let ds = decode_dataset_v2(&data).map_err(|e| {
                         FederationError::Protocol(format!("bad dataset payload: {e}"))
                     })?;
                     engine.register(ds);
@@ -855,7 +853,10 @@ mod tests {
     #[test]
     fn chunked_retrieval_with_tiny_chunks() {
         let fed = federation();
-        let (out, log) = fed.ship_query("polimi", QUERY, 1024).unwrap();
+        // Every HeLa region: ~1.9 KB as containers, two 1 KiB chunks.
+        let (out, log) = fed
+            .ship_query("polimi", "X = SELECT(cell == 'HeLa') PEAKS; MATERIALIZE X;", 1024)
+            .unwrap();
         assert_eq!(out["X"].sample_count(), 3);
         assert!(log.requests > 3, "multiple chunk fetches: {}", log.requests);
     }
@@ -1065,6 +1066,27 @@ mod tests {
         assert_eq!(inventory.len(), 1, "the retry recovered");
         assert_eq!(health[0].retries, 1, "{health:?}");
         assert_eq!(health[0].status, NodeStatus::Degraded);
+    }
+
+    #[test]
+    fn the_transfer_log_and_the_byte_counters_agree() {
+        let _guard = registry_lock();
+        let mut fed = Federation::new();
+        let mut node = FederationNode::new("sized", 1);
+        node.own(peaks(3, 40));
+        fed.add_node(node);
+        let reg = nggc_obs::global();
+        let counter = |name| reg.counter_with(name, &[("node", "sized")]).get() as usize;
+        let (q_out, q_log) = fed.ship_query("sized", QUERY, 1024).unwrap();
+        let (d_out, d_log) = fed.ship_data("sized", &["PEAKS"], QUERY, 1).unwrap();
+        assert_eq!(q_out["X"].region_count(), d_out["X"].region_count());
+        let sent = q_log.bytes_sent + d_log.bytes_sent;
+        let received = q_log.bytes_received + d_log.bytes_received;
+        assert_eq!(counter("nggc_fed_bytes_sent_total"), sent);
+        assert_eq!(counter("nggc_fed_bytes_received_total"), received);
+        // Ship-data's one reply is a header plus the dataset's container.
+        let data = encode_dataset_v2(&peaks(3, 40)).unwrap();
+        assert_eq!(d_log.bytes_received, Response::WholeDataset { data }.wire_size());
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //! produced ... queries move from a requesting node to a remote node, are
 //! locally executed, and results are communicated back" (§4.4). A node
 //! wraps a [`GmqlEngine`] over its local datasets, compiles and executes
-//! incoming GMQL text, and stages serialized results for chunked
-//! retrieval so the requester stays "in control of staging resources and
-//! of communication load".
+//! incoming GMQL text, and stages its results as v2 containers for
+//! chunked retrieval so the requester stays "in control of staging
+//! resources and of communication load".
 
 use crate::protocol::{DatasetSummary, Request, Response, SizeEstimate};
 use nggc_core::GmqlEngine;
 use nggc_gdm::Dataset;
+use nggc_repository::{decode_dataset_v2, encode_dataset_v2};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -172,13 +173,12 @@ impl FederationNode {
                 outputs.sort();
                 let mut payload = Vec::new();
                 for name in &outputs {
-                    let bytes = match serde_json::to_vec(&results[name]) {
+                    // Frame: container length, container (which names
+                    // the output).
+                    let bytes = match encode_dataset_v2(&results[name]) {
                         Ok(b) => b,
                         Err(e) => return Response::Error(e.to_string()),
                     };
-                    // Frame: name length, name, body length, body.
-                    payload.extend((name.len() as u64).to_le_bytes());
-                    payload.extend(name.as_bytes());
                     payload.extend((bytes.len() as u64).to_le_bytes());
                     payload.extend(bytes);
                 }
@@ -211,7 +211,7 @@ impl FederationNode {
                 None => Response::Error(format!("unknown ticket {ticket}")),
             },
             Request::FetchDataset { name } => match self.engine.dataset(name) {
-                Some(d) => match serde_json::to_vec(d) {
+                Some(d) => match encode_dataset_v2(d) {
                     Ok(data) => Response::WholeDataset { data },
                     Err(e) => Response::Error(e.to_string()),
                 },
@@ -228,7 +228,7 @@ impl FederationNode {
                 if self.datasets.iter().any(|(n, _)| n == name) {
                     return Response::Error(format!("{name:?} collides with a repository dataset"));
                 }
-                match serde_json::from_slice::<Dataset>(data) {
+                match decode_dataset_v2(data) {
                     Ok(mut ds) => {
                         ds.name = name.clone();
                         if !self.uploads.contains(name) {
@@ -276,35 +276,23 @@ impl NodeService for FederationNode {
     }
 }
 
-/// Reassemble the framed payload of a staged result into named datasets.
+/// Reassemble the framed payload of a staged result into named
+/// datasets. A corrupt container fails its CRC check here.
 pub fn decode_staged(payload: &[u8]) -> Result<Vec<(String, Dataset)>, String> {
     let mut out = Vec::new();
-    let mut pos = 0;
-    while pos < payload.len() {
-        let take_u64 = |pos: &mut usize| -> Result<u64, String> {
-            let end = *pos + 8;
-            if end > payload.len() {
-                return Err("truncated frame header".to_owned());
-            }
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(&payload[*pos..end]);
-            *pos = end;
-            Ok(u64::from_le_bytes(buf))
+    let mut rest = payload;
+    while !rest.is_empty() {
+        let Some((len, body)) = rest.split_first_chunk::<8>() else {
+            return Err("truncated frame header".to_owned());
         };
-        let name_len = take_u64(&mut pos)? as usize;
-        if pos + name_len > payload.len() {
-            return Err("truncated name".to_owned());
-        }
-        let name = String::from_utf8_lossy(&payload[pos..pos + name_len]).into_owned();
-        pos += name_len;
-        let body_len = take_u64(&mut pos)? as usize;
-        if pos + body_len > payload.len() {
+        let len = u64::from_le_bytes(*len);
+        if len > body.len() as u64 {
             return Err("truncated body".to_owned());
         }
-        let dataset: Dataset =
-            serde_json::from_slice(&payload[pos..pos + body_len]).map_err(|e| e.to_string())?;
-        pos += body_len;
-        out.push((name, dataset));
+        let (container, next) = body.split_at(len as usize);
+        let dataset = decode_dataset_v2(container).map_err(|e| e.to_string())?;
+        rest = next;
+        out.push((dataset.name.clone(), dataset));
     }
     Ok(out)
 }
@@ -438,7 +426,7 @@ mod tests {
         let mut n = node();
         match n.handle(&Request::FetchDataset { name: "PEAKS".into() }) {
             Response::WholeDataset { data } => {
-                let ds: Dataset = serde_json::from_slice(&data).unwrap();
+                let ds = decode_dataset_v2(&data).unwrap();
                 assert_eq!(ds.sample_count(), 3);
             }
             other => panic!("{other:?}"),

@@ -9,6 +9,9 @@
 //! and of communication load." The three message families below map to
 //! those three bullets; results stream back in fixed-size chunks the
 //! client pulls at its own pace.
+//!
+//! A message is a JSON header; a dataset follows it as a v2 container
+//! (`encode_dataset_v2`), 8-byte length first, and is not part of it.
 
 use nggc_gdm::{DatasetStats, Schema};
 use serde::{Deserialize, Serialize};
@@ -61,7 +64,8 @@ pub enum Request {
     Upload {
         /// Temporary dataset name (queries reference it directly).
         name: String,
-        /// Serialized dataset.
+        /// The dataset as a v2 container.
+        #[serde(skip)]
         data: Vec<u8>,
     },
     /// Drop a previously uploaded user dataset.
@@ -95,7 +99,8 @@ pub struct SizeEstimate {
     pub samples: usize,
     /// Estimated regions.
     pub regions: usize,
-    /// Estimated serialized bytes.
+    /// Estimated size in the engine's encoded-size model, not the length
+    /// of the container that would carry the output.
     pub bytes: usize,
 }
 
@@ -130,14 +135,16 @@ pub enum Response {
         ticket: u64,
         /// Chunk index.
         index: usize,
-        /// Serialized payload bytes.
+        /// A byte range of the staged payload.
+        #[serde(skip)]
         data: Vec<u8>,
         /// True when this is the final chunk.
         last: bool,
     },
     /// A whole dataset (ship-data path).
     WholeDataset {
-        /// Serialized dataset.
+        /// The dataset as a v2 container.
+        #[serde(skip)]
         data: Vec<u8>,
     },
     /// Answer to Status.
@@ -153,10 +160,16 @@ pub enum Response {
     Error(String),
 }
 
+/// Bytes a message takes on the wire: its JSON header, then a payload's
+/// 8-byte length and the payload.
+fn framed_size(header: &impl Serialize, payload: Option<&Vec<u8>>) -> usize {
+    serde_json::to_vec(header).map_or(0, |v| v.len()) + payload.map_or(0, |d| 8 + d.len())
+}
+
 impl Request {
-    /// Serialized size of the message, for transfer accounting.
+    /// Size of the message on the wire, for transfer accounting.
     pub fn wire_size(&self) -> usize {
-        serde_json::to_vec(self).map(|v| v.len()).unwrap_or(0)
+        framed_size(self, if let Request::Upload { data, .. } = self { Some(data) } else { None })
     }
 
     /// Variant name, used as the `kind` label of federation metrics.
@@ -197,9 +210,12 @@ impl Request {
 }
 
 impl Response {
-    /// Serialized size of the message, for transfer accounting.
+    /// Size of the message on the wire, for transfer accounting.
     pub fn wire_size(&self) -> usize {
-        serde_json::to_vec(self).map(|v| v.len()).unwrap_or(0)
+        let (Response::Chunk { data, .. } | Response::WholeDataset { data }) = self else {
+            return framed_size(self, None);
+        };
+        framed_size(self, Some(data))
     }
 }
 
@@ -281,11 +297,11 @@ pub struct TransferLog {
 }
 
 impl TransferLog {
-    /// Record one request/response exchange.
-    pub fn record(&mut self, req: &Request, resp: &Response) {
+    /// Record one request and its reply (`received` = 0: none came back).
+    pub fn record(&mut self, sent: usize, received: usize) {
         self.requests += 1;
-        self.bytes_sent += req.wire_size();
-        self.bytes_received += resp.wire_size();
+        self.bytes_sent += sent;
+        self.bytes_received += received;
     }
 
     /// Total bytes moved in either direction.
@@ -336,9 +352,20 @@ mod tests {
         let mut log = TransferLog::default();
         let req = Request::ListDatasets;
         let resp = Response::Ok;
-        log.record(&req, &resp);
-        log.record(&req, &resp);
+        log.record(req.wire_size(), resp.wire_size());
+        log.record(req.wire_size(), resp.wire_size());
         assert_eq!(log.requests, 2);
         assert_eq!(log.total(), 2 * (req.wire_size() + resp.wire_size()));
+
+        // A payload counts at its length, after the header and its
+        // 8-byte length prefix.
+        let chunk = Response::Chunk { ticket: 7, index: 0, data: vec![0xAB; 1000], last: true };
+        let header = serde_json::to_vec(&chunk).unwrap().len();
+        assert!(header < 100, "the payload is not part of the {header}-byte header");
+        assert_eq!(chunk.wire_size(), header + 8 + 1000);
+        let before = log.bytes_received;
+        log.record(0, chunk.wire_size());
+        assert_eq!(log.bytes_received - before, header + 8 + 1000);
+        assert_eq!(log.requests, 3);
     }
 }

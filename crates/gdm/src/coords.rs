@@ -6,7 +6,6 @@
 //! free-form contig names, and the handle is one pointer wide so that it
 //! costs every region 8 bytes, not 16.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::fmt;
@@ -19,8 +18,7 @@ use std::sync::Arc;
 /// in every handle, as an `Arc<str>` would keep it. Ordering is *genome
 /// order*: `chr2 < chr10` (numeric-aware comparison of digit runs), which
 /// matches the ordering used by genome browsers and the GDM native format.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone)]
 pub struct Chrom(Arc<String>);
 
 impl Chrom {
@@ -175,7 +173,7 @@ impl ChromInterner {
 
 /// DNA strand of a region: `+`, `-`, or `*` when the region is unstranded
 /// (paper §2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Strand {
     /// Forward (`+`) strand.
     Pos,

@@ -5,7 +5,6 @@
 //! An attribute may carry *multiple* values for the same sample (e.g. two
 //! `antibody` entries), so the store is a multimap.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -14,14 +13,14 @@ use std::fmt;
 /// Attribute names are case-preserving; lookups are case-insensitive,
 /// matching the liberal practice of real repositories (paper §1 notes
 /// biologists are "very liberal" with metadata).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Metadata {
     // BTreeMap keyed by lowercase name for deterministic iteration order;
     // each entry keeps the original spelling alongside the values.
     entries: BTreeMap<String, MetaEntry>,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct MetaEntry {
     name: String,
     values: Vec<String>,

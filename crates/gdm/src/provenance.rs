@@ -8,7 +8,6 @@
 //! (dataset + sample name), inner nodes record the operator that produced
 //! the sample and its input lineages.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -17,7 +16,7 @@ use std::sync::Arc;
 ///
 /// Shared structurally via `Arc` so that wide query plans do not duplicate
 /// lineage trees per region.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Provenance {
     /// A sample loaded from a dataset.
     Source {

@@ -7,7 +7,6 @@
 
 use crate::coords::{genome_order, Chrom, Strand};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -16,7 +15,7 @@ use std::fmt;
 /// The attribute *names and types* live in the dataset
 /// [`Schema`](crate::schema::Schema); a region stores only the values, in
 /// schema order. This keeps per-region memory proportional to the data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GRegion {
     /// Chromosome the region belongs to.
     pub chrom: Chrom,

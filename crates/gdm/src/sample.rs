@@ -11,13 +11,12 @@
 use crate::metadata::Metadata;
 use crate::provenance::Provenance;
 use crate::region::GRegion;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Opaque sample identifier, unique within a process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SampleId(pub u64);
 
 static NEXT_SAMPLE_ID: AtomicU64 = AtomicU64::new(1);
@@ -36,7 +35,7 @@ impl std::fmt::Display for SampleId {
 }
 
 /// One experimental sample: regions + metadata + provenance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sample {
     /// Unique identifier.
     pub id: SampleId,

@@ -61,7 +61,7 @@ impl fmt::Display for ValueType {
 ///
 /// `Value` is intentionally small (24 bytes + string spill) because region
 /// files routinely carry tens of millions of rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Integer value.
     Int(i64),

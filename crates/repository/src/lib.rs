@@ -24,5 +24,7 @@ pub use durable::{CRASHPOINT_ENV, CRASH_SITES};
 pub use error::RepoError;
 pub use fsck::{fsck, FsckIssue, FsckOptions, FsckReport, IssueKind};
 pub use meta_index::{tokenize, MetaIndex, SampleRef};
-pub use nggc_formats::native_v2::{Materialize, ScanOptions, StorageVersion};
+pub use nggc_formats::native_v2::{
+    decode_dataset_v2, encode_dataset_v2, Materialize, ScanOptions, StorageVersion,
+};
 pub use result_store::ResultStore;

@@ -13,7 +13,7 @@ use nggc::federation::{
 use nggc::formats::native;
 use nggc::gdm::{Attribute, Dataset, GRegion, Metadata, Sample, Schema, Strand, ValueType};
 use nggc::gmql::{run_with_provider, ExecOptions, GmqlError};
-use nggc::repository::Repository;
+use nggc::repository::{encode_dataset_v2, Repository};
 use std::fs;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -111,10 +111,8 @@ fn repository_survives_deleted_dataset_directory() {
 fn truncated_federation_payload_rejected() {
     // A valid frame followed by garbage truncations.
     let ds = Dataset::new("X", Schema::empty());
-    let body = serde_json::to_vec(&ds).unwrap();
+    let body = encode_dataset_v2(&ds).unwrap();
     let mut payload = Vec::new();
-    payload.extend(1u64.to_le_bytes()); // name length
-    payload.extend(b"X");
     payload.extend((body.len() as u64).to_le_bytes());
     payload.extend(&body);
     assert_eq!(decode_staged(&payload).unwrap().len(), 1);
@@ -123,11 +121,13 @@ fn truncated_federation_payload_rejected() {
     assert!(decode_staged(&payload[..payload.len() - 3]).is_err());
     // Truncate mid-header.
     assert!(decode_staged(&payload[..4]).is_err());
-    // Corrupt the JSON body.
+    // Corrupt the container body (the byte before its CRC trailer): the
+    // checksum rejects it.
     let mut corrupt = payload.clone();
     let n = corrupt.len();
-    corrupt[n - 2] = b'!';
-    assert!(decode_staged(&corrupt).is_err());
+    corrupt[n - 5] ^= 0xA5;
+    let err = decode_staged(&corrupt).unwrap_err();
+    assert!(err.contains("checksum mismatch"), "{err}");
 }
 
 #[test]
@@ -359,7 +359,7 @@ fn upload_accounting_survives_query_failure() {
         assert!(matches!(err, FederationError::Remote(_)), "{err}");
 
         let upload_size =
-            Request::Upload { name: "MINE".to_owned(), data: serde_json::to_vec(&mine).unwrap() }
+            Request::Upload { name: "MINE".to_owned(), data: encode_dataset_v2(&mine).unwrap() }
                 .wire_size() as u64;
         assert!(
             sent() - sent_before >= upload_size,
@@ -555,7 +555,7 @@ fn cancel_during_federated_query_releases_staged_ticket() {
     with_watchdog("governor_fed_cancel", 120, || {
         let mut fed = Federation::with_policy(fast_policy());
         let mut node = FederationNode::new("gov-cancel", 1);
-        node.own(fed_dataset("GOVC", 3, 40));
+        node.own(fed_dataset("GOVC", 3, 400));
         // Every chunk fetch stalls 25 ms (within the per-call deadline),
         // stretching the streaming phase so the cancel lands mid-stream.
         fed.add_node(ChaosNode::new(

@@ -99,16 +99,3 @@ fn difference_lineage_records_negatives() {
     // explains why regions are ABSENT.
     assert!(sources.contains(&("GENES".to_string(), "ann".to_string())));
 }
-
-#[test]
-fn provenance_serializes_with_datasets() {
-    let engine = world();
-    let out = engine.run("H = SELECT(cell == 'HeLa') PEAKS; MATERIALIZE H;").unwrap();
-    let json = serde_json::to_string(&out["H"]).unwrap();
-    let back: Dataset = serde_json::from_str(&json).unwrap();
-    assert_eq!(back.samples[0].provenance.operator_chain(), vec!["SELECT".to_string()]);
-    assert_eq!(
-        back.samples[0].provenance.sources(),
-        vec![("PEAKS".to_string(), "rep1".to_string())]
-    );
-}
