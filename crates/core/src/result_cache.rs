@@ -19,6 +19,13 @@
 //! carve cache bytes lazily out of its server-wide memory pool — cached
 //! results and in-flight queries then compete for one budget, and the
 //! cache yields (evicts) when queries need headroom.
+//!
+//! An entry also has room for one **rendering** of itself: bytes a front
+//! end made from the outputs (serve's encoded reply rows), tagged with
+//! the `head` they were made for. A rendering is charged to its entry in
+//! the same bytes and budget, and goes wherever the entry goes: eviction,
+//! invalidation, replacement, `shrink`. A rendering for another `head`
+//! replaces it.
 
 use nggc_gdm::Dataset;
 use nggc_obs::{ByteLru, SingleFlight};
@@ -80,6 +87,20 @@ struct Entry {
     /// `(source dataset, generation at execution time)` — the validity
     /// condition of this entry.
     gens: Vec<(String, u64)>,
+    /// A front end's rendering of `outputs`, charged to this entry.
+    rendering: Option<Rendering>,
+}
+
+/// Opaque bytes a front end made from an entry's outputs for `head`.
+struct Rendering {
+    head: usize,
+    bytes: Arc<[u8]>,
+}
+
+impl Rendering {
+    fn len(&self) -> u64 {
+        self.bytes.len() as u64
+    }
 }
 
 impl Entry {
@@ -224,33 +245,94 @@ impl ResultCache {
         if let Some((_, replaced)) = inner.lru.remove(&key) {
             self.budget.release(replaced);
         }
-        // Make room in our own capacity (every evicted byte goes back to
-        // the budget it was reserved from)…
-        while inner.lru.bytes() + bytes > self.capacity_bytes {
+        if self.make_room(&mut inner, bytes, bytes) {
+            inner.lru.insert(key, Entry { outputs, gens, rendering: None }, bytes);
+            nggc_obs::global().counter("nggc_result_cache_insert_bytes_total").add(bytes);
+        }
+        let resident = inner.lru.bytes();
+        drop(inner);
+        self.settle(0, 0, resident);
+    }
+
+    /// Evict least recently used entries until `fits` more bytes fit in
+    /// the capacity (every evicted byte goes back to the budget it was
+    /// reserved from), then reserve `reserve` bytes from the budget,
+    /// evicting further while it refuses. `false` when the budget refuses
+    /// them even with the cache empty.
+    fn make_room(&self, inner: &mut Inner, fits: u64, reserve: u64) -> bool {
+        while inner.lru.bytes() + fits > self.capacity_bytes {
             let freed = inner.evict_lru();
             if freed == 0 {
                 break;
             }
             self.budget.release(freed);
         }
-        // …and in the external budget, evicting our own entries to free
-        // budget when the reservation fails.
-        let mut reserved = self.budget.reserve(bytes);
+        let mut reserved = self.budget.reserve(reserve);
         while !reserved {
             let freed = inner.evict_lru();
             if freed == 0 {
                 break;
             }
             self.budget.release(freed);
-            reserved = self.budget.reserve(bytes);
+            reserved = self.budget.reserve(reserve);
         }
-        if reserved {
-            inner.lru.insert(key, Entry { outputs, gens }, bytes);
-            nggc_obs::global().counter("nggc_result_cache_insert_bytes_total").add(bytes);
+        reserved
+    }
+
+    /// The rendering kept for `head` with the entry under `key`, when
+    /// that entry still holds `outputs` itself (not an equal copy).
+    /// Recency is left alone: the lookup that gave `outputs` moved it.
+    pub fn rendering(
+        &self,
+        key: u64,
+        outputs: &Arc<QueryOutputs>,
+        head: usize,
+    ) -> Option<Arc<[u8]>> {
+        let inner = self.inner();
+        let (entry, _) = inner.lru.peek(&key)?;
+        let rendering = entry.rendering.as_ref().filter(|r| r.head == head)?;
+        Arc::ptr_eq(&entry.outputs, outputs).then(|| Arc::clone(&rendering.bytes))
+    }
+
+    /// Keep `bytes`, a rendering of `outputs` for `head`, with the entry
+    /// under `key`, in place of any rendering it had, and charge them to
+    /// it: room is made and the budget reserved as [`ResultCache::insert`]
+    /// does. Nothing is kept when the entry is gone or holds other
+    /// outputs, or when the entry with its rendering would not fit in the
+    /// cache or the budget; the entry itself stays either way. Returns
+    /// whether the rendering was kept.
+    pub fn attach_rendering(
+        &self,
+        key: u64,
+        outputs: &Arc<QueryOutputs>,
+        head: usize,
+        bytes: Arc<[u8]>,
+    ) -> bool {
+        let mut inner = self.inner();
+        match inner.lru.peek(&key) {
+            Some((entry, _)) if Arc::ptr_eq(&entry.outputs, outputs) => {}
+            _ => return false,
         }
+        // The entry is out of the LRU while room is made, so it is never
+        // the one evicted; the rendering it had is dropped and released.
+        let (mut entry, charged) = inner.lru.remove(&key).expect("the entry was just seen");
+        let dropped = entry.rendering.take().map_or(0, |r| r.len());
+        let rendering = Rendering { head, bytes };
+        let base = charged - dropped;
+        let total = base + rendering.len();
+        let kept =
+            total <= self.capacity_bytes && self.make_room(&mut inner, total, rendering.len());
+        let charge = if kept {
+            entry.rendering = Some(rendering);
+            total
+        } else {
+            base
+        };
+        inner.lru.insert(key, entry, charge);
         let resident = inner.lru.bytes();
         drop(inner);
-        self.settle(0, 0, resident);
+        self.settle(dropped, 0, resident);
+        kept
     }
 
     /// Drop every entry whose validity depends on dataset `name`.
@@ -437,34 +519,37 @@ mod tests {
         assert_eq!(huge.stats().entries, 0);
     }
 
-    #[test]
-    fn external_budget_is_reserved_and_released() {
-        struct Pool {
-            capacity: u64,
-            used: AtomicU64,
-        }
-        impl CacheBudget for Pool {
-            fn reserve(&self, bytes: u64) -> bool {
-                let mut cur = self.used.load(Ordering::SeqCst);
-                loop {
-                    if cur + bytes > self.capacity {
-                        return false;
-                    }
-                    match self.used.compare_exchange(
-                        cur,
-                        cur + bytes,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    ) {
-                        Ok(_) => return true,
-                        Err(c) => cur = c,
-                    }
+    /// A budget of `capacity` bytes that counts what it has lent.
+    struct Pool {
+        capacity: u64,
+        used: AtomicU64,
+    }
+
+    impl CacheBudget for Pool {
+        fn reserve(&self, bytes: u64) -> bool {
+            let mut cur = self.used.load(Ordering::SeqCst);
+            loop {
+                if cur + bytes > self.capacity {
+                    return false;
+                }
+                match self.used.compare_exchange(
+                    cur,
+                    cur + bytes,
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                ) {
+                    Ok(_) => return true,
+                    Err(c) => cur = c,
                 }
             }
-            fn release(&self, bytes: u64) {
-                self.used.fetch_sub(bytes, Ordering::SeqCst);
-            }
         }
+        fn release(&self, bytes: u64) {
+            self.used.fetch_sub(bytes, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn external_budget_is_reserved_and_released() {
         let one = outputs("R", 4);
         let bytes: u64 = one.values().map(|d| d.encoded_size() as u64).sum();
         let pool = Arc::new(Pool { capacity: bytes + bytes / 2, used: AtomicU64::new(0) });
@@ -639,5 +724,121 @@ mod tests {
         // Shrinking an empty cache is a no-op.
         cache.clear();
         assert_eq!(cache.shrink(1024), 0);
+    }
+
+    /// The bytes `outputs("R", regions)` is charged.
+    fn charge(regions: usize) -> u64 {
+        outputs("R", regions).values().map(|d| d.encoded_size() as u64).sum()
+    }
+
+    /// A cache of `capacity` bytes over a [`Pool`] of `budget` bytes.
+    fn pooled(capacity: u64, budget: u64) -> (ResultCache, Arc<Pool>) {
+        let pool = Arc::new(Pool { capacity: budget, used: AtomicU64::new(0) });
+        (ResultCache::with_budget(capacity, Arc::clone(&pool) as Arc<dyn CacheBudget>), pool)
+    }
+
+    /// Insert `outputs("R", 4)` under `key`, depending on `source`; the
+    /// `Arc` the entry holds.
+    fn fill(cache: &ResultCache, key: u64, source: &str) -> Arc<QueryOutputs> {
+        let held = Arc::new(outputs("R", 4));
+        cache.insert(key, vec![(source.into(), 1)], Arc::clone(&held));
+        held
+    }
+
+    fn rendering(len: usize) -> Arc<[u8]> {
+        vec![b'x'; len].into()
+    }
+
+    #[test]
+    fn a_rendering_is_charged_to_its_entry_and_replaced_by_another_head() {
+        let bytes = charge(4);
+        let (cache, pool) = pooled(1 << 20, 1 << 20);
+        let held = fill(&cache, 1, "S");
+        let used = || pool.used.load(Ordering::SeqCst);
+        assert_eq!((cache.stats().bytes, used()), (bytes, bytes));
+
+        assert!(cache.attach_rendering(1, &held, 2, rendering(100)));
+        assert_eq!((cache.stats().bytes, used()), (bytes + 100, bytes + 100));
+        assert_eq!(cache.rendering(1, &held, 2).unwrap().len(), 100);
+        assert!(cache.rendering(1, &held, 5).is_none(), "kept for head 2 only");
+
+        // Another head replaces the rendering and re-charges the entry.
+        assert!(cache.attach_rendering(1, &held, 5, rendering(40)));
+        assert_eq!((cache.stats().bytes, used()), (bytes + 40, bytes + 40));
+        assert!(cache.rendering(1, &held, 2).is_none());
+        assert_eq!(cache.rendering(1, &held, 5).unwrap().len(), 40);
+        assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn renderings_go_back_to_the_budget_with_their_entries() {
+        let bytes = charge(4);
+        // Room for three entries with their renderings, not four.
+        let (cache, pool) = pooled(3 * (bytes + 64) + bytes / 2, 1 << 20);
+        let used = || pool.used.load(Ordering::SeqCst);
+        let held: Vec<Arc<QueryOutputs>> =
+            ["A", "B", "C"].iter().enumerate().map(|(k, s)| fill(&cache, k as u64, s)).collect();
+        for (k, h) in held.iter().enumerate() {
+            assert!(cache.attach_rendering(k as u64, h, 1, rendering(64)));
+        }
+        assert_eq!((cache.stats().bytes, used()), (3 * (bytes + 64), 3 * (bytes + 64)));
+
+        // Eviction: a fourth entry pushes out the least recent, rendering
+        // and all, and a big rendering of the fourth pushes out the next.
+        let fourth = fill(&cache, 3, "D");
+        assert_eq!((cache.stats().evictions, cache.stats().bytes), (1, 3 * bytes + 128));
+        let big = bytes / 2 + 100;
+        assert!(cache.attach_rendering(3, &fourth, 1, rendering(big as usize)));
+        let s = cache.stats();
+        assert_eq!((s.entries, s.evictions), (2, 2), "the rendering made room for itself");
+        assert_eq!((s.bytes, used()), (2 * bytes + 64 + big, 2 * bytes + 64 + big));
+        assert!(cache.rendering(0, &held[0], 1).is_none());
+
+        // Invalidation of one source, and a sweep of another.
+        cache.invalidate_dataset("C");
+        assert_eq!((cache.stats().bytes, used()), (bytes + big, bytes + big));
+        assert_eq!(cache.sweep_stale(&|name| (name != "D").then_some(1)), 1);
+        assert_eq!((cache.stats().bytes, used()), (0, 0));
+
+        // Shrinking everything.
+        for key in 0..3u64 {
+            let h = fill(&cache, key, "S");
+            assert!(cache.attach_rendering(key, &h, 7, rendering(10)));
+        }
+        assert_eq!(cache.shrink(u64::MAX), 3 * (bytes + 10));
+        assert_eq!((cache.stats().bytes, used()), (0, 0));
+    }
+
+    #[test]
+    fn a_rendering_of_outputs_the_entry_no_longer_holds_is_not_attached() {
+        let bytes = charge(4);
+        let (cache, pool) = pooled(1 << 20, 1 << 20);
+        let old = fill(&cache, 1, "S");
+        // Recomputed and replaced: an equal result in a new `Arc`.
+        let new = fill(&cache, 1, "S");
+        assert!(!cache.attach_rendering(1, &old, 2, rendering(100)));
+        assert!(!cache.attach_rendering(9, &old, 2, rendering(100)), "no entry at all");
+        assert_eq!((cache.stats().bytes, pool.used.load(Ordering::SeqCst)), (bytes, bytes));
+        assert!(cache.attach_rendering(1, &new, 2, rendering(100)));
+        assert!(cache.rendering(1, &old, 2).is_none(), "kept for the outputs it was made of");
+        assert!(cache.rendering(1, &new, 2).is_some());
+    }
+
+    #[test]
+    fn a_refused_reservation_keeps_nothing() {
+        let bytes = charge(4);
+        // The budget holds the entry and not a byte more.
+        let (cache, pool) = pooled(1 << 20, bytes);
+        let held = fill(&cache, 1, "S");
+        assert!(!cache.attach_rendering(1, &held, 2, rendering(100)));
+        assert!(cache.rendering(1, &held, 2).is_none());
+        assert_eq!((cache.stats().bytes, pool.used.load(Ordering::SeqCst)), (bytes, bytes));
+        assert!(cache.lookup(1, &gens_fixed(1)).is_some(), "the entry itself stays");
+        // Nor does one that would outgrow the cache's own capacity.
+        let (small, pool) = pooled(bytes + 10, 1 << 20);
+        let held = fill(&small, 1, "S");
+        assert!(!small.attach_rendering(1, &held, 2, rendering(100)));
+        assert_eq!((small.stats().bytes, pool.used.load(Ordering::SeqCst)), (bytes, bytes));
+        assert_eq!(small.stats().entries, 1);
     }
 }

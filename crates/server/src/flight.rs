@@ -224,6 +224,7 @@ mod tests {
             ),
             optimizer: OptimizerReport::default(),
             planning: crate::Planning::Prepared,
+            fingerprint: 0,
             metrics: Vec::new(),
             elapsed,
             trace_id: 7,

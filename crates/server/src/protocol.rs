@@ -119,8 +119,9 @@ pub struct OutputSummary {
     pub samples: usize,
     /// Regions across all samples.
     pub regions: usize,
-    /// Up to `head` rendered region rows
-    /// (`sample<TAB>chr<TAB>start<TAB>stop<TAB>strand<TAB>values`).
+    /// Up to `head` rendered region rows, in sample order: the sample
+    /// name, one TAB, then the region as `GRegion` displays it, e.g.
+    /// `S1<TAB>chr1:1000000-1000300(*)[12.34,3.2e-7]`.
     pub head: Vec<String>,
 }
 

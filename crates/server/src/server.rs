@@ -15,13 +15,13 @@
 use crate::admission::{Admission, AdmissionPermit, AdmitError, MemoryPool, MemoryReservation};
 use crate::flight::FlightRecorder;
 use crate::protocol::{
-    encode_frame, read_frame_timed, write_frame, ClientRequest, FrameRead, OutputSummary,
+    encode_frame, read_frame_timed, ClientRequest, FrameRead, FrameTooLarge, OutputSummary,
     ServeErrorKind, ServeStats, ServerReply, MAX_FRAME_BYTES,
 };
 use crate::session::{QueryReport, Request, RunError, Session, Tier};
-use nggc_core::{CacheBudget, GmqlError, GovernorLimits, ResultCache};
+use nggc_core::result_cache::QueryOutputs;
+use nggc_core::{CacheBudget, CacheOutcome, GmqlError, GovernorLimits, ResultCache};
 use nggc_engine::{CancelToken, ExecContext};
-use nggc_gdm::Dataset;
 use nggc_repository::Repository;
 use std::collections::HashMap;
 use std::io;
@@ -285,16 +285,13 @@ fn handle_connection(stream: TcpStream, shared: Arc<ServerShared>) {
         };
         let reply = match serde_json::from_slice::<ClientRequest>(&frame) {
             Ok(ClientRequest::Query { text, timeout_ms, max_memory, head, no_cache }) => {
-                let reply = run_query(&shared, &text, timeout_ms, max_memory, head, no_cache);
-                if send_reply(&mut writer, reply).is_err() {
-                    return;
-                }
-                continue;
+                run_query(&shared, &text, timeout_ms, max_memory, head, no_cache)
             }
             Ok(ClientRequest::Ping) => ServerReply::Pong {
                 inflight: shared.admission.inflight(),
                 queued: shared.admission.queued(),
-            },
+            }
+            .into(),
             Ok(ClientRequest::Stats) => {
                 let cache = shared.result_cache.as_ref();
                 let cs = cache.map(|c| c.stats()).unwrap_or_default();
@@ -317,54 +314,67 @@ fn handle_connection(stream: TcpStream, shared: Arc<ServerShared>) {
                         .counter("nggc_select_regions_scanned_total")
                         .get(),
                 })
+                .into()
             }
             Err(e) => ServerReply::Error {
                 kind: ServeErrorKind::BadRequest,
                 message: format!("malformed request: {e}"),
                 retry_after_ms: None,
-            },
+            }
+            .into(),
         };
-        if write_frame(&mut writer, &reply).is_err() {
+        if send_reply(&mut writer, reply).is_err() {
             return;
         }
     }
 }
 
-/// Write one reply frame. An oversized reply — a `Result` whose head
-/// rows outgrow [`MAX_FRAME_BYTES`] — degrades into a typed in-band
-/// [`ServeErrorKind::ResponseTooLarge`] with the head rows truncated
-/// away, so the client keeps a live socket and a real diagnosis instead
-/// of a torn-down connection mid-exchange.
-fn send_reply(writer: &mut (impl io::Write + ?Sized), reply: ServerReply) -> io::Result<()> {
-    let frame = match encode_frame(&reply) {
-        Ok(f) => f,
-        Err(too_large) => {
-            nggc_obs::global().counter("nggc_serve_oversized_replies_total").inc();
+/// One reply, encoded as its frame. A reply that outgrows
+/// [`MAX_FRAME_BYTES`] — a `Result` whose head rows do — is a typed
+/// in-band [`ServeErrorKind::ResponseTooLarge`] instead, with the head
+/// rows truncated away, so the client keeps a live socket and a real
+/// diagnosis rather than a torn-down connection mid-exchange.
+struct Frame(io::Result<Vec<u8>>);
+
+impl From<ServerReply> for Frame {
+    fn from(reply: ServerReply) -> Frame {
+        Frame(encode_frame(&reply).or_else(|too_large| {
             let detail = match &reply {
                 ServerReply::Result { outputs, .. } => {
-                    let regions: usize = outputs.iter().map(|o| o.regions).sum();
-                    format!(
-                        "{} outputs totalling {} regions (head rows omitted)",
-                        outputs.len(),
-                        regions
-                    )
+                    head_rows_omitted(outputs.len(), outputs.iter().map(|o| o.regions).sum())
                 }
                 _ => "reply omitted".to_owned(),
             };
-            let fallback = ServerReply::Error {
-                kind: ServeErrorKind::ResponseTooLarge,
-                message: format!(
-                    "reply of {} bytes exceeds the {MAX_FRAME_BYTES}-byte frame cap; {detail} — \
-                     retry with a smaller head",
-                    too_large.bytes
-                ),
-                retry_after_ms: None,
-            };
-            encode_frame(&fallback).map_err(|_| {
-                io::Error::new(io::ErrorKind::InvalidData, "fallback reply oversized")
-            })?
-        }
+            response_too_large(too_large, &detail)
+        }))
+    }
+}
+
+fn head_rows_omitted(outputs: usize, regions: usize) -> String {
+    format!("{outputs} outputs totalling {regions} regions (head rows omitted)")
+}
+
+/// The frame of the [`ServeErrorKind::ResponseTooLarge`] error a reply
+/// that outgrew the frame cap degrades into; `detail` says what was
+/// left out.
+fn response_too_large(too_large: FrameTooLarge, detail: &str) -> io::Result<Vec<u8>> {
+    nggc_obs::global().counter("nggc_serve_oversized_replies_total").inc();
+    let fallback = ServerReply::Error {
+        kind: ServeErrorKind::ResponseTooLarge,
+        message: format!(
+            "reply of {} bytes exceeds the {MAX_FRAME_BYTES}-byte frame cap; {detail} — \
+             retry with a smaller head",
+            too_large.bytes
+        ),
+        retry_after_ms: None,
     };
+    encode_frame(&fallback)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "fallback reply oversized"))
+}
+
+/// Write one reply frame.
+fn send_reply(writer: &mut (impl io::Write + ?Sized), reply: impl Into<Frame>) -> io::Result<()> {
+    let frame = reply.into().0?;
     writer.write_all(&frame)?;
     writer.flush()
 }
@@ -380,20 +390,18 @@ fn run_query(
     max_memory: Option<u64>,
     head: usize,
     no_cache: bool,
-) -> ServerReply {
+) -> Frame {
     let reg = nggc_obs::global();
     reg.counter("nggc_serve_requests_total").inc();
     shared.requests.fetch_add(1, Ordering::Relaxed);
     if shared.admission.is_shutting_down() {
-        return reject(shared, ServeErrorKind::ShuttingDown, "server is draining".into());
+        return reject(shared, ServeErrorKind::ShuttingDown, "server is draining".into()).into();
     }
 
     let t0 = Instant::now();
     let _trace = nggc_obs::TraceContext::new().enter();
-    let tier = match &shared.result_cache {
-        Some(cache) if !no_cache => Tier::Memory(cache),
-        _ => Tier::None,
-    };
+    let cache = shared.result_cache.as_ref().filter(|_| !no_cache);
+    let tier = cache.map_or(Tier::None, Tier::Memory);
     let request = Request {
         text,
         tier,
@@ -401,10 +409,10 @@ fn run_query(
         register: |token| ActiveGuard::register(shared, token),
     };
     let reply = match shared.session.run(request) {
-        Ok(report) => query_reply(&report, head),
-        Err(RunError::Parse(e)) => error_reply(ServeErrorKind::Parse, &e),
-        Err(RunError::Compile(e)) => error_reply(ServeErrorKind::Runtime, &e),
-        Err(RunError::Refused(reply)) => reply,
+        Ok(report) => query_reply(&report, head, cache),
+        Err(RunError::Parse(e)) => error_reply(ServeErrorKind::Parse, &e).into(),
+        Err(RunError::Compile(e)) => error_reply(ServeErrorKind::Runtime, &e).into(),
+        Err(RunError::Refused(reply)) => reply.into(),
     };
     reg.histogram("nggc_serve_request_ns").record_duration(t0.elapsed());
     reply
@@ -476,7 +484,17 @@ fn admit(
 /// The reply to a query that reached the result tier: its typed error,
 /// or a `Result` with outputs sorted by name and head rows bounded by the
 /// request, where anything not executed for this request is `cached`.
-fn query_reply(report: &QueryReport, head: usize) -> ServerReply {
+///
+/// Every `Result` frame is made here: byte for byte what [`encode_frame`]
+/// makes of [`ServerReply::Result`], written around its `outputs` array
+/// (serde's encoding of the [`OutputSummary`] list). A hit or a coalesced
+/// wait through `cache` takes that array from the cache entry when the
+/// entry still holds these very outputs rendered for `head`. Otherwise
+/// the array is rendered here, outside the cache lock, and a request
+/// through `cache` hands it to the entry to keep (docs/serving.md, "What
+/// a cache hit sends"). A rendering whose reply outgrows the frame cap
+/// is not kept.
+fn query_reply(report: &QueryReport, head: usize, cache: Option<&ResultCache>) -> Frame {
     let outputs = match &report.outputs {
         Ok(outputs) => outputs,
         Err(error) => {
@@ -486,35 +504,87 @@ fn query_reply(report: &QueryReport, head: usize) -> ServerReply {
                 GmqlError::MemoryExhausted { .. } => ServeErrorKind::MemoryExhausted,
                 _ => ServeErrorKind::Runtime,
             };
-            return error_reply(kind, error);
+            return error_reply(kind, error).into();
         }
     };
-    let mut names: Vec<&String> = outputs.keys().collect();
-    names.sort();
-    ServerReply::Result {
-        trace_id: report.trace_id,
-        elapsed_us: report.elapsed.as_micros() as u64,
-        outputs: names.iter().map(|n| summarize(n, &outputs[*n], head)).collect(),
-        cached: report.outcome != nggc_core::CacheOutcome::Miss,
-    }
+    let cached = report.outcome != CacheOutcome::Miss;
+    let envelope = |array: &[u8]| {
+        result_frame(report.trace_id, report.elapsed.as_micros() as u64, array, cached)
+    };
+    let reg = nggc_obs::global();
+    let key = report.fingerprint;
+    // A miss's outputs are new: no entry holds a rendering of them yet.
+    let kept = cache.filter(|_| cached).and_then(|cache| cache.rendering(key, outputs, head));
+    let frame = match kept {
+        Some(array) => {
+            reg.counter("nggc_serve_replies_reused_total").inc();
+            envelope(&array)
+        }
+        None => {
+            reg.counter("nggc_serve_replies_rendered_total").inc();
+            render(outputs, head).and_then(|array| {
+                let frame = envelope(&array)?;
+                if let Some(cache) = cache {
+                    cache.attach_rendering(key, outputs, head, array.into());
+                }
+                Ok(frame)
+            })
+        }
+    };
+    Frame(frame.or_else(|too_large| {
+        let regions = outputs.values().map(|ds| ds.region_count()).sum();
+        response_too_large(too_large, &head_rows_omitted(outputs.len(), regions))
+    }))
 }
 
-fn summarize(name: &str, ds: &Dataset, head: usize) -> OutputSummary {
-    let mut rows = Vec::new();
-    'outer: for s in &ds.samples {
-        for r in s.regions.iter() {
-            if rows.len() >= head {
-                break 'outer;
+/// The `outputs` array of a `Result` reply: one [`OutputSummary`] per
+/// output in name order, each with up to `head` rows, as serde encodes
+/// the list.
+fn render(outputs: &QueryOutputs, head: usize) -> Result<Vec<u8>, FrameTooLarge> {
+    let mut names: Vec<&String> = outputs.keys().collect();
+    names.sort();
+    let summaries: Vec<OutputSummary> = (names.into_iter())
+        .map(|name| {
+            let ds = &outputs[name];
+            let rows = (ds.samples.iter())
+                .flat_map(|s| s.regions.iter().map(move |r| format!("{}\t{r}", s.name)))
+                .take(head)
+                .collect();
+            OutputSummary {
+                name: name.clone(),
+                samples: ds.sample_count(),
+                regions: ds.region_count(),
+                head: rows,
             }
-            rows.push(format!("{}\t{r}", s.name));
-        }
+        })
+        .collect();
+    serde_json::to_vec(&summaries)
+        .map_err(|e| FrameTooLarge { bytes: 0, serde_error: Some(e.to_string()) })
+}
+
+/// The frame of a [`ServerReply::Result`] whose `outputs` array is
+/// already encoded: serde's envelope for the variant, written by hand
+/// around `outputs`, or `FrameTooLarge` past [`MAX_FRAME_BYTES`] as
+/// [`encode_frame`] would say.
+fn result_frame(
+    trace_id: u64,
+    elapsed_us: u64,
+    outputs: &[u8],
+    cached: bool,
+) -> Result<Vec<u8>, FrameTooLarge> {
+    let open =
+        format!(r#"{{"Result":{{"trace_id":{trace_id},"elapsed_us":{elapsed_us},"outputs":"#);
+    let close = if cached { r#","cached":true}}"# } else { r#","cached":false}}"# };
+    let body = (open.len() + outputs.len() + close.len()) as u64;
+    if body > MAX_FRAME_BYTES as u64 {
+        return Err(FrameTooLarge { bytes: body, serde_error: None });
     }
-    OutputSummary {
-        name: name.to_owned(),
-        samples: ds.sample_count(),
-        regions: ds.region_count(),
-        head: rows,
-    }
+    let mut frame = Vec::with_capacity(4 + body as usize);
+    frame.extend_from_slice(&(body as u32).to_be_bytes());
+    frame.extend_from_slice(open.as_bytes());
+    frame.extend_from_slice(outputs);
+    frame.extend_from_slice(close.as_bytes());
+    Ok(frame)
 }
 
 /// Removes this request's cancel token from the active table when the
@@ -544,6 +614,9 @@ impl Drop for ActiveGuard<'_> {
 mod tests {
     use super::*;
     use crate::protocol::read_frame;
+    use nggc_core::{parse, LogicalPlan, OptimizerReport};
+    use nggc_gdm::{Attribute, Dataset, GRegion, Sample, Schema, Strand, Value, ValueType};
+    use std::convert::Infallible;
 
     #[test]
     fn oversized_reply_degrades_to_typed_error_on_a_live_connection() {
@@ -576,5 +649,180 @@ mod tests {
         }
         // Nothing left on the wire: exactly one frame was written.
         assert!(read_frame(&mut cursor).unwrap().is_none());
+    }
+
+    /// An output named `name` whose cells are what JSON has to escape or
+    /// cannot spell: quotes, backslashes, TABs, control and non-ASCII
+    /// characters, NaN and infinities; two samples of three regions.
+    fn tricky(name: &str) -> Dataset {
+        let schema = Schema::new(vec![
+            Attribute::new("label", ValueType::Str),
+            Attribute::new("score", ValueType::Float),
+        ])
+        .unwrap();
+        let mut ds = Dataset::new(name, schema);
+        let labels = ["say \"hi\"", "back\\slash\tand tab", "bell\u{1} é 中 🧬"];
+        let scores = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for sample in ["s\"1", "s2 é"] {
+            let regions = (0..3)
+                .map(|i| {
+                    GRegion::new("chr1", i * 100, i * 100 + 50, Strand::Neg).with_values(vec![
+                        Value::Str(labels[i as usize].into()),
+                        Value::Float(scores[i as usize]),
+                    ])
+                })
+                .collect();
+            ds.add_sample(Sample::new(sample, name).with_regions(regions)).unwrap();
+        }
+        ds
+    }
+
+    /// A report of `outputs`, executed for this request or (`cached`)
+    /// answered by the result tier.
+    fn report(outputs: Arc<QueryOutputs>, cached: bool, trace_id: u64) -> QueryReport {
+        let statements = parse("X = SELECT() D; MATERIALIZE X;").unwrap();
+        let plan = LogicalPlan::compile(&statements, &|_| Some(Schema::empty())).unwrap();
+        QueryReport {
+            outputs: Ok(outputs),
+            plan: Arc::new(plan),
+            optimizer: OptimizerReport::default(),
+            planning: crate::Planning::Prepared,
+            fingerprint: 42,
+            metrics: Vec::new(),
+            elapsed: Duration::from_micros(trace_id.wrapping_mul(37)),
+            trace_id,
+            outcome: if cached { CacheOutcome::Hit } else { CacheOutcome::Miss },
+            charged_bytes: 0,
+            peak_bytes: 0,
+        }
+    }
+
+    /// The summaries a `Result` reply carries, spelled out: outputs in
+    /// name order; a row is the sample name, one TAB, then the region as
+    /// `GRegion` displays it.
+    fn summaries(outputs: &QueryOutputs, head: usize) -> Vec<OutputSummary> {
+        let mut names: Vec<&String> = outputs.keys().collect();
+        names.sort();
+        names
+            .into_iter()
+            .map(|name| {
+                let ds = &outputs[name];
+                let mut rows = Vec::new();
+                for sample in &ds.samples {
+                    for region in sample.regions.iter() {
+                        rows.push(format!("{}\t{region}", sample.name));
+                    }
+                }
+                rows.truncate(head);
+                OutputSummary {
+                    name: name.clone(),
+                    samples: ds.sample_count(),
+                    regions: ds.region_count(),
+                    head: rows,
+                }
+            })
+            .collect()
+    }
+
+    fn frame(reply: Frame) -> Vec<u8> {
+        reply.0.expect("a frame")
+    }
+
+    #[test]
+    fn result_frames_are_byte_for_byte_what_serde_makes_of_the_reply() {
+        let names = ["Zeta", "alpha", "Mid"];
+        for n in [0, 1, 3] {
+            let outputs: Arc<QueryOutputs> =
+                Arc::new(names[..n].iter().map(|&name| (name.to_owned(), tricky(name))).collect());
+            for head in [0, 2, 1000] {
+                for cached in [false, true] {
+                    let trace_id = [7, u64::MAX, 0][n % 3];
+                    let report = report(Arc::clone(&outputs), cached, trace_id);
+                    let want = encode_frame(&ServerReply::Result {
+                        trace_id,
+                        elapsed_us: report.elapsed.as_micros() as u64,
+                        outputs: summaries(&outputs, head),
+                        cached,
+                    })
+                    .unwrap();
+                    let case = format!("{n} outputs, head {head}, cached {cached}");
+                    assert_eq!(frame(query_reply(&report, head, None)), want, "{case}");
+                    // Through a cache: rendered and kept, then reused.
+                    let cache = ResultCache::new(1 << 20);
+                    cache.insert(report.fingerprint, Vec::new(), Arc::clone(&outputs));
+                    for _ in 0..2 {
+                        let got = frame(query_reply(&report, head, Some(&cache)));
+                        assert_eq!(got, want, "{case}, through a cache");
+                    }
+                    assert!(
+                        cache.rendering(report.fingerprint, &outputs, head).is_some(),
+                        "{case}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The rows of a `Result` frame, and whether it was `cached`.
+    fn rows(frame: Vec<u8>) -> (Vec<Vec<String>>, bool) {
+        let body = read_frame(&mut std::io::Cursor::new(frame)).unwrap().unwrap();
+        match serde_json::from_slice::<ServerReply>(&body).unwrap() {
+            ServerReply::Result { outputs, cached, .. } => {
+                (outputs.into_iter().map(|o| o.head).collect(), cached)
+            }
+            other => panic!("expected Result, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_save_between_requests_replies_with_the_new_rows_not_the_kept_rendering() {
+        let root = std::env::temp_dir().join(format!("nggc_server_resave_{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let mut repo = Repository::open(&root).unwrap();
+        repo.save(&tricky("D")).unwrap();
+        let mut session = Session::new(repo, ExecContext::with_workers(1), "test", None);
+        let cache = ResultCache::new(1 << 20);
+        let text = "R = SELECT() D; MATERIALIZE R;";
+        let ask = |session: &Session, head: usize| {
+            let request = Request {
+                text,
+                tier: Tier::Memory(&cache),
+                admit: || Ok::<_, Infallible>((None, ())),
+                register: |_| (),
+            };
+            let report = session.run(request).unwrap();
+            let want = summaries(report.outputs.as_ref().unwrap(), head);
+            let (got, cached) = rows(frame(query_reply(&report, head, Some(&cache))));
+            assert_eq!(got, want.into_iter().map(|o| o.head).collect::<Vec<_>>());
+            (got, cached)
+        };
+        // The miss renders and keeps; the hit reuses.
+        let (before, cached) = ask(&session, 2);
+        assert!(!cached);
+        let kept_bytes = cache.stats().bytes;
+        assert_eq!(ask(&session, 2), (before.clone(), true));
+        // Another head replaces the rendering, re-charged; and back.
+        assert_eq!(ask(&session, 5).0[0].len(), 5);
+        assert!(cache.stats().bytes > kept_bytes, "five rows are charged more than two");
+        assert_eq!(ask(&session, 2), (before.clone(), true));
+        assert_eq!(cache.stats().bytes, kept_bytes);
+
+        // D is saved again with other rows: the entry and the rendering
+        // it kept are stale, and the next reply has the new rows.
+        let mut moved = tricky("D");
+        for sample in &mut moved.samples {
+            let shifted: Vec<GRegion> = (sample.regions.iter())
+                .map(|r| GRegion { left: r.left + 5, ..r.clone() })
+                .collect();
+            sample.regions = Arc::new(shifted);
+        }
+        session.repo.save(&moved).unwrap();
+        let (after, cached) = ask(&session, 2);
+        assert!(!cached, "the save invalidated the entry");
+        assert_ne!(after, before);
+        assert!(after[0][0].contains("chr1:5-50(-)"), "{after:?}");
+        assert_eq!(ask(&session, 2), (after.clone(), true));
+        assert_eq!(ask(&session, 2), (after, true));
+        std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -257,6 +257,8 @@ pub struct QueryReport {
     pub optimizer: OptimizerReport,
     /// Whether this request prepared its plan or reused one.
     pub planning: Planning,
+    /// The optimized plan's fingerprint: the result tier's key.
+    pub fingerprint: u64,
     /// Per-node metrics; empty unless this request executed the plan to
     /// the end.
     pub metrics: Vec<NodeMetrics>,
@@ -391,6 +393,7 @@ impl Session {
             plan: Arc::clone(&prepared.plan),
             optimizer,
             planning,
+            fingerprint: prepared.fingerprint,
             metrics,
             elapsed: t0.elapsed(),
             trace_id,

@@ -597,6 +597,45 @@ fn repeated_requests_plan_once_and_answer_alike() {
 }
 
 #[test]
+fn a_hit_reuses_its_rendered_reply_only_at_an_unchanged_head() {
+    let _guard = test_lock();
+    with_watchdog("kept_renderings", 60, || {
+        let (root, repo) = cold_repo("renderings", "KR");
+        let (addr, handle, runner) = start(repo, ServeConfig::default());
+        let reg = nggc::obs::global();
+        let reused = || reg.counter("nggc_serve_replies_reused_total").get();
+        let rendered = || reg.counter("nggc_serve_replies_rendered_total").get();
+        let text = "R = SELECT(region: score >= 3) KR; MATERIALIZE R;";
+        let mut client = Client::connect(&addr).unwrap();
+        let mut ask = |head: usize, no_cache: bool| match client
+            .query_full(text, None, None, head, no_cache)
+            .unwrap()
+        {
+            ServerReply::Result { mut outputs, cached, .. } => (outputs.remove(0).head, cached),
+            other => panic!("expected Result, got {other:?}"),
+        };
+        let mut counts = Vec::new();
+        for (i, head) in [2, 5, 2, 2].into_iter().enumerate() {
+            let (reused0, rendered0) = (reused(), rendered());
+            let (rows, cached) = ask(head, false);
+            counts.push((reused() - reused0, rendered() - rendered0));
+            assert_eq!(cached, i > 0, "request {i}: the first executes, the rest hit");
+            // The rows are those of an execution at the same head.
+            let (executed, _) = ask(head, true);
+            assert_eq!(rows.len(), head);
+            assert_eq!(rows, executed, "request {i}, head {head}");
+        }
+        // Rendered by the miss (and kept), by the hit at 5 and by the hit
+        // back at 2 (each replacing the rendering kept); reused by the
+        // repeat.
+        assert_eq!(counts, [(0, 1), (0, 1), (0, 1), (1, 0)]);
+        handle.shutdown();
+        runner.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&root).ok();
+    });
+}
+
+#[test]
 fn shutdown_refuses_new_queries_and_run_returns() {
     let _guard = test_lock();
     with_watchdog("shutdown", 60, || {
