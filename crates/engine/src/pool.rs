@@ -393,125 +393,6 @@ impl WorkerPool {
         }
         out
     }
-
-    /// Fallible [`parallel_map`](WorkerPool::parallel_map) with
-    /// **fail-fast abort**: the first `Err` sets an abort flag, and
-    /// still-queued items are skipped instead of executed. Items already
-    /// running are not preempted (abort is cooperative, like everything
-    /// in this pool), so the call still waits for every submitted job to
-    /// report before returning — borrowed data is never left referenced
-    /// by the queue. Returns the first error in **input order**;
-    /// panics propagate like in `parallel_map`, taking precedence over
-    /// errors.
-    pub fn try_parallel_map<T, R, E, F>(&self, items: Vec<T>, f: F) -> Result<Vec<R>, E>
-    where
-        T: Send,
-        R: Send,
-        E: Send,
-        F: Fn(T) -> Result<R, E> + Sync,
-    {
-        let n = items.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        if n == 1 || self.workers == 1 {
-            // Inline path short-circuits on the first error by itself.
-            return items.into_iter().map(&f).collect();
-        }
-        enum Outcome<R, E> {
-            Done(Result<R, E>),
-            Skipped,
-            Panicked(Box<dyn std::any::Any + Send>),
-        }
-        let abort = AtomicBool::new(false);
-        let (tx, rx) = bounded::<(usize, Outcome<R, E>)>(n);
-        let f_ref = &f;
-        let abort_ref = &abort;
-        for (i, item) in items.into_iter().enumerate() {
-            let tx = tx.clone();
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let outcome = if abort_ref.load(Ordering::Acquire) {
-                    Outcome::Skipped
-                } else {
-                    match catch_unwind(AssertUnwindSafe(|| f_ref(item))) {
-                        Ok(r) => {
-                            if r.is_err() {
-                                abort_ref.store(true, Ordering::Release);
-                            }
-                            Outcome::Done(r)
-                        }
-                        Err(p) => {
-                            abort_ref.store(true, Ordering::Release);
-                            Outcome::Panicked(p)
-                        }
-                    }
-                };
-                let _ = tx.send((i, outcome));
-            });
-            // SAFETY: as in `parallel_map` — this call does not return
-            // before receiving one message per submitted job (skipped
-            // jobs send too), so every borrow captured by a job outlives
-            // its execution.
-            let job: Job = unsafe { std::mem::transmute(job) };
-            self.shared.injector.push(job);
-        }
-        drop(tx);
-        self.shared.wake.notify_all();
-
-        let mut results: Vec<Option<Outcome<R, E>>> = (0..n).map(|_| None).collect();
-        let mut received = 0;
-        while received < n {
-            match rx.try_recv() {
-                Ok((i, r)) => {
-                    results[i] = Some(r);
-                    received += 1;
-                }
-                Err(TryRecvError::Empty) => {
-                    // Same help-then-block discipline as `parallel_map`.
-                    if let Some(job) = self.shared.steal_any() {
-                        self.shared.run_job(job, None);
-                    } else {
-                        match rx.recv_timeout(HELP_RECHECK) {
-                            Ok((i, r)) => {
-                                results[i] = Some(r);
-                                received += 1;
-                            }
-                            Err(RecvTimeoutError::Timeout) => {}
-                            Err(RecvTimeoutError::Disconnected) => {
-                                unreachable!(
-                                    "all senders kept alive by queued jobs until they send"
-                                )
-                            }
-                        }
-                    }
-                }
-                Err(TryRecvError::Disconnected) => {
-                    unreachable!("all senders kept alive by queued jobs until they send")
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(n);
-        let mut error: Option<E> = None;
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for r in results {
-            match r.expect("all results received") {
-                Outcome::Done(Ok(v)) => out.push(v),
-                Outcome::Done(Err(e)) => error = Some(error.map_or(e, |first| first)),
-                Outcome::Skipped => {}
-                Outcome::Panicked(p) => panic = Some(panic.unwrap_or(p)),
-            }
-        }
-        if let Some(p) = panic {
-            resume_unwind(p);
-        }
-        match error {
-            Some(e) => Err(e),
-            None => {
-                debug_assert_eq!(out.len(), n, "skips only happen after an error or panic");
-                Ok(out)
-            }
-        }
-    }
 }
 
 impl Drop for WorkerPool {
@@ -717,90 +598,5 @@ mod tests {
         let pool = WorkerPool::new(3);
         let _ = pool.parallel_map(vec![1, 2, 3], |i: i32| i);
         drop(pool); // must not hang
-    }
-
-    #[test]
-    fn try_map_ok_preserves_order() {
-        let pool = WorkerPool::new(4);
-        let out = pool.try_parallel_map((0..500).collect(), |i: i64| Ok::<_, String>(i * 3));
-        assert_eq!(out.unwrap(), (0..500).map(|i| i * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn try_map_returns_first_error_in_input_order() {
-        let pool = WorkerPool::new(4);
-        let out: Result<Vec<usize>, String> = pool.try_parallel_map((0..64).collect(), |i| {
-            if i == 50 || i == 7 {
-                Err(format!("bad {i}"))
-            } else {
-                Ok(i)
-            }
-        });
-        assert_eq!(out.unwrap_err(), "bad 7");
-    }
-
-    #[test]
-    fn try_map_aborts_queued_work_after_error() {
-        // With one item per queue slot and an early error, most of the
-        // tail should be skipped. The guarantee is cooperative (running
-        // items finish), so assert "skipped at least something big"
-        // rather than an exact count.
-        let pool = WorkerPool::new(2);
-        let ran = AtomicUsize::new(0);
-        let out: Result<Vec<()>, ()> = pool.try_parallel_map((0..10_000).collect(), |i: usize| {
-            ran.fetch_add(1, Ordering::Relaxed);
-            if i == 0 {
-                Err(())
-            } else {
-                std::thread::yield_now();
-                Ok(())
-            }
-        });
-        assert!(out.is_err());
-        let ran = ran.load(Ordering::Relaxed);
-        assert!(ran < 10_000, "expected fail-fast to skip queued items, ran all {ran}");
-    }
-
-    #[test]
-    fn try_map_panic_takes_precedence() {
-        let pool = WorkerPool::new(4);
-        // The erroring job waits until the panicking one has started:
-        // otherwise its `Err` can short-circuit the map before job 3 ever
-        // runs, and there is no panic to take precedence.
-        let panicking = std::sync::atomic::AtomicBool::new(false);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.try_parallel_map((0..32).collect(), |i: usize| {
-                if i == 3 {
-                    panicking.store(true, Ordering::SeqCst);
-                    panic!("boom");
-                }
-                if i == 5 {
-                    while !panicking.load(Ordering::SeqCst) {
-                        std::thread::yield_now();
-                    }
-                    return Err("err");
-                }
-                Ok(i)
-            })
-        }));
-        assert!(result.is_err(), "panic must propagate");
-        let ok: Result<Vec<usize>, &str> = pool.try_parallel_map(vec![1, 2], Ok);
-        assert_eq!(ok.unwrap(), vec![1, 2], "pool usable after panic");
-    }
-
-    #[test]
-    fn try_map_single_worker_short_circuits() {
-        let pool = WorkerPool::new(1);
-        let ran = AtomicUsize::new(0);
-        let out: Result<Vec<usize>, &str> = pool.try_parallel_map((0..100).collect(), |i| {
-            ran.fetch_add(1, Ordering::Relaxed);
-            if i == 10 {
-                Err("stop")
-            } else {
-                Ok(i)
-            }
-        });
-        assert_eq!(out.unwrap_err(), "stop");
-        assert_eq!(ran.load(Ordering::Relaxed), 11, "inline path short-circuits");
     }
 }

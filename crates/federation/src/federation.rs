@@ -14,7 +14,7 @@
 //!   first a full data transmission and then to evaluate server-side
 //!   imperative programs".
 
-use crate::node::{decode_staged, NodeService};
+use crate::node::NodeService;
 use crate::policy::{Breaker, BreakerState, CallPolicy, NodeHealth, NodeStatus};
 use crate::protocol::{
     DatasetSummary, Request, Response, SizeEstimate, TraceHeader, TransferLog, WireSpan,
@@ -22,7 +22,7 @@ use crate::protocol::{
 use crossbeam_channel::{unbounded, RecvTimeoutError, Sender};
 use nggc_core::{GmqlEngine, QueryGovernor};
 use nggc_gdm::Dataset;
-use nggc_repository::{decode_dataset_v2, encode_dataset_v2};
+use nggc_repository::{decode_dataset_v2, decode_outputs, encode_dataset_v2};
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::thread::JoinHandle;
@@ -519,8 +519,7 @@ impl Federation {
         // A deadline can fire after the last chunk arrived; surface it
         // rather than returning data the caller no longer wants.
         check()?;
-        let decoded = decode_staged(&payload).map_err(FederationError::Protocol)?;
-        Ok(decoded.into_iter().collect())
+        decode_outputs(&payload).map_err(|e| FederationError::Protocol(e.to_string()))
     }
 
     /// **Ship-query with user samples** (§4.3): upload a private local

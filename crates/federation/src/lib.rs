@@ -26,7 +26,7 @@ pub mod protocol;
 
 pub use chaos::{ChaosConfig, ChaosNode};
 pub use federation::{DegradedOutcome, DistributedPlan, Federation, FederationError};
-pub use node::{decode_staged, FederationNode, NodeService};
+pub use node::{FederationNode, NodeService};
 pub use policy::{BreakerState, CallPolicy, NodeHealth, NodeStatus};
 pub use protocol::{
     DatasetSummary, Request, Response, SizeEstimate, TraceHeader, TransferLog, WireSpan,

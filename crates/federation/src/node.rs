@@ -11,7 +11,7 @@
 use crate::protocol::{DatasetSummary, Request, Response, SizeEstimate};
 use nggc_core::GmqlEngine;
 use nggc_gdm::Dataset;
-use nggc_repository::{decode_dataset_v2, encode_dataset_v2};
+use nggc_repository::{decode_dataset_v2, encode_dataset_v2, encode_outputs};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -169,19 +169,12 @@ impl FederationNode {
                     Ok(r) => r,
                     Err(e) => return Response::Error(e.to_string()),
                 };
-                let mut outputs: Vec<String> = results.keys().cloned().collect();
+                let payload = match encode_outputs(&results) {
+                    Ok(bytes) => bytes,
+                    Err(e) => return Response::Error(e.to_string()),
+                };
+                let mut outputs: Vec<String> = results.into_keys().collect();
                 outputs.sort();
-                let mut payload = Vec::new();
-                for name in &outputs {
-                    // Frame: container length, container (which names
-                    // the output).
-                    let bytes = match encode_dataset_v2(&results[name]) {
-                        Ok(b) => b,
-                        Err(e) => return Response::Error(e.to_string()),
-                    };
-                    payload.extend((bytes.len() as u64).to_le_bytes());
-                    payload.extend(bytes);
-                }
                 let chunk_bytes = (*chunk_bytes).max(1024);
                 let chunks: Vec<Vec<u8>> =
                     payload.chunks(chunk_bytes).map(|c| c.to_vec()).collect();
@@ -274,27 +267,6 @@ impl NodeService for FederationNode {
     fn serve(&mut self, request: &Request) -> Option<Response> {
         Some(self.handle(request))
     }
-}
-
-/// Reassemble the framed payload of a staged result into named
-/// datasets. A corrupt container fails its CRC check here.
-pub fn decode_staged(payload: &[u8]) -> Result<Vec<(String, Dataset)>, String> {
-    let mut out = Vec::new();
-    let mut rest = payload;
-    while !rest.is_empty() {
-        let Some((len, body)) = rest.split_first_chunk::<8>() else {
-            return Err("truncated frame header".to_owned());
-        };
-        let len = u64::from_le_bytes(*len);
-        if len > body.len() as u64 {
-            return Err("truncated body".to_owned());
-        }
-        let (container, next) = body.split_at(len as usize);
-        let dataset = decode_dataset_v2(container).map_err(|e| e.to_string())?;
-        rest = next;
-        out.push((dataset.name.clone(), dataset));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -390,10 +362,9 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         }
-        let results = decode_staged(&payload).unwrap();
+        let results = nggc_repository::decode_outputs(&payload).unwrap();
         assert_eq!(results.len(), 1);
-        assert_eq!(results[0].0, "X");
-        assert_eq!(results[0].1.sample_count(), 2, "two K562 samples");
+        assert_eq!(results["X"].sample_count(), 2, "two K562 samples");
         assert!(matches!(n.handle(&Request::Release { ticket }), Response::Ok));
         assert_eq!(n.staged_results(), 0);
         assert!(matches!(n.handle(&Request::Release { ticket }), Response::Error(_)));

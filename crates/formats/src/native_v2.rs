@@ -81,7 +81,7 @@ use nggc_gdm::{
     Attribute, Chrom, ChromInterner, Dataset, GRegion, Metadata, Sample, Schema, Strand, Value,
     ValueType,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fs;
 use std::io::{self, BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
@@ -763,6 +763,24 @@ fn encode_dataset_with_version(dataset: &Dataset, version: u8) -> Result<Vec<u8>
     Ok(out)
 }
 
+/// Serialise a query's outputs as one byte stream: for each output, in
+/// name order, its container's length as a `u64` LE and then the
+/// container, which names the output (the key of each dataset is its
+/// name). The federation stages a result in this form and the on-disk
+/// result store keeps it; [`decode_outputs`] reverses it.
+pub fn encode_outputs(outputs: &HashMap<String, Dataset>) -> Result<Vec<u8>, FormatError> {
+    let mut names: Vec<&String> = outputs.keys().collect();
+    names.sort();
+    let mut out = Vec::new();
+    for name in names {
+        debug_assert_eq!(&outputs[name].name, name, "an output is keyed by its name");
+        let container = encode_dataset_v2(&outputs[name])?;
+        out.extend_from_slice(&(container.len() as u64).to_le_bytes());
+        out.extend_from_slice(&container);
+    }
+    Ok(out)
+}
+
 /// Write a dataset to `dir` as a v2 binary container, creating
 /// directories. Returns the container size in bytes.
 pub fn write_dataset_v2(dataset: &Dataset, dir: &Path) -> Result<u64, FormatError> {
@@ -1350,15 +1368,16 @@ fn read_with<R: Read + Seek, B: AsRef<[u8]> + Send>(
         .into_iter()
         .map(|s| (Sample::new(s.name, &header.name).with_metadata(s.metadata), s.wanted))
         .collect();
-    let samples = decode_pool().try_parallel_map(jobs, |(mut sample, wanted)| {
+    let samples = decode_pool().parallel_map(jobs, |(mut sample, wanted)| {
         sample.regions = decode_blocks(&sample.name, &wanted, &plan, verify_blocks)?.into();
         sample.sort_regions();
         Ok::<Sample, FormatError>(sample)
-    })?;
+    });
     let decoded = plan.cells.iter().filter(|c| **c == Cell::Decoded).count() as u64;
     let mut dataset = Dataset::new(header.name, plan.schema);
+    // The first error in stored sample order is the one reported.
     for sample in samples {
-        dataset.add_sample(sample)?;
+        dataset.add_sample(sample?)?;
     }
     let built = dataset.region_count() as u64;
     stats.rows_skipped = listed - built;
@@ -1404,6 +1423,38 @@ pub fn decode_dataset_v2(buf: &[u8]) -> Result<Dataset, FormatError> {
         verify_trailer(buf)?;
     }
     decode_slice(buf, &ScanOptions::default(), false).map(|(ds, _)| ds)
+}
+
+/// Decode the output stream [`encode_outputs`] writes. Each frame's
+/// length is checked against the bytes left before anything is sliced,
+/// each container must be at the current header revision (so that its
+/// trailer checksum is verified: no flipped bit can downgrade it to a
+/// revision without one), and an output name may appear once. A
+/// truncated frame, a corrupt container or a repeated name is an error.
+pub fn decode_outputs(buf: &[u8]) -> Result<HashMap<String, Dataset>, FormatError> {
+    let mut outputs = HashMap::new();
+    let mut rest = buf;
+    while !rest.is_empty() {
+        let at = (buf.len() - rest.len()) as u64;
+        let Some((len, body)) = rest.split_first_chunk::<8>() else {
+            return Err(corrupt_at(at, "truncated output frame header"));
+        };
+        let len = u64::from_le_bytes(*len);
+        if len > body.len() as u64 {
+            return Err(corrupt_at(at, format!("output frame of {len} bytes is truncated")));
+        }
+        let (container, next) = body.split_at(len as usize);
+        if container.get(MAGIC.len()) != Some(&VERSION) {
+            return Err(corrupt_at(at + 8, "an output container is not at the current revision"));
+        }
+        let dataset = decode_dataset_v2(container)?;
+        if outputs.contains_key(&dataset.name) {
+            return Err(corrupt_at(at, format!("output {:?} appears twice", dataset.name)));
+        }
+        outputs.insert(dataset.name.clone(), dataset);
+        rest = next;
+    }
+    Ok(outputs)
 }
 
 /// Read a whole dataset from a v2 container directory.
@@ -2417,5 +2468,95 @@ mod tests {
         let v2 = encode_dataset_v2(&ds).unwrap().len();
         let v1 = native::render_regions(&ds.samples[0].regions).len();
         assert!(v2 < v1, "v2 container ({v2} B) should undercut v1 text regions alone ({v1} B)");
+    }
+
+    /// `n` one-region samples, each with a score of its own that is
+    /// stored nowhere else in the container.
+    fn marked_samples(n: u64) -> Dataset {
+        let schema = Schema::new(vec![Attribute::new("score", ValueType::Float)]).unwrap();
+        let mut ds = Dataset::new("MARKED", schema);
+        for s in 0..n {
+            let region = GRegion::new("chr1", s * 10, s * 10 + 5, Strand::Pos)
+                .with_values(vec![Value::Float(1000.25 + s as f64)]);
+            ds.add_sample(Sample::new(format!("s{s}"), "MARKED").with_regions(vec![region]))
+                .unwrap();
+        }
+        ds
+    }
+
+    #[test]
+    fn of_two_corrupt_samples_the_first_stored_is_reported() {
+        let bytes = encode_dataset_v2(&marked_samples(40)).unwrap();
+        let mut flipped = bytes.clone();
+        for s in [31u64, 6] {
+            let mark = (1000.25 + s as f64).to_le_bytes();
+            let at = bytes.windows(8).position(|w| w == mark).expect("the score is stored");
+            flipped[at] ^= 0x01;
+        }
+        // Per-block verification: every sample decodes on the pool, and
+        // the error is the one of s6, whichever worker met s31 first.
+        for _ in 0..8 {
+            match decode_dataset_v2_pruned(&flipped, &ScanOptions::default()) {
+                Err(FormatError::ChecksumMismatch { section, .. }) => {
+                    assert_eq!(section, "s6/chr1")
+                }
+                other => panic!("expected a checksum mismatch, got {other:?}"),
+            }
+        }
+    }
+
+    fn outputs_of(datasets: Vec<Dataset>) -> HashMap<String, Dataset> {
+        datasets.into_iter().map(|d| (d.name.clone(), d)).collect()
+    }
+
+    #[test]
+    fn outputs_roundtrip_as_length_framed_containers_in_name_order() {
+        assert!(encode_outputs(&HashMap::new()).unwrap().is_empty());
+        assert!(decode_outputs(&[]).unwrap().is_empty());
+        let mut wide = wide_dataset();
+        wide.name = "A".into();
+        let outputs = outputs_of(vec![marked_samples(3), wide]);
+        let bytes = encode_outputs(&outputs).unwrap();
+        let mut framed = Vec::new();
+        for name in ["A", "MARKED"] {
+            let container = encode_dataset_v2(&outputs[name]).unwrap();
+            framed.extend((container.len() as u64).to_le_bytes());
+            framed.extend(container);
+        }
+        assert_eq!(bytes, framed);
+        let back = decode_outputs(&bytes).unwrap();
+        assert_eq!(back.len(), 2);
+        for (name, ds) in &outputs {
+            assert_datasets_equal(&back[name], ds);
+        }
+    }
+
+    #[test]
+    fn malformed_output_streams_are_errors() {
+        let one = encode_outputs(&outputs_of(vec![marked_samples(2)])).unwrap();
+        // Every truncation: inside a length, inside a container.
+        for cut in 1..one.len() {
+            assert!(decode_outputs(&one[..cut]).is_err(), "cut at {cut} decoded");
+        }
+        // A length past the end is refused before anything is sliced.
+        let mut long = one.clone();
+        long[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(decode_outputs(&long), Err(FormatError::Corrupt { offset: 0, .. })));
+        // The same output twice.
+        let twice = [one.clone(), one.clone()].concat();
+        assert!(decode_outputs(&twice).unwrap_err().to_string().contains("appears twice"));
+        // A revision-2 container carries no checksum, so it cannot stand
+        // in a stream: the one flip 3 -> 2 of its version byte is caught.
+        let legacy = encode_dataset_v2_legacy(&marked_samples(2)).unwrap();
+        let framed = [(legacy.len() as u64).to_le_bytes().to_vec(), legacy].concat();
+        assert!(decode_dataset_v2(&framed[8..]).is_ok());
+        assert!(decode_outputs(&framed).is_err());
+        for i in 0..one.len() {
+            for bit in 0..8 {
+                let mut flipped = one.clone();
+                flipped[i] ^= 1 << bit;
+                assert!(decode_outputs(&flipped).is_err(), "flip at byte {i} bit {bit} decoded");
+            }
+        }
     }
 }

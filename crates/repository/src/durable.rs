@@ -38,10 +38,11 @@ pub const CRASHPOINT_ENV: &str = "NGGC_CRASHPOINT";
 /// harnesses iterate this list; keep it in sync with the `crashpoint`
 /// calls below and in `catalog.rs`.
 pub const CRASH_SITES: &[&str] = &[
-    // atomic_write (catalog.json, generations.json, result-cache meta)
+    // atomic_write (catalog.json, generations.json, result-store entries)
     "durable.staged",
     "durable.renamed",
-    // atomic_replace_dir (dataset containers, result-cache entries)
+    // atomic_replace_dir (dataset containers only: a result-store entry
+    // is one file)
     "replace.staged",
     "replace.trashed",
     "replace.renamed",

@@ -56,7 +56,9 @@ pub enum IssueKind {
     UnreadableDataset,
     /// A leftover staging/temp/trash entry from an interrupted write.
     OrphanTemp,
-    /// A result-cache entry whose source generations are gone.
+    /// A result-cache entry that can only miss: its source generations
+    /// are gone, its header fails its checksum, or it is a directory of
+    /// the older store layout.
     StaleResult,
 }
 
@@ -350,7 +352,8 @@ pub fn fsck(root: &Path, opts: FsckOptions) -> Result<FsckReport, RepoError> {
                     &mut report,
                     IssueKind::StaleResult,
                     &path.display().to_string(),
-                    "cached result whose source generation is gone".into(),
+                    "cached result that can only miss (source generation gone, bad header or older layout)"
+                        .into(),
                 );
             }
             if opts.repair {
@@ -546,6 +549,29 @@ mod tests {
         let repo = Repository::open(&root).unwrap();
         assert!(repo.contains("A") && repo.contains("B"));
         assert_eq!(ResultStore::open(root.join("result_cache"), 1 << 20).usage().0, 0);
+        assert!(fsck(&root, FsckOptions::default()).unwrap().is_clean());
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_directory_entry_of_the_older_result_layout_is_stale_and_repaired() {
+        let root = seeded("older_result");
+        let repo = Repository::open(&root).unwrap();
+        // Recorded against A's current generation: only its layout is old.
+        let gens = vec![("A".to_owned(), repo.generation("A").unwrap())];
+        drop(repo);
+        let old = crate::result_store::tests::write_directory_entry(
+            &root.join("result_cache"),
+            42,
+            &gens,
+        );
+        let report = fsck(&root, FsckOptions::default()).unwrap();
+        assert_eq!(report.issues.len(), 1, "{:?}", report.issues);
+        assert_eq!(report.issues[0].kind, IssueKind::StaleResult);
+        assert_eq!(report.issues[0].subject, old.display().to_string());
+        let repaired = fsck(&root, FsckOptions { deep: false, repair: true }).unwrap();
+        assert_eq!(repaired.unrepaired(), 0);
+        assert!(!old.exists());
         assert!(fsck(&root, FsckOptions::default()).unwrap().is_clean());
         fs::remove_dir_all(&root).ok();
     }

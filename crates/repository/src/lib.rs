@@ -25,6 +25,7 @@ pub use error::RepoError;
 pub use fsck::{fsck, FsckIssue, FsckOptions, FsckReport, IssueKind};
 pub use meta_index::{tokenize, MetaIndex, SampleRef};
 pub use nggc_formats::native_v2::{
-    decode_dataset_v2, encode_dataset_v2, Materialize, ScanOptions, StorageVersion,
+    decode_dataset_v2, decode_outputs, encode_dataset_v2, encode_outputs, Materialize, ScanOptions,
+    StorageVersion,
 };
 pub use result_store::ResultStore;

@@ -2,16 +2,18 @@
 //!
 //! For every registered crashpoint (`nggc::repository::CRASH_SITES`)
 //! and every hit count until the site stops firing, a real `nggc`
-//! binary is killed mid-mutation (`import`, `migrate`, `delete`) via
-//! `NGGC_CRASHPOINT=<site>:<n>`. After each kill the harness asserts
-//! the recovery contract:
+//! binary is killed mid-mutation (`import`, `migrate`, `delete`, and a
+//! `query` storing its result) via `NGGC_CRASHPOINT=<site>:<n>`. After
+//! each kill the harness asserts the recovery contract:
 //!
 //! 1. `nggc fsck --repair` succeeds,
 //! 2. a plain `nggc fsck` then finds nothing (exit 0),
 //! 3. the dataset equals **exactly** the pre-mutation or post-mutation
 //!    version — never a blend of the two.
 
-use nggc::repository::{Repository, StorageVersion, CRASHPOINT_ENV, CRASH_SITES};
+use nggc::repository::{
+    fsck, FsckOptions, IssueKind, Repository, StorageVersion, CRASHPOINT_ENV, CRASH_SITES,
+};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -90,13 +92,15 @@ fn recover(repo: &Path, context: &str) -> Option<(usize, usize)> {
 
 /// Drive `args` through every (site, hit) pair. `base` is copied fresh
 /// for each run; `pre`/`post` are the only two states the repository
-/// may be in after recovery.
+/// may be in after recovery. `after_kill` inspects each killed copy
+/// before it is repaired.
 fn crash_matrix(
     tag: &str,
     base: &Path,
     args: &[&str],
     pre: Option<(usize, usize)>,
     post: Option<(usize, usize)>,
+    after_kill: &dyn Fn(&Path, &str),
 ) {
     let mut fired_total = 0;
     for site in CRASH_SITES {
@@ -114,6 +118,7 @@ fn crash_matrix(
             }
             fired_total += 1;
             let context = format!("{tag} {site}:{n} aborted");
+            after_kill(&repo, &context);
             let got = recover(&repo, &context);
             assert!(
                 got == pre || got == post,
@@ -151,6 +156,7 @@ fn import_killed_at_every_crashpoint_recovers_to_pre_or_post() {
         &["import", second.to_str().unwrap(), "DS"],
         Some((1, 3)),
         Some((2, 5)),
+        &|_, _| {},
     );
     fs::remove_dir_all(&base).ok();
 }
@@ -181,7 +187,7 @@ fn migrate_killed_at_every_crashpoint_recovers_to_pre_or_post() {
     // Migration rewrites in place: pre and post carry identical logical
     // content, so blend detection rides on fsck + load succeeding (a
     // half-written container fails its checksum pass).
-    crash_matrix("migrate", &repo_dir, &["migrate", "DS"], Some((1, 3)), Some((1, 3)));
+    crash_matrix("migrate", &repo_dir, &["migrate", "DS"], Some((1, 3)), Some((1, 3)), &|_, _| {});
     // Also assert deep fsck passes on a surviving migrated copy.
     let repo = tmp("mig_post");
     copy_dir(&repo_dir, &repo);
@@ -197,6 +203,43 @@ fn migrate_killed_at_every_crashpoint_recovers_to_pre_or_post() {
 fn delete_killed_at_every_crashpoint_leaves_dataset_whole_or_gone() {
     let base = seed_base("del");
     // pre = dataset intact, post = dataset gone.
-    crash_matrix("delete", &base.join("repo"), &["delete", "DS"], Some((1, 3)), None);
+    crash_matrix("delete", &base.join("repo"), &["delete", "DS"], Some((1, 3)), None, &|_, _| {});
+    fs::remove_dir_all(&base).ok();
+}
+
+/// A query's printed answer without its timing line, and whether that
+/// line said the answer came from the result store.
+fn answer(stdout: &str) -> (String, bool) {
+    let (body, timing) = stdout.trim_end().rsplit_once('\n').expect("an answer and a timing line");
+    (body.to_owned(), timing.ends_with(", cached)"))
+}
+
+#[test]
+fn query_killed_while_storing_its_result_leaves_a_usable_store() {
+    let base = seed_base("qry");
+    let repo = base.join("repo");
+    let query = ["query", "-e", "X = SELECT(region: left >= 100) DS; MATERIALIZE X;"];
+    let (ok, stdout, stderr) = run_clean(&repo, &[&query[..], &["--no-cache"]].concat());
+    assert!(ok, "uncached query failed:\n{stdout}\n{stderr}");
+    let (expected, _) = answer(&stdout);
+    assert!(expected.contains("2 regions"), "{expected}");
+    let after_kill = |repo: &Path, context: &str| {
+        // Before anything touches it: at most the staged file is left.
+        let report = fsck(repo, FsckOptions::default()).unwrap();
+        for issue in &report.issues {
+            let reclaimable = issue.kind == IssueKind::OrphanTemp
+                && Path::new(&issue.subject).parent() == Some(&repo.join("result_cache"))
+                && issue.subject.contains("/.tmp-");
+            assert!(reclaimable, "[{context}] {issue:?}");
+        }
+        let (ok, stdout, stderr) = run_clean(repo, &query);
+        assert!(ok, "[{context}] next query failed:\n{stdout}\n{stderr}");
+        assert_eq!(answer(&stdout).0, expected, "[{context}] next query");
+        let (ok, stdout, _) = run_clean(repo, &query);
+        assert!(ok);
+        assert_eq!(answer(&stdout), (expected.clone(), true), "[{context}] the one after it");
+    };
+    // A query changes no dataset: pre and post are the seeded DS.
+    crash_matrix("query", &repo, &query, Some((1, 3)), Some((1, 3)), &after_kill);
     fs::remove_dir_all(&base).ok();
 }

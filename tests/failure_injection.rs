@@ -7,13 +7,13 @@
 mod watchdog;
 
 use nggc::federation::{
-    decode_staged, BreakerState, CallPolicy, ChaosConfig, ChaosNode, Federation, FederationError,
-    FederationNode, NodeStatus, Request, TransferLog,
+    BreakerState, CallPolicy, ChaosConfig, ChaosNode, Federation, FederationError, FederationNode,
+    NodeStatus, Request, TransferLog,
 };
 use nggc::formats::native;
 use nggc::gdm::{Attribute, Dataset, GRegion, Metadata, Sample, Schema, Strand, ValueType};
 use nggc::gmql::{run_with_provider, ExecOptions, GmqlError};
-use nggc::repository::{encode_dataset_v2, Repository};
+use nggc::repository::{decode_outputs, encode_dataset_v2, Repository};
 use std::fs;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -115,18 +115,18 @@ fn truncated_federation_payload_rejected() {
     let mut payload = Vec::new();
     payload.extend((body.len() as u64).to_le_bytes());
     payload.extend(&body);
-    assert_eq!(decode_staged(&payload).unwrap().len(), 1);
+    assert_eq!(decode_outputs(&payload).unwrap().len(), 1);
 
     // Truncate mid-body.
-    assert!(decode_staged(&payload[..payload.len() - 3]).is_err());
+    assert!(decode_outputs(&payload[..payload.len() - 3]).is_err());
     // Truncate mid-header.
-    assert!(decode_staged(&payload[..4]).is_err());
+    assert!(decode_outputs(&payload[..4]).is_err());
     // Corrupt the container body (the byte before its CRC trailer): the
     // checksum rejects it.
     let mut corrupt = payload.clone();
     let n = corrupt.len();
     corrupt[n - 5] ^= 0xA5;
-    let err = decode_staged(&corrupt).unwrap_err();
+    let err = decode_outputs(&corrupt).unwrap_err().to_string();
     assert!(err.contains("checksum mismatch"), "{err}");
 }
 

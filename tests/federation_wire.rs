@@ -1,13 +1,15 @@
 //! What the federation puts on the wire: every dataset crosses as a v2
 //! container, so cells arrive bit for bit, a flipped byte is a checksum
 //! error, and a shipped result starts its lineage at the node's output.
+//! A result is one byte stream: the on-disk result store keeps the very
+//! bytes a node stages.
 
 use nggc::federation::{
     Federation, FederationError, FederationNode, NodeService, Request, Response,
 };
 use nggc::gdm::{Attribute, Dataset, GRegion, Metadata, Sample, Schema, Strand, Value, ValueType};
 use nggc::gmql::GmqlEngine;
-use nggc::repository::encode_dataset_v2;
+use nggc::repository::{encode_dataset_v2, encode_outputs, ResultStore};
 use std::collections::HashMap;
 
 const ODD_FLOATS: [f64; 5] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.0, 1.5];
@@ -182,4 +184,40 @@ fn a_shipped_result_starts_its_lineage_at_the_output() {
     // is not visible, the lineage begins at the output it shipped.
     assert_eq!(sample.provenance.sources(), vec![("X".to_owned(), sample.name.clone())]);
     assert!(sample.provenance.operator_chain().is_empty());
+}
+
+#[test]
+fn a_result_store_entry_holds_the_bytes_a_node_stages() {
+    let query = "Y = SELECT() PEAKS; X = SELECT(cell == 'HeLa') ODD; MATERIALIZE Y; MATERIALIZE X;";
+    let mut node = FederationNode::new("remote", 1);
+    node.own(odd_floats());
+    node.own(peaks());
+    let (ticket, chunks) =
+        match node.handle(&Request::Execute { query: query.into(), chunk_bytes: 1024 }) {
+            Response::Accepted { ticket, chunks, .. } => (ticket, chunks),
+            other => panic!("{other:?}"),
+        };
+    let mut staged = Vec::new();
+    for chunk in 0..chunks {
+        match node.handle(&Request::FetchChunk { ticket, chunk }) {
+            Response::Chunk { data, .. } => staged.extend(data),
+            other => panic!("{other:?}"),
+        }
+    }
+    let outputs = local(query);
+    assert_eq!(encode_outputs(&outputs).unwrap(), staged);
+
+    let dir = std::env::temp_dir().join(format!("nggc_wire_store_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = ResultStore::open(&dir, 1 << 20);
+    store.store(0xfeed, &[("ODD".into(), 1), ("PEAKS".into(), 1)], &outputs).unwrap();
+    let files: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+    assert_eq!(files.len(), 1, "an entry is one file");
+    let entry = std::fs::read(&files[0]).unwrap();
+    // A header naming two sources, then the staged payload byte for byte.
+    assert!(entry.ends_with(&staged));
+    assert!(entry.len() - staged.len() < 64, "{} header bytes", entry.len() - staged.len());
+    let back = store.lookup(0xfeed, &|_| Some(1)).expect("the entry hits");
+    assert_eq!(float_bits(&back["X"]), float_bits(&outputs["X"]));
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,7 +8,7 @@ use nggc::gmql::{
     execute_governed, parse, DatasetProvider, ExecOptions, GmqlError, LogicalPlan, ScanSpec,
 };
 use nggc::obs::{self, MemorySubscriber};
-use nggc::repository::Repository;
+use nggc::repository::{Repository, ResultStore};
 use nggc::RepoProvider;
 use std::sync::{Arc, Mutex};
 
@@ -227,4 +227,25 @@ fn a_source_node_accounts_its_own_reads_only() {
     assert_eq!(source.reads.cache_misses, 1, "MINE's cold load only: {source:?}");
     assert_eq!(source.reads.cache_hits, 0, "{source:?}");
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// A result-store entry is one file written by one atomic write: the
+/// staged file and the store's directory are its only fsyncs.
+#[test]
+fn storing_a_one_output_result_costs_two_fsyncs() {
+    let _guard = global_lock();
+    let dir = std::env::temp_dir().join(format!("nggc_obs_store_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let schema = Schema::new(vec![Attribute::new("score", ValueType::Float)]).unwrap();
+    let mut ds = Dataset::new("R", schema);
+    let region = GRegion::new("chr1", 100, 150, Strand::Pos).with_values(vec![1.0.into()]);
+    ds.add_sample(Sample::new("s1", "R").with_regions(vec![region])).unwrap();
+    let outputs = std::collections::HashMap::from([("R".to_owned(), ds)]);
+    let store = ResultStore::open(&dir, 1 << 20);
+    let fsyncs = obs::global().counter("nggc_repo_fsync_total");
+    let before = fsyncs.get();
+    store.store(1, &[("SRC".into(), 1)], &outputs).unwrap();
+    assert_eq!(fsyncs.get() - before, 2);
+    assert_eq!(store.usage().0, 1);
+    std::fs::remove_dir_all(&dir).ok();
 }
