@@ -127,15 +127,6 @@ impl Inner {
         nggc_obs::global().counter("nggc_result_cache_evictions_total").inc();
         freed
     }
-
-    /// Remove every entry `stale` picks, counted as invalidations;
-    /// returns how many went and the bytes they held.
-    fn invalidate(&mut self, stale: impl Fn(&Entry) -> bool) -> (u64, u64) {
-        let keys: Vec<u64> = self.lru.iter().filter(|(_, e)| stale(e)).map(|(&k, _)| k).collect();
-        let freed = keys.iter().filter_map(|key| self.lru.remove(key)).map(|(_, b)| b).sum();
-        self.invalidations += keys.len() as u64;
-        (keys.len() as u64, freed)
-    }
 }
 
 /// A bounded, byte-aware, plan-keyed LRU of materialized query results.
@@ -335,31 +326,6 @@ impl ResultCache {
         kept
     }
 
-    /// Drop every entry whose validity depends on dataset `name`.
-    /// Lookup-time revalidation already catches stale entries; this is
-    /// for callers that want bytes back immediately after a mutation.
-    pub fn invalidate_dataset(&self, name: &str) {
-        let mut inner = self.inner();
-        let (stale, freed) = inner.invalidate(|e| e.gens.iter().any(|(n, _)| n == name));
-        let resident = inner.lru.bytes();
-        drop(inner);
-        self.settle(freed, stale, resident);
-    }
-
-    /// Eagerly drop every entry whose recorded source generations no
-    /// longer match `gen_of` (the same validity condition `lookup`
-    /// checks lazily). Returns the number of entries removed. `nggc
-    /// fsck --repair` and maintenance sweeps use this to reclaim bytes
-    /// from entries that would never be looked up again.
-    pub fn sweep_stale(&self, gen_of: &dyn Fn(&str) -> Option<u64>) -> u64 {
-        let mut inner = self.inner();
-        let (stale, freed) = inner.invalidate(|e| !e.is_current(gen_of));
-        let resident = inner.lru.bytes();
-        drop(inner);
-        self.settle(freed, stale, resident);
-        stale
-    }
-
     /// Evict least-recently-used entries until at least `bytes` of
     /// budget have been returned (or the cache is empty). The serve pool
     /// calls this when a query's reservation fails: queries outrank
@@ -419,15 +385,6 @@ impl ResultCache {
             reg.counter("nggc_result_cache_coalesced_total").inc();
         }
         Ok((outputs, outcome))
-    }
-
-    /// Drop everything, returning all bytes to the budget.
-    pub fn clear(&self) {
-        let mut inner = self.inner();
-        let freed = inner.lru.bytes();
-        inner.lru.clear();
-        drop(inner);
-        self.settle(freed, 0, 0);
     }
 
     /// Point-in-time statistics.
@@ -564,8 +521,8 @@ mod tests {
         assert_eq!(s.entries, 1, "pool pressure evicts the LRU entry");
         assert_eq!(pool.used.load(Ordering::SeqCst), bytes);
         assert!(cache.lookup(2, &gens_fixed(1)).is_some());
-        // clear() returns everything.
-        cache.clear();
+        // Shrinking everything returns everything.
+        cache.shrink(u64::MAX);
         assert_eq!(pool.used.load(Ordering::SeqCst), 0);
     }
 
@@ -677,40 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_dataset_drops_dependent_entries_only() {
-        let cache = ResultCache::new(1 << 20);
-        cache.insert(1, vec![("A".into(), 1)], Arc::new(outputs("R", 2)));
-        cache.insert(2, vec![("B".into(), 1)], Arc::new(outputs("R", 2)));
-        cache.insert(3, vec![("A".into(), 1), ("B".into(), 1)], Arc::new(outputs("R", 2)));
-        cache.invalidate_dataset("A");
-        assert!(cache.lookup(1, &gens_fixed(1)).is_none());
-        assert!(cache.lookup(2, &gens_fixed(1)).is_some());
-        assert!(cache.lookup(3, &gens_fixed(1)).is_none());
-        assert_eq!(cache.stats().invalidations, 2);
-    }
-
-    #[test]
-    fn sweep_stale_evicts_mismatched_generations_eagerly() {
-        let cache = ResultCache::new(1 << 20);
-        cache.insert(1, vec![("A".into(), 1)], Arc::new(outputs("R", 2)));
-        cache.insert(2, vec![("B".into(), 5)], Arc::new(outputs("R", 2)));
-        cache.insert(3, vec![("GONE".into(), 1)], Arc::new(outputs("R", 2)));
-        // A is current at gen 1; B moved on; GONE was deleted.
-        let gen_of = |name: &str| match name {
-            "A" => Some(1),
-            "B" => Some(6),
-            _ => None,
-        };
-        assert_eq!(cache.sweep_stale(&gen_of), 2);
-        let s = cache.stats();
-        assert_eq!(s.entries, 1);
-        assert_eq!(s.invalidations, 2);
-        assert!(cache.lookup(1, &gen_of).is_some());
-        // A second sweep finds nothing.
-        assert_eq!(cache.sweep_stale(&gen_of), 0);
-    }
-
-    #[test]
     fn shrink_frees_at_least_requested_bytes() {
         let one = outputs("R", 4);
         let bytes: u64 = one.values().map(|d| d.encoded_size() as u64).sum();
@@ -722,7 +645,7 @@ mod tests {
         assert!(freed > bytes || freed == bytes * 2);
         assert!(cache.stats().entries <= 2);
         // Shrinking an empty cache is a no-op.
-        cache.clear();
+        cache.shrink(u64::MAX);
         assert_eq!(cache.shrink(1024), 0);
     }
 
@@ -794,10 +717,11 @@ mod tests {
         assert_eq!((s.bytes, used()), (2 * bytes + 64 + big, 2 * bytes + 64 + big));
         assert!(cache.rendering(0, &held[0], 1).is_none());
 
-        // Invalidation of one source, and a sweep of another.
-        cache.invalidate_dataset("C");
+        // Lookup-time invalidation: C's source moved on, then D's.
+        assert!(cache.lookup(2, &gens_fixed(2)).is_none());
         assert_eq!((cache.stats().bytes, used()), (bytes + big, bytes + big));
-        assert_eq!(cache.sweep_stale(&|name| (name != "D").then_some(1)), 1);
+        assert!(cache.lookup(3, &|name| (name != "D").then_some(1)).is_none());
+        assert_eq!(cache.stats().invalidations, 2);
         assert_eq!((cache.stats().bytes, used()), (0, 0));
 
         // Shrinking everything.

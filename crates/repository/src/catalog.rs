@@ -10,7 +10,6 @@
 
 use crate::durable;
 use crate::error::RepoError;
-use nggc_formats::native;
 use nggc_formats::native_v2::{self, Materialize, ScanOptions, StorageVersion};
 use nggc_formats::FormatError;
 use nggc_gdm::{Dataset, DatasetStats, Metadata, Schema};
@@ -95,9 +94,6 @@ pub struct RepoHealth {
     /// Whether the catalog was torn/corrupt and had to be rebuilt by
     /// scanning the dataset directories.
     pub catalog_rebuilt: bool,
-    /// Catalogued datasets whose directory vanished mid-replace and was
-    /// brought back from staging (new version) or trash (old version).
-    pub rescued: usize,
 }
 
 impl fmt::Display for RepoHealth {
@@ -111,9 +107,6 @@ impl fmt::Display for RepoHealth {
             self.swept,
             if self.swept == 1 { "y" } else { "ies" },
         )?;
-        if self.rescued > 0 {
-            write!(f, ", {} rescued from an interrupted replace", self.rescued)?;
-        }
         if self.catalog_rebuilt {
             write!(f, ", catalog rebuilt from dataset scan")?;
         }
@@ -198,114 +191,73 @@ fn dir_bytes(dir: &Path) -> u64 {
     total
 }
 
-/// Remove every orphaned staging artefact under `root` — write-side
-/// temp files (`.tmp-*`), dataset staging dirs (`datasets/.stage-*`)
-/// and trashed trees (`.trash/*`). All of them are pre- or
-/// post-publication leftovers of the durable-write protocols, so
-/// removing them can never lose published data. Returns how many
-/// entries were swept.
-pub(crate) fn sweep_orphans(root: &Path) -> usize {
-    let mut swept = 0usize;
-    let mut sweep_matching = |dir: &Path, prefix: &str| {
-        let Ok(entries) = fs::read_dir(dir) else { return };
-        for entry in entries.filter_map(|e| e.ok()) {
-            let name = entry.file_name();
-            if !prefix.is_empty() && !name.to_string_lossy().starts_with(prefix) {
-                continue;
-            }
-            let path = entry.path();
-            let removed = if path.is_dir() {
-                fs::remove_dir_all(&path).is_ok()
-            } else {
-                fs::remove_file(&path).is_ok()
-            };
-            if removed {
-                swept += 1;
-            }
-        }
-    };
-    sweep_matching(root, ".tmp-");
-    sweep_matching(&root.join("datasets"), ".stage-");
-    sweep_matching(&root.join("result_cache"), ".tmp-");
-    sweep_matching(&root.join(".trash"), "");
-    swept
+/// The entries of `dir`, or none when it cannot be read.
+fn entries(dir: &Path) -> Vec<fs::DirEntry> {
+    fs::read_dir(dir).map(|e| e.filter_map(Result::ok).collect()).unwrap_or_default()
 }
 
-/// Try to resurrect the directory of a catalogued dataset that vanished
-/// mid-replace (a crash between trashing the old tree and renaming the
-/// staged one in). Preference order:
-///
-/// 1. a **fully readable staged tree** (`datasets/.stage-*-{name}`) —
-///    the post-mutation state, completely written before the old
-///    directory was touched;
-/// 2. the **trashed old tree** (`.trash/{name}-{pid}-{seq}`) — the
-///    pre-mutation state.
-///
-/// Either restores an exact version, never a blend. Must run *before*
-/// any orphan sweep, which would otherwise delete both copies. Returns
-/// where the data came from, or `None` if nothing needed (or could be)
-/// rescued.
-pub(crate) fn rescue_dataset(root: &Path, name: &str) -> Option<&'static str> {
-    let dir = root.join("datasets").join(name);
-    if dir.exists() {
-        return None;
-    }
-    let list = |parent: &Path| -> Vec<PathBuf> {
-        fs::read_dir(parent)
-            .map(|entries| {
-                entries.filter_map(|e| e.ok()).map(|e| e.path()).filter(|p| p.is_dir()).collect()
-            })
-            .unwrap_or_default()
-    };
-    let staged_suffix = format!("-{name}");
-    let mut staged: Vec<PathBuf> = list(&root.join("datasets"))
-        .into_iter()
-        .filter(|p| {
-            p.file_name().is_some_and(|n| {
-                let n = n.to_string_lossy();
-                n.starts_with(".stage-") && n.ends_with(&staged_suffix)
-            })
-        })
-        .collect();
-    staged.sort();
-    for cand in staged {
-        if native_v2::read_dataset_auto(&cand).is_ok() && fs::rename(&cand, &dir).is_ok() {
-            nggc_obs::global().counter("nggc_repo_rescued_total").inc();
-            return Some("staging");
-        }
-    }
-    let trash_prefix = format!("{name}-");
-    let mut trashed: Vec<PathBuf> = list(&root.join(".trash"))
-        .into_iter()
-        .filter(|p| {
-            p.file_name().is_some_and(|n| {
-                let n = n.to_string_lossy();
-                // `{name}-{pid}-{seq}` exactly, so dataset "a" never
-                // claims the trash of dataset "a-b".
-                n.strip_prefix(&trash_prefix).is_some_and(|rest| {
-                    let parts: Vec<&str> = rest.split('-').collect();
-                    parts.len() == 2
-                        && parts
-                            .iter()
-                            .all(|p| !p.is_empty() && p.chars().all(|c| c.is_ascii_digit()))
-                })
-            })
-        })
-        .collect();
-    trashed.sort();
-    for cand in trashed {
-        if native_v2::read_dataset_auto(&cand).is_ok() && fs::rename(&cand, &dir).is_ok() {
-            nggc_obs::global().counter("nggc_repo_rescued_total").inc();
-            return Some("trash");
-        }
-    }
-    None
+fn named(entry: &fs::DirEntry, prefix: &str) -> bool {
+    entry.file_name().to_string_lossy().starts_with(prefix)
 }
 
-/// [`rescue_dataset`] for every catalogued name; returns how many
-/// datasets were brought back.
-pub(crate) fn rescue_datasets(root: &Path, catalog: &BTreeMap<String, CatalogEntry>) -> usize {
-    catalog.keys().filter(|name| rescue_dataset(root, name).is_some()).count()
+/// A temp file [`durable::atomic_write`] stages before its rename.
+fn is_temp(entry: &fs::DirEntry) -> bool {
+    named(entry, ".tmp-")
+}
+
+/// Every leftover of a write a crash interrupted under `root`, in path
+/// order: temp files of [`durable::atomic_write`] (beside `catalog.json`,
+/// in a dataset directory, in `result_cache/`); a dataset directory that
+/// holds nothing but such files (a first save cut before its container
+/// was published); trashed trees (`.trash/*`); and the staging trees
+/// older releases wrote (`datasets/.stage-*`). None of them is published
+/// data, so removing them can never lose any. `open` sweeps this list
+/// and `fsck` reports it.
+pub(crate) fn orphan_entries(root: &Path) -> Vec<PathBuf> {
+    let datasets = root.join("datasets");
+    let mut orphans = Vec::new();
+    for (dir, prefix) in [
+        (root.to_path_buf(), ".tmp-"),
+        (root.join("result_cache"), ".tmp-"),
+        (root.join(".trash"), ""),
+        (datasets.clone(), ".stage-"),
+    ] {
+        orphans.extend(entries(&dir).iter().filter(|e| named(e, prefix)).map(|e| e.path()));
+    }
+    for dir in entries(&datasets).iter().filter(|e| !named(e, ".")).map(|e| e.path()) {
+        let inside = entries(&dir);
+        orphans.extend(inside.iter().filter(|e| is_temp(e)).map(|e| e.path()));
+        if dir.is_dir() && inside.iter().all(is_temp) {
+            orphans.push(dir);
+        }
+    }
+    orphans.sort();
+    orphans
+}
+
+/// Remove a file or a whole tree; whether it is gone afterwards (a tree
+/// an earlier removal took with it counts).
+pub(crate) fn remove_entry(path: &Path) -> bool {
+    if path.is_dir() {
+        fs::remove_dir_all(path).ok();
+    } else {
+        fs::remove_file(path).ok();
+    }
+    fs::symlink_metadata(path).is_err()
+}
+
+/// Dataset directories under `root/datasets`, in name order: every
+/// directory but dot-named ones and the unpublished ones
+/// [`orphan_entries`] lists.
+pub(crate) fn dataset_dirs(root: &Path) -> Vec<PathBuf> {
+    let mut dirs: Vec<PathBuf> = entries(&root.join("datasets"))
+        .iter()
+        .filter(|e| !named(e, "."))
+        .map(|e| e.path())
+        .filter(|p| p.is_dir() && !entries(p).iter().all(is_temp))
+        .collect();
+    dirs.sort();
+    dirs
 }
 
 /// Move an unreadable dataset directory into `quarantine/` under a
@@ -344,18 +296,7 @@ pub(crate) fn rebuild_catalog(
     let mut catalog = BTreeMap::new();
     let mut quarantined = 0usize;
     let mut next = first_generation.max(1);
-    let mut dirs: Vec<PathBuf> = fs::read_dir(root.join("datasets"))
-        .map(|entries| {
-            entries
-                .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| p.is_dir())
-                .filter(|p| p.file_name().is_some_and(|n| !n.to_string_lossy().starts_with('.')))
-                .collect()
-        })
-        .unwrap_or_default();
-    dirs.sort();
-    for dir in dirs {
+    for dir in dataset_dirs(root) {
         let name = dir.file_name().expect("filtered above").to_string_lossy().into_owned();
         match native_v2::read_dataset_auto(&dir) {
             Ok(ds) => {
@@ -446,10 +387,10 @@ pub struct MigrationReport {
 impl Repository {
     /// Open (or initialise) a repository at `root`.
     ///
-    /// Opening is also the first line of crash recovery: orphaned
-    /// staging/trash leftovers are swept (they are never published
-    /// data), and a torn or corrupt `catalog.json` is rebuilt by
-    /// scanning the dataset directories — readable datasets are
+    /// Opening is also the first line of crash recovery: the leftovers
+    /// of interrupted writes are swept (they are never published data;
+    /// see [`orphan_entries`]), and a torn or corrupt `catalog.json` is
+    /// rebuilt by scanning the dataset directories — readable datasets are
     /// re-indexed under fresh generations, unreadable ones are moved to
     /// `quarantine/` with a reason file instead of failing the whole
     /// repository. What happened is recorded in [`Repository::health`].
@@ -486,19 +427,13 @@ impl Repository {
         } else {
             BTreeMap::new()
         };
-        // A crash between trashing a dataset's old tree and renaming in
-        // its staged replacement leaves a catalogued name with no
-        // directory; bring back an exact version (staged = new, trashed
-        // = old) BEFORE the orphan sweep deletes both copies.
-        let rescued = rescue_datasets(&root, &catalog);
-        let swept = sweep_orphans(&root);
+        let swept = orphan_entries(&root).iter().filter(|p| remove_entry(p)).count();
         let catalog_next = catalog.values().map(|e| e.generation + 1).max().unwrap_or(1);
         let health = RepoHealth {
             datasets_ok: catalog.len(),
             quarantined: quarantine_count(&root),
             swept,
             catalog_rebuilt,
-            rescued,
         };
         let repo = Repository {
             root,
@@ -537,37 +472,35 @@ impl Repository {
         &self.root
     }
 
-    /// Save (or replace) a dataset in the default (v2 binary) format;
+    /// Save (or replace) a dataset as one v2 container,
+    /// `datasets/NAME/data.gdm2`, written by [`durable::atomic_write`];
     /// updates the catalog and populates the cache with the saved copy,
     /// so a save-then-load round trip hits memory.
+    ///
+    /// The order of the writes keeps two rules:
+    ///
+    /// * A name already in the catalog gets its new generation and
+    ///   catalog entry first and its container last. The old container
+    ///   stays whole until the rename, so a crash in between leaves the
+    ///   old data under a new generation: every result cached against
+    ///   the old data is already invalid. The reverse order could leave
+    ///   new data under the old generation, and a stale cached result
+    ///   would revalidate against it.
+    /// * A new name gets its container and the directory entry holding it
+    ///   published first, so the catalog never names a missing container.
+    ///   A container the catalog does not list is invisible until `fsck
+    ///   --repair` indexes it under a fresh generation.
+    ///
+    /// A save over a v1 text directory removes the text files once the
+    /// container is published.
     pub fn save(&mut self, dataset: &Dataset) -> Result<(), RepoError> {
-        self.save_with_version(dataset, StorageVersion::V2)
-    }
-
-    /// [`Repository::save`] with an explicit storage version (v1 text is
-    /// kept writable for migration tests and benchmarks).
-    pub fn save_with_version(
-        &mut self,
-        dataset: &Dataset,
-        version: StorageVersion,
-    ) -> Result<(), RepoError> {
+        let format = StorageVersion::V2.name();
         let mut span = nggc_obs::span("repo.save");
-        span.field("dataset", &dataset.name).field("format", version.name());
+        span.field("dataset", &dataset.name).field("format", format);
         let t0 = Instant::now();
         dataset.validate().map_err(RepoError::Model)?;
-        // Encode into a staging directory first; the live dataset dir is
-        // untouched until the staged tree is complete and fsynced.
-        let dir = self.dataset_dir(&dataset.name);
-        let staging = self.staging_dir(&dataset.name);
-        fs::remove_dir_all(&staging).ok();
-        let bytes = match version {
-            StorageVersion::V2 => native_v2::write_dataset_v2(dataset, &staging)?,
-            StorageVersion::V1 => {
-                native::write_dataset(dataset, &staging)?;
-                dir_bytes(&staging)
-            }
-        };
-        span.field("bytes", bytes);
+        let bytes = native_v2::encode_dataset_v2(dataset)?;
+        span.field("bytes", bytes.len());
         // Any persisted metadata index is now stale; the cache gets the
         // fresh copy instead of going cold.
         fs::remove_file(self.root.join("meta_index.json")).ok();
@@ -577,12 +510,15 @@ impl Repository {
             cache.insert(dataset.name.clone(), Arc::new(dataset.clone()), stats.bytes as u64);
         }
         drop(cache);
-        // Publish the new generation *before* swapping the data in: if
-        // we crash between the two, the catalog's bumped generation has
-        // already invalidated every result cached against the old data,
-        // and the dataset itself still reads as the old version. The
-        // reverse order could leave new data under the old generation —
-        // a stale cached result would then revalidate against it.
+        let dir = self.dataset_dir(&dataset.name);
+        let container = dir.join(native_v2::CONTAINER_FILE);
+        let replacing = self.catalog.contains_key(&dataset.name);
+        if !replacing {
+            durable::atomic_write(&container, &bytes)?;
+            // The new directory's own entry in `datasets/`.
+            durable::fsync_dir(&self.root.join("datasets"))?;
+            durable::crashpoint("save.published");
+        }
         let generation = self.next_generation;
         self.next_generation += 1;
         self.flush_generations()?;
@@ -598,11 +534,17 @@ impl Repository {
         );
         self.flush_catalog()?;
         durable::crashpoint("save.catalog");
-        durable::atomic_replace_dir(&staging, &dir, &self.root.join(".trash"))?;
-        durable::crashpoint("save.swapped");
+        if replacing {
+            durable::atomic_write(&container, &bytes)?;
+            durable::crashpoint("save.published");
+        }
+        // The v1 text layout this container replaces, if any.
+        fs::remove_file(dir.join("schema.gdm")).ok();
+        fs::remove_dir_all(dir.join("files")).ok();
         let reg = nggc_obs::global();
         reg.counter("nggc_repo_saves_total").inc();
-        reg.counter_with("nggc_repo_save_bytes_total", &[("format", version.name())]).add(bytes);
+        reg.counter_with("nggc_repo_save_bytes_total", &[("format", format)])
+            .add(bytes.len() as u64);
         reg.histogram("nggc_repo_save_ns").record_duration(t0.elapsed());
         Ok(())
     }
@@ -935,13 +877,6 @@ impl Repository {
         self.root.join("datasets").join(name)
     }
 
-    /// Sibling staging directory a save encodes into before the atomic
-    /// swap. Dot-prefixed so catalog rebuild scans skip it; pid-tagged
-    /// so concurrent processes never collide.
-    fn staging_dir(&self, name: &str) -> PathBuf {
-        self.root.join("datasets").join(format!(".stage-{}-{name}", std::process::id()))
-    }
-
     fn flush_catalog(&self) -> Result<(), RepoError> {
         let text = serde_json::to_string_pretty(&self.catalog)?;
         durable::atomic_write(&self.root.join("catalog.json"), text.as_bytes())?;
@@ -985,55 +920,23 @@ mod tests {
         ds
     }
 
-    #[test]
-    fn open_rescues_dataset_stranded_mid_replace() {
-        // Simulate a crash between `replace.trashed` and
-        // `replace.renamed`: the catalogued directory is gone, the old
-        // tree sits in .trash and the staged new tree in datasets/.
-        let root = tmp();
-        {
-            let mut repo = Repository::open(&root).unwrap();
-            repo.save(&dataset("DS")).unwrap();
-        }
-        let dir = root.join("datasets/DS");
-        let staged = root.join("datasets/.stage-1-DS");
-        fs::rename(&dir, &staged).unwrap();
-        let repo = Repository::open(&root).unwrap();
-        assert_eq!(repo.health().rescued, 1, "{:?}", repo.health());
-        assert!(repo.load("DS").is_ok(), "rescued dataset must be readable");
-        // A second open finds nothing left to rescue or sweep.
-        let again = Repository::open(&root).unwrap();
-        assert_eq!(again.health().rescued, 0);
-        assert_eq!(again.health().swept, 0);
-
-        // Same crash state but with an unreadable staged tree: recovery
-        // falls back to the trashed (old) copy.
-        let root2 = tmp2();
-        {
-            let mut repo = Repository::open(&root2).unwrap();
-            repo.save(&dataset("DS")).unwrap();
-        }
-        let dir = root2.join("datasets/DS");
-        let trash = root2.join(".trash");
-        fs::create_dir_all(&trash).unwrap();
-        fs::rename(&dir, trash.join("DS-1-0")).unwrap();
-        fs::create_dir_all(root2.join("datasets/.stage-1-DS")).unwrap();
-        fs::write(root2.join("datasets/.stage-1-DS/data.gdm2"), b"torn").unwrap();
-        let repo = Repository::open(&root2).unwrap();
-        assert_eq!(repo.health().rescued, 1, "{:?}", repo.health());
-        assert!(repo.load("DS").is_ok(), "trashed copy must be restored");
-        fs::remove_dir_all(&root).ok();
-        fs::remove_dir_all(&root2).ok();
+    /// `dataset` saved, then its container swapped for the v1 text
+    /// layout older releases wrote.
+    fn save_v1(repo: &mut Repository, dataset: &Dataset) {
+        repo.save(dataset).unwrap();
+        let dir = repo.dataset_dir(&dataset.name);
+        fs::remove_file(dir.join(native_v2::CONTAINER_FILE)).unwrap();
+        nggc_formats::native::write_dataset(dataset, &dir).unwrap();
     }
 
-    fn tmp2() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "nggc_repo2_{}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        fs::remove_dir_all(&dir).ok();
-        dir
+    /// File names directly under `dir`, sorted.
+    fn names_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]
@@ -1185,8 +1088,8 @@ mod tests {
     #[test]
     fn pruned_load_falls_back_to_full_for_v1_datasets() {
         let root = tmp();
-        let mut repo = Repository::open(&root).unwrap();
-        repo.save_with_version(&two_chrom_dataset("OLD"), StorageVersion::V1).unwrap();
+        save_v1(&mut Repository::open(&root).unwrap(), &two_chrom_dataset("OLD"));
+        let repo = Repository::open(&root).unwrap();
         let ds = repo.scan("OLD", &chr2_only()).unwrap();
         assert_eq!(ds.region_count(), 2, "v1 has no block index; falls back to full load");
         fs::remove_dir_all(&root).ok();
@@ -1275,6 +1178,32 @@ mod tests {
         assert_eq!(repo.storage_version("BIN"), Some(StorageVersion::V2));
         assert!(root.join("datasets/BIN/data.gdm2").exists());
         assert!(!root.join("datasets/BIN/schema.gdm").exists());
+        // A replace leaves the one file too: nothing staged, nothing
+        // trashed.
+        repo.save(&two_chrom_dataset("BIN")).unwrap();
+        assert_eq!(names_in(&root.join("datasets")), ["BIN"]);
+        assert_eq!(names_in(&root.join("datasets/BIN")), ["data.gdm2"]);
+        assert!(!root.join(".trash").exists());
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn open_sweeps_unpublished_containers_and_older_staging_trees() {
+        let root = tmp();
+        Repository::open(&root).unwrap().save(&dataset("DS")).unwrap();
+        // A replace of DS and a first save of NEW, both cut before their
+        // rename, and a staging tree an older release left.
+        let datasets = root.join("datasets");
+        fs::write(datasets.join("DS/.tmp-1-data.gdm2"), b"half").unwrap();
+        fs::create_dir_all(datasets.join("NEW")).unwrap();
+        fs::write(datasets.join("NEW/.tmp-1-data.gdm2"), b"half").unwrap();
+        fs::create_dir_all(datasets.join(".stage-1-DS")).unwrap();
+        let repo = Repository::open(&root).unwrap();
+        assert_eq!(repo.health().swept, 4, "{:?}", repo.health());
+        assert_eq!(names_in(&datasets), ["DS"]);
+        assert_eq!(names_in(&datasets.join("DS")), ["data.gdm2"]);
+        assert_eq!(repo.load("DS").unwrap().region_count(), 1);
+        assert_eq!(Repository::open(&root).unwrap().health().swept, 0);
         fs::remove_dir_all(&root).ok();
     }
 
@@ -1282,7 +1211,7 @@ mod tests {
     fn v1_datasets_load_transparently_and_migrate() {
         let root = tmp();
         let mut repo = Repository::open(&root).unwrap();
-        repo.save_with_version(&dataset("OLD"), StorageVersion::V1).unwrap();
+        save_v1(&mut repo, &dataset("OLD"));
         assert_eq!(repo.storage_version("OLD"), Some(StorageVersion::V1));
         assert!(root.join("datasets/OLD/schema.gdm").exists());
 
@@ -1297,6 +1226,7 @@ mod tests {
         assert_eq!(report.from, StorageVersion::V1);
         assert!(report.bytes_before > 0 && report.bytes_after > 0);
         assert_eq!(repo.storage_version("OLD"), Some(StorageVersion::V2));
+        assert_eq!(names_in(&root.join("datasets/OLD")), ["data.gdm2"], "no v1 file is left");
         // Reload from disk (fresh repo, cold cache) — same content.
         let repo = Repository::open(&root).unwrap();
         let back = repo.load("OLD").unwrap();
@@ -1309,7 +1239,7 @@ mod tests {
     fn migrate_all_reports_every_dataset() {
         let root = tmp();
         let mut repo = Repository::open(&root).unwrap();
-        repo.save_with_version(&dataset("A"), StorageVersion::V1).unwrap();
+        save_v1(&mut repo, &dataset("A"));
         repo.save(&dataset("B")).unwrap();
         let sweep = repo.migrate_all();
         assert!(sweep.is_clean());
@@ -1328,9 +1258,9 @@ mod tests {
     fn migrate_all_keeps_going_past_a_corrupt_dataset() {
         let root = tmp();
         let mut repo = Repository::open(&root).unwrap();
-        repo.save_with_version(&dataset("A"), StorageVersion::V1).unwrap();
-        repo.save_with_version(&dataset("BAD"), StorageVersion::V1).unwrap();
-        repo.save_with_version(&dataset("C"), StorageVersion::V1).unwrap();
+        for name in ["A", "BAD", "C"] {
+            save_v1(&mut repo, &dataset(name));
+        }
         // Corrupt BAD's on-disk layout so its load fails mid-sweep, and
         // reopen so the sweep cannot be rescued by the warm save cache.
         fs::write(root.join("datasets/BAD/schema.gdm"), "not a schema\x00\x01").unwrap();

@@ -3,15 +3,13 @@
 //! Every mutation the repository makes to disk goes through this
 //! module, so the whole storage layer shares one durability protocol:
 //!
-//! * [`atomic_write`] — stage bytes into a sibling temp file, fsync the
-//!   file, rename it into place, fsync the parent directory. A crash at
-//!   any instant leaves either the old bytes or the new bytes, never a
-//!   torn file.
-//! * [`atomic_replace_dir`] — the same contract for whole directories
-//!   (dataset containers): the staged tree is fsynced recursively, the
-//!   old directory is renamed into a `.trash` staging area, the new one
-//!   renamed in, and the parent fsynced. Trash is swept afterwards;
-//!   leftovers from a crash are swept on the next open or by fsck.
+//! [`atomic_write`] stages bytes into a sibling temp file, fsyncs the
+//! file, renames it into place and fsyncs the parent directory. A crash
+//! at any instant leaves either the old bytes or the new bytes, never a
+//! torn file; a temp file a crash leaves behind is swept on the next
+//! open or by fsck. Every file the repository keeps — catalog,
+//! generations, dataset containers, result-store entries — is written
+//! this way.
 //!
 //! ## Crash injection
 //!
@@ -19,7 +17,7 @@
 //! destructors, no flushes — as close to `kill -9` at the worst instant
 //! as a deterministic test can get) at the *n*-th execution of the
 //! named fault [`crashpoint`]. Sites are placed immediately after each
-//! state transition of the protocols above, so a test harness can kill
+//! state transition of the write protocols, so a test harness can kill
 //! a real `nggc` binary between any two steps and assert recovery. The
 //! registered sites are listed in [`CRASH_SITES`]; `nggc fsck
 //! --crashpoints` prints them for CI matrices.
@@ -38,18 +36,14 @@ pub const CRASHPOINT_ENV: &str = "NGGC_CRASHPOINT";
 /// harnesses iterate this list; keep it in sync with the `crashpoint`
 /// calls below and in `catalog.rs`.
 pub const CRASH_SITES: &[&str] = &[
-    // atomic_write (catalog.json, generations.json, result-store entries)
+    // atomic_write (catalog.json, generations.json, dataset containers,
+    // result-store entries)
     "durable.staged",
     "durable.renamed",
-    // atomic_replace_dir (dataset containers only: a result-store entry
-    // is one file)
-    "replace.staged",
-    "replace.trashed",
-    "replace.renamed",
     // catalog.rs save / delete protocols
     "save.generations",
     "save.catalog",
-    "save.swapped",
+    "save.published",
     "delete.cataloged",
     "delete.trashed",
 ];
@@ -107,21 +101,6 @@ pub fn fsync_dir(dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// Fsync every regular file under `dir`, then each directory bottom-up,
-/// so a subsequent rename of `dir` publishes fully durable contents.
-pub fn fsync_dir_recursive(dir: &Path) -> io::Result<()> {
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        if entry.file_type()?.is_dir() {
-            fsync_dir_recursive(&path)?;
-        } else {
-            fsync_file(&fs::File::open(&path)?)?;
-        }
-    }
-    fsync_dir(dir)
-}
-
 /// Sibling temp path for staging a write to `path`; same directory so
 /// the final rename never crosses a filesystem boundary.
 fn staging_path(path: &Path) -> PathBuf {
@@ -165,33 +144,6 @@ pub fn move_to_trash(path: &Path, trash_root: &Path) -> io::Result<PathBuf> {
     Ok(dest)
 }
 
-/// Durably replace directory `dest` with the fully-written `staging`
-/// tree. The staged files are fsynced, any existing `dest` is renamed
-/// into `trash_root` (never deleted in place), `staging` is renamed to
-/// `dest`, the parent is fsynced, and only then is the trash removed.
-/// A crash at any point leaves `dest` as either the old tree, absent
-/// with the old tree intact in trash, or the new tree — never a blend.
-pub fn atomic_replace_dir(staging: &Path, dest: &Path, trash_root: &Path) -> io::Result<()> {
-    fsync_dir_recursive(staging)?;
-    crashpoint("replace.staged");
-    let trashed = if dest.exists() {
-        let t = move_to_trash(dest, trash_root)?;
-        crashpoint("replace.trashed");
-        Some(t)
-    } else {
-        None
-    };
-    fs::rename(staging, dest)?;
-    crashpoint("replace.renamed");
-    if let Some(parent) = dest.parent().filter(|p| !p.as_os_str().is_empty()) {
-        fsync_dir(parent)?;
-    }
-    if let Some(trashed) = trashed {
-        fs::remove_dir_all(&trashed).ok();
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,27 +173,6 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
             .collect();
         assert!(leftovers.is_empty(), "staging files must not survive a successful write");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn atomic_replace_dir_swaps_whole_trees() {
-        let dir = tmp("ard");
-        let dest = dir.join("ds");
-        let trash = dir.join(".trash");
-        fs::create_dir_all(&dest).unwrap();
-        fs::write(dest.join("data"), b"old").unwrap();
-        let staging = dir.join(".stage");
-        fs::create_dir_all(staging.join("nested")).unwrap();
-        fs::write(staging.join("data"), b"new").unwrap();
-        fs::write(staging.join("nested/extra"), b"x").unwrap();
-        atomic_replace_dir(&staging, &dest, &trash).unwrap();
-        assert_eq!(fs::read(dest.join("data")).unwrap(), b"new");
-        assert_eq!(fs::read(dest.join("nested/extra")).unwrap(), b"x");
-        assert!(!staging.exists());
-        // Trash is swept after a successful swap.
-        let trashed = trash.exists() && fs::read_dir(&trash).unwrap().next().is_some();
-        assert!(!trashed, "trash must be empty after a clean replace");
         fs::remove_dir_all(&dir).ok();
     }
 

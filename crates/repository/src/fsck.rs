@@ -29,7 +29,7 @@ use crate::result_store::ResultStore;
 use nggc_formats::native_v2::{self, StorageVersion};
 use std::collections::BTreeMap;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// What [`fsck`] should do.
 #[derive(Debug, Clone, Copy, Default)]
@@ -115,42 +115,6 @@ impl FsckReport {
     }
 }
 
-/// Dataset directories under `root/datasets` (non-dot entries only), in
-/// name order.
-fn dataset_dirs(root: &Path) -> Vec<PathBuf> {
-    let mut dirs: Vec<PathBuf> = fs::read_dir(root.join("datasets"))
-        .map(|entries| {
-            entries
-                .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| p.is_dir())
-                .filter(|p| p.file_name().is_some_and(|n| !n.to_string_lossy().starts_with('.')))
-                .collect()
-        })
-        .unwrap_or_default();
-    dirs.sort();
-    dirs
-}
-
-/// Orphaned staging/temp/trash leftovers, without removing anything.
-fn orphan_temp_entries(root: &Path) -> Vec<PathBuf> {
-    let mut orphans = Vec::new();
-    let mut collect = |dir: &Path, prefix: &str| {
-        let Ok(entries) = fs::read_dir(dir) else { return };
-        for entry in entries.filter_map(|e| e.ok()) {
-            if prefix.is_empty() || entry.file_name().to_string_lossy().starts_with(prefix) {
-                orphans.push(entry.path());
-            }
-        }
-    };
-    collect(root, ".tmp-");
-    collect(&root.join("datasets"), ".stage-");
-    collect(&root.join("result_cache"), ".tmp-");
-    collect(&root.join(".trash"), "");
-    orphans.sort();
-    orphans
-}
-
 /// Validate one dataset directory. Shallow mode parses magic, header
 /// and block index (no region decode); deep mode fully decodes the
 /// dataset, which for revision-3 containers verifies the whole-file
@@ -231,7 +195,7 @@ pub fn fsck(root: &Path, opts: FsckOptions) -> Result<FsckReport, RepoError> {
     }
 
     // -- datasets --------------------------------------------------------
-    let dirs = dataset_dirs(root);
+    let dirs = catalog::dataset_dirs(root);
     if let Some(cat) = &mut catalog {
         // Catalog entries whose directory vanished.
         let missing: Vec<String> = cat
@@ -247,16 +211,8 @@ pub fn fsck(root: &Path, opts: FsckOptions) -> Result<FsckReport, RepoError> {
                 "catalogued but no dataset directory on disk".into(),
             );
             if opts.repair {
-                // A replace interrupted between trash and rename leaves
-                // both versions on disk; bring one back (staged = new,
-                // trashed = old) before falling back to dropping the
-                // entry.
-                if catalog::rescue_dataset(root, &name).is_some() {
-                    report.datasets_ok += 1;
-                } else {
-                    cat.remove(&name);
-                    catalog_dirty = true;
-                }
+                cat.remove(&name);
+                catalog_dirty = true;
                 report.issues.last_mut().expect("just pushed").repaired = true;
             }
         }
@@ -322,23 +278,16 @@ pub fn fsck(root: &Path, opts: FsckOptions) -> Result<FsckReport, RepoError> {
         }
     }
 
-    // -- orphaned temp/staging/trash -------------------------------------
-    for orphan in orphan_temp_entries(root) {
+    // -- leftovers of interrupted writes ----------------------------------
+    for orphan in catalog::orphan_entries(root) {
         issue(
             &mut report,
             IssueKind::OrphanTemp,
             &orphan.display().to_string(),
             "leftover from an interrupted write".into(),
         );
-        if opts.repair {
-            let removed = if orphan.is_dir() {
-                fs::remove_dir_all(&orphan).is_ok()
-            } else {
-                fs::remove_file(&orphan).is_ok()
-            };
-            if removed {
-                report.issues.last_mut().expect("just pushed").repaired = true;
-            }
+        if opts.repair && catalog::remove_entry(&orphan) {
+            report.issues.last_mut().expect("just pushed").repaired = true;
         }
     }
 
@@ -401,6 +350,7 @@ mod tests {
     use super::*;
     use crate::catalog::Repository;
     use nggc_gdm::{Attribute, Dataset, GRegion, Sample, Schema, Strand, ValueType};
+    use std::path::PathBuf;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -582,13 +532,21 @@ mod tests {
         fs::create_dir_all(root.join("datasets/.stage-999-X")).unwrap();
         fs::write(root.join(".tmp-999-catalog.json"), "half").unwrap();
         fs::create_dir_all(root.join(".trash/X-1-0")).unwrap();
+        // A first save of Y cut before its rename leaves a directory
+        // holding only the temp file: neither is a dataset. A replace of
+        // A cut the same way leaves A whole.
+        fs::create_dir_all(root.join("datasets/Y")).unwrap();
+        fs::write(root.join("datasets/Y/.tmp-999-data.gdm2"), "half").unwrap();
+        fs::write(root.join("datasets/A/.tmp-999-data.gdm2"), "half").unwrap();
         let report = fsck(&root, FsckOptions::default()).unwrap();
-        let temps = report.issues.iter().filter(|i| i.kind == IssueKind::OrphanTemp).count();
-        assert_eq!(temps, 3);
+        let kinds: Vec<IssueKind> = report.issues.iter().map(|i| i.kind).collect();
+        assert_eq!(kinds, [IssueKind::OrphanTemp; 6], "{:?}", report.issues);
+        assert_eq!(report.datasets_ok, 2);
         let repaired = fsck(&root, FsckOptions { deep: false, repair: true }).unwrap();
         assert_eq!(repaired.unrepaired(), 0);
-        assert!(fsck(&root, FsckOptions::default()).unwrap().is_clean());
+        assert!(fsck(&root, FsckOptions { deep: true, repair: false }).unwrap().is_clean());
         assert!(!root.join("datasets/.stage-999-X").exists());
+        assert!(!root.join("datasets/Y").exists());
         fs::remove_dir_all(&root).ok();
     }
 }

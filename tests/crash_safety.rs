@@ -2,8 +2,9 @@
 //!
 //! For every registered crashpoint (`nggc::repository::CRASH_SITES`)
 //! and every hit count until the site stops firing, a real `nggc`
-//! binary is killed mid-mutation (`import`, `migrate`, `delete`, and a
-//! `query` storing its result) via `NGGC_CRASHPOINT=<site>:<n>`. After
+//! binary is killed mid-mutation (`import` onto an existing name and of
+//! a new one, `migrate`, `delete`, and a `query` storing its result) via
+//! `NGGC_CRASHPOINT=<site>:<n>`. After
 //! each kill the harness asserts the recovery contract:
 //!
 //! 1. `nggc fsck --repair` succeeds,
@@ -162,12 +163,58 @@ fn import_killed_at_every_crashpoint_recovers_to_pre_or_post() {
 }
 
 #[test]
+fn first_import_killed_at_every_crashpoint_recovers_to_absent_or_post() {
+    // DS does not exist yet; another dataset keeps the catalog non-empty.
+    let base = seed_base("new");
+    let repo = base.join("repo");
+    let (ok, stdout, stderr) = run_clean(&repo, &["delete", "DS"]);
+    assert!(ok, "seed delete failed:\n{stdout}\n{stderr}");
+    let other = base.join("other.bed");
+    fs::write(&other, "chr5\t1\t9\to1\t3\t+\n").unwrap();
+    let (ok, stdout, stderr) = run_clean(&repo, &["import", other.to_str().unwrap(), "OTHER"]);
+    assert!(ok, "seed import failed:\n{stdout}\n{stderr}");
+    let after_kill = |repo: &Path, context: &str| {
+        // A plain open (on a copy: it sweeps) lists only names whose
+        // container is on disk.
+        let copy = repo.with_extension("open");
+        copy_dir(repo, &copy);
+        let opened = Repository::open(&copy).unwrap();
+        for entry in opened.list() {
+            assert_eq!(
+                opened.storage_version(&entry.name),
+                Some(StorageVersion::V2),
+                "[{context}] {} is listed without its container",
+                entry.name
+            );
+        }
+        fs::remove_dir_all(&copy).ok();
+    };
+    let first = base.join("first.bed");
+    crash_matrix(
+        "first_import",
+        &repo,
+        &["import", first.to_str().unwrap(), "DS"],
+        None,
+        Some((1, 3)),
+        &after_kill,
+    );
+    fs::remove_dir_all(&base).ok();
+}
+
+/// Replace the container of catalogued dataset `ds` under `repo_dir`
+/// with the v1 text layout older releases wrote.
+fn rewrite_as_v1(repo_dir: &Path, ds: &nggc::gdm::Dataset) {
+    let dir = repo_dir.join("datasets").join(&ds.name);
+    fs::remove_file(dir.join(nggc::formats::native_v2::CONTAINER_FILE)).unwrap();
+    nggc::formats::native::write_dataset(ds, &dir).unwrap();
+}
+
+#[test]
 fn migrate_killed_at_every_crashpoint_recovers_to_pre_or_post() {
     let base = tmp("mig_base");
     let repo_dir = base.join("repo");
     {
-        // A v1 (text) dataset, written through the library so `migrate`
-        // has real work to do.
+        // A v1 (text) dataset, so `migrate` has real work to do.
         let mut repo = Repository::open(&repo_dir).unwrap();
         let ds = {
             use nggc::gdm::{Attribute, Dataset, GRegion, Sample, Schema, Strand, ValueType};
@@ -182,7 +229,12 @@ fn migrate_killed_at_every_crashpoint_recovers_to_pre_or_post() {
             ds.add_sample(Sample::new("s1", "DS").with_regions(regions)).unwrap();
             ds
         };
-        repo.save_with_version(&ds, StorageVersion::V1).unwrap();
+        repo.save(&ds).unwrap();
+        rewrite_as_v1(&repo_dir, &ds);
+        assert_eq!(
+            Repository::open(&repo_dir).unwrap().storage_version("DS"),
+            Some(StorageVersion::V1)
+        );
     }
     // Migration rewrites in place: pre and post carry identical logical
     // content, so blend detection rides on fsck + load succeeding (a
@@ -195,6 +247,9 @@ fn migrate_killed_at_every_crashpoint_recovers_to_pre_or_post() {
     assert!(ok, "clean migrate failed:\n{stdout}\n{stderr}");
     let (ok, stdout, stderr) = run_clean(&repo, &["fsck", "--deep"]);
     assert!(ok, "deep fsck after migrate failed:\n{stdout}\n{stderr}");
+    let left: Vec<_> =
+        fs::read_dir(repo.join("datasets/DS")).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(left, ["data.gdm2"], "a migrated directory holds only its container");
     fs::remove_dir_all(&repo).ok();
     fs::remove_dir_all(&base).ok();
 }

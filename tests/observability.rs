@@ -229,6 +229,15 @@ fn a_source_node_accounts_its_own_reads_only() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// A one-sample, one-region dataset named `name`.
+fn one_region(name: &str) -> Dataset {
+    let schema = Schema::new(vec![Attribute::new("score", ValueType::Float)]).unwrap();
+    let mut ds = Dataset::new(name, schema);
+    let region = GRegion::new("chr1", 100, 150, Strand::Pos).with_values(vec![1.0.into()]);
+    ds.add_sample(Sample::new("s1", name).with_regions(vec![region])).unwrap();
+    ds
+}
+
 /// A result-store entry is one file written by one atomic write: the
 /// staged file and the store's directory are its only fsyncs.
 #[test]
@@ -236,11 +245,7 @@ fn storing_a_one_output_result_costs_two_fsyncs() {
     let _guard = global_lock();
     let dir = std::env::temp_dir().join(format!("nggc_obs_store_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let schema = Schema::new(vec![Attribute::new("score", ValueType::Float)]).unwrap();
-    let mut ds = Dataset::new("R", schema);
-    let region = GRegion::new("chr1", 100, 150, Strand::Pos).with_values(vec![1.0.into()]);
-    ds.add_sample(Sample::new("s1", "R").with_regions(vec![region])).unwrap();
-    let outputs = std::collections::HashMap::from([("R".to_owned(), ds)]);
+    let outputs = std::collections::HashMap::from([("R".to_owned(), one_region("R"))]);
     let store = ResultStore::open(&dir, 1 << 20);
     let fsyncs = obs::global().counter("nggc_repo_fsync_total");
     let before = fsyncs.get();
@@ -248,4 +253,26 @@ fn storing_a_one_output_result_costs_two_fsyncs() {
     assert_eq!(fsyncs.get() - before, 2);
     assert_eq!(store.usage().0, 1);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A dataset is one container written by one atomic write. Replacing a
+/// catalogued dataset fsyncs generations, catalog and container, each
+/// file and its directory. A first save also fsyncs `datasets/`, which
+/// gains the new directory, before the catalog names it. Neither
+/// renames anything into `.trash/`.
+#[test]
+fn saving_a_dataset_costs_seven_fsyncs_first_and_six_on_replace() {
+    let _guard = global_lock();
+    let root = std::env::temp_dir().join(format!("nggc_obs_save_{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let mut repo = Repository::open(&root).unwrap();
+    let fsyncs = obs::global().counter("nggc_repo_fsync_total");
+    let before = fsyncs.get();
+    repo.save(&one_region("DS")).unwrap();
+    assert_eq!(fsyncs.get() - before, 7, "a first save");
+    let before = fsyncs.get();
+    repo.save(&one_region("DS")).unwrap();
+    assert_eq!(fsyncs.get() - before, 6, "a replace");
+    assert!(!root.join(".trash").exists());
+    std::fs::remove_dir_all(&root).ok();
 }
