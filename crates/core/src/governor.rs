@@ -238,7 +238,7 @@ pub fn parse_duration(s: &str) -> Result<Duration, String> {
         "h" | "hr" | "hrs" => value * 3600.0,
         other => return Err(format!("unknown duration unit {other:?} in {s:?}")),
     };
-    Ok(Duration::from_secs_f64(secs))
+    Duration::try_from_secs_f64(secs).map_err(|_| format!("duration {s:?} overflows"))
 }
 
 /// Parse a human-friendly byte count: `64MiB`, `2GB`, `512KiB`, `1024`,
@@ -289,7 +289,7 @@ mod tests {
 
     #[test]
     fn parse_duration_rejects_garbage() {
-        for bad in ["", "fast", "10 parsecs", "-5s", "1.2.3s", "s"] {
+        for bad in ["", "fast", "10 parsecs", "-5s", "1.2.3s", "s", "99999999999999999999s"] {
             assert!(parse_duration(bad).is_err(), "{bad:?} should be rejected");
         }
     }

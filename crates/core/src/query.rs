@@ -91,15 +91,6 @@ impl GmqlEngine {
 
     /// Run a query, returning materialized outputs keyed by name.
     pub fn run(&self, query: &str) -> Result<HashMap<String, Dataset>, GmqlError> {
-        self.run_analyze(query).map(|(out, _)| out)
-    }
-
-    /// Run a query and also return per-node execution metrics (EXPLAIN
-    /// ANALYZE).
-    pub fn run_analyze(
-        &self,
-        query: &str,
-    ) -> Result<(HashMap<String, Dataset>, Vec<crate::exec::NodeMetrics>), GmqlError> {
         let plan = self.compile(query)?;
         let provider = |name: &str| -> Result<Dataset, GmqlError> {
             self.datasets
@@ -107,7 +98,7 @@ impl GmqlEngine {
                 .cloned()
                 .ok_or_else(|| GmqlError::semantic(format!("unknown dataset {name:?}")))
         };
-        execute_governed(&plan, &provider, &self.ctx, &self.opts, None)
+        execute_governed(&plan, &provider, &self.ctx, &self.opts, None).map(|(out, _)| out)
     }
 
     /// Estimate the output size of a query without running it, from

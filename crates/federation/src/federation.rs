@@ -112,11 +112,6 @@ impl Federation {
         Federation { nodes: Vec::new(), policy, breakers: Mutex::new(HashMap::new()) }
     }
 
-    /// Replace the fault-tolerance policy.
-    pub fn set_policy(&mut self, policy: CallPolicy) {
-        self.policy = policy;
-    }
-
     /// The active fault-tolerance policy.
     pub fn policy(&self) -> &CallPolicy {
         &self.policy

@@ -1,33 +1,75 @@
 #!/bin/sh
 # Count non-test lines of Rust: the lines of each file before its first
-# `#[cfg(test)]` (the whole file when it has none). Prints one row per
+# `#[cfg(test)]` (the whole file when it has none). A file declared as
+# `#[cfg(test)] mod NAME;` is test code as a whole, and that declaration
+# does not end the count of the file that makes it. Prints one row per
 # crate under crates/*/src, then the total over
-# crates/{core,engine,formats,repository,server}/src plus src/bin/nggc.rs.
+# crates/{core,engine,formats,repository,server}/src plus src/bin/nggc.rs,
+# once by this rule and once by the older one, which counted declared
+# test files as non-test and stopped at the declaration (the figure
+# CHANGES.md quotes up to the change that corrected it).
 #
 #   scripts/nontest_lines.sh          # run from anywhere inside the repo
 set -eu
 cd "$(dirname "$0")/.."
 
-nontest() {
-    # Files given as arguments; prints their summed non-test lines.
-    awk '
-        FNR == 1 { counting = 1 }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
-        counting { n++ }
-        END { print n + 0 }
-    ' "$@"
-}
+# An out-of-line module declaration: `mod NAME;`, `pub(crate) mod NAME;`.
+MOD_DECL='^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod[[:space:]]+[A-Za-z0-9_]+;'
+export MOD_DECL
 
 rs_files() {
     find "$@" -name '*.rs' -type f | sort
 }
 
+# The files declared by `#[cfg(test)] mod NAME;` in the files given, one
+# path a line: NAME.rs or NAME/mod.rs beside a mod.rs, lib.rs or main.rs,
+# and under the declaring file's own directory otherwise.
+test_modules() {
+    for file in "$@"; do
+        dir=$(dirname "$file")
+        case $(basename "$file") in
+            mod.rs | lib.rs | main.rs) ;;
+            *) dir="$dir/$(basename "$file" .rs)" ;;
+        esac
+        awk '
+            cfg && $0 ~ ENVIRON["MOD_DECL"] { name = $NF; sub(/;$/, "", name); print name }
+            { cfg = /^[[:space:]]*#\[cfg\(test\)\]/ }
+        ' "$file" | while read -r name; do
+            for candidate in "$dir/$name.rs" "$dir/$name/mod.rs"; do
+                if [ -f "$candidate" ]; then echo "$candidate"; fi
+            done
+        done
+    done
+}
+
+# Summed non-test lines of the files given. With OLD=1, by the older
+# rule; otherwise skipping the files named in $TEST_FILES.
+nontest() {
+    awk -v old="${OLD:-0}" -v skip="${TEST_FILES:-}" '
+        BEGIN { n_skip = split(skip, list, "\n"); for (i = 1; i <= n_skip; i++) test[list[i]] = 1 }
+        FNR == 1 { counting = !(FILENAME in test) || old; pending = 0 }
+        pending {
+            pending = 0
+            if ($0 ~ ENVIRON["MOD_DECL"]) next
+            counting = 0
+        }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { if (old) counting = 0; else if (counting) { pending = 1; next } }
+        counting { n++ }
+        END { print n + 0 }
+    ' "$@"
+}
+
+# shellcheck disable=SC2046
+TEST_FILES=$(test_modules $(rs_files crates/*/src src))
+export TEST_FILES
 for src in crates/*/src; do
     crate=$(basename "$(dirname "$src")")
     # shellcheck disable=SC2046
     printf '%-12s %6d\n' "$crate" "$(nontest $(rs_files "$src"))"
 done
 # shellcheck disable=SC2046
-total=$(nontest $(rs_files crates/core/src crates/engine/src crates/formats/src \
-    crates/repository/src crates/server/src) src/bin/nggc.rs)
-printf '%-12s %6d  (core, engine, formats, repository, server + src/bin/nggc.rs)\n' total "$total"
+set -- $(rs_files crates/core/src crates/engine/src crates/formats/src \
+    crates/repository/src crates/server/src) src/bin/nggc.rs
+printf '%-12s %6d  (core, engine, formats, repository, server + src/bin/nggc.rs)\n' \
+    total "$(nontest "$@")"
+printf '%-12s %6d  (the same files by the older rule)\n' "old total" "$(OLD=1 nontest "$@")"

@@ -2,6 +2,8 @@
 
 #[path = "common/flight.rs"]
 mod flight;
+#[path = "common/printed.rs"]
+mod printed;
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -219,6 +221,20 @@ fn cli_errors_are_reported() {
     let (ok, _, stderr) = run(&repo, &["import", "missing.xyz"]);
     assert!(!ok);
     assert!(stderr.contains("unknown format"), "{stderr}");
+
+    // A duration too large for `Duration` is an input error, by flag or
+    // by environment, not a panic.
+    let huge = "99999999999999999999s";
+    let query = ["query", "-e", "X = SELECT() D; MATERIALIZE X;"];
+    let by_flag = nggc().arg("--repo").arg(&repo).args(query).args(["--timeout", huge]).output();
+    let by_env =
+        nggc().arg("--repo").arg(&repo).args(query).env("NGGC_QUERY_TIMEOUT", huge).output();
+    for out in [by_flag, by_env] {
+        let out = out.expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains("overflows") && !stderr.contains("panicked"), "{stderr}");
+    }
     std::fs::remove_dir_all(&repo).ok();
 }
 
@@ -460,18 +476,24 @@ fn explain_analyze_reads_do_not_depend_on_the_registry() {
 /// The value of an unlabelled counter in `nggc stats --json` output; 0
 /// when nothing registered it.
 fn counter(stats: &str, name: &str) -> u64 {
-    let key = format!("\"{name}\",\"labels\":{{}},\"type\":\"counter\",\"value\":");
-    stats.find(&key).map_or(0, |at| {
-        let digits: String =
-            stats[at + key.len()..].chars().take_while(char::is_ascii_digit).collect();
-        digits.parse().expect("a counter value")
-    })
+    let doc: serde::Content = serde_json::from_str(stats).expect("a JSON document");
+    let unlabelled = |metric: &&serde::Content| {
+        flight::text_of(flight::get(metric, "name")) == name
+            && flight::text_of(flight::get(metric, "type")) == "counter"
+            && matches!(flight::get(metric, "labels"), serde::Content::Map(labels) if labels.is_empty())
+    };
+    flight::items(&doc)
+        .iter()
+        .find(unlabelled)
+        .map_or(0, |m| flight::number(flight::get(m, "value")))
 }
 
 /// A one-shot query keeps no dataset cache, so the SELECT over a full
 /// read owns its input and filters it in place: no region is cloned. A
-/// pruned read builds only the rows of its window and, under a PROJECT,
-/// only the listed column's cells.
+/// pruned read skips the chromosomes and samples it does not select, and
+/// builds only the rows of its window and, under a PROJECT, only the
+/// listed column's cells. A source with two consumers is shared, not
+/// copied, and the disk result store answers as an execution does.
 #[test]
 fn one_shot_queries_build_and_copy_only_what_they_keep() {
     let repo = tmp_repo("late");
@@ -520,6 +542,12 @@ fn one_shot_queries_build_and_copy_only_what_they_keep() {
     let read = |s: &str| counter(s, "nggc_scan_bytes_read_total");
     assert_eq!(read(&window), read(&chr2), "the window drops rows, not blocks");
     assert_eq!(counter(&window, "nggc_exec_regions_cloned_total"), 0);
+    // The chromosome itself is a pruned read: fewer bytes than the
+    // container holds.
+    let container = repo.join("datasets/PEAKS/data.gdm2");
+    let container_bytes = || std::fs::metadata(&container).unwrap().len();
+    assert!(counter(&chr2, "nggc_scan_bytes_skipped_total") > 0, "{chr2}");
+    assert!(read(&chr2) > 0 && read(&chr2) < container_bytes(), "{chr2}");
 
     // BED imports two value columns: the narrowed read decodes one.
     let project = stats("X = PROJECT(score) PEAKS; MATERIALIZE X;");
@@ -529,6 +557,46 @@ fn one_shot_queries_build_and_copy_only_what_they_keep() {
     assert!(ok, "{stderr}");
     let pruned = stdout.lines().find(|l| l.contains("repo.load_pruned")).expect("a pruned read");
     assert!(pruned.contains("cells=5") && pruned.contains("regions=5"), "{pruned}");
+
+    // The sample axis: a second import appends a sample carrying its own
+    // `imported_from`, and a SELECT on it passes over the other sample
+    // where it is stored.
+    let more = repo.join("more.bed");
+    std::fs::write(&more, "chr1\t150\t350\tq1\t3\t+\nchr2\t120\t320\tq2\t4\t-\n").unwrap();
+    let (ok, _, stderr) = run(&repo, &["import", more.to_str().unwrap(), "PEAKS"]);
+    assert!(ok, "{stderr}");
+    let sample =
+        stats(&format!("X = SELECT(imported_from == '{}') PEAKS; MATERIALIZE X;", more.display()));
+    assert_eq!(counter(&sample, "nggc_scan_samples_skipped_total"), 1, "{sample}");
+    assert!(counter(&sample, "nggc_scan_bytes_skipped_total") > 0, "{sample}");
+    assert!(read(&sample) > 0 && read(&sample) < container_bytes(), "{sample}");
+
+    // PEAKS has two consumers, so neither owns it: the metadata SELECT
+    // and the EXTEND hand its samples' buffers on, and so does UNION,
+    // whose sides both have the merged layout. Nothing is copied.
+    let shared = format!(
+        "A = SELECT(imported_from == '{}') PEAKS; B = EXTEND(n AS COUNT) PEAKS; \
+         R = UNION() A B; MATERIALIZE R;",
+        bed.display()
+    );
+    let union = stats(&shared);
+    assert!(counter(&union, "nggc_exec_samples_shared_total") > 0, "{union}");
+    assert_eq!(counter(&union, "nggc_exec_regions_cloned_total"), 0, "{union}");
+    // The disk result store answers it as an execution does.
+    let query = |extra: &[&str]| {
+        let (ok, stdout, stderr) =
+            run(&repo, &[&["query", "--head", "0", "-e", &shared], extra].concat());
+        assert!(ok, "{stderr}");
+        stdout
+    };
+    let executed = printed::counts(&query(&["--no-cache"]));
+    assert_eq!(executed, (3, 12), "PEAKS' first sample, then both extended");
+    let stored = query(&[]);
+    assert!(!printed::cached(&stored), "{stored}");
+    assert_eq!(printed::counts(&stored), executed, "{stored}");
+    let hit = query(&[]);
+    assert!(printed::cached(&hit), "{hit}");
+    assert_eq!(printed::counts(&hit), executed, "{hit}");
     std::fs::remove_dir_all(&repo).ok();
 }
 

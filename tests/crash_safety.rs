@@ -3,8 +3,8 @@
 //! For every registered crashpoint (`nggc::repository::CRASH_SITES`)
 //! and every hit count until the site stops firing, a real `nggc`
 //! binary is killed mid-mutation (`import` onto an existing name and of
-//! a new one, `migrate`, `delete`, and a `query` storing its result) via
-//! `NGGC_CRASHPOINT=<site>:<n>`. After
+//! a new one, `migrate` of a v1 and of a v2 dataset, `delete`, and a
+//! `query` storing its result) via `NGGC_CRASHPOINT=<site>:<n>`. After
 //! each kill the harness asserts the recovery contract:
 //!
 //! 1. `nggc fsck --repair` succeeds,
@@ -240,6 +240,17 @@ fn migrate_killed_at_every_crashpoint_recovers_to_pre_or_post() {
     // content, so blend detection rides on fsck + load succeeding (a
     // half-written container fails its checksum pass).
     crash_matrix("migrate", &repo_dir, &["migrate", "DS"], Some((1, 3)), Some((1, 3)), &|_, _| {});
+    // A v2 dataset is recompacted: the same publish, from a container.
+    let v2 = seed_base("mig_v2");
+    crash_matrix(
+        "migrate_v2",
+        &v2.join("repo"),
+        &["migrate", "DS"],
+        Some((1, 3)),
+        Some((1, 3)),
+        &|_, _| {},
+    );
+    fs::remove_dir_all(&v2).ok();
     // Also assert deep fsck passes on a surviving migrated copy.
     let repo = tmp("mig_post");
     copy_dir(&repo_dir, &repo);

@@ -10,6 +10,8 @@
 
 #[path = "common/flight.rs"]
 mod flight;
+#[path = "common/printed.rs"]
+mod printed;
 #[path = "common/watchdog.rs"]
 mod watchdog;
 
@@ -655,44 +657,139 @@ fn shutdown_refuses_new_queries_and_run_returns() {
     });
 }
 
-/// SIGTERM against the real binary: banner parsed for the port, one
-/// query served, then a clean drain to exit 0 (the CI smoke contract).
+/// The real binaries end to end (docs/serving.md): `nggc serve` with the
+/// flight recorder armed at threshold 0, driven by `nggc client`. The
+/// executed query leaves one flight record and the counts `nggc query`
+/// gives; a repeat is a cache hit whose rows at heads 1, 2 and 3 are an
+/// execution's; a chromosome query on the resident dataset scans its
+/// window, not the dataset; `--ping` answers; a zero deadline exits 124;
+/// and SIGTERM drains to exit 0.
 #[test]
 #[cfg(unix)]
 fn sigterm_drains_the_real_binary_to_exit_zero() {
-    use std::io::{BufRead, BufReader};
-    use std::process::{Command, Stdio};
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::{Child, Command, Output, Stdio};
+
+    /// Kills the server if the test fails before it drains.
+    struct Serving(Child);
+    impl Drop for Serving {
+        fn drop(&mut self) {
+            self.0.kill().ok();
+            self.0.wait().ok();
+        }
+    }
 
     let _guard = test_lock();
     with_watchdog("sigterm", 120, || {
         let root = tmp("sigterm_bin");
-        {
-            let mut repo = Repository::open(&root).unwrap();
-            repo.save(&dataset("SIG", 16)).unwrap();
-        }
-        let mut child = Command::new(env!("CARGO_BIN_EXE_nggc"))
-            .args(["--repo", root.to_str().unwrap(), "serve", "--addr", "127.0.0.1:0"])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .unwrap();
-        let stdout = child.stdout.take().unwrap();
-        let mut lines = BufReader::new(stdout).lines();
-        let banner = lines.next().unwrap().unwrap();
-        let addr = banner.strip_prefix("listening on ").unwrap_or_else(|| {
+        std::fs::create_dir_all(&root).unwrap();
+        let repo = root.join("repo");
+        let nggc = || {
+            let mut cmd = Command::new(env!("CARGO_BIN_EXE_nggc"));
+            cmd.arg("--repo").arg(&repo);
+            cmd
+        };
+        let succeeded = |out: Output, what: &str| {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{what}: {:?}\n{stderr}", out.status);
+            String::from_utf8(out.stdout).unwrap()
+        };
+        let bed = root.join("peaks.bed");
+        std::fs::write(
+            &bed,
+            "chr1\t100\t300\t0.0001\nchr1\t500\t800\t0.0002\nchr2\t100\t300\t0.0003\n",
+        )
+        .unwrap();
+        succeeded(
+            nggc().args(["import", bed.to_str().unwrap(), "PEAKS"]).output().unwrap(),
+            "import",
+        );
+
+        let sink = root.join("flight.jsonl");
+        let mut server = Serving(
+            nggc()
+                .args(["serve", "--addr", "127.0.0.1:0"])
+                .env("NGGC_SLOW_QUERY_MS", "0")
+                .env("NGGC_FLIGHT_RECORDER", &sink)
+                .stdout(Stdio::piped())
+                .stderr(Stdio::null())
+                .spawn()
+                .unwrap(),
+        );
+        let mut stdout = BufReader::new(server.0.stdout.take().unwrap());
+        let mut banner = String::new();
+        stdout.read_line(&mut banner).unwrap();
+        let addr = banner.trim_end().strip_prefix("listening on ").unwrap_or_else(|| {
             panic!("unexpected banner: {banner:?}");
         });
+        let client = |args: &[&str]| {
+            Command::new(env!("CARGO_BIN_EXE_nggc"))
+                .args(["client", "--addr", addr])
+                .args(args)
+                .output()
+                .unwrap()
+        };
+        let answer = |args: &[&str]| succeeded(client(args), &format!("client {args:?}"));
+        let stat = |name: &str| -> u64 {
+            let stats = answer(&["--stats"]);
+            let value = stats.lines().find_map(|line| {
+                let mut words = line.split_whitespace();
+                (words.next() == Some(name)).then(|| words.next()).flatten()
+            });
+            value.unwrap_or_else(|| panic!("no {name} in {stats}")).parse().expect("a number")
+        };
+        let rows = |out: &str| -> Vec<String> {
+            out.lines().filter(|line| line.starts_with("  ")).map(str::to_owned).collect()
+        };
 
-        let mut client = Client::connect(addr).unwrap();
-        match client.query("R = SELECT() SIG; MATERIALIZE R;", None, None, 1).unwrap() {
-            ServerReply::Result { outputs, .. } => assert_eq!(outputs[0].regions, 16),
-            other => panic!("expected Result, got {other:?}"),
+        let all = "R = SELECT() PEAKS; MATERIALIZE R;";
+        let served = answer(&["-e", all, "--head", "2"]);
+        let records = flight::read_records(&sink);
+        assert_eq!(records.len(), 1, "one record for the one executed query");
+        assert_eq!(flight::text_of(flight::get(&records[0], "query")), all);
+        // One query path: the CLI gives the server's counts.
+        let cli = nggc().args(["query", "--no-cache", "--head", "2", "-e", all]).output().unwrap();
+        assert_eq!(printed::counts(&succeeded(cli, "query")), printed::counts(&served));
+        assert_eq!(printed::counts(&served), (1, 3), "{served}");
+
+        // The repeat is a cache hit, and at each head its rows are those
+        // of an execution at that head (the kept rendering is one head's).
+        for head in ["2", "1", "3"] {
+            let hit = answer(&["-e", all, "--head", head]);
+            assert!(printed::cached(&hit), "head {head}: {hit}");
+            let executed = answer(&["--no-cache", "-e", all, "--head", head]);
+            assert!(!printed::cached(&executed), "head {head}: {executed}");
+            assert_eq!(rows(&hit), rows(&executed), "head {head}");
+            assert_eq!(rows(&hit).len().to_string(), head, "{hit}");
         }
+        assert!(stat("result_cache_hits") >= 1);
 
-        let term = Command::new("kill").args(["-TERM", &child.id().to_string()]).status().unwrap();
+        // A full read leaves PEAKS resident; a chromosome query on it is
+        // then sliced by sort order: SELECT looks at chr2's one region,
+        // not at the dataset's three.
+        answer(&["--no-cache", "-e", all, "--head", "0"]);
+        let before = stat("select_regions_scanned");
+        let chr2 = "R = SELECT(region: chr == 'chr2') PEAKS; MATERIALIZE R;";
+        assert_eq!(printed::counts(&answer(&["--no-cache", "-e", chr2, "--head", "0"])), (1, 1));
+        let rose = stat("select_regions_scanned") - before;
+        assert!((1..3).contains(&rose), "the chr2 query scanned {rose} regions");
+
+        assert!(answer(&["--ping"]).starts_with("pong"));
+        // A serve error kind is the client's exit code: a zero deadline
+        // always trips, and DeadlineExceeded is 124 as in `nggc query`.
+        let tripped = client(&["--no-cache", "--timeout", "0ms", "-e", all]);
+        let stderr = String::from_utf8_lossy(&tripped.stderr);
+        assert_eq!(tripped.status.code(), Some(124), "{stderr}");
+        assert!(stderr.contains("DeadlineExceeded"), "{stderr}");
+
+        let term =
+            Command::new("kill").args(["-TERM", &server.0.id().to_string()]).status().unwrap();
         assert!(term.success(), "kill -TERM failed");
-        let status = child.wait().unwrap();
+        let status = server.0.wait().unwrap();
         assert!(status.success(), "serve must drain and exit 0 on SIGTERM, got {status:?}");
+        let mut rest = String::new();
+        stdout.read_to_string(&mut rest).unwrap();
+        assert!(rest.contains("drained; bye"), "{rest}");
         std::fs::remove_dir_all(&root).ok();
     });
 }
