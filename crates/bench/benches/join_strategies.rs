@@ -34,7 +34,9 @@ use nggc_engine::{
     coverage_segments, coverage_sweep, merge_runs, overlap_pairs_naive, overlap_pairs_sort_merge,
     ExecContext,
 };
-use nggc_formats::native_v2::{encode_dataset_v2, scan_dataset_v2_from, ScanOptions};
+use nggc_formats::native_v2::{
+    encode_dataset_v2, materialize_dataset_v2_from, Materialize, ScanOptions,
+};
 use nggc_gdm::{Attribute, Chrom, Dataset, GRegion, Metadata, Sample, Schema, Strand, ValueType};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -241,11 +243,12 @@ fn bench_select_window(c: &mut Criterion) {
 fn bench_scan_meta_first(c: &mut Criterion) {
     let bytes = encode_dataset_v2(&encode_shaped()).expect("encodes");
     let k562 = MetaPredicate::eq("cell", "K562");
-    let opts = ScanOptions::default();
+    let (opts, build) = (ScanOptions::default(), Materialize::default());
     let scan = |admit: &dyn Fn(&Metadata) -> bool| {
         let src = std::io::Cursor::new(bytes.as_slice());
-        let (dataset, _) = scan_dataset_v2_from(src, &opts, |_: &str, m: &Metadata| admit(m))
-            .expect("container reads");
+        let (dataset, _) =
+            materialize_dataset_v2_from(src, &opts, &build, |_: &str, m: &Metadata| admit(m))
+                .expect("container reads");
         black_box(dataset).sample_count()
     };
     assert_eq!((scan(&|_| true), scan(&|m| k562.eval(m))), (16, 2));

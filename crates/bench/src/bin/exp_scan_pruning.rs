@@ -108,9 +108,10 @@ fn measure(root: &Path, dataset: &Dataset, what: &str, query: &str, iters: usize
     let spec = specs.values().next().expect("one source");
     let scan_opts = ScanOptions { chroms: spec.chroms.clone(), columns: spec.columns.clone() };
     let container = root.join("datasets").join(&dataset.name).join(native_v2::CONTAINER_FILE);
-    let (_, stats) = native_v2::scan_dataset_v2_from(
+    let (_, stats) = native_v2::materialize_dataset_v2_from(
         std::fs::File::open(container).expect("open container"),
         &scan_opts,
+        &native_v2::Materialize::default(),
         |_: &str, metadata: &Metadata| spec.samples.as_ref().is_none_or(|p| p.eval(metadata)),
     )
     .expect("pruned read");

@@ -98,14 +98,14 @@ fn main() {
     });
     let v2_load = best_of(iters, || {
         let t0 = Instant::now();
-        let d = native_v2::read_dataset_v2(&v2_dir).expect("v2 load");
+        let (d, ..) = native_v2::read_dataset_auto(&v2_dir).expect("v2 load");
         assert_eq!(d.region_count(), dataset.region_count());
         t0.elapsed()
     });
 
     // Round-trip fidelity: the v2 container must reproduce the dataset
     // exactly (schema, metadata, regions, sample order).
-    let reread = native_v2::read_dataset_v2(&v2_dir).expect("v2 reread");
+    let (reread, ..) = native_v2::read_dataset_auto(&v2_dir).expect("v2 reread");
     assert_eq!(reread.name, dataset.name, "dataset name survives");
     assert_eq!(reread.schema, dataset.schema, "schema survives");
     assert_eq!(reread.sample_count(), dataset.sample_count(), "sample count survives");
@@ -120,9 +120,17 @@ fn main() {
 
     // -- chromosome-granular read (v2 only; v1 parses everything) ----
     let chrom = dataset.samples[0].regions[0].chrom.to_string();
+    let one_chrom = native_v2::ScanOptions { chroms: Some([chrom.clone()].into()), columns: None };
     let v2_chrom_load = best_of(iters, || {
         let t0 = Instant::now();
-        native_v2::read_dataset_v2_chrom(&v2_dir, &chrom).expect("v2 chrom load");
+        let container = std::fs::File::open(v2_dir.join(native_v2::CONTAINER_FILE)).unwrap();
+        native_v2::materialize_dataset_v2_from(
+            container,
+            &one_chrom,
+            &native_v2::Materialize::default(),
+            |_: &str, _: &nggc_gdm::Metadata| true,
+        )
+        .expect("v2 chrom load");
         t0.elapsed()
     });
 

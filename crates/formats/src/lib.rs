@@ -44,8 +44,7 @@ pub use gtf::{gtf_schema, parse_gtf, write_gtf};
 pub use loader::{load_directory, LoadReport};
 pub use native::{read_dataset, write_dataset};
 pub use native_v2::{
-    detect_version, read_dataset_auto, read_dataset_v2, read_dataset_v2_chrom,
-    read_dataset_v2_pruned, write_dataset_v2, ScanOptions, ScanStats, StorageVersion,
+    detect_version, read_dataset_auto, write_dataset_v2, ScanOptions, ScanStats, StorageVersion,
 };
 pub use peak::{parse_peaks, write_peaks, PeakKind};
 pub use vcf::{parse_vcf, vcf_schema, write_vcf};

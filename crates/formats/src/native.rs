@@ -139,11 +139,22 @@ pub fn write_dataset(dataset: &Dataset, dir: &Path) -> Result<(), FormatError> {
 /// directory's file name; samples are loaded in lexicographic order for
 /// determinism.
 pub fn read_dataset(dir: &Path) -> Result<Dataset, FormatError> {
+    read_dataset_counted(dir).map(|(dataset, _)| dataset)
+}
+
+/// [`read_dataset`], with the bytes of the files it read.
+pub(crate) fn read_dataset_counted(dir: &Path) -> Result<(Dataset, u64), FormatError> {
+    let mut bytes = 0u64;
+    let mut read = |path: &Path| -> Result<String, FormatError> {
+        let text = fs::read_to_string(path)?;
+        bytes += text.len() as u64;
+        Ok(text)
+    };
     let name = dir
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| "dataset".to_owned());
-    let schema = parse_schema(&fs::read_to_string(dir.join("schema.gdm"))?)?;
+    let schema = parse_schema(&read(&dir.join("schema.gdm"))?)?;
     let mut dataset = Dataset::new(name.clone(), schema);
     let files = dir.join("files");
     let mut entries: Vec<_> = fs::read_dir(&files)?
@@ -155,17 +166,14 @@ pub fn read_dataset(dir: &Path) -> Result<Dataset, FormatError> {
     for region_path in entries {
         let stem =
             region_path.file_stem().map(|s| s.to_string_lossy().into_owned()).unwrap_or_default();
-        let regions = parse_regions(&fs::read_to_string(&region_path)?, &dataset.schema)?;
+        let regions = parse_regions(&read(&region_path)?, &dataset.schema)?;
         let meta_path = files.join(format!("{stem}.gdm.meta"));
-        let metadata = if meta_path.exists() {
-            parse_metadata(&fs::read_to_string(&meta_path)?)?
-        } else {
-            Metadata::new()
-        };
+        let metadata =
+            if meta_path.exists() { parse_metadata(&read(&meta_path)?)? } else { Metadata::new() };
         let sample = Sample::new(stem, &name).with_regions(regions).with_metadata(metadata);
         dataset.add_sample(sample)?;
     }
-    Ok(dataset)
+    Ok((dataset, bytes))
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //!
 //! ```text
 //! magic           8 bytes  "NGGCGDM2"
-//! version         1 byte   (2 or 3)
+//! version         1 byte   (3)
 //! dataset name    str
 //! schema          varint n_attrs, then per attribute: str name, u8 type tag
 //! sample count    varint
@@ -28,33 +28,42 @@
 //!   name          str
 //!   metadata      varint n_pairs, then per pair: str key, str value
 //!   chrom index   varint n_chroms, then per chromosome:
-//!                   str name, varint n_regions, varint block_bytes
-//!                   [v3] u32 LE CRC32C of the chromosome block
+//!                   str name, varint n_regions, varint block_bytes,
+//!                   u32 LE CRC32C of the chromosome block
 //!   chrom blocks  back-to-back, in index order
-//! [v3] trailer    u32 LE CRC32C over every preceding byte of the file
+//! trailer         u32 LE CRC32C over every preceding byte of the file
 //! ```
 //!
 //! The chromosome index doubles as an offset table: `block_bytes` lets a
-//! reader *skip* any chromosome without decoding it, which is what
-//! [`read_dataset_v2_chrom`] uses for chromosome-granular reads. A
-//! sample's name and metadata sit in front of its index and blocks, so a
-//! reader can decide on them whether the sample is wanted at all and
-//! pass over every block of one that is not in a single skip
-//! ([`scan_dataset_v2_from`]).
+//! reader *skip* any chromosome without decoding it. A sample's name and
+//! metadata sit in front of its index and blocks, so a reader can decide
+//! on them whether the sample is wanted at all and pass over every block
+//! of one that is not in a single skip.
 //!
-//! ## Header revision 3: checksums
+//! ## Readers
 //!
-//! Revision 3 keeps the byte layout of revision 2 and adds integrity
-//! metadata: each chromosome index entry carries a CRC32C (Castagnoli)
-//! of its block, and the file ends with a CRC32C trailer covering every
+//! One entry point per use: [`read_dataset_auto`] reads a dataset
+//! directory whole (its container, or a v1 text directory),
+//! [`decode_dataset_v2`] a whole container in memory,
+//! [`decode_dataset_v2_pruned`] a part of one, [`materialize_dataset_v2_from`]
+//! a part of a container file — chromosomes, columns, samples, and rows
+//! of a coordinate window — without reading the rest, [`read_index`] the
+//! index alone, and [`decode_outputs`] a query's framed outputs. Every
+//! container read is the same walk of the container.
+//!
+//! ## Checksums
+//!
+//! Each chromosome index entry carries a CRC32C (Castagnoli) of its
+//! block, and the file ends with a CRC32C trailer covering every
 //! preceding byte. Verification is *lazy per section read*: a full
-//! decode checks the trailer up front, a chromosome-granular read
-//! checks only the blocks it actually decodes — a flipped bit in one
-//! chromosome fails that chromosome's read with
-//! [`FormatError::ChecksumMismatch`] while every other section of the
-//! same container stays readable, and a read that refuses a sample
-//! checks none of that sample's blocks. Writers emit revision 3; readers
-//! accept both, so containers from the previous release load unchanged.
+//! decode checks the trailer up front, a pruned read checks only the
+//! blocks it actually decodes — a flipped bit in one chromosome fails
+//! that chromosome's read with [`FormatError::ChecksumMismatch`] while
+//! every other section of the same container stays readable, and a read
+//! that refuses a sample checks none of that sample's blocks. Every
+//! reader refuses a version byte other than [`VERSION`]: the
+//! checksum-free revision 2 of earlier releases is no longer read, so no
+//! flipped bit can turn a checksummed container into one read unchecked.
 //!
 //! ## Chromosome block encoding
 //!
@@ -177,14 +186,9 @@ pub struct ScanStats {
 /// Magic bytes opening every v2 container.
 pub const MAGIC: &[u8; 8] = b"NGGCGDM2";
 
-/// Header revision written by this release: per-block CRC32C plus a
+/// The one header revision written and read: per-block CRC32C plus a
 /// whole-file trailer checksum.
 pub const VERSION: u8 = 3;
-
-/// Header revision of the previous release: no checksums. Still fully
-/// readable; [`encode_dataset_v2_legacy`] emits it for compatibility
-/// tests.
-pub const VERSION_LEGACY: u8 = 2;
 
 /// Container file name inside a dataset directory.
 pub const CONTAINER_FILE: &str = "data.gdm2";
@@ -225,16 +229,22 @@ pub fn detect_version(dir: &Path) -> Option<StorageVersion> {
     None
 }
 
-/// Read a dataset in whichever version the directory holds (v2 binary
-/// preferred, v1 text fallback).
-pub fn read_dataset_auto(dir: &Path) -> Result<Dataset, FormatError> {
-    match detect_version(dir) {
-        Some(StorageVersion::V2) => read_dataset_v2(dir),
-        Some(StorageVersion::V1) => native::read_dataset(dir),
-        None => Err(FormatError::UnknownFormat(format!(
+/// Read a whole dataset directory in whichever layout it holds: its v2
+/// container when it has one, else its v1 text files. Returns the layout
+/// read and the bytes read for it. The container is opened once; there
+/// is no separate probe of its layout.
+pub fn read_dataset_auto(dir: &Path) -> Result<(Dataset, StorageVersion, u64), FormatError> {
+    match fs::read(dir.join(CONTAINER_FILE)) {
+        Ok(buf) => Ok((decode_dataset_v2(&buf)?, StorageVersion::V2, buf.len() as u64)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound && dir.join("schema.gdm").exists() => {
+            let (dataset, bytes) = native::read_dataset_counted(dir)?;
+            Ok((dataset, StorageVersion::V1, bytes))
+        }
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Err(FormatError::UnknownFormat(format!(
             "{}: neither a v2 container nor a v1 native dataset",
             dir.display()
         ))),
+        Err(e) => Err(e.into()),
     }
 }
 
@@ -681,27 +691,13 @@ fn column_type_error(attr: &str, value: &Value) -> FormatError {
     }
 }
 
-/// Serialise a whole dataset into container bytes at the current header
-/// revision ([`VERSION`]): per-block CRC32C entries plus a whole-file
-/// trailer checksum.
+/// Serialise a whole dataset into container bytes at header revision
+/// [`VERSION`]: per-block CRC32C entries plus a whole-file trailer
+/// checksum.
 pub fn encode_dataset_v2(dataset: &Dataset) -> Result<Vec<u8>, FormatError> {
-    encode_dataset_with_version(dataset, VERSION)
-}
-
-/// Serialise a dataset as the previous release wrote it (header
-/// revision 2, no checksums). Exists so compatibility tests can prove
-/// old containers still load; new code should use
-/// [`encode_dataset_v2`].
-pub fn encode_dataset_v2_legacy(dataset: &Dataset) -> Result<Vec<u8>, FormatError> {
-    encode_dataset_with_version(dataset, VERSION_LEGACY)
-}
-
-fn encode_dataset_with_version(dataset: &Dataset, version: u8) -> Result<Vec<u8>, FormatError> {
-    debug_assert!(version == VERSION_LEGACY || version == VERSION);
-    let checksums = version >= VERSION;
     let mut out = Vec::with_capacity(64 * 1024);
     out.extend_from_slice(MAGIC);
-    out.push(version);
+    out.push(VERSION);
     put_str(&mut out, &dataset.name);
     // Schema block.
     put_varint(&mut out, dataset.schema.len() as u64);
@@ -748,18 +744,14 @@ fn encode_dataset_with_version(dataset: &Dataset, version: u8) -> Result<Vec<u8>
             put_str(&mut out, chrom.as_str());
             put_varint(&mut out, group.len() as u64);
             put_varint(&mut out, block.len() as u64);
-            if checksums {
-                out.extend_from_slice(&crc32c(block).to_le_bytes());
-            }
+            out.extend_from_slice(&crc32c(block).to_le_bytes());
         }
         for block in &blocks {
             out.extend_from_slice(block);
         }
     }
-    if checksums {
-        let trailer = crc32c(&out);
-        out.extend_from_slice(&trailer.to_le_bytes());
-    }
+    let trailer = crc32c(&out);
+    out.extend_from_slice(&trailer.to_le_bytes());
     Ok(out)
 }
 
@@ -979,28 +971,26 @@ fn skip_column_payload(
 struct Header {
     name: String,
     schema: Schema,
-    version: u8,
 }
 
 impl<R: Read + Seek> Walker<R> {
-    /// Magic and version byte; errors on unknown header revisions.
-    fn version(&mut self) -> Result<u8, FormatError> {
+    /// Magic and version byte; errors on any revision but [`VERSION`].
+    fn version(&mut self) -> Result<(), FormatError> {
         let mut magic = [0u8; 8];
         self.fill(&mut magic)?;
         if &magic != MAGIC {
             return Err(self.corrupt("bad magic: not a v2 container"));
         }
-        let version = self.u8()?;
-        if version != VERSION_LEGACY && version != VERSION {
-            return Err(self.corrupt(format!("unsupported container version {version}")));
+        match self.u8()? {
+            VERSION => Ok(()),
+            version => Err(self.corrupt(format!("unsupported container version {version}"))),
         }
-        Ok(version)
     }
 
     /// Version, dataset name and schema, leaving the walker at the
     /// sample count.
     fn header(&mut self) -> Result<Header, FormatError> {
-        let version = self.version()?;
+        self.version()?;
         let name = self.string()?;
         let n_attrs = self.len_prefixed("schema")?;
         let mut attrs = Vec::with_capacity(n_attrs);
@@ -1013,15 +1003,12 @@ impl<R: Read + Seek> Walker<R> {
         }
         let schema =
             Schema::new(attrs).map_err(|e| self.corrupt(format!("invalid schema: {e}")))?;
-        Ok(Header { name, schema, version })
+        Ok(Header { name, schema })
     }
 
     /// One sample's name, metadata and chromosome index, leaving the
     /// walker at the sample's first block.
-    fn sample_index(
-        &mut self,
-        version: u8,
-    ) -> Result<(String, Metadata, Vec<ChromIndexEntry>), FormatError> {
+    fn sample_index(&mut self) -> Result<(String, Metadata, Vec<ChromIndexEntry>), FormatError> {
         let sample_name = self.string()?;
         let n_pairs = self.len_prefixed("metadata")?;
         let mut metadata = Metadata::new();
@@ -1036,20 +1023,16 @@ impl<R: Read + Seek> Walker<R> {
             let chrom = self.string()?;
             let regions = self.varint()?;
             let bytes = self.varint()?;
-            let crc = if version >= VERSION {
-                let mut raw = [0u8; 4];
-                self.fill(&mut raw)?;
-                Some(u32::from_le_bytes(raw))
-            } else {
-                None
-            };
+            let mut crc = [0u8; 4];
+            self.fill(&mut crc)?;
+            let crc = u32::from_le_bytes(crc);
             chroms.push(ChromIndexEntry { chrom, regions, bytes, crc });
         }
         Ok((sample_name, metadata, chroms))
     }
 }
 
-/// Verify the whole-file CRC32C trailer of a revision-3 container.
+/// Verify the whole-file CRC32C trailer of a container.
 fn verify_trailer(buf: &[u8]) -> Result<(), FormatError> {
     // 8 magic + 1 version + 4 trailer is the absolute minimum.
     if buf.len() < 13 {
@@ -1076,9 +1059,8 @@ pub struct ChromIndexEntry {
     pub regions: u64,
     /// Encoded block size in bytes.
     pub bytes: u64,
-    /// CRC32C of the block (`None` for revision-2 containers, which
-    /// store no checksums).
-    pub crc: Option<u32>,
+    /// CRC32C of the block.
+    pub crc: u32,
 }
 
 /// Per-sample index of a v2 container.
@@ -1206,7 +1188,7 @@ struct WantedBlock<B> {
     /// Interned per walk: equal names share one handle across samples.
     chrom: Chrom,
     regions: u64,
-    crc: Option<u32>,
+    crc: u32,
     /// Where the block starts in the container, for error offsets.
     offset: u64,
     bytes: B,
@@ -1226,8 +1208,7 @@ struct SampleScan<B> {
 /// name and metadata is passed over whole — one skip for all its blocks,
 /// nothing fetched, `on_sample` not called. Of an admitted sample,
 /// `fetch` the extents of the blocks `wants` names and seek over the
-/// others, and hand the sample to `on_sample` — which returns `false` to
-/// stop the walk early.
+/// others, and hand the sample to `on_sample`.
 ///
 /// `fetch` receives the source positioned at a block and its length
 /// (already checked against the container length) and must consume
@@ -1237,7 +1218,7 @@ fn walk_container<R: Read + Seek, B>(
     mut admit: impl FnMut(&str, &Metadata) -> bool,
     wants: impl Fn(&str) -> bool,
     mut fetch: impl FnMut(&mut R, usize) -> Result<B, FormatError>,
-    mut on_sample: impl FnMut(&Header, SampleScan<B>) -> Result<bool, FormatError>,
+    mut on_sample: impl FnMut(SampleScan<B>),
 ) -> Result<(Header, ScanStats), FormatError> {
     let mut w = Walker::new(src)?;
     let header = w.header()?;
@@ -1245,7 +1226,7 @@ fn walk_container<R: Read + Seek, B>(
     let mut interner = ChromInterner::new();
     let n_samples = w.len_prefixed("sample count")?;
     for _ in 0..n_samples {
-        let (name, metadata, chroms) = w.sample_index(header.version)?;
+        let (name, metadata, chroms) = w.sample_index()?;
         if !admit(&name, &metadata) {
             let extent = chroms
                 .iter()
@@ -1280,16 +1261,14 @@ fn walk_container<R: Read + Seek, B>(
                 stats.bytes_skipped += entry.bytes;
             }
         }
-        if !on_sample(&header, SampleScan { name, metadata, chroms, wanted })? {
-            break;
-        }
+        on_sample(SampleScan { name, metadata, chroms, wanted });
     }
     Ok((header, stats))
 }
 
 /// Decode a sample's fetched blocks, in stored order, straight into one
 /// region vector sized for all of them. With `verify` each block's
-/// CRC32C is checked first (revision-2 blocks carry none and pass).
+/// CRC32C is checked first.
 fn decode_blocks<B: AsRef<[u8]>>(
     sample: &str,
     wanted: &[WantedBlock<B>],
@@ -1305,12 +1284,12 @@ fn decode_blocks<B: AsRef<[u8]>>(
     for block in wanted {
         let bytes = block.bytes.as_ref();
         let mut cur = Cursor::new(bytes, block.offset);
-        if let Some(expected) = block.crc.filter(|_| verify) {
+        if verify {
             let got = crc32c(bytes);
-            if got != expected {
+            if got != block.crc {
                 return Err(FormatError::ChecksumMismatch {
                     section: format!("{sample}/{}", block.chrom),
-                    expected,
+                    expected: block.crc,
                     got,
                 });
             }
@@ -1354,10 +1333,7 @@ fn read_with<R: Read + Seek, B: AsRef<[u8]> + Send>(
         admit,
         |chrom| opts.wants_chrom(chrom),
         fetch,
-        |_, scan| {
-            scans.push(scan);
-            Ok(true)
-        },
+        |scan| scans.push(scan),
     )?;
     let plan = RowPlan::new(header.schema, opts, build);
     // The index's region counts, which every decoded block has to meet.
@@ -1413,24 +1389,22 @@ fn decode_slice<'a>(
     )
 }
 
-/// Decode a full v2 container from bytes. For revision-3 containers
-/// the whole-file trailer is verified up front: any flipped bit in the
+/// Decode a full v2 container from bytes. Magic and version are checked
+/// first, then the whole-file trailer: any other flipped bit in the
 /// buffer — header, index or block — surfaces as
 /// [`FormatError::ChecksumMismatch`] before a single region decodes.
 /// Samples then decode in parallel on the shared worker pool.
 pub fn decode_dataset_v2(buf: &[u8]) -> Result<Dataset, FormatError> {
-    if Walker::new(io::Cursor::new(buf))?.version()? >= VERSION {
-        verify_trailer(buf)?;
-    }
+    Walker::new(io::Cursor::new(buf))?.version()?;
+    verify_trailer(buf)?;
     decode_slice(buf, &ScanOptions::default(), false).map(|(ds, _)| ds)
 }
 
 /// Decode the output stream [`encode_outputs`] writes. Each frame's
 /// length is checked against the bytes left before anything is sliced,
-/// each container must be at the current header revision (so that its
-/// trailer checksum is verified: no flipped bit can downgrade it to a
-/// revision without one), and an output name may appear once. A
-/// truncated frame, a corrupt container or a repeated name is an error.
+/// each container is decoded in full (its trailer checksum verified),
+/// and an output name may appear once. A truncated frame, a corrupt
+/// container or a repeated name is an error.
 pub fn decode_outputs(buf: &[u8]) -> Result<HashMap<String, Dataset>, FormatError> {
     let mut outputs = HashMap::new();
     let mut rest = buf;
@@ -1444,9 +1418,6 @@ pub fn decode_outputs(buf: &[u8]) -> Result<HashMap<String, Dataset>, FormatErro
             return Err(corrupt_at(at, format!("output frame of {len} bytes is truncated")));
         }
         let (container, next) = body.split_at(len as usize);
-        if container.get(MAGIC.len()) != Some(&VERSION) {
-            return Err(corrupt_at(at + 8, "an output container is not at the current revision"));
-        }
         let dataset = decode_dataset_v2(container)?;
         if outputs.contains_key(&dataset.name) {
             return Err(corrupt_at(at, format!("output {:?} appears twice", dataset.name)));
@@ -1455,12 +1426,6 @@ pub fn decode_outputs(buf: &[u8]) -> Result<HashMap<String, Dataset>, FormatErro
         rest = next;
     }
     Ok(outputs)
-}
-
-/// Read a whole dataset from a v2 container directory.
-pub fn read_dataset_v2(dir: &Path) -> Result<Dataset, FormatError> {
-    let buf = fs::read(dir.join(CONTAINER_FILE))?;
-    decode_dataset_v2(&buf)
 }
 
 /// Decode a v2 container restricted by [`ScanOptions`]: only wanted
@@ -1483,23 +1448,13 @@ pub fn decode_dataset_v2_pruned(
 /// checksummed or decoded. Of the admitted samples, wanted block extents
 /// are read whole and verified lazily, unwanted ones are seeked over,
 /// and unwanted columns are null-filled, as [`ScanOptions`] describes.
-/// Admitted samples keep their stored order.
+/// Admitted samples keep their stored order. Of the blocks read, only
+/// what `build` asks for is built: the rows inside its coordinate
+/// window, each with a cell for the columns of its width only. Every
+/// block read is parsed whole and checksummed all the same; what it does
+/// not build is counted in [`ScanStats::rows_skipped`].
 ///
-/// The bytes of a skipped block never leave the source. The other pruned
-/// readers are this one admitting every sample.
-pub fn scan_dataset_v2_from<R: Read + Seek>(
-    src: R,
-    opts: &ScanOptions,
-    admit: impl FnMut(&str, &Metadata) -> bool,
-) -> Result<(Dataset, ScanStats), FormatError> {
-    materialize_dataset_v2_from(src, opts, &Materialize::default(), admit)
-}
-
-/// [`scan_dataset_v2_from`] building only what `build` asks for: of the
-/// blocks read, the rows inside its coordinate window, each with a cell
-/// for the columns of its width only. Every block read is parsed whole
-/// and checksummed all the same; what it does not build is counted in
-/// [`ScanStats::rows_skipped`].
+/// The bytes of a skipped block never leave the source.
 pub fn materialize_dataset_v2_from<R: Read + Seek>(
     src: R,
     opts: &ScanOptions,
@@ -1507,26 +1462,6 @@ pub fn materialize_dataset_v2_from<R: Read + Seek>(
     admit: impl FnMut(&str, &Metadata) -> bool,
 ) -> Result<(Dataset, ScanStats), FormatError> {
     read_with(BufReader::new(src), opts, build, admit, true, read_extent)
-}
-
-/// Read a dataset from a v2 container directory, pruned by
-/// [`ScanOptions`]: [`decode_dataset_v2_pruned`] over a container that is
-/// not in memory, [`scan_dataset_v2_from`] keeping every sample.
-pub fn read_dataset_v2_pruned(
-    dir: &Path,
-    opts: &ScanOptions,
-) -> Result<(Dataset, ScanStats), FormatError> {
-    scan_dataset_v2_from(fs::File::open(dir.join(CONTAINER_FILE))?, opts, admit_all)
-}
-
-/// Read a dataset restricted to one chromosome: only that chromosome's
-/// blocks are read and decoded, every other block is seeked over via the
-/// offset index. Samples without the chromosome are kept with empty
-/// regions so metadata stays addressable.
-pub fn read_dataset_v2_chrom(dir: &Path, chrom: &str) -> Result<Dataset, FormatError> {
-    let opts =
-        ScanOptions { chroms: Some(std::iter::once(chrom.to_owned()).collect()), columns: None };
-    read_dataset_v2_pruned(dir, &opts).map(|(ds, _)| ds)
 }
 
 /// Read only the index of a dataset directory's v2 container (schema,
@@ -1539,13 +1474,12 @@ pub fn read_index(dir: &Path) -> Result<V2Index, FormatError> {
         admit_all,
         |_| false,
         |_, _| Ok(()),
-        |_, scan| {
+        |scan| {
             samples.push(SampleIndexEntry {
                 name: scan.name,
                 metadata: scan.metadata,
                 chroms: scan.chroms,
-            });
-            Ok(true)
+            })
         },
     )?;
     Ok(V2Index { name: header.name, schema: header.schema, samples })
@@ -1636,6 +1570,26 @@ mod tests {
         dir
     }
 
+    /// A whole dataset directory, through the one directory reader.
+    fn read_full(dir: &Path) -> Result<Dataset, FormatError> {
+        read_dataset_auto(dir).map(|(ds, ..)| ds)
+    }
+
+    /// [`materialize_dataset_v2_from`] building every row and cell.
+    fn scan_from<R: Read + Seek>(
+        src: R,
+        opts: &ScanOptions,
+        admit: impl FnMut(&str, &Metadata) -> bool,
+    ) -> Result<(Dataset, ScanStats), FormatError> {
+        materialize_dataset_v2_from(src, opts, &Materialize::default(), admit)
+    }
+
+    /// A pruned read of a dataset directory's container, admitting every
+    /// sample.
+    fn pruned(dir: &Path, opts: &ScanOptions) -> Result<(Dataset, ScanStats), FormatError> {
+        scan_from(fs::File::open(dir.join(CONTAINER_FILE))?, opts, admit_all)
+    }
+
     /// [`read_index`] of a container held in memory.
     fn index_of(bytes: &[u8]) -> Result<V2Index, FormatError> {
         static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
@@ -1665,11 +1619,10 @@ mod tests {
         let written = write_dataset_v2(&ds, &dsdir).unwrap();
         assert!(written > 0);
         assert_eq!(detect_version(&dsdir), Some(StorageVersion::V2));
-        let back = read_dataset_v2(&dsdir).unwrap();
+        // The auto reader picks v2 and counts the container's bytes.
+        let (back, version, bytes) = read_dataset_auto(&dsdir).unwrap();
         assert_datasets_equal(&ds, &back);
-        // Auto reader picks v2.
-        let auto = read_dataset_auto(&dsdir).unwrap();
-        assert_datasets_equal(&ds, &auto);
+        assert_eq!((version, bytes), (StorageVersion::V2, written));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1680,9 +1633,15 @@ mod tests {
         let dsdir = dir.join("WIDE");
         native::write_dataset(&ds, &dsdir).unwrap();
         assert_eq!(detect_version(&dsdir), Some(StorageVersion::V1));
-        let back = read_dataset_auto(&dsdir).unwrap();
+        let (back, version, bytes) = read_dataset_auto(&dsdir).unwrap();
         assert_eq!(back.sample_count(), ds.sample_count());
+        // The bytes read are those of every file the text layout holds.
+        let files = fs::read_dir(dsdir.join("files")).unwrap();
+        let on_disk = files.map(|f| f.unwrap().metadata().unwrap().len()).sum::<u64>()
+            + fs::metadata(dsdir.join("schema.gdm")).unwrap().len();
+        assert_eq!((version, bytes), (StorageVersion::V1, on_disk));
         assert_eq!(detect_version(&dir), None, "parent dir is no dataset");
+        assert!(matches!(read_dataset_auto(&dir), Err(FormatError::UnknownFormat(_))));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1692,13 +1651,13 @@ mod tests {
         let dir = tmp("chrom");
         let dsdir = dir.join("WIDE");
         write_dataset_v2(&ds, &dsdir).unwrap();
-        let chr2 = read_dataset_v2_chrom(&dsdir, "chr2").unwrap();
+        let chr2 = pruned(&dsdir, &chroms_only(&["chr2"])).map(|(ds, _)| ds).unwrap();
         assert_eq!(chr2.sample_count(), 2, "samples survive even without the chromosome");
         assert_eq!(chr2.samples[0].region_count(), 1);
         assert_eq!(chr2.samples[0].regions[0].chrom.as_str(), "chr2");
         assert_eq!(chr2.samples[1].region_count(), 0);
         assert!(chr2.samples[1].metadata.has("cell", "HeLa"));
-        let none = read_dataset_v2_chrom(&dsdir, "chr9").unwrap();
+        let none = pruned(&dsdir, &chroms_only(&["chr9"])).map(|(ds, _)| ds).unwrap();
         assert_eq!(none.region_count(), 0);
         fs::remove_dir_all(&dir).ok();
     }
@@ -1855,18 +1814,18 @@ mod tests {
         let ds = wide_dataset();
         let dir = tmp("handles");
         write_dataset_v2(&ds, &dir).unwrap();
-        let full = read_dataset_v2(&dir).unwrap();
+        let full = read_full(&dir).unwrap();
         assert_eq!(full.samples[0].regions.len(), 3);
         assert_blocks_share_chrom_handles(&full);
         assert!(full.samples[0].regions[0].chrom.ptr_eq(&full.samples[0].regions[1].chrom));
-        let chr1 = read_dataset_v2_chrom(&dir, "chr1").unwrap();
+        let chr1 = pruned(&dir, &chroms_only(&["chr1"])).map(|(ds, _)| ds).unwrap();
         assert_eq!(chr1.samples[0].regions.len(), 2);
         assert_blocks_share_chrom_handles(&chr1);
         let columns = ScanOptions {
             chroms: None,
             columns: Some(std::iter::once("count".to_string()).collect()),
         };
-        assert_blocks_share_chrom_handles(&read_dataset_v2_pruned(&dir, &columns).unwrap().0);
+        assert_blocks_share_chrom_handles(&pruned(&dir, &columns).unwrap().0);
         let bytes = fs::read(dir.join(CONTAINER_FILE)).unwrap();
         assert_blocks_share_chrom_handles(&decode_dataset_v2_pruned(&bytes, &columns).unwrap().0);
         fs::remove_dir_all(&dir).ok();
@@ -1941,7 +1900,7 @@ mod tests {
             columns: None,
         };
         let mut src = Counting::new(io::Cursor::new(&bytes));
-        let (chr2, stats) = scan_dataset_v2_from(&mut src, &opts, admit_all).unwrap();
+        let (chr2, stats) = scan_from(&mut src, &opts, admit_all).unwrap();
         assert_eq!(chr2.region_count(), 16_000);
         assert_eq!(stats.bytes_read + stats.bytes_skipped, index.block_bytes(&opts, admit_all).1);
         assert_eq!(stats.bytes_read, index.block_bytes(&opts, admit_all).0);
@@ -1986,7 +1945,7 @@ mod tests {
         assert_eq!(cells, ["K562", "HeLa", "K562", "GM12878"], "the index carries metadata");
 
         let all = ScanOptions::default();
-        let (got, stats) = scan_dataset_v2_from(io::Cursor::new(&bytes), &all, k562).unwrap();
+        let (got, stats) = scan_from(io::Cursor::new(&bytes), &all, k562).unwrap();
         let names: Vec<&str> = got.samples.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["s0", "s2"], "admitted samples, in stored order");
         assert!(got.samples[0].id < got.samples[1].id, "ids ascend in stored order");
@@ -2005,20 +1964,19 @@ mod tests {
 
         // Both axes at once: chr2 of the K562 samples.
         let chr2 = chroms_only(&["chr2"]);
-        let (got, stats) = scan_dataset_v2_from(io::Cursor::new(&bytes), &chr2, k562).unwrap();
+        let (got, stats) = scan_from(io::Cursor::new(&bytes), &chr2, k562).unwrap();
         assert_eq!((got.sample_count(), got.region_count()), (2, 8_000));
         assert_eq!((stats.blocks_read, stats.blocks_skipped), (2, 10));
         assert_eq!(stats.bytes_read, index.block_bytes(&chr2, k562).0);
 
         // Refusing everyone leaves the schema and no sample.
         let (none, stats) =
-            scan_dataset_v2_from(io::Cursor::new(&bytes), &all, |_: &str, _: &Metadata| false)
-                .unwrap();
+            scan_from(io::Cursor::new(&bytes), &all, |_: &str, _: &Metadata| false).unwrap();
         assert_eq!((none.sample_count(), &none.schema), (0, &ds.schema));
         assert_eq!((stats.samples_read, stats.samples_skipped, stats.bytes_read), (0, 4, 0));
         // `admit` sees every sample once, by its stored name.
         let mut asked = Vec::new();
-        scan_dataset_v2_from(io::Cursor::new(&bytes), &all, |name: &str, _: &Metadata| {
+        scan_from(io::Cursor::new(&bytes), &all, |name: &str, _: &Metadata| {
             asked.push(name.to_owned());
             true
         })
@@ -2033,7 +1991,7 @@ mod tests {
         // Opening a walk seeks twice (to the end for the length, and back).
         let mut src = Counting::new(io::Cursor::new(&bytes));
         let opts = ScanOptions::default();
-        let (_, stats) = scan_dataset_v2_from(&mut src, &opts, k562).unwrap();
+        let (_, stats) = scan_from(&mut src, &opts, k562).unwrap();
         assert_eq!(stats.samples_skipped, 2);
         assert_eq!(src.seeks, 2 + 1, "one seek over s1, none over the trailing s3");
         assert!(
@@ -2046,13 +2004,13 @@ mod tests {
         // refusing the sample does not.
         let chr13 = chroms_only(&["chr1", "chr3"]);
         let mut src = Counting::new(io::Cursor::new(&bytes));
-        scan_dataset_v2_from(&mut src, &chr13, k562).unwrap();
+        scan_from(&mut src, &chr13, k562).unwrap();
         assert_eq!(src.seeks, 2 + 1 + 2, "s1 whole, chr2 of s0 and of s2");
         // Refused samples in a row still cost one each: the next sample's
         // index sits behind the blocks and has to be read.
         let mut src = Counting::new(io::Cursor::new(&bytes));
         let edges = |name: &str, _: &Metadata| name == "s0" || name == "s3";
-        let (got, _) = scan_dataset_v2_from(&mut src, &opts, edges).unwrap();
+        let (got, _) = scan_from(&mut src, &opts, edges).unwrap();
         assert_eq!((got.sample_count(), src.seeks), (2, 2 + 2));
     }
 
@@ -2064,12 +2022,12 @@ mod tests {
         let at = flipped.len() - 4 - 100;
         flipped[at] ^= 0x04;
         let opts = ScanOptions::default();
-        let (got, _) = scan_dataset_v2_from(io::Cursor::new(&flipped), &opts, k562).unwrap();
-        let (clean, _) = scan_dataset_v2_from(io::Cursor::new(&bytes), &opts, k562).unwrap();
+        let (got, _) = scan_from(io::Cursor::new(&flipped), &opts, k562).unwrap();
+        let (clean, _) = scan_from(io::Cursor::new(&bytes), &opts, k562).unwrap();
         assert_datasets_equal(&got, &clean);
         // Whoever admits that sample is told, and so is a full decode.
         let gm = |_: &str, m: &Metadata| m.has("cell", "GM12878");
-        match scan_dataset_v2_from(io::Cursor::new(&flipped), &opts, gm) {
+        match scan_from(io::Cursor::new(&flipped), &opts, gm) {
             Err(FormatError::ChecksumMismatch { section, .. }) => assert_eq!(section, "s3/chr3"),
             other => panic!("expected ChecksumMismatch, got {other:?}"),
         }
@@ -2084,8 +2042,8 @@ mod tests {
         let (a, a_stats) = decode_dataset_v2_pruned(&bytes, &opts).unwrap();
         let dir = tmp("admit_all");
         write_dataset_v2(&ds, &dir).unwrap();
-        let (b, b_stats) = read_dataset_v2_pruned(&dir, &opts).unwrap();
-        let (c, c_stats) = scan_dataset_v2_from(io::Cursor::new(&bytes), &opts, admit_all).unwrap();
+        let (b, b_stats) = pruned(&dir, &opts).unwrap();
+        let (c, c_stats) = scan_from(io::Cursor::new(&bytes), &opts, admit_all).unwrap();
         assert_datasets_equal(&a, &b);
         assert_datasets_equal(&a, &c);
         assert_eq!((a_stats, a_stats), (b_stats, c_stats));
@@ -2108,7 +2066,7 @@ mod tests {
             // an index or a block.
             let structural = cut < bytes.len() - 4;
             let index = index_of(short);
-            let pruned = scan_dataset_v2_from(io::Cursor::new(short), &all, admit_all);
+            let pruned = scan_from(io::Cursor::new(short), &all, admit_all);
             let late =
                 materialize_dataset_v2_from(io::Cursor::new(short), &all, &late(), admit_all);
             for (what, failed) in [
@@ -2138,23 +2096,45 @@ mod tests {
         assert!(matches!(index_of(&long), Err(FormatError::Corrupt { .. })));
     }
 
+    /// A container whose version byte reads 2: the one flip of bit 0 of a
+    /// revision-3 version byte.
+    fn revision_2(bytes: &[u8]) -> Vec<u8> {
+        let mut flipped = bytes.to_vec();
+        assert_eq!(flipped[8], VERSION);
+        flipped[8] ^= 1;
+        assert_eq!(flipped[8], 2);
+        flipped
+    }
+
     #[test]
-    fn legacy_v2_containers_still_load() {
-        let ds = wide_dataset();
-        let legacy = encode_dataset_v2_legacy(&ds).unwrap();
-        assert_eq!(legacy[8], VERSION_LEGACY);
-        let back = decode_dataset_v2(&legacy).unwrap();
-        assert_datasets_equal(&ds, &back);
-        // Disk paths (full, chrom-granular, index-only) accept it too.
-        let dir = tmp("legacy");
-        let dsdir = dir.join("WIDE");
-        fs::create_dir_all(&dsdir).unwrap();
-        fs::write(dsdir.join(CONTAINER_FILE), &legacy).unwrap();
-        assert_eq!(detect_version(&dsdir), Some(StorageVersion::V2));
-        assert_datasets_equal(&ds, &read_dataset_v2(&dsdir).unwrap());
-        assert_eq!(read_dataset_v2_chrom(&dsdir, "chr2").unwrap().region_count(), 1);
-        let index = read_index(&dsdir).unwrap();
-        assert!(index.samples[0].chroms.iter().all(|c| c.crc.is_none()));
+    fn revision_2_containers_are_refused_by_every_reader() {
+        let bytes = encode_dataset_v2(&wide_dataset()).unwrap();
+        let old = revision_2(&bytes);
+        let unsupported = |read: Result<(), FormatError>| match read {
+            Err(FormatError::Corrupt { offset: 9, reason }) => {
+                assert_eq!(reason, "unsupported container version 2")
+            }
+            other => panic!("expected a refused version, got {other:?}"),
+        };
+        unsupported(decode_dataset_v2(&old).map(|_| ()));
+        unsupported(decode_dataset_v2_pruned(&old, &chroms_only(&["chr2"])).map(|_| ()));
+        unsupported(
+            materialize_dataset_v2_from(
+                io::Cursor::new(&old),
+                &chroms_only(&[]),
+                &late(),
+                admit_all,
+            )
+            .map(|_| ()),
+        );
+        unsupported(index_of(&old).map(|_| ()));
+        let framed = [(old.len() as u64).to_le_bytes().to_vec(), old.clone()].concat();
+        unsupported(decode_outputs(&framed).map(|_| ()));
+        // The directory reader too: a dataset with that flip does not load.
+        let dir = tmp("rev2");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(CONTAINER_FILE), &old).unwrap();
+        unsupported(read_dataset_auto(&dir).map(|_| ()));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2167,8 +2147,15 @@ mod tests {
         let dsdir = dir.join("WIDE");
         fs::create_dir_all(&dsdir).unwrap();
         fs::write(dsdir.join(CONTAINER_FILE), &bytes).unwrap();
+        // Each index entry holds its block's length and CRC32C.
         let index = read_index(&dsdir).unwrap();
-        assert!(index.samples[0].chroms.iter().all(|c| c.crc.is_some()));
+        for (entry, chrom) in index.samples[0].chroms.iter().zip(["chr1", "chr2"]) {
+            let group: Vec<&GRegion> =
+                ds.samples[0].regions.iter().filter(|r| r.chrom.as_str() == chrom).collect();
+            let mut block = Vec::new();
+            encode_chrom_block(&group, &ds.schema, &mut block).unwrap();
+            assert_eq!((entry.bytes, entry.crc), (block.len() as u64, crc32c(&block)));
+        }
         // Trailer is the CRC of everything before it.
         let body = &bytes[..bytes.len() - 4];
         let trailer = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap());
@@ -2196,7 +2183,7 @@ mod tests {
         flipped[pos] ^= 0x10;
         fs::write(dsdir.join(CONTAINER_FILE), &flipped).unwrap();
         // The damaged section fails with a typed checksum error...
-        match read_dataset_v2_chrom(&dsdir, "chr2") {
+        match pruned(&dsdir, &chroms_only(&["chr2"])).map(|(ds, _)| ds) {
             Err(FormatError::ChecksumMismatch { section, expected, got }) => {
                 assert_eq!(section, "s1/chr2");
                 assert_ne!(expected, got);
@@ -2220,11 +2207,11 @@ mod tests {
         }
         // ...while every other section of the same container stays
         // readable (lazy per-section verification).
-        let chr1 = read_dataset_v2_chrom(&dsdir, "chr1").unwrap();
+        let chr1 = pruned(&dsdir, &chroms_only(&["chr1"])).map(|(ds, _)| ds).unwrap();
         assert_eq!(chr1.samples[0].region_count(), 2);
         assert!(read_index(&dsdir).is_ok());
         // A full read checks the whole-file trailer up front.
-        match read_dataset_v2(&dsdir) {
+        match read_full(&dsdir) {
             Err(FormatError::ChecksumMismatch { section, .. }) => assert_eq!(section, "file"),
             other => panic!("expected trailer mismatch, got {other:?}"),
         }
@@ -2240,14 +2227,6 @@ mod tests {
                 let mut flipped = bytes.clone();
                 flipped[i] ^= 1 << bit;
                 let res = decode_dataset_v2(&flipped);
-                if i == 8 && bit == 0 {
-                    // Residual risk documented in docs/storage.md: this
-                    // one flip downgrades the version byte 3 -> 2, and a
-                    // revision-2 reader checks no checksums. Structural
-                    // decoding still has to not panic.
-                    let _ = res;
-                    continue;
-                }
                 assert!(res.is_err(), "flip at byte {i} bit {bit} decoded silently");
                 // Past magic + version, the trailer guarantees the error
                 // is the typed checksum mismatch, not structural luck.
@@ -2269,7 +2248,7 @@ mod tests {
             chroms: Some(std::iter::once("chr2".to_string()).collect()),
             columns: None,
         };
-        let (ds, stats) = read_dataset_v2_pruned(&dir, &opts).unwrap();
+        let (ds, stats) = pruned(&dir, &opts).unwrap();
         // Both samples survive; only chr2 regions decode.
         assert_eq!(ds.sample_count(), 2);
         assert_eq!(ds.samples[0].regions.len(), 1);
@@ -2293,9 +2272,9 @@ mod tests {
             chroms: None,
             columns: Some(std::iter::once("COUNT".to_string()).collect()),
         };
-        let (ds, stats) = read_dataset_v2_pruned(&dir, &opts).unwrap();
+        let (ds, stats) = pruned(&dir, &opts).unwrap();
         assert_eq!(stats.blocks_skipped, 0, "column pruning alone skips no blocks");
-        let full = read_dataset_v2(&dir).unwrap();
+        let full = read_full(&dir).unwrap();
         assert_eq!(ds.samples[0].regions.len(), full.samples[0].regions.len());
         for (r, rf) in ds.samples[0].regions.iter().zip(full.samples[0].regions.iter()) {
             assert_eq!((r.left, r.right, r.strand), (rf.left, rf.right, rf.strand));
@@ -2312,8 +2291,8 @@ mod tests {
     fn pruned_read_with_full_options_equals_full_read() {
         let dir = tmp("pruned_full");
         write_dataset_v2(&wide_dataset(), &dir).unwrap();
-        let (ds, stats) = read_dataset_v2_pruned(&dir, &ScanOptions::default()).unwrap();
-        assert_datasets_equal(&ds, &read_dataset_v2(&dir).unwrap());
+        let (ds, stats) = pruned(&dir, &ScanOptions::default()).unwrap();
+        assert_datasets_equal(&ds, &read_full(&dir).unwrap());
         assert_eq!(stats.blocks_skipped, 0);
         assert_eq!(stats.bytes_skipped, 0);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2545,12 +2524,7 @@ mod tests {
         // The same output twice.
         let twice = [one.clone(), one.clone()].concat();
         assert!(decode_outputs(&twice).unwrap_err().to_string().contains("appears twice"));
-        // A revision-2 container carries no checksum, so it cannot stand
-        // in a stream: the one flip 3 -> 2 of its version byte is caught.
-        let legacy = encode_dataset_v2_legacy(&marked_samples(2)).unwrap();
-        let framed = [(legacy.len() as u64).to_le_bytes().to_vec(), legacy].concat();
-        assert!(decode_dataset_v2(&framed[8..]).is_ok());
-        assert!(decode_outputs(&framed).is_err());
+        // Every single bit flip, that of the version byte 3 -> 2 included.
         for i in 0..one.len() {
             for bit in 0..8 {
                 let mut flipped = one.clone();

@@ -49,11 +49,11 @@ pub struct CatalogEntry {
 
 /// An on-disk dataset repository with a small in-memory read cache.
 ///
-/// Datasets persist in the GDM-native layout: new saves write the v2
-/// binary columnar container ([`nggc_formats::native_v2`]); loads
-/// transparently read either v2 containers or legacy v1 text
-/// directories, detected by magic bytes. [`Repository::migrate`]
-/// rewrites a v1 dataset as v2 in place.
+/// Datasets persist in the GDM-native layout: every save writes the v2
+/// binary columnar container ([`nggc_formats::native_v2`]) at its one
+/// header revision; loads read that container, or a legacy v1 text
+/// directory where there is none. [`Repository::migrate`] rewrites a v1
+/// dataset as v2 in place.
 ///
 /// [`Repository::load`] keeps the last [`CACHE_CAPACITY`] used datasets
 /// in memory behind [`Arc`]s (LRU eviction), so a cache hit is a
@@ -299,7 +299,7 @@ pub(crate) fn rebuild_catalog(
     for dir in dataset_dirs(root) {
         let name = dir.file_name().expect("filtered above").to_string_lossy().into_owned();
         match native_v2::read_dataset_auto(&dir) {
-            Ok(ds) => {
+            Ok((ds, ..)) => {
                 let generation = next;
                 next += 1;
                 let stats = ds.stats();
@@ -572,20 +572,21 @@ impl Repository {
     /// re-apply their own predicates.
     ///
     /// A request that restricts nothing, or a dataset stored as v1 text
-    /// (no block index to prune against), is read in full, from the
+    /// (no container to prune against), is read in full, from the
     /// in-memory cache when possible. A cache hit is an `Arc` clone — no
-    /// region data is copied. Cold full reads take whichever storage
-    /// version the dataset directory holds (detected by magic bytes) and
+    /// region data is copied. Cold full reads take whichever layout the
+    /// dataset directory holds ([`native_v2::read_dataset_auto`]) and
     /// are **single-flighted** per name: one caller reads disk while the
     /// others wait for (and share) its `Arc`. Coalesced waits are counted
     /// in `nggc_repo_load_coalesced_total`; exactly one
     /// `nggc_repo_loads_total` increment happens per actual disk read.
     ///
-    /// A restricting request reads the chromosome blocks and value
-    /// columns of `req.opts` (skipped columns come back as typed nulls so
-    /// the schema stays stable) of the samples `req.admit` lets in, from
-    /// the v2 container; refused samples are absent from what a cold read
-    /// returns, and so are the rows and columns `req.build` leaves out.
+    /// A restricting request opens the v2 container once and reads the
+    /// chromosome blocks and value columns of `req.opts` (skipped columns
+    /// come back as typed nulls so the schema stays stable) of the samples
+    /// `req.admit` lets in; refused samples are absent from what a cold
+    /// read returns, and so are the rows and columns `req.build` leaves
+    /// out. A dataset without a container is read in full.
     ///
     /// With `req.budget`, the size of what the read would materialise is
     /// checked first, before any block is read (and on cache hits too, so
@@ -613,12 +614,20 @@ impl Repository {
         let cached = || self.cache.lock().unwrap_or_else(|p| p.into_inner()).get(name);
         let restricts = !req.opts.is_full() || req.admit.is_some();
         let resident = if restricts { cached() } else { None };
-        let prunable = restricts
-            && resident.is_none()
-            && self.storage_version(name) == Some(StorageVersion::V2);
+        // The container a cold restricting read prunes; none for a v1
+        // text dataset, which is read in full.
+        let container = if restricts && resident.is_none() {
+            match fs::File::open(self.dataset_dir(name).join(native_v2::CONTAINER_FILE)) {
+                Ok(file) => Some(file),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+                Err(e) => return Err(FormatError::from(e).into()),
+            }
+        } else {
+            None
+        };
         if let Some(budget) = req.budget {
             let mut estimated = entry.stats.bytes as u64;
-            if estimated > budget && prunable {
+            if estimated > budget && container.is_some() {
                 let index = native_v2::read_index(&self.dataset_dir(name))?;
                 let (wanted, total) = index.block_bytes(&req.opts, |s, m| req.admits(s, m));
                 if total > 0 {
@@ -649,8 +658,8 @@ impl Repository {
             answered("hit_superset", true);
             return Ok(cached);
         }
-        if prunable {
-            return self.read(name, Some(req));
+        if let Some(container) = container {
+            return self.read(name, Some((req, container)));
         }
         let (dataset, how) = self.inflight.run(name, cached, || {
             let dataset = self.read(name, None)?;
@@ -674,11 +683,11 @@ impl Repository {
 
     /// One actual disk read and decode, with its metrics, span and entry
     /// in the reading thread's account: of the whole dataset, or of what
-    /// `pruned` selects from its v2 container.
+    /// `pruned` selects from its opened v2 container.
     fn read(
         &self,
         name: &str,
-        pruned: Option<&ScanRequest<'_>>,
+        pruned: Option<(&ScanRequest<'_>, fs::File)>,
     ) -> Result<Arc<Dataset>, RepoError> {
         let reg = nggc_obs::global();
         reg.counter("nggc_repo_cache_misses_total").inc();
@@ -687,25 +696,14 @@ impl Repository {
             nggc_obs::span(if pruned.is_some() { "repo.load_pruned" } else { "repo.load" });
         span.field("dataset", name);
         let t0 = Instant::now();
-        let dir = self.dataset_dir(name);
-        let (dataset, stats) = match pruned {
-            Some(req) => {
-                let container = fs::File::open(dir.join(native_v2::CONTAINER_FILE))
-                    .map_err(FormatError::from)?;
+        let dataset = match pruned {
+            Some((req, container)) => {
                 let (dataset, stats) = native_v2::materialize_dataset_v2_from(
                     container,
                     &req.opts,
                     &req.build,
                     |s: &str, m: &Metadata| req.admits(s, m),
                 )?;
-                (dataset, Some(stats))
-            }
-            None => (native_v2::read_dataset_auto(&dir)?, None),
-        };
-        reg.counter("nggc_repo_loads_total").inc();
-        span.field("samples", dataset.sample_count()).field("regions", dataset.region_count());
-        match stats.zip(pruned) {
-            Some((stats, req)) => {
                 nggc_obs::record_read(|a| {
                     a.scan_pruned += 1;
                     a.scan_bytes_read += stats.bytes_read;
@@ -738,14 +736,19 @@ impl Repository {
                     .field("samples_skipped", stats.samples_skipped)
                     .field("rows_skipped", stats.rows_skipped)
                     .field("cells", stats.cells);
+                dataset
             }
             None => {
-                let version = native_v2::detect_version(&dir).unwrap_or(StorageVersion::V1);
+                let (dataset, version, bytes) =
+                    native_v2::read_dataset_auto(&self.dataset_dir(name))?;
                 reg.counter_with("nggc_repo_load_bytes_total", &[("format", version.name())])
-                    .add(dir_bytes(&dir));
+                    .add(bytes);
                 span.field("format", version.name());
+                dataset
             }
-        }
+        };
+        reg.counter("nggc_repo_loads_total").inc();
+        span.field("samples", dataset.sample_count()).field("regions", dataset.region_count());
         reg.histogram("nggc_repo_load_ns").record_duration(t0.elapsed());
         Ok(Arc::new(dataset))
     }

@@ -26,7 +26,7 @@ use crate::catalog::{self, CatalogEntry};
 use crate::durable;
 use crate::error::RepoError;
 use crate::result_store::ResultStore;
-use nggc_formats::native_v2::{self, StorageVersion};
+use nggc_formats::{native_v2, FormatError};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
@@ -115,18 +115,21 @@ impl FsckReport {
     }
 }
 
-/// Validate one dataset directory. Shallow mode parses magic, header
-/// and block index (no region decode); deep mode fully decodes the
-/// dataset, which for revision-3 containers verifies the whole-file
-/// trailer and every block checksum.
+/// Validate one dataset directory. Shallow mode parses a container's
+/// magic, header and block index (no region decode); deep mode, and a
+/// directory without a container, fully decode the dataset, which for a
+/// container verifies the whole-file trailer and every block checksum.
 fn check_dataset(dir: &Path, deep: bool) -> Result<(), String> {
-    match native_v2::detect_version(dir) {
-        None => Err("neither a v2 container nor a v1 native dataset".into()),
-        Some(StorageVersion::V2) if !deep => {
-            native_v2::read_index(dir).map(|_| ()).map_err(|e| e.to_string())
+    let full = || native_v2::read_dataset_auto(dir).map(|_| ());
+    let checked = if deep {
+        full()
+    } else {
+        match native_v2::read_index(dir) {
+            Err(FormatError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => full(),
+            index => index.map(|_| ()),
         }
-        Some(_) => native_v2::read_dataset_auto(dir).map(|_| ()).map_err(|e| e.to_string()),
-    }
+    };
+    checked.map_err(|e| e.to_string())
 }
 
 /// Walk the repository at `root`, verifying catalog, datasets, staging
@@ -232,7 +235,7 @@ pub fn fsck(root: &Path, opts: FsckOptions) -> Result<FsckReport, RepoError> {
                         );
                         if opts.repair {
                             match native_v2::read_dataset_auto(dir) {
-                                Ok(ds) => {
+                                Ok((ds, ..)) => {
                                     let generation = next_generation;
                                     next_generation += 1;
                                     cat.insert(

@@ -147,17 +147,21 @@ impl Admission {
     }
 
     /// Block until every in-flight query has released its permit, or
-    /// `timeout` elapses. Returns whether the drain completed.
+    /// `timeout` elapses. Returns whether the drain completed. A timeout
+    /// too long for an [`Instant`] to represent its deadline is none.
     pub fn await_drain(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
         while st.inflight > 0 {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                return false;
+            st = match deadline {
+                Some(deadline) => {
+                    let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                        return false;
+                    };
+                    self.cv.wait_timeout(st, left).unwrap_or_else(|p| p.into_inner()).0
+                }
+                None => self.cv.wait(st).unwrap_or_else(|p| p.into_inner()),
             };
-            let (guard, _timed_out) =
-                self.cv.wait_timeout(st, left).unwrap_or_else(|p| p.into_inner());
-            st = guard;
         }
         true
     }
@@ -269,6 +273,14 @@ impl Drop for MemoryReservation<'_> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    #[test]
+    fn a_drain_timeout_past_any_deadline_means_no_deadline() {
+        let adm = Admission::new(1, 0, Duration::from_millis(50));
+        assert!(adm.await_drain(Duration::MAX));
+        drop(adm.admit().unwrap());
+        assert!(adm.await_drain(Duration::MAX), "a released permit leaves nothing to wait for");
+    }
 
     #[test]
     fn admits_up_to_cap_then_rejects_past_queue() {

@@ -1,13 +1,16 @@
 #!/bin/sh
-# Count non-test lines of Rust: the lines of each file before its first
-# `#[cfg(test)]` (the whole file when it has none). A file declared as
+# Count non-test lines of Rust: the lines of each file before its inline
+# test module, a `#[cfg(test)]` followed by `mod NAME {` (the whole file
+# when it has none). A `#[cfg(test)]` on any other item is counted like
+# any other line and does not end the count. A file declared as
 # `#[cfg(test)] mod NAME;` is test code as a whole, and that declaration
-# does not end the count of the file that makes it. Prints one row per
-# crate under crates/*/src, then the total over
+# does not end the count of the file that makes it either. Prints one row
+# per crate under crates/*/src, then the total over
 # crates/{core,engine,formats,repository,server}/src plus src/bin/nggc.rs,
-# once by this rule and once by the older one, which counted declared
-# test files as non-test and stopped at the declaration (the figure
-# CHANGES.md quotes up to the change that corrected it).
+# once by this rule and once by the older one, which stopped at a file's
+# first `#[cfg(test)]` of any kind and counted declared test files as
+# non-test (the figure CHANGES.md quotes up to the change that corrected
+# it).
 #
 #   scripts/nontest_lines.sh          # run from anywhere inside the repo
 set -eu
@@ -15,7 +18,9 @@ cd "$(dirname "$0")/.."
 
 # An out-of-line module declaration: `mod NAME;`, `pub(crate) mod NAME;`.
 MOD_DECL='^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod[[:space:]]+[A-Za-z0-9_]+;'
-export MOD_DECL
+# An inline module: `mod tests {`.
+MOD_BLOCK='^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod[[:space:]]+[A-Za-z0-9_]+[[:space:]]*\{'
+export MOD_DECL MOD_BLOCK
 
 rs_files() {
     find "$@" -name '*.rs' -type f | sort
@@ -51,7 +56,8 @@ nontest() {
         pending {
             pending = 0
             if ($0 ~ ENVIRON["MOD_DECL"]) next
-            counting = 0
+            if ($0 ~ ENVIRON["MOD_BLOCK"]) { counting = 0; next }
+            n++
         }
         /^[[:space:]]*#\[cfg\(test\)\]/ { if (old) counting = 0; else if (counting) { pending = 1; next } }
         counting { n++ }

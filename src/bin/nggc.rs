@@ -1055,8 +1055,12 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
             "--addr" => addr = flag_value(args, &mut i, "HOST:PORT")?.to_owned(),
             "-e" => text = Some(flag_value(args, &mut i, "query text")?.to_owned()),
             "--timeout" => {
-                let timeout = flag_parsed(args, &mut i, "a duration", parse_duration)?;
-                timeout_ms = Some(timeout.as_millis() as u64);
+                // The wire carries milliseconds as a u64.
+                let millis = |v: &str| {
+                    let ms = parse_duration(v)?.as_millis();
+                    u64::try_from(ms).map_err(|_| format!("{ms} ms is too long"))
+                };
+                timeout_ms = Some(flag_parsed(args, &mut i, "a duration", millis)?);
             }
             "--max-memory" => max_memory = Some(flag_parsed(args, &mut i, "a size", parse_bytes)?),
             "--head" => head = flag_number(args, &mut i)?,

@@ -475,6 +475,48 @@ fn explain_analyze_reads_do_not_depend_on_the_registry() {
 
 /// The value of an unlabelled counter in `nggc stats --json` output; 0
 /// when nothing registered it.
+/// A client timeout is sent as milliseconds in a u64: one that does not
+/// fit is a flag error, raised before any connection is tried.
+#[test]
+fn client_timeout_too_long_for_the_wire_is_a_flag_error() {
+    let out = nggc()
+        .args(["client", "--addr", "127.0.0.1:1", "--timeout", "18446744073709552s"])
+        .args(["-e", "X = SELECT() D; MATERIALIZE X;"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.contains("--timeout"), "{stderr}");
+    assert!(!stderr.contains("connect"), "refused before connecting: {stderr}");
+}
+
+/// A stored container whose version byte reads 2 (bit 0 of the 3
+/// flipped) is refused, by a pruned read and by a full one: every query
+/// over it fails, none is answered from unchecked bytes.
+#[test]
+fn a_stored_dataset_whose_version_byte_reads_2_fails_every_query() {
+    let repo = tmp_repo("rev2");
+    std::fs::create_dir_all(&repo).unwrap();
+    let bed = repo.join("peaks.bed");
+    std::fs::write(&bed, "chr1\t100\t200\tp1\t5\t+\nchr2\t0\t50\tp2\t2\t+\n").unwrap();
+    let (ok, _, stderr) = run(&repo, &["import", bed.to_str().unwrap(), "PEAKS"]);
+    assert!(ok, "{stderr}");
+    let container = repo.join("datasets/PEAKS/data.gdm2");
+    let mut bytes = std::fs::read(&container).unwrap();
+    assert_eq!(bytes[8], 3);
+    bytes[8] ^= 1;
+    std::fs::write(&container, &bytes).unwrap();
+    for query in [
+        "X = SELECT(region: chr == 'chr2') PEAKS; MATERIALIZE X;",
+        "X = SELECT(region: left >= 0) PEAKS; MATERIALIZE X;",
+    ] {
+        let (ok, stdout, stderr) = run(&repo, &["query", "--no-cache", "-e", query]);
+        assert!(!ok, "{query} answered: {stdout}");
+        assert!(stderr.contains("unsupported container version 2"), "{query}: {stderr}");
+    }
+    std::fs::remove_dir_all(&repo).ok();
+}
+
 fn counter(stats: &str, name: &str) -> u64 {
     let doc: serde::Content = serde_json::from_str(stats).expect("a JSON document");
     let unlabelled = |metric: &&serde::Content| {

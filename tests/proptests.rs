@@ -714,17 +714,20 @@ proptest! {
     }
 
     /// The binary container survives truncation at every prefix length:
-    /// always a typed error (or a clean decode for a lucky prefix),
-    /// never a panic or unbounded allocation.
+    /// the full decode always fails (a cut that leaves the trailer
+    /// malformed or absent can never decode cleanly), every other reader
+    /// fails typed or reads a lucky prefix, and none panics or allocates
+    /// without bound.
     #[test]
     fn native_v2_never_panics_on_truncation(frac in 0.0f64..1.0) {
         let bytes = v2_container_bytes();
         let cut = ((bytes.len() as f64) * frac) as usize;
         prop_assert!(decode_dataset_v2(&bytes[..cut]).is_err(), "truncated container decoded");
-        // The readers that walk the file instead of loading it: the same
-        // prefix on disk fails as typed corruption wherever the cut falls
-        // inside an index or a block (only the four trailer bytes can go
-        // missing unnoticed: these readers do not check the trailer).
+        // The pruned readers, which walk the container instead of
+        // checking it whole: the same prefix, in memory and on disk,
+        // fails as typed corruption wherever the cut falls inside an
+        // index or a block (only the four trailer bytes can go missing
+        // unnoticed: these readers do not check the trailer).
         let dir = std::env::temp_dir().join(format!(
             "nggc_prop_trunc_{}_{:?}",
             std::process::id(),
@@ -732,15 +735,22 @@ proptest! {
         ));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join(native_v2::CONTAINER_FILE), &bytes[..cut]).unwrap();
-        let chr1 = native_v2::ScanOptions {
-            chroms: Some(std::iter::once("chr1".to_owned()).collect()),
+        let chrom = |name: &str| native_v2::ScanOptions {
+            chroms: Some(std::iter::once(name.to_owned()).collect()),
             columns: None,
+        };
+        let from_disk = |opts: &native_v2::ScanOptions| {
+            let container = std::fs::File::open(dir.join(native_v2::CONTAINER_FILE)).unwrap();
+            let all = |_: &str, _: &Metadata| true;
+            native_v2::materialize_dataset_v2_from(container, opts, &Default::default(), all)
+                .map(|_| ())
         };
         let outcomes = [
             native_v2::read_index(&dir).map(|_| ()),
-            native_v2::read_dataset_v2_pruned(&dir, &chr1).map(|_| ()),
-            native_v2::read_dataset_v2_chrom(&dir, "chrX").map(|_| ()),
-            native_v2::read_dataset_v2_pruned(&dir, &Default::default()).map(|_| ()),
+            from_disk(&chrom("chr1")),
+            from_disk(&chrom("chrX")),
+            from_disk(&Default::default()),
+            native_v2::decode_dataset_v2_pruned(&bytes[..cut], &chrom("chr1")).map(|_| ()),
             windowed_and_narrowed(&bytes[..cut]),
         ];
         std::fs::remove_dir_all(&dir).ok();
@@ -774,12 +784,11 @@ proptest! {
         let _ = decode_dataset_v2(&bytes);
     }
 
-    /// Any single bit flip in a current (revision 3, checksummed)
-    /// container is rejected by the full decode as a typed
-    /// `ChecksumMismatch` — never a panic, never silent garbage. The
-    /// only exemption is bit 0 of the version byte (offset 8), which
-    /// downgrades the container to the checksum-free legacy revision
-    /// (see docs/storage.md).
+    /// Any single bit flip in a container is rejected by the full decode
+    /// — as a typed `ChecksumMismatch` past the magic and version byte —
+    /// never a panic, never silent garbage. A flip of the magic or the
+    /// version byte (3 -> 2 included) is a structural error to every
+    /// reader.
     #[test]
     fn v3_bit_flips_yield_checksum_mismatch(pos in 0usize..4096, bit in 0u8..8) {
         let mut bytes = v2_container_bytes();
@@ -791,7 +800,9 @@ proptest! {
         // a full read does; the header and index are the trailer's alone.
         let blocks = len - 4 - v2_block_bytes();
         match windowed_and_narrowed(&bytes) {
-            Err(nggc::formats::FormatError::ChecksumMismatch { .. }) => {}
+            Err(nggc::formats::FormatError::ChecksumMismatch { .. }) if pos >= 9 => {}
+            Err(nggc::formats::FormatError::Corrupt { .. }) if pos < 9 => {}
+            other if pos < 9 => prop_assert!(false, "flip in the header at {pos} bit {bit}: {other:?}"),
             other if pos < blocks || pos >= len - 4 => {
                 prop_assert!(
                     !matches!(other, Err(nggc::formats::FormatError::Io(_))),
@@ -800,13 +811,12 @@ proptest! {
             }
             other => prop_assert!(false, "flip in a block at {pos} bit {bit}: {other:?}"),
         }
-        if pos == 8 && bit == 0 {
-            // Version byte 3 -> 2: the documented undetectable downgrade.
-            return Ok(());
-        }
         if pos < 9 {
             // Magic or version byte: rejected as a structural error.
-            prop_assert!(result.is_err(), "corrupted header decoded");
+            prop_assert!(
+                matches!(result, Err(nggc::formats::FormatError::Corrupt { .. })),
+                "flip at {pos} bit {bit} of the header: {result:?}"
+            );
         } else {
             prop_assert!(
                 matches!(result, Err(nggc::formats::FormatError::ChecksumMismatch { .. })),
@@ -815,52 +825,14 @@ proptest! {
         }
     }
 
-    /// Truncating a checksummed container at any point keeps yielding a
-    /// typed error; a cut that leaves the trailer malformed or absent
-    /// can never decode cleanly.
+    /// A container whose version byte reads 2 — the checksum-free
+    /// revision of earlier releases, or a revision-3 container with bit 0
+    /// of that byte flipped — is refused by every reader as typed
+    /// corruption, whatever it holds.
     #[test]
-    fn v3_truncation_always_errors(frac in 0.0f64..1.0) {
-        let bytes = v2_container_bytes();
-        let cut = ((bytes.len() as f64) * frac) as usize;
-        prop_assert!(decode_dataset_v2(&bytes[..cut]).is_err(), "truncated container decoded");
-        // The readers that walk the file instead of loading it: the same
-        // prefix on disk fails as typed corruption wherever the cut falls
-        // inside an index or a block (only the four trailer bytes can go
-        // missing unnoticed: these readers do not check the trailer).
-        let dir = std::env::temp_dir().join(format!(
-            "nggc_prop_trunc_{}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(native_v2::CONTAINER_FILE), &bytes[..cut]).unwrap();
-        let chr1 = native_v2::ScanOptions {
-            chroms: Some(std::iter::once("chr1".to_owned()).collect()),
-            columns: None,
-        };
-        let outcomes = [
-            native_v2::read_index(&dir).map(|_| ()),
-            native_v2::read_dataset_v2_pruned(&dir, &chr1).map(|_| ()),
-            native_v2::read_dataset_v2_chrom(&dir, "chrX").map(|_| ()),
-            native_v2::read_dataset_v2_pruned(&dir, &Default::default()).map(|_| ()),
-            windowed_and_narrowed(&bytes[..cut]),
-        ];
-        std::fs::remove_dir_all(&dir).ok();
-        for outcome in outcomes {
-            match outcome {
-                Ok(()) => prop_assert!(cut + 4 >= bytes.len(), "prefix of {} bytes read clean", cut),
-                Err(FormatError::Corrupt { .. }) => {}
-                Err(other) => prop_assert!(false, "untyped failure at {}: {}", cut, other),
-            }
-        }
-    }
-
-    /// Legacy (revision 2, checksum-free) containers written by the
-    /// previous release still decode to identical content.
-    #[test]
-    fn legacy_v2_containers_decode_under_v3_reader(extra_regions in 0usize..16) {
+    fn revision_2_containers_are_refused_by_every_reader(extra_regions in 0usize..16) {
         let mut ds = Dataset::new(
-            "LEGACY",
+            "OLD",
             Schema::new(vec![Attribute::new("score", ValueType::Float)]).unwrap(),
         );
         let mut regions = vec![
@@ -872,17 +844,20 @@ proptest! {
                     .with_values(vec![Value::Null]),
             );
         }
-        ds.add_sample(Sample::new("s1", "LEGACY").with_regions(regions)).unwrap();
-        let legacy = nggc::formats::native_v2::encode_dataset_v2_legacy(&ds).unwrap();
-        let decoded = decode_dataset_v2(&legacy).unwrap();
-        prop_assert_eq!(&decoded.name, &ds.name);
-        prop_assert_eq!(&decoded.schema, &ds.schema);
-        prop_assert_eq!(decoded.samples.len(), ds.samples.len());
-        prop_assert_eq!(
-            decoded.samples[0].region_count(),
-            ds.samples[0].region_count()
-        );
-        prop_assert_eq!(decoded.stats(), ds.stats());
+        ds.add_sample(Sample::new("s1", "OLD").with_regions(regions)).unwrap();
+        let mut old = encode_dataset_v2(&ds).unwrap();
+        old[8] ^= 1;
+        prop_assert_eq!(old[8], 2);
+        let framed = [(old.len() as u64).to_le_bytes().to_vec(), old.clone()].concat();
+        let outcomes = [
+            decode_dataset_v2(&old).map(|_| ()),
+            native_v2::decode_dataset_v2_pruned(&old, &Default::default()).map(|_| ()),
+            windowed_and_narrowed(&old),
+            native_v2::decode_outputs(&framed).map(|_| ()),
+        ];
+        for outcome in outcomes {
+            prop_assert!(matches!(outcome, Err(FormatError::Corrupt { .. })), "{:?}", outcome);
+        }
     }
 }
 
