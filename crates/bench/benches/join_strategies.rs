@@ -23,10 +23,13 @@
 //! region buffers are its own (filtered in place; both arms pay the same
 //! deep copy of the input first).
 //!
-//! `scan_meta_first` reads the same shape cold out of an in-memory v2
-//! container, admitting every sample and admitting the 2 of 16 a
-//! `cell == 'K562'` SELECT keeps: what a refused sample costs is its
-//! index entry, not its blocks.
+//! `cold_read` reads the same shape, with a string column added, cold out
+//! of a v2 container — held in memory (blocks borrowed) and in a file
+//! (each sample's decode job reads its own blocks) — admitting every
+//! sample, admitting the 2 of 16 a `cell == 'K562'` SELECT keeps (what a
+//! refused sample costs is its index entry, not its blocks), and building
+//! one column of the two, as a cold `PROJECT(signal)` does
+//! (`Materialize::width`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nggc_core::{ops, parse, ExecOptions, MetaPredicate, OpCall, Operator, RegionExpr, Statement};
@@ -37,7 +40,9 @@ use nggc_engine::{
 use nggc_formats::native_v2::{
     encode_dataset_v2, materialize_dataset_v2_from, Materialize, ScanOptions,
 };
-use nggc_gdm::{Attribute, Chrom, Dataset, GRegion, Metadata, Sample, Schema, Strand, ValueType};
+use nggc_gdm::{
+    Attribute, Chrom, Dataset, GRegion, Metadata, Sample, Schema, Strand, Value, ValueType,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
@@ -159,7 +164,7 @@ fn select_by_scan(region: &RegionExpr, input: Cow<'_, Dataset>) -> usize {
 fn unshared(d: &Dataset) -> Dataset {
     let mut d = d.clone();
     for s in &mut d.samples {
-        s.regions = std::sync::Arc::new(s.regions.to_vec());
+        s.regions = s.regions.to_vec().into();
     }
     d
 }
@@ -240,24 +245,56 @@ fn bench_select_window(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_scan_meta_first(c: &mut Criterion) {
-    let bytes = encode_dataset_v2(&encode_shaped()).expect("encodes");
+fn bench_cold_read(c: &mut Criterion) {
+    let mut dataset = encode_shaped();
+    let mut attrs = dataset.schema.attributes().to_vec();
+    attrs.push(Attribute::new("name", ValueType::Str));
+    dataset.schema = Schema::new(attrs).expect("schema");
+    for sample in &mut dataset.samples {
+        for (i, r) in sample.regions_mut().iter_mut().enumerate() {
+            r.values.push(Value::Str(format!("peak_{i}")));
+        }
+    }
+    let bytes = encode_dataset_v2(&dataset).expect("encodes");
+    let path = std::env::temp_dir().join(format!("nggc_bench_cold_read_{}", std::process::id()));
+    std::fs::write(&path, &bytes).expect("container file");
     let k562 = MetaPredicate::eq("cell", "K562");
-    let (opts, build) = (ScanOptions::default(), Materialize::default());
-    let scan = |admit: &dyn Fn(&Metadata) -> bool| {
-        let src = std::io::Cursor::new(bytes.as_slice());
-        let (dataset, _) =
-            materialize_dataset_v2_from(src, &opts, &build, |_: &str, m: &Metadata| admit(m))
-                .expect("container reads");
+    let opts = ScanOptions::default();
+    let full = Materialize::default();
+    let one_column = Materialize { width: Some(["signal".to_owned()].into()), ..full.clone() };
+    let scan = |from_file: bool, build: &Materialize, admit: &dyn Fn(&Metadata) -> bool| {
+        let admit = |_: &str, m: &Metadata| admit(m);
+        let (dataset, _) = if from_file {
+            let file = std::fs::File::open(&path).expect("container opens");
+            materialize_dataset_v2_from(file, &opts, build, admit)
+        } else {
+            materialize_dataset_v2_from(std::io::Cursor::new(bytes.as_slice()), &opts, build, admit)
+        }
+        .expect("container reads");
         black_box(dataset).sample_count()
     };
-    assert_eq!((scan(&|_| true), scan(&|m| k562.eval(m))), (16, 2));
+    for from_file in [false, true] {
+        assert_eq!(
+            (scan(from_file, &full, &|_| true), scan(from_file, &full, &|m| k562.eval(m))),
+            (16, 2)
+        );
+    }
 
-    let mut group = c.benchmark_group("scan_meta_first");
+    let mut group = c.benchmark_group("cold_read");
     group.sample_size(10);
-    group.bench_function("admit_all", |b| b.iter(|| scan(&|_| true)));
-    group.bench_function("admit_2_of_16", |b| b.iter(|| scan(&|m| k562.eval(m))));
+    for (source, from_file) in [("memory", false), ("file", true)] {
+        group.bench_function(BenchmarkId::new("admit_all", source), |b| {
+            b.iter(|| scan(from_file, &full, &|_| true))
+        });
+        group.bench_function(BenchmarkId::new("admit_2_of_16", source), |b| {
+            b.iter(|| scan(from_file, &full, &|m| k562.eval(m)))
+        });
+        group.bench_function(BenchmarkId::new("width_1_of_2", source), |b| {
+            b.iter(|| scan(from_file, &one_column, &|_| true))
+        });
+    }
     group.finish();
+    std::fs::remove_file(&path).ok();
 }
 
 criterion_group!(
@@ -265,6 +302,6 @@ criterion_group!(
     bench_strategies,
     bench_cover_sweep,
     bench_select_window,
-    bench_scan_meta_first
+    bench_cold_read
 );
 criterion_main!(benches);

@@ -9,15 +9,16 @@
 //! and a metadata-filtered query, each executed cold two ways:
 //!
 //! * **full** — every source load decodes the whole container
-//!   (pre-pushdown behaviour, still parallel per block);
+//!   (pre-pushdown behaviour, still parallel per sample);
 //! * **pruned** — `Repository::scan` serves the derived spec from the
 //!   container index, through the `RepoProvider` the CLI and server use.
 //!
 //! Asserted acceptance bars, per query: the pruned run must return the
 //! identical result, read strictly fewer container bytes than the dataset
-//! holds, and run at least 2× faster cold. Results are written as a JSON
-//! artifact (`BENCH_scan_pruning.json` by default, committed at the repo
-//! root).
+//! holds, and run at least 2× faster cold. With `--json PATH` the
+//! results are also written to PATH as a JSON artifact (the committed
+//! record is `BENCH_scan_pruning.json` at the repo root); without it
+//! nothing is written.
 //!
 //! Usage: `exp_scan_pruning [scale] [--iters N] [--json PATH]`
 //! (default scale 0.005, 5 iterations; best-of-N timings).
@@ -169,12 +170,12 @@ fn measure(root: &Path, dataset: &Dataset, what: &str, query: &str, iters: usize
 fn main() {
     let mut scale = 0.005f64;
     let mut iters = 5usize;
-    let mut json_path = "BENCH_scan_pruning.json".to_owned();
+    let mut json_path = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--iters" => iters = args.next().and_then(|v| v.parse().ok()).unwrap_or(iters),
-            "--json" => json_path = args.next().unwrap_or(json_path),
+            "--json" => json_path = args.next(),
             other => {
                 if let Ok(s) = other.parse() {
                     scale = s;
@@ -270,7 +271,9 @@ fn main() {
         dataset.region_count(),
         rows.iter().map(Row::json).collect::<Vec<_>>().join(",\n    "),
     );
-    std::fs::write(&json_path, json).expect("write bench json");
-    println!("results written to {json_path}");
+    if let Some(path) = json_path {
+        std::fs::write(&path, json).expect("write bench json");
+        println!("results written to {path}");
+    }
     std::fs::remove_dir_all(&root).ok();
 }

@@ -61,14 +61,6 @@ pub trait DatasetProvider {
     ) -> Result<Arc<Dataset>, GmqlError> {
         self.load_shared(name)
     }
-
-    /// The size of `dataset`, as loaded for source `name`, when the
-    /// provider already knows it — for a dataset it holds resident, the
-    /// bytes its cache charged. `None` (the default) has the executor
-    /// walk the dataset; an answer must equal that walk.
-    fn resident_bytes(&self, _name: &str, _dataset: &Arc<Dataset>) -> Option<u64> {
-        None
-    }
 }
 
 impl<F> DatasetProvider for F
@@ -256,7 +248,7 @@ pub fn execute_governed(
                 // this node is the slot's last consumer and no other holder
                 // (the repository cache, a result cache) shares the
                 // allocation. Whether it may edit a sample's regions in
-                // place is then the region buffer's own say (`Arc::get_mut`):
+                // place is then the region buffer's own say (`Regions::get_mut`):
                 // a buffer can still be shared with a cached dataset. Its
                 // bytes stay charged until the release below, as for a
                 // borrowed input.
@@ -300,21 +292,10 @@ pub fn execute_governed(
             // never as a result, and without paying to measure it.
             g.check(&node.label)?;
         }
-        // A resident source's size is what its cache entry was charged;
-        // anything else is walked.
-        let resident = match &node.op {
-            PlanOp::Source(name) => provider.resident_bytes(name, &result),
-            PlanOp::Apply(_) => None,
-        };
-        let bytes_out = match resident {
-            Some(bytes) => {
-                let bytes = bytes as usize;
-                debug_assert_eq!(bytes, result.encoded_size(), "cache charge of {}", node.label);
-                reg.counter("nggc_exec_source_sized_from_cache_total").inc();
-                bytes
-            }
-            None => result.encoded_size(),
-        };
+        // Region buffers remember their size: a source fresh from a read
+        // or a cache, and a buffer an operator handed on whole, are sized
+        // without a walk over their rows.
+        let bytes_out = result.encoded_size();
         if let Some(g) = governor {
             // Charge the materialised intermediate before it becomes
             // visible to consumers; rejection aborts the query with the
@@ -326,9 +307,6 @@ pub fn execute_governed(
             .field("samples_out", result.sample_count())
             .field("regions_out", result.region_count())
             .field("bytes_est", bytes_out);
-        if let PlanOp::Source(_) = node.op {
-            node_span.field("sized", if resident.is_some() { "cache" } else { "walk" });
-        }
         drop(node_span);
         if reg.is_enabled() {
             reg.counter_with("nggc_exec_nodes_total", &[("op", &operator)]).inc();

@@ -189,7 +189,7 @@ mod tests {
         let ctx = ExecContext::with_workers(1);
         let reuse = Reuse::default();
         let out = difference(&ctx, false, &[], &a, &b, &reuse).unwrap();
-        assert!(std::sync::Arc::ptr_eq(&out.samples[0].regions, &a.samples[0].regions));
+        assert!(nggc_gdm::Regions::ptr_eq(&out.samples[0].regions, &a.samples[0].regions));
         assert_eq!((reuse.shared(), reuse.copied()), (1, 0));
         // One removed: the survivor is copied.
         b.samples[0] = mk("n", "B", vec![(5, 8, Strand::Unstranded)], vec![]);

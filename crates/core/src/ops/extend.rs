@@ -10,7 +10,6 @@ use crate::error::GmqlError;
 use crate::ops::Reuse;
 use nggc_engine::ExecContext;
 use nggc_gdm::{Dataset, Provenance, Sample, Value};
-use std::sync::Arc;
 
 /// Execute EXTEND. It never touches regions: every output sample shares
 /// its input's buffer.
@@ -35,7 +34,7 @@ pub fn extend(
             s.name.clone(),
             Provenance::derived("EXTEND", detail.clone(), vec![s.provenance.clone()]),
         );
-        out.regions = reuse.hand_on(Arc::clone(&s.regions));
+        out.regions = reuse.hand_on(s.regions.clone());
         out.metadata = s.metadata.clone();
         for (name, agg, pos) in &resolved {
             let value = match pos {
@@ -111,7 +110,7 @@ mod tests {
         let reuse = Reuse::default();
         let out = extend(&ctx, &[("n".into(), Aggregate::count())], &ds, &reuse).unwrap();
         for (s, input) in out.samples.iter().zip(&ds.samples) {
-            assert!(Arc::ptr_eq(&s.regions, &input.regions));
+            assert!(nggc_gdm::Regions::ptr_eq(&s.regions, &input.regions));
         }
         assert_eq!((reuse.shared(), reuse.copied()), (2, 0));
     }

@@ -9,7 +9,6 @@ use crate::error::GmqlError;
 use crate::ops::{group_key, Reuse};
 use nggc_engine::{merge_runs, union_chroms, ExecContext};
 use nggc_gdm::{Chrom, Dataset, GRegion, Provenance, Sample, Schema};
-use std::sync::Arc;
 
 /// Execute MERGE.
 pub fn merge(
@@ -55,7 +54,7 @@ where
 {
     let samples = ctx.map(partition_by_meta(input, groupby), |(key, members)| {
         let regions = match (copies, &members[..]) {
-            (Some(reuse), [only]) => reuse.hand_on(Arc::clone(&only.regions)),
+            (Some(reuse), [only]) => reuse.hand_on(only.regions.clone()),
             _ => {
                 let per_chrom = ctx.map(union_chroms(members.iter().copied()), |c| {
                     // Job-boundary checkpoint: skip queued chromosome
@@ -74,7 +73,7 @@ where
                 per_chrom.into_iter().for_each(|part| regions.extend(part));
                 match copies {
                     Some(reuse) => reuse.copy(regions),
-                    None => Arc::new(regions),
+                    None => regions.into(),
                 }
             }
         };
@@ -172,7 +171,10 @@ mod tests {
         let reuse = Reuse::default();
         let out = merge(&ctx, &["cell".into()], &ds, &reuse).unwrap();
         let k562 = out.samples.iter().find(|s| s.metadata.has("cell", "K562")).unwrap();
-        assert!(Arc::ptr_eq(&k562.regions, &ds.sample_by_name("s2").unwrap().regions));
+        assert!(nggc_gdm::Regions::ptr_eq(
+            &k562.regions,
+            &ds.sample_by_name("s2").unwrap().regions
+        ));
         // HeLa merges two members' regions into a new buffer.
         assert_eq!((reuse.shared(), reuse.copied()), (1, 2));
     }

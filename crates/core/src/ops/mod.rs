@@ -12,9 +12,10 @@
 //! * **parallelism** — sample(-pair) tasks run on the engine pool, and
 //!   genometric work shards per chromosome;
 //! * **copy-on-write regions** — an output sample that keeps an input
-//!   sample's regions exactly takes its buffer by reference; an operator
-//!   edits a buffer in place only when `Arc::get_mut` shows it holds it
-//!   alone, and otherwise copies only what it keeps ([`Reuse`] counts
+//!   sample's regions exactly takes its buffer by reference, remembered
+//!   size included; an operator edits a buffer in place only when
+//!   [`Regions::get_mut`] shows it holds it alone (which forgets the
+//!   size), and otherwise copies only what it keeps ([`Reuse`] counts
 //!   both).
 
 pub mod cover;
@@ -33,11 +34,10 @@ pub mod union;
 
 use crate::aggregates::Aggregate;
 use crate::error::GmqlError;
-use nggc_gdm::{Dataset, GRegion, Metadata, Sample, Schema, Value};
+use nggc_gdm::{Dataset, GRegion, Metadata, Regions, Sample, Schema, Value};
 use std::borrow::Cow;
 use std::ptr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// How one operator application came by its output's region buffers:
 /// the samples it handed an input buffer that another holder still
@@ -64,25 +64,25 @@ impl Reuse {
 
     /// Hand `regions` on as they are: counted as shared when another
     /// holder still has the buffer, taken over when nobody does.
-    pub(crate) fn hand_on(&self, mut regions: Arc<Vec<GRegion>>) -> Arc<Vec<GRegion>> {
-        if Arc::get_mut(&mut regions).is_none() {
+    pub(crate) fn hand_on(&self, regions: Regions) -> Regions {
+        if regions.is_shared() {
             self.shared.fetch_add(1, Ordering::Relaxed);
         }
         regions
     }
 
     /// A new buffer of `rows` copied out of an input's.
-    pub(crate) fn copy(&self, rows: Vec<GRegion>) -> Arc<Vec<GRegion>> {
+    pub(crate) fn copy(&self, rows: Vec<GRegion>) -> Regions {
         self.copied.fetch_add(rows.len() as u64, Ordering::Relaxed);
-        Arc::new(rows)
+        rows.into()
     }
 
     /// The buffer of `whole` when `kept`, borrowed from it, is every one
     /// of its regions in place — shared, not copied — else a copy of
     /// `kept`.
-    pub(crate) fn keep(&self, whole: &Arc<Vec<GRegion>>, kept: Vec<&GRegion>) -> Arc<Vec<GRegion>> {
+    pub(crate) fn keep(&self, whole: &Regions, kept: Vec<&GRegion>) -> Regions {
         if kept.len() == whole.len() && kept.iter().zip(whole.iter()).all(|(k, r)| ptr::eq(*k, r)) {
-            self.hand_on(Arc::clone(whole))
+            self.hand_on(whole.clone())
         } else {
             self.copy(kept.into_iter().cloned().collect())
         }
@@ -116,7 +116,7 @@ pub(crate) fn push_aggregates(
 /// pass `admit` — moved out of an owned dataset, cloned out of a borrowed
 /// one, which copies names and metadata but shares region buffers. Either
 /// way the per-sample code decides on each buffer: edit it in place when
-/// `Arc::get_mut` says it may, else share it or copy what it keeps.
+/// [`Regions::get_mut`] says it may, else share it or copy what it keeps.
 pub(crate) fn unpack(
     input: Cow<'_, Dataset>,
     admit: impl Fn(&Sample) -> bool,

@@ -12,7 +12,6 @@ use crate::ops::Reuse;
 use nggc_engine::ExecContext;
 use nggc_gdm::{Dataset, GRegion, Provenance, Sample, Value};
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 /// Execute ORDER. A sample whose regions all stay, in genome order —
 /// no region keys and no region top-k below its size — shares its input
@@ -55,7 +54,7 @@ pub fn order(
         out.regions = if resolved_region_keys.is_empty() {
             match region_top {
                 Some(k) if k < s.regions.len() => reuse.copy(s.regions[..k].to_vec()),
-                _ => reuse.hand_on(Arc::clone(&s.regions)),
+                _ => reuse.hand_on(s.regions.clone()),
             }
         } else {
             let mut ranked: Vec<&GRegion> = s.regions.iter().collect();
@@ -125,7 +124,6 @@ fn meta_sort_value(s: &Sample, attr: &str) -> Value {
 mod tests {
     use super::*;
     use nggc_gdm::{Attribute, Metadata, Schema, Strand, ValueType};
-    use std::sync::Arc;
 
     fn dataset() -> Dataset {
         let schema = Schema::new(vec![Attribute::new("score", ValueType::Float)]).unwrap();
@@ -219,7 +217,7 @@ mod tests {
             let reuse = Reuse::default();
             let out = order(&ctx, &[], None, keys, top, &ds, &reuse).unwrap();
             for (s, input) in out.samples.iter().zip(&ds.samples) {
-                assert!(Arc::ptr_eq(&s.regions, &input.regions), "{keys:?} {top:?}");
+                assert!(nggc_gdm::Regions::ptr_eq(&s.regions, &input.regions), "{keys:?} {top:?}");
             }
             assert_eq!((reuse.shared(), reuse.copied()), (3, 0));
         }

@@ -10,7 +10,6 @@ use crate::predicates::{BoundExpr, RegionExpr};
 use nggc_engine::ExecContext;
 use nggc_gdm::{Dataset, GRegion, Provenance, Sample, Schema};
 use std::borrow::Cow;
-use std::sync::Arc;
 
 /// Execute PROJECT. `out_schema` is the inferred output schema;
 /// `meta_attrs`, when given, lists the metadata attributes to keep.
@@ -73,7 +72,7 @@ pub fn project(
         });
         let regions = if identity {
             reuse.hand_on(s.regions)
-        } else if let Some(regions) = Arc::get_mut(&mut s.regions) {
+        } else if let Some(regions) = s.regions.get_mut() {
             for r in regions.iter_mut() {
                 // Computed attributes read the input row, so they are
                 // appended before any cell moves.
@@ -314,11 +313,11 @@ mod tests {
         };
         let reuse = Reuse::default();
         let out = project_with(&["score", "name"], &reuse);
-        assert!(Arc::ptr_eq(&out.samples[0].regions, &ds.samples[0].regions));
+        assert!(nggc_gdm::Regions::ptr_eq(&out.samples[0].regions, &ds.samples[0].regions));
         assert_eq!((reuse.shared(), reuse.copied()), (1, 0));
         let reuse = Reuse::default();
         let out = project_with(&["name"], &reuse);
-        assert!(!Arc::ptr_eq(&out.samples[0].regions, &ds.samples[0].regions));
+        assert!(!nggc_gdm::Regions::ptr_eq(&out.samples[0].regions, &ds.samples[0].regions));
         assert_eq!((reuse.shared(), reuse.copied()), (0, 1));
         assert_eq!(ds.samples[0].regions[0].values.len(), 2, "the input is as it was");
     }

@@ -594,7 +594,7 @@ fn run_merge_operators_equal_the_pooled_reference(seed in any::<u64>()) {
 fn unshared(d: &Dataset) -> Dataset {
     let mut d = d.clone();
     for s in &mut d.samples {
-        s.regions = std::sync::Arc::new(s.regions.to_vec());
+        s.regions = s.regions.to_vec().into();
     }
     d
 }

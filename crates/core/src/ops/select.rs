@@ -29,7 +29,6 @@ use nggc_gdm::{Chrom, Dataset, GRegion, Provenance, Sample};
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Execute SELECT. `ext` is the external dataset of the metadata
 /// semijoin, when one is declared.
@@ -129,7 +128,7 @@ pub fn select(
         let regions = if predicate.is_none() {
             // Every region survives, as it is.
             reuse.hand_on(s.regions)
-        } else if let Some(regions) = Arc::get_mut(&mut s.regions) {
+        } else if let Some(regions) = s.regions.get_mut() {
             // Held alone: survivors move to the front, in order; what is
             // left behind — rejected, or outside every window and never
             // looked at — is dropped.
@@ -389,7 +388,7 @@ mod tests {
             .unwrap();
             for s in &out.samples {
                 let input = ds.sample_by_name(&s.name).unwrap();
-                assert!(Arc::ptr_eq(&s.regions, &input.regions), "{meta}");
+                assert!(nggc_gdm::Regions::ptr_eq(&s.regions, &input.regions), "{meta}");
             }
             assert_eq!((reuse.shared(), reuse.copied()), (out.sample_count(), 0), "{meta}");
         }
@@ -399,8 +398,7 @@ mod tests {
     fn a_buffer_held_alone_is_filtered_in_place() {
         let ctx = ExecContext::with_workers(2);
         let ds = dataset();
-        let buffers: Vec<*const Vec<GRegion>> =
-            ds.samples.iter().map(|s| Arc::as_ptr(&s.regions)).collect();
+        let buffers: Vec<*const ()> = ds.samples.iter().map(|s| s.regions.as_ptr()).collect();
         let pred = RegionExpr::attr("p_value").cmp(CmpOp::Lt, RegionExpr::num(0.01));
         let reuse = Reuse::default();
         let opts = ExecOptions::default();
@@ -417,7 +415,7 @@ mod tests {
         .unwrap();
         assert_eq!(out.samples[0].region_count(), 1, "the high-p region dropped");
         for (s, buffer) in out.samples.iter().zip(buffers) {
-            assert_eq!(Arc::as_ptr(&s.regions), buffer, "the very buffer");
+            assert_eq!(s.regions.as_ptr(), buffer, "the very buffer");
         }
         assert_eq!((reuse.shared(), reuse.copied()), (0, 0));
     }
@@ -438,7 +436,7 @@ mod tests {
         // its only one (shared).
         assert_eq!((reuse.shared(), reuse.copied()), (1, 1));
         assert_eq!(out.region_count(), 2);
-        assert!(Arc::ptr_eq(&out.samples[1].regions, &resident.samples[1].regions));
+        assert!(nggc_gdm::Regions::ptr_eq(&out.samples[1].regions, &resident.samples[1].regions));
         assert_eq!(*resident.samples[0].regions, *dataset().samples[0].regions, "untouched");
     }
 

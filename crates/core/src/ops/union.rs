@@ -9,7 +9,6 @@ use crate::error::GmqlError;
 use crate::ops::Reuse;
 use nggc_engine::ExecContext;
 use nggc_gdm::{Dataset, GRegion, Provenance, Sample, Schema};
-use std::sync::Arc;
 
 /// Execute UNION. `out_schema` is the merged schema inferred at plan time.
 /// A side whose rows already have the merged layout shares its samples'
@@ -32,7 +31,7 @@ pub fn union(
             out.metadata = s.metadata.clone();
             out.regions = if map.iter().copied().eq(0..merged.schema.len()) {
                 // The side's rows already have the merged layout.
-                reuse.hand_on(Arc::clone(&s.regions))
+                reuse.hand_on(s.regions.clone())
             } else {
                 reuse.copy(
                     s.regions
@@ -118,7 +117,10 @@ mod tests {
         let merged = a.schema.merge(&b.schema).schema;
         let reuse = Reuse::default();
         let out = union(&ctx, &a, &b, &merged, &reuse).unwrap();
-        assert!(Arc::ptr_eq(&out.samples[0].regions, &a.samples[0].regions), "left: identity");
+        assert!(
+            nggc_gdm::Regions::ptr_eq(&out.samples[0].regions, &a.samples[0].regions),
+            "left: identity"
+        );
         assert_eq!(out.samples[1].regions[0].values, vec![Value::Float(0.2), Value::Null]);
         assert_eq!((reuse.shared(), reuse.copied()), (1, 1));
     }

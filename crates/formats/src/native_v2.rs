@@ -51,6 +51,16 @@
 //! index alone, and [`decode_outputs`] a query's framed outputs. Every
 //! container read is the same walk of the container.
 //!
+//! A read does its per-row work once, in parallel: one thread walks the
+//! header and the per-sample indexes and decides which samples and blocks
+//! are wanted, then one decode job per admitted sample reads that
+//! sample's wanted blocks itself ([`ContainerSource`]: one positional read
+//! per run of adjacent blocks from a file, a borrow from bytes in memory),
+//! verifies their checksums, decodes them, checks the rows against the
+//! schema and sizes them. A sample comes back with its encoded size
+//! remembered ([`nggc_gdm::Regions`]), so nothing after the read walks its
+//! rows again to size them.
+//!
 //! ## Checksums
 //!
 //! Each chromosome index entry carries a CRC32C (Castagnoli) of its
@@ -90,6 +100,7 @@ use nggc_gdm::{
     Attribute, Chrom, ChromInterner, Dataset, GRegion, Metadata, Sample, Schema, Strand, Value,
     ValueType,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::fs;
 use std::io::{self, BufReader, Read, Seek, SeekFrom};
@@ -435,19 +446,125 @@ fn corrupt_at(offset: u64, reason: impl Into<String>) -> FormatError {
     }
 }
 
-/// Read the next `len` bytes of `src` — an extent the container length has
-/// already vouched for.
-fn read_extent<R: Read>(src: &mut R, len: usize) -> Result<Vec<u8>, FormatError> {
-    let mut bytes = vec![0u8; len];
-    src.read_exact(&mut bytes)?;
-    Ok(bytes)
+/// A container that can be read at any offset, from several threads at
+/// once: the decode jobs of one read each fetch their own sample's
+/// blocks. A file reads with positional reads and no shared cursor; bytes
+/// in memory behind [`std::io::Cursor`] lend their blocks out uncopied.
+pub trait ContainerSource: Sync {
+    /// The container's length in bytes.
+    fn size(&self) -> io::Result<u64>;
+
+    /// Fill `buf` with the bytes at `offset`. A container that ends first
+    /// is an [`io::ErrorKind::UnexpectedEof`] error. The walk over the
+    /// header and the indexes reads through this.
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()>;
+
+    /// The `len` bytes at `offset`, in a buffer of their own unless the
+    /// container is in memory and can lend them. A decode job fetches its
+    /// blocks through this.
+    fn extent(&self, offset: u64, len: usize) -> io::Result<Cow<'_, [u8]>> {
+        let mut bytes = vec![0u8; len];
+        self.read_exact_at(&mut bytes, offset)?;
+        Ok(Cow::Owned(bytes))
+    }
 }
 
-/// Sequential reader over a whole container — a file or an in-memory
-/// slice behind [`std::io::Cursor`]. The header and the per-sample
-/// indexes are parsed through it; chromosome blocks are handed to the
-/// caller as extents to fetch or skipped with a seek, so a reader that
-/// wants one chromosome never pulls the others off the disk.
+impl ContainerSource for fs::File {
+    fn size(&self) -> io::Result<u64> {
+        Ok(self.metadata()?.len())
+    }
+
+    #[cfg(unix)]
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        std::os::unix::fs::FileExt::read_exact_at(self, buf, offset)
+    }
+
+    #[cfg(windows)]
+    fn read_exact_at(&self, mut buf: &mut [u8], mut offset: u64) -> io::Result<()> {
+        while !buf.is_empty() {
+            match std::os::windows::fs::FileExt::seek_read(self, buf, offset)? {
+                0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+                n => (buf, offset) = (&mut buf[n..], offset + n as u64),
+            }
+        }
+        Ok(())
+    }
+}
+
+impl<T: AsRef<[u8]> + Sync> ContainerSource for io::Cursor<T> {
+    fn size(&self) -> io::Result<u64> {
+        Ok(self.get_ref().as_ref().len() as u64)
+    }
+
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        buf.copy_from_slice(&self.extent(offset, buf.len())?);
+        Ok(())
+    }
+
+    fn extent(&self, offset: u64, len: usize) -> io::Result<Cow<'_, [u8]>> {
+        let bytes = self.get_ref().as_ref();
+        usize::try_from(offset)
+            .ok()
+            .and_then(|start| bytes.get(start..start.checked_add(len)?))
+            .map(Cow::Borrowed)
+            .ok_or_else(|| io::ErrorKind::UnexpectedEof.into())
+    }
+}
+
+impl<S: ContainerSource + ?Sized> ContainerSource for &S {
+    fn size(&self) -> io::Result<u64> {
+        (**self).size()
+    }
+
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        (**self).read_exact_at(buf, offset)
+    }
+
+    fn extent(&self, offset: u64, len: usize) -> io::Result<Cow<'_, [u8]>> {
+        (**self).extent(offset, len)
+    }
+}
+
+/// A [`ContainerSource`] read front to back, for the walk over the header
+/// and the indexes.
+struct Sequential<'a, S: ?Sized> {
+    src: &'a S,
+    pos: u64,
+    len: u64,
+}
+
+impl<'a, S: ContainerSource + ?Sized> Sequential<'a, S> {
+    fn new(src: &'a S) -> io::Result<Sequential<'a, S>> {
+        Ok(Sequential { src, pos: 0, len: src.size()? })
+    }
+}
+
+impl<S: ContainerSource + ?Sized> Read for Sequential<'_, S> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n =
+            buf.len().min(usize::try_from(self.len.saturating_sub(self.pos)).unwrap_or(usize::MAX));
+        self.src.read_exact_at(&mut buf[..n], self.pos)?;
+        self.pos += n as u64;
+        Ok(n)
+    }
+}
+
+impl<S: ContainerSource + ?Sized> Seek for Sequential<'_, S> {
+    fn seek(&mut self, to: SeekFrom) -> io::Result<u64> {
+        let pos = match to {
+            SeekFrom::Start(n) => Some(n),
+            SeekFrom::End(d) => self.len.checked_add_signed(d),
+            SeekFrom::Current(d) => self.pos.checked_add_signed(d),
+        };
+        self.pos = pos.ok_or_else(|| io::Error::from(io::ErrorKind::InvalidInput))?;
+        Ok(self.pos)
+    }
+}
+
+/// Sequential reader over a whole container. The header and the
+/// per-sample indexes are parsed through it; the chromosome blocks are
+/// skipped with a seek and left to the decode jobs, so the walk itself
+/// reads no block.
 ///
 /// Every read and skip is first checked against the container length:
 /// truncation and extents that point past the end fail as
@@ -512,7 +629,9 @@ impl<R: Read + Seek> Walker<R> {
     /// The next `n` bytes, allocated only once the container is known to
     /// hold them.
     fn take(&mut self, n: usize) -> Result<Vec<u8>, FormatError> {
-        read_extent(self.source_for(n as u64)?, n)
+        let mut bytes = vec![0u8; n];
+        self.fill(&mut bytes)?;
+        Ok(bytes)
     }
 
     fn u8(&mut self) -> Result<u8, FormatError> {
@@ -1181,46 +1300,45 @@ impl RowPlan {
     }
 }
 
-/// One chromosome block a walk fetched for decoding. `B` is how its
-/// bytes are held: a slice of an in-memory container, or the extent read
-/// from a file.
-struct WantedBlock<B> {
+/// One chromosome block a walk found wanted: where it lies in the
+/// container, which the container length has already vouched for.
+struct WantedBlock {
     /// Interned per walk: equal names share one handle across samples.
     chrom: Chrom,
     regions: u64,
     crc: u32,
-    /// Where the block starts in the container, for error offsets.
     offset: u64,
-    bytes: B,
+    len: usize,
+}
+
+impl WantedBlock {
+    fn end(&self) -> u64 {
+        self.offset + self.len as u64
+    }
 }
 
 /// What a walk hands over per sample: its index entry in full, and the
 /// blocks the caller asked for.
-struct SampleScan<B> {
+struct SampleScan {
     name: String,
     metadata: Metadata,
     chroms: Vec<ChromIndexEntry>,
-    wanted: Vec<WantedBlock<B>>,
+    wanted: Vec<WantedBlock>,
 }
 
 /// The one walk over a container that every reader shares: parse the
 /// header, then per sample its index; a sample `admit` refuses on its
 /// name and metadata is passed over whole — one skip for all its blocks,
-/// nothing fetched, `on_sample` not called. Of an admitted sample,
-/// `fetch` the extents of the blocks `wants` names and seek over the
-/// others, and hand the sample to `on_sample`.
-///
-/// `fetch` receives the source positioned at a block and its length
-/// (already checked against the container length) and must consume
-/// exactly that extent.
-fn walk_container<R: Read + Seek, B>(
-    src: R,
+/// `on_sample` not called. Of an admitted sample, note where the blocks
+/// `wants` names lie and hand the sample to `on_sample`. The walk reads
+/// no block: it seeks over every one, and the caller fetches the wanted.
+fn walk_container<S: ContainerSource + ?Sized>(
+    src: &S,
     mut admit: impl FnMut(&str, &Metadata) -> bool,
     wants: impl Fn(&str) -> bool,
-    mut fetch: impl FnMut(&mut R, usize) -> Result<B, FormatError>,
-    mut on_sample: impl FnMut(SampleScan<B>),
+    mut on_sample: impl FnMut(SampleScan),
 ) -> Result<(Header, ScanStats), FormatError> {
-    let mut w = Walker::new(src)?;
+    let mut w = Walker::new(BufReader::new(Sequential::new(src)?))?;
     let header = w.header()?;
     let mut stats = ScanStats { container_bytes: w.len, ..ScanStats::default() };
     let mut interner = ChromInterner::new();
@@ -1241,11 +1359,11 @@ fn walk_container<R: Read + Seek, B>(
         stats.samples_read += 1;
         let mut wanted = Vec::new();
         for entry in &chroms {
+            let offset = w.pos;
+            w.skip(entry.bytes)?;
             if wants(&entry.chrom) {
                 let len = usize::try_from(entry.bytes)
-                    .map_err(|_| w.corrupt("block extent exceeds usize"))?;
-                let offset = w.pos;
-                let bytes = fetch(w.source_for(entry.bytes)?, len)?;
+                    .map_err(|_| corrupt_at(offset, "block extent exceeds usize"))?;
                 stats.blocks_read += 1;
                 stats.bytes_read += entry.bytes;
                 wanted.push(WantedBlock {
@@ -1253,10 +1371,9 @@ fn walk_container<R: Read + Seek, B>(
                     regions: entry.regions,
                     crc: entry.crc,
                     offset,
-                    bytes,
+                    len,
                 });
             } else {
-                w.skip(entry.bytes)?;
                 stats.blocks_skipped += 1;
                 stats.bytes_skipped += entry.bytes;
             }
@@ -1266,94 +1383,114 @@ fn walk_container<R: Read + Seek, B>(
     Ok((header, stats))
 }
 
-/// Decode a sample's fetched blocks, in stored order, straight into one
-/// region vector sized for all of them. With `verify` each block's
-/// CRC32C is checked first.
-fn decode_blocks<B: AsRef<[u8]>>(
+/// Fetch a sample's wanted blocks from `src` — one read per run of
+/// adjacent blocks, into a buffer that lives only as long as the run's
+/// decode — and decode them, in stored order, straight into one region
+/// vector sized for all of them. With `verify` each block's CRC32C is
+/// checked first.
+fn decode_blocks<S: ContainerSource + ?Sized>(
+    src: &S,
     sample: &str,
-    wanted: &[WantedBlock<B>],
+    wanted: &[WantedBlock],
     plan: &RowPlan,
     verify: bool,
 ) -> Result<Vec<GRegion>, FormatError> {
     // A block holds at most one region per byte (`decode_chrom_block`
-    // rejects more), which bounds the reservation by the bytes fetched.
+    // rejects more), which bounds the reservation by the bytes wanted.
     // Under a window the blocks reserve what they build, one by one.
-    let total: u64 = wanted.iter().map(|b| b.regions.min(b.bytes.as_ref().len() as u64)).sum();
+    let total: u64 = wanted.iter().map(|b| b.regions.min(b.len as u64)).sum();
     let windowed = (plan.lo, plan.hi) != (0, u64::MAX);
     let mut regions = Vec::with_capacity(if windowed { 0 } else { total as usize });
-    for block in wanted {
-        let bytes = block.bytes.as_ref();
-        let mut cur = Cursor::new(bytes, block.offset);
-        if verify {
-            let got = crc32c(bytes);
-            if got != block.crc {
-                return Err(FormatError::ChecksumMismatch {
-                    section: format!("{sample}/{}", block.chrom),
-                    expected: block.crc,
-                    got,
-                });
+    for run in wanted.chunk_by(|a, b| a.end() == b.offset) {
+        let (first, last) = (&run[0], &run[run.len() - 1]);
+        let len = usize::try_from(last.end() - first.offset)
+            .map_err(|_| corrupt_at(first.offset, "block extents exceed usize"))?;
+        let fetched = src.extent(first.offset, len).map_err(|e| match e.kind() {
+            // The container shrank since its length was taken.
+            io::ErrorKind::UnexpectedEof => {
+                corrupt_at(first.offset, format!("need {len} bytes past end of container"))
             }
-        }
-        let n = usize::try_from(block.regions)
-            .map_err(|_| cur.corrupt("region count exceeds usize"))?;
-        decode_chrom_block(&mut cur, &block.chrom, n, plan, &mut regions)?;
-        if cur.remaining() != 0 {
-            return Err(cur.corrupt(format!(
-                "chrom block for {:?} decoded {} bytes, index says {}",
-                block.chrom.as_str(),
-                cur.pos,
-                bytes.len()
-            )));
+            _ => FormatError::Io(e),
+        })?;
+        let mut rest: &[u8] = &fetched;
+        for block in run {
+            let (bytes, next) = rest.split_at(block.len);
+            rest = next;
+            let mut cur = Cursor::new(bytes, block.offset);
+            if verify {
+                let got = crc32c(bytes);
+                if got != block.crc {
+                    return Err(FormatError::ChecksumMismatch {
+                        section: format!("{sample}/{}", block.chrom),
+                        expected: block.crc,
+                        got,
+                    });
+                }
+            }
+            let n = usize::try_from(block.regions)
+                .map_err(|_| cur.corrupt("region count exceeds usize"))?;
+            decode_chrom_block(&mut cur, &block.chrom, n, plan, &mut regions)?;
+            if cur.remaining() != 0 {
+                return Err(cur.corrupt(format!(
+                    "chrom block for {:?} decoded {} bytes, index says {}",
+                    block.chrom.as_str(),
+                    cur.pos,
+                    bytes.len()
+                )));
+            }
         }
     }
     Ok(regions)
 }
 
-/// Shared read core: one [`walk_container`] fetches the blocks `opts`
-/// wants of the samples `admit` lets in, then the samples decode **in
-/// parallel** on the shared [`WorkerPool`] — each into its own region
-/// vector, so nothing is copied together afterwards — building the rows
-/// and cells `build` asks for.
+/// Shared read core: one [`walk_container`] finds the blocks `opts`
+/// wants of the samples `admit` lets in, then the samples are read **in
+/// parallel** on the shared [`WorkerPool`], one job per sample doing all
+/// of its per-row work: fetch its blocks ([`decode_blocks`]), verify and
+/// decode them into its own region vector, building the rows and cells
+/// `build` asks for, sort, check the rows against the schema, and size
+/// them. Assembly then only pushes the finished samples, in stored order.
 ///
 /// `verify_blocks` selects the integrity regime: pruned reads verify
 /// each decoded block's CRC32C lazily (skipped blocks stay unchecked),
 /// while full reads rely on the caller having verified the whole-file
 /// trailer up front.
-fn read_with<R: Read + Seek, B: AsRef<[u8]> + Send>(
-    src: R,
+fn read_with<S: ContainerSource + ?Sized>(
+    src: &S,
     opts: &ScanOptions,
     build: &Materialize,
     admit: impl FnMut(&str, &Metadata) -> bool,
     verify_blocks: bool,
-    fetch: impl FnMut(&mut R, usize) -> Result<B, FormatError>,
 ) -> Result<(Dataset, ScanStats), FormatError> {
     let mut scans = Vec::new();
-    let (header, mut stats) = walk_container(
-        src,
-        admit,
-        |chrom| opts.wants_chrom(chrom),
-        fetch,
-        |scan| scans.push(scan),
-    )?;
+    let (header, mut stats) =
+        walk_container(src, admit, |chrom| opts.wants_chrom(chrom), |scan| scans.push(scan))?;
     let plan = RowPlan::new(header.schema, opts, build);
     // The index's region counts, which every decoded block has to meet.
     let listed: u64 = scans.iter().flat_map(|s| &s.wanted).map(|b| b.regions).sum();
     // Samples are created here, in stored order, so their ids ascend in
     // that order whichever worker decodes which.
-    let jobs: Vec<(Sample, Vec<WantedBlock<B>>)> = scans
+    let jobs: Vec<(Sample, Vec<WantedBlock>)> = scans
         .into_iter()
         .map(|s| (Sample::new(s.name, &header.name).with_metadata(s.metadata), s.wanted))
         .collect();
     let samples = decode_pool().parallel_map(jobs, |(mut sample, wanted)| {
-        sample.regions = decode_blocks(&sample.name, &wanted, &plan, verify_blocks)?.into();
+        let rows = decode_blocks(src, &sample.name, &wanted, &plan, verify_blocks)?;
+        for row in &rows {
+            plan.schema.check_row(&row.values)?;
+        }
+        sample.regions = rows.into();
         sample.sort_regions();
+        // Sized here, on the worker, and remembered with the buffer.
+        sample.regions.encoded_size();
         Ok::<Sample, FormatError>(sample)
     });
     let decoded = plan.cells.iter().filter(|c| **c == Cell::Decoded).count() as u64;
     let mut dataset = Dataset::new(header.name, plan.schema);
-    // The first error in stored sample order is the one reported.
+    // The first error in stored sample order is the one reported; every
+    // row the jobs built has been checked against the schema.
     for sample in samples {
-        dataset.add_sample(sample?)?;
+        dataset.add_sample_unchecked(sample?);
     }
     let built = dataset.region_count() as u64;
     stats.rows_skipped = listed - built;
@@ -1369,24 +1506,12 @@ fn admit_all(_name: &str, _metadata: &Metadata) -> bool {
 
 /// [`read_with`] over an in-memory container: blocks are borrowed from
 /// `buf`, not copied.
-fn decode_slice<'a>(
-    buf: &'a [u8],
+fn decode_slice(
+    buf: &[u8],
     opts: &ScanOptions,
     verify_blocks: bool,
 ) -> Result<(Dataset, ScanStats), FormatError> {
-    read_with(
-        io::Cursor::new(buf),
-        opts,
-        &Materialize::default(),
-        admit_all,
-        verify_blocks,
-        |src, len| {
-            let start = src.position() as usize;
-            src.set_position((start + len) as u64);
-            let whole: &'a [u8] = src.get_ref();
-            Ok(&whole[start..start + len])
-        },
-    )
+    read_with(&io::Cursor::new(buf), opts, &Materialize::default(), admit_all, verify_blocks)
 }
 
 /// Decode a full v2 container from bytes. Magic and version are checked
@@ -1454,14 +1579,16 @@ pub fn decode_dataset_v2_pruned(
 /// block read is parsed whole and checksummed all the same; what it does
 /// not build is counted in [`ScanStats::rows_skipped`].
 ///
-/// The bytes of a skipped block never leave the source.
-pub fn materialize_dataset_v2_from<R: Read + Seek>(
-    src: R,
+/// The bytes of a skipped block never leave the source. Each admitted
+/// sample's decode job reads its own wanted blocks, one positional read
+/// per run of adjacent blocks, and holds them only while it decodes them.
+pub fn materialize_dataset_v2_from<S: ContainerSource>(
+    src: S,
     opts: &ScanOptions,
     build: &Materialize,
     admit: impl FnMut(&str, &Metadata) -> bool,
 ) -> Result<(Dataset, ScanStats), FormatError> {
-    read_with(BufReader::new(src), opts, build, admit, true, read_extent)
+    read_with(&src, opts, build, admit, true)
 }
 
 /// Read only the index of a dataset directory's v2 container (schema,
@@ -1470,10 +1597,9 @@ pub fn materialize_dataset_v2_from<R: Read + Seek>(
 pub fn read_index(dir: &Path) -> Result<V2Index, FormatError> {
     let mut samples = Vec::new();
     let (header, _) = walk_container(
-        BufReader::new(fs::File::open(dir.join(CONTAINER_FILE))?),
+        &fs::File::open(dir.join(CONTAINER_FILE))?,
         admit_all,
         |_| false,
-        |_, _| Ok(()),
         |scan| {
             samples.push(SampleIndexEntry {
                 name: scan.name,
@@ -1576,8 +1702,8 @@ mod tests {
     }
 
     /// [`materialize_dataset_v2_from`] building every row and cell.
-    fn scan_from<R: Read + Seek>(
-        src: R,
+    fn scan_from<S: ContainerSource>(
+        src: S,
         opts: &ScanOptions,
         admit: impl FnMut(&str, &Metadata) -> bool,
     ) -> Result<(Dataset, ScanStats), FormatError> {
@@ -1831,31 +1957,44 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// Counts the bytes a reader pulls out of its source, and its seeks.
-    struct Counting<R> {
-        inner: R,
-        read: u64,
-        seeks: u64,
+    /// Counts the bytes a reader pulls out of its source, and logs the
+    /// extents its decode jobs fetch.
+    struct Counting<S> {
+        inner: S,
+        read: std::sync::atomic::AtomicU64,
+        fetched: std::sync::Mutex<Vec<(u64, usize)>>,
     }
 
-    impl<R> Counting<R> {
-        fn new(inner: R) -> Counting<R> {
-            Counting { inner, read: 0, seeks: 0 }
+    impl<S> Counting<S> {
+        fn new(inner: S) -> Counting<S> {
+            Counting { inner, read: Default::default(), fetched: Default::default() }
+        }
+
+        fn read(&self) -> u64 {
+            self.read.load(std::sync::atomic::Ordering::SeqCst)
+        }
+
+        fn fetched(&self) -> Vec<(u64, usize)> {
+            let mut fetched = self.fetched.lock().unwrap().clone();
+            fetched.sort_unstable();
+            fetched
         }
     }
 
-    impl<R: Read> Read for Counting<R> {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            let n = self.inner.read(buf)?;
-            self.read += n as u64;
-            Ok(n)
+    impl<S: ContainerSource> ContainerSource for Counting<S> {
+        fn size(&self) -> io::Result<u64> {
+            self.inner.size()
         }
-    }
 
-    impl<R: Seek> Seek for Counting<R> {
-        fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
-            self.seeks += 1;
-            self.inner.seek(pos)
+        fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+            self.read.fetch_add(buf.len() as u64, std::sync::atomic::Ordering::SeqCst);
+            self.inner.read_exact_at(buf, offset)
+        }
+
+        fn extent(&self, offset: u64, len: usize) -> io::Result<Cow<'_, [u8]>> {
+            self.read.fetch_add(len as u64, std::sync::atomic::Ordering::SeqCst);
+            self.fetched.lock().unwrap().push((offset, len));
+            self.inner.extent(offset, len)
         }
     }
 
@@ -1899,18 +2038,22 @@ mod tests {
             chroms: Some(std::iter::once("chr2".to_string()).collect()),
             columns: None,
         };
-        let mut src = Counting::new(io::Cursor::new(&bytes));
-        let (chr2, stats) = scan_from(&mut src, &opts, admit_all).unwrap();
+        let src = Counting::new(io::Cursor::new(&bytes));
+        let (chr2, stats) = scan_from(&src, &opts, admit_all).unwrap();
         assert_eq!(chr2.region_count(), 16_000);
         assert_eq!(stats.bytes_read + stats.bytes_skipped, index.block_bytes(&opts, admit_all).1);
         assert_eq!(stats.bytes_read, index.block_bytes(&opts, admit_all).0);
         assert!(
-            src.read < stats.bytes_read + total / 4,
+            src.read() < stats.bytes_read + total / 4,
             "a one-chromosome read pulled {} of {total} bytes for {} wanted",
-            src.read,
+            src.read(),
             stats.bytes_read
         );
-        assert!(src.read * 2 < total);
+        assert!(src.read() * 2 < total);
+        // Each sample's job fetched its one wanted block, and nothing else.
+        let fetched = src.fetched();
+        assert_eq!(fetched.len(), 4);
+        assert_eq!(fetched.iter().map(|&(_, len)| len as u64).sum::<u64>(), stats.bytes_read);
         // The bytes it did not read make no difference to what it returns.
         let (same, same_stats) = decode_dataset_v2_pruned(&bytes, &opts).unwrap();
         assert_datasets_equal(&chr2, &same);
@@ -1985,33 +2128,43 @@ mod tests {
     }
 
     #[test]
-    fn a_refused_sample_costs_one_seek_and_no_block_bytes() {
+    fn a_refused_sample_costs_no_block_bytes_and_a_run_one_read() {
         let bytes = encode_dataset_v2(&tall_dataset_with_cells()).unwrap();
         let total = bytes.len() as u64;
-        // Opening a walk seeks twice (to the end for the length, and back).
-        let mut src = Counting::new(io::Cursor::new(&bytes));
+        // Where every sample's blocks lie, from a walk that wants them all.
+        let mut blocks = Vec::new();
+        walk_container(
+            &io::Cursor::new(&bytes),
+            admit_all,
+            |_| true,
+            |scan| blocks.push(scan.wanted.iter().map(|b| (b.offset, b.len)).collect::<Vec<_>>()),
+        )
+        .unwrap();
+        let whole = |s: usize| {
+            let (first, last) = (blocks[s][0], blocks[s][blocks[s].len() - 1]);
+            (first.0, (last.0 + last.1 as u64 - first.0) as usize)
+        };
+        let src = Counting::new(io::Cursor::new(&bytes));
         let opts = ScanOptions::default();
-        let (_, stats) = scan_from(&mut src, &opts, k562).unwrap();
+        let (_, stats) = scan_from(&src, &opts, k562).unwrap();
         assert_eq!(stats.samples_skipped, 2);
-        assert_eq!(src.seeks, 2 + 1, "one seek over s1, none over the trailing s3");
+        // s0 and s2: their three adjacent blocks in one read each.
+        assert_eq!(src.fetched(), [whole(0), whole(2)]);
         assert!(
-            src.read < stats.bytes_read + total / 8,
+            src.read() < stats.bytes_read + total / 8,
             "pulled {} of {total} bytes for {} admitted",
-            src.read,
+            src.read(),
             stats.bytes_read
         );
-        // Skipping a chromosome of every sample seeks inside each sample;
-        // refusing the sample does not.
+        // Skipping the middle chromosome splits each run in two.
         let chr13 = chroms_only(&["chr1", "chr3"]);
-        let mut src = Counting::new(io::Cursor::new(&bytes));
-        scan_from(&mut src, &chr13, k562).unwrap();
-        assert_eq!(src.seeks, 2 + 1 + 2, "s1 whole, chr2 of s0 and of s2");
-        // Refused samples in a row still cost one each: the next sample's
-        // index sits behind the blocks and has to be read.
-        let mut src = Counting::new(io::Cursor::new(&bytes));
+        let src = Counting::new(io::Cursor::new(&bytes));
+        scan_from(&src, &chr13, k562).unwrap();
+        assert_eq!(src.fetched(), [blocks[0][0], blocks[0][2], blocks[2][0], blocks[2][2]]);
         let edges = |name: &str, _: &Metadata| name == "s0" || name == "s3";
-        let (got, _) = scan_from(&mut src, &opts, edges).unwrap();
-        assert_eq!((got.sample_count(), src.seeks), (2, 2 + 2));
+        let src = Counting::new(io::Cursor::new(&bytes));
+        let (got, _) = scan_from(&src, &opts, edges).unwrap();
+        assert_eq!((got.sample_count(), src.fetched()), (2, vec![whole(0), whole(3)]));
     }
 
     #[test]

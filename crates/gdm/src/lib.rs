@@ -59,6 +59,6 @@ pub use error::GdmError;
 pub use metadata::Metadata;
 pub use provenance::Provenance;
 pub use region::{interval_overlap, GRegion};
-pub use sample::{Sample, SampleId};
+pub use sample::{Regions, Sample, SampleId};
 pub use schema::{Attribute, MergedSchema, Schema, FIXED_ATTRIBUTES};
 pub use value::{Value, ValueParseError, ValueType};

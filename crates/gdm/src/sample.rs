@@ -3,17 +3,20 @@
 //! The sample ID provides the many-to-many connection between regions and
 //! metadata of one experimental sample (paper §2, Figure 2). A sample owns
 //! its metadata and its provenance; its regions (kept in genome order) sit
-//! in a buffer shared copy-on-write, so an operator that keeps a sample's
-//! regions exactly hands the buffer on with a reference-count bump, and
-//! one that changes them edits in place only when it holds the buffer
-//! alone ([`Sample::regions_mut`]).
+//! in a [`Regions`] buffer shared copy-on-write, so an operator that keeps a
+//! sample's regions exactly hands the buffer on with a reference-count
+//! bump, and one that changes them edits in place only when it holds the
+//! buffer alone ([`Sample::regions_mut`]). The buffer remembers its
+//! encoded size once computed, so sizing a sample whose rows did not
+//! change costs nothing.
 
 use crate::metadata::Metadata;
 use crate::provenance::Provenance;
 use crate::region::GRegion;
-use std::ops::Range;
+use std::fmt;
+use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Opaque sample identifier, unique within a process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,6 +37,99 @@ impl std::fmt::Display for SampleId {
     }
 }
 
+/// A sample's region buffer: the rows, shared copy-on-write, and their
+/// encoded size ([`GRegion::encoded_size`] summed), remembered once it is
+/// computed. A clone shares the rows and the remembered size; every way
+/// to write the rows ([`Regions::get_mut`], [`Regions::make_mut`]) forgets
+/// the size, and a buffer built from a `Vec` starts without one, so a
+/// remembered size is always that of the rows beside it.
+#[derive(Clone, Default)]
+pub struct Regions(Arc<Buffer>);
+
+#[derive(Clone, Default)]
+struct Buffer {
+    rows: Vec<GRegion>,
+    size: OnceLock<usize>,
+}
+
+fn walk_size(rows: &[GRegion]) -> usize {
+    rows.iter().map(GRegion::encoded_size).sum()
+}
+
+impl Regions {
+    /// True when both are the one buffer.
+    pub fn ptr_eq(a: &Regions, b: &Regions) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// The address of the buffer, for telling buffers apart.
+    pub fn as_ptr(&self) -> *const () {
+        Arc::as_ptr(&self.0).cast()
+    }
+
+    /// True when another holder shares the buffer.
+    pub fn is_shared(&self) -> bool {
+        Arc::strong_count(&self.0) > 1
+    }
+
+    /// The rows for writing in place, when this is the only holder of the
+    /// buffer; the remembered size is forgotten. `None` when shared.
+    pub fn get_mut(&mut self) -> Option<&mut Vec<GRegion>> {
+        let buffer = Arc::get_mut(&mut self.0)?;
+        buffer.size.take();
+        Some(&mut buffer.rows)
+    }
+
+    /// The rows for writing: in place when held alone, else on a private
+    /// copy (copy-on-write). The remembered size is forgotten.
+    pub fn make_mut(&mut self) -> &mut Vec<GRegion> {
+        let buffer = Arc::make_mut(&mut self.0);
+        buffer.size.take();
+        &mut buffer.rows
+    }
+
+    /// The encoded size of the rows: the remembered one, computed and
+    /// remembered on the first call after a write.
+    pub fn encoded_size(&self) -> usize {
+        let size = *self.0.size.get_or_init(|| walk_size(&self.0.rows));
+        debug_assert_eq!(size, walk_size(&self.0.rows), "remembered size of a written buffer");
+        size
+    }
+
+    /// The remembered encoded size, if it has been computed since the
+    /// last write.
+    pub fn known_size(&self) -> Option<usize> {
+        self.0.size.get().copied()
+    }
+}
+
+impl Deref for Regions {
+    type Target = [GRegion];
+
+    fn deref(&self) -> &[GRegion] {
+        &self.0.rows
+    }
+}
+
+impl From<Vec<GRegion>> for Regions {
+    fn from(rows: Vec<GRegion>) -> Regions {
+        Regions(Arc::new(Buffer { rows, size: OnceLock::new() }))
+    }
+}
+
+impl PartialEq for Regions {
+    fn eq(&self, other: &Regions) -> bool {
+        self.0.rows == other.0.rows
+    }
+}
+
+/// The rows alone: whether the size is remembered is not content.
+impl fmt::Debug for Regions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.rows.fmt(f)
+    }
+}
+
 /// One experimental sample: regions + metadata + provenance.
 #[derive(Debug, Clone)]
 pub struct Sample {
@@ -43,9 +139,10 @@ pub struct Sample {
     pub name: String,
     /// Regions in genome order (enforced by [`Sample::sort_regions`] and
     /// checked by [`Sample::is_sorted`]), shared copy-on-write: cloning a
-    /// sample shares the buffer, and every write goes through
-    /// [`Arc::get_mut`] or [`Arc::make_mut`] (see [`Sample::regions_mut`]).
-    pub regions: Arc<Vec<GRegion>>,
+    /// sample shares the buffer and its remembered size, and every write
+    /// goes through [`Regions::get_mut`] or [`Regions::make_mut`] (see
+    /// [`Sample::regions_mut`]).
+    pub regions: Regions,
     /// Region-invariant metadata of the sample.
     pub metadata: Metadata,
     /// Lineage of the sample.
@@ -60,7 +157,7 @@ impl Sample {
             id: SampleId::fresh(),
             provenance: Provenance::source(dataset, name.clone()),
             name,
-            regions: Arc::default(),
+            regions: Regions::default(),
             metadata: Metadata::new(),
         }
     }
@@ -70,7 +167,7 @@ impl Sample {
         Sample {
             id: SampleId::fresh(),
             name: name.into(),
-            regions: Arc::default(),
+            regions: Regions::default(),
             metadata: Metadata::new(),
             provenance,
         }
@@ -78,7 +175,7 @@ impl Sample {
 
     /// Builder: attach regions (sorted on insertion).
     pub fn with_regions(mut self, regions: Vec<GRegion>) -> Sample {
-        self.regions = Arc::new(regions);
+        self.regions = regions.into();
         self.sort_regions();
         self
     }
@@ -88,7 +185,7 @@ impl Sample {
     /// operator that keeps only some regions of a shared buffer should
     /// copy those instead of calling this and filtering the copy.
     pub fn regions_mut(&mut self) -> &mut Vec<GRegion> {
-        Arc::make_mut(&mut self.regions)
+        self.regions.make_mut()
     }
 
     /// Builder: attach metadata.
@@ -165,9 +262,12 @@ impl Sample {
         out
     }
 
-    /// Approximate serialized size in bytes (regions + metadata).
+    /// Approximate serialized size in bytes (regions + metadata). The
+    /// regions' part is the size their buffer remembers
+    /// ([`Regions::encoded_size`]), so only a buffer written since it was
+    /// last sized is walked.
     pub fn encoded_size(&self) -> usize {
-        self.regions.iter().map(GRegion::encoded_size).sum::<usize>() + self.metadata.encoded_size()
+        self.regions.encoded_size() + self.metadata.encoded_size()
     }
 }
 
@@ -307,16 +407,16 @@ mod tests {
         let original =
             Sample::new("s", "D").with_regions(vec![r("chr1", 0, 10), r("chr1", 20, 30)]);
         let mut copy = original.clone();
-        assert!(Arc::ptr_eq(&original.regions, &copy.regions), "a clone bumps a count");
+        assert!(Regions::ptr_eq(&original.regions, &copy.regions), "a clone bumps a count");
         copy.regions_mut().retain(|g| g.left > 0);
-        assert!(!Arc::ptr_eq(&original.regions, &copy.regions), "a write copies first");
+        assert!(!Regions::ptr_eq(&original.regions, &copy.regions), "a write copies first");
         assert_eq!(copy.region_count(), 1);
         assert_eq!(original.region_count(), 2, "the original is as it was");
         assert_eq!((original.regions[0].left, original.regions[1].left), (0, 20));
         // Held alone, the buffer is written where it is.
-        let at = Arc::as_ptr(&copy.regions);
+        let at = copy.regions.as_ptr();
         copy.regions_mut().clear();
-        assert_eq!(Arc::as_ptr(&copy.regions), at);
+        assert_eq!(copy.regions.as_ptr(), at);
     }
 
     #[test]
@@ -324,7 +424,46 @@ mod tests {
         let original = Sample::new("s", "D").with_regions(vec![r("chr1", 5, 9), r("chr1", 0, 4)]);
         let mut copy = original.clone();
         copy.sort_regions();
-        assert!(Arc::ptr_eq(&original.regions, &copy.regions));
+        assert!(Regions::ptr_eq(&original.regions, &copy.regions));
+    }
+
+    #[test]
+    fn a_clone_shares_the_remembered_size_and_every_write_forgets_it() {
+        let rows = vec![r("chr1", 0, 10), r("chr1", 20, 30)];
+        let walked: usize = rows.iter().map(GRegion::encoded_size).sum();
+        let mut original = Sample::new("s", "D").with_regions(rows);
+        assert_eq!(original.regions.known_size(), None, "a new buffer is not sized");
+        assert_eq!(original.regions.encoded_size(), walked);
+        assert_eq!(original.regions.known_size(), Some(walked), "sized once, remembered");
+        let mut copy = original.clone();
+        assert_eq!(copy.regions.known_size(), Some(walked), "a clone shares the size");
+
+        // `regions_mut` on a shared buffer: the private copy is unsized,
+        // the original keeps its size.
+        copy.regions_mut().pop();
+        assert_eq!(copy.regions.known_size(), None);
+        assert_eq!(original.regions.known_size(), Some(walked));
+        assert_eq!(copy.regions.encoded_size(), r("chr1", 0, 10).encoded_size());
+
+        // `regions_mut` on a buffer held alone.
+        copy.regions_mut();
+        assert_eq!(copy.regions.known_size(), None, "held alone, written in place");
+
+        // `get_mut`: refused while shared (the size stays), forgets it once
+        // held alone.
+        let shared = original.clone();
+        assert!(original.regions.get_mut().is_none());
+        assert_eq!(original.regions.known_size(), Some(walked));
+        drop(shared);
+        original.regions.get_mut().expect("held alone").push(r("chr2", 0, 5));
+        assert_eq!(original.regions.known_size(), None);
+        assert_eq!(original.regions.encoded_size(), walked + r("chr2", 0, 5).encoded_size());
+
+        // Reassignment: a buffer built from a `Vec` starts unsized.
+        assert!(original.regions.known_size().is_some());
+        original.regions = vec![r("chr3", 0, 1)].into();
+        assert_eq!(original.regions.known_size(), None);
+        assert_eq!(original.encoded_size(), r("chr3", 0, 1).encoded_size());
     }
 
     #[test]

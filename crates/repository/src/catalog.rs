@@ -549,18 +549,6 @@ impl Repository {
         Ok(())
     }
 
-    /// The bytes the dataset cache charged for `dataset`, when `dataset`
-    /// is the very allocation cached under `name`: the catalog's encoded
-    /// size, recorded at save time, which is what walking it would count.
-    /// `None` for anything else — a cold pruned read, a copy replaced by
-    /// a later save, another allocation — so the caller walks instead.
-    /// Recency is left alone.
-    pub fn resident_bytes(&self, name: &str, dataset: &Arc<Dataset>) -> Option<u64> {
-        let cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
-        let (cached, bytes) = cache.lru.peek(name)?;
-        Arc::ptr_eq(cached, dataset).then_some(bytes)
-    }
-
     /// Load a dataset by name: [`Repository::scan`] with nothing left out
     /// and nothing bounded.
     pub fn load(&self, name: &str) -> Result<Arc<Dataset>, RepoError> {

@@ -1,12 +1,12 @@
-//! `Repository::resident_bytes`: a dataset the cache holds is sized at
-//! what its entry was charged, and that charge is what walking it counts.
-//! Anything the cache does not hold by that very allocation has no
-//! resident size.
+//! A dataset the repository hands out already knows its size: the region
+//! buffers of a full read, a cached copy, a saved copy and a cold pruned
+//! read each remember their encoded size, and that size is what a fresh
+//! walk over the rows counts. A write to a buffer forgets it.
 
 #[path = "../../../tests/common/corpus.rs"]
 mod corpus;
 
-use nggc_gdm::Dataset;
+use nggc_gdm::{Dataset, GRegion};
 use nggc_repository::{Repository, ScanOptions, ScanRequest};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -29,61 +29,66 @@ fn corpus_repo(tag: &str) -> (PathBuf, Repository) {
     (root.clone(), Repository::open(&root).unwrap())
 }
 
+/// Every sample's buffer remembers a size, and it is the one a fresh walk
+/// over its rows counts.
+fn assert_sized_at_its_walk(dataset: &Dataset) {
+    for sample in &dataset.samples {
+        let walked: usize = sample.regions.iter().map(GRegion::encoded_size).sum();
+        assert_eq!(sample.regions.known_size(), Some(walked), "{}/{}", dataset.name, sample.name);
+    }
+}
+
 #[test]
-fn a_full_read_is_sized_at_its_walk() {
+fn a_full_read_knows_its_size() {
     let (root, repo) = corpus_repo("full");
     for dataset in corpus::fixture_datasets() {
         let loaded = repo.load(&dataset.name).unwrap();
-        let walked = loaded.encoded_size() as u64;
-        assert_eq!(repo.resident_bytes(&dataset.name, &loaded), Some(walked), "{}", dataset.name);
-        // A warm read hands out the same allocation, at the same size.
+        assert_sized_at_its_walk(&loaded);
+        // A warm read hands out the same allocation, size and all.
         let again = repo.load(&dataset.name).unwrap();
         assert!(Arc::ptr_eq(&loaded, &again));
-        assert_eq!(repo.resident_bytes(&dataset.name, &again), Some(walked));
+        assert_sized_at_its_walk(&again);
     }
     std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
-fn a_saved_copy_is_sized_at_its_walk() {
+fn a_saved_copy_knows_its_size() {
     let root = tmp("saved");
     let mut repo = Repository::open(&root).unwrap();
     for dataset in corpus::fixture_datasets() {
         repo.save(&dataset).unwrap();
         let cached = repo.load(&dataset.name).unwrap();
-        assert_eq!(
-            repo.resident_bytes(&dataset.name, &cached),
-            Some(dataset.encoded_size() as u64),
-            "{}",
-            dataset.name
-        );
+        assert_sized_at_its_walk(&cached);
+        assert_eq!(cached.encoded_size(), dataset.encoded_size(), "{}", dataset.name);
     }
     std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
-fn a_pruned_read_has_no_resident_size() {
+fn a_cold_pruned_read_knows_its_size() {
     let (root, repo) = corpus_repo("pruned");
     let chroms = Some(std::iter::once("chr1".to_owned()).collect());
     let req = ScanRequest { opts: ScanOptions { chroms, columns: None }, ..ScanRequest::default() };
     let pruned = repo.scan("PEAKS", &req).unwrap();
-    assert_eq!(repo.resident_bytes("PEAKS", &pruned), None, "a cold pruned read is not cached");
+    assert!(pruned.region_count() > 0);
+    assert_sized_at_its_walk(&pruned);
     std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
-fn a_replaced_entry_or_a_foreign_arc_has_no_resident_size() {
+fn a_copy_shares_the_size_until_it_writes() {
     let (root, mut repo) = corpus_repo("replaced");
     let before = repo.load("GENES").unwrap();
-    let foreign: Arc<Dataset> = Arc::new((*before).clone());
-    assert_eq!(repo.resident_bytes("GENES", &foreign), None, "same content, other allocation");
-    assert_eq!(repo.resident_bytes("PEAKS", &before), None, "another dataset's entry");
-    assert_eq!(repo.resident_bytes("MISSING", &before), None);
     let mut changed = (*before).clone();
-    changed.samples.truncate(0);
+    assert_sized_at_its_walk(&changed);
+    changed.samples[0].regions_mut().pop();
+    assert_eq!(changed.samples[0].regions.known_size(), None, "a write forgets the size");
+    assert_sized_at_its_walk(&before);
     repo.save(&changed).unwrap();
-    assert_eq!(repo.resident_bytes("GENES", &before), None, "replaced by a later save");
+    // Saving sized the written buffer again, and the cache keeps it.
     let after = repo.load("GENES").unwrap();
-    assert_eq!(repo.resident_bytes("GENES", &after), Some(after.encoded_size() as u64));
+    assert_sized_at_its_walk(&after);
+    assert_eq!(after.region_count() + 1, before.region_count());
     std::fs::remove_dir_all(&root).ok();
 }

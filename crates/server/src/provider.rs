@@ -86,8 +86,4 @@ impl DatasetProvider for RepoProvider<'_> {
         };
         self.scan(name, req)
     }
-
-    fn resident_bytes(&self, name: &str, dataset: &Arc<Dataset>) -> Option<u64> {
-        self.repo.resident_bytes(name, dataset)
-    }
 }

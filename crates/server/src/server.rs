@@ -814,7 +814,7 @@ mod tests {
             let shifted: Vec<GRegion> = (sample.regions.iter())
                 .map(|r| GRegion { left: r.left + 5, ..r.clone() })
                 .collect();
-            sample.regions = Arc::new(shifted);
+            sample.regions = shifted.into();
         }
         session.repo.save(&moved).unwrap();
         let (after, cached) = ask(&session, 2);

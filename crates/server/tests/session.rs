@@ -154,7 +154,10 @@ fn every_script_is_the_same_through_every_tier_cold_and_warm() {
     assert!(with_company.get() > 0, "a request in company runs at a fair width");
     // No operator wrote into a buffer it shared with a resident dataset.
     for (dataset, bytes) in &resident {
-        assert!(session.repo.resident_bytes(&dataset.name, dataset).is_some(), "{}", dataset.name);
+        for sample in &dataset.samples {
+            let walked: usize = sample.regions.iter().map(GRegion::encoded_size).sum();
+            assert_eq!(sample.regions.known_size(), Some(walked), "{}", dataset.name);
+        }
         assert_eq!(&encode_dataset_v2(dataset).unwrap(), bytes, "{} was written", dataset.name);
     }
     std::fs::remove_dir_all(&root).ok();

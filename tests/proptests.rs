@@ -1077,6 +1077,45 @@ proptest! {
     }
 }
 
+/// Random regions on `chr1`..`chr3` (chromosome index, left, width) per
+/// sample, as dataset `D`: a float, an int and a string column, with
+/// zero-length regions, nulls and strings; even samples are K562, odd
+/// ones HeLa.
+fn three_column_dataset(samples: &[Vec<(usize, u64, u64)>]) -> Dataset {
+    let chroms = ["chr1", "chr2", "chr3"];
+    let schema = Schema::new(vec![
+        Attribute::new("score", ValueType::Float),
+        Attribute::new("peak", ValueType::Int),
+        Attribute::new("label", ValueType::Str),
+    ])
+    .unwrap();
+    let mut ds = Dataset::new("D", schema);
+    for (si, sample) in samples.iter().enumerate() {
+        let mut regions: Vec<GRegion> = sample
+            .iter()
+            .enumerate()
+            .map(|(ri, &(c, l, w))| {
+                // Zero-length regions, nulls and strings of every row.
+                let label = if ri % 3 == 0 { Value::Null } else { Value::Str(format!("r{ri}")) };
+                GRegion::new(chroms[c], l, l + w, Strand::Pos).with_values(vec![
+                    Value::Float(ri as f64 * 0.5),
+                    Value::Int(ri as i64),
+                    label,
+                ])
+            })
+            .collect();
+        regions.sort_by(|a, b| a.cmp_coords(b));
+        let cell = ["K562", "HeLa"][si % 2];
+        ds.add_sample(
+            Sample::new(format!("s{si}"), "D")
+                .with_regions(regions)
+                .with_metadata(Metadata::from_pairs([("cell", cell)])),
+        )
+        .unwrap();
+    }
+    ds
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -1101,36 +1140,7 @@ proptest! {
         span in 0u64..3_000,
     ) {
         let chroms = ["chr1", "chr2", "chr3"];
-        let schema = Schema::new(vec![
-            Attribute::new("score", ValueType::Float),
-            Attribute::new("peak", ValueType::Int),
-            Attribute::new("label", ValueType::Str),
-        ])
-        .unwrap();
-        let mut ds = Dataset::new("D", schema);
-        for (si, sample) in samples.iter().enumerate() {
-            let mut regions: Vec<GRegion> = sample
-                .iter()
-                .enumerate()
-                .map(|(ri, &(c, l, w))| {
-                    // Zero-length regions, nulls and strings of every row.
-                    let label = if ri % 3 == 0 { Value::Null } else { Value::Str(format!("r{ri}")) };
-                    GRegion::new(chroms[c], l, l + w, Strand::Pos).with_values(vec![
-                        Value::Float(ri as f64 * 0.5),
-                        Value::Int(ri as i64),
-                        label,
-                    ])
-                })
-                .collect();
-            regions.sort_by(|a, b| a.cmp_coords(b));
-            let cell = ["K562", "HeLa"][si % 2];
-            ds.add_sample(
-                Sample::new(format!("s{si}"), "D")
-                    .with_regions(regions)
-                    .with_metadata(Metadata::from_pairs([("cell", cell)])),
-            )
-            .unwrap();
-        }
+        let ds = three_column_dataset(&samples);
 
         // The kept columns, in an order of their own.
         let mut keep: Vec<&str> = ["score", "peak", "label"]
@@ -1223,4 +1233,355 @@ proptest! {
         };
         prop_assert_eq!(render(&reference), render(&cold), "query: {}", query);
     }
+}
+
+/// A container source that logs what a read takes from it: the bytes of
+/// every positional read, and the extents its decode jobs fetch.
+struct Logged<S> {
+    inner: S,
+    read: std::sync::atomic::AtomicU64,
+    fetched: std::sync::Mutex<Vec<(u64, usize)>>,
+}
+
+impl<S> Logged<S> {
+    fn new(inner: S) -> Logged<S> {
+        Logged { inner, read: Default::default(), fetched: Default::default() }
+    }
+
+    /// The extents fetched, in container order.
+    fn fetched(&self) -> Vec<(u64, usize)> {
+        let mut fetched = self.fetched.lock().unwrap().clone();
+        fetched.sort_unstable();
+        fetched
+    }
+}
+
+impl<S: native_v2::ContainerSource> native_v2::ContainerSource for Logged<S> {
+    fn size(&self) -> std::io::Result<u64> {
+        self.inner.size()
+    }
+
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        self.read.fetch_add(buf.len() as u64, std::sync::atomic::Ordering::SeqCst);
+        self.inner.read_exact_at(buf, offset)
+    }
+
+    fn extent(&self, offset: u64, len: usize) -> std::io::Result<std::borrow::Cow<'_, [u8]>> {
+        self.read.fetch_add(len as u64, std::sync::atomic::Ordering::SeqCst);
+        self.fetched.lock().unwrap().push((offset, len));
+        self.inner.extent(offset, len)
+    }
+}
+
+/// `bytes` written as the container of a fresh dataset directory.
+fn container_dir(tag: &str, bytes: &[u8]) -> std::path::PathBuf {
+    static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "nggc_same_read_{tag}_{}_{}",
+        std::process::id(),
+        CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(native_v2::CONTAINER_FILE), bytes).unwrap();
+    dir
+}
+
+/// A dataset as text, sample ids left out (they are minted per read).
+fn rendered(ds: &Dataset) -> String {
+    let mut s = format!("{}|{}", ds.name, ds.schema);
+    for smp in &ds.samples {
+        s.push_str(&format!("\n{}|{:?}", smp.name, smp.metadata));
+        for r in smp.regions.iter() {
+            s.push_str(&format!(
+                "\n  {} {} {} {:?} {:?}",
+                r.chrom, r.left, r.right, r.strand, r.values
+            ));
+        }
+    }
+    s
+}
+
+/// The columns of `names` that `mask` picks, by bit.
+fn picked(mask: usize, names: &[&str]) -> std::collections::BTreeSet<String> {
+    names
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| mask & (1 << i) != 0)
+        .map(|(_, n)| n.to_string())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One read, wherever the container is: a read of a container file
+    /// (each decode job fetching its own blocks with positional reads)
+    /// and a read of the same bytes in memory (blocks borrowed) give the
+    /// same datasets, samples in the same order, and the same
+    /// `ScanStats`, for any chromosomes, columns, window, width and
+    /// admitted samples — and both are the full decode cut down by hand.
+    /// Every sample comes back knowing its encoded size.
+    #[test]
+    fn a_read_from_a_file_equals_a_read_from_memory(
+        samples in prop::collection::vec(
+            prop::collection::vec((0usize..3, 0u64..3_000, 0u64..300), 0..30),
+            1..5,
+        ),
+        chrom_mask in 0usize..20,
+        column_mask in 0usize..10,
+        width_mask in 0usize..10,
+        lo in 0u64..3_500,
+        hi in 0u64..3_500,
+        admit_idx in 0usize..4,
+    ) {
+        // Values past the range stand for "no restriction".
+        let chrom_mask = (chrom_mask < 16).then_some(chrom_mask);
+        let column_mask = (column_mask < 8).then_some(column_mask);
+        let width_mask = (width_mask < 8).then_some(width_mask);
+        let (lo, hi) = ((lo < 3_000).then_some(lo), (hi < 3_000).then_some(hi));
+        let ds = three_column_dataset(&samples);
+        let bytes = encode_dataset_v2(&ds).unwrap();
+        let dir = container_dir("prop", &bytes);
+        let columns = ["score", "peak", "label"];
+        let opts = native_v2::ScanOptions {
+            chroms: chrom_mask.map(|m| picked(m, &["chr1", "chr2", "chr3", "chrX"])),
+            // Matched case-insensitively.
+            columns: column_mask.map(|m| picked(m, &["SCORE", "peak", "Label"])),
+        };
+        let build = native_v2::Materialize { lo, hi, width: width_mask.map(|m| picked(m, &columns)) };
+        let admit = |name: &str, metadata: &Metadata| match admit_idx {
+            0 => true,
+            1 => metadata.has("cell", "K562"),
+            2 => false,
+            _ => name == "s0",
+        };
+
+        let file = std::fs::File::open(dir.join(native_v2::CONTAINER_FILE)).unwrap();
+        let (from_file, file_stats) =
+            native_v2::materialize_dataset_v2_from(file, &opts, &build, admit).unwrap();
+        let (in_memory, memory_stats) = native_v2::materialize_dataset_v2_from(
+            std::io::Cursor::new(&bytes), &opts, &build, admit,
+        )
+        .unwrap();
+        prop_assert_eq!(rendered(&from_file), rendered(&in_memory));
+        prop_assert_eq!(file_stats, memory_stats);
+
+        // The full decode, cut down by hand.
+        let full = decode_dataset_v2(&bytes).unwrap();
+        let kept: Vec<usize> = (0..columns.len())
+            .filter(|&i| build.width.as_ref().is_none_or(|w| w.contains(columns[i])))
+            .collect();
+        let decoded = |i: usize| column_mask.is_none_or(|m| m & (1 << i) != 0);
+        let wants = |chrom: &str| opts.chroms.as_ref().is_none_or(|c| c.contains(chrom));
+        let in_window = |left: u64| lo.is_none_or(|lo| lo <= left) && hi.is_none_or(|hi| left <= hi);
+        let schema = Schema::new(kept.iter().map(|&i| full.schema.attributes()[i].clone()).collect())
+            .unwrap();
+        let mut expected = Dataset::new(full.name.clone(), schema);
+        let mut listed = 0u64;
+        for sample in full.samples.iter().filter(|s| admit(&s.name, &s.metadata)) {
+            let wanted: Vec<&GRegion> = sample.regions.iter().filter(|r| wants(r.chrom.as_str())).collect();
+            listed += wanted.len() as u64;
+            let rows = wanted
+                .into_iter()
+                .filter(|r| in_window(r.left))
+                .map(|r| GRegion {
+                    values: kept
+                        .iter()
+                        .map(|&i| if decoded(i) { r.values[i].clone() } else { Value::Null })
+                        .collect(),
+                    ..r.clone()
+                })
+                .collect();
+            expected.add_sample(
+                Sample::new(sample.name.clone(), "D")
+                    .with_regions(rows)
+                    .with_metadata(sample.metadata.clone()),
+            )
+            .unwrap();
+        }
+        prop_assert_eq!(rendered(&from_file), rendered(&expected));
+        let built = expected.region_count() as u64;
+        let index = native_v2::read_index(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        prop_assert_eq!(
+            (file_stats.samples_read, file_stats.samples_skipped),
+            (expected.sample_count() as u64, (full.sample_count() - expected.sample_count()) as u64)
+        );
+        prop_assert_eq!(file_stats.bytes_read, index.block_bytes(&opts, admit).0);
+        prop_assert_eq!(file_stats.rows_skipped, listed - built);
+        prop_assert_eq!(file_stats.cells, built * kept.len() as u64);
+        let decoded_cells = kept.iter().filter(|&&i| decoded(i)).count() as u64;
+        prop_assert_eq!(file_stats.cells_decoded, built * decoded_cells);
+        prop_assert_eq!(file_stats.container_bytes, bytes.len() as u64);
+
+        for sample in from_file.samples.iter().chain(&in_memory.samples) {
+            let walked: usize = sample.regions.iter().map(GRegion::encoded_size).sum();
+            prop_assert_eq!(sample.regions.known_size(), Some(walked));
+        }
+    }
+}
+
+/// Four samples of three chromosomes, one K562 and three others, with
+/// blocks large enough to dwarf the indexes.
+fn tall_container() -> Vec<u8> {
+    let samples: Vec<Vec<(usize, u64, u64)>> = (0..4u64)
+        .map(|s| (0..3).flat_map(|c| (0..2_000u64).map(move |i| (c, i * 50 + s, 30))).collect())
+        .collect();
+    encode_dataset_v2(&three_column_dataset(&samples)).unwrap()
+}
+
+/// Each sample's block extents, in stored order: a read that wants every
+/// block fetches one run per sample, and the index gives its blocks'
+/// lengths within it.
+fn block_extents(bytes: &[u8]) -> Vec<Vec<(u64, usize)>> {
+    let src = Logged::new(std::io::Cursor::new(bytes));
+    let all = |_: &str, _: &Metadata| true;
+    native_v2::materialize_dataset_v2_from(&src, &Default::default(), &Default::default(), all)
+        .unwrap();
+    let dir = container_dir("extents", bytes);
+    let index = native_v2::read_index(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let runs = src.fetched();
+    assert_eq!(runs.len(), index.samples.len(), "one read per sample's run of blocks");
+    runs.iter()
+        .zip(&index.samples)
+        .map(|(&(mut at, len), sample)| {
+            let blocks: Vec<(u64, usize)> = sample
+                .chroms
+                .iter()
+                .map(|c| {
+                    let block = (at, c.bytes as usize);
+                    at += c.bytes;
+                    block
+                })
+                .collect();
+            assert_eq!(blocks.iter().map(|b| b.1).sum::<usize>(), len);
+            blocks
+        })
+        .collect()
+}
+
+#[test]
+fn a_flipped_byte_in_a_block_names_its_section_from_file_and_memory() {
+    let bytes = tall_container();
+    let extents = block_extents(&bytes);
+    let all = |_: &str, _: &Metadata| true;
+    let opts = native_v2::ScanOptions::default();
+    for (s, blocks) in extents.iter().enumerate() {
+        for (c, &(at, len)) in blocks.iter().enumerate() {
+            let mut flipped = bytes.clone();
+            flipped[at as usize + len / 2] ^= 0x10;
+            let dir = container_dir("flip", &flipped);
+            let file = std::fs::File::open(dir.join(native_v2::CONTAINER_FILE)).unwrap();
+            let outcomes = [
+                native_v2::materialize_dataset_v2_from(file, &opts, &Default::default(), all),
+                native_v2::materialize_dataset_v2_from(
+                    std::io::Cursor::new(&flipped),
+                    &opts,
+                    &Default::default(),
+                    all,
+                ),
+                native_v2::decode_dataset_v2_pruned(&flipped, &opts),
+            ];
+            std::fs::remove_dir_all(&dir).ok();
+            for outcome in outcomes {
+                match outcome {
+                    Err(FormatError::ChecksumMismatch { section, .. }) => {
+                        assert_eq!(section, format!("s{s}/chr{}", c + 1))
+                    }
+                    other => panic!("s{s} block {c}: expected ChecksumMismatch, got {other:?}"),
+                }
+            }
+        }
+    }
+}
+
+/// A container file that is cut short once its index has been walked:
+/// the first block fetch truncates it to `cut` bytes, so every fetch
+/// meets a file shorter than the length the walk checked extents against.
+struct ShrinksAfterTheWalk {
+    file: std::fs::File,
+    cut: u64,
+    once: std::sync::Once,
+}
+
+impl native_v2::ContainerSource for ShrinksAfterTheWalk {
+    fn size(&self) -> std::io::Result<u64> {
+        self.file.size()
+    }
+
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        self.file.read_exact_at(buf, offset)
+    }
+
+    fn extent(&self, offset: u64, len: usize) -> std::io::Result<std::borrow::Cow<'_, [u8]>> {
+        self.once.call_once(|| self.file.set_len(self.cut).unwrap());
+        self.file.extent(offset, len)
+    }
+}
+
+#[test]
+fn a_container_cut_after_its_index_was_walked_is_a_typed_error() {
+    let bytes = tall_container();
+    let extents = block_extents(&bytes);
+    let (first, last) = (extents[0][0].0, *extents.last().unwrap().last().unwrap());
+    let end = last.0 + last.1 as u64;
+    let all = |_: &str, _: &Metadata| true;
+    for cut in [first, first + 1, (first + end) / 2, end - 1] {
+        let dir = container_dir("cut", &bytes);
+        let path = dir.join(native_v2::CONTAINER_FILE);
+        let file = std::fs::OpenOptions::new().read(true).write(true).open(&path).unwrap();
+        let src = ShrinksAfterTheWalk { file, cut, once: std::sync::Once::new() };
+        let read = native_v2::materialize_dataset_v2_from(
+            src,
+            &Default::default(),
+            &Default::default(),
+            all,
+        );
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), cut, "the file was cut");
+        std::fs::remove_dir_all(&dir).ok();
+        match read {
+            Err(FormatError::Corrupt { reason, .. }) => {
+                assert!(reason.contains("past end of container"), "cut {cut}: {reason}")
+            }
+            other => panic!(
+                "cut {cut}: expected Corrupt, got {:?}",
+                other.map(|(ds, _)| ds.region_count())
+            ),
+        }
+    }
+}
+
+#[test]
+fn a_refused_samples_blocks_are_never_read() {
+    let bytes = tall_container();
+    let extents = block_extents(&bytes);
+    let run = |s: usize| {
+        let blocks = &extents[s];
+        (blocks[0].0, blocks.iter().map(|b| b.1).sum::<usize>())
+    };
+    let dir = container_dir("refused", &bytes);
+    let file = std::fs::File::open(dir.join(native_v2::CONTAINER_FILE)).unwrap();
+    let src = Logged::new(file);
+    let k562 = |_: &str, metadata: &Metadata| metadata.has("cell", "K562");
+    let (got, stats) = native_v2::materialize_dataset_v2_from(
+        &src,
+        &Default::default(),
+        &Default::default(),
+        k562,
+    )
+    .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let names: Vec<&str> = got.samples.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, ["s0", "s2"]);
+    assert_eq!(stats.samples_skipped, 2);
+    // The decode jobs fetched the admitted samples' blocks, one run each,
+    // and nothing of s1's or s3's.
+    assert_eq!(src.fetched(), [run(0), run(2)]);
+    // The walk reads indexes only: what it took beside the runs is less
+    // than a read buffer per sample, far less than a refused sample's blocks.
+    let walked = src.read.load(std::sync::atomic::Ordering::SeqCst) - stats.bytes_read;
+    assert!(walked < 4 * 8192 + 8192, "the walk read {walked} bytes");
+    assert!(walked < run(1).1 as u64, "the walk read {walked} bytes");
 }
