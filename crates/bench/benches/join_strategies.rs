@@ -146,7 +146,7 @@ fn select_by_scan(region: &RegionExpr, input: Cow<'_, Dataset>) -> usize {
             .iter()
             .map(|s| {
                 let kept: Vec<GRegion> =
-                    s.regions.iter().filter(|r| predicate.eval_bool(r)).cloned().collect();
+                    s.regions.iter().filter(|r| predicate.eval_bool(*r)).cloned().collect();
                 black_box(kept).len()
             })
             .sum(),

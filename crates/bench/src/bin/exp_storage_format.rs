@@ -15,7 +15,7 @@
 //! (default scale 0.005, 3 iterations; best-of-N timings are reported).
 
 use nggc_bench::{human_bytes, map_workload, Table};
-use nggc_formats::native_v2;
+use nggc_formats::native_v2::{self, Layout};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -98,14 +98,15 @@ fn main() {
     });
     let v2_load = best_of(iters, || {
         let t0 = Instant::now();
-        let (d, ..) = native_v2::read_dataset_auto(&v2_dir).expect("v2 load");
+        // Rows, as the v1 read builds them.
+        let (d, ..) = native_v2::read_dataset_auto(&v2_dir, Layout::Rows).expect("v2 load");
         assert_eq!(d.region_count(), dataset.region_count());
         t0.elapsed()
     });
 
     // Round-trip fidelity: the v2 container must reproduce the dataset
     // exactly (schema, metadata, regions, sample order).
-    let (reread, ..) = native_v2::read_dataset_auto(&v2_dir).expect("v2 reread");
+    let (reread, ..) = native_v2::read_dataset_auto(&v2_dir, Layout::Batches).expect("v2 reread");
     assert_eq!(reread.name, dataset.name, "dataset name survives");
     assert_eq!(reread.schema, dataset.schema, "schema survives");
     assert_eq!(reread.sample_count(), dataset.sample_count(), "sample count survives");

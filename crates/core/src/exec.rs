@@ -165,6 +165,7 @@ pub fn execute_governed(
         }
         None => ctx,
     };
+    let rows_built_before = nggc_gdm::rows_built();
     let mut plan_span = nggc_obs::span("exec.plan");
     plan_span
         .field("nodes", plan.nodes.len())
@@ -348,6 +349,9 @@ pub fn execute_governed(
     if let Some(g) = governor {
         g.export_peak();
     }
+    // Rows built from batches while the plan ran (process-wide: another
+    // query running beside this one adds its own).
+    plan_span.field("rows_built", nggc_gdm::rows_built() - rows_built_before);
 
     let mut out = HashMap::new();
     for (name, id) in &plan.outputs {

@@ -71,10 +71,12 @@ impl Reuse {
         regions
     }
 
-    /// A new buffer of `rows` copied out of an input's.
-    pub(crate) fn copy(&self, rows: Vec<GRegion>) -> Regions {
-        self.copied.fetch_add(rows.len() as u64, Ordering::Relaxed);
-        rows.into()
+    /// A new buffer of regions copied out of an input's: rows, or a
+    /// batch.
+    pub(crate) fn copy(&self, regions: impl Into<Regions>) -> Regions {
+        let regions = regions.into();
+        self.copied.fetch_add(regions.len() as u64, Ordering::Relaxed);
+        regions
     }
 
     /// The buffer of `whole` when `kept`, borrowed from it, is every one
@@ -84,7 +86,7 @@ impl Reuse {
         if kept.len() == whole.len() && kept.iter().zip(whole.iter()).all(|(k, r)| ptr::eq(*k, r)) {
             self.hand_on(whole.clone())
         } else {
-            self.copy(kept.into_iter().cloned().collect())
+            self.copy(kept.into_iter().cloned().collect::<Vec<_>>())
         }
     }
 }

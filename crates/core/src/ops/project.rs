@@ -8,7 +8,7 @@ use crate::error::GmqlError;
 use crate::ops::{unpack, Reuse};
 use crate::predicates::{BoundExpr, RegionExpr};
 use nggc_engine::ExecContext;
-use nggc_gdm::{Dataset, GRegion, Provenance, Sample, Schema};
+use nggc_gdm::{Dataset, GRegion, Provenance, RegionBatch, Regions, Sample, Schema};
 use std::borrow::Cow;
 
 /// Execute PROJECT. `out_schema` is the inferred output schema;
@@ -70,8 +70,37 @@ pub fn project(
             }
             m
         });
+        // A buffer shared with another holder: the kept and computed
+        // cells are copied out of its rows.
+        let copy_rows = |regions: &Regions| {
+            reuse.copy(
+                regions
+                    .iter()
+                    .map(|r| {
+                        let mut values = Vec::with_capacity(keep.len() + computed.len());
+                        values.extend(keep.iter().map(|&i| r.values[i].clone()));
+                        values.extend(computed.iter().map(|expr| expr.eval(r)));
+                        GRegion { values, chrom: r.chrom.clone(), ..*r }
+                    })
+                    .collect::<Vec<_>>(),
+            )
+        };
         let regions = if identity {
             reuse.hand_on(s.regions)
+        } else if computed.is_empty() && s.regions.batch().is_some() {
+            // Batch-backed, kept columns only: held alone, the kept
+            // columns move into place and the rest are dropped; shared,
+            // the kept ones are copied out.
+            match s.regions.into_batch() {
+                Ok(batch) => RegionBatch::projection(Cow::Owned(batch), &keep).into(),
+                Err(shared) => match shared.batch() {
+                    Some(batch) => {
+                        reuse.copy(RegionBatch::projection(Cow::Borrowed(&batch), &keep))
+                    }
+                    // Another holder built the rows meanwhile.
+                    None => copy_rows(&shared),
+                },
+            }
         } else if let Some(regions) = s.regions.get_mut() {
             for r in regions.iter_mut() {
                 // Computed attributes read the input row, so they are
@@ -87,17 +116,7 @@ pub fn project(
             }
             s.regions
         } else {
-            reuse.copy(
-                s.regions
-                    .iter()
-                    .map(|r| {
-                        let mut values = Vec::with_capacity(keep.len() + computed.len());
-                        values.extend(keep.iter().map(|&i| r.values[i].clone()));
-                        values.extend(computed.iter().map(|expr| expr.eval(r)));
-                        GRegion { values, chrom: r.chrom.clone(), ..*r }
-                    })
-                    .collect(),
-            )
+            copy_rows(&s.regions)
         };
         let mut out = Sample::derived(s.name, provenance);
         out.metadata = kept_metadata.unwrap_or(s.metadata);

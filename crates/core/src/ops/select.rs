@@ -40,8 +40,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// are dropped. A buffer shared with another holder (a borrowed input, a
 /// cache) is left untouched: it is handed on as it is when every region
 /// survives — always, without a region predicate — and otherwise only
-/// the survivors are copied out of it ([`Reuse`] counts both). Either
-/// way the region predicate is evaluated only inside its windows; their
+/// the survivors are copied out of it ([`Reuse`] counts both). A
+/// batch-backed buffer (a cold read's) is read in place and its survivors
+/// gathered into a batch of their own, so no row is built. Either way
+/// the region predicate is evaluated only inside its windows; their
 /// total size goes to `nggc_select_regions_scanned_total`.
 #[allow(clippy::too_many_arguments)]
 pub fn select(
@@ -128,6 +130,22 @@ pub fn select(
         let regions = if predicate.is_none() {
             // Every region survives, as it is.
             reuse.hand_on(s.regions)
+        } else if let (Some(batch), Some(p)) = (s.regions.batch(), &predicate) {
+            // Batch-backed: the predicate reads the regions in place and
+            // the survivors are gathered into a batch of their own —
+            // copied out when the input's holder shares the buffer, and
+            // none of it when every region survives.
+            let kept: Vec<usize> = (ranges.into_iter().flat_map(|w| batch.rows_in(w)))
+                .filter(|r| p.eval_bool(r))
+                .map(|r| r.index())
+                .collect();
+            if kept.len() == s.regions.len() {
+                reuse.hand_on(s.regions)
+            } else if s.regions.is_shared() {
+                reuse.copy(batch.gather(&kept))
+            } else {
+                batch.gather(&kept).into()
+            }
         } else if let Some(regions) = s.regions.get_mut() {
             // Held alone: survivors move to the front, in order; what is
             // left behind — rejected, or outside every window and never

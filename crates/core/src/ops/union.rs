@@ -41,7 +41,7 @@ pub fn union(
                             chrom: r.chrom.clone(),
                             ..*r
                         })
-                        .collect(),
+                        .collect::<Vec<_>>(),
                 )
             };
             out

@@ -7,7 +7,12 @@
 //! computed-attribute language of PROJECT.
 
 use crate::error::GmqlError;
-use nggc_gdm::{GRegion, Metadata, Schema, Value, ValueType};
+#[cfg(test)]
+use nggc_gdm::GRegion;
+use nggc_gdm::{Metadata, RegionRow, Schema, Value, ValueType};
+// One value during evaluation: its string borrowed from the region, the
+// expression or a constant, so that producing it costs nothing.
+use nggc_gdm::ValueRef as Scalar;
 use std::fmt;
 
 /// Comparison operators shared by both predicate languages.
@@ -249,7 +254,7 @@ impl RegionExpr {
                 "strand" => Slot::Strand,
                 _ => schema.position(name).map_or(Slot::Missing, Slot::Col),
             }),
-            RegionExpr::Lit(v) => Node::Lit(Scalar::of(v)),
+            RegionExpr::Lit(v) => Node::Lit(Scalar::from(v)),
             RegionExpr::Not(e) => Node::Not(Box::new(e.bind_node(schema))),
             RegionExpr::Binary(a, op, b) => {
                 Node::Binary(Box::new(a.bind_node(schema)), *op, Box::new(b.bind_node(schema)))
@@ -349,73 +354,6 @@ enum Slot {
     Missing,
 }
 
-/// One value during evaluation: a [`Value`] whose string is borrowed from
-/// the region, the expression or a constant, so that producing it costs
-/// nothing.
-#[derive(Debug, Clone, Copy)]
-enum Scalar<'a> {
-    Int(i64),
-    Float(f64),
-    Str(&'a str),
-    Bool(bool),
-    Null,
-}
-
-impl<'a> Scalar<'a> {
-    fn of(v: &'a Value) -> Scalar<'a> {
-        match v {
-            Value::Int(i) => Scalar::Int(*i),
-            Value::Float(f) => Scalar::Float(*f),
-            Value::Str(s) => Scalar::Str(s),
-            Value::Bool(b) => Scalar::Bool(*b),
-            Value::Null => Scalar::Null,
-        }
-    }
-
-    fn into_value(self) -> Value {
-        match self {
-            Scalar::Int(i) => Value::Int(i),
-            Scalar::Float(f) => Value::Float(f),
-            Scalar::Str(s) => Value::Str(s.to_owned()),
-            Scalar::Bool(b) => Value::Bool(b),
-            Scalar::Null => Value::Null,
-        }
-    }
-
-    /// As [`Value::as_f64`].
-    fn as_f64(self) -> Option<f64> {
-        match self {
-            Scalar::Int(i) => Some(i as f64),
-            Scalar::Float(f) => Some(f),
-            Scalar::Bool(b) => Some(if b { 1.0 } else { 0.0 }),
-            Scalar::Str(_) | Scalar::Null => None,
-        }
-    }
-
-    /// As [`Value::total_cmp`], for the non-null pairs a comparison sees.
-    fn total_cmp(self, other: Scalar<'_>) -> std::cmp::Ordering {
-        fn rank(v: Scalar<'_>) -> u8 {
-            match v {
-                Scalar::Null => 0,
-                Scalar::Bool(_) => 1,
-                Scalar::Int(_) | Scalar::Float(_) => 2,
-                Scalar::Str(_) => 3,
-            }
-        }
-        match (self, other) {
-            (Scalar::Bool(a), Scalar::Bool(b)) => a.cmp(&b),
-            (Scalar::Int(a), Scalar::Int(b)) => a.cmp(&b),
-            (Scalar::Str(a), Scalar::Str(b)) => a.cmp(b),
-            (Scalar::Int(_) | Scalar::Float(_), Scalar::Int(_) | Scalar::Float(_)) => {
-                let a = self.as_f64().unwrap_or(f64::NAN);
-                let b = other.as_f64().unwrap_or(f64::NAN);
-                a.total_cmp(&b)
-            }
-            _ => rank(self).cmp(&rank(other)),
-        }
-    }
-}
-
 /// A [`RegionExpr`] bound to a schema by [`RegionExpr::bind`]: attribute
 /// names are resolved, literals are borrowed, and evaluation allocates
 /// only for a string *result*.
@@ -431,30 +369,31 @@ enum Node<'e> {
 }
 
 impl BoundExpr<'_> {
-    /// Evaluate over a region of the schema the expression was bound to.
-    pub fn eval(&self, region: &GRegion) -> Value {
-        self.0.eval(region).into_value()
+    /// Evaluate over a region of the schema the expression was bound to:
+    /// a row, or a region read in place in its batch.
+    pub fn eval(&self, region: &(impl RegionRow + ?Sized)) -> Value {
+        self.0.eval(region).to_value()
     }
 
     /// Evaluate as a boolean predicate (null ⇒ false).
-    pub fn eval_bool(&self, region: &GRegion) -> bool {
+    pub fn eval_bool(&self, region: &(impl RegionRow + ?Sized)) -> bool {
         matches!(self.0.eval(region), Scalar::Bool(true))
     }
 }
 
 impl<'e> Node<'e> {
-    fn eval<'a>(&'a self, region: &'a GRegion) -> Scalar<'a>
+    fn eval<'a, R: RegionRow + ?Sized>(&'a self, region: &'a R) -> Scalar<'a>
     where
         'e: 'a,
     {
         match self {
             Node::Slot(slot) => match *slot {
-                Slot::Chr => Scalar::Str(region.chrom.as_str()),
-                Slot::Left => Scalar::Int(region.left as i64),
-                Slot::Right => Scalar::Int(region.right as i64),
-                Slot::Len => Scalar::Int(region.len() as i64),
-                Slot::Strand => Scalar::Str(region.strand.as_str()),
-                Slot::Col(i) => region.values.get(i).map_or(Scalar::Null, Scalar::of),
+                Slot::Chr => Scalar::Str(region.chrom().as_str()),
+                Slot::Left => Scalar::Int(region.left() as i64),
+                Slot::Right => Scalar::Int(region.right() as i64),
+                Slot::Len => Scalar::Int((region.right() - region.left()) as i64),
+                Slot::Strand => Scalar::Str(region.strand().as_str()),
+                Slot::Col(i) => region.cell(i).unwrap_or(Scalar::Null),
                 Slot::Missing => Scalar::Null,
             },
             Node::Lit(v) => *v,

@@ -51,15 +51,19 @@
 //! index alone, and [`decode_outputs`] a query's framed outputs. Every
 //! container read is the same walk of the container.
 //!
-//! A read does its per-row work once, in parallel: one thread walks the
-//! header and the per-sample indexes and decides which samples and blocks
-//! are wanted, then one decode job per admitted sample reads that
+//! A read does its per-region work once, in parallel: one thread walks
+//! the header and the per-sample indexes and decides which samples and
+//! blocks are wanted, then one decode job per admitted sample reads that
 //! sample's wanted blocks itself ([`ContainerSource`]: one positional read
-//! per run of adjacent blocks from a file, a borrow from bytes in memory),
-//! verifies their checksums, decodes them, checks the rows against the
-//! schema and sizes them. A sample comes back with its encoded size
-//! remembered ([`nggc_gdm::Regions`]), so nothing after the read walks its
-//! rows again to size them.
+//! per run of adjacent blocks from a file, a borrow from bytes in
+//! memory), verifies their checksums, decodes them into a columnar
+//! [`RegionBatch`], checks it against the schema and sizes it from its
+//! columns. A sample comes back with its encoded size remembered
+//! ([`nggc_gdm::Regions`]), so nothing after the read walks it again to
+//! size it, and as a batch-backed buffer that builds rows only when
+//! something asks for them — or, for a dataset that goes resident
+//! ([`Layout::Rows`]), with its rows built in the job and the batch let
+//! go.
 //!
 //! ## Checksums
 //!
@@ -97,8 +101,8 @@ use crate::error::FormatError;
 use crate::native;
 use nggc_engine::WorkerPool;
 use nggc_gdm::{
-    Attribute, Chrom, ChromInterner, Dataset, GRegion, Metadata, Sample, Schema, Strand, Value,
-    ValueType,
+    Attribute, Chrom, ChromInterner, Column, Dataset, GRegion, Metadata, RegionBatch, Sample,
+    Schema, Strand, Value, ValueRef, ValueType,
 };
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
@@ -145,9 +149,9 @@ impl ScanOptions {
 
 /// What a pruned read builds of the blocks [`ScanOptions`] has it decode:
 /// late materialization. The decoder still parses every region and cell
-/// of a decoded block — the cursor has to cross them — but builds a row
-/// only for a region whose `left` lies in `lo..=hi`, and gives it a cell
-/// only for the columns in `width`. The default builds every row at full
+/// of a decoded block — the cursor has to cross them — but keeps only a
+/// region whose `left` lies in `lo..=hi`, and gives it a cell only for
+/// the columns in `width`. The default keeps every region at full
 /// width, as a read with [`ScanOptions`] alone does.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Materialize {
@@ -160,6 +164,18 @@ pub struct Materialize {
     /// for no other. `None` keeps every stored column (those
     /// [`ScanOptions::columns`] leaves out as typed nulls).
     pub width: Option<BTreeSet<String>>,
+}
+
+/// What a read hands each sample's regions on as.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// A batch-backed buffer ([`nggc_gdm::Regions`]): the columns the
+    /// decode job filled, rows built only when something asks for them.
+    Batches,
+    /// Rows, built in the decode job, the batch let go: for a dataset
+    /// that stays resident, so its memory is what it was when every read
+    /// built rows.
+    Rows,
 }
 
 /// What a pruned read actually touched, for observability: block and
@@ -181,11 +197,12 @@ pub struct ScanStats {
     /// Samples refused on their name and metadata: absent from the
     /// dataset read, none of their blocks fetched.
     pub samples_skipped: u64,
-    /// Regions of decoded blocks that were parsed but not built: outside
+    /// Regions of decoded blocks that were parsed but not kept: outside
     /// [`Materialize`]'s coordinate window.
     pub rows_skipped: u64,
-    /// Value cells the rows built hold, typed nulls included: what the
-    /// read allocated for values.
+    /// Value cells of the regions the read kept, typed nulls included:
+    /// the kept regions times the width of the read's schema. A typed
+    /// null of a pruned column costs a batch no storage.
     pub cells: u64,
     /// Of [`ScanStats::cells`], those holding a value decoded from the
     /// container rather than a typed null.
@@ -240,13 +257,17 @@ pub fn detect_version(dir: &Path) -> Option<StorageVersion> {
     None
 }
 
-/// Read a whole dataset directory in whichever layout it holds: its v2
-/// container when it has one, else its v1 text files. Returns the layout
-/// read and the bytes read for it. The container is opened once; there
-/// is no separate probe of its layout.
-pub fn read_dataset_auto(dir: &Path) -> Result<(Dataset, StorageVersion, u64), FormatError> {
+/// Read a whole dataset directory in whichever storage version it holds:
+/// its v2 container when it has one (its samples in `layout`), else its
+/// v1 text files (as rows). Returns the version read and the bytes read
+/// for it. The container is opened once; there is no separate probe of
+/// its version.
+pub fn read_dataset_auto(
+    dir: &Path,
+    layout: Layout,
+) -> Result<(Dataset, StorageVersion, u64), FormatError> {
     match fs::read(dir.join(CONTAINER_FILE)) {
-        Ok(buf) => Ok((decode_dataset_v2(&buf)?, StorageVersion::V2, buf.len() as u64)),
+        Ok(buf) => Ok((decode_full(&buf, layout)?, StorageVersion::V2, buf.len() as u64)),
         Err(e) if e.kind() == io::ErrorKind::NotFound && dir.join("schema.gdm").exists() => {
             let (dataset, bytes) = native::read_dataset_counted(dir)?;
             Ok((dataset, StorageVersion::V1, bytes))
@@ -428,10 +449,10 @@ impl<'a> Cursor<'a> {
             .ok_or_else(|| self.corrupt(format!("{what} length {n} exceeds block size")))
     }
 
-    fn string(&mut self) -> Result<String, FormatError> {
+    fn str(&mut self) -> Result<&'a str, FormatError> {
         let n = self.len_prefixed("string")?;
         let bytes = self.bytes(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| self.corrupt("invalid UTF-8 string"))
+        std::str::from_utf8(bytes).map_err(|_| self.corrupt("invalid UTF-8 string"))
     }
 
     fn skip(&mut self, n: usize) -> Result<(), FormatError> {
@@ -460,8 +481,7 @@ pub trait ContainerSource: Sync {
     fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()>;
 
     /// The `len` bytes at `offset`, in a buffer of their own unless the
-    /// container is in memory and can lend them. A decode job fetches its
-    /// blocks through this.
+    /// container is in memory and can lend them.
     fn extent(&self, offset: u64, len: usize) -> io::Result<Cow<'_, [u8]>> {
         let mut bytes = vec![0u8; len];
         self.read_exact_at(&mut bytes, offset)?;
@@ -905,22 +925,19 @@ pub fn write_dataset_v2(dataset: &Dataset, dir: &Path) -> Result<u64, FormatErro
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Decode one chromosome block and append the rows `plan` builds of it
-/// to `out`. Every region and cell is parsed — the cursor must land
+/// Decode one chromosome block and append the regions `plan` builds of
+/// it to `out`. Every region and cell is parsed — the cursor must land
 /// exactly at the block's end, and a corrupt field fails the block whether
-/// its row is built or not — but only a region inside the plan's window
-/// becomes a row, and only a column the plan keeps becomes a cell: a
-/// decoded value, or a typed [`Value::Null`] where the column is pruned
-/// but keeps its position.
-///
-/// Every row of the block shares the one `chrom` handle, and is built
-/// once with its value vector already at the plan's width.
+/// its region is built or not — but only a region inside the plan's window
+/// is appended, and only a column the plan keeps gets its cell: a decoded
+/// value, or a typed null where the column is pruned but keeps its
+/// position. The block's regions form one run of `chrom`.
 fn decode_chrom_block(
     cur: &mut Cursor<'_>,
     chrom: &Chrom,
     n: usize,
     plan: &RowPlan,
-    out: &mut Vec<GRegion>,
+    out: &mut RegionBatch,
 ) -> Result<(), FormatError> {
     // Each region contributes at least one byte (its left-delta varint),
     // so a count beyond the remaining bytes is corrupt — reject it before
@@ -929,7 +946,7 @@ fn decode_chrom_block(
         return Err(cur.corrupt(format!("region count {n} exceeds remaining block bytes")));
     }
     // Coordinates. The strands sit behind both coordinate columns, so a
-    // region can be built only once all three have been located.
+    // region can be appended only once all three have been located.
     let mut coords: Vec<(u64, u64)> = Vec::with_capacity(n);
     let mut prev: i64 = 0;
     for _ in 0..n {
@@ -947,83 +964,81 @@ fn decode_chrom_block(
             left.checked_add(len).ok_or_else(|| cur.corrupt("right coordinate overflows u64"))?;
     }
     let strands = cur.bytes(n.div_ceil(4))?;
-    let base = out.len();
     out.reserve(coords.iter().filter(|&&(left, _)| plan.builds(left)).count());
     for (i, &(left, right)) in coords.iter().enumerate() {
         let bits = (strands[i / 4] >> ((i % 4) * 2)) & 0b11;
         let strand = strand_from_bits(bits)
             .ok_or_else(|| cur.corrupt(format!("invalid strand bits {bits}")))?;
         if plan.builds(left) {
-            out.push(GRegion {
-                chrom: chrom.clone(),
-                left,
-                right,
-                strand,
-                values: Vec::with_capacity(plan.schema.len()),
-            });
+            out.push_coords(left, right, strand);
         }
     }
-    // Value columns. `built` walks the stored rows: whether row `i` has a
-    // row in `out` to take its cell.
+    // Value columns, in stored order; `columns` walks those the read
+    // keeps, in the same order. `built` walks the stored regions: whether
+    // region `i` was appended and takes its cell.
     let built = || coords.iter().map(|&(left, _)| plan.builds(left)).enumerate();
+    let mut columns = out.columns_mut().iter_mut();
     for (attr, cell) in plan.stored.attributes().iter().zip(&plan.cells) {
         let bitmap = cur.bytes(n.div_ceil(8))?;
         let is_null = |i: usize| bitmap[i / 8] & (1 << (i % 8)) != 0;
-        let mut rows = out[base..].iter_mut().map(|r| &mut r.values);
         if *cell != Cell::Decoded {
-            skip_column_payload(cur, attr.ty, n, &is_null)?;
+            skip_column_payload(cur, attr.ty, n, bitmap)?;
             if *cell == Cell::Null {
-                rows.for_each(|values| values.push(Value::Null));
+                // An all-null column takes no cells.
+                columns.next().expect("a column per kept attribute");
             }
             continue;
         }
-        let mut put = |v: Value| rows.next().expect("one row per region built").push(v);
+        let column = columns.next().expect("a column per kept attribute");
         match attr.ty {
             ValueType::Int => {
                 for (i, build) in built() {
-                    let v =
-                        if is_null(i) { Value::Null } else { Value::Int(unzigzag(cur.varint()?)) };
+                    let v = if is_null(i) {
+                        ValueRef::Null
+                    } else {
+                        ValueRef::Int(unzigzag(cur.varint()?))
+                    };
                     if build {
-                        put(v);
+                        column.push(v);
                     }
                 }
             }
             ValueType::Float => {
-                let mut floats = packed_payload(cur, attr.ty, n, &is_null)?.chunks_exact(8);
+                let mut floats = packed_payload(cur, attr.ty, n, bitmap)?.chunks_exact(8);
                 for (i, build) in built() {
                     let v = if is_null(i) {
-                        Value::Null
+                        ValueRef::Null
                     } else {
                         let raw = floats.next().expect("one payload per non-null row");
-                        Value::Float(f64::from_le_bytes(raw.try_into().expect("8 bytes")))
+                        ValueRef::Float(f64::from_le_bytes(raw.try_into().expect("8 bytes")))
                     };
                     if build {
-                        put(v);
+                        column.push(v);
                     }
                 }
             }
             ValueType::Bool => {
-                let packed = packed_payload(cur, attr.ty, n, &is_null)?;
+                let packed = packed_payload(cur, attr.ty, n, bitmap)?;
                 let mut k = 0usize;
                 for (i, build) in built() {
                     let v = if is_null(i) {
-                        Value::Null
+                        ValueRef::Null
                     } else {
                         let b = packed[k / 8] & (1 << (k % 8)) != 0;
                         k += 1;
-                        Value::Bool(b)
+                        ValueRef::Bool(b)
                     };
                     if build {
-                        put(v);
+                        column.push(v);
                     }
                 }
             }
             ValueType::Str => {
                 for (i, build) in built() {
                     match (is_null(i), build) {
-                        (true, true) => put(Value::Null),
+                        (true, true) => column.push_null(),
                         (true, false) => {}
-                        (false, true) => put(Value::Str(cur.string()?)),
+                        (false, true) => column.push(ValueRef::Str(cur.str()?)),
                         (false, false) => {
                             let len = cur.len_prefixed("string")?;
                             cur.skip(len)?;
@@ -1033,7 +1048,19 @@ fn decode_chrom_block(
             }
         }
     }
+    out.end_run(chrom);
     Ok(())
+}
+
+/// Rows of `n` the null bitmap marks non-null. The bits past row `n` in
+/// the last byte are padding and do not count, whatever they hold.
+fn non_null(bitmap: &[u8], n: usize) -> usize {
+    let nulls: usize = bitmap.iter().map(|b| b.count_ones() as usize).sum();
+    let pad = match (n % 8, bitmap.last()) {
+        (0, _) | (_, None) => 0,
+        (tail, Some(last)) => (last >> tail).count_ones() as usize,
+    };
+    n - (nulls - pad)
 }
 
 /// The payload of a fixed-width column, whose size follows from the null
@@ -1042,9 +1069,9 @@ fn packed_payload<'a>(
     cur: &mut Cursor<'a>,
     ty: ValueType,
     n: usize,
-    is_null: &impl Fn(usize) -> bool,
+    bitmap: &[u8],
 ) -> Result<&'a [u8], FormatError> {
-    let non_null = (0..n).filter(|&i| !is_null(i)).count();
+    let non_null = non_null(bitmap, n);
     let len = match ty {
         ValueType::Float => non_null
             .checked_mul(8)
@@ -1055,14 +1082,14 @@ fn packed_payload<'a>(
 }
 
 /// Advance the cursor past one column's payload without materialising
-/// values. The null bitmap has already been consumed; `is_null` answers
-/// from it.
+/// values. The null bitmap has already been consumed.
 fn skip_column_payload(
     cur: &mut Cursor<'_>,
     ty: ValueType,
     n: usize,
-    is_null: &impl Fn(usize) -> bool,
+    bitmap: &[u8],
 ) -> Result<(), FormatError> {
+    let is_null = |i: usize| bitmap[i / 8] & (1 << (i % 8)) != 0;
     match ty {
         ValueType::Int => {
             for i in 0..n {
@@ -1072,7 +1099,7 @@ fn skip_column_payload(
             }
         }
         ValueType::Float | ValueType::Bool => {
-            packed_payload(cur, ty, n, is_null)?;
+            packed_payload(cur, ty, n, bitmap)?;
         }
         ValueType::Str => {
             for i in 0..n {
@@ -1294,9 +1321,24 @@ impl RowPlan {
         }
     }
 
-    /// Whether a region starting at `left` becomes a row.
+    /// Whether a region starting at `left` is built.
     fn builds(&self, left: u64) -> bool {
         self.lo <= left && left <= self.hi
+    }
+
+    /// An empty batch with a column per attribute of the read's schema,
+    /// room for `capacity` regions in each decoded one.
+    fn batch(&self, capacity: usize) -> RegionBatch {
+        let columns = (self.stored.attributes().iter().zip(&self.cells))
+            .filter_map(|(attr, cell)| match cell {
+                Cell::Decoded => Some(Column::with_capacity(attr.ty, capacity)),
+                Cell::Null => Some(Column::nulls()),
+                Cell::Absent => None,
+            })
+            .collect();
+        let mut batch = RegionBatch::new(columns);
+        batch.reserve(capacity);
+        batch
     }
 }
 
@@ -1384,9 +1426,8 @@ fn walk_container<S: ContainerSource + ?Sized>(
 }
 
 /// Fetch a sample's wanted blocks from `src` — one read per run of
-/// adjacent blocks, into a buffer that lives only as long as the run's
-/// decode — and decode them, in stored order, straight into one region
-/// vector sized for all of them. With `verify` each block's CRC32C is
+/// adjacent blocks — and decode them, in stored order, straight into one
+/// batch sized for all of them. With `verify` each block's CRC32C is
 /// checked first.
 fn decode_blocks<S: ContainerSource + ?Sized>(
     src: &S,
@@ -1394,13 +1435,13 @@ fn decode_blocks<S: ContainerSource + ?Sized>(
     wanted: &[WantedBlock],
     plan: &RowPlan,
     verify: bool,
-) -> Result<Vec<GRegion>, FormatError> {
+) -> Result<RegionBatch, FormatError> {
     // A block holds at most one region per byte (`decode_chrom_block`
     // rejects more), which bounds the reservation by the bytes wanted.
     // Under a window the blocks reserve what they build, one by one.
     let total: u64 = wanted.iter().map(|b| b.regions.min(b.len as u64)).sum();
     let windowed = (plan.lo, plan.hi) != (0, u64::MAX);
-    let mut regions = Vec::with_capacity(if windowed { 0 } else { total as usize });
+    let mut batch = plan.batch(if windowed { 0 } else { total as usize });
     for run in wanted.chunk_by(|a, b| a.end() == b.offset) {
         let (first, last) = (&run[0], &run[run.len() - 1]);
         let len = usize::try_from(last.end() - first.offset)
@@ -1429,7 +1470,7 @@ fn decode_blocks<S: ContainerSource + ?Sized>(
             }
             let n = usize::try_from(block.regions)
                 .map_err(|_| cur.corrupt("region count exceeds usize"))?;
-            decode_chrom_block(&mut cur, &block.chrom, n, plan, &mut regions)?;
+            decode_chrom_block(&mut cur, &block.chrom, n, plan, &mut batch)?;
             if cur.remaining() != 0 {
                 return Err(cur.corrupt(format!(
                     "chrom block for {:?} decoded {} bytes, index says {}",
@@ -1440,16 +1481,19 @@ fn decode_blocks<S: ContainerSource + ?Sized>(
             }
         }
     }
-    Ok(regions)
+    Ok(batch)
 }
 
 /// Shared read core: one [`walk_container`] finds the blocks `opts`
 /// wants of the samples `admit` lets in, then the samples are read **in
 /// parallel** on the shared [`WorkerPool`], one job per sample doing all
-/// of its per-row work: fetch its blocks ([`decode_blocks`]), verify and
-/// decode them into its own region vector, building the rows and cells
-/// `build` asks for, sort, check the rows against the schema, and size
-/// them. Assembly then only pushes the finished samples, in stored order.
+/// of its per-region work: fetch its blocks ([`decode_blocks`]), verify
+/// and decode them into its own [`RegionBatch`], holding the regions and
+/// cells `build` asks for, sort it, check it against the schema, and
+/// size it. A [`Layout::Rows`] read then builds the rows in the same job,
+/// which lets the batch go; a [`Layout::Batches`] read hands the batch
+/// on, and rows are built only if something asks for them. Assembly then
+/// only pushes the finished samples, in stored order.
 ///
 /// `verify_blocks` selects the integrity regime: pruned reads verify
 /// each decoded block's CRC32C lazily (skipped blocks stay unchecked),
@@ -1461,6 +1505,7 @@ fn read_with<S: ContainerSource + ?Sized>(
     build: &Materialize,
     admit: impl FnMut(&str, &Metadata) -> bool,
     verify_blocks: bool,
+    layout: Layout,
 ) -> Result<(Dataset, ScanStats), FormatError> {
     let mut scans = Vec::new();
     let (header, mut stats) =
@@ -1475,20 +1520,24 @@ fn read_with<S: ContainerSource + ?Sized>(
         .map(|s| (Sample::new(s.name, &header.name).with_metadata(s.metadata), s.wanted))
         .collect();
     let samples = decode_pool().parallel_map(jobs, |(mut sample, wanted)| {
-        let rows = decode_blocks(src, &sample.name, &wanted, &plan, verify_blocks)?;
-        for row in &rows {
-            plan.schema.check_row(&row.values)?;
-        }
-        sample.regions = rows.into();
-        sample.sort_regions();
-        // Sized here, on the worker, and remembered with the buffer.
+        let mut batch = decode_blocks(src, &sample.name, &wanted, &plan, verify_blocks)?;
+        batch.check(&plan.schema)?;
+        batch.sort();
+        sample.regions = batch.into();
+        // Sized here, on the worker, from the columns, and remembered
+        // with the buffer, which keeps it when it builds its rows.
         sample.regions.encoded_size();
+        if layout == Layout::Rows {
+            // Built through the shared read path, which lets the batch go
+            // and keeps the size.
+            let _: &[GRegion] = &sample.regions;
+        }
         Ok::<Sample, FormatError>(sample)
     });
     let decoded = plan.cells.iter().filter(|c| **c == Cell::Decoded).count() as u64;
     let mut dataset = Dataset::new(header.name, plan.schema);
     // The first error in stored sample order is the one reported; every
-    // row the jobs built has been checked against the schema.
+    // batch the jobs built has been checked against the schema.
     for sample in samples {
         dataset.add_sample_unchecked(sample?);
     }
@@ -1510,19 +1559,27 @@ fn decode_slice(
     buf: &[u8],
     opts: &ScanOptions,
     verify_blocks: bool,
+    layout: Layout,
 ) -> Result<(Dataset, ScanStats), FormatError> {
-    read_with(&io::Cursor::new(buf), opts, &Materialize::default(), admit_all, verify_blocks)
+    let build = Materialize::default();
+    read_with(&io::Cursor::new(buf), opts, &build, admit_all, verify_blocks, layout)
 }
 
 /// Decode a full v2 container from bytes. Magic and version are checked
 /// first, then the whole-file trailer: any other flipped bit in the
 /// buffer — header, index or block — surfaces as
 /// [`FormatError::ChecksumMismatch`] before a single region decodes.
-/// Samples then decode in parallel on the shared worker pool.
+/// Samples then decode in parallel on the shared worker pool, into
+/// batches ([`Layout::Batches`]).
 pub fn decode_dataset_v2(buf: &[u8]) -> Result<Dataset, FormatError> {
+    decode_full(buf, Layout::Batches)
+}
+
+/// [`decode_dataset_v2`] in the `layout` asked for.
+fn decode_full(buf: &[u8], layout: Layout) -> Result<Dataset, FormatError> {
     Walker::new(io::Cursor::new(buf))?.version()?;
     verify_trailer(buf)?;
-    decode_slice(buf, &ScanOptions::default(), false).map(|(ds, _)| ds)
+    decode_slice(buf, &ScanOptions::default(), false, layout).map(|(ds, _)| ds)
 }
 
 /// Decode the output stream [`encode_outputs`] writes. Each frame's
@@ -1563,7 +1620,7 @@ pub fn decode_dataset_v2_pruned(
     buf: &[u8],
     opts: &ScanOptions,
 ) -> Result<(Dataset, ScanStats), FormatError> {
-    decode_slice(buf, opts, true)
+    decode_slice(buf, opts, true, Layout::Batches)
 }
 
 /// Read a v2 container restricted on all three axes: `admit` is asked
@@ -1588,16 +1645,22 @@ pub fn materialize_dataset_v2_from<S: ContainerSource>(
     build: &Materialize,
     admit: impl FnMut(&str, &Metadata) -> bool,
 ) -> Result<(Dataset, ScanStats), FormatError> {
-    read_with(&src, opts, build, admit, true)
+    read_with(&src, opts, build, admit, true, Layout::Batches)
 }
 
 /// Read only the index of a dataset directory's v2 container (schema,
 /// sample names and metadata, per-chromosome region counts, byte extents
 /// and checksums): every block is seeked over, none is read or decoded.
 pub fn read_index(dir: &Path) -> Result<V2Index, FormatError> {
+    read_index_from(&fs::File::open(dir.join(CONTAINER_FILE))?)
+}
+
+/// [`read_index`] of a container already open, or held in memory: the
+/// index of exactly the bytes `src` holds.
+pub fn read_index_from<S: ContainerSource + ?Sized>(src: &S) -> Result<V2Index, FormatError> {
     let mut samples = Vec::new();
     let (header, _) = walk_container(
-        &fs::File::open(dir.join(CONTAINER_FILE))?,
+        src,
         admit_all,
         |_| false,
         |scan| {
@@ -1698,7 +1761,7 @@ mod tests {
 
     /// A whole dataset directory, through the one directory reader.
     fn read_full(dir: &Path) -> Result<Dataset, FormatError> {
-        read_dataset_auto(dir).map(|(ds, ..)| ds)
+        read_dataset_auto(dir, Layout::Batches).map(|(ds, ..)| ds)
     }
 
     /// [`materialize_dataset_v2_from`] building every row and cell.
@@ -1718,14 +1781,73 @@ mod tests {
 
     /// [`read_index`] of a container held in memory.
     fn index_of(bytes: &[u8]) -> Result<V2Index, FormatError> {
-        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = tmp(&format!("index_{n}"));
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join(CONTAINER_FILE), bytes).unwrap();
-        let index = read_index(&dir);
+        read_index_from(&io::Cursor::new(bytes))
+    }
+
+    /// The bits of a null bitmap past the block's last region are
+    /// padding: set, they change neither the payload sizes nor a cell.
+    #[test]
+    fn set_pad_bits_in_a_null_bitmap_change_nothing() {
+        let schema = Schema::new(vec![
+            Attribute::new("f", ValueType::Float),
+            Attribute::new("b", ValueType::Bool),
+        ])
+        .unwrap();
+        let rows = (0..5u64)
+            .map(|i| {
+                let f = if i == 2 { Value::Null } else { Value::Float(i as f64 / 3.0) };
+                GRegion::new("chr1", i * 10, i * 10 + 5, Strand::Pos)
+                    .with_values(vec![f, Value::Bool(i % 2 == 0)])
+            })
+            .collect();
+        let mut ds = Dataset::new("PAD", schema);
+        ds.add_sample(Sample::new("s", "PAD").with_regions(rows)).unwrap();
+        let bytes = encode_dataset_v2(&ds).unwrap();
+        // One sample of one block, right before the trailer; its index
+        // entry's checksum right before it. In the block, five one-byte
+        // left deltas and lengths and two bytes of strands come first,
+        // then `f`'s bitmap and four floats, then `b`'s bitmap.
+        let block_len = index_of(&bytes).unwrap().samples[0].chroms[0].bytes as usize;
+        let block = bytes.len() - 4 - block_len;
+        let (f_bitmap, b_bitmap) = (block + 12, block + 12 + 1 + 4 * 8);
+        assert_eq!((bytes[f_bitmap], bytes[b_bitmap]), (0b0000_0100, 0));
+        let mut padded = bytes.clone();
+        padded[f_bitmap] |= 0b1110_0000;
+        padded[b_bitmap] |= 0b1110_0000;
+        let crc = crc32c(&padded[block..block + block_len]);
+        padded[block - 4..block].copy_from_slice(&crc.to_le_bytes());
+        let body = padded.len() - 4;
+        let trailer = crc32c(&padded[..body]);
+        padded[body..].copy_from_slice(&trailer.to_le_bytes());
+
+        let (want, got) = (decode_dataset_v2(&bytes).unwrap(), decode_dataset_v2(&padded).unwrap());
+        assert_datasets_equal(&want, &got);
+        assert_datasets_equal(&ds, &got);
+        assert_eq!(got.samples[0].regions.encoded_size(), ds.samples[0].regions.encoded_size());
+        let (pruned, _) = decode_dataset_v2_pruned(&padded, &ScanOptions::default()).unwrap();
+        assert_datasets_equal(&ds, &pruned);
+    }
+
+    #[test]
+    fn the_index_of_an_open_file_is_that_of_its_directory() {
+        let dir = tmp("index_from");
+        let ds = tall_dataset_with_cells();
+        write_dataset_v2(&ds, &dir).unwrap();
+        let bytes = fs::read(dir.join(CONTAINER_FILE)).unwrap();
+        let by_dir = read_index(&dir).unwrap();
+        let file = fs::File::open(dir.join(CONTAINER_FILE)).unwrap();
+        assert_eq!(read_index_from(&file).unwrap(), by_dir);
+        assert_eq!(index_of(&bytes).unwrap(), by_dir);
+        assert_eq!(by_dir.region_count(), ds.region_count() as u64);
+        // The open file is what it reads: a container renamed over the
+        // directory's, as a save publishes one, does not change the index
+        // of the handle opened first.
+        let next = dir.join("next");
+        fs::write(&next, encode_dataset_v2(&wide_dataset()).unwrap()).unwrap();
+        fs::rename(&next, dir.join(CONTAINER_FILE)).unwrap();
+        assert_eq!(read_index_from(&file).unwrap(), by_dir);
+        assert_ne!(read_index(&dir).unwrap(), by_dir);
         fs::remove_dir_all(&dir).ok();
-        index
     }
 
     #[test]
@@ -1745,10 +1867,19 @@ mod tests {
         let written = write_dataset_v2(&ds, &dsdir).unwrap();
         assert!(written > 0);
         assert_eq!(detect_version(&dsdir), Some(StorageVersion::V2));
-        // The auto reader picks v2 and counts the container's bytes.
-        let (back, version, bytes) = read_dataset_auto(&dsdir).unwrap();
-        assert_datasets_equal(&ds, &back);
-        assert_eq!((version, bytes), (StorageVersion::V2, written));
+        // The auto reader picks v2 and counts the container's bytes, in
+        // either layout: batches that build no row until asked, or rows
+        // with the batch let go, their sizes remembered either way.
+        for layout in [Layout::Batches, Layout::Rows] {
+            let (back, version, bytes) = read_dataset_auto(&dsdir, layout).unwrap();
+            for s in &back.samples {
+                assert_eq!(s.regions.has_rows(), layout == Layout::Rows);
+                assert_eq!(s.regions.batch().is_some(), layout == Layout::Batches);
+                assert!(s.regions.known_size().is_some());
+            }
+            assert_datasets_equal(&ds, &back);
+            assert_eq!((version, bytes), (StorageVersion::V2, written));
+        }
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1759,7 +1890,7 @@ mod tests {
         let dsdir = dir.join("WIDE");
         native::write_dataset(&ds, &dsdir).unwrap();
         assert_eq!(detect_version(&dsdir), Some(StorageVersion::V1));
-        let (back, version, bytes) = read_dataset_auto(&dsdir).unwrap();
+        let (back, version, bytes) = read_dataset_auto(&dsdir, Layout::Batches).unwrap();
         assert_eq!(back.sample_count(), ds.sample_count());
         // The bytes read are those of every file the text layout holds.
         let files = fs::read_dir(dsdir.join("files")).unwrap();
@@ -1767,7 +1898,10 @@ mod tests {
             + fs::metadata(dsdir.join("schema.gdm")).unwrap().len();
         assert_eq!((version, bytes), (StorageVersion::V1, on_disk));
         assert_eq!(detect_version(&dir), None, "parent dir is no dataset");
-        assert!(matches!(read_dataset_auto(&dir), Err(FormatError::UnknownFormat(_))));
+        assert!(matches!(
+            read_dataset_auto(&dir, Layout::Batches),
+            Err(FormatError::UnknownFormat(_))
+        ));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2287,7 +2421,7 @@ mod tests {
         let dir = tmp("rev2");
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join(CONTAINER_FILE), &old).unwrap();
-        unsupported(read_dataset_auto(&dir).map(|_| ()));
+        unsupported(read_dataset_auto(&dir, Layout::Batches).map(|_| ()));
         fs::remove_dir_all(&dir).ok();
     }
 

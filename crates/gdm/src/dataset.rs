@@ -30,9 +30,7 @@ impl Dataset {
 
     /// Add a sample after validating its rows against the schema.
     pub fn add_sample(&mut self, sample: Sample) -> Result<(), GdmError> {
-        for region in sample.regions.iter() {
-            self.schema.check_row(&region.values)?;
-        }
+        sample.regions.check(&self.schema)?;
         self.samples.push(sample);
         Ok(())
     }
@@ -41,7 +39,7 @@ impl Dataset {
     /// rows already known to match). Debug builds still assert.
     pub fn add_sample_unchecked(&mut self, sample: Sample) {
         debug_assert!(
-            sample.regions.iter().all(|r| self.schema.check_row(&r.values).is_ok()),
+            sample.regions.check(&self.schema).is_ok(),
             "sample rows violate dataset schema"
         );
         self.samples.push(sample);
@@ -54,23 +52,19 @@ impl Dataset {
             if !s.is_sorted() {
                 return Err(GdmError::UnsortedSample(s.name.clone()));
             }
-            for region in s.regions.iter() {
-                self.schema.check_row(&region.values).map_err(|e| match e {
-                    GdmError::ArityMismatch { expected, got } => GdmError::SampleSchemaMismatch {
+            s.regions.check(&self.schema).map_err(|e| match e {
+                GdmError::ArityMismatch { expected, got } => GdmError::SampleSchemaMismatch {
+                    sample: s.name.clone(),
+                    reason: format!("row arity {got}, schema arity {expected}"),
+                },
+                GdmError::TypeMismatch { attribute, expected, got } => {
+                    GdmError::SampleSchemaMismatch {
                         sample: s.name.clone(),
-                        reason: format!("row arity {got}, schema arity {expected}"),
-                    },
-                    GdmError::TypeMismatch { attribute, expected, got } => {
-                        GdmError::SampleSchemaMismatch {
-                            sample: s.name.clone(),
-                            reason: format!(
-                                "attribute {attribute}: expected {expected}, got {got}"
-                            ),
-                        }
+                        reason: format!("attribute {attribute}: expected {expected}, got {got}"),
                     }
-                    other => other,
-                })?;
-            }
+                }
+                other => other,
+            })?;
         }
         Ok(())
     }

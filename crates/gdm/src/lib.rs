@@ -43,6 +43,7 @@
 
 #![warn(missing_docs)]
 
+pub mod batch;
 pub mod coords;
 pub mod dataset;
 pub mod error;
@@ -53,12 +54,13 @@ pub mod sample;
 pub mod schema;
 pub mod value;
 
+pub use batch::{BatchRow, Column, RegionBatch, RegionRow, ValueRef};
 pub use coords::{genome_order, Chrom, ChromInterner, Strand};
 pub use dataset::{Dataset, DatasetStats};
 pub use error::GdmError;
 pub use metadata::Metadata;
 pub use provenance::Provenance;
 pub use region::{interval_overlap, GRegion};
-pub use sample::{Regions, Sample, SampleId};
+pub use sample::{rows_built, Regions, Sample, SampleId};
 pub use schema::{Attribute, MergedSchema, Schema, FIXED_ATTRIBUTES};
 pub use value::{Value, ValueParseError, ValueType};

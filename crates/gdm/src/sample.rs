@@ -10,13 +10,17 @@
 //! encoded size once computed, so sizing a sample whose rows did not
 //! change costs nothing.
 
+use crate::batch::RegionBatch;
+use crate::error::GdmError;
 use crate::metadata::Metadata;
 use crate::provenance::Provenance;
 use crate::region::GRegion;
+use crate::schema::Schema;
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Opaque sample identifier, unique within a process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -43,17 +47,100 @@ impl std::fmt::Display for SampleId {
 /// to write the rows ([`Regions::get_mut`], [`Regions::make_mut`]) forgets
 /// the size, and a buffer built from a `Vec` starts without one, so a
 /// remembered size is always that of the rows beside it.
-#[derive(Clone, Default)]
+///
+/// A buffer built from a [`RegionBatch`] is *batch-backed*: it answers
+/// its length, order, windows and size from the columns, and builds its
+/// rows at most once, on the first access to them (through `Deref`, from
+/// any thread); [`rows_built`] counts the rows so built. Building the
+/// rows lets the batch go, so a buffer holds one form of its regions
+/// once a reader that borrowed the batch ([`Regions::batch`]) is done.
+#[derive(Clone)]
 pub struct Regions(Arc<Buffer>);
 
-#[derive(Clone, Default)]
 struct Buffer {
-    rows: Vec<GRegion>,
+    /// The rows: there from the start for a buffer built from rows,
+    /// built from `batch` on first access for a batch-backed one.
+    rows: OnceLock<Vec<GRegion>>,
+    /// The columns of a batch-backed buffer, until its rows are built.
+    batch: Mutex<Option<Arc<RegionBatch>>>,
     size: OnceLock<usize>,
+}
+
+/// Rows batch-backed buffers have built, process-wide.
+static ROWS_BUILT: AtomicU64 = AtomicU64::new(0);
+
+/// How many rows batch-backed region buffers have built in this process:
+/// a work counter that stays flat while every operator reads batches.
+pub fn rows_built() -> u64 {
+    ROWS_BUILT.load(Ordering::Relaxed)
+}
+
+fn build_rows(batch: &RegionBatch) -> Vec<GRegion> {
+    ROWS_BUILT.fetch_add(batch.len() as u64, Ordering::Relaxed);
+    batch.to_rows()
 }
 
 fn walk_size(rows: &[GRegion]) -> usize {
     rows.iter().map(GRegion::encoded_size).sum()
+}
+
+/// A buffer's regions as they are held right now.
+enum View<'a> {
+    Rows(&'a [GRegion]),
+    Batch(Arc<RegionBatch>),
+}
+
+impl<'a> View<'a> {
+    fn len(&self) -> usize {
+        match self {
+            View::Rows(rows) => rows.len(),
+            View::Batch(batch) => batch.len(),
+        }
+    }
+
+    fn row(&self, i: usize) -> Cow<'a, GRegion> {
+        match self {
+            View::Rows(rows) => Cow::Borrowed(&rows[i]),
+            View::Batch(batch) => Cow::Owned(batch.row(i).to_region()),
+        }
+    }
+}
+
+impl Buffer {
+    fn batch(&self) -> Option<Arc<RegionBatch>> {
+        self.batch.lock().unwrap_or_else(PoisonError::into_inner).clone()
+    }
+
+    /// The rows, built from the batch on first access; the batch is let
+    /// go once they are.
+    fn rows(&self) -> &Vec<GRegion> {
+        self.rows.get_or_init(|| {
+            let rows = build_rows(&self.batch().expect("rows or a batch"));
+            *self.batch.lock().unwrap_or_else(PoisonError::into_inner) = None;
+            rows
+        })
+    }
+
+    fn view(&self) -> View<'_> {
+        if let Some(rows) = self.rows.get() {
+            return View::Rows(rows);
+        }
+        match self.batch() {
+            Some(batch) => View::Batch(batch),
+            // Another thread built the rows and let the batch go, and is
+            // about to publish them: wait for them.
+            None => View::Rows(self.rows()),
+        }
+    }
+
+    /// The rows for writing: a batch-backed buffer builds them (unless
+    /// built already) and lets its batch go.
+    fn rows_mut(&mut self) -> &mut Vec<GRegion> {
+        if let Some(batch) = self.batch.get_mut().unwrap_or_else(PoisonError::into_inner).take() {
+            let _ = self.rows.set(build_rows(&batch));
+        }
+        self.rows.get_mut().expect("rows or a batch")
+    }
 }
 
 impl Regions {
@@ -72,27 +159,98 @@ impl Regions {
         Arc::strong_count(&self.0) > 1
     }
 
+    /// Number of regions, without building rows.
+    pub fn len(&self) -> usize {
+        self.0.view().len()
+    }
+
+    /// True when there are no regions.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The columns of a batch-backed buffer; `None` once its rows are
+    /// built, or for a buffer built from rows.
+    pub fn batch(&self) -> Option<Arc<RegionBatch>> {
+        match self.0.view() {
+            View::Batch(batch) => Some(batch),
+            View::Rows(_) => None,
+        }
+    }
+
+    /// True when the rows exist: built from the start, or built since
+    /// from the batch.
+    pub fn has_rows(&self) -> bool {
+        self.0.rows.get().is_some()
+    }
+
+    /// Every region as a row, in order, without building a batch-backed
+    /// buffer's rows: each is built on its own as it is reached, so a
+    /// printer that takes a few pays for those.
+    pub fn each_row(&self) -> impl Iterator<Item = Cow<'_, GRegion>> {
+        let view = self.0.view();
+        (0..view.len()).map(move |i| view.row(i))
+    }
+
+    /// The batch of a batch-backed buffer held alone, the buffer given
+    /// up for it; the buffer back otherwise.
+    pub fn into_batch(self) -> Result<RegionBatch, Regions> {
+        if self.has_rows() {
+            return Err(self);
+        }
+        match Arc::try_unwrap(self.0) {
+            Ok(Buffer { rows, batch, size }) => {
+                match batch.into_inner().unwrap_or_else(PoisonError::into_inner) {
+                    // A reader that still borrows the batch keeps its own.
+                    Some(batch) => Ok(Arc::unwrap_or_clone(batch)),
+                    None => Err(Regions(Arc::new(Buffer { rows, batch: Mutex::new(None), size }))),
+                }
+            }
+            Err(shared) => Err(Regions(shared)),
+        }
+    }
+
+    /// Check every region against `schema` as [`Schema::check_row`]
+    /// does, on the columns of a batch-backed buffer.
+    pub fn check(&self, schema: &Schema) -> Result<(), GdmError> {
+        match self.0.view() {
+            View::Batch(batch) => batch.check(schema),
+            View::Rows(rows) => rows.iter().try_for_each(|r| schema.check_row(&r.values)),
+        }
+    }
+
     /// The rows for writing in place, when this is the only holder of the
     /// buffer; the remembered size is forgotten. `None` when shared.
     pub fn get_mut(&mut self) -> Option<&mut Vec<GRegion>> {
         let buffer = Arc::get_mut(&mut self.0)?;
         buffer.size.take();
-        Some(&mut buffer.rows)
+        Some(buffer.rows_mut())
     }
 
     /// The rows for writing: in place when held alone, else on a private
     /// copy (copy-on-write). The remembered size is forgotten.
     pub fn make_mut(&mut self) -> &mut Vec<GRegion> {
-        let buffer = Arc::make_mut(&mut self.0);
-        buffer.size.take();
-        &mut buffer.rows
+        if Arc::get_mut(&mut self.0).is_none() {
+            let rows = match self.0.view() {
+                View::Rows(rows) => rows.to_vec(),
+                View::Batch(batch) => build_rows(&batch),
+            };
+            *self = rows.into();
+        }
+        self.get_mut().expect("held alone")
     }
 
     /// The encoded size of the rows: the remembered one, computed and
-    /// remembered on the first call after a write.
+    /// remembered on the first call after a write — from the columns of
+    /// a batch-backed buffer, without building its rows.
     pub fn encoded_size(&self) -> usize {
-        let size = *self.0.size.get_or_init(|| walk_size(&self.0.rows));
-        debug_assert_eq!(size, walk_size(&self.0.rows), "remembered size of a written buffer");
+        let size = *self.0.size.get_or_init(|| match self.0.view() {
+            View::Batch(batch) => batch.encoded_size(),
+            View::Rows(rows) => walk_size(rows),
+        });
+        if let Some(rows) = self.0.rows.get() {
+            debug_assert_eq!(size, walk_size(rows), "remembered size of a written buffer");
+        }
         size
     }
 
@@ -103,30 +261,56 @@ impl Regions {
     }
 }
 
+impl Default for Regions {
+    fn default() -> Regions {
+        Vec::new().into()
+    }
+}
+
 impl Deref for Regions {
     type Target = [GRegion];
 
     fn deref(&self) -> &[GRegion] {
-        &self.0.rows
+        self.0.rows()
     }
 }
 
 impl From<Vec<GRegion>> for Regions {
     fn from(rows: Vec<GRegion>) -> Regions {
-        Regions(Arc::new(Buffer { rows, size: OnceLock::new() }))
+        Regions(Arc::new(Buffer {
+            rows: OnceLock::from(rows),
+            batch: Mutex::new(None),
+            size: OnceLock::new(),
+        }))
     }
 }
 
+/// A batch-backed buffer: no rows until something asks for them.
+impl From<RegionBatch> for Regions {
+    fn from(batch: RegionBatch) -> Regions {
+        Regions(Arc::new(Buffer {
+            rows: OnceLock::new(),
+            batch: Mutex::new(Some(Arc::new(batch))),
+            size: OnceLock::new(),
+        }))
+    }
+}
+
+/// Region by region, building no rows of a batch-backed buffer.
 impl PartialEq for Regions {
     fn eq(&self, other: &Regions) -> bool {
-        self.0.rows == other.0.rows
+        match (self.0.view(), other.0.view()) {
+            (View::Rows(a), View::Rows(b)) => a == b,
+            (a, b) => a.len() == b.len() && (0..a.len()).all(|i| a.row(i) == b.row(i)),
+        }
     }
 }
 
-/// The rows alone: whether the size is remembered is not content.
+/// The rows alone: whether the size is remembered, or the rows are built
+/// yet, is not content.
 impl fmt::Debug for Regions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.rows.fmt(f)
+        f.debug_list().entries(self.each_row()).finish()
     }
 }
 
@@ -205,6 +389,9 @@ impl Sample {
 
     /// True when regions are in genome order.
     pub fn is_sorted(&self) -> bool {
+        if let Some(batch) = self.regions.batch() {
+            return batch.is_sorted();
+        }
         self.regions.windows(2).all(|w| w[0].cmp_coords(&w[1]) != std::cmp::Ordering::Greater)
     }
 
@@ -215,6 +402,9 @@ impl Sample {
 
     /// Total bases covered, counting overlaps multiply.
     pub fn total_region_length(&self) -> u64 {
+        if let Some(batch) = self.regions.batch() {
+            return batch.total_length();
+        }
         self.regions.iter().map(GRegion::len).sum()
     }
 
@@ -240,6 +430,9 @@ impl Sample {
     /// what is returned is a superset of the regions named `chrom`.
     pub fn window(&self, chrom: &crate::coords::Chrom, lo: u64, hi: u64) -> Range<usize> {
         debug_assert!(self.is_sorted(), "window requires genome order");
+        if let Some(batch) = self.regions.batch() {
+            return batch.window(chrom, lo, hi);
+        }
         let run_start = self.regions.partition_point(|r| r.chrom < *chrom);
         let run = &self.regions[run_start..];
         let run = &run[..run.partition_point(|r| r.chrom <= *chrom)];
@@ -253,6 +446,9 @@ impl Sample {
     /// the next chromosome's, so the cost is `O(chromosomes · log n)`.
     pub fn chromosomes(&self) -> Vec<crate::coords::Chrom> {
         debug_assert!(self.is_sorted(), "chromosomes requires genome order");
+        if let Some(batch) = self.regions.batch() {
+            return batch.chromosomes();
+        }
         let mut out: Vec<crate::coords::Chrom> = Vec::new();
         let mut rest = &self.regions[..];
         while let Some(first) = rest.first() {

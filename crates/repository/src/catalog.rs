@@ -10,7 +10,7 @@
 
 use crate::durable;
 use crate::error::RepoError;
-use nggc_formats::native_v2::{self, Materialize, ScanOptions, StorageVersion};
+use nggc_formats::native_v2::{self, Layout, Materialize, ScanOptions, StorageVersion};
 use nggc_formats::FormatError;
 use nggc_gdm::{Dataset, DatasetStats, Metadata, Schema};
 use nggc_obs::{ByteLru, FlightOutcome, SingleFlight};
@@ -112,6 +112,13 @@ impl fmt::Display for RepoHealth {
         }
         Ok(())
     }
+}
+
+/// Open a dataset directory's v2 container for a pruned read.
+fn open_container(dir: &Path) -> std::io::Result<fs::File> {
+    #[cfg(test)]
+    tests::CONTAINER_OPENS.with(|n| n.set(n.get() + 1));
+    fs::File::open(dir.join(native_v2::CONTAINER_FILE))
 }
 
 /// The read cache's policy over the shared [`ByteLru`]: a byte bound
@@ -298,7 +305,7 @@ pub(crate) fn rebuild_catalog(
     let mut next = first_generation.max(1);
     for dir in dataset_dirs(root) {
         let name = dir.file_name().expect("filtered above").to_string_lossy().into_owned();
-        match native_v2::read_dataset_auto(&dir) {
+        match native_v2::read_dataset_auto(&dir, Layout::Batches) {
             Ok((ds, ..)) => {
                 let generation = next;
                 next += 1;
@@ -605,7 +612,7 @@ impl Repository {
         // The container a cold restricting read prunes; none for a v1
         // text dataset, which is read in full.
         let container = if restricts && resident.is_none() {
-            match fs::File::open(self.dataset_dir(name).join(native_v2::CONTAINER_FILE)) {
+            match open_container(&self.dataset_dir(name)) {
                 Ok(file) => Some(file),
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
                 Err(e) => return Err(FormatError::from(e).into()),
@@ -615,8 +622,10 @@ impl Repository {
         };
         if let Some(budget) = req.budget {
             let mut estimated = entry.stats.bytes as u64;
-            if estimated > budget && container.is_some() {
-                let index = native_v2::read_index(&self.dataset_dir(name))?;
+            if let Some(file) = container.as_ref().filter(|_| estimated > budget) {
+                // The index of the container this read has open: a
+                // `save` in between cannot swap in another generation's.
+                let index = native_v2::read_index_from(file)?;
                 let (wanted, total) = index.block_bytes(&req.opts, |s, m| req.admits(s, m));
                 if total > 0 {
                     estimated =
@@ -671,7 +680,10 @@ impl Repository {
 
     /// One actual disk read and decode, with its metrics, span and entry
     /// in the reading thread's account: of the whole dataset, or of what
-    /// `pruned` selects from its opened v2 container.
+    /// `pruned` selects from its opened v2 container. A full read goes
+    /// into the dataset cache, when there is one, and so builds its rows
+    /// in its decode jobs ([`Layout::Rows`]); every other read hands its
+    /// batches on.
     fn read(
         &self,
         name: &str,
@@ -727,8 +739,10 @@ impl Repository {
                 dataset
             }
             None => {
+                let cached = self.cache.lock().unwrap_or_else(|p| p.into_inner()).max_entries > 0;
+                let layout = if cached { Layout::Rows } else { Layout::Batches };
                 let (dataset, version, bytes) =
-                    native_v2::read_dataset_auto(&self.dataset_dir(name))?;
+                    native_v2::read_dataset_auto(&self.dataset_dir(name), layout)?;
                 reg.counter_with("nggc_repo_load_bytes_total", &[("format", version.name())])
                     .add(bytes);
                 span.field("format", version.name());
@@ -885,7 +899,13 @@ impl Repository {
 mod tests {
     use super::*;
     use nggc_gdm::{Attribute, GRegion, Metadata, Sample, Strand, ValueType};
+    use std::cell::Cell;
     use std::collections::BTreeSet;
+
+    thread_local! {
+        /// Containers [`open_container`] opened on this thread.
+        pub(super) static CONTAINER_OPENS: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn tmp() -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1468,6 +1488,23 @@ mod tests {
             repo.generation("R").unwrap() > last,
             "recreated dataset must not reuse generation {last}"
         );
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_budgeted_pruned_scan_sizes_itself_from_the_container_it_opened() {
+        let root = tmp();
+        let mut repo = Repository::open(&root).unwrap();
+        repo.save(&two_chrom_dataset("DS")).unwrap();
+        let repo = repo.without_dataset_cache();
+        let whole = repo.entry("DS").unwrap().stats.bytes as u64;
+        // Below the whole dataset's estimate, so the index is walked; at
+        // or above the one chromosome's share, so the read goes ahead.
+        let req = ScanRequest { budget: Some(whole - 1), ..chr2_only() };
+        CONTAINER_OPENS.with(|n| n.set(0));
+        let ds = repo.scan("DS", &req).unwrap();
+        assert_eq!(ds.region_count(), 1);
+        assert_eq!(CONTAINER_OPENS.with(|n| n.get()), 1, "one open serves index and blocks");
         fs::remove_dir_all(&root).ok();
     }
 

@@ -120,7 +120,7 @@ impl FsckReport {
 /// directory without a container, fully decode the dataset, which for a
 /// container verifies the whole-file trailer and every block checksum.
 fn check_dataset(dir: &Path, deep: bool) -> Result<(), String> {
-    let full = || native_v2::read_dataset_auto(dir).map(|_| ());
+    let full = || native_v2::read_dataset_auto(dir, native_v2::Layout::Batches).map(|_| ());
     let checked = if deep {
         full()
     } else {
@@ -234,7 +234,7 @@ pub fn fsck(root: &Path, opts: FsckOptions) -> Result<FsckReport, RepoError> {
                             "dataset directory not in the catalog".into(),
                         );
                         if opts.repair {
-                            match native_v2::read_dataset_auto(dir) {
+                            match native_v2::read_dataset_auto(dir, native_v2::Layout::Batches) {
                                 Ok((ds, ..)) => {
                                     let generation = next_generation;
                                     next_generation += 1;

@@ -1,7 +1,9 @@
 //! A dataset the repository hands out already knows its size: the region
 //! buffers of a full read, a cached copy, a saved copy and a cold pruned
 //! read each remember their encoded size, and that size is what a fresh
-//! walk over the rows counts. A write to a buffer forgets it.
+//! walk over the rows counts. A write to a buffer forgets it. A dataset
+//! that goes resident holds rows; one read without a dataset cache holds
+//! the batches it decoded into.
 
 #[path = "../../../tests/common/corpus.rs"]
 mod corpus;
@@ -90,5 +92,22 @@ fn a_copy_shares_the_size_until_it_writes() {
     let after = repo.load("GENES").unwrap();
     assert_sized_at_its_walk(&after);
     assert_eq!(after.region_count() + 1, before.region_count());
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn a_resident_read_holds_rows_and_a_cacheless_one_batches() {
+    let (root, repo) = corpus_repo("forms");
+    let cacheless = Repository::open(&root).unwrap().without_dataset_cache();
+    for dataset in corpus::fixture_datasets() {
+        let resident = repo.load(&dataset.name).unwrap();
+        let read = cacheless.load(&dataset.name).unwrap();
+        for (kept, once) in resident.samples.iter().zip(&read.samples) {
+            assert!(kept.regions.has_rows() && kept.regions.batch().is_none(), "{}", kept.name);
+            assert!(once.regions.batch().is_some() && !once.regions.has_rows(), "{}", once.name);
+            assert_eq!(kept.regions.known_size(), once.regions.known_size());
+            assert_eq!(kept.regions, once.regions);
+        }
+    }
     std::fs::remove_dir_all(&root).ok();
 }

@@ -547,7 +547,7 @@ fn render(outputs: &QueryOutputs, head: usize) -> Result<Vec<u8>, FrameTooLarge>
         .map(|name| {
             let ds = &outputs[name];
             let rows = (ds.samples.iter())
-                .flat_map(|s| s.regions.iter().map(move |r| format!("{}\t{r}", s.name)))
+                .flat_map(|s| s.regions.each_row().map(move |r| format!("{}\t{r}", s.name)))
                 .take(head)
                 .collect();
             OutputSummary {

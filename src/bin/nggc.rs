@@ -727,7 +727,7 @@ fn cmd_query(repo_path: &Path, args: &[String]) -> Result<(), CliError> {
             println!("{}", ds.stats());
             for s in ds.samples.iter().take(head) {
                 println!("  sample {} ({} regions)", s.name, s.region_count());
-                for r in s.regions.iter().take(head) {
+                for r in s.regions.each_row().take(head) {
                     println!("    {r}");
                 }
                 if s.region_count() > head {

@@ -642,6 +642,92 @@ fn one_shot_queries_build_and_copy_only_what_they_keep() {
     std::fs::remove_dir_all(&repo).ok();
 }
 
+/// A one-shot query reads its datasets into columnar batches, and
+/// PROJECT, metadata SELECT, chromosome SELECT and windowed SELECT all
+/// work on them: none builds a row (the `exec.plan` span of `--profile`
+/// counts the rows built while the plan ran). The summary and `--head`
+/// rows read the batches, and print what rows did.
+#[test]
+fn one_shot_selects_and_projects_build_no_rows() {
+    let repo = tmp_repo("batches");
+    std::fs::create_dir_all(&repo).unwrap();
+    let bed = repo.join("peaks.bed");
+    std::fs::write(
+        &bed,
+        "chr1\t100\t300\tp1\t5\t+\nchr1\t500\t800\tp2\t9\t-\nchr2\t100\t300\tp3\t2\t+\n\
+         chr2\t450\t700\tp4\t7\t+\nchr3\t900\t1100\tp5\t1\t-\n",
+    )
+    .unwrap();
+    let more = repo.join("more.bed");
+    std::fs::write(
+        &more,
+        "chr1\t150\t350\tq1\t3\t+\nchr2\t120\t320\tq2\t4\t-\nchr2\t600\t900\tq3\t8\t+\n",
+    )
+    .unwrap();
+    // Imported by relative name, so the sizes printed below do not
+    // depend on where the repository lies.
+    for file in ["peaks.bed", "more.bed"] {
+        let out = nggc().current_dir(&repo).args(["import", file, "PEAKS"]).output().unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    }
+    let repo = repo.join("nggc-repo");
+    let queries = [
+        "X = PROJECT(score) PEAKS; MATERIALIZE X;".to_owned(),
+        "X = SELECT(imported_from == 'more.bed') PEAKS; MATERIALIZE X;".to_owned(),
+        "X = SELECT(region: chr == 'chr2') PEAKS; MATERIALIZE X;".to_owned(),
+        "X = SELECT(region: chr == 'chr2' AND left >= 400) PEAKS; MATERIALIZE X;".to_owned(),
+    ];
+    let query = |text: &str, extra: &[&str]| {
+        let (ok, stdout, stderr) =
+            run(&repo, &[&["query", "--no-cache", "-e", text], extra].concat());
+        assert!(ok, "{text}: {stderr}");
+        stdout
+    };
+    let mut printed = String::new();
+    for text in &queries {
+        let profile = query(text, &["--head", "0", "--profile"]);
+        let plan = profile.lines().find(|l| l.contains("exec.plan")).expect("an exec.plan span");
+        assert!(plan.contains(" rows_built=0"), "{text}: {plan}");
+        let rows = query(text, &["--head", "2"]);
+        printed.extend(rows.lines().filter(|l| !l.starts_with('(')).map(|l| format!("{l}\n")));
+    }
+    // What the same queries printed when every read built rows.
+    let expected = "\
+== X :: (chr, left, right, strand, score: float) ==
+2 samples, 8 regions, 4 metadata pairs, ~301 bytes
+  sample peaks (5 regions)
+    chr1:100-300(+)[5]
+    chr1:500-800(-)[9]
+    … 3 more
+  sample more (3 regions)
+    chr1:150-350(+)[3]
+    chr2:120-320(-)[4]
+    … 1 more
+== X :: (chr, left, right, strand, name: string, score: float) ==
+1 samples, 3 regions, 2 metadata pairs, ~139 bytes
+  sample more (3 regions)
+    chr1:150-350(+)[q1,3]
+    chr2:120-320(-)[q2,4]
+    … 1 more
+== X :: (chr, left, right, strand, name: string, score: float) ==
+2 samples, 4 regions, 4 metadata pairs, ~209 bytes
+  sample peaks (2 regions)
+    chr2:100-300(+)[p3,2]
+    chr2:450-700(+)[p4,7]
+  sample more (2 regions)
+    chr2:120-320(-)[q2,4]
+    chr2:600-900(+)[q3,8]
+== X :: (chr, left, right, strand, name: string, score: float) ==
+2 samples, 2 regions, 4 metadata pairs, ~139 bytes
+  sample peaks (1 regions)
+    chr2:450-700(+)[p4,7]
+  sample more (1 regions)
+    chr2:600-900(+)[q3,8]
+";
+    assert_eq!(printed, expected);
+    std::fs::remove_dir_all(repo.parent().unwrap()).ok();
+}
+
 /// Ctrl-C during `nggc query` exits gracefully: code 130, partial
 /// metrics on stderr, no killed-process signal status.
 #[cfg(unix)]

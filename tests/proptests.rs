@@ -1134,7 +1134,7 @@ proptest! {
         keep_mask in 1usize..8,
         keep_rotation in 0usize..3,
         computed in any::<bool>(),
-        template in 0usize..7,
+        template in 0usize..9,
         chrom_idx in 0usize..3,
         lo in 0u64..3_000,
         span in 0u64..3_000,
@@ -1181,11 +1181,19 @@ proptest! {
                 "M = MERGE() D; X = SELECT(region: chr == '{chrom}' AND left > {lo}) M; \
                  MATERIALIZE X;"
             ),
-            _ => format!(
+            6 => format!(
                 "A = SELECT(cell == 'HeLa'; region: left >= {lo}) D; \
                  B = SELECT(cell == 'K562'; region: right <= {hi}) D; \
                  MATERIALIZE A; MATERIALIZE B;"
             ),
+            // A partial SELECT on a value (no window to prune by), and a
+            // metadata SELECT, over one read that both share.
+            7 => format!(
+                "A = SELECT(region: peak >= {} AND label != 'r1') D; B = SELECT(cell == 'HeLa') D; \
+                 X = PROJECT({list}) A; MATERIALIZE X; MATERIALIZE B;",
+                lo % 30
+            ),
+            _ => format!("X = SELECT(region: peak < {} OR left > {hi}) D; MATERIALIZE X;", lo % 30),
         };
 
         // Reference: the in-memory engine, over the whole dataset.
@@ -1211,6 +1219,19 @@ proptest! {
         )
         .unwrap();
         std::fs::remove_dir_all(&root).ok();
+        // SELECT and PROJECT read the batches of a cold read and hand
+        // batches on: no output row is built unless a MERGE or a
+        // computed attribute asked for rows.
+        if template != 5 && !computed {
+            for (name, out) in &cold {
+                for smp in &out.samples {
+                    prop_assert!(
+                        smp.regions.batch().is_some() && !smp.regions.has_rows(),
+                        "{}: {} built rows in {}", name, smp.name, query
+                    );
+                }
+            }
+        }
 
         let render = |outputs: &std::collections::HashMap<String, Dataset>| {
             let mut names: Vec<&String> = outputs.keys().collect();
@@ -1357,18 +1378,33 @@ proptest! {
             _ => name == "s0",
         };
 
+        // From the file and from memory: batch-backed samples whose rows
+        // are not built until asked for, alike region for region, in size
+        // and in what the reads report.
         let file = std::fs::File::open(dir.join(native_v2::CONTAINER_FILE)).unwrap();
-        let (from_file, file_stats) =
-            native_v2::materialize_dataset_v2_from(file, &opts, &build, admit).unwrap();
-        let (in_memory, memory_stats) = native_v2::materialize_dataset_v2_from(
-            std::io::Cursor::new(&bytes), &opts, &build, admit,
-        )
-        .unwrap();
-        prop_assert_eq!(rendered(&from_file), rendered(&in_memory));
-        prop_assert_eq!(file_stats, memory_stats);
+        let reads = [
+            native_v2::materialize_dataset_v2_from(file, &opts, &build, admit).unwrap(),
+            native_v2::materialize_dataset_v2_from(std::io::Cursor::new(&bytes), &opts, &build, admit)
+                .unwrap(),
+        ];
+        for (ds, _) in &reads {
+            for sample in &ds.samples {
+                prop_assert!(sample.regions.batch().is_some() && !sample.regions.has_rows());
+            }
+        }
+        let sizes = |ds: &Dataset| -> Vec<Option<usize>> {
+            ds.samples.iter().map(|s| s.regions.known_size()).collect()
+        };
+        let (from_file, file_stats) = reads[0].clone();
+        for (ds, stats) in &reads[1..] {
+            prop_assert_eq!(sizes(ds), sizes(&from_file));
+            prop_assert_eq!(rendered(ds), rendered(&from_file));
+            prop_assert_eq!(*stats, file_stats);
+        }
+        let in_memory = reads[1].0.clone();
 
-        // The full decode, cut down by hand.
-        let full = decode_dataset_v2(&bytes).unwrap();
+        // The encoded dataset, cut down by hand.
+        let full = &ds;
         let kept: Vec<usize> = (0..columns.len())
             .filter(|&i| build.width.as_ref().is_none_or(|w| w.contains(columns[i])))
             .collect();
@@ -1418,6 +1454,8 @@ proptest! {
         for sample in from_file.samples.iter().chain(&in_memory.samples) {
             let walked: usize = sample.regions.iter().map(GRegion::encoded_size).sum();
             prop_assert_eq!(sample.regions.known_size(), Some(walked));
+            // The rows built, the batch is let go.
+            prop_assert!(sample.regions.has_rows() && sample.regions.batch().is_none());
         }
     }
 }
