@@ -43,9 +43,7 @@ pub use gff3::{gff3_schema, parse_gff3, write_gff3};
 pub use gtf::{gtf_schema, parse_gtf, write_gtf};
 pub use loader::{load_directory, LoadReport};
 pub use native::{read_dataset, write_dataset};
-pub use native_v2::{
-    detect_version, read_dataset_auto, write_dataset_v2, ScanOptions, ScanStats, StorageVersion,
-};
+pub use native_v2::{detect_version, read_dataset_auto, ScanOptions, ScanStats, StorageVersion};
 pub use peak::{parse_peaks, write_peaks, PeakKind};
 pub use vcf::{parse_vcf, vcf_schema, write_vcf};
 pub use wig::{parse_wig, wig_schema};

@@ -512,7 +512,7 @@ pub fn decode_dataset_v2(buf: &[u8]) -> Result<Dataset, FormatError> {
 
 /// [`decode_dataset_v2`] in the `layout` asked for.
 pub(super) fn decode_full(buf: &[u8], layout: Layout) -> Result<Dataset, FormatError> {
-    Walker::new(io::Cursor::new(buf))?.version()?;
+    Walker::new(&io::Cursor::new(buf))?.version()?;
     verify_trailer(buf)?;
     decode_slice(buf, &ScanOptions::default(), false, layout).map(|(ds, _)| ds)
 }
@@ -561,9 +561,9 @@ pub fn decode_dataset_v2_pruned(
 /// Read a v2 container restricted on all three axes: `admit` is asked
 /// once per sample, with the name and metadata stored in front of its
 /// blocks, and a sample it refuses is **absent** from the dataset
-/// returned — its blocks are seeked over in one step and never read,
+/// returned — its blocks are stepped over in one step and never read,
 /// checksummed or decoded. Of the admitted samples, wanted block extents
-/// are read whole and verified lazily, unwanted ones are seeked over,
+/// are read whole and verified lazily, unwanted ones are stepped over,
 /// and unwanted columns are null-filled, as [`ScanOptions`] describes.
 /// Admitted samples keep their stored order. Of the blocks read, only
 /// what `build` asks for is built: the rows inside its coordinate

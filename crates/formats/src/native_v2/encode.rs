@@ -1,120 +1,131 @@
 //! Writing a dataset as a container, and a query's outputs as framed containers.
 
 use super::layout::{crc32c, put_str, put_varint, strand_bits, type_tag, zigzag, MAGIC, VERSION};
-use super::CONTAINER_FILE;
 use crate::error::FormatError;
-use nggc_gdm::{Chrom, Dataset, GRegion, Schema, Value, ValueType};
+use nggc_gdm::{Dataset, RegionRow, Schema, ValueRef, ValueType};
 use std::collections::HashMap;
-use std::fs;
-use std::path::Path;
+
+/// The cell of `r` at schema position `col`; past the row's width, a null.
+fn cell<R: RegionRow>(r: &R, col: usize) -> ValueRef<'_> {
+    r.cell(col).unwrap_or(ValueRef::Null)
+}
+
+/// Bits packed eight per byte, first bit lowest, the last byte padded
+/// with zeros.
+fn pack_bits(out: &mut Vec<u8>, bits: impl Iterator<Item = bool>) {
+    let mut byte = 0u8;
+    let mut n = 0usize;
+    for bit in bits {
+        byte |= u8::from(bit) << (n % 8);
+        n += 1;
+        if n.is_multiple_of(8) {
+            out.push(byte);
+            byte = 0;
+        }
+    }
+    if !n.is_multiple_of(8) {
+        out.push(byte);
+    }
+}
 
 /// Encode one chromosome's regions (all sharing a chromosome) into a
-/// column-major block.
-pub(super) fn encode_chrom_block(
-    regions: &[&GRegion],
+/// column-major block. A region is read through [`RegionRow`]: a row, or
+/// a position of a batch read in place, give the same bytes.
+pub(super) fn encode_chrom_block<R: RegionRow>(
+    regions: &[R],
     schema: &Schema,
     out: &mut Vec<u8>,
 ) -> Result<(), FormatError> {
     // Column 1: lefts as zigzag deltas.
     let mut prev: i64 = 0;
     for r in regions {
-        let left = i64::try_from(r.left)
+        let left = i64::try_from(r.left())
             .map_err(|_| FormatError::Corrupt { offset: 0, reason: "left exceeds i64".into() })?;
         put_varint(out, zigzag(left - prev));
         prev = left;
     }
     // Column 2: lengths.
     for r in regions {
-        put_varint(out, r.right - r.left);
+        put_varint(out, r.right() - r.left());
     }
     // Column 3: strands, 2 bits each.
-    let mut byte = 0u8;
-    for (i, r) in regions.iter().enumerate() {
-        byte |= strand_bits(r.strand) << ((i % 4) * 2);
-        if i % 4 == 3 {
-            out.push(byte);
-            byte = 0;
-        }
-    }
-    if !regions.is_empty() && !regions.len().is_multiple_of(4) {
-        out.push(byte);
+    for four in regions.chunks(4) {
+        let bits = four.iter().enumerate().map(|(i, r)| strand_bits(r.strand()) << (i * 2));
+        out.push(bits.fold(0, |byte, b| byte | b));
     }
     // Value columns: null bitmap + typed payload.
     for (col, attr) in schema.attributes().iter().enumerate() {
-        let mut bitmap = vec![0u8; regions.len().div_ceil(8)];
-        for (i, r) in regions.iter().enumerate() {
-            let v = r.values.get(col).unwrap_or(&Value::Null);
-            if v.is_null() {
-                bitmap[i / 8] |= 1 << (i % 8);
+        pack_bits(out, regions.iter().map(|r| cell(r, col) == ValueRef::Null));
+        let mismatch = |v: ValueRef<'_>| FormatError::Corrupt {
+            offset: 0,
+            reason: format!("column {:?} cannot encode a {v:?} value", attr.name),
+        };
+        let mut bools = Vec::new();
+        for r in regions {
+            match (attr.ty, cell(r, col)) {
+                (_, ValueRef::Null) => {}
+                (ValueType::Int, ValueRef::Int(v)) => put_varint(out, zigzag(v)),
+                (ValueType::Float, ValueRef::Float(v)) => {
+                    out.extend_from_slice(&v.to_bits().to_le_bytes())
+                }
+                (ValueType::Bool, ValueRef::Bool(v)) => bools.push(v),
+                (ValueType::Str, ValueRef::Str(s)) => put_str(out, s),
+                (_, other) => return Err(mismatch(other)),
             }
         }
-        out.extend_from_slice(&bitmap);
-        match attr.ty {
-            ValueType::Int => {
-                for r in regions {
-                    match r.values.get(col).unwrap_or(&Value::Null) {
-                        Value::Int(v) => put_varint(out, zigzag(*v)),
-                        Value::Null => {}
-                        other => return Err(column_type_error(&attr.name, other)),
-                    }
-                }
-            }
-            ValueType::Float => {
-                for r in regions {
-                    match r.values.get(col).unwrap_or(&Value::Null) {
-                        Value::Float(v) => out.extend_from_slice(&v.to_bits().to_le_bytes()),
-                        Value::Null => {}
-                        other => return Err(column_type_error(&attr.name, other)),
-                    }
-                }
-            }
-            ValueType::Bool => {
-                let mut bits = Vec::new();
-                for r in regions {
-                    match r.values.get(col).unwrap_or(&Value::Null) {
-                        Value::Bool(v) => bits.push(*v),
-                        Value::Null => {}
-                        other => return Err(column_type_error(&attr.name, other)),
-                    }
-                }
-                let mut byte = 0u8;
-                for (i, b) in bits.iter().enumerate() {
-                    if *b {
-                        byte |= 1 << (i % 8);
-                    }
-                    if i % 8 == 7 {
-                        out.push(byte);
-                        byte = 0;
-                    }
-                }
-                if !bits.is_empty() && bits.len() % 8 != 0 {
-                    out.push(byte);
-                }
-            }
-            ValueType::Str => {
-                for r in regions {
-                    match r.values.get(col).unwrap_or(&Value::Null) {
-                        Value::Str(s) => put_str(out, s),
-                        Value::Null => {}
-                        other => return Err(column_type_error(&attr.name, other)),
-                    }
-                }
-            }
-        }
+        pack_bits(out, bools.into_iter());
     }
     Ok(())
 }
 
-fn column_type_error(attr: &str, value: &Value) -> FormatError {
-    FormatError::Corrupt {
-        offset: 0,
-        reason: format!("column {attr:?} cannot encode a {value:?} value"),
+/// One sample's chromosome index and blocks: its regions grouped per
+/// chromosome in first-appearance order (region order for a sorted
+/// sample), each group one block.
+fn encode_regions<R: RegionRow>(
+    out: &mut Vec<u8>,
+    regions: impl Iterator<Item = R>,
+    schema: &Schema,
+) -> Result<(), FormatError> {
+    let mut groups: Vec<Vec<R>> = Vec::new();
+    // Group of the previous region: a sorted sample changes group only at
+    // a chromosome boundary.
+    let mut current = 0;
+    for r in regions {
+        if groups.get(current).is_none_or(|g| g[0].chrom() != r.chrom()) {
+            current = match groups.iter().position(|g| g[0].chrom() == r.chrom()) {
+                Some(k) => k,
+                None => {
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                }
+            };
+        }
+        groups[current].push(r);
     }
+    // Encode blocks first so the index can carry byte lengths.
+    let mut blocks: Vec<Vec<u8>> = Vec::with_capacity(groups.len());
+    for group in &groups {
+        let mut block = Vec::new();
+        encode_chrom_block(group, schema, &mut block)?;
+        blocks.push(block);
+    }
+    put_varint(out, groups.len() as u64);
+    for (group, block) in groups.iter().zip(&blocks) {
+        put_str(out, group[0].chrom().as_str());
+        put_varint(out, group.len() as u64);
+        put_varint(out, block.len() as u64);
+        out.extend_from_slice(&crc32c(block).to_le_bytes());
+    }
+    for block in &blocks {
+        out.extend_from_slice(block);
+    }
+    Ok(())
 }
 
 /// Serialise a whole dataset into container bytes at header revision
 /// [`VERSION`]: per-block CRC32C entries plus a whole-file trailer
-/// checksum.
+/// checksum. A batch-backed sample is written from its columns in place
+/// and builds no row; a sample held as rows is written from its rows.
 pub fn encode_dataset_v2(dataset: &Dataset) -> Result<Vec<u8>, FormatError> {
     let mut out = Vec::with_capacity(64 * 1024);
     out.extend_from_slice(MAGIC);
@@ -136,40 +147,10 @@ pub fn encode_dataset_v2(dataset: &Dataset) -> Result<Vec<u8>, FormatError> {
             put_str(&mut out, k);
             put_str(&mut out, v);
         }
-        // Group regions per chromosome, preserving first-appearance order
-        // (identical to region order for sorted samples).
-        let mut chrom_order: Vec<&Chrom> = Vec::new();
-        let mut groups: Vec<Vec<&GRegion>> = Vec::new();
-        // Group of the previous region: a sorted sample changes group
-        // only at a chromosome boundary.
-        let mut current = 0;
-        for r in sample.regions.iter() {
-            if chrom_order.get(current) != Some(&&r.chrom) {
-                current = chrom_order.iter().position(|c| **c == r.chrom).unwrap_or_else(|| {
-                    chrom_order.push(&r.chrom);
-                    groups.push(Vec::new());
-                    groups.len() - 1
-                });
-            }
-            groups[current].push(r);
-        }
-        // Encode blocks first so the index can carry byte lengths.
-        let mut blocks: Vec<Vec<u8>> = Vec::with_capacity(groups.len());
-        for group in &groups {
-            let mut block = Vec::new();
-            encode_chrom_block(group, &dataset.schema, &mut block)?;
-            blocks.push(block);
-        }
-        put_varint(&mut out, chrom_order.len() as u64);
-        for ((chrom, group), block) in chrom_order.iter().zip(&groups).zip(&blocks) {
-            put_str(&mut out, chrom.as_str());
-            put_varint(&mut out, group.len() as u64);
-            put_varint(&mut out, block.len() as u64);
-            out.extend_from_slice(&crc32c(block).to_le_bytes());
-        }
-        for block in &blocks {
-            out.extend_from_slice(block);
-        }
+        match sample.regions.batch() {
+            Some(batch) => encode_regions(&mut out, batch.rows_in(0..batch.len()), &dataset.schema),
+            None => encode_regions(&mut out, sample.regions.iter(), &dataset.schema),
+        }?;
     }
     let trailer = crc32c(&out);
     out.extend_from_slice(&trailer.to_le_bytes());
@@ -180,7 +161,8 @@ pub fn encode_dataset_v2(dataset: &Dataset) -> Result<Vec<u8>, FormatError> {
 /// name order, its container's length as a `u64` LE and then the
 /// container, which names the output (the key of each dataset is its
 /// name). The federation stages a result in this form and the on-disk
-/// result store keeps it; [`decode_outputs`] reverses it.
+/// result store keeps it; [`decode_outputs`](super::decode_outputs)
+/// reverses it.
 pub fn encode_outputs(outputs: &HashMap<String, Dataset>) -> Result<Vec<u8>, FormatError> {
     let mut names: Vec<&String> = outputs.keys().collect();
     names.sort();
@@ -192,13 +174,4 @@ pub fn encode_outputs(outputs: &HashMap<String, Dataset>) -> Result<Vec<u8>, For
         out.extend_from_slice(&container);
     }
     Ok(out)
-}
-
-/// Write a dataset to `dir` as a v2 binary container, creating
-/// directories. Returns the container size in bytes.
-pub fn write_dataset_v2(dataset: &Dataset, dir: &Path) -> Result<u64, FormatError> {
-    let bytes = encode_dataset_v2(dataset)?;
-    fs::create_dir_all(dir)?;
-    fs::write(dir.join(CONTAINER_FILE), &bytes)?;
-    Ok(bytes.len() as u64)
 }

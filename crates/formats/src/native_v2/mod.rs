@@ -107,7 +107,7 @@ mod walk;
 pub use decode::{
     decode_dataset_v2, decode_dataset_v2_pruned, decode_outputs, materialize_dataset_v2_from,
 };
-pub use encode::{encode_dataset_v2, encode_outputs, write_dataset_v2};
+pub use encode::{encode_dataset_v2, encode_outputs};
 pub use layout::{crc32c, MAGIC, VERSION};
 pub use walk::{
     read_index, read_index_from, ChromIndexEntry, ContainerSource, SampleIndexEntry, V2Index,

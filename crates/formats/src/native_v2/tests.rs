@@ -89,6 +89,15 @@ fn tmp(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// Lay `dataset` out as a dataset directory: its container, written as
+/// `dir/data.gdm2`. Returns the container's size in bytes.
+fn write_dataset_v2(dataset: &Dataset, dir: &Path) -> Result<u64, FormatError> {
+    let bytes = encode_dataset_v2(dataset)?;
+    fs::create_dir_all(dir)?;
+    fs::write(dir.join(CONTAINER_FILE), &bytes)?;
+    Ok(bytes.len() as u64)
+}
+
 /// A whole dataset directory, through the one directory reader.
 fn read_full(dir: &Path) -> Result<Dataset, FormatError> {
     read_dataset_auto(dir, Layout::Batches).map(|(ds, ..)| ds)

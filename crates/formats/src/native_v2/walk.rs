@@ -6,7 +6,7 @@ use crate::error::FormatError;
 use nggc_gdm::{Attribute, Chrom, ChromInterner, Metadata, Schema};
 use std::borrow::Cow;
 use std::fs;
-use std::io::{self, BufReader, Read, Seek, SeekFrom};
+use std::io;
 use std::path::Path;
 
 /// A container that can be read at any offset, from several threads at
@@ -87,66 +87,33 @@ impl<S: ContainerSource + ?Sized> ContainerSource for &S {
     }
 }
 
-/// A [`ContainerSource`] read front to back, for the walk over the header
-/// and the indexes.
-struct Sequential<'a, S: ?Sized> {
-    src: &'a S,
-    pos: u64,
-    len: u64,
-}
+/// Bytes a walk reads ahead of its position: the header and the indexes
+/// come in reads of this size, and a skip that lands inside them costs no
+/// read.
+const READ_AHEAD: usize = 8 * 1024;
 
-impl<'a, S: ContainerSource + ?Sized> Sequential<'a, S> {
-    fn new(src: &'a S) -> io::Result<Sequential<'a, S>> {
-        Ok(Sequential { src, pos: 0, len: src.size()? })
-    }
-}
-
-impl<S: ContainerSource + ?Sized> Read for Sequential<'_, S> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n =
-            buf.len().min(usize::try_from(self.len.saturating_sub(self.pos)).unwrap_or(usize::MAX));
-        self.src.read_exact_at(&mut buf[..n], self.pos)?;
-        self.pos += n as u64;
-        Ok(n)
-    }
-}
-
-impl<S: ContainerSource + ?Sized> Seek for Sequential<'_, S> {
-    fn seek(&mut self, to: SeekFrom) -> io::Result<u64> {
-        let pos = match to {
-            SeekFrom::Start(n) => Some(n),
-            SeekFrom::End(d) => self.len.checked_add_signed(d),
-            SeekFrom::Current(d) => self.pos.checked_add_signed(d),
-        };
-        self.pos = pos.ok_or_else(|| io::Error::from(io::ErrorKind::InvalidInput))?;
-        Ok(self.pos)
-    }
-}
-
-/// Sequential reader over a whole container. The header and the
-/// per-sample indexes are parsed through it; the chromosome blocks are
-/// skipped with a seek and left to the decode jobs, so the walk itself
-/// reads no block.
+/// Sequential reader over a whole container, reading through its
+/// [`ContainerSource`] alone. The header and the per-sample indexes are
+/// parsed through it; the chromosome blocks are stepped over and left to
+/// the decode jobs, so the walk itself reads no block.
 ///
 /// Every read and skip is first checked against the container length:
 /// truncation and extents that point past the end fail as
 /// [`FormatError::Corrupt`] before any I/O, and no allocation is sized
 /// from a length the container cannot hold.
-pub(super) struct Walker<R> {
-    src: R,
+pub(super) struct Walker<'a, S: ?Sized> {
+    src: &'a S,
     /// Offset of the next unread byte.
     pos: u64,
     len: u64,
-    /// Bytes skipped but not yet seeked over: runs of unwanted blocks
-    /// cost one seek, and a trailing run none at all.
-    pending_skip: u64,
+    /// Bytes read ahead, from container offset `ahead_at` on.
+    ahead: Vec<u8>,
+    ahead_at: u64,
 }
 
-impl<R: Read + Seek> Walker<R> {
-    pub(super) fn new(mut src: R) -> Result<Walker<R>, FormatError> {
-        let len = src.seek(SeekFrom::End(0))?;
-        src.rewind()?;
-        Ok(Walker { src, pos: 0, len, pending_skip: 0 })
+impl<'a, S: ContainerSource + ?Sized> Walker<'a, S> {
+    pub(super) fn new(src: &'a S) -> Result<Walker<'a, S>, FormatError> {
+        Ok(Walker { src, pos: 0, len: src.size()?, ahead: Vec::new(), ahead_at: 0 })
     }
 
     fn corrupt(&self, reason: impl Into<String>) -> FormatError {
@@ -165,26 +132,30 @@ impl<R: Read + Seek> Walker<R> {
     }
 
     fn skip(&mut self, n: u64) -> Result<(), FormatError> {
-        self.claim(n)?;
-        self.pending_skip += n;
-        Ok(())
+        self.claim(n)
     }
 
-    /// Claim the next `n` bytes and hand out the source positioned at the
-    /// first of them, for the caller to consume exactly those.
-    fn source_for(&mut self, n: u64) -> Result<&mut R, FormatError> {
-        self.claim(n)?;
-        if self.pending_skip > 0 {
-            let offset = i64::try_from(self.pending_skip)
-                .map_err(|_| self.corrupt("block extents exceed i64"))?;
-            self.src.seek_relative(offset)?;
-            self.pending_skip = 0;
-        }
-        Ok(&mut self.src)
-    }
-
+    /// Claim the next `out.len()` bytes and copy them out: from the bytes
+    /// read ahead when they hold them, else with one read at their offset,
+    /// which reads ahead from there unless they alone fill a read.
     fn fill(&mut self, out: &mut [u8]) -> Result<(), FormatError> {
-        self.source_for(out.len() as u64)?.read_exact(out)?;
+        let at = self.pos;
+        self.claim(out.len() as u64)?;
+        let held = (at.checked_sub(self.ahead_at))
+            .and_then(|start| usize::try_from(start).ok())
+            .and_then(|start| self.ahead.get(start..)?.get(..out.len()));
+        if let Some(held) = held {
+            out.copy_from_slice(held);
+        } else if out.len() >= READ_AHEAD {
+            self.src.read_exact_at(out, at)?;
+        } else {
+            // The claim vouched for `out.len()` bytes at `at`.
+            let ahead = (self.len - at).min(READ_AHEAD as u64) as usize;
+            self.ahead.resize(ahead, 0);
+            self.src.read_exact_at(&mut self.ahead, at)?;
+            self.ahead_at = at;
+            out.copy_from_slice(&self.ahead[..out.len()]);
+        }
         Ok(())
     }
 
@@ -234,7 +205,7 @@ pub(super) struct Header {
     pub(super) schema: Schema,
 }
 
-impl<R: Read + Seek> Walker<R> {
+impl<S: ContainerSource + ?Sized> Walker<'_, S> {
     /// Magic and version byte; errors on any revision but [`VERSION`].
     pub(super) fn version(&mut self) -> Result<(), FormatError> {
         let mut magic = [0u8; 8];
@@ -390,14 +361,14 @@ pub(super) struct SampleScan {
 /// name and metadata is passed over whole — one skip for all its blocks,
 /// `on_sample` not called. Of an admitted sample, note where the blocks
 /// `wants` names lie and hand the sample to `on_sample`. The walk reads
-/// no block: it seeks over every one, and the caller fetches the wanted.
+/// no block: it steps over every one, and the caller fetches the wanted.
 pub(super) fn walk_container<S: ContainerSource + ?Sized>(
     src: &S,
     mut admit: impl FnMut(&str, &Metadata) -> bool,
     wants: impl Fn(&str) -> bool,
     mut on_sample: impl FnMut(SampleScan),
 ) -> Result<(Header, ScanStats), FormatError> {
-    let mut w = Walker::new(BufReader::new(Sequential::new(src)?))?;
+    let mut w = Walker::new(src)?;
     let header = w.header()?;
     let mut stats = ScanStats { container_bytes: w.len, ..ScanStats::default() };
     let mut interner = ChromInterner::new();
@@ -444,7 +415,7 @@ pub(super) fn walk_container<S: ContainerSource + ?Sized>(
 
 /// Read only the index of a dataset directory's v2 container (schema,
 /// sample names and metadata, per-chromosome region counts, byte extents
-/// and checksums): every block is seeked over, none is read or decoded.
+/// and checksums): every block is stepped over, none is read or decoded.
 pub fn read_index(dir: &Path) -> Result<V2Index, FormatError> {
     read_index_from(&fs::File::open(dir.join(CONTAINER_FILE))?)
 }

@@ -127,6 +127,25 @@ impl RegionRow for GRegion {
     }
 }
 
+/// A borrowed region reads as the region.
+impl<T: RegionRow + ?Sized> RegionRow for &T {
+    fn chrom(&self) -> &Chrom {
+        (**self).chrom()
+    }
+    fn left(&self) -> u64 {
+        (**self).left()
+    }
+    fn right(&self) -> u64 {
+        (**self).right()
+    }
+    fn strand(&self) -> Strand {
+        (**self).strand()
+    }
+    fn cell(&self, col: usize) -> Option<ValueRef<'_>> {
+        (**self).cell(col)
+    }
+}
+
 /// One typed value column of a batch and its null bitmap (bit `i` set:
 /// row `i` is null). A null row keeps a placeholder in the payload, so a
 /// row indexes the payload directly.

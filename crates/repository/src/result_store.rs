@@ -272,6 +272,7 @@ impl ResultStore {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use nggc_formats::native_v2::encode_dataset_v2;
     use nggc_gdm::{Attribute, GRegion, Sample, Schema, Strand, ValueType};
 
     fn tmp(tag: &str) -> PathBuf {
@@ -307,9 +308,10 @@ pub(crate) mod tests {
     /// holding `meta.json` and one container directory per output.
     pub(crate) fn write_directory_entry(dir: &Path, key: u64, gens: &[(String, u64)]) -> PathBuf {
         let entry = dir.join(format!("{key:016x}"));
-        let bytes =
-            nggc_formats::native_v2::write_dataset_v2(&dataset("R", 3), &entry.join("out0"))
-                .unwrap();
+        let (out0, container) = (entry.join("out0"), encode_dataset_v2(&dataset("R", 3)).unwrap());
+        fs::create_dir_all(&out0).unwrap();
+        fs::write(out0.join(nggc_formats::native_v2::CONTAINER_FILE), &container).unwrap();
+        let bytes = container.len();
         let gens = serde_json::to_string(gens).unwrap();
         let meta = format!(r#"{{"version":1,"gens":{gens},"outputs":["R"],"bytes":{bytes}}}"#);
         fs::write(entry.join("meta.json"), meta).unwrap();

@@ -271,3 +271,49 @@ fn a_text_that_did_not_compile_is_not_kept() {
     assert_eq!(corpus::summarize(report.outputs.as_ref().unwrap()).lines().count(), 1);
     std::fs::remove_dir_all(&root).ok();
 }
+
+/// Every output buffer of `report` is batch-backed and still holds no
+/// row.
+fn assert_no_rows(report: &QueryReport, when: &str) {
+    for ds in report.outputs.as_ref().unwrap().values() {
+        for sample in &ds.samples {
+            assert!(sample.regions.batch().is_some(), "{when}: {} is batch-backed", ds.name);
+            assert!(!sample.regions.has_rows(), "{when}: {} built its rows", ds.name);
+        }
+    }
+}
+
+/// Save every output of `report` under its own name.
+fn save_outputs(session: &mut Session, report: &QueryReport) {
+    for ds in report.outputs.as_ref().unwrap().values() {
+        session.repo.save(ds).unwrap();
+    }
+}
+
+#[test]
+fn writing_a_cold_output_builds_none_of_its_rows() {
+    let root = tmp("no_rows");
+    let d = dataset("D", &[("name", ValueType::Str), ("score", ValueType::Float)]);
+    Repository::open(&root).unwrap().save(&d).unwrap();
+    // Without a dataset cache, as a one-shot query opens it: every read is
+    // cold.
+    let repo = Repository::open(&root).unwrap().without_dataset_cache();
+    let mut session = Session::new(repo, ExecContext::with_workers(2), "test", None);
+    let store = ResultStore::open(root.join("result_cache"), 64 << 20);
+    for text in [
+        "X = PROJECT(score) D; MATERIALIZE X;",
+        "X = SELECT(region: chr == 'chr1') D; MATERIALIZE X;",
+    ] {
+        let cold = run(&session, text, Tier::Disk(&store)).unwrap();
+        assert_eq!(cold.outcome, CacheOutcome::Miss, "{text}");
+        assert_no_rows(&cold, &format!("{text}: after the store write"));
+        save_outputs(&mut session, &cold);
+        assert_no_rows(&cold, &format!("{text}: after the save"));
+        let hit = run(&session, text, Tier::Disk(&store)).unwrap();
+        assert_eq!(hit.outcome, CacheOutcome::Hit, "{text}");
+        save_outputs(&mut session, &hit);
+        assert_no_rows(&hit, &format!("{text}: after a store hit and a save"));
+        assert_eq!(content(hit.outputs.as_ref().unwrap()), content(cold.outputs.as_ref().unwrap()));
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
