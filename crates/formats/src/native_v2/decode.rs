@@ -488,18 +488,6 @@ fn read_with<S: ContainerSource + ?Sized>(
     Ok((dataset, stats))
 }
 
-/// [`read_with`] over an in-memory container: blocks are borrowed from
-/// `buf`, not copied.
-fn decode_slice(
-    buf: &[u8],
-    opts: &ScanOptions,
-    verify_blocks: bool,
-    layout: Layout,
-) -> Result<(Dataset, ScanStats), FormatError> {
-    let build = Materialize::default();
-    read_with(&io::Cursor::new(buf), opts, &build, admit_all, verify_blocks, layout)
-}
-
 /// Decode a full v2 container from bytes. Magic and version are checked
 /// first, then the whole-file trailer: any other flipped bit in the
 /// buffer — header, index or block — surfaces as
@@ -514,7 +502,8 @@ pub fn decode_dataset_v2(buf: &[u8]) -> Result<Dataset, FormatError> {
 pub(super) fn decode_full(buf: &[u8], layout: Layout) -> Result<Dataset, FormatError> {
     Walker::new(&io::Cursor::new(buf))?.version()?;
     verify_trailer(buf)?;
-    decode_slice(buf, &ScanOptions::default(), false, layout).map(|(ds, _)| ds)
+    let (all, build) = (ScanOptions::default(), Materialize::default());
+    read_with(&io::Cursor::new(buf), &all, &build, admit_all, false, layout).map(|(ds, _)| ds)
 }
 
 /// Decode the output stream [`encode_outputs`] writes. Each frame's
@@ -555,13 +544,14 @@ pub fn decode_dataset_v2_pruned(
     buf: &[u8],
     opts: &ScanOptions,
 ) -> Result<(Dataset, ScanStats), FormatError> {
-    decode_slice(buf, opts, true, Layout::Batches)
+    let build = Materialize::default();
+    read_with(&io::Cursor::new(buf), opts, &build, admit_all, true, Layout::Batches)
 }
 
 /// Read a v2 container restricted on all three axes: `admit` is asked
 /// once per sample, with the name and metadata stored in front of its
 /// blocks, and a sample it refuses is **absent** from the dataset
-/// returned — its blocks are stepped over in one step and never read,
+/// returned — its blocks are passed over whole and never read,
 /// checksummed or decoded. Of the admitted samples, wanted block extents
 /// are read whole and verified lazily, unwanted ones are stepped over,
 /// and unwanted columns are null-filled, as [`ScanOptions`] describes.

@@ -138,12 +138,6 @@ pub struct ScanOptions {
 }
 
 impl ScanOptions {
-    /// True when the options restrict neither chromosomes nor columns —
-    /// a pruned read with full options is exactly a full read.
-    pub fn is_full(&self) -> bool {
-        self.chroms.is_none() && self.columns.is_none()
-    }
-
     fn wants_chrom(&self, chrom: &str) -> bool {
         self.chroms.as_ref().is_none_or(|set| set.contains(chrom))
     }

@@ -131,10 +131,6 @@ impl<'a, S: ContainerSource + ?Sized> Walker<'a, S> {
         Ok(())
     }
 
-    fn skip(&mut self, n: u64) -> Result<(), FormatError> {
-        self.claim(n)
-    }
-
     /// Claim the next `out.len()` bytes and copy them out: from the bytes
     /// read ahead when they hold them, else with one read at their offset,
     /// which reads ahead from there unless they alone fill a read.
@@ -157,14 +153,6 @@ impl<'a, S: ContainerSource + ?Sized> Walker<'a, S> {
             out.copy_from_slice(&self.ahead[..out.len()]);
         }
         Ok(())
-    }
-
-    /// The next `n` bytes, allocated only once the container is known to
-    /// hold them.
-    fn take(&mut self, n: usize) -> Result<Vec<u8>, FormatError> {
-        let mut bytes = vec![0u8; n];
-        self.fill(&mut bytes)?;
-        Ok(bytes)
     }
 
     fn u8(&mut self) -> Result<u8, FormatError> {
@@ -194,8 +182,10 @@ impl<'a, S: ContainerSource + ?Sized> Walker<'a, S> {
     }
 
     fn string(&mut self) -> Result<String, FormatError> {
-        let n = self.len_prefixed("string")?;
-        String::from_utf8(self.take(n)?).map_err(|_| self.corrupt("invalid UTF-8 string"))
+        // No longer than the container, which `fill` checks before it reads.
+        let mut bytes = vec![0u8; self.len_prefixed("string")?];
+        self.fill(&mut bytes)?;
+        String::from_utf8(bytes).map_err(|_| self.corrupt("invalid UTF-8 string"))
     }
 }
 
@@ -380,7 +370,7 @@ pub(super) fn walk_container<S: ContainerSource + ?Sized>(
                 .iter()
                 .try_fold(0u64, |sum, entry| sum.checked_add(entry.bytes))
                 .ok_or_else(|| w.corrupt("block extents exceed u64"))?;
-            w.skip(extent)?;
+            w.claim(extent)?;
             stats.samples_skipped += 1;
             stats.blocks_skipped += chroms.len() as u64;
             stats.bytes_skipped += extent;
@@ -390,7 +380,7 @@ pub(super) fn walk_container<S: ContainerSource + ?Sized>(
         let mut wanted = Vec::new();
         for entry in &chroms {
             let offset = w.pos;
-            w.skip(entry.bytes)?;
+            w.claim(entry.bytes)?;
             if wants(&entry.chrom) {
                 let len = usize::try_from(entry.bytes)
                     .map_err(|_| corrupt_at(offset, "block extent exceeds usize"))?;

@@ -290,6 +290,17 @@ pub(crate) fn quarantine_count(root: &Path) -> usize {
         .unwrap_or(0)
 }
 
+/// The catalog entry of dataset directory `dir`, read in full: its
+/// schema and stats as stored, under `generation`.
+pub(crate) fn index_entry(
+    dir: &Path,
+    name: &str,
+    generation: u64,
+) -> Result<CatalogEntry, FormatError> {
+    let (ds, ..) = native_v2::read_dataset_auto(dir, Layout::Batches)?;
+    Ok(CatalogEntry { name: name.to_owned(), stats: ds.stats(), schema: ds.schema, generation })
+}
+
 /// Rebuild a catalog by scanning `datasets/`: every readable dataset is
 /// re-indexed with a **fresh** generation (starting at
 /// `first_generation`) so no result cached against the lost catalog can
@@ -305,15 +316,10 @@ pub(crate) fn rebuild_catalog(
     let mut next = first_generation.max(1);
     for dir in dataset_dirs(root) {
         let name = dir.file_name().expect("filtered above").to_string_lossy().into_owned();
-        match native_v2::read_dataset_auto(&dir, Layout::Batches) {
-            Ok((ds, ..)) => {
-                let generation = next;
+        match index_entry(&dir, &name, next) {
+            Ok(entry) => {
                 next += 1;
-                let stats = ds.stats();
-                catalog.insert(
-                    name.clone(),
-                    CatalogEntry { name, schema: ds.schema.clone(), stats, generation },
-                );
+                catalog.insert(name, entry);
             }
             Err(e) => {
                 quarantine_dataset(root, &dir, &format!("unreadable during catalog rebuild: {e}"))
@@ -481,8 +487,9 @@ impl Repository {
 
     /// Save (or replace) a dataset as one v2 container,
     /// `datasets/NAME/data.gdm2`, written by [`durable::atomic_write`];
-    /// updates the catalog and populates the cache with the saved copy,
-    /// so a save-then-load round trip hits memory.
+    /// updates the catalog and, once the container is published,
+    /// populates the cache with the saved copy, so a save-then-load round
+    /// trip hits memory and a save that fails is never served.
     ///
     /// The order of the writes keeps two rules:
     ///
@@ -508,15 +515,11 @@ impl Repository {
         dataset.validate().map_err(RepoError::Model)?;
         let bytes = native_v2::encode_dataset_v2(dataset)?;
         span.field("bytes", bytes.len());
-        // Any persisted metadata index is now stale; the cache gets the
-        // fresh copy instead of going cold.
+        // Any persisted metadata index is now stale, and so is a cached
+        // copy: the cache gets the new one once the container holds it.
         fs::remove_file(self.root.join("meta_index.json")).ok();
+        self.cache.lock().unwrap_or_else(|p| p.into_inner()).invalidate(&dataset.name);
         let stats = dataset.stats();
-        let mut cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
-        if cache.max_entries > 0 {
-            cache.insert(dataset.name.clone(), Arc::new(dataset.clone()), stats.bytes as u64);
-        }
-        drop(cache);
         let dir = self.dataset_dir(&dataset.name);
         let container = dir.join(native_v2::CONTAINER_FILE);
         let replacing = self.catalog.contains_key(&dataset.name);
@@ -545,6 +548,11 @@ impl Repository {
             durable::atomic_write(&container, &bytes)?;
             durable::crashpoint("save.published");
         }
+        let mut cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
+        if cache.max_entries > 0 {
+            cache.insert(dataset.name.clone(), Arc::new(dataset.clone()), stats.bytes as u64);
+        }
+        drop(cache);
         // The v1 text layout this container replaces, if any.
         fs::remove_file(dir.join("schema.gdm")).ok();
         fs::remove_dir_all(dir.join("files")).ok();
@@ -607,7 +615,7 @@ impl Repository {
     pub fn scan(&self, name: &str, req: &ScanRequest<'_>) -> Result<Arc<Dataset>, RepoError> {
         let entry = self.catalog.get(name).ok_or_else(|| RepoError::NotFound(name.to_owned()))?;
         let cached = || self.cache.lock().unwrap_or_else(|p| p.into_inner()).get(name);
-        let restricts = !req.opts.is_full() || req.admit.is_some();
+        let restricts = req.opts != ScanOptions::default() || req.admit.is_some();
         let resident = if restricts { cached() } else { None };
         // The container a cold restricting read prunes; none for a v1
         // text dataset, which is read in full.
@@ -1388,6 +1396,24 @@ mod tests {
             "save-then-load must not miss"
         );
         assert!(reg.counter("nggc_repo_cache_hits_total").get() > hits0);
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_save_whose_container_write_fails_is_never_served() {
+        let root = tmp();
+        let mut repo = Repository::open(&root).unwrap();
+        repo.save(&dataset("A")).unwrap();
+        // A non-empty directory where the container was: the rename that
+        // publishes the next container fails, whoever runs it.
+        let container = repo.dataset_dir("A").join(native_v2::CONTAINER_FILE);
+        fs::remove_file(&container).unwrap();
+        fs::create_dir_all(container.join("in_the_way")).unwrap();
+        let unsaved = two_chrom_dataset("A");
+        assert!(repo.save(&unsaved).is_err());
+        if let Ok(served) = repo.load("A") {
+            assert_ne!(served.region_count(), unsaved.region_count(), "the unsaved copy is served");
+        }
         fs::remove_dir_all(&root).ok();
     }
 

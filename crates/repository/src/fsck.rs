@@ -13,6 +13,7 @@
 //! | torn catalog | rebuild from dataset scan, fresh generations |
 //! | catalog entry without directory | drop the entry |
 //! | directory without catalog entry | re-index under a fresh generation |
+//! | catalog entry that misdescribes its directory | re-index under a fresh generation |
 //! | unreadable / checksum-failing dataset | quarantine with reason file |
 //! | orphan temp/staging/trash | remove |
 //! | stale result-cache entry | remove |
@@ -27,6 +28,7 @@ use crate::durable;
 use crate::error::RepoError;
 use crate::result_store::ResultStore;
 use nggc_formats::{native_v2, FormatError};
+use nggc_gdm::Schema;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
@@ -51,6 +53,10 @@ pub enum IssueKind {
     MissingDataset,
     /// A dataset directory the catalog does not know about.
     OrphanDataset,
+    /// A catalog entry whose schema, sample count or region count is not
+    /// what its dataset directory holds: a replacing save that flushed its
+    /// entry and died before it published the container.
+    CatalogMismatch,
     /// A dataset that fails header validation or (deep mode) a
     /// checksum/decode pass.
     UnreadableDataset,
@@ -69,6 +75,7 @@ impl IssueKind {
             IssueKind::TornCatalog => "torn-catalog",
             IssueKind::MissingDataset => "missing-dataset",
             IssueKind::OrphanDataset => "orphan-dataset",
+            IssueKind::CatalogMismatch => "catalog-mismatch",
             IssueKind::UnreadableDataset => "unreadable-dataset",
             IssueKind::OrphanTemp => "orphan-temp",
             IssueKind::StaleResult => "stale-result",
@@ -115,21 +122,33 @@ impl FsckReport {
     }
 }
 
-/// Validate one dataset directory. Shallow mode parses a container's
-/// magic, header and block index (no region decode); deep mode, and a
-/// directory without a container, fully decode the dataset, which for a
-/// container verifies the whole-file trailer and every block checksum.
-fn check_dataset(dir: &Path, deep: bool) -> Result<(), String> {
-    let full = || native_v2::read_dataset_auto(dir, native_v2::Layout::Batches).map(|_| ());
+/// What a dataset directory holds, as far as its catalog entry describes
+/// it: the schema, the sample count and the region count.
+type Held = (Schema, usize, usize);
+
+fn describe((schema, samples, regions): &Held) -> String {
+    format!("{schema}, {samples} samples, {regions} regions")
+}
+
+/// Validate one dataset directory and say what it holds. Shallow mode
+/// parses a container's magic, header and block index (no region
+/// decode); deep mode, and a directory without a container, fully decode
+/// the dataset, which for a container verifies the whole-file trailer
+/// and every block checksum.
+fn check_dataset(dir: &Path, deep: bool) -> Result<Held, String> {
+    let full = || {
+        let (ds, ..) = native_v2::read_dataset_auto(dir, native_v2::Layout::Batches)?;
+        Ok((ds.schema.clone(), ds.sample_count(), ds.region_count()))
+    };
     let checked = if deep {
         full()
     } else {
         match native_v2::read_index(dir) {
             Err(FormatError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => full(),
-            index => index.map(|_| ()),
+            index => index.map(|i| (i.schema.clone(), i.samples.len(), i.region_count() as usize)),
         }
     };
-    checked.map_err(|e| e.to_string())
+    checked.map_err(|e: FormatError| e.to_string())
 }
 
 /// Walk the repository at `root`, verifying catalog, datasets, staging
@@ -219,50 +238,52 @@ pub fn fsck(root: &Path, opts: FsckOptions) -> Result<FsckReport, RepoError> {
                 report.issues.last_mut().expect("just pushed").repaired = true;
             }
         }
-        // Directories: readability, then catalog membership.
+        // Directories: readability, then catalog membership and whether
+        // the entry describes what the directory holds.
         for dir in &dirs {
             let name = dir.file_name().expect("dataset dirs have names").to_string_lossy();
             match check_dataset(dir, opts.deep) {
-                Ok(()) => {
-                    if cat.contains_key(name.as_ref()) {
-                        report.datasets_ok += 1;
-                    } else {
-                        issue(
-                            &mut report,
+                Ok(held) => {
+                    let listed =
+                        |e: &CatalogEntry| (e.schema.clone(), e.stats.samples, e.stats.regions);
+                    let (kind, detail) = match cat.get(name.as_ref()).map(listed) {
+                        Some(listed) if listed == held => {
+                            report.datasets_ok += 1;
+                            continue;
+                        }
+                        Some(listed) => (
+                            IssueKind::CatalogMismatch,
+                            format!(
+                                "the catalog lists {}; the dataset holds {}",
+                                describe(&listed),
+                                describe(&held)
+                            ),
+                        ),
+                        None => (
                             IssueKind::OrphanDataset,
-                            &name,
                             "dataset directory not in the catalog".into(),
-                        );
-                        if opts.repair {
-                            match native_v2::read_dataset_auto(dir, native_v2::Layout::Batches) {
-                                Ok((ds, ..)) => {
-                                    let generation = next_generation;
-                                    next_generation += 1;
-                                    cat.insert(
-                                        name.to_string(),
-                                        CatalogEntry {
-                                            name: name.to_string(),
-                                            schema: ds.schema.clone(),
-                                            stats: ds.stats(),
-                                            generation,
-                                        },
-                                    );
-                                    catalog_dirty = true;
-                                    report.issues.last_mut().expect("just pushed").repaired = true;
-                                }
-                                Err(e) => {
-                                    // Readable shallowly but not fully:
-                                    // treat like any unreadable dataset.
-                                    if catalog::quarantine_dataset(
-                                        root,
-                                        dir,
-                                        &format!("re-index during fsck failed: {e}"),
-                                    )
-                                    .is_ok()
-                                    {
-                                        report.issues.last_mut().expect("just pushed").repaired =
-                                            true;
+                        ),
+                    };
+                    issue(&mut report, kind, &name, detail);
+                    if opts.repair {
+                        // Re-indexed under a fresh generation, so no result
+                        // cached against the entry can revalidate.
+                        match catalog::index_entry(dir, &name, next_generation) {
+                            Ok(entry) => {
+                                next_generation += 1;
+                                cat.insert(name.to_string(), entry);
+                                catalog_dirty = true;
+                                report.issues.last_mut().expect("just pushed").repaired = true;
+                            }
+                            Err(e) => {
+                                // Readable shallowly but not fully: treat
+                                // like any unreadable dataset.
+                                let reason = format!("re-index during fsck failed: {e}");
+                                if catalog::quarantine_dataset(root, dir, &reason).is_ok() {
+                                    if cat.remove(name.as_ref()).is_some() {
+                                        catalog_dirty = true;
                                     }
+                                    report.issues.last_mut().expect("just pushed").repaired = true;
                                 }
                             }
                         }
@@ -426,6 +447,40 @@ mod tests {
         assert!(repo.contains("A"));
         let new_gen = repo.generation("A").unwrap();
         assert!(new_gen > old_gen && new_gen > resave_gen, "re-index must use a fresh generation");
+        assert!(fsck(&root, FsckOptions::default()).unwrap().is_clean());
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn an_entry_that_misdescribes_its_container_is_reindexed() {
+        let root = seeded("mismatch");
+        let old_gen = Repository::open(&root).unwrap().generation("A").unwrap();
+        // What a replacing save that died between its catalog flush and
+        // its container rename leaves: the entry of data not on disk.
+        let catalog_text = fs::read_to_string(root.join("catalog.json")).unwrap();
+        let mut catalog: BTreeMap<String, CatalogEntry> =
+            serde_json::from_str(&catalog_text).unwrap();
+        let entry = catalog.get_mut("A").unwrap();
+        entry.stats.regions += 2;
+        entry.schema = nggc_gdm::Schema::empty();
+        fs::write(root.join("catalog.json"), serde_json::to_string(&catalog).unwrap()).unwrap();
+
+        for deep in [false, true] {
+            let report = fsck(&root, FsckOptions { deep, repair: false }).unwrap();
+            assert_eq!(report.issues.len(), 1, "{:?}", report.issues);
+            assert_eq!(
+                (report.issues[0].kind, report.datasets_ok),
+                (IssueKind::CatalogMismatch, 1)
+            );
+            assert!(report.issues[0].detail.contains("3 regions; the dataset holds"));
+        }
+        let repaired = fsck(&root, FsckOptions { deep: false, repair: true }).unwrap();
+        assert_eq!((repaired.issues.len(), repaired.unrepaired()), (1, 0));
+        let repo = Repository::open(&root).unwrap();
+        assert!(repo.generation("A").unwrap() > old_gen, "re-indexed under a fresh generation");
+        let loaded = repo.load("A").unwrap();
+        let entry = repo.entry("A").unwrap();
+        assert_eq!((&entry.schema, entry.stats), (&loaded.schema, loaded.stats()));
         assert!(fsck(&root, FsckOptions::default()).unwrap().is_clean());
         fs::remove_dir_all(&root).ok();
     }

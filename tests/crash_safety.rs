@@ -10,7 +10,8 @@
 //! 1. `nggc fsck --repair` succeeds,
 //! 2. a plain `nggc fsck` then finds nothing (exit 0),
 //! 3. the dataset equals **exactly** the pre-mutation or post-mutation
-//!    version — never a blend of the two.
+//!    version — never a blend of the two — and its catalog entry
+//!    describes exactly what loads: the same schema and stats.
 
 use nggc::repository::{
     fsck, FsckOptions, IssueKind, Repository, StorageVersion, CRASHPOINT_ENV, CRASH_SITES,
@@ -72,23 +73,38 @@ fn run_clean(repo: &Path, args: &[&str]) -> (bool, String, String) {
     )
 }
 
-/// Sample count and total region count of `DS`, or `None` when absent.
-fn observe(repo: &Path) -> Option<(usize, usize)> {
+/// What `DS` holds: sample count, total region count and schema.
+type State<'a> = (usize, usize, &'a str);
+
+/// The schema of a BED6 import.
+const BED6: &str = "(chr, left, right, strand, name: string, score: float)";
+
+/// The state of `DS`, or `None` when absent. Its catalog entry must
+/// describe exactly what loads: the same schema and the same stats.
+fn observe(repo: &Path, context: &str) -> Option<(usize, usize, String)> {
     let r = Repository::open(repo).ok()?;
-    if !r.contains("DS") {
-        return None;
-    }
+    let entry = r.entry("DS")?;
     let ds = r.load("DS").ok()?;
-    Some((ds.samples.len(), ds.samples.iter().map(|s| s.region_count()).sum()))
+    assert_eq!(
+        (&entry.schema, entry.stats),
+        (&ds.schema, ds.stats()),
+        "[{context}] the catalog entry of DS is not what loads"
+    );
+    Some((ds.samples.len(), ds.region_count(), ds.schema.to_string()))
+}
+
+/// An observed state, to compare with a [`State`].
+fn state(got: &Option<(usize, usize, String)>) -> Option<State<'_>> {
+    got.as_ref().map(|(samples, regions, schema)| (*samples, *regions, schema.as_str()))
 }
 
 /// After a kill: repair, verify clean, and return the observed state.
-fn recover(repo: &Path, context: &str) -> Option<(usize, usize)> {
+fn recover(repo: &Path, context: &str) -> Option<(usize, usize, String)> {
     let (ok, stdout, stderr) = run_clean(repo, &["fsck", "--repair"]);
     assert!(ok, "[{context}] fsck --repair failed:\n{stdout}\n{stderr}");
     let (ok, stdout, stderr) = run_clean(repo, &["fsck"]);
     assert!(ok, "[{context}] repo not clean after repair:\n{stdout}\n{stderr}");
-    observe(repo)
+    observe(repo, context)
 }
 
 /// Drive `args` through every (site, hit) pair. `base` is copied fresh
@@ -99,8 +115,8 @@ fn crash_matrix(
     tag: &str,
     base: &Path,
     args: &[&str],
-    pre: Option<(usize, usize)>,
-    post: Option<(usize, usize)>,
+    pre: Option<State<'_>>,
+    post: Option<State<'_>>,
     after_kill: &dyn Fn(&Path, &str),
 ) {
     let mut fired_total = 0;
@@ -113,7 +129,7 @@ fn crash_matrix(
                 // The n-th hit never happened: the command completed.
                 // Its effects must equal the post state exactly.
                 let context = format!("{tag} {site}:{n} completed");
-                assert_eq!(observe(&repo), post, "[{context}]");
+                assert_eq!(state(&observe(&repo, &context)), post, "[{context}]");
                 fs::remove_dir_all(&repo).ok();
                 break;
             }
@@ -121,6 +137,7 @@ fn crash_matrix(
             let context = format!("{tag} {site}:{n} aborted");
             after_kill(&repo, &context);
             let got = recover(&repo, &context);
+            let got = state(&got);
             assert!(
                 got == pre || got == post,
                 "[{context}] recovered state {got:?} is neither pre {pre:?} nor post {post:?}"
@@ -155,8 +172,8 @@ fn import_killed_at_every_crashpoint_recovers_to_pre_or_post() {
         "import",
         &base.join("repo"),
         &["import", second.to_str().unwrap(), "DS"],
-        Some((1, 3)),
-        Some((2, 5)),
+        Some((1, 3, BED6)),
+        Some((2, 5, BED6)),
         &|_, _| {},
     );
     fs::remove_dir_all(&base).ok();
@@ -195,7 +212,7 @@ fn first_import_killed_at_every_crashpoint_recovers_to_absent_or_post() {
         &repo,
         &["import", first.to_str().unwrap(), "DS"],
         None,
-        Some((1, 3)),
+        Some((1, 3, BED6)),
         &after_kill,
     );
     fs::remove_dir_all(&base).ok();
@@ -239,15 +256,17 @@ fn migrate_killed_at_every_crashpoint_recovers_to_pre_or_post() {
     // Migration rewrites in place: pre and post carry identical logical
     // content, so blend detection rides on fsck + load succeeding (a
     // half-written container fails its checksum pass).
-    crash_matrix("migrate", &repo_dir, &["migrate", "DS"], Some((1, 3)), Some((1, 3)), &|_, _| {});
+    let score = "(chr, left, right, strand, score: float)";
+    let same = Some((1, 3, score));
+    crash_matrix("migrate", &repo_dir, &["migrate", "DS"], same, same, &|_, _| {});
     // A v2 dataset is recompacted: the same publish, from a container.
     let v2 = seed_base("mig_v2");
     crash_matrix(
         "migrate_v2",
         &v2.join("repo"),
         &["migrate", "DS"],
-        Some((1, 3)),
-        Some((1, 3)),
+        Some((1, 3, BED6)),
+        Some((1, 3, BED6)),
         &|_, _| {},
     );
     fs::remove_dir_all(&v2).ok();
@@ -269,7 +288,8 @@ fn migrate_killed_at_every_crashpoint_recovers_to_pre_or_post() {
 fn delete_killed_at_every_crashpoint_leaves_dataset_whole_or_gone() {
     let base = seed_base("del");
     // pre = dataset intact, post = dataset gone.
-    crash_matrix("delete", &base.join("repo"), &["delete", "DS"], Some((1, 3)), None, &|_, _| {});
+    let pre = Some((1, 3, BED6));
+    crash_matrix("delete", &base.join("repo"), &["delete", "DS"], pre, None, &|_, _| {});
     fs::remove_dir_all(&base).ok();
 }
 
@@ -306,6 +326,22 @@ fn query_killed_while_storing_its_result_leaves_a_usable_store() {
         assert_eq!(answer(&stdout), (expected.clone(), true), "[{context}] the one after it");
     };
     // A query changes no dataset: pre and post are the seeded DS.
-    crash_matrix("query", &repo, &query, Some((1, 3)), Some((1, 3)), &after_kill);
+    let seeded = Some((1, 3, BED6));
+    crash_matrix("query", &repo, &query, seeded, seeded, &after_kill);
+    fs::remove_dir_all(&base).ok();
+}
+
+#[test]
+fn a_query_saving_over_ds_with_another_schema_recovers_to_pre_or_post() {
+    let base = seed_base("qsave");
+    let repo = base.join("repo");
+    let first = base.join("first.bed");
+    let (ok, stdout, stderr) = run_clean(&repo, &["import", first.to_str().unwrap(), "SRC"]);
+    assert!(ok, "seed import failed:\n{stdout}\n{stderr}");
+    // DS (name, score) is replaced by a one-column copy of SRC: the
+    // catalog entry and the container disagree between the two writes.
+    let query = ["query", "--save", "-e", "DS = PROJECT(score) SRC; MATERIALIZE DS;"];
+    let post = Some((1, 3, "(chr, left, right, strand, score: float)"));
+    crash_matrix("query_save", &repo, &query, Some((1, 3, BED6)), post, &|_, _| {});
     fs::remove_dir_all(&base).ok();
 }
