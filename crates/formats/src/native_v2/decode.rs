@@ -506,11 +506,11 @@ pub(super) fn decode_full(buf: &[u8], layout: Layout) -> Result<Dataset, FormatE
     read_with(&io::Cursor::new(buf), &all, &build, admit_all, false, layout).map(|(ds, _)| ds)
 }
 
-/// Decode the output stream [`encode_outputs`] writes. Each frame's
-/// length is checked against the bytes left before anything is sliced,
-/// each container is decoded in full (its trailer checksum verified),
-/// and an output name may appear once. A truncated frame, a corrupt
-/// container or a repeated name is an error.
+/// Decode the output stream [`encode_outputs`](super::encode_outputs)
+/// writes. Each frame's length is checked against the bytes left before
+/// anything is sliced, each container is decoded in full (its trailer
+/// checksum verified), and an output name may appear once. A truncated
+/// frame, a corrupt container or a repeated name is an error.
 pub fn decode_outputs(buf: &[u8]) -> Result<HashMap<String, Dataset>, FormatError> {
     let mut outputs = HashMap::new();
     let mut rest = buf;

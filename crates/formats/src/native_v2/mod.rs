@@ -38,32 +38,35 @@
 //! reader *skip* any chromosome without decoding it. A sample's name and
 //! metadata sit in front of its index and blocks, so a reader can decide
 //! on them whether the sample is wanted at all and pass over every block
-//! of one that is not in a single skip.
+//! of one that is not in a single skip. `layout.rs` holds the bytes'
+//! primitives, `encode.rs` the writer, `walk.rs` the walk over header and
+//! indexes, `decode.rs` the blocks and the readers.
 //!
-//! ## Readers
+//! ## Writer and readers
 //!
-//! One entry point per use: [`read_dataset_auto`] reads a dataset
-//! directory whole (its container, or a v1 text directory),
-//! [`decode_dataset_v2`] a whole container in memory,
-//! [`decode_dataset_v2_pruned`] a part of one, [`materialize_dataset_v2_from`]
-//! a part of a container file — chromosomes, columns, samples, and rows
-//! of a coordinate window — without reading the rest, [`read_index`] the
-//! index alone, and [`decode_outputs`] a query's framed outputs. Every
-//! container read is the same walk of the container.
+//! [`encode_dataset_v2`] writes a sample from its rows, or a batch-backed
+//! one from its columns in place, building no row; both give the same
+//! bytes. One reader per use: [`read_dataset_auto`] a dataset directory
+//! whole (its container, or a v1 text directory), [`decode_dataset_v2`] a
+//! container in memory, [`decode_dataset_v2_pruned`] a part of one,
+//! [`materialize_dataset_v2_from`] a part of a container file —
+//! chromosomes, columns, samples, rows of a coordinate window — without
+//! reading the rest, [`read_index`] the index alone, [`decode_outputs`] a
+//! query's framed outputs. Every read is one walk of the container.
 //!
 //! A read does its per-region work once, in parallel: one thread walks
-//! the header and the per-sample indexes and decides which samples and
-//! blocks are wanted, then one decode job per admitted sample reads that
-//! sample's wanted blocks itself ([`ContainerSource`]: one positional read
-//! per run of adjacent blocks from a file, a borrow from bytes in
-//! memory), verifies their checksums, decodes them into a columnar
-//! [`RegionBatch`], checks it against the schema and sizes it from its
-//! columns. A sample comes back with its encoded size remembered
-//! ([`nggc_gdm::Regions`]), so nothing after the read walks it again to
-//! size it, and as a batch-backed buffer that builds rows only when
-//! something asks for them — or, for a dataset that goes resident
-//! ([`Layout::Rows`]), with its rows built in the job and the batch let
-//! go.
+//! the header and the per-sample indexes through a [`ContainerSource`]
+//! and decides which samples and blocks are wanted, then one decode job
+//! per admitted sample reads that sample's wanted blocks itself from the
+//! same source (one positional read per run of adjacent blocks from a
+//! file, a borrow from bytes in memory), verifies their checksums,
+//! decodes them into a columnar [`nggc_gdm::RegionBatch`], checks it
+//! against the schema and sizes it from its columns. A sample comes back
+//! with its encoded size remembered ([`nggc_gdm::Regions`]), so nothing
+//! after the read walks it again to size it, and as a batch-backed
+//! buffer that builds rows only when something asks for them — or, for
+//! a dataset that goes resident ([`Layout::Rows`]), with its rows built
+//! in the job and the batch let go.
 //!
 //! ## Checksums
 //!
@@ -87,7 +90,7 @@
 //!    delta from 0). Sorted input makes these small positive numbers;
 //!    zigzag keeps unsorted input safe.
 //! 2. **lengths** — varint `right - left` per region (never negative by
-//!    the [`GRegion`] invariant).
+//!    the [`nggc_gdm::GRegion`] invariant).
 //! 3. **strands** — 2 bits per region (`0=+`, `1=-`, `2=*`), packed
 //!    four per byte.
 //! 4. **value columns**, one per schema attribute, each a null bitmap
@@ -131,9 +134,9 @@ pub struct ScanOptions {
     /// skipped via the offset index. `None` decodes every chromosome.
     pub chroms: Option<BTreeSet<String>>,
     /// Value columns to decode, matched case-insensitively against the
-    /// schema. Skipped columns are filled with [`Value::Null`] so the
-    /// schema (and every region's value arity) stays stable. `None`
-    /// decodes every column.
+    /// schema. Skipped columns are filled with typed nulls so the schema
+    /// (and every region's value arity) stays stable. `None` decodes
+    /// every column.
     pub columns: Option<BTreeSet<String>>,
 }
 

@@ -1,3 +1,5 @@
+//! Tests of the container codec: round trips, pruned reads, checksums and the walk.
+
 use super::decode::*;
 use super::encode::*;
 use super::layout::*;

@@ -1,4 +1,4 @@
-//! Reading a container's header and sample indexes, and the index types.
+//! The walk over a container's header and sample indexes, through `ContainerSource`.
 
 use super::layout::{corrupt_at, type_from_tag, MAGIC, VARINT_MAX_BYTES, VERSION};
 use super::{ScanOptions, ScanStats, CONTAINER_FILE};
