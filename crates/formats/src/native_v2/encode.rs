@@ -102,23 +102,25 @@ fn encode_regions<R: RegionRow>(
         }
         groups[current].push(r);
     }
-    // Encode blocks first so the index can carry byte lengths.
-    let mut blocks: Vec<Vec<u8>> = Vec::with_capacity(groups.len());
+    // The blocks are written in place; the index in front of them, which
+    // carries their lengths, is slid in once they are written.
+    let at = out.len();
+    let mut ends = Vec::with_capacity(groups.len());
     for group in &groups {
-        let mut block = Vec::new();
-        encode_chrom_block(group, schema, &mut block)?;
-        blocks.push(block);
+        encode_chrom_block(group, schema, out)?;
+        ends.push(out.len());
     }
-    put_varint(out, groups.len() as u64);
-    for (group, block) in groups.iter().zip(&blocks) {
-        put_str(out, group[0].chrom().as_str());
-        put_varint(out, group.len() as u64);
-        put_varint(out, block.len() as u64);
-        out.extend_from_slice(&crc32c(block).to_le_bytes());
+    let mut index = Vec::new();
+    put_varint(&mut index, groups.len() as u64);
+    let mut start = at;
+    for (group, &end) in groups.iter().zip(&ends) {
+        put_str(&mut index, group[0].chrom().as_str());
+        put_varint(&mut index, group.len() as u64);
+        put_varint(&mut index, (end - start) as u64);
+        index.extend_from_slice(&crc32c(&out[start..end]).to_le_bytes());
+        start = end;
     }
-    for block in &blocks {
-        out.extend_from_slice(block);
-    }
+    out.splice(at..at, index);
     Ok(())
 }
 
@@ -128,33 +130,41 @@ fn encode_regions<R: RegionRow>(
 /// and builds no row; a sample held as rows is written from its rows.
 pub fn encode_dataset_v2(dataset: &Dataset) -> Result<Vec<u8>, FormatError> {
     let mut out = Vec::with_capacity(64 * 1024);
+    encode_container(dataset, &mut out)?;
+    Ok(out)
+}
+
+/// Append `dataset`'s container to `out`, its trailer the checksum of
+/// the container's own bytes.
+fn encode_container(dataset: &Dataset, out: &mut Vec<u8>) -> Result<(), FormatError> {
+    let start = out.len();
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
-    put_str(&mut out, &dataset.name);
+    put_str(out, &dataset.name);
     // Schema block.
-    put_varint(&mut out, dataset.schema.len() as u64);
+    put_varint(out, dataset.schema.len() as u64);
     for a in dataset.schema.attributes() {
-        put_str(&mut out, &a.name);
+        put_str(out, &a.name);
         out.push(type_tag(a.ty));
     }
-    put_varint(&mut out, dataset.samples.len() as u64);
+    put_varint(out, dataset.samples.len() as u64);
     for sample in &dataset.samples {
-        put_str(&mut out, &sample.name);
+        put_str(out, &sample.name);
         // Metadata pairs.
         let pairs: Vec<(&str, &str)> = sample.metadata.iter().collect();
-        put_varint(&mut out, pairs.len() as u64);
+        put_varint(out, pairs.len() as u64);
         for (k, v) in pairs {
-            put_str(&mut out, k);
-            put_str(&mut out, v);
+            put_str(out, k);
+            put_str(out, v);
         }
         match sample.regions.batch() {
-            Some(batch) => encode_regions(&mut out, batch.rows_in(0..batch.len()), &dataset.schema),
-            None => encode_regions(&mut out, sample.regions.iter(), &dataset.schema),
+            Some(batch) => encode_regions(out, batch.rows_in(0..batch.len()), &dataset.schema),
+            None => encode_regions(out, sample.regions.iter(), &dataset.schema),
         }?;
     }
-    let trailer = crc32c(&out);
+    let trailer = crc32c(&out[start..]);
     out.extend_from_slice(&trailer.to_le_bytes());
-    Ok(out)
+    Ok(())
 }
 
 /// Serialise a query's outputs as one byte stream: for each output, in
@@ -169,9 +179,13 @@ pub fn encode_outputs(outputs: &HashMap<String, Dataset>) -> Result<Vec<u8>, For
     let mut out = Vec::new();
     for name in names {
         debug_assert_eq!(&outputs[name].name, name, "an output is keyed by its name");
-        let container = encode_dataset_v2(&outputs[name])?;
-        out.extend_from_slice(&(container.len() as u64).to_le_bytes());
-        out.extend_from_slice(&container);
+        // Each container is written in place, its length patched in once
+        // it is known.
+        let at = out.len();
+        out.extend_from_slice(&[0; 8]);
+        encode_container(&outputs[name], &mut out)?;
+        let len = (out.len() - at - 8) as u64;
+        out[at..at + 8].copy_from_slice(&len.to_le_bytes());
     }
     Ok(out)
 }

@@ -10,13 +10,12 @@
 
 use crate::durable;
 use crate::error::RepoError;
+use crate::recovery::{self, RepoHealth, State};
 use nggc_formats::native_v2::{self, Layout, Materialize, ScanOptions, StorageVersion};
 use nggc_formats::FormatError;
 use nggc_gdm::{Dataset, DatasetStats, Metadata, Schema};
 use nggc_obs::{ByteLru, FlightOutcome, SingleFlight};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -64,54 +63,20 @@ pub struct CatalogEntry {
 #[derive(Debug)]
 pub struct Repository {
     root: PathBuf,
-    catalog: BTreeMap<String, CatalogEntry>,
+    /// The catalog, and the next generation to assign on save: monotonic
+    /// across reopen/delete/recreate, so a recreated dataset never reuses
+    /// a generation a cached result might still reference.
+    state: State,
     cache: Mutex<DatasetCache>,
     /// Cold full reads in progress, by name: concurrent misses for the
     /// same dataset wait on one leader's disk read instead of each
     /// reading and decoding the full dataset (cold-load stampede).
     inflight: SingleFlight<String, Arc<Dataset>>,
-    /// Next generation to assign on save. Monotonic across the whole
-    /// repository *and* across reopen/delete/recreate (persisted in
-    /// `generations.json`), so a deleted-then-recreated dataset never
-    /// reuses a generation a cached result might still reference.
-    next_generation: u64,
     /// What [`Repository::open`] found and cleaned up; surfaced by
     /// `nggc stats` and `nggc serve` as a one-line health summary.
     health: RepoHealth,
-}
-
-/// Repository state observed (and recovered) while opening.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RepoHealth {
-    /// Catalogued datasets.
-    pub datasets_ok: usize,
-    /// Entries sitting in `quarantine/` (unreadable datasets set aside
-    /// by catalog recovery or `fsck --repair`).
-    pub quarantined: usize,
-    /// Orphaned temp/staging/trash entries swept while opening —
-    /// leftovers of writes a crash interrupted before publication.
-    pub swept: usize,
-    /// Whether the catalog was torn/corrupt and had to be rebuilt by
-    /// scanning the dataset directories.
-    pub catalog_rebuilt: bool,
-}
-
-impl fmt::Display for RepoHealth {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} dataset{} ok, {} quarantined, {} orphan temp entr{} swept",
-            self.datasets_ok,
-            if self.datasets_ok == 1 { "" } else { "s" },
-            self.quarantined,
-            self.swept,
-            if self.swept == 1 { "y" } else { "ies" },
-        )?;
-        if self.catalog_rebuilt {
-            write!(f, ", catalog rebuilt from dataset scan")?;
-        }
-        Ok(())
-    }
+    /// This process's shared lock on the repository.
+    _lock: Arc<fs::File>,
 }
 
 /// Open a dataset directory's v2 container for a pruned read.
@@ -174,13 +139,6 @@ impl DatasetCache {
     }
 }
 
-/// Persisted shape of `generations.json`: the next generation to hand
-/// out, flushed on every save so it survives reopen.
-#[derive(Debug, Serialize, Deserialize)]
-pub(crate) struct GenerationFile {
-    pub(crate) next: u64,
-}
-
 /// Total bytes of all files under `dir` (recursive).
 fn dir_bytes(dir: &Path) -> u64 {
     let Ok(entries) = fs::read_dir(dir) else {
@@ -196,139 +154,6 @@ fn dir_bytes(dir: &Path) -> u64 {
         }
     }
     total
-}
-
-/// The entries of `dir`, or none when it cannot be read.
-fn entries(dir: &Path) -> Vec<fs::DirEntry> {
-    fs::read_dir(dir).map(|e| e.filter_map(Result::ok).collect()).unwrap_or_default()
-}
-
-fn named(entry: &fs::DirEntry, prefix: &str) -> bool {
-    entry.file_name().to_string_lossy().starts_with(prefix)
-}
-
-/// A temp file [`durable::atomic_write`] stages before its rename.
-fn is_temp(entry: &fs::DirEntry) -> bool {
-    named(entry, ".tmp-")
-}
-
-/// Every leftover of a write a crash interrupted under `root`, in path
-/// order: temp files of [`durable::atomic_write`] (beside `catalog.json`,
-/// in a dataset directory, in `result_cache/`); a dataset directory that
-/// holds nothing but such files (a first save cut before its container
-/// was published); trashed trees (`.trash/*`); and the staging trees
-/// older releases wrote (`datasets/.stage-*`). None of them is published
-/// data, so removing them can never lose any. `open` sweeps this list
-/// and `fsck` reports it.
-pub(crate) fn orphan_entries(root: &Path) -> Vec<PathBuf> {
-    let datasets = root.join("datasets");
-    let mut orphans = Vec::new();
-    for (dir, prefix) in [
-        (root.to_path_buf(), ".tmp-"),
-        (root.join("result_cache"), ".tmp-"),
-        (root.join(".trash"), ""),
-        (datasets.clone(), ".stage-"),
-    ] {
-        orphans.extend(entries(&dir).iter().filter(|e| named(e, prefix)).map(|e| e.path()));
-    }
-    for dir in entries(&datasets).iter().filter(|e| !named(e, ".")).map(|e| e.path()) {
-        let inside = entries(&dir);
-        orphans.extend(inside.iter().filter(|e| is_temp(e)).map(|e| e.path()));
-        if dir.is_dir() && inside.iter().all(is_temp) {
-            orphans.push(dir);
-        }
-    }
-    orphans.sort();
-    orphans
-}
-
-/// Remove a file or a whole tree; whether it is gone afterwards (a tree
-/// an earlier removal took with it counts).
-pub(crate) fn remove_entry(path: &Path) -> bool {
-    if path.is_dir() {
-        fs::remove_dir_all(path).ok();
-    } else {
-        fs::remove_file(path).ok();
-    }
-    fs::symlink_metadata(path).is_err()
-}
-
-/// Dataset directories under `root/datasets`, in name order: every
-/// directory but dot-named ones and the unpublished ones
-/// [`orphan_entries`] lists.
-pub(crate) fn dataset_dirs(root: &Path) -> Vec<PathBuf> {
-    let mut dirs: Vec<PathBuf> = entries(&root.join("datasets"))
-        .iter()
-        .filter(|e| !named(e, "."))
-        .map(|e| e.path())
-        .filter(|p| p.is_dir() && !entries(p).iter().all(is_temp))
-        .collect();
-    dirs.sort();
-    dirs
-}
-
-/// Move an unreadable dataset directory into `quarantine/` under a
-/// unique name and drop a sibling `.reason.txt` explaining why.
-pub(crate) fn quarantine_dataset(
-    root: &Path,
-    dir: &Path,
-    reason: &str,
-) -> std::io::Result<PathBuf> {
-    let dest = durable::move_to_trash(dir, &root.join("quarantine"))?;
-    let mut reason_path = dest.clone().into_os_string();
-    reason_path.push(".reason.txt");
-    fs::write(PathBuf::from(reason_path), reason).ok();
-    nggc_obs::global().counter("nggc_repo_quarantined_total").inc();
-    Ok(dest)
-}
-
-/// Entries currently sitting in `quarantine/` (directories only; their
-/// sibling reason files don't count).
-pub(crate) fn quarantine_count(root: &Path) -> usize {
-    fs::read_dir(root.join("quarantine"))
-        .map(|entries| entries.filter_map(|e| e.ok()).filter(|e| e.path().is_dir()).count())
-        .unwrap_or(0)
-}
-
-/// The catalog entry of dataset directory `dir`, read in full: its
-/// schema and stats as stored, under `generation`.
-pub(crate) fn index_entry(
-    dir: &Path,
-    name: &str,
-    generation: u64,
-) -> Result<CatalogEntry, FormatError> {
-    let (ds, ..) = native_v2::read_dataset_auto(dir, Layout::Batches)?;
-    Ok(CatalogEntry { name: name.to_owned(), stats: ds.stats(), schema: ds.schema, generation })
-}
-
-/// Rebuild a catalog by scanning `datasets/`: every readable dataset is
-/// re-indexed with a **fresh** generation (starting at
-/// `first_generation`) so no result cached against the lost catalog can
-/// revalidate; unreadable directories are quarantined. Returns the
-/// catalog, how many datasets were quarantined, and the next free
-/// generation.
-pub(crate) fn rebuild_catalog(
-    root: &Path,
-    first_generation: u64,
-) -> (BTreeMap<String, CatalogEntry>, usize, u64) {
-    let mut catalog = BTreeMap::new();
-    let mut quarantined = 0usize;
-    let mut next = first_generation.max(1);
-    for dir in dataset_dirs(root) {
-        let name = dir.file_name().expect("filtered above").to_string_lossy().into_owned();
-        match index_entry(&dir, &name, next) {
-            Ok(entry) => {
-                next += 1;
-                catalog.insert(name, entry);
-            }
-            Err(e) => {
-                quarantine_dataset(root, &dir, &format!("unreadable during catalog rebuild: {e}"))
-                    .ok();
-                quarantined += 1;
-            }
-        }
-    }
-    (catalog, quarantined, next)
 }
 
 /// Asked once per stored sample, with the name and metadata in front of
@@ -398,70 +223,21 @@ pub struct MigrationReport {
 }
 
 impl Repository {
-    /// Open (or initialise) a repository at `root`.
-    ///
-    /// Opening is also the first line of crash recovery: the leftovers
-    /// of interrupted writes are swept (they are never published data;
-    /// see [`orphan_entries`]), and a torn or corrupt `catalog.json` is
-    /// rebuilt by scanning the dataset directories — readable datasets are
-    /// re-indexed under fresh generations, unreadable ones are moved to
-    /// `quarantine/` with a reason file instead of failing the whole
-    /// repository. What happened is recorded in [`Repository::health`].
+    /// Open (or initialise) a repository at `root`, recovering what a
+    /// crash left first (docs/robustness.md, "Recovery");
+    /// [`Repository::health`] says what was done. The repository is held
+    /// under a shared lock until it is dropped.
     pub fn open(root: impl Into<PathBuf>) -> Result<Repository, RepoError> {
         let root = root.into();
-        fs::create_dir_all(&root)?;
-        // The persisted high-water mark keeps generations monotonic
-        // across delete → reopen → recreate; a missing or unreadable
-        // file falls back to the catalog's own maximum.
-        let persisted_next = fs::read_to_string(root.join("generations.json"))
-            .ok()
-            .and_then(|text| serde_json::from_str::<GenerationFile>(&text).ok())
-            .map(|g| g.next)
-            .unwrap_or(0);
-        let catalog_path = root.join("catalog.json");
-        let mut catalog_rebuilt = false;
-        let catalog: BTreeMap<String, CatalogEntry> = if catalog_path.exists() {
-            let parsed = fs::read_to_string(&catalog_path)
-                .ok()
-                .and_then(|text| serde_json::from_str(&text).ok());
-            match parsed {
-                Some(catalog) => catalog,
-                None => {
-                    // Torn catalog. Rebuild from the datasets themselves
-                    // with fresh generations, and drop the on-disk result
-                    // cache wholesale: without a trustworthy catalog its
-                    // generation stamps cannot be validated.
-                    catalog_rebuilt = true;
-                    let (rebuilt, _, _) = rebuild_catalog(&root, persisted_next);
-                    fs::remove_dir_all(root.join("result_cache")).ok();
-                    rebuilt
-                }
-            }
-        } else {
-            BTreeMap::new()
-        };
-        let swept = orphan_entries(&root).iter().filter(|p| remove_entry(p)).count();
-        let catalog_next = catalog.values().map(|e| e.generation + 1).max().unwrap_or(1);
-        let health = RepoHealth {
-            datasets_ok: catalog.len(),
-            quarantined: quarantine_count(&root),
-            swept,
-            catalog_rebuilt,
-        };
-        let repo = Repository {
+        let (state, health, lock) = recovery::open(&root)?;
+        Ok(Repository {
             root,
-            catalog,
+            state,
             cache: Mutex::new(DatasetCache::default()),
             inflight: SingleFlight::default(),
-            next_generation: persisted_next.max(catalog_next).max(1),
             health,
-        };
-        if catalog_rebuilt {
-            // Persist the recovered state so the next open is clean.
-            repo.flush_generations()?;
-            repo.flush_catalog()?;
-        }
-        Ok(repo)
+            _lock: lock,
+        })
     }
 
     /// This repository without its in-memory dataset cache: nothing a
@@ -522,18 +298,17 @@ impl Repository {
         let stats = dataset.stats();
         let dir = self.dataset_dir(&dataset.name);
         let container = dir.join(native_v2::CONTAINER_FILE);
-        let replacing = self.catalog.contains_key(&dataset.name);
+        let replacing = self.state.catalog.contains_key(&dataset.name);
         if !replacing {
             durable::atomic_write(&container, &bytes)?;
             // The new directory's own entry in `datasets/`.
             durable::fsync_dir(&self.root.join("datasets"))?;
             durable::crashpoint("save.published");
         }
-        let generation = self.next_generation;
-        self.next_generation += 1;
-        self.flush_generations()?;
+        let generation = self.state.fresh();
+        self.state.write_generations(&self.root)?;
         durable::crashpoint("save.generations");
-        self.catalog.insert(
+        self.state.catalog.insert(
             dataset.name.clone(),
             CatalogEntry {
                 name: dataset.name.clone(),
@@ -542,7 +317,7 @@ impl Repository {
                 generation,
             },
         );
-        self.flush_catalog()?;
+        self.state.write_catalog(&self.root)?;
         durable::crashpoint("save.catalog");
         if replacing {
             durable::atomic_write(&container, &bytes)?;
@@ -613,7 +388,8 @@ impl Repository {
     ///   does not join the single-flight — partial data under the plain
     ///   dataset name would be served to later full loads.
     pub fn scan(&self, name: &str, req: &ScanRequest<'_>) -> Result<Arc<Dataset>, RepoError> {
-        let entry = self.catalog.get(name).ok_or_else(|| RepoError::NotFound(name.to_owned()))?;
+        let entry =
+            self.state.catalog.get(name).ok_or_else(|| RepoError::NotFound(name.to_owned()))?;
         let cached = || self.cache.lock().unwrap_or_else(|p| p.into_inner()).get(name);
         let restricts = req.opts != ScanOptions::default() || req.admit.is_some();
         let resident = if restricts { cached() } else { None };
@@ -766,7 +542,7 @@ impl Repository {
     /// The storage version a dataset currently uses on disk, or `None`
     /// when the dataset is unknown or its directory is unreadable.
     pub fn storage_version(&self, name: &str) -> Option<StorageVersion> {
-        if !self.catalog.contains_key(name) {
+        if !self.state.catalog.contains_key(name) {
             return None;
         }
         native_v2::detect_version(&self.dataset_dir(name))
@@ -776,7 +552,7 @@ impl Repository {
     /// v2 datasets are recompacted). Returns what was found and the
     /// before/after on-disk sizes.
     pub fn migrate(&mut self, name: &str) -> Result<MigrationReport, RepoError> {
-        if !self.catalog.contains_key(name) {
+        if !self.state.catalog.contains_key(name) {
             return Err(RepoError::NotFound(name.to_owned()));
         }
         let dir = self.dataset_dir(name);
@@ -794,7 +570,7 @@ impl Repository {
     /// [`MigrationSweep::failed`] instead of aborting the sweep with the
     /// remaining datasets unrecorded.
     pub fn migrate_all(&mut self) -> MigrationSweep {
-        let names: Vec<String> = self.catalog.keys().cloned().collect();
+        let names: Vec<String> = self.state.catalog.keys().cloned().collect();
         let mut sweep = MigrationSweep::default();
         for name in names {
             match self.migrate(&name) {
@@ -815,13 +591,12 @@ impl Repository {
     /// itself is renamed into `.trash` before removal so a crash can
     /// never expose a half-deleted container as live data.
     pub fn delete(&mut self, name: &str) -> Result<(), RepoError> {
-        if self.catalog.remove(name).is_none() {
+        if self.state.catalog.remove(name).is_none() {
             return Err(RepoError::NotFound(name.to_owned()));
         }
         self.cache.lock().unwrap_or_else(|p| p.into_inner()).invalidate(name);
         fs::remove_file(self.root.join("meta_index.json")).ok();
-        self.flush_generations()?;
-        self.flush_catalog()?;
+        self.state.write(&self.root)?;
         durable::crashpoint("delete.cataloged");
         let dir = self.dataset_dir(name);
         if dir.exists() {
@@ -834,22 +609,22 @@ impl Repository {
 
     /// List catalog entries in name order.
     pub fn list(&self) -> Vec<&CatalogEntry> {
-        self.catalog.values().collect()
+        self.state.catalog.values().collect()
     }
 
     /// Catalog entry of one dataset.
     pub fn entry(&self, name: &str) -> Option<&CatalogEntry> {
-        self.catalog.get(name)
+        self.state.catalog.get(name)
     }
 
     /// Schema of a dataset (for GMQL compilation) without loading regions.
     pub fn schema_of(&self, name: &str) -> Option<Schema> {
-        self.catalog.get(name).map(|e| e.schema.clone())
+        self.state.catalog.get(name).map(|e| e.schema.clone())
     }
 
     /// Dataset existence check.
     pub fn contains(&self, name: &str) -> bool {
-        self.catalog.contains_key(name)
+        self.state.catalog.contains_key(name)
     }
 
     /// Current generation of a dataset, or `None` when it does not
@@ -857,7 +632,7 @@ impl Repository {
     /// deleting removes it; a recreated dataset gets a strictly higher
     /// one. The query result cache validates entries against this.
     pub fn generation(&self, name: &str) -> Option<u64> {
-        self.catalog.get(name).map(|e| e.generation)
+        self.state.catalog.get(name).map(|e| e.generation)
     }
 
     /// Build (or rebuild) the persistent metadata index over every
@@ -865,7 +640,7 @@ impl Repository {
     /// index powers search without loading any region data afterwards.
     pub fn build_meta_index(&self) -> Result<crate::MetaIndex, RepoError> {
         let mut index = crate::MetaIndex::new();
-        for name in self.catalog.keys() {
+        for name in self.state.catalog.keys() {
             let ds = self.load(name)?;
             index.add_dataset(&ds);
         }
@@ -888,18 +663,6 @@ impl Repository {
 
     fn dataset_dir(&self, name: &str) -> PathBuf {
         self.root.join("datasets").join(name)
-    }
-
-    fn flush_catalog(&self) -> Result<(), RepoError> {
-        let text = serde_json::to_string_pretty(&self.catalog)?;
-        durable::atomic_write(&self.root.join("catalog.json"), text.as_bytes())?;
-        Ok(())
-    }
-
-    fn flush_generations(&self) -> Result<(), RepoError> {
-        let text = serde_json::to_string(&GenerationFile { next: self.next_generation })?;
-        durable::atomic_write(&self.root.join("generations.json"), text.as_bytes())?;
-        Ok(())
     }
 }
 

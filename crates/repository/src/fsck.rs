@@ -3,34 +3,19 @@
 //! [`fsck`] walks a repository the way a filesystem checker walks a
 //! disk: catalog ↔ dataset-directory cross-checks, container
 //! magic/header validation (`--deep` adds a full checksum pass over
-//! every block), orphaned temp/staging/trash detection, and stale
-//! result-cache entries whose source generation is gone. Every finding
-//! is an [`FsckIssue`]; with `repair` enabled each issue is fixed in
-//! the least destructive way available:
-//!
-//! | issue | repair |
-//! |---|---|
-//! | torn catalog | rebuild from dataset scan, fresh generations |
-//! | catalog entry without directory | drop the entry |
-//! | directory without catalog entry | re-index under a fresh generation |
-//! | catalog entry that misdescribes its directory | re-index under a fresh generation |
-//! | unreadable / checksum-failing dataset | quarantine with reason file |
-//! | orphan temp/staging/trash | remove |
-//! | stale result-cache entry | remove |
-//!
-//! Quarantining (into `quarantine/`, never deletion) keeps damaged
-//! bytes around for manual forensics. Re-indexing always assigns a
-//! fresh generation so no result cached before the damage can
-//! revalidate against recovered data.
+//! every block), leftovers of interrupted writes, and result-cache
+//! entries that can only miss. Every finding is an [`FsckIssue`]. It
+//! reads, judges and repairs the state files and leftovers the way
+//! `Repository::open` does, through the same recovery module; the
+//! dataset and result-cache checks are its own. What each issue's
+//! repair is: docs/robustness.md, "Recovery".
 
-use crate::catalog::{self, CatalogEntry};
-use crate::durable;
+use crate::catalog::CatalogEntry;
 use crate::error::RepoError;
+use crate::recovery::{self, Others, State};
 use crate::result_store::ResultStore;
 use nggc_formats::{native_v2, FormatError};
 use nggc_gdm::Schema;
-use std::collections::BTreeMap;
-use std::fs;
 use std::path::Path;
 
 /// What [`fsck`] should do.
@@ -120,6 +105,17 @@ impl FsckReport {
     pub fn unrepaired(&self) -> usize {
         self.issues.iter().filter(|i| !i.repaired).count()
     }
+
+    /// Record an issue, not repaired yet.
+    fn found(&mut self, kind: IssueKind, subject: impl ToString, detail: impl Into<String>) {
+        let (subject, detail) = (subject.to_string(), detail.into());
+        self.issues.push(FsckIssue { kind, subject, detail, repaired: false });
+    }
+
+    /// Mark the issue found last as repaired.
+    fn repaired(&mut self) {
+        self.issues.last_mut().expect("an issue was found").repaired = true;
+    }
 }
 
 /// What a dataset directory holds, as far as its catalog entry describes
@@ -152,220 +148,138 @@ fn check_dataset(dir: &Path, deep: bool) -> Result<Held, String> {
 }
 
 /// Walk the repository at `root`, verifying catalog, datasets, staging
-/// areas and the on-disk result cache; optionally repair. See the
-/// module docs for the issue → repair table.
+/// areas and the on-disk result cache; optionally repair. Leftovers are
+/// judged only when no one else holds the repository; while another
+/// process holds it, this fails with [`std::io::ErrorKind::ResourceBusy`]
+/// and reads nothing.
 pub fn fsck(root: &Path, opts: FsckOptions) -> Result<FsckReport, RepoError> {
     let reg = nggc_obs::global();
     reg.counter("nggc_repo_fsck_runs_total").inc();
+    let (_lock, report) = recovery::hold(root, |others| match others {
+        Others::OtherProcess => Err(RepoError::Io(std::io::Error::new(
+            std::io::ErrorKind::ResourceBusy,
+            format!("repository {} is in use by another process", root.display()),
+        ))),
+        others => check(root, opts, others == Others::None),
+    })?;
+    let report = report?;
+    reg.counter("nggc_repo_fsck_issues_total").add(report.issues.len() as u64);
+    reg.counter("nggc_repo_fsck_repairs_total")
+        .add(report.issues.iter().filter(|i| i.repaired).count() as u64);
+    Ok(report)
+}
+
+/// [`fsck`] with the repository held by this process; `alone` when no
+/// other handle of it is open either, so leftovers may be judged.
+fn check(root: &Path, opts: FsckOptions, alone: bool) -> Result<FsckReport, RepoError> {
+    use IssueKind::*;
     let mut report = FsckReport { deep: opts.deep, ..FsckReport::default() };
-    let issue = |report: &mut FsckReport, kind: IssueKind, subject: &str, detail: String| {
-        report.issues.push(FsckIssue { kind, subject: subject.to_owned(), detail, repaired: false })
-    };
 
-    // -- generations high-water mark ------------------------------------
-    let gen_path = root.join("generations.json");
-    let mut next_generation: u64 = 1;
-    let mut generations_torn = false;
-    if gen_path.exists() {
-        match fs::read_to_string(&gen_path)
-            .ok()
-            .and_then(|t| serde_json::from_str::<catalog::GenerationFile>(&t).ok())
-        {
-            Some(g) => next_generation = g.next.max(1),
-            None => {
-                generations_torn = true;
-                issue(
-                    &mut report,
-                    IssueKind::TornCatalog,
-                    "generations.json",
-                    "exists but does not parse".into(),
-                );
-            }
-        }
+    // -- state files -------------------------------------------------------
+    let mut state = State::read(root);
+    let torn = state.torn.clone();
+    for file in &torn {
+        report.found(TornCatalog, file, "exists but does not parse");
     }
-
-    // -- catalog ---------------------------------------------------------
-    let catalog_path = root.join("catalog.json");
-    let mut catalog: Option<BTreeMap<String, CatalogEntry>> = if catalog_path.exists() {
-        fs::read_to_string(&catalog_path).ok().and_then(|t| serde_json::from_str(&t).ok())
-    } else {
-        Some(BTreeMap::new())
-    };
-    let mut catalog_dirty = false;
-    if catalog.is_none() {
-        issue(
-            &mut report,
-            IssueKind::TornCatalog,
-            "catalog.json",
-            "exists but does not parse".into(),
-        );
-        if opts.repair {
-            // Rebuild with fresh generations; the result cache cannot be
-            // validated against a lost catalog, so drop it wholesale.
-            let (rebuilt, _, next) = catalog::rebuild_catalog(root, next_generation);
-            next_generation = next;
-            fs::remove_dir_all(root.join("result_cache")).ok();
-            catalog = Some(rebuilt);
-            catalog_dirty = true;
-            report.issues.last_mut().expect("just pushed").repaired = true;
-        }
-    }
-    // Keep generation assignment above anything the catalog recorded.
-    if let Some(cat) = &catalog {
-        let cat_next = cat.values().map(|e| e.generation + 1).max().unwrap_or(1);
-        next_generation = next_generation.max(cat_next);
+    let mut dirty = !torn.is_empty() && opts.repair;
+    if dirty {
+        state.repair_torn(root);
     }
 
     // -- datasets --------------------------------------------------------
-    let dirs = catalog::dataset_dirs(root);
-    if let Some(cat) = &mut catalog {
+    let (dirs, leftovers) = recovery::survey(root);
+    if !state.torn.contains(&recovery::CATALOG) {
         // Catalog entries whose directory vanished.
-        let missing: Vec<String> = cat
-            .keys()
-            .filter(|name| !dirs.iter().any(|d| d.file_name().is_some_and(|n| n == name.as_str())))
-            .cloned()
-            .collect();
-        for name in missing {
-            issue(
-                &mut report,
-                IssueKind::MissingDataset,
-                &name,
-                "catalogued but no dataset directory on disk".into(),
-            );
+        let on_disk = |name: &str| dirs.iter().any(|d| d.file_name().is_some_and(|n| n == name));
+        for name in state.catalog.keys().filter(|n| !on_disk(n)).cloned().collect::<Vec<_>>() {
+            report.found(MissingDataset, &name, "catalogued but no dataset directory on disk");
             if opts.repair {
-                cat.remove(&name);
-                catalog_dirty = true;
-                report.issues.last_mut().expect("just pushed").repaired = true;
+                state.catalog.remove(&name);
+                dirty = true;
+                report.repaired();
             }
         }
         // Directories: readability, then catalog membership and whether
         // the entry describes what the directory holds.
         for dir in &dirs {
             let name = dir.file_name().expect("dataset dirs have names").to_string_lossy();
-            match check_dataset(dir, opts.deep) {
+            let reason = match check_dataset(dir, opts.deep) {
                 Ok(held) => {
                     let listed =
                         |e: &CatalogEntry| (e.schema.clone(), e.stats.samples, e.stats.regions);
-                    let (kind, detail) = match cat.get(name.as_ref()).map(listed) {
+                    let (kind, detail) = match state.catalog.get(name.as_ref()).map(listed) {
                         Some(listed) if listed == held => {
                             report.datasets_ok += 1;
                             continue;
                         }
-                        Some(listed) => (
-                            IssueKind::CatalogMismatch,
-                            format!(
-                                "the catalog lists {}; the dataset holds {}",
-                                describe(&listed),
-                                describe(&held)
-                            ),
-                        ),
-                        None => (
-                            IssueKind::OrphanDataset,
-                            "dataset directory not in the catalog".into(),
-                        ),
-                    };
-                    issue(&mut report, kind, &name, detail);
-                    if opts.repair {
-                        // Re-indexed under a fresh generation, so no result
-                        // cached against the entry can revalidate.
-                        match catalog::index_entry(dir, &name, next_generation) {
-                            Ok(entry) => {
-                                next_generation += 1;
-                                cat.insert(name.to_string(), entry);
-                                catalog_dirty = true;
-                                report.issues.last_mut().expect("just pushed").repaired = true;
-                            }
-                            Err(e) => {
-                                // Readable shallowly but not fully: treat
-                                // like any unreadable dataset.
-                                let reason = format!("re-index during fsck failed: {e}");
-                                if catalog::quarantine_dataset(root, dir, &reason).is_ok() {
-                                    if cat.remove(name.as_ref()).is_some() {
-                                        catalog_dirty = true;
-                                    }
-                                    report.issues.last_mut().expect("just pushed").repaired = true;
-                                }
-                            }
+                        Some(listed) => {
+                            let (listed, held) = (describe(&listed), describe(&held));
+                            let detail =
+                                format!("the catalog lists {listed}; the dataset holds {held}");
+                            (CatalogMismatch, detail)
                         }
+                        None => (OrphanDataset, "dataset directory not in the catalog".to_owned()),
+                    };
+                    report.found(kind, &name, detail);
+                    if !opts.repair {
+                        continue;
+                    }
+                    // Re-indexed under a fresh generation, so no result
+                    // cached against the entry can revalidate.
+                    match state.index(dir, &name) {
+                        Ok(()) => {
+                            dirty = true;
+                            report.repaired();
+                            continue;
+                        }
+                        // Readable shallowly but not fully: treat like
+                        // any unreadable dataset.
+                        Err(e) => format!("re-index during fsck failed: {e}"),
                     }
                 }
                 Err(reason) => {
-                    issue(&mut report, IssueKind::UnreadableDataset, &name, reason.clone());
-                    if opts.repair && catalog::quarantine_dataset(root, dir, &reason).is_ok() {
-                        if cat.remove(name.as_ref()).is_some() {
-                            catalog_dirty = true;
-                        }
-                        report.issues.last_mut().expect("just pushed").repaired = true;
-                    }
+                    report.found(UnreadableDataset, &name, reason.clone());
+                    reason
                 }
+            };
+            if opts.repair && recovery::quarantine(root, dir, &reason).is_ok() {
+                dirty |= state.catalog.remove(name.as_ref()).is_some();
+                report.repaired();
             }
         }
     }
 
     // -- leftovers of interrupted writes ----------------------------------
-    for orphan in catalog::orphan_entries(root) {
-        issue(
-            &mut report,
-            IssueKind::OrphanTemp,
-            &orphan.display().to_string(),
-            "leftover from an interrupted write".into(),
-        );
-        if opts.repair && catalog::remove_entry(&orphan) {
-            report.issues.last_mut().expect("just pushed").repaired = true;
+    // Only while no one else holds the repository: any of them may be a
+    // live write's.
+    for path in if alone { leftovers } else { Vec::new() } {
+        report.found(OrphanTemp, path.display(), "leftover from an interrupted write");
+        if opts.repair && recovery::remove(&path) {
+            report.repaired();
         }
     }
 
     // -- result cache -----------------------------------------------------
-    if let Some(cat) = &catalog {
-        if root.join("result_cache").exists() {
-            let store = ResultStore::open(root.join("result_cache"), u64::MAX);
-            let gen_of = |name: &str| cat.get(name).map(|e| e.generation);
-            for path in store.stale_entries(&gen_of) {
-                issue(
-                    &mut report,
-                    IssueKind::StaleResult,
-                    &path.display().to_string(),
-                    "cached result that can only miss (source generation gone, bad header or older layout)"
-                        .into(),
-                );
-            }
-            if opts.repair {
-                let swept = store.sweep_stale(&gen_of);
-                let mut marked = 0;
-                for i in report.issues.iter_mut().rev() {
-                    if i.kind == IssueKind::StaleResult && marked < swept {
-                        i.repaired = true;
-                        marked += 1;
-                    }
-                }
-            }
+    if !state.torn.contains(&recovery::CATALOG) && root.join("result_cache").exists() {
+        let store = ResultStore::open(root.join("result_cache"), u64::MAX);
+        let gen_of = |name: &str| state.catalog.get(name).map(|e| e.generation);
+        for path in store.stale_entries(&gen_of) {
+            let detail = "cached result that can only miss (source generation gone, bad header or older layout)";
+            report.found(StaleResult, path.display(), detail);
+        }
+        if opts.repair {
+            let swept = store.sweep_stale(&gen_of) as usize;
+            let stale = report.issues.iter_mut().rev().filter(|i| i.kind == StaleResult);
+            stale.take(swept).for_each(|i| i.repaired = true);
         }
     }
 
     // -- persist repairs ---------------------------------------------------
-    if opts.repair && (catalog_dirty || generations_torn) {
-        if let Some(cat) = &catalog {
-            let text = serde_json::to_string_pretty(cat)?;
-            durable::atomic_write(&catalog_path, text.as_bytes())?;
-            durable::atomic_write(
-                &gen_path,
-                serde_json::to_string(&catalog::GenerationFile { next: next_generation })?
-                    .as_bytes(),
-            )?;
-            if generations_torn {
-                for i in report.issues.iter_mut() {
-                    if i.kind == IssueKind::TornCatalog && i.subject == "generations.json" {
-                        i.repaired = true;
-                    }
-                }
-            }
-        }
+    if dirty {
+        state.write(root)?;
+        report.issues.iter_mut().filter(|i| i.kind == TornCatalog).for_each(|i| i.repaired = true);
     }
-
-    report.quarantined = catalog::quarantine_count(root);
-    reg.counter("nggc_repo_fsck_issues_total").add(report.issues.len() as u64);
-    reg.counter("nggc_repo_fsck_repairs_total")
-        .add(report.issues.iter().filter(|i| i.repaired).count() as u64);
+    report.quarantined = recovery::quarantine_count(root);
     Ok(report)
 }
 
@@ -374,6 +288,8 @@ mod tests {
     use super::*;
     use crate::catalog::Repository;
     use nggc_gdm::{Attribute, Dataset, GRegion, Sample, Schema, Strand, ValueType};
+    use std::collections::BTreeMap;
+    use std::fs;
     use std::path::PathBuf;
 
     fn tmp(tag: &str) -> PathBuf {

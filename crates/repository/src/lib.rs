@@ -15,10 +15,11 @@ pub mod durable;
 pub mod error;
 pub mod fsck;
 pub mod meta_index;
+mod recovery;
 pub mod result_store;
 
 pub use catalog::{
-    CatalogEntry, MigrationReport, MigrationSweep, RepoHealth, Repository, SampleAdmit, ScanRequest,
+    CatalogEntry, MigrationReport, MigrationSweep, Repository, SampleAdmit, ScanRequest,
 };
 pub use durable::{CRASHPOINT_ENV, CRASH_SITES};
 pub use error::RepoError;
@@ -28,4 +29,5 @@ pub use nggc_formats::native_v2::{
     decode_dataset_v2, decode_outputs, encode_dataset_v2, encode_outputs, Materialize, ScanOptions,
     StorageVersion,
 };
+pub use recovery::RepoHealth;
 pub use result_store::ResultStore;

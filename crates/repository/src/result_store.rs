@@ -164,8 +164,10 @@ impl ResultStore {
         gens: &[(String, u64)],
         outputs: &HashMap<String, Dataset>,
     ) -> Result<(), RepoError> {
-        let mut file = entry_header(gens);
-        file.extend(encode_outputs(outputs)?);
+        // The outputs are encoded once, and the header goes in front of
+        // them in the same buffer.
+        let mut file = encode_outputs(outputs)?;
+        file.splice(0..0, entry_header(gens));
         let bytes = file.len() as u64;
         if bytes > self.capacity_bytes {
             return Ok(());
@@ -245,9 +247,7 @@ impl ResultStore {
         let reg = nggc_obs::global();
         let mut evicted = 0;
         for path in self.stale_entries(gen_of) {
-            let removed =
-                if path.is_dir() { fs::remove_dir_all(&path) } else { fs::remove_file(&path) };
-            if removed.is_ok() {
+            if crate::recovery::remove(&path) {
                 evicted += 1;
                 reg.counter("nggc_result_cache_invalidations_total").inc();
             }

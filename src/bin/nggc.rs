@@ -427,9 +427,10 @@ fn cmd_delete(repo_path: &Path, args: &[String]) -> Result<(), String> {
 
 /// `nggc fsck [--repair] [--deep] [--crashpoints]` — verify (and
 /// optionally repair) the repository. Operates on raw paths rather than
-/// `Repository::open`, which auto-repairs and would mask damage. Exits
-/// 0 when the repository is clean or every issue was repaired, 1 when
-/// un-repaired issues remain.
+/// `Repository::open`, which auto-repairs and would mask damage, and
+/// refuses a repository another process holds (a running `serve`, say).
+/// Exits 0 when the repository is clean or every issue was repaired, 1
+/// when un-repaired issues remain.
 fn cmd_fsck(repo_path: &Path, args: &[String]) -> Result<(), CliError> {
     use nggc::repository::{fsck, FsckOptions};
     let mut opts = FsckOptions::default();
