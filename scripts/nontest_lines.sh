@@ -11,7 +11,8 @@
 # older one, which stopped at a file's first `#[cfg(test)]` of any kind and
 # counted declared test files as non-test (the figure CHANGES.md quotes up
 # to the change that corrected it). Totals CHANGES.md quotes before the
-# change that added gdm leave that crate out.
+# change that added gdm leave that crate out. Last come the five largest
+# files under crates/*/src and src by this rule, largest first.
 #
 #   scripts/nontest_lines.sh          # run from anywhere inside the repo
 set -eu
@@ -80,3 +81,8 @@ set -- $(rs_files crates/core/src crates/engine/src crates/formats/src \
 printf '%-12s %6d  (core, engine, formats, gdm, repository, server + src/bin/nggc.rs)\n' \
     total "$(nontest "$@")"
 printf '%-12s %6d  (the same files by the older rule)\n' "old total" "$(OLD=1 nontest "$@")"
+echo "largest files (non-test lines):"
+# shellcheck disable=SC2046
+for file in $(rs_files crates/*/src src); do
+    printf '%6d  %s\n' "$(nontest "$file")" "$file"
+done | sort -rn | head -n 5
