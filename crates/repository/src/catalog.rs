@@ -16,6 +16,7 @@ use nggc_formats::FormatError;
 use nggc_gdm::{Dataset, DatasetStats, Metadata, Schema};
 use nggc_obs::{ByteLru, FlightOutcome, SingleFlight};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -41,8 +42,6 @@ pub struct CatalogEntry {
     pub stats: DatasetStats,
     /// Monotonic per-dataset generation, bumped on every save (and thus
     /// migrate). The query result cache keys entry validity on it.
-    /// Catalogs written before generations existed deserialize as 0.
-    #[serde(default)]
     pub generation: u64,
 }
 
@@ -65,7 +64,8 @@ pub struct Repository {
     root: PathBuf,
     /// The catalog, and the next generation to assign on save: monotonic
     /// across reopen/delete/recreate, so a recreated dataset never reuses
-    /// a generation a cached result might still reference.
+    /// a generation a cached result might still reference. As read at
+    /// open, then as this handle last wrote it.
     state: State,
     cache: Mutex<DatasetCache>,
     /// Cold full reads in progress, by name: concurrent misses for the
@@ -267,6 +267,8 @@ impl Repository {
     /// populates the cache with the saved copy, so a save-then-load round
     /// trip hits memory and a save that fails is never served.
     ///
+    /// It writes in the repository's write turn, to the catalog as read in
+    /// that turn, so no other process's save or delete is written over.
     /// The order of the writes keeps two rules:
     ///
     /// * A name already in the catalog gets its new generation and
@@ -291,43 +293,33 @@ impl Repository {
         dataset.validate().map_err(RepoError::Model)?;
         let bytes = native_v2::encode_dataset_v2(dataset)?;
         span.field("bytes", bytes.len());
-        // Any persisted metadata index is now stale, and so is a cached
-        // copy: the cache gets the new one once the container holds it.
-        fs::remove_file(self.root.join("meta_index.json")).ok();
-        self.cache.lock().unwrap_or_else(|p| p.into_inner()).invalidate(&dataset.name);
         let stats = dataset.stats();
         let dir = self.dataset_dir(&dataset.name);
         let container = dir.join(native_v2::CONTAINER_FILE);
-        let replacing = self.state.catalog.contains_key(&dataset.name);
+        let (turn, mut state) = State::begin(&self.root)?;
+        let replacing = state.datasets.contains_key(&dataset.name);
         if !replacing {
             durable::atomic_write(&container, &bytes)?;
             // The new directory's own entry in `datasets/`.
             durable::fsync_dir(&self.root.join("datasets"))?;
             durable::crashpoint("save.published");
         }
-        let generation = self.state.fresh();
-        self.state.write_generations(&self.root)?;
-        durable::crashpoint("save.generations");
-        self.state.catalog.insert(
-            dataset.name.clone(),
-            CatalogEntry {
-                name: dataset.name.clone(),
-                schema: dataset.schema.clone(),
-                stats,
-                generation,
-            },
-        );
-        self.state.write_catalog(&self.root)?;
+        let (name, schema, generation) =
+            (dataset.name.clone(), dataset.schema.clone(), state.fresh());
+        state.datasets.insert(name.clone(), CatalogEntry { name, schema, stats, generation });
+        state.write(&self.root, &turn)?;
         durable::crashpoint("save.catalog");
+        // The cached copy is stale now; the cache gets the new one once
+        // the container holds it.
+        self.adopt(state);
         if replacing {
             durable::atomic_write(&container, &bytes)?;
             durable::crashpoint("save.published");
         }
-        let mut cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
+        let cache = self.cache.get_mut().unwrap_or_else(|p| p.into_inner());
         if cache.max_entries > 0 {
             cache.insert(dataset.name.clone(), Arc::new(dataset.clone()), stats.bytes as u64);
         }
-        drop(cache);
         // The v1 text layout this container replaces, if any.
         fs::remove_file(dir.join("schema.gdm")).ok();
         fs::remove_dir_all(dir.join("files")).ok();
@@ -389,7 +381,7 @@ impl Repository {
     ///   dataset name would be served to later full loads.
     pub fn scan(&self, name: &str, req: &ScanRequest<'_>) -> Result<Arc<Dataset>, RepoError> {
         let entry =
-            self.state.catalog.get(name).ok_or_else(|| RepoError::NotFound(name.to_owned()))?;
+            self.state.datasets.get(name).ok_or_else(|| RepoError::NotFound(name.to_owned()))?;
         let cached = || self.cache.lock().unwrap_or_else(|p| p.into_inner()).get(name);
         let restricts = req.opts != ScanOptions::default() || req.admit.is_some();
         let resident = if restricts { cached() } else { None };
@@ -542,7 +534,7 @@ impl Repository {
     /// The storage version a dataset currently uses on disk, or `None`
     /// when the dataset is unknown or its directory is unreadable.
     pub fn storage_version(&self, name: &str) -> Option<StorageVersion> {
-        if !self.state.catalog.contains_key(name) {
+        if !self.state.datasets.contains_key(name) {
             return None;
         }
         native_v2::detect_version(&self.dataset_dir(name))
@@ -552,7 +544,7 @@ impl Repository {
     /// v2 datasets are recompacted). Returns what was found and the
     /// before/after on-disk sizes.
     pub fn migrate(&mut self, name: &str) -> Result<MigrationReport, RepoError> {
-        if !self.state.catalog.contains_key(name) {
+        if !self.state.datasets.contains_key(name) {
             return Err(RepoError::NotFound(name.to_owned()));
         }
         let dir = self.dataset_dir(name);
@@ -570,7 +562,7 @@ impl Repository {
     /// [`MigrationSweep::failed`] instead of aborting the sweep with the
     /// remaining datasets unrecorded.
     pub fn migrate_all(&mut self) -> MigrationSweep {
-        let names: Vec<String> = self.state.catalog.keys().cloned().collect();
+        let names: Vec<String> = self.state.datasets.keys().cloned().collect();
         let mut sweep = MigrationSweep::default();
         for name in names {
             match self.migrate(&name) {
@@ -583,21 +575,21 @@ impl Repository {
 
     /// Delete a dataset.
     ///
-    /// The catalog (and generation high-water mark) is persisted
-    /// *before* the dataset directory is touched: a crash between the
-    /// two leaves at worst an orphaned directory for `fsck` to deal
-    /// with, never a catalog entry whose generation could revalidate a
-    /// stale cached result against data that is gone. The directory
-    /// itself is renamed into `.trash` before removal so a crash can
-    /// never expose a half-deleted container as live data.
+    /// The catalog is persisted *before* the dataset directory is
+    /// touched: a crash between the two leaves at worst an orphaned
+    /// directory for `fsck` to deal with, never a catalog entry whose
+    /// generation could revalidate a stale cached result against data
+    /// that is gone. The directory itself is renamed into `.trash` before
+    /// removal so a crash can never expose a half-deleted container as
+    /// live data.
     pub fn delete(&mut self, name: &str) -> Result<(), RepoError> {
-        if self.state.catalog.remove(name).is_none() {
+        let (turn, mut state) = State::begin(&self.root)?;
+        if state.datasets.remove(name).is_none() {
             return Err(RepoError::NotFound(name.to_owned()));
         }
-        self.cache.lock().unwrap_or_else(|p| p.into_inner()).invalidate(name);
-        fs::remove_file(self.root.join("meta_index.json")).ok();
-        self.state.write(&self.root)?;
+        state.write(&self.root, &turn)?;
         durable::crashpoint("delete.cataloged");
+        self.adopt(state);
         let dir = self.dataset_dir(name);
         if dir.exists() {
             let trashed = durable::move_to_trash(&dir, &self.root.join(".trash"))?;
@@ -609,22 +601,22 @@ impl Repository {
 
     /// List catalog entries in name order.
     pub fn list(&self) -> Vec<&CatalogEntry> {
-        self.state.catalog.values().collect()
+        self.state.datasets.values().collect()
     }
 
     /// Catalog entry of one dataset.
     pub fn entry(&self, name: &str) -> Option<&CatalogEntry> {
-        self.state.catalog.get(name)
+        self.state.datasets.get(name)
     }
 
     /// Schema of a dataset (for GMQL compilation) without loading regions.
     pub fn schema_of(&self, name: &str) -> Option<Schema> {
-        self.state.catalog.get(name).map(|e| e.schema.clone())
+        self.state.datasets.get(name).map(|e| e.schema.clone())
     }
 
     /// Dataset existence check.
     pub fn contains(&self, name: &str) -> bool {
-        self.state.catalog.contains_key(name)
+        self.state.datasets.contains_key(name)
     }
 
     /// Current generation of a dataset, or `None` when it does not
@@ -632,33 +624,49 @@ impl Repository {
     /// deleting removes it; a recreated dataset gets a strictly higher
     /// one. The query result cache validates entries against this.
     pub fn generation(&self, name: &str) -> Option<u64> {
-        self.state.catalog.get(name).map(|e| e.generation)
+        self.state.datasets.get(name).map(|e| e.generation)
+    }
+
+    /// Take `state`, as just written, for this handle's own, and drop
+    /// every cached dataset whose generation moved or that went away.
+    fn adopt(&mut self, state: State) {
+        let cache = self.cache.get_mut().unwrap_or_else(|p| p.into_inner());
+        for (name, entry) in &self.state.datasets {
+            if state.datasets.get(name).map(|e| e.generation) != Some(entry.generation) {
+                cache.invalidate(name);
+            }
+        }
+        self.state = state;
     }
 
     /// Build (or rebuild) the persistent metadata index over every
-    /// dataset in the repository, writing it to `meta_index.json`. The
-    /// index powers search without loading any region data afterwards.
+    /// dataset in the repository, writing it to `meta_index.json` with the
+    /// generation of each dataset it read. The index powers search without
+    /// loading any region data afterwards.
     pub fn build_meta_index(&self) -> Result<crate::MetaIndex, RepoError> {
         let mut index = crate::MetaIndex::new();
-        for name in self.state.catalog.keys() {
+        for name in self.state.datasets.keys() {
             let ds = self.load(name)?;
             index.add_dataset(&ds);
         }
-        let text = serde_json::to_string(&index)?;
+        let text = serde_json::to_string(&(self.generations(), &index))?;
         durable::atomic_write(&self.root.join("meta_index.json"), text.as_bytes())?;
         Ok(index)
     }
 
-    /// Load the persisted metadata index, or rebuild it when absent /
-    /// unreadable.
+    /// The persisted metadata index when it was built from the datasets
+    /// this catalog lists, at their generations; else a rebuilt one.
     pub fn meta_index(&self) -> Result<crate::MetaIndex, RepoError> {
-        let path = self.root.join("meta_index.json");
-        if let Ok(text) = fs::read_to_string(&path) {
-            if let Ok(index) = serde_json::from_str(&text) {
-                return Ok(index);
-            }
+        let text = fs::read_to_string(self.root.join("meta_index.json")).unwrap_or_default();
+        match serde_json::from_str::<(BTreeMap<String, u64>, crate::MetaIndex)>(&text) {
+            Ok((generations, index)) if generations == self.generations() => Ok(index),
+            _ => self.build_meta_index(),
         }
-        self.build_meta_index()
+    }
+
+    /// Dataset name → generation, over the catalog.
+    fn generations(&self) -> BTreeMap<String, u64> {
+        self.state.datasets.iter().map(|(name, e)| (name.clone(), e.generation)).collect()
     }
 
     fn dataset_dir(&self, name: &str) -> PathBuf {
@@ -920,6 +928,44 @@ mod tests {
         fs::write(root.join("meta_index.json"), "garbage").unwrap();
         let idx3 = repo.meta_index().unwrap();
         assert_eq!(idx3.documents(), 1);
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_meta_index_built_from_an_older_catalog_is_not_served_to_a_newer_one() {
+        let root = tmp();
+        Repository::open(&root).unwrap().save(&dataset("OLD")).unwrap();
+        let first = Repository::open(&root).unwrap();
+        Repository::open(&root).unwrap().save(&dataset("NEW")).unwrap();
+        // Built from the catalog `first` read at open, which lacks NEW.
+        assert_eq!(first.meta_index().unwrap().documents(), 1);
+        let index = Repository::open(&root).unwrap().meta_index().unwrap();
+        let datasets: Vec<&str> =
+            index.lookup("cell", "HeLa").iter().map(|s| s.dataset.as_str()).collect();
+        assert_eq!(datasets, ["NEW", "OLD"]);
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_write_takes_the_catalog_as_other_handles_left_it() {
+        let root = tmp();
+        let mut first = Repository::open(&root).unwrap();
+        first.save(&dataset("DS")).unwrap();
+        let mut second = Repository::open(&root).unwrap();
+        second.save(&two_chrom_dataset("DS")).unwrap();
+        second.save(&dataset("NEW")).unwrap();
+        // `first` serves the catalog it read, and DS from its cache…
+        assert_eq!(first.load("DS").unwrap().region_count(), 1);
+        assert!(!first.contains("NEW"));
+        // …until a write of its own: it keeps what `second` wrote, and
+        // no longer serves the copy whose generation moved.
+        first.save(&dataset("OTHER")).unwrap();
+        assert_eq!(first.generation("DS"), second.generation("DS"));
+        assert_eq!(first.load("DS").unwrap().region_count(), 2);
+        let names: Vec<&str> = first.list().iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["DS", "NEW", "OTHER"]);
+        first.delete("NEW").unwrap();
+        assert_eq!(Repository::open(&root).unwrap().list().len(), 2);
         fs::remove_dir_all(&root).ok();
     }
 

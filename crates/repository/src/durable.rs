@@ -7,9 +7,8 @@
 //! file, renames it into place and fsyncs the parent directory. A crash
 //! at any instant leaves either the old bytes or the new bytes, never a
 //! torn file; a temp file a crash leaves behind is swept on the next
-//! open or by fsck. Every file the repository keeps — catalog,
-//! generations, dataset containers, result-store entries — is written
-//! this way.
+//! open or by fsck. Every file the repository keeps — catalog, dataset
+//! containers, result-store entries — is written this way.
 //!
 //! ## Crash injection
 //!
@@ -36,12 +35,11 @@ pub const CRASHPOINT_ENV: &str = "NGGC_CRASHPOINT";
 /// harnesses iterate this list; keep it in sync with the `crashpoint`
 /// calls below and in `catalog.rs`.
 pub const CRASH_SITES: &[&str] = &[
-    // atomic_write (catalog.json, generations.json, dataset containers,
-    // result-store entries)
+    // atomic_write (catalog.json, dataset containers, result-store
+    // entries)
     "durable.staged",
     "durable.renamed",
     // catalog.rs save / delete protocols
-    "save.generations",
     "save.catalog",
     "save.published",
     "delete.cataloged",

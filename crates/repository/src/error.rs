@@ -17,6 +17,9 @@ pub enum RepoError {
     Model(GdmError),
     /// No dataset with the given name.
     NotFound(String),
+    /// A write found the catalog of the repository at this root torn;
+    /// reopening the repository rebuilds it.
+    Torn(std::path::PathBuf),
     /// A bounded load was refused because the catalog's size estimate
     /// exceeds the caller's remaining memory budget.
     Budget {
@@ -37,6 +40,9 @@ impl fmt::Display for RepoError {
             RepoError::Format(e) => write!(f, "format error: {e}"),
             RepoError::Model(e) => write!(f, "model error: {e}"),
             RepoError::NotFound(n) => write!(f, "dataset {n:?} not found"),
+            RepoError::Torn(root) => {
+                write!(f, "the catalog of {} is torn; reopen to rebuild it", root.display())
+            }
             RepoError::Budget { name, estimated, budget } => write!(
                 f,
                 "loading dataset {name:?} (estimated {estimated} B) would exceed the \
@@ -53,7 +59,7 @@ impl std::error::Error for RepoError {
             RepoError::Catalog(e) => Some(e),
             RepoError::Format(e) => Some(e),
             RepoError::Model(e) => Some(e),
-            RepoError::NotFound(_) => None,
+            RepoError::NotFound(_) | RepoError::Torn(_) => None,
             RepoError::Budget { .. } => None,
         }
     }

@@ -5,7 +5,7 @@
 //! magic/header validation (`--deep` adds a full checksum pass over
 //! every block), leftovers of interrupted writes, and result-cache
 //! entries that can only miss. Every finding is an [`FsckIssue`]. It
-//! reads, judges and repairs the state files and leftovers the way
+//! reads, judges and repairs the state and leftovers the way
 //! `Repository::open` does, through the same recovery module; the
 //! dataset and result-cache checks are its own. What each issue's
 //! repair is: docs/robustness.md, "Recovery".
@@ -32,7 +32,7 @@ pub struct FsckOptions {
 /// Category of one [`FsckIssue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IssueKind {
-    /// `catalog.json` (or `generations.json`) exists but does not parse.
+    /// `catalog.json` exists but does not parse.
     TornCatalog,
     /// A catalog entry whose dataset directory is missing.
     MissingDataset,
@@ -175,26 +175,27 @@ fn check(root: &Path, opts: FsckOptions, alone: bool) -> Result<FsckReport, Repo
     use IssueKind::*;
     let mut report = FsckReport { deep: opts.deep, ..FsckReport::default() };
 
-    // -- state files -------------------------------------------------------
+    // -- state -------------------------------------------------------------
+    // A repair writes in the write turn, so it takes it before it reads.
+    let turn = if opts.repair { Some(recovery::turn(root)?) } else { None };
     let mut state = State::read(root);
-    let torn = state.torn.clone();
-    for file in &torn {
-        report.found(TornCatalog, file, "exists but does not parse");
+    if state.torn {
+        report.found(TornCatalog, recovery::CATALOG, "exists but does not parse");
     }
-    let mut dirty = !torn.is_empty() && opts.repair;
+    let mut dirty = state.torn && opts.repair;
     if dirty {
         state.repair_torn(root);
     }
 
     // -- datasets --------------------------------------------------------
     let (dirs, leftovers) = recovery::survey(root);
-    if !state.torn.contains(&recovery::CATALOG) {
+    if !state.torn {
         // Catalog entries whose directory vanished.
         let on_disk = |name: &str| dirs.iter().any(|d| d.file_name().is_some_and(|n| n == name));
-        for name in state.catalog.keys().filter(|n| !on_disk(n)).cloned().collect::<Vec<_>>() {
+        for name in state.datasets.keys().filter(|n| !on_disk(n)).cloned().collect::<Vec<_>>() {
             report.found(MissingDataset, &name, "catalogued but no dataset directory on disk");
             if opts.repair {
-                state.catalog.remove(&name);
+                state.datasets.remove(&name);
                 dirty = true;
                 report.repaired();
             }
@@ -207,7 +208,7 @@ fn check(root: &Path, opts: FsckOptions, alone: bool) -> Result<FsckReport, Repo
                 Ok(held) => {
                     let listed =
                         |e: &CatalogEntry| (e.schema.clone(), e.stats.samples, e.stats.regions);
-                    let (kind, detail) = match state.catalog.get(name.as_ref()).map(listed) {
+                    let (kind, detail) = match state.datasets.get(name.as_ref()).map(listed) {
                         Some(listed) if listed == held => {
                             report.datasets_ok += 1;
                             continue;
@@ -243,7 +244,7 @@ fn check(root: &Path, opts: FsckOptions, alone: bool) -> Result<FsckReport, Repo
                 }
             };
             if opts.repair && recovery::quarantine(root, dir, &reason).is_ok() {
-                dirty |= state.catalog.remove(name.as_ref()).is_some();
+                dirty |= state.datasets.remove(name.as_ref()).is_some();
                 report.repaired();
             }
         }
@@ -260,9 +261,9 @@ fn check(root: &Path, opts: FsckOptions, alone: bool) -> Result<FsckReport, Repo
     }
 
     // -- result cache -----------------------------------------------------
-    if !state.torn.contains(&recovery::CATALOG) && root.join("result_cache").exists() {
+    if !state.torn && root.join("result_cache").exists() {
         let store = ResultStore::open(root.join("result_cache"), u64::MAX);
-        let gen_of = |name: &str| state.catalog.get(name).map(|e| e.generation);
+        let gen_of = |name: &str| state.datasets.get(name).map(|e| e.generation);
         for path in store.stale_entries(&gen_of) {
             let detail = "cached result that can only miss (source generation gone, bad header or older layout)";
             report.found(StaleResult, path.display(), detail);
@@ -275,8 +276,8 @@ fn check(root: &Path, opts: FsckOptions, alone: bool) -> Result<FsckReport, Repo
     }
 
     // -- persist repairs ---------------------------------------------------
-    if dirty {
-        state.write(root)?;
+    if let Some(turn) = turn.filter(|_| dirty) {
+        state.write(root, &turn)?;
         report.issues.iter_mut().filter(|i| i.kind == TornCatalog).for_each(|i| i.repaired = true);
     }
     report.quarantined = recovery::quarantine_count(root);
@@ -320,6 +321,13 @@ mod tests {
         root
     }
 
+    /// Edit the entries of `root`'s catalog behind its repositories' backs.
+    fn edit_catalog(root: &Path, edit: impl FnOnce(&mut BTreeMap<String, CatalogEntry>)) {
+        let mut state = State::read(root);
+        edit(&mut state.datasets);
+        state.write(root, &recovery::turn(root).unwrap()).unwrap();
+    }
+
     #[test]
     fn clean_repo_is_clean() {
         let root = seeded("clean");
@@ -343,14 +351,9 @@ mod tests {
         let mut r2 = Repository::open(&root).unwrap();
         r2.save(&dataset("A")).unwrap();
         let resave_gen = r2.generation("A").unwrap();
-        let catalog_text = fs::read_to_string(root.join("catalog.json")).unwrap();
-        let stripped: BTreeMap<String, CatalogEntry> =
-            serde_json::from_str::<BTreeMap<String, CatalogEntry>>(&catalog_text)
-                .unwrap()
-                .into_iter()
-                .filter(|(k, _)| k != "A")
-                .collect();
-        fs::write(root.join("catalog.json"), serde_json::to_string(&stripped).unwrap()).unwrap();
+        edit_catalog(&root, |catalog| {
+            catalog.remove("A");
+        });
 
         let report = fsck(&root, FsckOptions::default()).unwrap();
         assert_eq!(report.issues.len(), 1);
@@ -373,13 +376,11 @@ mod tests {
         let old_gen = Repository::open(&root).unwrap().generation("A").unwrap();
         // What a replacing save that died between its catalog flush and
         // its container rename leaves: the entry of data not on disk.
-        let catalog_text = fs::read_to_string(root.join("catalog.json")).unwrap();
-        let mut catalog: BTreeMap<String, CatalogEntry> =
-            serde_json::from_str(&catalog_text).unwrap();
-        let entry = catalog.get_mut("A").unwrap();
-        entry.stats.regions += 2;
-        entry.schema = nggc_gdm::Schema::empty();
-        fs::write(root.join("catalog.json"), serde_json::to_string(&catalog).unwrap()).unwrap();
+        edit_catalog(&root, |catalog| {
+            let entry = catalog.get_mut("A").unwrap();
+            entry.stats.regions += 2;
+            entry.schema = nggc_gdm::Schema::empty();
+        });
 
         for deep in [false, true] {
             let report = fsck(&root, FsckOptions { deep, repair: false }).unwrap();

@@ -1,18 +1,18 @@
 //! Crash recovery: reading a repository's state, judging what a crash
 //! left behind, and repairing both. [`Repository::open`] and [`fsck`]
 //! read, judge and repair a repository through this module alone, and
-//! `save` and `delete` write the state files through it; which repairs
-//! each of them makes is tabled in docs/robustness.md, "Recovery".
+//! `save` and `delete` write the state through it; which repairs each of
+//! them makes is tabled in docs/robustness.md, "Recovery".
 //!
-//! The state is two files written by [`durable::atomic_write`]:
-//! `catalog.json` and `generations.json`, the next generation to hand
-//! out. One that does not parse was damaged outside that protocol: it is
-//! *torn*. A *leftover* ([`survey`]) is what an interrupted write
-//! leaves, and also what a live write is made of, so only a process that
-//! holds the repository alone judges them: a [`Repository`] holds a
-//! shared lock on `<root>/.lock` for its whole life, and [`hold`] tries
-//! it exclusively, without waiting, to learn who else does. A crashed
-//! writer's lock dies with it.
+//! The state is one file, `catalog.json`, written by
+//! [`durable::atomic_write`] in a writer's [`Turn`]. One that does not
+//! parse was damaged outside that protocol: it is *torn*. A *leftover*
+//! ([`survey`]) is what an interrupted write leaves, and also what a live
+//! write is made of, so only a process that holds the repository alone
+//! judges them: a [`Repository`] holds a shared lock on `<root>/.lock`
+//! for its whole life, and [`hold`] tries it exclusively, without
+//! waiting, to learn who else does. A crashed process's locks die with
+//! it.
 //!
 //! [`Repository::open`]: crate::Repository::open
 //! [`Repository`]: crate::Repository
@@ -32,16 +32,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, Weak};
 
 pub(crate) const CATALOG: &str = "catalog.json";
-const GENERATIONS: &str = "generations.json";
 
-/// Dataset name → catalog entry: `catalog.json` as held in memory.
+/// Dataset name → catalog entry.
 pub(crate) type Catalog = BTreeMap<String, CatalogEntry>;
-
-/// Persisted shape of `generations.json`.
-#[derive(Serialize, Deserialize)]
-struct GenerationFile {
-    next: u64,
-}
 
 /// Repository state observed (and recovered) while opening.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -57,9 +50,6 @@ pub struct RepoHealth {
     /// Whether the catalog was torn/corrupt and had to be rebuilt by
     /// scanning the dataset directories.
     pub catalog_rebuilt: bool,
-    /// Whether `generations.json` was torn and had to be rewritten from
-    /// the catalog.
-    pub generations_rebuilt: bool,
 }
 
 impl fmt::Display for RepoHealth {
@@ -76,66 +66,74 @@ impl fmt::Display for RepoHealth {
         if self.catalog_rebuilt {
             write!(f, ", catalog rebuilt from dataset scan")?;
         }
-        if self.generations_rebuilt {
-            write!(f, ", generations rewritten from the catalog")?;
-        }
         Ok(())
     }
 }
 
-/// A repository's state files as read.
-#[derive(Debug)]
+/// A repository's state: `catalog.json` as read.
+#[derive(Debug, Serialize, Deserialize)]
 pub(crate) struct State {
-    /// The catalog: empty when `catalog.json` is absent or torn.
-    pub(crate) catalog: Catalog,
-    /// The next generation to hand out: above the persisted mark and
-    /// every catalogued generation.
+    /// The next generation to hand out: above every one this file has
+    /// handed out, deleted datasets' included, since it was last rebuilt.
     pub(crate) next: u64,
-    /// The state files that do not parse, the mark first.
-    pub(crate) torn: Vec<&'static str>,
+    /// The catalog: empty when `catalog.json` is absent or torn.
+    pub(crate) datasets: Catalog,
+    /// Whether `catalog.json` exists but does not parse.
+    #[serde(skip)]
+    pub(crate) torn: bool,
 }
 
-/// `root/name` parsed: `Some(None)` when absent, `None` when torn.
-fn parse<T: Deserialize>(root: &Path, name: &str) -> Option<Option<T>> {
-    match fs::read_to_string(root.join(name)) {
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Some(None),
-        text => text.ok().and_then(|t| serde_json::from_str(&t).ok()).map(Some),
-    }
+/// A writer's turn: an exclusive `flock` on `<root>/.write`, held until
+/// it is dropped. It cannot be `.lock`, which every open repository holds
+/// shared for its whole life.
+pub(crate) struct Turn {
+    _lock: File,
+}
+
+/// Wait for `root`'s write turn. Every write of the state happens in one.
+pub(crate) fn turn(root: &Path) -> io::Result<Turn> {
+    let file = File::options().append(true).create(true).open(root.join(".write"))?;
+    file.lock()?;
+    Ok(Turn { _lock: file })
 }
 
 impl State {
-    /// Read both state files under `root`.
+    /// Read `catalog.json` under `root`: an empty state when it is absent,
+    /// an empty torn one when it does not parse.
     pub(crate) fn read(root: &Path) -> State {
-        let generations = parse::<GenerationFile>(root, GENERATIONS);
-        let catalog = parse::<Catalog>(root, CATALOG);
-        let torn = [(generations.is_none(), GENERATIONS), (catalog.is_none(), CATALOG)];
-        let catalog = catalog.flatten().unwrap_or_default();
-        let catalogued = catalog.values().map(|e| e.generation + 1).max().unwrap_or(1);
-        State {
-            next: generations.flatten().map_or(0, |g| g.next).max(catalogued),
-            catalog,
-            torn: torn.into_iter().filter(|(torn, _)| *torn).map(|(_, name)| name).collect(),
+        let fresh = |torn| State { next: 1, datasets: Catalog::new(), torn };
+        match fs::read_to_string(root.join(CATALOG)) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => fresh(false),
+            text => text.ok().and_then(|t| serde_json::from_str(&t).ok()).unwrap_or(fresh(true)),
         }
     }
 
-    /// Repair what [`State::torn`] lists, in memory: a torn catalog is
-    /// rebuilt from the datasets under fresh generations, quarantining the
-    /// unreadable ones (a torn mark is already above the catalog), and the
-    /// result cache, whose stamps cannot be validated, is dropped.
+    /// Wait for `root`'s write turn and read the state in it, as a writer
+    /// does before it changes anything: what other processes wrote since
+    /// this one last read is in it. A torn state is not a writer's to
+    /// repair.
+    pub(crate) fn begin(root: &Path) -> Result<(Turn, State), RepoError> {
+        let turn = turn(root)?;
+        let state = State::read(root);
+        if state.torn {
+            return Err(RepoError::Torn(root.to_path_buf()));
+        }
+        Ok((turn, state))
+    }
+
+    /// Repair a torn state in memory: rebuild the catalog from the
+    /// datasets under fresh generations, quarantining the unreadable
+    /// ones, and drop the result cache, whose stamps cannot be validated.
     pub(crate) fn repair_torn(&mut self, root: &Path) {
-        if self.torn.contains(&CATALOG) {
-            for dir in survey(root).0 {
-                let name = dir.file_name().expect("a dataset directory").to_string_lossy();
-                if let Err(e) = self.index(&dir, &name) {
-                    let reason = format!("unreadable during catalog rebuild: {e}");
-                    quarantine(root, &dir, &reason).ok();
-                }
+        for dir in survey(root).0 {
+            let name = dir.file_name().expect("a dataset directory").to_string_lossy();
+            if let Err(e) = self.index(&dir, &name) {
+                let reason = format!("unreadable during catalog rebuild: {e}");
+                quarantine(root, &dir, &reason).ok();
             }
         }
-        if !self.torn.is_empty() {
-            fs::remove_dir_all(root.join("result_cache")).ok();
-        }
-        self.torn.clear();
+        fs::remove_dir_all(root.join("result_cache")).ok();
+        self.torn = false;
     }
 
     /// Catalog dataset directory `dir` as `name`, read in full: its
@@ -143,7 +141,7 @@ impl State {
     pub(crate) fn index(&mut self, dir: &Path, name: &str) -> Result<(), FormatError> {
         let (ds, ..) = native_v2::read_dataset_auto(dir, Layout::Batches)?;
         let (name, stats, generation) = (name.to_owned(), ds.stats(), self.fresh());
-        self.catalog
+        self.datasets
             .insert(name.clone(), CatalogEntry { name, stats, schema: ds.schema, generation });
         Ok(())
     }
@@ -155,22 +153,10 @@ impl State {
         generation
     }
 
-    /// Write both state files, the mark first.
-    pub(crate) fn write(&self, root: &Path) -> Result<(), RepoError> {
-        self.write_generations(root)?;
-        self.write_catalog(root)
-    }
-
-    /// Write `catalog.json`.
-    pub(crate) fn write_catalog(&self, root: &Path) -> Result<(), RepoError> {
-        let text = serde_json::to_string_pretty(&self.catalog)?;
+    /// Write `catalog.json`: one atomic write, in the writer's turn.
+    pub(crate) fn write(&self, root: &Path, _: &Turn) -> Result<(), RepoError> {
+        let text = serde_json::to_string_pretty(self)?;
         Ok(durable::atomic_write(&root.join(CATALOG), text.as_bytes())?)
-    }
-
-    /// Write `generations.json`.
-    pub(crate) fn write_generations(&self, root: &Path) -> Result<(), RepoError> {
-        let text = serde_json::to_string(&GenerationFile { next: self.next })?;
-        Ok(durable::atomic_write(&root.join(GENERATIONS), text.as_bytes())?)
     }
 }
 
@@ -223,26 +209,26 @@ pub(crate) fn hold<T>(root: &Path, f: impl FnOnce(Others) -> T) -> io::Result<(A
 /// `root`, with the lock it keeps from then on.
 pub(crate) fn open(root: &Path) -> Result<(State, RepoHealth, Arc<File>), RepoError> {
     fs::create_dir_all(root)?;
-    let (lock, opened) = hold(root, |others| {
-        let alone = others == Others::None;
-        let swept = if alone { survey(root).1.iter().filter(|p| remove(p)).count() } else { 0 };
-        let mut state = State::read(root);
-        let torn = |file| state.torn.contains(&file);
-        let (catalog_rebuilt, generations_rebuilt) = (torn(CATALOG), torn(GENERATIONS));
-        if catalog_rebuilt || generations_rebuilt {
-            state.repair_torn(root);
-            state.write(root)?;
-        }
-        let health = RepoHealth {
-            datasets_ok: state.catalog.len(),
-            quarantined: quarantine_count(root),
-            swept,
-            catalog_rebuilt,
-            generations_rebuilt,
-        };
-        Ok::<_, RepoError>((state, health))
+    let (lock, swept) = hold(root, |others| match others {
+        Others::None => survey(root).1.iter().filter(|p| remove(p)).count(),
+        _ => 0,
     })?;
-    opened.map(|(state, health)| (state, health, lock))
+    let mut state = State::read(root);
+    let mut catalog_rebuilt = false;
+    if state.torn {
+        // Read again in the turn: another process may have repaired it.
+        let turn = turn(root)?;
+        state = State::read(root);
+        catalog_rebuilt = state.torn;
+        if catalog_rebuilt {
+            state.repair_torn(root);
+            state.write(root, &turn)?;
+        }
+    }
+    let datasets_ok = state.datasets.len();
+    let health =
+        RepoHealth { datasets_ok, quarantined: quarantine_count(root), swept, catalog_rebuilt };
+    Ok((state, health, lock))
 }
 
 /// The entries of `dir`, or none when it cannot be read.
@@ -259,7 +245,7 @@ fn is_temp(entry: &fs::DirEntry) -> bool {
     named(entry, ".tmp-")
 }
 
-/// What `root` holds outside its state files: the dataset directories,
+/// What `root` holds outside its state file: the dataset directories,
 /// in name order, and every leftover, in path order — temp files of
 /// [`durable::atomic_write`] (beside `catalog.json`, in a dataset
 /// directory, in `result_cache/`); a dataset directory holding nothing
@@ -321,8 +307,18 @@ pub(crate) fn quarantine_count(root: &Path) -> usize {
 mod tests {
     use super::*;
     use crate::fsck::{fsck, FsckOptions, IssueKind};
-    use crate::Repository;
+    use crate::{Repository, ResultStore};
     use nggc_gdm::{Attribute, Dataset, GRegion, Sample, Schema, Strand, ValueType};
+
+    fn one_region(name: &str) -> Dataset {
+        let schema = Schema::new(vec![Attribute::new("p", ValueType::Float)]).unwrap();
+        let mut ds = Dataset::new(name, schema);
+        ds.add_sample(Sample::new("s1", name).with_regions(vec![
+            GRegion::new("chr1", 0, 10, Strand::Pos).with_values(vec![0.5.into()]),
+        ]))
+        .unwrap();
+        ds
+    }
 
     fn seeded(tag: &str) -> PathBuf {
         let root = std::env::temp_dir().join(format!(
@@ -362,9 +358,8 @@ mod tests {
         let healthy = RepoHealth { datasets_ok: 1, ..RepoHealth::default() };
         let torn = "{\"DS\": {";
         // (damage: paths planted, or a state file torn; what open says)
-        let table: [(&[&str], Option<&str>, RepoHealth); 8] = [
+        let table: [(&[&str], Option<&str>, RepoHealth); 7] = [
             (&[], Some(CATALOG), RepoHealth { catalog_rebuilt: true, ..healthy.clone() }),
-            (&[], Some(GENERATIONS), RepoHealth { generations_rebuilt: true, ..healthy.clone() }),
             (&[".tmp-1-catalog.json"], None, RepoHealth { swept: 1, ..healthy.clone() }),
             (&["datasets/DS/.tmp-1-data.gdm2"], None, RepoHealth { swept: 1, ..healthy.clone() }),
             (&["datasets/NEW/.tmp-1-data.gdm2"], None, RepoHealth { swept: 2, ..healthy.clone() }),
@@ -417,6 +412,70 @@ mod tests {
         assert_eq!(Repository::open(&root).unwrap().health().swept, 4);
         assert!(staged.iter().all(|path| !root.join(path).exists()));
         assert!(fsck(&root, FsckOptions::default()).unwrap().is_clean());
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn an_older_releases_catalog_and_mark_are_rebuilt_without_losing_a_dataset() {
+        let root = seeded("older");
+        Repository::open(&root).unwrap().save(&one_region("OTHER")).unwrap();
+        // What an older release kept: a bare map of entries, and the next
+        // generation in a file of its own.
+        let bare = serde_json::to_string_pretty(&State::read(&root).datasets).unwrap();
+        fs::write(root.join(CATALOG), bare).unwrap();
+        fs::write(root.join("generations.json"), "{\"next\":3}").unwrap();
+        let repo = Repository::open(&root).unwrap();
+        let health = RepoHealth { datasets_ok: 2, catalog_rebuilt: true, ..RepoHealth::default() };
+        assert_eq!(repo.health(), &health);
+        let names: Vec<&str> = repo.list().iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["DS", "OTHER"]);
+        assert_eq!(repo.load("OTHER").unwrap().region_count(), 1);
+        // Read by nothing, and left where it was.
+        assert_eq!(fs::read_to_string(root.join("generations.json")).unwrap(), "{\"next\":3}");
+        assert!(fsck(&root, FsckOptions::default()).unwrap().is_clean());
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_result_stored_before_the_catalog_tore_is_not_served_after_the_rebuild() {
+        let root = seeded("torn_result");
+        let mut repo = Repository::open(&root).unwrap();
+        repo.delete("DS").unwrap();
+        repo.save(&one_region("DS")).unwrap();
+        // A second name, sorted first: the rebuild below indexes it first
+        // and hands DS the very generation the result is stored under.
+        repo.save(&one_region("A")).unwrap();
+        let stored = repo.generation("DS").unwrap();
+        let store = ResultStore::open(root.join("result_cache"), 1 << 20);
+        let outputs = std::collections::HashMap::from([("R".to_owned(), one_region("R"))]);
+        store.store(7, &[("DS".to_owned(), stored)], &outputs).unwrap();
+        drop(repo);
+        fs::write(root.join(CATALOG), "{\"next\": 4, \"datasets\": {").unwrap();
+        let repo = Repository::open(&root).unwrap();
+        assert!(repo.health().catalog_rebuilt);
+        assert_eq!(repo.generation("DS"), Some(stored), "the rebuild reuses the generation");
+        let store = ResultStore::open(root.join("result_cache"), 1 << 20);
+        assert!(
+            store.lookup(7, &|name| repo.generation(name)).is_none(),
+            "a stale result is served"
+        );
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_writer_that_finds_the_catalog_torn_leaves_it_to_the_next_open() {
+        let root = seeded("torn_writer");
+        let mut repo = Repository::open(&root).unwrap();
+        fs::write(root.join(CATALOG), "{").unwrap();
+        let err = repo.save(&one_region("NEW")).unwrap_err();
+        assert!(matches!(err, RepoError::Torn(_)) && err.to_string().contains("reopen"), "{err}");
+        assert!(matches!(repo.delete("DS"), Err(RepoError::Torn(_))));
+        assert_eq!(fs::read_to_string(root.join(CATALOG)).unwrap(), "{");
+        assert!(!root.join("datasets/NEW").exists());
+        drop(repo);
+        let repo = Repository::open(&root).unwrap();
+        assert!(repo.health().catalog_rebuilt);
+        assert_eq!(repo.list().len(), 1);
         fs::remove_dir_all(&root).ok();
     }
 }

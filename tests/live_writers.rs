@@ -114,3 +114,45 @@ fn fsck_refuses_a_repository_serve_holds_and_judges_it_once_serve_is_gone() {
     assert!(run(&repo, &["fsck"]).0);
     fs::remove_dir_all(&dir).ok();
 }
+
+/// Two imports of two different names at once, for three rounds. Each
+/// writer waits its turn on `<root>/.write` and re-reads the catalog in
+/// it, so neither writes back a catalog that lacks what the other added.
+#[test]
+fn concurrent_imports_of_two_names_keep_both() {
+    let dir = tmp("writers");
+    let (repo, bed) = (dir.join("repo"), dir.join("mid.bed"));
+    write_bed(&bed, 20_000);
+    assert!(run(&repo, &["init"]).0);
+    let mut names = Vec::new();
+    for round in 1..=3 {
+        let imports: Vec<_> = ["A", "B"]
+            .map(|prefix| format!("{prefix}{round}"))
+            .into_iter()
+            .map(|name| {
+                let import = nggc(&repo)
+                    .args(["import", bed.to_str().unwrap(), &name])
+                    .stdout(Stdio::null())
+                    .stderr(Stdio::piped())
+                    .spawn()
+                    .unwrap();
+                names.push(name);
+                import
+            })
+            .collect();
+        for import in imports {
+            let out = import.wait_with_output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "round {round}: an import failed: {stderr}");
+        }
+    }
+    let (ok, stdout, stderr) = run(&repo, &["list"]);
+    assert!(ok, "{stderr}");
+    let listed: Vec<&str> = stdout.lines().filter_map(|l| l.split_whitespace().next()).collect();
+    let lost: Vec<&String> = names.iter().filter(|n| !listed.contains(&n.as_str())).collect();
+    assert!(lost.is_empty(), "not in the catalog: {lost:?}\n{stdout}");
+    let (ok, stdout, stderr) = run(&repo, &["fsck"]);
+    assert!(ok, "fsck after the race:\n{stdout}{stderr}");
+    assert!(stdout.contains("6 datasets ok") && stdout.contains(" 0 issues"), "{stdout}");
+    fs::remove_dir_all(&dir).ok();
+}

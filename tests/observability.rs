@@ -255,13 +255,13 @@ fn storing_a_one_output_result_costs_two_fsyncs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A dataset is one container written by one atomic write. Replacing a
-/// catalogued dataset fsyncs generations, catalog and container, each
-/// file and its directory. A first save also fsyncs `datasets/`, which
-/// gains the new directory, before the catalog names it. Neither
-/// renames anything into `.trash/`.
+/// A dataset is one container written by one atomic write, and the
+/// repository's state is one file, `catalog.json`. Replacing a catalogued
+/// dataset fsyncs catalog and container, each file and its directory. A
+/// first save also fsyncs `datasets/`, which gains the new directory,
+/// before the catalog names it. Neither renames anything into `.trash/`.
 #[test]
-fn saving_a_dataset_costs_seven_fsyncs_first_and_six_on_replace() {
+fn saving_a_dataset_costs_five_fsyncs_first_and_four_on_replace() {
     let _guard = global_lock();
     let root = std::env::temp_dir().join(format!("nggc_obs_save_{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
@@ -269,10 +269,10 @@ fn saving_a_dataset_costs_seven_fsyncs_first_and_six_on_replace() {
     let fsyncs = obs::global().counter("nggc_repo_fsync_total");
     let before = fsyncs.get();
     repo.save(&one_region("DS")).unwrap();
-    assert_eq!(fsyncs.get() - before, 7, "a first save");
+    assert_eq!(fsyncs.get() - before, 5, "a first save");
     let before = fsyncs.get();
     repo.save(&one_region("DS")).unwrap();
-    assert_eq!(fsyncs.get() - before, 6, "a replace");
+    assert_eq!(fsyncs.get() - before, 4, "a replace");
     assert!(!root.join(".trash").exists());
     std::fs::remove_dir_all(&root).ok();
 }
