@@ -331,6 +331,45 @@ mod tests {
         );
     }
 
+    /// COVER, GROUP and MAP push each aggregate into a column of the type
+    /// `result_type` declares, so every function returns that type or a
+    /// null, whatever its input column holds.
+    #[test]
+    fn every_aggregate_returns_its_declared_type_or_null() {
+        let funcs = [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+            AggFunc::Median,
+            AggFunc::Q1,
+            AggFunc::Q3,
+            AggFunc::Std,
+            AggFunc::Bag,
+        ];
+        let inputs = [
+            (ValueType::Int, vec![Value::Int(3), Value::Int(-1), Value::Null, Value::Int(3)]),
+            (ValueType::Float, vec![Value::Float(2.5), Value::Null, Value::Float(f64::NAN)]),
+            (ValueType::Str, vec![Value::Str("b".into()), Value::Null, Value::Str("a".into())]),
+            (ValueType::Int, vec![Value::Null, Value::Null]),
+            (ValueType::Float, vec![Value::Null]),
+            (ValueType::Str, vec![Value::Null, Value::Null]),
+            (ValueType::Float, vec![]),
+        ];
+        for func in funcs {
+            for (ty, xs) in &inputs {
+                let agg = Aggregate { func, attr: func.needs_attr().then(|| "x".to_owned()) };
+                let got = agg.compute(&vals(xs), xs.len());
+                let want = func.result_type(Some(*ty));
+                assert!(
+                    got.value_type().is_none_or(|t| t == want),
+                    "{func} over {ty} {xs:?}: {got:?}, declared {want}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn resolve_validates() {
         let schema = Schema::new(vec![

@@ -14,7 +14,7 @@ use crate::ops::{push_aggregates, resolve_aggs};
 use nggc_engine::{
     coverage_sweep, merge_cover, merge_runs, CovSeg, ExecContext, CHECKPOINT_STRIDE,
 };
-use nggc_gdm::{interval_overlap, Dataset, GRegion, Schema, Strand, Value};
+use nggc_gdm::{interval_overlap, Dataset, GRegion, Schema, Strand, Value, ValueRef};
 
 /// Execute COVER/FLAT/SUMMIT/HISTOGRAM.
 #[allow(clippy::too_many_arguments)]
@@ -34,7 +34,7 @@ pub fn cover(
         &*variant.name().to_ascii_lowercase(),
         format!("{variant:?}({min_acc:?}, {max_acc:?})"),
     );
-    Ok(fold_groups(ctx, input, out_schema, groupby, frame, None, |chrom, runs, n| {
+    fold_groups(ctx, input, out_schema, groupby, frame, None, |chrom, runs, n, part| {
         let (min, max) = (min_acc.resolve(n, true).max(1), max_acc.resolve(n, false));
         // The chromosome's regions in genome order, as borrows: the sweep
         // reads them once; FLAT and the aggregates look them up per shape.
@@ -60,25 +60,26 @@ pub fn cover(
         }
         let mut window = Window::over(&order);
         let mut contributing: Vec<&GRegion> = Vec::new();
-        let mut regions = Vec::with_capacity(shapes.len());
+        let mut aggregated: Vec<Value> = Vec::with_capacity(resolved.len());
+        part.reserve(shapes.len());
         for (idx, (l, r, acc)) in shapes.into_iter().enumerate() {
             // Poll on a stride so wide covers abort mid-loop.
             if idx & (CHECKPOINT_STRIDE - 1) == 0 && ctx.interrupted() {
                 break;
             }
-            let mut values = Vec::with_capacity(1 + resolved.len());
-            values.push(Value::Int(acc as i64));
+            aggregated.clear();
             if !resolved.is_empty() {
                 // Contributing regions: those overlapping the output.
                 contributing.clear();
                 contributing.extend(window.intersecting(l, r));
-                push_aggregates(&resolved, &contributing, &mut values);
+                push_aggregates(&resolved, &contributing, &mut aggregated);
             }
-            // One chromosome handle per output sample, not one per region.
-            regions.push(GRegion::new(chrom.clone(), l, r, Strand::Unstranded).with_values(values));
+            let cells = std::iter::once(ValueRef::Int(acc as i64))
+                .chain(aggregated.iter().map(ValueRef::from));
+            part.push_row(out_schema, (chrom, l, r, Strand::Unstranded), cells)?;
         }
-        regions
-    }))
+        Ok(())
+    })
 }
 
 /// The regions of one chromosome that intersect a query interval

@@ -10,7 +10,7 @@ use crate::error::GmqlError;
 use crate::ops::merge::fold_groups;
 use crate::ops::{push_aggregates, resolve_aggs};
 use nggc_engine::{merge_runs, ExecContext, CHECKPOINT_STRIDE};
-use nggc_gdm::{Dataset, GRegion, Schema};
+use nggc_gdm::{Dataset, GRegion, Schema, Value, ValueRef};
 use std::cmp::Ordering;
 
 /// Execute GROUP. `out_schema` = input schema + aggregate attributes.
@@ -23,17 +23,17 @@ pub fn group(
 ) -> Result<Dataset, GmqlError> {
     let resolved = resolve_aggs(region_aggs, &input.schema)?;
     let frame = ("GROUP", "group", format!("by: {}", by.join(",")));
-    Ok(fold_groups(ctx, input, out_schema, by, frame, None, |_, runs, _| {
-        // Fold runs of identical coordinates while merging; only the
-        // representative of each run is cloned.
+    fold_groups(ctx, input, out_schema, by, frame, None, |_, runs, _, part| {
+        // Fold runs of identical coordinates while merging; the
+        // representative's cells are copied, then the aggregates'.
         let mut merged = merge_runs(runs, GRegion::cmp_coords).into_iter().peekable();
-        let mut regions: Vec<GRegion> = Vec::with_capacity(merged.len());
         let mut dup: Vec<&GRegion> = Vec::new();
+        let mut aggregated: Vec<Value> = Vec::with_capacity(resolved.len());
         while let Some(rep) = merged.next() {
             // Stride checkpoint over the duplicate-fold loop: stop
             // folding once the governor trips (the executor raises the
             // typed error at the node boundary).
-            if regions.len() & (CHECKPOINT_STRIDE - 1) == 0 && ctx.interrupted() {
+            if part.len() & (CHECKPOINT_STRIDE - 1) == 0 && ctx.interrupted() {
                 break;
             }
             dup.clear();
@@ -41,14 +41,13 @@ pub fn group(
             while let Some(x) = merged.next_if(|x| x.cmp_coords(rep) == Ordering::Equal) {
                 dup.push(x);
             }
-            let mut values = Vec::with_capacity(rep.values.len() + resolved.len());
-            values.extend_from_slice(&rep.values);
-            push_aggregates(&resolved, &dup, &mut values);
-            let chrom = rep.chrom.clone();
-            regions.push(GRegion::new(chrom, rep.left, rep.right, rep.strand).with_values(values));
+            aggregated.clear();
+            push_aggregates(&resolved, &dup, &mut aggregated);
+            let cells = rep.values.iter().chain(&aggregated).map(ValueRef::from);
+            part.push_row(out_schema, (&rep.chrom, rep.left, rep.right, rep.strand), cells)?;
         }
-        regions
-    }))
+        Ok(())
+    })
 }
 
 #[cfg(test)]

@@ -7,7 +7,9 @@
 //! regions. The candidate generator picks the cheapest kernel the clauses
 //! allow: k-nearest for MD, a gap sort-merge when a DLE bound exists, and
 //! the exhaustive kernel otherwise (an unavoidable `O(n·m)` for pure
-//! DGE/UP/DOWN predicates).
+//! DGE/UP/DOWN predicates). The kernels keep the qualifying pairs, and
+//! each pair's output region is written into the columns of one batch
+//! per output sample: no row per region.
 
 use crate::ast::{GenometricClause, JoinOutput};
 use crate::error::GmqlError;
@@ -15,7 +17,10 @@ use crate::ops::joinby_matches;
 use nggc_engine::{
     gap_pairs_sort_merge_interruptible, k_nearest_interruptible, ExecContext, CHECKPOINT_STRIDE,
 };
-use nggc_gdm::{Dataset, GRegion, Provenance, Sample, Schema, Strand};
+use nggc_gdm::{
+    genome_order, Chrom, Dataset, GRegion, Provenance, RegionBatch, Sample, Schema, Strand,
+    ValueRef,
+};
 use std::cell::Cell;
 
 /// Execute JOIN. `out_schema` = prefixed concatenation of both schemas.
@@ -47,10 +52,12 @@ pub fn join(
 
     let results = ctx.map_sample_pairs(&left.samples, &right.samples, |ls, rs| {
         if !joinby_matches(&ls.metadata, &rs.metadata, joinby) {
-            return None;
+            return Ok::<_, GmqlError>(None);
         }
-        let regions: Vec<GRegion> = ctx.map_common_chroms(ls, rs, |_c, lsl, rsl| {
-            let mut out = Vec::new();
+        // The candidate kernels run one pool job per chromosome; each
+        // keeps the qualifying pairs as positions in its two slices.
+        let kept = ctx.map_common_chroms(ls, rs, |c, lsl, rsl| {
+            let mut pairs: Vec<(usize, usize)> = Vec::new();
             // Cooperative checkpoint: the candidate kernels can run for
             // seconds on wide inputs (the exhaustive path is O(n·m)), so
             // poll the governor every CHECKPOINT_STRIDE pairs and stop
@@ -68,12 +75,8 @@ pub fn join(
                     tripped.set(true);
                     return;
                 }
-                let (a, b) = (&lsl[i], &rsl[j]);
-                if !clauses_hold(a, b, clauses) {
-                    return;
-                }
-                if let Some(region) = compose(a, b, output) {
-                    out.push(region);
+                if clauses_hold(&lsl[i], &rsl[j], clauses) {
+                    pairs.push((i, j));
                 }
             };
             // The interruptible kernels poll the same trip state, so a
@@ -100,13 +103,40 @@ pub fn join(
                     }
                 }
             }
-            out
+            vec![(c.clone(), pairs)]
         });
-        // A tripped governor means `regions` is truncated garbage the
-        // executor will discard — skip the (potentially huge) sort and
-        // metadata merge and let the node boundary raise the error.
-        if ctx.interrupted() || regions.is_empty() {
-            return None;
+        // The output is one batch: chromosome by chromosome, the pairs'
+        // output regions in genome order (the kernels give them by left
+        // region; the sort is stable, and linear on what is in order
+        // already), each pushed as coordinates, then the left region's
+        // cells, then the right one's.
+        let mut regions = RegionBatch::for_schema(out_schema);
+        regions.reserve(kept.iter().map(|(_, pairs)| pairs.len()).sum());
+        let mut rows = Vec::new();
+        for (c, pairs) in kept {
+            // A tripped governor means the pairs are truncated garbage
+            // the executor will discard: build no more and let the node
+            // boundary raise the error.
+            if ctx.interrupted() {
+                return Ok(None);
+            }
+            let (lsl, rsl) = (ls.chrom_slice(&c), rs.chrom_slice(&c));
+            rows.clear();
+            rows.extend(pairs.into_iter().filter_map(|(i, j)| {
+                let (a, b) = (&lsl[i], &rsl[j]);
+                Some((output_coords(a, b, output)?, a, b))
+            }));
+            rows.sort_by(|x, y| genome_order(x.0, y.0));
+            for &(at, a, b) in &rows {
+                regions.push_row(
+                    out_schema,
+                    at,
+                    a.values.iter().chain(&b.values).map(ValueRef::from),
+                )?;
+            }
+        }
+        if regions.is_empty() {
+            return Ok(None);
         }
         let mut sample = Sample::derived(
             format!("{}__{}", ls.name, rs.name),
@@ -119,18 +149,19 @@ pub fn join(
         sample.metadata.merge_from(&ls.metadata, "left");
         sample.metadata.merge_from(&rs.metadata, "right");
         sample.regions = regions.into();
-        sample.sort_regions();
-        Some(sample)
+        Ok(Some(sample))
     });
 
     let mut out = Dataset::new(left.name.clone(), out_schema.clone());
-    for s in results.into_iter().flatten() {
-        out.add_sample_unchecked(s);
+    for s in results {
+        if let Some(s) = s? {
+            out.add_sample_unchecked(s);
+        }
     }
     Ok(out)
 }
 
-fn clauses_hold(a: &GRegion, b: &GRegion, clauses: &[GenometricClause]) -> bool {
+pub(crate) fn clauses_hold(a: &GRegion, b: &GRegion, clauses: &[GenometricClause]) -> bool {
     clauses.iter().all(|c| match c {
         GenometricClause::DistLessEq(d) => a.distance(b).map(|x| x <= *d).unwrap_or(false),
         GenometricClause::DistGreaterEq(d) => a.distance(b).map(|x| x >= *d).unwrap_or(false),
@@ -140,25 +171,27 @@ fn clauses_hold(a: &GRegion, b: &GRegion, clauses: &[GenometricClause]) -> bool 
     })
 }
 
-/// Build the output region for a qualifying pair, concatenating the
-/// attribute rows (left values then right values, matching the prefixed
-/// output schema).
-fn compose(a: &GRegion, b: &GRegion, output: JoinOutput) -> Option<GRegion> {
-    let values: Vec<_> = a.values.iter().chain(b.values.iter()).cloned().collect();
-    let (chrom, l, r, strand) = match output {
-        JoinOutput::Left => (a.chrom.clone(), a.left, a.right, a.strand),
-        JoinOutput::Right => (b.chrom.clone(), b.left, b.right, b.strand),
+/// Where the output region of a qualifying pair lies; `None` for an
+/// intersection of regions that do not overlap. Its cells are the left
+/// region's then the right one's, matching the prefixed output schema.
+fn output_coords<'a>(
+    a: &'a GRegion,
+    b: &'a GRegion,
+    output: JoinOutput,
+) -> Option<(&'a Chrom, u64, u64, Strand)> {
+    Some(match output {
+        JoinOutput::Left => (&a.chrom, a.left, a.right, a.strand),
+        JoinOutput::Right => (&b.chrom, b.left, b.right, b.strand),
         JoinOutput::Intersection => {
             if !a.overlaps(b) {
                 return None;
             }
-            (a.chrom.clone(), a.left.max(b.left), a.right.min(b.right), combined_strand(a, b))
+            (&a.chrom, a.left.max(b.left), a.right.min(b.right), combined_strand(a, b))
         }
         JoinOutput::Contig => {
-            (a.chrom.clone(), a.left.min(b.left), a.right.max(b.right), combined_strand(a, b))
+            (&a.chrom, a.left.min(b.left), a.right.max(b.right), combined_strand(a, b))
         }
-    };
-    Some(GRegion::new(chrom, l, r, strand).with_values(values))
+    })
 }
 
 fn combined_strand(a: &GRegion, b: &GRegion) -> Strand {

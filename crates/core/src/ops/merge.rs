@@ -8,7 +8,7 @@
 use crate::error::GmqlError;
 use crate::ops::{group_key, Reuse};
 use nggc_engine::{merge_runs, union_chroms, ExecContext};
-use nggc_gdm::{Chrom, Dataset, GRegion, Provenance, Sample, Schema};
+use nggc_gdm::{Chrom, Dataset, GRegion, Provenance, RegionBatch, Sample, Schema, ValueRef};
 
 /// Execute MERGE.
 pub fn merge(
@@ -19,13 +19,17 @@ pub fn merge(
 ) -> Result<Dataset, GmqlError> {
     let detail =
         if groupby.is_empty() { String::new() } else { format!("groupby: {}", groupby.join(",")) };
-    // Each region is cloned once, already in its final position; a
-    // group of one shares its member's buffer instead.
+    // Each region's cells are copied once, already in their final
+    // position; a group of one shares its member's buffer instead.
     let frame = ("MERGE", "merged", detail);
-    let kernel = |_: &Chrom, runs: &[&[GRegion]], _| {
-        merge_runs(runs, GRegion::cmp_coords).into_iter().cloned().collect()
-    };
-    Ok(fold_groups(ctx, input, &input.schema, groupby, frame, Some(reuse), kernel))
+    let schema = &input.schema;
+    fold_groups(ctx, input, schema, groupby, frame, Some(reuse), |_, runs, _, part| {
+        for r in merge_runs(runs, GRegion::cmp_coords) {
+            let at = (&r.chrom, r.left, r.right, r.strand);
+            part.push_row(schema, at, r.values.iter().map(ValueRef::from))?;
+        }
+        Ok(())
+    })
 }
 
 /// The frame MERGE, GROUP and COVER share: one output sample per metadata
@@ -33,9 +37,10 @@ pub fn merge(
 /// of its members' metadata and a provenance node `op(detail)` over all of
 /// them. Its regions come from `kernel`, which runs as one pool job per
 /// (group × chromosome) over the members' slices of that chromosome —
-/// sorted runs, in member order, for [`merge_runs`] to merge as borrows — and
-/// gets the group size as its last argument; the per-chromosome outputs
-/// are concatenated in genome order.
+/// sorted runs, in member order, for [`merge_runs`] to merge as borrows —
+/// gets the group size, and pushes its output rows, in genome order, onto
+/// an empty batch of `out_schema`'s columns. The sample's regions are
+/// those parts appended in genome order: one columnar batch, no row built.
 ///
 /// `copies`, when given, says the kernel copies the members' regions as
 /// they are: a group of one then shares its member's buffer and the kernel
@@ -48,32 +53,35 @@ pub(crate) fn fold_groups<K>(
     (op, name, detail): (&str, &str, String),
     copies: Option<&Reuse>,
     kernel: K,
-) -> Dataset
+) -> Result<Dataset, GmqlError>
 where
-    K: Fn(&Chrom, &[&[GRegion]], usize) -> Vec<GRegion> + Sync,
+    K: Fn(&Chrom, &[&[GRegion]], usize, &mut RegionBatch) -> Result<(), GmqlError> + Sync,
 {
     let samples = ctx.map(partition_by_meta(input, groupby), |(key, members)| {
         let regions = match (copies, &members[..]) {
             (Some(reuse), [only]) => reuse.hand_on(only.regions.clone()),
             _ => {
-                let per_chrom = ctx.map(union_chroms(members.iter().copied()), |c| {
+                let parts = ctx.map(union_chroms(members.iter().copied()), |c| {
+                    let mut part = RegionBatch::for_schema(out_schema);
                     // Job-boundary checkpoint: skip queued chromosome
                     // kernels once the governor has tripped.
-                    if ctx.interrupted() {
-                        return Vec::new();
+                    if !ctx.interrupted() {
+                        let runs: Vec<&[GRegion]> = members
+                            .iter()
+                            .map(|s| s.chrom_slice(&c))
+                            .filter(|run| !run.is_empty())
+                            .collect();
+                        kernel(&c, &runs, members.len(), &mut part)?;
                     }
-                    let runs: Vec<&[GRegion]> = members
-                        .iter()
-                        .map(|s| s.chrom_slice(&c))
-                        .filter(|run| !run.is_empty())
-                        .collect();
-                    kernel(&c, &runs, members.len())
+                    Ok::<_, GmqlError>(part)
                 });
-                let mut regions = Vec::with_capacity(per_chrom.iter().map(Vec::len).sum());
-                per_chrom.into_iter().for_each(|part| regions.extend(part));
+                let mut batch = RegionBatch::for_schema(out_schema);
+                for part in parts {
+                    batch.append(part?);
+                }
                 match copies {
-                    Some(reuse) => reuse.copy(regions),
-                    None => regions.into(),
+                    Some(reuse) => reuse.copy(batch),
+                    None => batch.into(),
                 }
             }
         };
@@ -94,13 +102,13 @@ where
             }
         }
         out.regions = regions;
-        out
+        Ok::<_, GmqlError>(out)
     });
     let mut out = Dataset::new(input.name.clone(), out_schema.clone());
     for s in samples {
-        out.add_sample_unchecked(s);
+        out.add_sample_unchecked(s?);
     }
-    out
+    Ok(out)
 }
 
 /// Partition samples into `(group key, members)` lists, deterministic in

@@ -16,7 +16,10 @@
 //!   size included; an operator edits a buffer in place only when
 //!   [`Regions::get_mut`] shows it holds it alone (which forgets the
 //!   size), and otherwise copies only what it keeps ([`Reuse`] counts
-//!   both).
+//!   both);
+//! * **columnar outputs** — JOIN and the fold frame of COVER, GROUP and
+//!   MERGE push each output region into the typed columns of a
+//!   [`nggc_gdm::RegionBatch`] instead of building it as a row.
 
 pub mod cover;
 pub mod difference;

@@ -1,8 +1,9 @@
 //! The pooled clone-and-sort implementations of COVER/FLAT/SUMMIT/
 //! HISTOGRAM, MERGE, GROUP and DIFFERENCE that the run-merge operators
-//! replaced, compiled for tests only: they are the reference the property
-//! test below holds the live operators to — same regions in the same
-//! order, same values, metadata and provenance, serial and on two workers.
+//! replaced, and a JOIN that checks every pair and builds rows, compiled
+//! for tests only: they are the reference the property tests below hold
+//! the live operators to — same regions in the same order, same values,
+//! metadata and provenance, serial and on two workers.
 //! With them, the SELECT that looks at every region, the reference of the
 //! one that binary-searches its predicate's windows.
 
@@ -375,6 +376,91 @@ fn difference(
     Ok(out)
 }
 
+/// Execute JOIN: for every sample pair `joinby` admits, every left
+/// region against every right region on its chromosome — under MD(k)
+/// only its `k` nearest, nearest first, ties to the earlier — the clauses
+/// checked on each pair and the output region built as a row, then the
+/// rows sorted stably into genome order.
+fn join(
+    clauses: &[GenometricClause],
+    output: JoinOutput,
+    joinby: &[String],
+    left: &Dataset,
+    right: &Dataset,
+    out_schema: &Schema,
+) -> Dataset {
+    let md_k = clauses
+        .iter()
+        .filter_map(|c| match c {
+            GenometricClause::MinDist(k) => Some(*k),
+            _ => None,
+        })
+        .min();
+    let detail = format!("{clauses:?}; output: {output:?}");
+    let mut out = Dataset::new(left.name.clone(), out_schema.clone());
+    for ls in &left.samples {
+        for rs in &right.samples {
+            if !joinby_matches(&ls.metadata, &rs.metadata, joinby) {
+                continue;
+            }
+            let mut regions = Vec::new();
+            for a in ls.regions.iter() {
+                let mut candidates: Vec<(i64, usize)> = (rs.regions.iter().enumerate())
+                    .filter_map(|(j, b)| a.distance(b).map(|d| (d.max(0), j)))
+                    .collect();
+                if let Some(k) = md_k {
+                    candidates.sort();
+                    candidates.truncate(k);
+                }
+                for (_, j) in candidates {
+                    let b = &rs.regions[j];
+                    if ops::join::clauses_hold(a, b, clauses) {
+                        regions.extend(join_row(a, b, output));
+                    }
+                }
+            }
+            if regions.is_empty() {
+                continue;
+            }
+            regions.sort_by(|a, b| a.cmp_coords(b));
+            let mut sample = Sample::derived(
+                format!("{}__{}", ls.name, rs.name),
+                Provenance::derived(
+                    "JOIN",
+                    detail.clone(),
+                    vec![ls.provenance.clone(), rs.provenance.clone()],
+                ),
+            );
+            sample.metadata.merge_from(&ls.metadata, "left");
+            sample.metadata.merge_from(&rs.metadata, "right");
+            sample.regions = regions.into();
+            out.add_sample_unchecked(sample);
+        }
+    }
+    out
+}
+
+/// The output row of a qualifying pair: the left values, then the right.
+fn join_row(a: &GRegion, b: &GRegion, output: JoinOutput) -> Option<GRegion> {
+    let strand = match (a.strand, b.strand) {
+        (x, y) if x == y => x,
+        (Strand::Unstranded, y) => y,
+        (x, Strand::Unstranded) => x,
+        _ => Strand::Unstranded,
+    };
+    let (chrom, l, r, strand) = match output {
+        JoinOutput::Left => (a.chrom.clone(), a.left, a.right, a.strand),
+        JoinOutput::Right => (b.chrom.clone(), b.left, b.right, b.strand),
+        JoinOutput::Intersection if a.overlaps(b) => {
+            (a.chrom.clone(), a.left.max(b.left), a.right.min(b.right), strand)
+        }
+        JoinOutput::Intersection => return None,
+        JoinOutput::Contig => (a.chrom.clone(), a.left.min(b.left), a.right.max(b.right), strand),
+    };
+    let values = a.values.iter().chain(&b.values).cloned().collect();
+    Some(GRegion::new(chrom, l, r, strand).with_values(values))
+}
+
 /// Execute SELECT with a region predicate only: every region of every
 /// sample is put to the unbound evaluator.
 fn select(region: &RegionExpr, input: &Dataset) -> Dataset {
@@ -587,6 +673,38 @@ fn run_merge_operators_equal_the_pooled_reference(seed in any::<u64>()) {
         prop_assert_eq!(digest(&got), digest(&want_merge), "MERGE on {} workers", ctx.workers());
         let got = ops::difference::difference(ctx, exact, &groupby, &ds, &other, &Reuse::default()).unwrap();
         prop_assert_eq!(digest(&got), digest(&want_diff), "DIFFERENCE exact={} on {} workers", exact, ctx.workers());
+    }
+}}
+
+proptest! {
+#![proptest_config(ProptestConfig::with_cases(256))]
+
+/// JOIN's candidate kernels writing columns give what every pair checked
+/// and built as a row gives: each output, clause sets of DLE, DGE, MD,
+/// UP and DOWN, with and without `joinby`, serial and on two workers.
+#[test]
+fn join_equals_the_every_pair_reference(seed in any::<u64>()) {
+    let rng = &mut TestRng::deterministic(seed);
+    let (ds, other) = (random_dataset("D", rng), random_dataset("N", rng));
+    let clauses: Vec<GenometricClause> = (0..1 + rng.below(3))
+        .map(|_| match rng.below(5) {
+            0 => GenometricClause::DistLessEq([-1, 0, 5, 20][rng.below(4) as usize]),
+            1 => GenometricClause::DistGreaterEq([0, 1, 5][rng.below(3) as usize]),
+            2 => GenometricClause::MinDist(1 + rng.below(3) as usize),
+            3 => GenometricClause::Upstream,
+            _ => GenometricClause::Downstream,
+        })
+        .collect();
+    let joinby = if rng.below(2) == 0 { vec![] } else { vec!["cell".to_owned()] };
+    let contexts = [ExecContext::serial(), ExecContext::with_workers(2)];
+    for output in [JoinOutput::Left, JoinOutput::Right, JoinOutput::Intersection, JoinOutput::Contig] {
+        let op = Operator::Join { clauses: clauses.clone(), output, joinby: joinby.clone() };
+        let schema = infer_schema(&op, &[&ds.schema, &other.schema]).unwrap();
+        let want = join(&clauses, output, &joinby, &ds, &other, &schema);
+        for ctx in &contexts {
+            let got = ops::join::join(ctx, &clauses, output, &joinby, &ds, &other, &schema).unwrap();
+            prop_assert_eq!(digest(&got), digest(&want), "{:?} on {} workers", op, ctx.workers());
+        }
     }
 }}
 

@@ -48,6 +48,17 @@ impl ValueRef<'_> {
         }
     }
 
+    /// As [`Value::value_type`]: `None` for a null.
+    pub fn value_type(self) -> Option<ValueType> {
+        match self {
+            ValueRef::Int(_) => Some(ValueType::Int),
+            ValueRef::Float(_) => Some(ValueType::Float),
+            ValueRef::Str(_) => Some(ValueType::Str),
+            ValueRef::Bool(_) => Some(ValueType::Bool),
+            ValueRef::Null => None,
+        }
+    }
+
     /// As [`Value::as_f64`].
     pub fn as_f64(self) -> Option<f64> {
         match self {
@@ -237,8 +248,19 @@ impl Column {
     /// all-null column changes nothing). Panics on another type: the
     /// caller builds a column of the type it decodes.
     pub fn push(&mut self, v: ValueRef<'_>) {
+        if let Err(got) = self.try_push(v) {
+            panic!("a {got} value pushed onto a column of another type");
+        }
+    }
+
+    /// [`Column::push`], refusing a value of another type than the
+    /// column's instead: nothing is appended, and the error is that type.
+    pub fn try_push(&mut self, v: ValueRef<'_>) -> Result<(), ValueType> {
+        let Some(got) = v.value_type() else {
+            self.push_null();
+            return Ok(());
+        };
         match (&mut self.data, v) {
-            (_, ValueRef::Null) => self.push_null(),
             (Data::Int(col), ValueRef::Int(x)) => col.push(x),
             (Data::Float(col), ValueRef::Float(x)) => col.push(x),
             (Data::Bool(col), ValueRef::Bool(x)) => col.push(x),
@@ -247,7 +269,36 @@ impl Column {
                 ends.push(bytes.len());
             }
             (Data::Null, _) => {}
-            (_, v) => panic!("a {v:?} pushed onto a column of another type"),
+            _ => return Err(got),
+        }
+        Ok(())
+    }
+
+    /// Append `other`'s rows after this column's `n`: both are of one
+    /// type, or both all-null.
+    fn append(&mut self, other: Column, n: usize) {
+        match (&mut self.data, other.data) {
+            (Data::Int(a), Data::Int(b)) => a.extend(b),
+            (Data::Float(a), Data::Float(b)) => a.extend(b),
+            (Data::Bool(a), Data::Bool(b)) => a.extend(b),
+            (Data::Str { ends, bytes }, Data::Str { ends: more, bytes: text }) => {
+                let base = bytes.len();
+                ends.extend(more.into_iter().map(|e| base + e));
+                bytes.push_str(&text);
+            }
+            (Data::Null, Data::Null) => {}
+            _ => panic!("appended columns are of one type"),
+        }
+        // Row `i` of `other` is null: so is row `n + i` here.
+        for (w, mut bits) in other.nulls.into_iter().enumerate() {
+            while bits != 0 {
+                let i = n + w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.nulls.len() <= i / 64 {
+                    self.nulls.resize(i / 64 + 1, 0);
+                }
+                self.nulls[i / 64] |= 1 << (i % 64);
+            }
         }
     }
 
@@ -374,11 +425,21 @@ impl RegionBatch {
         self.left.is_empty()
     }
 
-    /// Reserve room for `n` more regions' coordinates.
+    /// Reserve room for `n` more regions' coordinates and cells (a text
+    /// column's bytes aside).
     pub fn reserve(&mut self, n: usize) {
         self.left.reserve(n);
         self.right.reserve(n);
         self.strand.reserve(n);
+        for column in &mut self.columns {
+            match &mut column.data {
+                Data::Int(v) => v.reserve(n),
+                Data::Float(v) => v.reserve(n),
+                Data::Bool(v) => v.reserve(n),
+                Data::Str { ends, .. } => ends.reserve(n),
+                Data::Null => {}
+            }
+        }
     }
 
     /// Append a region's coordinates; its chromosome is named by the
@@ -402,6 +463,76 @@ impl RegionBatch {
     /// The value columns, for appending cells.
     pub fn columns_mut(&mut self) -> &mut [Column] {
         &mut self.columns
+    }
+
+    /// An empty batch with an empty column of each of `schema`'s
+    /// attribute types, in schema order.
+    pub fn for_schema(schema: &Schema) -> RegionBatch {
+        RegionBatch::new(
+            schema.attributes().iter().map(|a| Column::with_capacity(a.ty, 0)).collect(),
+        )
+    }
+
+    /// Append one region: its coordinates on `chrom` (the last run grows
+    /// when it is on the same chromosome, else a run starts) and its
+    /// cells, one per column in order. A cell of another type than its
+    /// column's, or a count of cells other than the columns', is refused
+    /// with the error [`RegionBatch::check`] gives for it, the attribute
+    /// named from `schema`; the batch is then part-written, to be dropped.
+    pub fn push_row<'v>(
+        &mut self,
+        schema: &Schema,
+        (chrom, left, right, strand): (&Chrom, u64, u64, Strand),
+        cells: impl IntoIterator<Item = ValueRef<'v>>,
+    ) -> Result<(), GdmError> {
+        self.push_coords(left, right, strand);
+        let n = self.len();
+        match self.runs.last_mut() {
+            Some((last, end)) if *end + 1 == n && *last == *chrom => *end = n,
+            _ => self.runs.push((chrom.clone(), n)),
+        }
+        let mut cells = cells.into_iter();
+        let expected = self.columns.len();
+        for (k, column) in self.columns.iter_mut().enumerate() {
+            let v = cells.next().ok_or(GdmError::ArityMismatch { expected, got: k })?;
+            column.try_push(v).map_err(|got| GdmError::TypeMismatch {
+                attribute: schema.attributes().get(k).map(|a| a.name.clone()).unwrap_or_default(),
+                expected: column.value_type().unwrap_or(got),
+                got,
+            })?;
+        }
+        match cells.count() {
+            0 => Ok(()),
+            more => Err(GdmError::ArityMismatch { expected, got: expected + more }),
+        }
+    }
+
+    /// Append `other`'s rows after this batch's: its columns are of this
+    /// batch's types, as those of two batches made for one schema
+    /// ([`RegionBatch::for_schema`]) are (a panic otherwise). Appended to
+    /// an empty batch, `other` is taken as it is.
+    pub fn append(&mut self, other: RegionBatch) {
+        if other.is_empty() {
+            return;
+        }
+        if self.is_empty() {
+            *self = other;
+            return;
+        }
+        let n = self.len();
+        let RegionBatch { runs, left, right, strand, columns } = other;
+        for (k, (chrom, end)) in runs.into_iter().enumerate() {
+            match self.runs.last_mut() {
+                Some((last, at)) if k == 0 && *last == chrom => *at = n + end,
+                _ => self.runs.push((chrom, n + end)),
+            }
+        }
+        self.left.extend(left);
+        self.right.extend(right);
+        self.strand.extend(strand);
+        for (column, more) in self.columns.iter_mut().zip(columns) {
+            column.append(more, n);
+        }
     }
 
     /// The chromosome runs: each chromosome with the rows it covers.
@@ -646,8 +777,7 @@ mod tests {
 
     /// The batch a decoder would build of `rows` (given in genome order).
     fn batch_of(rows: &[GRegion], schema: &Schema) -> RegionBatch {
-        let columns = schema.attributes().iter().map(|a| Column::with_capacity(a.ty, 0)).collect();
-        let mut b = RegionBatch::new(columns);
+        let mut b = RegionBatch::for_schema(schema);
         for (k, r) in rows.iter().enumerate() {
             b.push_coords(r.left, r.right, r.strand);
             for (c, v) in b.columns_mut().iter_mut().zip(&r.values) {
@@ -832,6 +962,81 @@ mod tests {
             assert!(at.iter().all(|a| *a == at[0]), "one set of rows: {at:?}");
             assert!(regions.has_rows() && regions.batch().is_none());
         }
+    }
+
+    /// Rows pushed one by one into parts and the parts appended hold
+    /// the rows, nulls and strings included, across bitmap words and run
+    /// boundaries; a run that spans two parts is one run.
+    #[test]
+    fn rows_pushed_into_parts_and_appended_are_the_rows() {
+        let schema = schema();
+        let mut rows = Vec::new();
+        for i in 0..150u64 {
+            let chrom = if i < 70 {
+                "chr1"
+            } else if i < 71 {
+                "chr01"
+            } else {
+                "chr2"
+            };
+            let values = vec![
+                if i % 3 == 0 { Value::Null } else { Value::Float(i as f64 / 2.0) },
+                if i % 5 == 0 { Value::Null } else { Value::Str(format!("r{i}")) },
+                if i % 7 == 0 { Value::Null } else { Value::Int(i as i64) },
+                Value::Bool(i % 2 == 0),
+            ];
+            rows.push(GRegion::new(chrom, i, i + 3, Strand::Pos).with_values(values));
+        }
+        let push = |rows: &[GRegion]| {
+            let mut part = RegionBatch::for_schema(&schema);
+            for r in rows {
+                let at = (&r.chrom, r.left, r.right, r.strand);
+                part.push_row(&schema, at, r.values.iter().map(ValueRef::from)).unwrap();
+            }
+            part
+        };
+        for cuts in [vec![150], vec![0, 64, 65, 150], vec![1, 70, 71, 129, 150]] {
+            let mut whole = RegionBatch::for_schema(&schema);
+            let mut from = 0;
+            for to in cuts {
+                whole.append(push(&rows[from..to]));
+                from = to;
+            }
+            assert_eq!(format!("{:?}", whole.to_rows()), format!("{rows:?}"));
+            assert_eq!(whole.runs().count(), 3, "chr1, chr01, chr2");
+            assert_eq!(whole.encoded_size(), rows.iter().map(GRegion::encoded_size).sum::<usize>());
+            whole.check(&schema).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_pushed_cell_of_another_type_is_the_checks_error() {
+        let schema = schema();
+        let mut b = RegionBatch::for_schema(&schema);
+        let chr1 = Chrom::new("chr1");
+        let cells = [ValueRef::Float(1.0), ValueRef::Int(2), ValueRef::Null, ValueRef::Null];
+        assert_eq!(
+            b.push_row(&schema, (&chr1, 0, 1, Strand::Pos), cells),
+            Err(GdmError::TypeMismatch {
+                attribute: "name".into(),
+                expected: ValueType::Str,
+                got: ValueType::Int
+            })
+        );
+        let short = [ValueRef::Float(1.0)];
+        assert_eq!(
+            RegionBatch::for_schema(&schema).push_row(&schema, (&chr1, 0, 1, Strand::Pos), short),
+            Err(GdmError::ArityMismatch { expected: 4, got: 1 })
+        );
+        let long = [ValueRef::Null; 6];
+        assert_eq!(
+            RegionBatch::for_schema(&schema).push_row(&schema, (&chr1, 0, 1, Strand::Pos), long),
+            Err(GdmError::ArityMismatch { expected: 4, got: 6 })
+        );
+        assert_eq!(
+            Column::with_capacity(ValueType::Int, 0).try_push(ValueRef::Str("x")),
+            Err(ValueType::Str)
+        );
     }
 
     #[test]
