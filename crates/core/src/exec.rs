@@ -269,7 +269,10 @@ pub fn execute_governed(
                     .map(|&i| slots[i].as_deref().expect("topological order"))
                     .collect();
                 let reuse = Reuse::default();
-                let mut d = apply(op, input, &rest, ctx, opts, &node.schema, &reuse)?;
+                // An operator over fewer regions than pay for pool jobs
+                // runs at width 1.
+                let ctx = ctx.for_regions(regions_in);
+                let mut d = apply(op, input, &rest, &ctx, opts, &node.schema, &reuse)?;
                 d.name = node.label.clone();
                 if shares_regions(op) {
                     node_span.field("shared", reuse.shared());

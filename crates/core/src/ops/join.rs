@@ -54,8 +54,10 @@ pub fn join(
         if !joinby_matches(&ls.metadata, &rs.metadata, joinby) {
             return Ok::<_, GmqlError>(None);
         }
-        // The candidate kernels run one pool job per chromosome; each
-        // keeps the qualifying pairs as positions in its two slices.
+        // The candidate kernels run chromosome by chromosome, inline in
+        // this pair's job (one pool job per chromosome when this is the
+        // only pair); each keeps the qualifying pairs as positions in its
+        // two slices.
         let kept = ctx.map_common_chroms(ls, rs, |c, lsl, rsl| {
             let mut pairs: Vec<(usize, usize)> = Vec::new();
             // Cooperative checkpoint: the candidate kernels can run for

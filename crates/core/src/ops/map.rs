@@ -31,8 +31,9 @@ pub fn map(
         if !joinby_matches(&r.metadata, &e.metadata, joinby) {
             return None;
         }
-        // Per-chromosome: collect, for each reference region, the values
-        // of intersecting experiment regions.
+        // Per-chromosome, inline in this pair's job (one pool job per
+        // chromosome when this is the only pair): collect, for each
+        // reference region, the values of intersecting experiment regions.
         let regions: Vec<GRegion> = ctx.map_common_chroms(r, e, |_c, ref_slice, exp_slice| {
             let mut hits: Vec<Vec<&GRegion>> = vec![Vec::new(); ref_slice.len()];
             // Cooperative checkpoint: dense overlaps make the pair

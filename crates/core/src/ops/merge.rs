@@ -35,8 +35,9 @@ pub fn merge(
 /// The frame MERGE, GROUP and COVER share: one output sample per metadata
 /// group of `input`, named `name` (plus the group key), carrying the union
 /// of its members' metadata and a provenance node `op(detail)` over all of
-/// them. Its regions come from `kernel`, which runs as one pool job per
-/// (group × chromosome) over the members' slices of that chromosome —
+/// them. Its regions come from `kernel`, which runs once per (group ×
+/// chromosome) — the groups fanned out over the pool, or, for a single
+/// group, its chromosomes — over the members' slices of that chromosome —
 /// sorted runs, in member order, for [`merge_runs`] to merge as borrows —
 /// gets the group size, and pushes its output rows, in genome order, onto
 /// an empty batch of `out_schema`'s columns. The sample's regions are

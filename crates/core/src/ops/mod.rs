@@ -9,8 +9,11 @@
 //!   metadata (prefixed per side for binary operators);
 //! * **provenance** — every result sample records the operator and its
 //!   input lineages;
-//! * **parallelism** — sample(-pair) tasks run on the engine pool, and
-//!   genometric work shards per chromosome;
+//! * **parallelism** — each operator fans out once: its sample(-pair)
+//!   or group tasks run on the engine pool and shard their genometric
+//!   work per chromosome inline, and a single task's chromosomes are the
+//!   pool jobs; an operator over fewer than
+//!   [`nggc_engine::POOL_MIN_REGIONS`] input regions runs inline;
 //! * **copy-on-write regions** — an output sample that keeps an input
 //!   sample's regions exactly takes its buffer by reference, remembered
 //!   size included; an operator edits a buffer in place only when

@@ -8,7 +8,9 @@ use crate::error::GmqlError;
 use crate::ops::{unpack, Reuse};
 use crate::predicates::{BoundExpr, RegionExpr};
 use nggc_engine::ExecContext;
-use nggc_gdm::{Dataset, GRegion, Provenance, RegionBatch, Regions, Sample, Schema};
+use nggc_gdm::{
+    Attribute, Column, Dataset, GRegion, GdmError, Provenance, RegionBatch, Regions, Sample, Schema,
+};
 use std::borrow::Cow;
 
 /// Execute PROJECT. `out_schema` is the inferred output schema;
@@ -16,7 +18,10 @@ use std::borrow::Cow;
 ///
 /// When every row already is what the output holds — the identity
 /// layout, as a source read narrowed to this PROJECT's list has it — each
-/// sample's region buffer is handed on as it is. Otherwise a buffer the
+/// sample's region buffer is handed on as it is. A batch-backed buffer
+/// stays columns: computed attributes are evaluated on its rows in place
+/// into new typed columns, and the kept columns are moved (held alone) or
+/// copied (shared) next to them; no row is built. Otherwise a buffer the
 /// operator holds alone (the executor hands an owned `input` over when
 /// this operator is the dataset's last user) is reshaped in place: every
 /// region keeps its chromosome handle and its value vector, whose kept
@@ -87,16 +92,27 @@ pub fn project(
         };
         let regions = if identity {
             reuse.hand_on(s.regions)
-        } else if computed.is_empty() && s.regions.batch().is_some() {
-            // Batch-backed, kept columns only: held alone, the kept
-            // columns move into place and the rest are dropped; shared,
-            // the kept ones are copied out.
+        } else if let Some(batch) = s.regions.batch() {
+            // Batch-backed: the computed cells are evaluated on the
+            // columns in place, into columns of their own, before the
+            // batch is let go. Then, held alone, the kept columns move
+            // into place and the rest are dropped; shared, the kept ones
+            // are copied out. The computed columns go after them.
+            let extra = computed
+                .iter()
+                .zip(&out_schema.attributes()[keep.len()..])
+                .map(|(expr, attr)| computed_column(expr, &batch, attr))
+                .collect::<Result<Vec<_>, _>>()?;
+            drop(batch);
+            let project = |batch: Cow<'_, RegionBatch>| {
+                let mut out = RegionBatch::projection(batch, &keep);
+                extra.into_iter().for_each(|column| out.push_column(column));
+                out
+            };
             match s.regions.into_batch() {
-                Ok(batch) => RegionBatch::projection(Cow::Owned(batch), &keep).into(),
+                Ok(batch) => project(Cow::Owned(batch)).into(),
                 Err(shared) => match shared.batch() {
-                    Some(batch) => {
-                        reuse.copy(RegionBatch::projection(Cow::Borrowed(&batch), &keep))
-                    }
+                    Some(batch) => reuse.copy(project(Cow::Borrowed(&batch))),
                     // Another holder built the rows meanwhile.
                     None => copy_rows(&shared),
                 },
@@ -121,14 +137,32 @@ pub fn project(
         let mut out = Sample::derived(s.name, provenance);
         out.metadata = kept_metadata.unwrap_or(s.metadata);
         out.regions = regions;
-        out
+        Ok::<_, GmqlError>(out)
     });
 
     let mut out = Dataset::new(name, out_schema.clone());
     for s in samples {
-        out.add_sample_unchecked(s);
+        out.add_sample_unchecked(s?);
     }
     Ok(out)
+}
+
+/// `expr` evaluated on every row of `batch`, in place, as a column of
+/// `attr`'s type.
+fn computed_column(
+    expr: &BoundExpr<'_>,
+    batch: &RegionBatch,
+    attr: &Attribute,
+) -> Result<Column, GdmError> {
+    let mut column = Column::with_capacity(attr.ty, batch.len());
+    for row in batch.rows_in(0..batch.len()) {
+        column.try_push(expr.eval_ref(&row)).map_err(|got| GdmError::TypeMismatch {
+            attribute: attr.name.clone(),
+            expected: attr.ty,
+            got,
+        })?;
+    }
+    Ok(column)
 }
 
 /// The swaps that turn a row of `width` input cells followed by `extra`

@@ -1,6 +1,6 @@
 //! The pooled clone-and-sort implementations of COVER/FLAT/SUMMIT/
 //! HISTOGRAM, MERGE, GROUP and DIFFERENCE that the run-merge operators
-//! replaced, and a JOIN that checks every pair and builds rows, compiled
+//! replaced, and a JOIN and a MAP that check every pair and build rows, compiled
 //! for tests only: they are the reference the property tests below hold
 //! the live operators to — same regions in the same order, same values,
 //! metadata and provenance, serial and on two workers.
@@ -21,8 +21,8 @@ use nggc_engine::{
     CHECKPOINT_STRIDE,
 };
 use nggc_gdm::{
-    Attribute, Chrom, Dataset, GRegion, Metadata, Provenance, Sample, Schema, Strand, Value,
-    ValueType,
+    interval_overlap, Attribute, Chrom, Dataset, GRegion, Metadata, Provenance, Sample, Schema,
+    Strand, Value, ValueType,
 };
 use proptest::prelude::*;
 use std::borrow::Cow;
@@ -440,6 +440,58 @@ fn join(
     out
 }
 
+/// Execute MAP: for every sample pair `joinby` admits, every reference
+/// region against every experiment region, those on its chromosome that
+/// overlap it (`interval_overlap`) on a compatible strand aggregated onto
+/// a copy of it.
+fn map(
+    aggs: &[(String, Aggregate)],
+    joinby: &[String],
+    refs: &Dataset,
+    exps: &Dataset,
+    out_schema: &Schema,
+) -> Dataset {
+    let resolved = ops::resolve_aggs(aggs, &exps.schema).unwrap();
+    let detail = aggs.iter().map(|(n, a)| format!("{n} AS {a}")).collect::<Vec<_>>().join(", ");
+    let mut out = Dataset::new(refs.name.clone(), out_schema.clone());
+    for r in &refs.samples {
+        for e in &exps.samples {
+            if !joinby_matches(&r.metadata, &e.metadata, joinby) {
+                continue;
+            }
+            let regions: Vec<GRegion> = r
+                .regions
+                .iter()
+                .map(|a| {
+                    let matched: Vec<&GRegion> = (e.regions.iter())
+                        .filter(|b| {
+                            a.chrom == b.chrom
+                                && interval_overlap(a.left, a.right, b.left, b.right)
+                                && a.strand.compatible(b.strand)
+                        })
+                        .collect();
+                    let mut row = a.clone();
+                    ops::push_aggregates(&resolved, &matched, &mut row.values);
+                    row
+                })
+                .collect();
+            let mut sample = Sample::derived(
+                format!("{}__{}", r.name, e.name),
+                Provenance::derived(
+                    "MAP",
+                    detail.clone(),
+                    vec![r.provenance.clone(), e.provenance.clone()],
+                ),
+            );
+            sample.metadata = r.metadata.clone();
+            sample.metadata.merge_from(&e.metadata, "exp");
+            sample.regions = regions.into();
+            out.add_sample_unchecked(sample);
+        }
+    }
+    out
+}
+
 /// The output row of a qualifying pair: the left values, then the right.
 fn join_row(a: &GRegion, b: &GRegion, output: JoinOutput) -> Option<GRegion> {
     let strand = match (a.strand, b.strand) {
@@ -707,6 +759,75 @@ fn join_equals_the_every_pair_reference(seed in any::<u64>()) {
         }
     }
 }}
+
+/// Random aggregates over [`random_dataset`]'s columns: none, or COUNT
+/// with AVG, MEDIAN, BAG and float SUM of `signal` and int SUM of `hits`.
+fn random_aggs(rng: &mut TestRng) -> Vec<(String, Aggregate)> {
+    if rng.below(2) == 0 {
+        return vec![];
+    }
+    vec![
+        ("n".into(), Aggregate::count()),
+        ("avg".into(), Aggregate::over(AggFunc::Avg, "signal")),
+        ("med".into(), Aggregate::over(AggFunc::Median, "signal")),
+        ("bag".into(), Aggregate::over(AggFunc::Bag, "signal")),
+        ("sum".into(), Aggregate::over(AggFunc::Sum, "signal")),
+        ("total".into(), Aggregate::over(AggFunc::Sum, "hits")),
+    ]
+}
+
+proptest! {
+#![proptest_config(ProptestConfig::with_cases(256))]
+
+/// MAP's sort-merge kernel, chromosome by chromosome, gives what every
+/// reference region checked against every experiment region gives: with
+/// and without aggregates and `joinby`, serial, on two workers and on
+/// three.
+#[test]
+fn map_equals_the_every_pair_reference(seed in any::<u64>()) {
+    let rng = &mut TestRng::deterministic(seed);
+    let (refs, exps) = (random_dataset("R", rng), random_dataset("E", rng));
+    let aggs = random_aggs(rng);
+    let joinby = if rng.below(2) == 0 { vec![] } else { vec!["cell".to_owned()] };
+    let op = Operator::Map { aggs: aggs.clone(), joinby: joinby.clone() };
+    let schema = infer_schema(&op, &[&refs.schema, &exps.schema]).unwrap();
+    let want = map(&aggs, &joinby, &refs, &exps, &schema);
+    for ctx in [ExecContext::serial(), ExecContext::with_workers(2), ExecContext::with_workers(3)] {
+        let got = ops::map::map(&ctx, &aggs, &joinby, &refs, &exps, &schema).unwrap();
+        prop_assert_eq!(digest(&got), digest(&want), "{:?} on {} workers", op, ctx.workers());
+    }
+}}
+
+/// The property tests call the operators themselves, not through the
+/// executor, so the pool floor does not apply to them: on their
+/// two-worker context the fold frame's and JOIN's maps still run pool
+/// jobs over these small random datasets.
+#[test]
+fn the_property_tests_reach_the_pool() {
+    let (fold, joins) = (ExecContext::with_workers(2), ExecContext::with_workers(2));
+    for seed in 0..16 {
+        let rng = &mut TestRng::deterministic(seed);
+        let (ds, other) = (random_dataset("D", rng), random_dataset("N", rng));
+        let (one, any) = (AccBound::Value(1), AccBound::Any);
+        let op = Operator::Cover {
+            variant: CoverVariant::Cover,
+            min_acc: one,
+            max_acc: any,
+            groupby: vec![],
+            aggs: vec![],
+        };
+        let schema = infer_schema(&op, &[&ds.schema]).unwrap();
+        ops::cover::cover(&fold, CoverVariant::Cover, one, any, &[], &[], &ds, &schema).unwrap();
+        ops::merge::merge(&fold, &[], &ds, &Reuse::default()).unwrap();
+        let clauses = [GenometricClause::DistLessEq(5)];
+        let op =
+            Operator::Join { clauses: clauses.to_vec(), output: JoinOutput::Left, joinby: vec![] };
+        let schema = infer_schema(&op, &[&ds.schema, &other.schema]).unwrap();
+        ops::join::join(&joins, &clauses, JoinOutput::Left, &[], &ds, &other, &schema).unwrap();
+    }
+    assert!(fold.pool().stats().jobs_executed > 0, "COVER and MERGE ran no pool job");
+    assert!(joins.pool().stats().jobs_executed > 0, "JOIN ran no pool job");
+}
 
 /// `d` with region buffers of its own, shared with nobody.
 fn unshared(d: &Dataset) -> Dataset {

@@ -372,7 +372,13 @@ impl BoundExpr<'_> {
     /// Evaluate over a region of the schema the expression was bound to:
     /// a row, or a region read in place in its batch.
     pub fn eval(&self, region: &(impl RegionRow + ?Sized)) -> Value {
-        self.0.eval(region).to_value()
+        self.eval_ref(region).to_value()
+    }
+
+    /// [`eval`](Self::eval) with text borrowed from the region or the
+    /// expression instead of copied out.
+    pub fn eval_ref<'a>(&'a self, region: &'a (impl RegionRow + ?Sized)) -> Scalar<'a> {
+        self.0.eval(region)
     }
 
     /// Evaluate as a boolean predicate (null ⇒ false).

@@ -30,5 +30,5 @@ pub use interval::{
     merge_runs, overlap_pairs_naive, overlap_pairs_sort_merge,
     overlap_pairs_sort_merge_interruptible, CovSeg, Interval,
 };
-pub use par::{union_chroms, ExecContext, CHECKPOINT_STRIDE};
+pub use par::{union_chroms, ExecContext, CHECKPOINT_STRIDE, POOL_MIN_REGIONS};
 pub use pool::WorkerPool;

@@ -11,11 +11,21 @@
 //! that has the machine to itself uses every worker; one that shares the
 //! pool with other requests gets a share of it, and at width 1 its maps
 //! run inline on whichever thread executes the query.
+//!
+//! An operator **fans out once**: a map called from inside a job of
+//! another runs inline on that job's thread, so MAP and JOIN spread their
+//! sample pairs over the pool and run each pair's chromosomes in the
+//! pair's job. A map of one item runs inline without becoming a job, so
+//! the map inside it — one pair's chromosomes, one group's — is the one
+//! that fans out. And an operator whose inputs hold fewer than
+//! [`POOL_MIN_REGIONS`] regions together runs at width 1
+//! ([`ExecContext::for_regions`]): its work would not pay for the jobs.
 
 use crate::interrupt::{Interrupt, InterruptState};
 use crate::pool::WorkerPool;
 use nggc_gdm::{Chrom, GRegion, Sample};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -24,15 +34,27 @@ use std::sync::Arc;
 /// interrupt polls. A power of two so the check compiles to a mask.
 pub const CHECKPOINT_STRIDE: usize = 1024;
 
+/// Fewest regions an operator's inputs must hold together for its maps to
+/// go through the pool. Measured on a 2-thread host, 2 workers against
+/// width 1, MAP and JOIN of one promoter sample against 8 peak samples
+/// and COVER of 8 peak samples, 24 chromosomes (the `pool_floor` group of
+/// `cargo bench -p nggc-bench --bench operators -- --bench`, and medians
+/// of 200–300 interleaved runs): at about 1 300 regions MAP ran 1.4–1.5×
+/// slower on the pool, from 1 400 to 2 400 regions the pool won or lost by
+/// turns (MAP once 1.55× slower), from 3 300 on it was never slower, and
+/// from 6 000 to 21 000 it won by 10–37 % in every run. The floor sits
+/// above the band in which the pool could lose.
+pub const POOL_MIN_REGIONS: usize = 4096;
+
 thread_local! {
-    /// Set while this thread runs a lane of a width-capped map: a map
-    /// nested inside a lane runs inline, so the lanes stay the only
-    /// threads working on the query.
+    /// Set while this thread runs a job or a lane of a map: a map nested
+    /// inside runs inline, so each operator fans out once and the lanes
+    /// stay the only threads working on the query.
     static IN_LANE: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Marks this thread as running a lane until dropped (a panic in the
-/// lane unwinds through the drop too).
+/// Marks this thread as running a job or a lane until dropped (a panic
+/// in it unwinds through the drop too).
 struct LaneGuard {
     was: bool,
 }
@@ -123,6 +145,17 @@ impl ExecContext {
         self.width
     }
 
+    /// The context for an operator whose inputs hold `regions` regions
+    /// together: this one, or below [`POOL_MIN_REGIONS`] the same at
+    /// width 1, whose maps run inline on the calling thread.
+    pub fn for_regions(&self, regions: usize) -> Cow<'_, ExecContext> {
+        if regions < POOL_MIN_REGIONS && self.width > 1 {
+            Cow::Owned(self.clone().with_width(1))
+        } else {
+            Cow::Borrowed(self)
+        }
+    }
+
     /// The worker pool.
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
@@ -131,6 +164,14 @@ impl ExecContext {
     /// Number of workers.
     pub fn workers(&self) -> usize {
         self.pool.workers()
+    }
+
+    /// True when a map of `n` items runs on the calling thread: one item
+    /// or none, width 1, or a map inside a job or a lane of another. An
+    /// inline map marks nothing, so a map inside its one item can still
+    /// fan out.
+    fn inline(&self, n: usize) -> bool {
+        n <= 1 || self.width == 1 || IN_LANE.with(Cell::get)
     }
 
     /// Apply `f` to every item, at most [`width`](Self::width) at a
@@ -143,6 +184,9 @@ impl ExecContext {
         F: Fn(T) -> R + Sync,
     {
         let n = items.len();
+        if self.inline(n) {
+            return items.into_iter().map(f).collect();
+        }
         let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
         let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         self.run_indexed(n, &|i| {
@@ -159,26 +203,31 @@ impl ExecContext {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
+        if self.inline(n) {
+            return (0..n).map(f).collect();
+        }
         let chunks = chunk_bounds(n, self.width * 4);
         let per: Vec<Vec<R>> = self.map(chunks, |(a, b)| (a..b).map(&f).collect());
         per.into_iter().flatten().collect()
     }
 
-    /// Run `body(i)` for every `i` in `0..n`, at most
-    /// [`width`](Self::width) at a time. At the pool's width each index
-    /// is one [`WorkerPool::parallel_map`] job, the caller helping. Below
-    /// it `width` lanes run through the pool, each taking the next index
-    /// until none is left; at width 1 the one lane is the calling thread,
-    /// and a map nested inside a lane runs inline on it. `body` is a
-    /// trait object so that the pool code is compiled once, not once per
-    /// operator.
+    /// Run `body(i)` for every `i` in `0..n` (a map that does not run
+    /// [`inline`](Self::inline)), at most [`width`](Self::width) at a
+    /// time. At the pool's width each index is one
+    /// [`WorkerPool::parallel_map`] job, the caller helping. Below it
+    /// `width` lanes run through the pool, each taking the next index
+    /// until none is left. Inside a job or a lane, a map runs inline.
+    /// `body` is a trait object so that the pool code is compiled once,
+    /// not once per operator.
     fn run_indexed(&self, n: usize, body: &(dyn Fn(usize) + Sync)) {
         if self.width >= self.pool.workers() {
-            self.pool.parallel_map((0..n).collect(), body);
+            self.pool.parallel_map((0..n).collect(), |i| {
+                let _job = LaneGuard::enter();
+                body(i)
+            });
             return;
         }
-        // Inside a lane, the lanes already running are the query's width.
-        let lanes = if IN_LANE.with(Cell::get) { 1 } else { self.width.min(n) };
+        let lanes = self.width.min(n);
         // Hands out indices only: items and results have locks of their
         // own, and `parallel_map` orders the lanes' ends before its return.
         let next = AtomicUsize::new(0);
@@ -412,5 +461,66 @@ mod tests {
         });
         assert!(out.is_empty(), "tripped context must skip kernels");
         assert_eq!(ran.load(Ordering::Relaxed), 0);
+    }
+
+    /// The twin of `tripped_interrupt_skips_chrom_kernels` on the paths
+    /// that run the chromosomes inline: inside a job of an outer map, and
+    /// at width 1.
+    #[test]
+    fn tripped_interrupt_skips_inline_chrom_kernels() {
+        let st = Arc::new(InterruptState::new());
+        st.cancel();
+        let full = ExecContext::with_workers(2).with_interrupt(Arc::clone(&st));
+        let a = sample("a", vec![("chr1", 0, 5), ("chr2", 0, 5)]);
+        let b = sample("b", vec![("chr1", 3, 9)]);
+        let ran = AtomicUsize::new(0);
+        let kernel = |_: &Chrom, _: &[GRegion], _: &[GRegion]| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            vec![1u64]
+        };
+        let nested = full.map(vec![(); 4], |()| full.map_common_chroms(&a, &b, kernel));
+        assert!(nested.iter().all(Vec::is_empty), "tripped context must skip nested kernels");
+        let narrow = full.clone().with_width(1);
+        assert!(narrow.map_common_chroms(&a, &b, kernel).is_empty());
+        assert_eq!(ran.load(Ordering::Relaxed), 0);
+        assert_eq!(full.pool().stats().jobs_executed, 4, "the outer map's jobs only");
+    }
+
+    #[test]
+    fn a_map_inside_a_job_runs_inline_and_one_of_one_item_fans_out() {
+        let ctx = ExecContext::with_workers(2);
+        let jobs = || ctx.pool().stats().jobs_executed;
+        // Four outer jobs; each one's map of eight runs on its thread.
+        let out = ctx.map((0..4).collect(), |i: usize| {
+            let me = std::thread::current().id();
+            let inner = ctx.map((0..8).collect(), |j: usize| (std::thread::current().id(), i * j));
+            assert!(inner.iter().all(|(t, _)| *t == me), "nested map left its job's thread");
+            inner.iter().map(|(_, v)| v).sum::<usize>()
+        });
+        assert_eq!(out, vec![0, 28, 56, 84]);
+        assert_eq!(jobs(), 4);
+        // One outer item is no job, and the map inside it is the fan-out.
+        let out = ctx.map(vec![3usize], |i| ctx.map((0..8).collect(), |j: usize| i * j));
+        assert_eq!(out[0].iter().sum::<usize>(), 84);
+        assert_eq!(jobs(), 4 + 8);
+        // One pair: its chromosomes are the jobs.
+        let a = sample("a", vec![("chr1", 0, 5), ("chr2", 0, 5), ("chr3", 0, 5)]);
+        let pairs =
+            ctx.map_sample_pairs(std::slice::from_ref(&a), std::slice::from_ref(&a), |r, e| {
+                ctx.map_common_chroms(r, e, |c, _, _| vec![c.clone()]).len()
+            });
+        assert_eq!(pairs, vec![3]);
+        assert_eq!(jobs(), 4 + 8 + 3);
+    }
+
+    #[test]
+    fn an_operator_below_the_floor_runs_at_width_one() {
+        let ctx = ExecContext::with_workers(2);
+        assert_eq!(ctx.for_regions(POOL_MIN_REGIONS - 1).width(), 1);
+        assert_eq!(ctx.for_regions(0).width(), 1);
+        assert_eq!(ctx.for_regions(POOL_MIN_REGIONS).width(), 2);
+        let small = ctx.for_regions(10);
+        assert_eq!(small.map((0..16).collect(), |i: usize| i + 1), (1..=16).collect::<Vec<_>>());
+        assert_eq!(ctx.pool().stats().jobs_executed, 0, "no pool traffic below the floor");
     }
 }

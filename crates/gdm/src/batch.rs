@@ -465,6 +465,13 @@ impl RegionBatch {
         &mut self.columns
     }
 
+    /// Append a value column after the others, holding one cell for
+    /// each of the batch's rows.
+    pub fn push_column(&mut self, column: Column) {
+        debug_assert!(column.pushed().is_none_or(|n| n == self.len()), "one cell per row");
+        self.columns.push(column);
+    }
+
     /// An empty batch with an empty column of each of `schema`'s
     /// attribute types, in schema order.
     pub fn for_schema(schema: &Schema) -> RegionBatch {
