@@ -7,7 +7,7 @@
 //! regions; stacking one aggregate attribute across samples yields the
 //! matrix.
 
-use nggc_gdm::{Chrom, Dataset, Strand};
+use nggc_gdm::{Chrom, Dataset, RegionRow, Regions, Strand, ValueRef};
 use std::fmt;
 
 /// A region's identity within a genome space.
@@ -75,6 +75,16 @@ impl fmt::Display for GenomeSpaceError {
 
 impl std::error::Error for GenomeSpaceError {}
 
+/// `f` of each region of `regions` with its position, in order, read in
+/// place: from the columns of a batch-backed buffer, whose rows stay
+/// unbuilt, else from the rows.
+fn read<T, C: FromIterator<T>>(regions: &Regions, f: impl Fn(usize, &dyn RegionRow) -> T) -> C {
+    match regions.batch() {
+        Some(batch) => batch.rows_in(0..batch.len()).map(|r| f(r.index(), &r)).collect(),
+        None => regions.iter().enumerate().map(|(i, r)| f(i, r)).collect(),
+    }
+}
+
 impl GenomeSpace {
     /// Build from a MAP result: `value_attr` supplies cell values;
     /// `label_attr` (optional) supplies row labels (e.g. the gene name).
@@ -98,38 +108,29 @@ impl GenomeSpace {
             ),
             None => None,
         };
-        let regions: Vec<RegionKey> = first
-            .regions
-            .iter()
-            .map(|r| RegionKey {
-                chrom: r.chrom.clone(),
-                left: r.left,
-                right: r.right,
-                strand: r.strand,
-                label: label_pos
-                    .and_then(|p| r.values.get(p))
-                    .and_then(|v| v.as_str())
-                    .map(str::to_owned),
-            })
-            .collect();
+        let regions: Vec<RegionKey> = read(&first.regions, |_, r| RegionKey {
+            chrom: r.chrom().clone(),
+            left: r.left(),
+            right: r.right(),
+            strand: r.strand(),
+            label: match label_pos.and_then(|p| r.cell(p)) {
+                Some(ValueRef::Str(l)) => Some(l.to_owned()),
+                _ => None,
+            },
+        });
         let mut experiments = Vec::with_capacity(dataset.samples.len());
         let mut columns: Vec<Vec<f64>> = Vec::with_capacity(dataset.samples.len());
         for s in &dataset.samples {
-            if s.regions.len() != regions.len()
-                || s.regions
-                    .iter()
-                    .zip(&regions)
-                    .any(|(r, k)| r.chrom != k.chrom || r.left != k.left || r.right != k.right)
-            {
-                return Err(GenomeSpaceError::RaggedSamples { sample: s.name.clone() });
+            let column: Option<Vec<f64>> = read(&s.regions, |i, r| {
+                let k = regions.get(i)?;
+                let same = *r.chrom() == k.chrom && r.left() == k.left && r.right() == k.right;
+                same.then(|| r.cell(value_pos).and_then(ValueRef::as_f64).unwrap_or(0.0))
+            });
+            match column {
+                Some(column) if column.len() == regions.len() => columns.push(column),
+                _ => return Err(GenomeSpaceError::RaggedSamples { sample: s.name.clone() }),
             }
             experiments.push(s.name.clone());
-            columns.push(
-                s.regions
-                    .iter()
-                    .map(|r| r.values.get(value_pos).and_then(|v| v.as_f64()).unwrap_or(0.0))
-                    .collect(),
-            );
         }
         // Transpose columns into row-major values.
         let values: Vec<Vec<f64>> =
@@ -206,6 +207,24 @@ mod tests {
         assert_eq!(gs.row(0), &[3.0, 1.0]);
         assert_eq!(gs.row(2), &[7.0, 0.0]);
         assert_eq!(gs.regions[0].label.as_deref(), Some("R1"));
+    }
+
+    #[test]
+    fn a_map_output_is_read_in_place() {
+        let mut engine = nggc_core::GmqlEngine::with_workers(1);
+        let mut refs = map_result();
+        refs.name = "REFS".into();
+        refs.samples.truncate(1);
+        engine.register(refs);
+        engine.register(map_result());
+        let out = engine.run("S = MAP(n AS COUNT) REFS R; MATERIALIZE S;").unwrap();
+        let gs = GenomeSpace::from_map_result(&out["S"], "n", Some("name")).unwrap();
+        assert_eq!((gs.n_regions(), gs.n_experiments()), (3, 2));
+        assert_eq!(gs.row(1), &[1.0, 1.0]);
+        assert_eq!(gs.regions[2].label.as_deref(), Some("R3"));
+        for s in &out["S"].samples {
+            assert!(s.regions.batch().is_some() && !s.regions.has_rows(), "{}", s.name);
+        }
     }
 
     #[test]

@@ -155,34 +155,23 @@ impl Aggregate {
     pub fn compute(&self, values: &[&Value], n_regions: usize) -> Value {
         match self.func {
             AggFunc::Count => Value::Int(n_regions as i64),
-            AggFunc::Sum => {
-                let nums: Vec<f64> = numeric(values);
-                if nums.is_empty() {
-                    Value::Null
-                } else {
-                    let s: f64 = nums.iter().sum();
-                    render_numeric(s, values)
-                }
-            }
-            AggFunc::Avg => {
-                let nums: Vec<f64> = numeric(values);
-                if nums.is_empty() {
-                    Value::Null
-                } else {
-                    Value::Float(nums.iter().sum::<f64>() / nums.len() as f64)
-                }
-            }
-            AggFunc::Std => {
-                let nums: Vec<f64> = numeric(values);
-                if nums.is_empty() {
-                    Value::Null
-                } else {
-                    let mean = nums.iter().sum::<f64>() / nums.len() as f64;
-                    let var = nums.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>()
-                        / nums.len() as f64;
+            AggFunc::Sum => match numeric(values).next() {
+                None => Value::Null,
+                Some(_) => render_numeric(numeric(values).sum(), values),
+            },
+            AggFunc::Avg => match numeric(values).count() {
+                0 => Value::Null,
+                n => Value::Float(numeric(values).sum::<f64>() / n as f64),
+            },
+            AggFunc::Std => match numeric(values).count() {
+                0 => Value::Null,
+                n => {
+                    let mean = numeric(values).sum::<f64>() / n as f64;
+                    let var =
+                        numeric(values).map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
                     Value::Float(var.sqrt())
                 }
-            }
+            },
             AggFunc::Min => order_pick(values, false),
             AggFunc::Max => order_pick(values, true),
             AggFunc::Median | AggFunc::Q1 | AggFunc::Q3 => {
@@ -222,8 +211,10 @@ impl Aggregate {
     }
 }
 
-fn numeric(values: &[&Value]) -> Vec<f64> {
-    values.iter().filter_map(|v| v.as_f64()).filter(|f| !f.is_nan()).collect()
+/// The numeric, non-NaN values, in order; walked once per use instead of
+/// collected, so an aggregate allocates nothing.
+fn numeric<'v>(values: &'v [&Value]) -> impl Iterator<Item = f64> + 'v {
+    values.iter().filter_map(|v| v.as_f64()).filter(|f| !f.is_nan())
 }
 
 /// SUM keeps integer typing when all inputs are integers.

@@ -60,6 +60,7 @@ pub fn cover(
         }
         let mut window = Window::over(&order);
         let mut contributing: Vec<&GRegion> = Vec::new();
+        let mut scratch = Vec::new();
         let mut aggregated: Vec<Value> = Vec::with_capacity(resolved.len());
         part.reserve(shapes.len());
         for (idx, (l, r, acc)) in shapes.into_iter().enumerate() {
@@ -72,7 +73,7 @@ pub fn cover(
                 // Contributing regions: those overlapping the output.
                 contributing.clear();
                 contributing.extend(window.intersecting(l, r));
-                push_aggregates(&resolved, &contributing, &mut aggregated);
+                push_aggregates(&resolved, &contributing, &mut scratch, &mut aggregated);
             }
             let cells = std::iter::once(ValueRef::Int(acc as i64))
                 .chain(aggregated.iter().map(ValueRef::from));

@@ -28,6 +28,7 @@ pub fn group(
         // representative's cells are copied, then the aggregates'.
         let mut merged = merge_runs(runs, GRegion::cmp_coords).into_iter().peekable();
         let mut dup: Vec<&GRegion> = Vec::new();
+        let mut scratch = Vec::new();
         let mut aggregated: Vec<Value> = Vec::with_capacity(resolved.len());
         while let Some(rep) = merged.next() {
             // Stride checkpoint over the duplicate-fold loop: stop
@@ -42,7 +43,7 @@ pub fn group(
                 dup.push(x);
             }
             aggregated.clear();
-            push_aggregates(&resolved, &dup, &mut aggregated);
+            push_aggregates(&resolved, &dup, &mut scratch, &mut aggregated);
             let cells = rep.values.iter().chain(&aggregated).map(ValueRef::from);
             part.push_row(out_schema, (&rep.chrom, rep.left, rep.right, rep.strand), cells)?;
         }

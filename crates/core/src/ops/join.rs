@@ -56,9 +56,9 @@ pub fn join(
         }
         // The candidate kernels run chromosome by chromosome, inline in
         // this pair's job (one pool job per chromosome when this is the
-        // only pair); each keeps the qualifying pairs as positions in its
-        // two slices.
-        let kept = ctx.map_common_chroms(ls, rs, |c, lsl, rsl| {
+        // only pair); each keeps its two slices and the qualifying pairs
+        // as positions in them.
+        let kept = ctx.map_common_chroms(ls, rs, |_, lsl, rsl| {
             let mut pairs: Vec<(usize, usize)> = Vec::new();
             // Cooperative checkpoint: the candidate kernels can run for
             // seconds on wide inputs (the exhaustive path is O(n·m)), so
@@ -105,7 +105,7 @@ pub fn join(
                     }
                 }
             }
-            vec![(c.clone(), pairs)]
+            vec![(lsl, rsl, pairs)]
         });
         // The output is one batch: chromosome by chromosome, the pairs'
         // output regions in genome order (the kernels give them by left
@@ -113,16 +113,15 @@ pub fn join(
         // already), each pushed as coordinates, then the left region's
         // cells, then the right one's.
         let mut regions = RegionBatch::for_schema(out_schema);
-        regions.reserve(kept.iter().map(|(_, pairs)| pairs.len()).sum());
+        regions.reserve(kept.iter().map(|(_, _, pairs)| pairs.len()).sum());
         let mut rows = Vec::new();
-        for (c, pairs) in kept {
+        for (lsl, rsl, pairs) in kept {
             // A tripped governor means the pairs are truncated garbage
             // the executor will discard: build no more and let the node
             // boundary raise the error.
             if ctx.interrupted() {
                 return Ok(None);
             }
-            let (lsl, rsl) = (ls.chrom_slice(&c), rs.chrom_slice(&c));
             rows.clear();
             rows.extend(pairs.into_iter().filter_map(|(i, j)| {
                 let (a, b) = (&lsl[i], &rsl[j]);

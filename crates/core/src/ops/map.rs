@@ -6,13 +6,15 @@
 //! experiment) pair; every reference region carries aggregates computed
 //! over the strand-compatible experiment regions intersecting it. The
 //! resulting matrix of (regions × experiments) is the *genome space* of
-//! Figure 4.
+//! Figure 4. Each output sample is written into the columns of one
+//! batch: the reference region's coordinates and cells, then its
+//! aggregates, with no row per region.
 
 use crate::aggregates::Aggregate;
 use crate::error::GmqlError;
 use crate::ops::{joinby_matches, push_aggregates, resolve_aggs};
 use nggc_engine::{overlap_pairs_sort_merge_interruptible, ExecContext, CHECKPOINT_STRIDE};
-use nggc_gdm::{Dataset, GRegion, Provenance, Sample, Schema};
+use nggc_gdm::{Dataset, GRegion, Provenance, RegionBatch, Sample, Schema, ValueRef};
 use std::cell::Cell;
 
 /// Execute MAP. `out_schema` = reference schema + aggregate attributes.
@@ -25,17 +27,26 @@ pub fn map(
     out_schema: &Schema,
 ) -> Result<Dataset, GmqlError> {
     let resolved = resolve_aggs(aggs, &exps.schema)?;
+    let n_aggs = resolved.len();
     let detail = aggs.iter().map(|(n, a)| format!("{n} AS {a}")).collect::<Vec<_>>().join(", ");
 
     let results = ctx.map_sample_pairs(&refs.samples, &exps.samples, |r, e| {
         if !joinby_matches(&r.metadata, &e.metadata, joinby) {
-            return None;
+            return Ok::<_, GmqlError>(None);
         }
-        // Per-chromosome, inline in this pair's job (one pool job per
-        // chromosome when this is the only pair): collect, for each
-        // reference region, the values of intersecting experiment regions.
-        let regions: Vec<GRegion> = ctx.map_common_chroms(r, e, |_c, ref_slice, exp_slice| {
-            let mut hits: Vec<Vec<&GRegion>> = vec![Vec::new(); ref_slice.len()];
+        // Per chromosome, inline in this pair's job (one pool job per
+        // chromosome when this is the only pair): the chromosome's
+        // reference regions and their aggregates, region by region in
+        // one flat list.
+        let aggregated = ctx.map_common_chroms(r, e, |_, ref_slice, exp_slice| {
+            if ref_slice.is_empty() {
+                return Vec::new();
+            }
+            // The kernel gives each reference region's hits together and
+            // in order, so they go into one flat list; region `i`'s end
+            // there is `ends[i]`.
+            let mut hits: Vec<&GRegion> = Vec::new();
+            let mut ends: Vec<usize> = Vec::with_capacity(ref_slice.len());
             // Cooperative checkpoint: dense overlaps make the pair
             // enumeration quadratic, so poll on a stride and stop
             // collecting once the governor trips; the executor raises
@@ -54,20 +65,44 @@ pub fn map(
                     return;
                 }
                 if ref_slice[i].strand.compatible(exp_slice[j].strand) {
-                    hits[i].push(&exp_slice[j]);
+                    ends.resize(i, hits.len());
+                    hits.push(&exp_slice[j]);
                 }
             });
-            let mut out_regions = Vec::with_capacity(ref_slice.len());
-            for (idx, (rr, matched)) in ref_slice.iter().zip(hits).enumerate() {
+            ends.resize(ref_slice.len(), hits.len());
+            let mut aggregates = Vec::with_capacity(ref_slice.len() * n_aggs);
+            let mut scratch = Vec::new();
+            let mut start = 0;
+            for (idx, &end) in ends.iter().enumerate() {
                 if idx & (CHECKPOINT_STRIDE - 1) == 0 && ctx.interrupted() {
                     break;
                 }
-                let mut out = rr.clone();
-                push_aggregates(&resolved, &matched, &mut out.values);
-                out_regions.push(out);
+                push_aggregates(&resolved, &hits[start..end], &mut scratch, &mut aggregates);
+                start = end;
             }
-            out_regions
+            vec![(ref_slice, aggregates)]
         });
+        // The output is one batch: chromosome by chromosome in genome
+        // order, each reference region's coordinates and cells, then its
+        // aggregates.
+        let mut regions = RegionBatch::for_schema(out_schema);
+        regions.reserve(r.region_count());
+        for (ref_slice, aggregates) in aggregated {
+            // A tripped governor means the aggregates are truncated
+            // garbage the executor will discard: build no more and let
+            // the node boundary raise the error.
+            if ctx.interrupted() {
+                return Ok(None);
+            }
+            for (k, rr) in ref_slice.iter().enumerate() {
+                let cells = rr.values.iter().chain(&aggregates[k * n_aggs..(k + 1) * n_aggs]);
+                regions.push_row(
+                    out_schema,
+                    (&rr.chrom, rr.left, rr.right, rr.strand),
+                    cells.map(ValueRef::from),
+                )?;
+            }
+        }
 
         let mut sample = Sample::derived(
             format!("{}__{}", r.name, e.name),
@@ -80,12 +115,14 @@ pub fn map(
         sample.metadata = r.metadata.clone();
         sample.metadata.merge_from(&e.metadata, "exp");
         sample.regions = regions.into();
-        Some(sample)
+        Ok(Some(sample))
     });
 
     let mut out = Dataset::new(refs.name.clone(), out_schema.clone());
-    for s in results.into_iter().flatten() {
-        out.add_sample_unchecked(s);
+    for s in results {
+        if let Some(s) = s? {
+            out.add_sample_unchecked(s);
+        }
     }
     Ok(out)
 }
@@ -96,7 +133,7 @@ mod tests {
     use crate::aggregates::AggFunc;
     use crate::ast::Operator;
     use crate::plan::infer_schema;
-    use nggc_gdm::{Attribute, Metadata, Strand, Value, ValueType};
+    use nggc_gdm::{Attribute, Metadata, Regions, Strand, Value, ValueType};
 
     fn proms() -> Dataset {
         let mut ds = Dataset::new("PROMS", Schema::empty());
@@ -175,6 +212,24 @@ mod tests {
         // Empty group: avg is null.
         assert_eq!(out.samples[0].regions[2].values[1], Value::Null);
         out.validate().unwrap();
+    }
+
+    #[test]
+    fn output_is_one_batch_per_pair_sized_as_its_rows() {
+        let out = run(
+            vec![
+                ("n".into(), Aggregate::count()),
+                ("top".into(), Aggregate::over(AggFunc::Max, "p_value")),
+            ],
+            vec![],
+        );
+        for s in &out.samples {
+            assert!(s.regions.batch().is_some() && !s.regions.has_rows(), "{}", s.name);
+            let rows: Vec<GRegion> = s.regions.each_row().map(|r| r.into_owned()).collect();
+            assert!(!s.regions.has_rows(), "{}: read in place", s.name);
+            let size = Regions::from(rows).encoded_size();
+            assert_eq!(s.regions.encoded_size(), size, "{}", s.name);
+        }
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   [`Regions::get_mut`] shows it holds it alone (which forgets the
 //!   size), and otherwise copies only what it keeps ([`Reuse`] counts
 //!   both);
-//! * **columnar outputs** — JOIN and the fold frame of COVER, GROUP and
-//!   MERGE push each output region into the typed columns of a
+//! * **columnar outputs** — MAP, JOIN and the fold frame of COVER, GROUP
+//!   and MERGE push each output region into the typed columns of a
 //!   [`nggc_gdm::RegionBatch`] instead of building it as a row.
 
 pub mod cover;
@@ -107,16 +107,21 @@ pub(crate) fn resolve_aggs(
 }
 
 /// Append one value per aggregate, computed over `regions` in the order
-/// given (BAG and float SUM depend on it).
-pub(crate) fn push_aggregates(
+/// given (BAG and float SUM depend on it). Each aggregate's argument
+/// cells are gathered into `scratch`, which the caller keeps from one
+/// call to the next so that it is allocated once.
+pub(crate) fn push_aggregates<'a>(
     resolved: &[(Aggregate, Option<usize>)],
-    regions: &[&GRegion],
+    regions: &[&'a GRegion],
+    scratch: &mut Vec<&'a Value>,
     values: &mut Vec<Value>,
 ) {
     for (agg, pos) in resolved {
-        let vals: Vec<&Value> =
-            pos.map_or_else(Vec::new, |p| regions.iter().map(|r| &r.values[p]).collect());
-        values.push(agg.compute(&vals, regions.len()));
+        scratch.clear();
+        if let Some(p) = *pos {
+            scratch.extend(regions.iter().map(|r| &r.values[p]));
+        }
+        values.push(agg.compute(scratch, regions.len()));
     }
 }
 

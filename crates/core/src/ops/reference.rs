@@ -471,7 +471,7 @@ fn map(
                         })
                         .collect();
                     let mut row = a.clone();
-                    ops::push_aggregates(&resolved, &matched, &mut row.values);
+                    ops::push_aggregates(&resolved, &matched, &mut Vec::new(), &mut row.values);
                     row
                 })
                 .collect();

@@ -27,6 +27,8 @@ use nggc_gdm::{Chrom, GRegion, Sample};
 use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::cell::Cell;
+use std::cmp;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -275,26 +277,77 @@ impl ExecContext {
 
     /// Run a per-chromosome kernel over two samples in parallel and
     /// concatenate the per-chromosome outputs in genome order. The
-    /// chromosome list is the union of both samples' chromosomes.
-    pub fn map_common_chroms<R, F>(&self, a: &Sample, b: &Sample, f: F) -> Vec<R>
+    /// chromosome list is the union of both samples' chromosomes; the
+    /// kernel's slices borrow from the samples, so what it returns may
+    /// hold them.
+    pub fn map_common_chroms<'a, R, F>(&self, a: &'a Sample, b: &'a Sample, f: F) -> Vec<R>
     where
         R: Send,
-        F: Fn(&Chrom, &[GRegion], &[GRegion]) -> Vec<R> + Sync,
+        F: Fn(&'a Chrom, &'a [GRegion], &'a [GRegion]) -> Vec<R> + Sync,
     {
-        let chroms = union_chroms([a, b]);
-        let per_chrom = self.map(chroms, |c| {
+        let (a, b): (&'a [GRegion], &'a [GRegion]) = (&a.regions, &b.regions);
+        let per_chrom = self.map(common_runs(a, b), |(c, ra, rb)| {
             // Checkpoint at the job boundary: once the interrupt trips,
             // queued chromosome kernels become no-ops instead of running
             // to completion, so cancellation latency is bounded by one
             // kernel, not the whole fan-out.
             if self.interrupted() {
-                return (c, Vec::new());
+                return Vec::new();
             }
-            let out = f(&c, a.chrom_slice(&c), b.chrom_slice(&c));
-            (c, out)
+            f(c, &a[ra], &b[rb])
         });
-        per_chrom.into_iter().flat_map(|(_, v)| v).collect()
+        per_chrom.into_iter().flatten().collect()
     }
+}
+
+/// The chromosome runs of regions in genome order: each run's chromosome
+/// and where it lies. Gallops, comparing handles rather than ordering
+/// names, as [`Sample::chromosomes`] does.
+fn runs(regions: &[GRegion]) -> Vec<(&Chrom, Range<usize>)> {
+    let mut out = Vec::new();
+    let mut start = 0;
+    while let Some(first) = regions.get(start) {
+        let end = start + regions[start..].partition_point(|r| r.chrom == first.chrom);
+        out.push((&first.chrom, start..end));
+        start = end;
+    }
+    out
+}
+
+/// The union of the chromosomes of `a` and `b`, both in genome order,
+/// each with its run in either (empty where it has none): a merge of
+/// their runs, so only run heads are ordered by name. Names that order
+/// alike but differ (`chr01`, `chr1`) are different chromosomes.
+fn common_runs<'a>(
+    a: &'a [GRegion],
+    b: &'a [GRegion],
+) -> Vec<(&'a Chrom, Range<usize>, Range<usize>)> {
+    let (ra, rb) = (runs(a), runs(b));
+    let (mut i, mut j) = (0, 0);
+    let mut out = Vec::with_capacity(ra.len().max(rb.len()));
+    while i < ra.len() || j < rb.len() {
+        let next = match (ra.get(i), rb.get(j)) {
+            (Some(x), Some(y)) if x.0 == y.0 => cmp::Ordering::Equal,
+            (Some(x), Some(y)) => x.0.cmp(y.0).then(cmp::Ordering::Less),
+            (Some(_), None) => cmp::Ordering::Less,
+            (None, _) => cmp::Ordering::Greater,
+        };
+        match next {
+            cmp::Ordering::Less => {
+                out.push((ra[i].0, ra[i].1.clone(), 0..0));
+                i += 1;
+            }
+            cmp::Ordering::Greater => {
+                out.push((rb[j].0, 0..0, rb[j].1.clone()));
+                j += 1;
+            }
+            cmp::Ordering::Equal => {
+                out.push((ra[i].0, ra[i].1.clone(), rb[j].1.clone()));
+                (i, j) = (i + 1, j + 1);
+            }
+        }
+    }
+    out
 }
 
 /// `0..n` cut into at most `chunks` contiguous, non-empty `(start, end)`
@@ -355,6 +408,12 @@ mod tests {
             vec![format!("{}:{}x{}", c, ra.len(), rb.len())]
         });
         assert_eq!(out, vec!["chr1:0x1", "chr2:1x1", "chr10:1x0"]);
+        // `chr01` orders as `chr1` but is another chromosome.
+        let a = sample("a", vec![("chr01", 0, 5), ("chr2", 0, 5)]);
+        let out = ctx.map_common_chroms(&a, &b, |c, ra, rb| {
+            vec![format!("{}:{}x{}", c, ra.len(), rb.len())]
+        });
+        assert_eq!(out, vec!["chr01:1x0", "chr1:0x1", "chr2:1x1"]);
     }
 
     /// Runs `f` while keeping `running` / `high` as a concurrency

@@ -1,4 +1,4 @@
-//! JOIN, the COVER family, MERGE and GROUP write their outputs as
+//! MAP, JOIN, the COVER family, MERGE and GROUP write their outputs as
 //! columnar batches, and nothing downstream of them on serve's path or
 //! the CLI's turns those batches into rows: over resident inputs the
 //! process-wide `nggc_gdm::rows_built` count stays where it was.
@@ -57,7 +57,8 @@ fn datasets() -> [Dataset; 2] {
     [peaks, genes]
 }
 
-const QUERIES: [&str; 5] = [
+const QUERIES: [&str; 6] = [
+    "R = MAP(n AS COUNT, top AS MAX(score)) GENES PEAKS; MATERIALIZE R;",
     "R = JOIN(DLE(1000); output: LEFT) GENES PEAKS; MATERIALIZE R;",
     "R = HISTOGRAM(2, ANY) PEAKS; MATERIALIZE R;",
     "R = COVER(2, ANY) PEAKS; MATERIALIZE R;",
